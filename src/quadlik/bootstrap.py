@@ -114,16 +114,14 @@ def _bootstrap_level(
     seed: int,
     path: tuple,
     workers: int,
-) -> tuple[list, PivotSamples]:
+) -> PivotSamples:
     def one(i: int):
         rng = derive_rng(seed, *path, i)
-        return _one_replicate(model, theta_hat, pivot, start, rng)
+        return _one_replicate(model, theta_hat, pivot, start, rng)[1]
 
     results = parallel_map(one, B, workers)
-    fits = [r[0] for r in results]
-    values = [r[1] for r in results if not is_nao(r[1])]
-    samples = PivotSamples(np.asarray(values), B - len(values), seed, B)
-    return fits, samples
+    values = [v for v in results if not is_nao(v)]
+    return PivotSamples(np.asarray(values), B - len(values), seed, B)
 
 
 def parametric_bootstrap(
@@ -147,8 +145,7 @@ def parametric_bootstrap(
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
-    _, samples = _bootstrap_level(model, th, B, pivot, start, seed, ("bootstrap", 0), workers)
-    return samples
+    return _bootstrap_level(model, th, B, pivot, start, seed, ("bootstrap", 0), workers)
 
 
 def calibrate(samples: PivotSamples, level: float, p: int) -> CalibrationResult:
@@ -229,9 +226,7 @@ def double_bootstrap(
         theta_star, value = _one_replicate(model, th, pivot, start, rng)
         if is_nao(theta_star):
             return value, None
-        _, inner = _bootstrap_level(
-            model, theta_star, B2, pivot, start, seed, ("bootstrap", 1, i), 1
-        )
+        inner = _bootstrap_level(model, theta_star, B2, pivot, start, seed, ("bootstrap", 1, i), 1)
         return value, inner
 
     results = parallel_map(one, B1, workers)

@@ -410,18 +410,26 @@ def run_fit(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     return record, EXIT_OK
 
 
-def _default_box(center_dim: int, halfwidth, points, where: str) -> GridBox:
-    if np.isscalar(halfwidth):
-        half = np.full(center_dim, float(halfwidth))
+def _get_box(cfg: dict, dim: int, default_halfwidth: float) -> GridBox:
+    """Grid box centered at zero from ``box_halfwidth`` and ``points_per_axis``.
+
+    Each key takes one value for every axis or a list with one per axis.
+    """
+    if isinstance(cfg.get("box_halfwidth"), list):
+        half = _get_vector(cfg, "box_halfwidth", "config")
+        if half.size != dim:
+            raise ConfigError("config.box_halfwidth: length does not match the parameter dimension")
     else:
-        half = np.asarray([float(v) for v in halfwidth])
-        if half.size != center_dim:
-            raise ConfigError(f"{where}: halfwidth length does not match the parameter dimension")
+        half = np.full(dim, _get(cfg, "box_halfwidth", float, "config", required=False, default=default_halfwidth))
+    if isinstance(cfg.get("points_per_axis"), list):
+        points = cfg["points_per_axis"]
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in points):
+            raise ConfigError("config.points_per_axis: expected a list of positive counts")
+    else:
+        points = _get_count(cfg, "points_per_axis", "config", required=False)
     if points is None:
-        box = GridBox.default(-half, half)
-    else:
-        box = GridBox(-half, half, np.asarray(points, dtype=int))
-    return box
+        return GridBox.default(-half, half)
+    return GridBox(-half, half, np.asarray(points, dtype=int))
 
 
 def run_diagnose(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
@@ -429,10 +437,9 @@ def run_diagnose(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     data = _load_data(cfg, model)
     seed = cfg["seed"]
     alpha = _get(cfg, "alpha", float, "config", required=False, default=0.05)
-    halfwidth = cfg.get("box_halfwidth", 1.0)
-    points = cfg.get("points_per_axis")
     test_nsim = _get_count(cfg, "test_nsim", "config", required=False, default=500)
     contiguity_nsim = _get_count(cfg, "contiguity_nsim", "config", required=False, default=2000)
+    box = _get_box(cfg, model.dim_param, 1.0)
     record = _start_record(cfg)
     record.put("model_kind", cfg["model"]["kind"])
     fit = fit_mle(model, data)
@@ -443,7 +450,6 @@ def run_diagnose(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     p = theta_hat.size
 
     shifted = local_shift(model, data, theta_hat, tau=1.0)
-    box = _default_box(p, halfwidth, points, "config.box_halfwidth")
     record.update(quadraticity_report(shifted, np.zeros(p), box).to_record())
 
     se = _standard_errors(fit.observed_info)
@@ -565,8 +571,7 @@ def run_ar1_study(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     theta_a = _get(cfg, "theta_a", float, "config", required=False, default=0.0)
     theta_b = _get(cfg, "theta_b", float, "config", required=False, default=0.9)
     invariance_nsim = _get_count(cfg, "invariance_nsim", "config", required=False, default=2000)
-    halfwidth = cfg.get("box_halfwidth", 1.0)
-    points = cfg.get("points_per_axis")
+    box = _get_box(cfg, 1, 1.0)
     record = _start_record(cfg)
     record.put("n", n)
     record.put("x0", x0)
@@ -594,7 +599,6 @@ def run_ar1_study(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     record.put("status", "ok")
     record.put("fit_theta_hat", fit.theta_hat)
     shifted = local_shift(model, data, fit.theta_hat, tau=1.0)
-    box = _default_box(1, halfwidth, points, "config.box_halfwidth")
     record.update(quadraticity_report(shifted, np.zeros(1), box).to_record())
     record.update(
         hessian_invariance_test(
@@ -701,10 +705,8 @@ def run_classical_comparison(cfg: dict, workers: int = 1) -> tuple[ReportRecord,
     tau_mode = _get(cfg, "tau", str, "config", required=False, default="sqrt_n")
     if tau_mode not in {"sqrt_n", "one"}:
         raise ConfigError("config.tau: must be 'sqrt_n' or 'one'")
-    halfwidth = cfg.get("box_halfwidth", 2.0)
-    points = cfg.get("points_per_axis")
     p = psi.size if unit == "normal" else 1
-    box = _default_box(p, halfwidth, points, "config.box_halfwidth")
+    box = _get_box(cfg, p, 2.0)
     record = _start_record(cfg)
     record.put("unit", unit)
     record.put("psi", psi)

@@ -125,7 +125,8 @@ class QuadraticForm:
             raise ValueError(f"curvature matrix is not symmetric (max asymmetry {asym:g})")
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "k", (k + k.T) / 2.0)
+        # halves before the sum, so entries near the float maximum do not overflow
+        object.__setattr__(self, "k", 0.5 * k + 0.5 * k.T)
 
     @property
     def dim(self) -> int:
@@ -154,7 +155,8 @@ class ObjectiveEval:
             raise ValueError(f"hessian is not symmetric (max asymmetry {asym:g})")
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "gradient", g)
-        object.__setattr__(self, "hessian", (h + h.T) / 2.0)
+        # halves before the sum, as in QuadraticForm
+        object.__setattr__(self, "hessian", 0.5 * h + 0.5 * h.T)
 
     @property
     def dim(self) -> int:
@@ -258,9 +260,18 @@ def quadratic_loglik(q: QuadraticForm, theta: MaybeParam):
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     if th.shape != q.z.shape:
         raise ValueError(f"parameter length {th.size} does not match dimension {q.dim}")
-    kth = q.k @ th
-    value = q.u + float(q.z @ th) - 0.5 * float(th @ kth)
-    return ObjectiveEval(value, q.z - kth, -q.k)
+    return quadratic_eval(q.u, q.z, q.k, th)
+
+
+def quadratic_eval(u: float, z: np.ndarray, k: np.ndarray, theta: np.ndarray) -> ObjectiveEval:
+    """The quadratic kernel shared by every exactly quadratic log likelihood.
+
+    value ``u + z.theta - theta'k theta / 2``, gradient ``z - k theta``,
+    Hessian ``-k``, for a float parameter vector of matching length and
+    symmetric ``k``; no NaO or shape checks, so models can call it per eval.
+    """
+    kth = k @ theta
+    return ObjectiveEval(u + float(z @ theta) - 0.5 * float(theta @ kth), z - kth, -k)
 
 
 def quadratic_mle(q: QuadraticForm) -> MaybeParam:

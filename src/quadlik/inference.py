@@ -1,163 +1,43 @@
 """Observed-information inference: Wald pivots, chi-square regions, bounds.
 
 The variance approximation everywhere is observed information, the negative
-Hessian of the log likelihood at the estimate.  Chi-square quantiles are
-computed in-house by inverting the regularized incomplete gamma function so
-their accuracy can be pinned against an independent quadrature oracle.
+Hessian of the log likelihood at the estimate.  Chi-square tails and
+quantiles are the regularized upper incomplete gamma function and its
+inverse from ``scipy.special`` (DiDonato & Morris 1986, ACM TOMS 12:377).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc, gammainccinv
 
 from .core import LikModel, MaybeParam, NaO, is_nao, spd_factor
 from .newton import NewtonTrace, safeguarded_maximize
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete gamma and the chi-square upper quantile
+# Chi-square upper tail and quantile
 # ---------------------------------------------------------------------------
-
-_MAX_SERIES_ITER = 600
-_EPS = 1e-16
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # lower incomplete gamma by power series, for x < a + 1
-    total = term = 1.0 / a
-    ap = a
-    for _ in range(_MAX_SERIES_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # upper incomplete gamma by modified Lentz continued fraction, x >= a + 1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_SERIES_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) for a > 0, x >= 0."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x <= 0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
 
 
 def chisq_upper_tail(p: int, x: float) -> float:
     """P(chi-square with p degrees of freedom >= x)."""
-    return regularized_gamma_q(p / 2.0, x / 2.0)
-
-
-def _chisq_log_pdf(p: int, x: float) -> float:
-    half = p / 2.0
-    return (half - 1.0) * math.log(x) - x / 2.0 - half * math.log(2.0) - math.lgamma(half)
-
-
-# Acklam's rational approximation to the standard normal quantile; only used
-# to seed the Newton refinement, so its ~1e-9 accuracy is more than enough.
-_ACKLAM_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-             1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_ACKLAM_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-             6.680131188771972e01, -1.328068155288572e01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-             -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-             3.754408661907416e00)
-
-
-def _normal_quantile(prob: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    plow, phigh = 0.02425, 1.0 - 0.02425
-    if prob < plow:
-        q = math.sqrt(-2.0 * math.log(prob))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if prob > phigh:
-        q = math.sqrt(-2.0 * math.log(1.0 - prob))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = prob - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
+    if p <= 0:
+        raise ValueError("degrees of freedom must be positive")
+    if x <= 0:
+        return 1.0
+    return float(gammaincc(p / 2.0, x / 2.0))
 
 
 def chisq_upper_quantile(p: int, alpha: float) -> float:
-    """The point kappa with P(chi-square_p >= kappa) = alpha.
-
-    Wilson-Hilferty initial guess, Newton refinement on the upper tail with
-    the analytic density, and a maintained bracket with bisection fallback.
-    """
+    """The point kappa with P(chi-square_p >= kappa) = alpha."""
     p = int(p)
     if p < 1:
         raise ValueError("degrees of freedom must be a positive integer")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    z = _normal_quantile(1.0 - alpha)
-    t = 1.0 - 2.0 / (9.0 * p) + z * math.sqrt(2.0 / (9.0 * p))
-    x = p * t**3 if t > 0 else p * 1e-3
-
-    def g(v: float) -> float:
-        return chisq_upper_tail(p, v) - alpha
-
-    lo, hi = x, x
-    while g(lo) < 0.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            break
-    while g(hi) > 0.0:
-        hi = max(hi * 2.0, 1e-8)
-    # invariant: g(lo) >= 0 >= g(hi)
-    x = min(max(x, lo), hi)
-    for _ in range(200):
-        gx = g(x)
-        if gx >= 0.0:
-            lo = x
-        else:
-            hi = x
-        if abs(gx) < 1e-13:
-            break
-        step = gx / math.exp(_chisq_log_pdf(p, x))
-        nxt = x + step
-        if not lo < nxt < hi:
-            nxt = (lo + hi) / 2.0
-        if abs(nxt - x) <= 1e-14 * max(1.0, x):
-            x = nxt
-            break
-        x = nxt
-    return x
+    return 2.0 * float(gammainccinv(p / 2.0, alpha))
 
 
 # ---------------------------------------------------------------------------

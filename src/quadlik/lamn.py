@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import LikModel, NaO, is_nao, spd_factor
+from .core import LikModel, NaO, is_nao, quadratic_eval, spd_factor
 from .inference import symmetric_sqrt
 from .parallel import parallel_map
 from .rng import derive_rng
@@ -157,7 +157,7 @@ def lamn_loglik(draw: LamnDraw, delta):
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     if d.size != draw.z.size:
         raise ValueError("delta length does not match the draw")
-    return float(d @ draw.z) - 0.5 * float(d @ draw.k @ d)
+    return quadratic_eval(0.0, draw.z, draw.k, d).value
 
 
 # ---------------------------------------------------------------------------

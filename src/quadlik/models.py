@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LikModel, NaO, ObjectiveEval, OpenBox, spd_factor
+from .core import LikModel, NaO, ObjectiveEval, OpenBox, quadratic_eval, spd_factor
 from .lamn import LamnDraw, LamnSpec, sample_lamn
 from .rng import derive_rng
 
@@ -42,9 +42,7 @@ class LanNormalLocation(LikModel):
         self.domain = OpenBox.unbounded(self.dim_param)
 
     def eval(self, data, theta: np.ndarray) -> ObjectiveEval:
-        z = np.asarray(data, dtype=float)
-        kth = self.k @ theta
-        return ObjectiveEval(float(z @ theta) - 0.5 * float(theta @ kth), z - kth, -self.k)
+        return quadratic_eval(0.0, np.asarray(data, dtype=float), self.k, theta)
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -70,8 +68,7 @@ class WishartLamnModel(LikModel):
         self.domain = OpenBox.unbounded(spec.dim)
 
     def eval(self, data: LamnDraw, theta: np.ndarray) -> ObjectiveEval:
-        kth = data.k @ theta
-        return ObjectiveEval(float(data.z @ theta) - 0.5 * float(theta @ kth), data.z - kth, -data.k)
+        return quadratic_eval(0.0, data.z, data.k, theta)
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> LamnDraw:
         return sample_lamn(self.spec, theta, rng)
@@ -195,7 +192,14 @@ class Ar1Model(LikModel):
 
 
 class PedigreeError(ValueError):
-    """A pedigree record violates the ordering or parentage rules."""
+    """A pedigree record violates the ordering or parentage rules.
+
+    ``index`` is the position of the offending record in the pedigree.
+    """
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -214,18 +218,16 @@ class Pedigree:
     def __post_init__(self) -> None:
         records = tuple(self.records)
         seen: set[int] = set()
-        for rec in records:
+        for i, rec in enumerate(records):
             if rec.id in seen:
-                raise PedigreeError(f"record {rec.id}: duplicate id")
+                raise PedigreeError(i, f"record {rec.id}: duplicate id")
             for parent in (rec.sire, rec.dam):
                 if parent is None:
                     continue
                 if parent == rec.id:
-                    raise PedigreeError(f"record {rec.id}: is its own parent")
+                    raise PedigreeError(i, f"record {rec.id}: is its own parent")
                 if parent not in seen:
-                    raise PedigreeError(
-                        f"record {rec.id}: parent {parent} does not precede it"
-                    )
+                    raise PedigreeError(i, f"record {rec.id}: parent {parent} does not precede it")
             seen.add(rec.id)
         object.__setattr__(self, "records", records)
 
@@ -630,7 +632,7 @@ def load_pedigree_csv(path: str) -> Pedigree:
         return value
 
     records: list[PedigreeRecord] = []
-    seen: set[int] = set()
+    lines: list[int] = []
     with open(path, "r", encoding="utf8", newline="") as handle:
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
@@ -645,22 +647,16 @@ def load_pedigree_csv(path: str) -> Pedigree:
             rec_id = parse_id(row[0], lineno, "id")
             if rec_id is None:
                 raise DataFormatError(lineno, "id may not be blank")
-            if rec_id in seen:
-                raise DataFormatError(lineno, f"duplicate id {rec_id}")
             sire = parse_id(row[1], lineno, "sire")
             dam = parse_id(row[2], lineno, "dam")
-            for parent in (sire, dam):
-                if parent == rec_id:
-                    raise DataFormatError(lineno, f"record {rec_id} is its own parent")
-                if parent is not None and parent not in seen:
-                    raise DataFormatError(
-                        lineno, f"parent {parent} does not precede record {rec_id}"
-                    )
-            seen.add(rec_id)
             records.append(PedigreeRecord(rec_id, sire, dam))
+            lines.append(lineno)
     if not records:
         raise DataFormatError(1, "no pedigree records")
-    return Pedigree(tuple(records))
+    try:
+        return Pedigree(tuple(records))
+    except PedigreeError as err:
+        raise DataFormatError(lines[err.index], str(err)) from None
 
 
 def save_pedigree_csv(path: str, ped: Pedigree) -> None:

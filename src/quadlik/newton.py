@@ -130,10 +130,11 @@ def safeguarded_maximize(
 
     When the negative Hessian fails the pivot test it is shifted by
     ``lambda I``, with ``lambda = max(0, 1e-8 - smallest pivot)`` escalated
-    tenfold until positive definite.  Step lengths are halved until the
-    Armijo ascent condition holds, so objective values along the trace are
-    nondecreasing.  Unlike :func:`newton_iterate` this never returns NaO;
-    a start where the objective is NaO or non-finite raises ValueError.
+    tenfold until positive definite; a lambda that overflows stops the run
+    unconverged.  Step lengths are halved until the Armijo ascent condition
+    holds, so objective values along the trace are nondecreasing.  Unlike
+    :func:`newton_iterate` this never returns NaO; a start where the
+    objective is NaO or non-finite raises ValueError.
     """
     if is_nao(delta0):
         raise ValueError("safeguarded_maximize requires a non-NaO start")
@@ -160,10 +161,13 @@ def safeguarded_maximize(
         lam = max(0.0, 1e-8 - min_pivot)
         if lam > 0.0:
             lower = None
-            while lower is None:
+            while lower is None and np.isfinite(lam):
                 lower, _ = cholesky_pivots(h + lam * np.eye(h.shape[0]))
                 if lower is None:
                     lam *= 10.0
+            if lower is None:
+                # the shift overflowed: no finite lambda passes the pivot test
+                break
         direction = spd_solve(lower, grad)
         slope = float(grad @ direction)
         step = 1.0

@@ -276,3 +276,29 @@ class TestCountValidation:
             psi=[0.0], ladder=[10, 0], out="r",
         )
         assert main(["classical-comparison", "--config", cfg]) == EXIT_INPUT_ERROR
+
+
+class TestBoxValidation:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("box_halfwidth", True),
+            ("points_per_axis", [2.7]),
+            ("box_halfwidth", "wide"),
+        ],
+    )
+    def test_bad_box_value_names_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(
+            tmp_path, "c.json", experiment="diagnose", model=lan_setup(tmp_path), data="z.csv",
+            out="r", test_nsim=50, contiguity_nsim=50, **{key: value},
+        )
+        assert main(["diagnose", "--config", cfg]) == EXIT_INPUT_ERROR
+        assert f"config.{key}" in capsys.readouterr().err
+
+    def test_per_axis_lists_accepted(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "c.json", experiment="diagnose", model=lan_setup(tmp_path), data="z.csv",
+            out="r", test_nsim=50, contiguity_nsim=50, box_halfwidth=[1, 0.5], points_per_axis=[5, 3],
+        )
+        assert main(["diagnose", "--config", cfg]) == EXIT_OK
+        assert read_report(tmp_path, "r")["quadraticity_points_per_axis"] == [5, 3]

@@ -43,6 +43,11 @@ class TestQuadraticForm:
         with pytest.raises(ValueError):
             QuadraticForm(0.0, [0.0, 0.0, 0.0], np.eye(2))
 
+    def test_symmetrizing_keeps_huge_entries_finite(self):
+        assert QuadraticForm(0.0, [0.0], [[1e308]]).k[0, 0] == 1e308
+        ev = ObjectiveEval(0.0, [0.0], [[-1e308]])
+        assert ev.hessian[0, 0] == -1e308 and ev.all_finite()
+
 
 class TestQuadraticLoglik:
     def test_zero_case(self):

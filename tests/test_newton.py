@@ -1,11 +1,19 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from conftest import random_spd, rel_err
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadlik import (
+    LikModel,
     NaO,
     ObjectiveEval,
+    OpenBox,
     QuadraticForm,
+    fit_mle,
     is_nao,
     newton_iterate,
     newton_step,
@@ -37,6 +45,32 @@ def logistic_style(x, y):
         return ObjectiveEval(value, np.array([grad]), np.array([[hess]]))
 
     return q
+
+
+def quadratic_1d(b, c):
+    """``b x - c x^2 / 2``: concave for c > 0, convex (unbounded above) for c < 0."""
+
+    def q(delta):
+        x = float(np.atleast_1d(delta)[0])
+        return ObjectiveEval(b * x - 0.5 * c * x * x, np.array([b - c * x]), np.array([[-c]]))
+
+    return q
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail a call that does not return in time instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"call still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def golden_section_max(f, lo, hi, tol=1e-12):
@@ -226,6 +260,44 @@ class TestSafeguardedMaximize:
         result, trace = safeguarded_maximize(plateau, np.array([2.0]))
         assert not is_nao(result)
         assert trace.converged
+
+    def test_overflowing_shift_stops_unconverged(self):
+        # curvature +8e307: the shift lambda = 8e307 leaves a zero pivot and
+        # the next tenfold escalation overflows to inf
+        q = quadratic_1d(0.0, -8e307)
+
+        class SteepConvex(LikModel):
+            dim_param = 1
+            domain = OpenBox.unbounded(1)
+
+            def eval(self, data, theta):
+                return q(theta)
+
+            def start(self, data):
+                return np.array([1e-300])
+
+        with deadline(5.0):
+            result, trace = safeguarded_maximize(q, np.array([1e-300]))
+            fit = fit_mle(SteepConvex(), None)
+        assert not trace.converged
+        assert trace.steps == 0
+        assert not is_nao(result)
+        assert is_nao(fit.theta_hat)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        b=st.floats(-1e3, 1e3),
+        c=st.floats(-1e308, 1e308).filter(lambda v: v != 0.0),
+        x0=st.floats(-1e3, 1e3),
+    )
+    def test_returns_with_nondecreasing_values(self, b, c, x0):
+        q = quadratic_1d(b, c)
+        start = q(np.array([x0]))
+        assume(start.all_finite())
+        with deadline(2.0):
+            _, trace = safeguarded_maximize(q, np.array([x0]))
+        values = [q(it).value for it in trace.iterates]
+        assert all(v1 >= v0 for v0, v1 in zip(values, values[1:]))
 
 
 class TestNaOPropagationTable:
