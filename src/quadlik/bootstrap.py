@@ -18,8 +18,7 @@ import numpy as np
 from .core import LikModel, NaO, is_nao, spd_factor
 from .inference import chisq_upper_quantile, wald_pivot
 from .newton import safeguarded_maximize
-from .parallel import parallel_map
-from .rng import derive_rng
+from .parallel import replicates
 
 PivotFn = Callable[[object, np.ndarray, np.ndarray], object]
 StartFn = Callable[[object], np.ndarray]
@@ -88,10 +87,9 @@ def _one_replicate(
     theta_hat: np.ndarray,
     pivot: PivotFn,
     start: StartFn,
-    rng: np.random.Generator,
+    data,
 ):
-    """Simulate, refit, evaluate the pivot; NaO on any failure past simulation."""
-    data = model.simulate(theta_hat, rng)
+    """Refit a simulated dataset and evaluate the pivot; NaO on any failure."""
     try:
         x0 = start(data)
         theta_star, trace = safeguarded_maximize(model.objective(data), x0)
@@ -115,13 +113,11 @@ def _bootstrap_level(
     path: tuple,
     workers: int,
 ) -> PivotSamples:
-    def one(i: int):
-        rng = derive_rng(seed, *path, i)
-        return _one_replicate(model, theta_hat, pivot, start, rng)[1]
+    def one(i: int, data):
+        return _one_replicate(model, theta_hat, pivot, start, data)[1]
 
-    results = parallel_map(one, B, workers)
-    values = [v for v in results if not is_nao(v)]
-    return PivotSamples(np.asarray(values), B - len(values), seed, B)
+    values, n_nao = replicates(model, theta_hat, B, seed, path, one, workers)
+    return PivotSamples(np.asarray(values), n_nao, seed, B)
 
 
 def parametric_bootstrap(
@@ -221,15 +217,14 @@ def double_bootstrap(
         raise ValueError("theta_hat lies outside the model domain")
     p = th.size
 
-    def one(i: int):
-        rng = derive_rng(seed, "bootstrap", 0, i)
-        theta_star, value = _one_replicate(model, th, pivot, start, rng)
+    def one(i: int, data):
+        theta_star, value = _one_replicate(model, th, pivot, start, data)
         if is_nao(theta_star):
             return value, None
         inner = _bootstrap_level(model, theta_star, B2, pivot, start, seed, ("bootstrap", 1, i), 1)
         return value, inner
 
-    results = parallel_map(one, B1, workers)
+    results, _ = replicates(model, th, B1, seed, ("bootstrap", 0), one, workers)
     outer_values = [v for v, _ in results if not is_nao(v)]
     outer = PivotSamples(np.asarray(outer_values), B1 - len(outer_values), seed, B1)
     calibrations: list[Optional[CalibrationResult]] = []

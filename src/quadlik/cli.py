@@ -24,7 +24,7 @@ from .bootstrap import (
 )
 from .core import NaO, QuadraticForm, is_nao, local_shift
 from .funcspace import GridBox, c2_distance, quadraticity_report
-from .parallel import parallel_map
+from .parallel import replicates
 from .inference import (
     ConfidenceRegion,
     chisq_upper_quantile,
@@ -208,12 +208,28 @@ def _get_count(block: dict, key: str, where: str, required: bool = True, default
     return value
 
 
+def _get_counts(block: dict, key: str, where: str, required: bool = True, default=None) -> list[int]:
+    raw = _get(block, key, list, where, required, None)
+    if raw is None:
+        return default
+    if not raw or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in raw):
+        raise ConfigError(f"{where}.{key}: expected a non-empty list of positive counts")
+    return raw
+
+
+def _real(v) -> float:
+    """``float(v)`` for a JSON number; TypeError for booleans, strings and the rest."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"not a real: {v!r}")
+    return float(v)
+
+
 def _get_vector(block: dict, key: str, where: str, required: bool = True, default=None):
     raw = _get(block, key, list, where, required, None)
     if raw is None:
         return default
     try:
-        return np.asarray([float(v) for v in raw])
+        return np.asarray([_real(v) for v in raw])
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.{key}: expected a list of reals") from None
 
@@ -223,7 +239,7 @@ def _get_matrix(block: dict, key: str, where: str, required: bool = True, defaul
     if raw is None:
         return default
     try:
-        mat = np.asarray([[float(v) for v in row] for row in raw])
+        mat = np.asarray([[_real(v) for v in row] for row in raw])
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.{key}: expected a list of rows of reals") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -245,7 +261,7 @@ EXPERIMENT_KEYS = {
         "thetas", "n", "x0", "mc_paths", "theta_a", "theta_b",
         "invariance_nsim", "box_halfwidth", "points_per_axis",
     },
-    "animal-study": {"model", "truth", "data", "alpha", "B", "box_halfwidth", "points_per_axis"},
+    "animal-study": {"model", "truth", "data", "alpha", "B"},
     "classical-comparison": {
         "unit", "psi", "ladder", "replications", "tau", "box_halfwidth", "points_per_axis",
     },
@@ -422,9 +438,7 @@ def _get_box(cfg: dict, dim: int, default_halfwidth: float) -> GridBox:
     else:
         half = np.full(dim, _get(cfg, "box_halfwidth", float, "config", required=False, default=default_halfwidth))
     if isinstance(cfg.get("points_per_axis"), list):
-        points = cfg["points_per_axis"]
-        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in points):
-            raise ConfigError("config.points_per_axis: expected a list of positive counts")
+        points = _get_counts(cfg, "points_per_axis", "config")
     else:
         points = _get_count(cfg, "points_per_axis", "config", required=False)
     if points is None:
@@ -697,10 +711,7 @@ def run_classical_comparison(cfg: dict, workers: int = 1) -> tuple[ReportRecord,
     if unit not in {"normal", "exponential"}:
         raise ConfigError(f"config.unit: unknown unit {unit!r}")
     psi = _get_vector(cfg, "psi", "config", required=False, default=np.array([1.0]))
-    ladder_raw = _get(cfg, "ladder", list, "config", required=False, default=[10, 100, 1000, 10000])
-    ladder = [int(v) for v in ladder_raw]
-    if not ladder or any(v < 1 for v in ladder):
-        raise ConfigError("config.ladder: entries must be positive counts")
+    ladder = _get_counts(cfg, "ladder", "config", required=False, default=[10, 100, 1000, 10000])
     replications = _get_count(cfg, "replications", "config", required=False, default=100)
     tau_mode = _get(cfg, "tau", str, "config", required=False, default="sqrt_n")
     if tau_mode not in {"sqrt_n", "one"}:
@@ -718,20 +729,15 @@ def run_classical_comparison(cfg: dict, workers: int = 1) -> tuple[ReportRecord,
     for n_idx, n in enumerate(ladder):
         model = NormalLocationIid(p, n) if unit == "normal" else ExponentialRateIid(n)
         k_unit = model.unit_fisher(psi)
+        tau, tau_sq = (np.sqrt(n), float(n)) if tau_mode == "sqrt_n" else (1.0, 1.0)
 
-        def one(rep: int):
-            rng = derive_rng(seed, "classical", n_idx, rep)
-            data = model.simulate(psi, rng)
-            if tau_mode == "sqrt_n":
-                tau, tau_sq = np.sqrt(n), float(n)
-            else:
-                tau, tau_sq = 1.0, 1.0
+        def one(rep: int, data):
             shifted = local_shift(model, data, psi, tau, tau_sq)
             grad0 = shifted(np.zeros(p)).gradient
             limit = QuadraticForm(0.0, grad0, k_unit).objective()
             return c2_distance(shifted, limit, box)
 
-        dists = parallel_map(one, replications, workers)
+        dists, _ = replicates(model, psi, replications, seed, ("classical", n_idx), one, workers)
         arr = np.asarray(dists)
         for j in range(3):
             medians[j].append(float(np.median(arr[:, j])))

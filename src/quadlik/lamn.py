@@ -16,7 +16,7 @@ from scipy import stats
 
 from .core import LikModel, NaO, is_nao, quadratic_eval, spd_factor
 from .inference import symmetric_sqrt
-from .parallel import parallel_map
+from .parallel import replicates
 from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -197,17 +197,14 @@ def model_contiguity_estimate(
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     d = np.atleast_1d(np.asarray(delta, dtype=float))
 
-    def one(i: int):
-        rng = derive_rng(seed, "model-contiguity", i)
-        data = model.simulate(psi, rng)
+    def one(i: int, data):
         objective = model.objective(data)
         base, shifted = objective(psi), objective(psi + d)
         if is_nao(base) or is_nao(shifted):
-            return None
+            return NaO
         return float(np.exp(shifted.value - base.value))
 
-    values = [v for v in parallel_map(one, nsim, workers) if v is not None]
-    n_nao = nsim - len(values)
+    values, n_nao = replicates(model, psi, nsim, seed, ("model-contiguity",), one, workers)
     if len(values) < 2:
         raise ValueError("too few finite replicates for a contiguity estimate")
     arr = np.asarray(values)
@@ -241,32 +238,15 @@ def _curvature_summaries(model: LikModel, theta, nsim: int, seed: int, stream: s
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
 
-    def one(i: int):
-        rng = derive_rng(seed, stream, i)
-        data = model.simulate(th, rng)
+    def one(i: int, data):
         ev = model.objective(data)(th)
-        if is_nao(ev):
-            return None
-        info = -ev.hessian
-        sign, logdet = np.linalg.slogdet(info)
-        return info, (logdet if sign > 0 else None)
+        return NaO if is_nao(ev) else -ev.hessian
 
-    results = parallel_map(one, nsim, workers)
-    n_nao = sum(1 for r in results if r is None)
-    entries: dict[str, list[float]] = {}
-    for i in range(p):
-        for j in range(i, p):
-            entries[f"info_{i}{j}"] = []
-    entries["logdet"] = []
-    for r in results:
-        if r is None:
-            continue
-        info, logdet = r
-        for i in range(p):
-            for j in range(i, p):
-                entries[f"info_{i}{j}"].append(float(info[i, j]))
-        if logdet is not None:
-            entries["logdet"].append(float(logdet))
+    kept, n_nao = replicates(model, th, nsim, seed, (stream,), one, workers)
+    infos = np.reshape(kept, (-1, p, p))
+    sign, logdet = np.linalg.slogdet(infos)
+    entries = {f"info_{i}{j}": infos[:, i, j] for i in range(p) for j in range(i, p)}
+    entries["logdet"] = logdet[sign > 0]
     return entries, n_nao
 
 
@@ -285,7 +265,7 @@ def hessian_invariance_test(
     per_summary: dict[str, float] = {}
     best_stat = 0.0
     for name in sums_a:
-        a, b = np.asarray(sums_a[name]), np.asarray(sums_b[name])
+        a, b = sums_a[name], sums_b[name]
         if a.size < 2 or b.size < 2:
             continue
         if np.ptp(a) == 0.0 and np.ptp(b) == 0.0 and a[0] == b[0]:
@@ -316,20 +296,16 @@ def score_normality_test(
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
 
-    def one(i: int):
-        rng = derive_rng(seed, "score-normality", i)
-        data = model.simulate(th, rng)
+    def one(i: int, data):
         ev = model.objective(data)(th)
         if is_nao(ev):
-            return None
+            return NaO
         root = symmetric_sqrt(-ev.hessian)
         if is_nao(root):
-            return None
+            return NaO
         return np.linalg.solve(root, ev.gradient)
 
-    results = parallel_map(one, nsim, workers)
-    rows = [r for r in results if r is not None]
-    n_nao = len(results) - len(rows)
+    rows, n_nao = replicates(model, th, nsim, seed, ("score-normality",), one, workers)
     if len(rows) < 2:
         raise ValueError("too few finite replicates for a normality test")
     t = np.asarray(rows)

@@ -1,14 +1,18 @@
-"""Replicate scheduling for simulation loops.
+"""Replicate engine for simulation loops.
 
-Results are collected in replicate order regardless of worker count, so any
-procedure whose replicates draw from per-index streams is schedule
-invariant.
+Every Monte Carlo loop in the package runs through :func:`replicates`:
+replicate ``i`` simulates from its own stream ``(seed, *path, i)``, results
+are collected in replicate order regardless of worker count, and NaO
+results are dropped and counted.  Output is therefore schedule invariant.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
+
+from .core import is_nao
+from .rng import derive_rng
 
 T = TypeVar("T")
 
@@ -19,3 +23,16 @@ def parallel_map(fn: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
+
+
+def replicates(model, theta, n: int, seed: int, path: tuple, fn, workers: int = 1) -> tuple[list, int]:
+    """``fn(i, data)`` on n datasets simulated at theta from streams (seed, *path, i).
+
+    Returns the non-NaO results in replicate order and the NaO count.
+    """
+
+    def one(i: int):
+        return fn(i, model.simulate(theta, derive_rng(seed, *path, i)))
+
+    kept = [r for r in parallel_map(one, n, workers) if not is_nao(r)]
+    return kept, n - len(kept)

@@ -270,12 +270,16 @@ class TestCountValidation:
         )
         assert main(["bootstrap", "--config", cfg]) == EXIT_INPUT_ERROR
 
-    def test_bad_ladder_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "ladder", [[10, 0], [2.7], ["5"], [True]], ids=["zero", "fraction", "string", "bool"]
+    )
+    def test_bad_ladder_rejected(self, tmp_path, capsys, ladder):
         cfg = write_config(
             tmp_path, "c.json", experiment="classical-comparison", unit="normal",
-            psi=[0.0], ladder=[10, 0], out="r",
+            psi=[0.0], ladder=ladder, out="r",
         )
         assert main(["classical-comparison", "--config", cfg]) == EXIT_INPUT_ERROR
+        assert "config.ladder" in capsys.readouterr().err
 
 
 class TestBoxValidation:
@@ -302,3 +306,32 @@ class TestBoxValidation:
         )
         assert main(["diagnose", "--config", cfg]) == EXIT_OK
         assert read_report(tmp_path, "r")["quadraticity_points_per_axis"] == [5, 3]
+
+
+class TestRealValidation:
+    @pytest.mark.parametrize(
+        "experiment, extra, key",
+        [
+            ("diagnose", {"theta_b": [True, "1.5"], "test_nsim": 50, "contiguity_nsim": 50}, "config.theta_b"),
+            ("fit", {"model": {"kind": "lan", "k": [[True, 0], [0, "2"]]}}, "config.model.k"),
+        ],
+        ids=["vector", "matrix"],
+    )
+    def test_booleans_and_strings_rejected(self, tmp_path, capsys, experiment, extra, key):
+        cfg = {"model": lan_setup(tmp_path), "data": "z.csv", "out": "r"}
+        cfg.update(extra)
+        path = write_config(tmp_path, "c.json", experiment=experiment, **cfg)
+        assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        assert key in capsys.readouterr().err
+
+
+class TestAnimalStudyKeys:
+    @pytest.mark.parametrize("key, value", [("box_halfwidth", True), ("points_per_axis", "x")])
+    def test_unused_box_keys_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(
+            tmp_path, "c.json", experiment="animal-study",
+            model={"kind": "animal", "synthetic": {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}},
+            truth={"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}, out="r", **{key: value},
+        )
+        assert main(["animal-study", "--config", cfg]) == EXIT_INPUT_ERROR
+        assert "unknown keys" in capsys.readouterr().err
