@@ -224,14 +224,22 @@ def _real(v) -> float:
     return float(v)
 
 
-def _get_vector(block: dict, key: str, where: str, required: bool = True, default=None):
+def _get_vector(
+    block: dict, key: str, where: str, required: bool = True, default=None, length: int | None = None
+):
+    """A list of reals; with ``length``, exactly that many (the parameter dimension)."""
     raw = _get(block, key, list, where, required, None)
     if raw is None:
         return default
     try:
-        return np.asarray([_real(v) for v in raw])
+        vec = np.asarray([_real(v) for v in raw])
     except (TypeError, ValueError):
         raise ConfigError(f"{where}.{key}: expected a list of reals") from None
+    if length is not None and vec.size != length:
+        raise ConfigError(
+            f"{where}.{key}: length {vec.size} does not match the parameter dimension {length}"
+        )
+    return vec
 
 
 def _get_matrix(block: dict, key: str, where: str, required: bool = True, default=None):
@@ -432,9 +440,7 @@ def _get_box(cfg: dict, dim: int, default_halfwidth: float) -> GridBox:
     Each key takes one value for every axis or a list with one per axis.
     """
     if isinstance(cfg.get("box_halfwidth"), list):
-        half = _get_vector(cfg, "box_halfwidth", "config")
-        if half.size != dim:
-            raise ConfigError("config.box_halfwidth: length does not match the parameter dimension")
+        half = _get_vector(cfg, "box_halfwidth", "config", length=dim)
     else:
         half = np.full(dim, _get(cfg, "box_halfwidth", float, "config", required=False, default=default_halfwidth))
     if isinstance(cfg.get("points_per_axis"), list):
@@ -454,6 +460,8 @@ def run_diagnose(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     test_nsim = _get_count(cfg, "test_nsim", "config", required=False, default=500)
     contiguity_nsim = _get_count(cfg, "contiguity_nsim", "config", required=False, default=2000)
     box = _get_box(cfg, model.dim_param, 1.0)
+    theta_b = _get_vector(cfg, "theta_b", "config", required=False, length=model.dim_param)
+    delta = _get_vector(cfg, "contiguity_delta", "config", required=False, length=model.dim_param)
     record = _start_record(cfg)
     record.put("model_kind", cfg["model"]["kind"])
     fit = fit_mle(model, data)
@@ -468,14 +476,16 @@ def run_diagnose(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
 
     se = _standard_errors(fit.observed_info)
     step = se if se is not None else np.full(p, 0.1)
-    theta_b = _get_vector(cfg, "theta_b", "config", required=False, default=theta_hat + step)
+    if theta_b is None:
+        theta_b = theta_hat + step
     record.put("invariance_theta_b", theta_b)
     record.update(
         hessian_invariance_test(model, theta_hat, theta_b, test_nsim, seed, workers).to_record("invariance")
     )
     record.update(score_normality_test(model, theta_hat, test_nsim, seed, workers).to_record("normality"))
 
-    delta = _get_vector(cfg, "contiguity_delta", "config", required=False, default=step / 2.0)
+    if delta is None:
+        delta = step / 2.0
     mean, se_c, n_nao = model_contiguity_estimate(model, theta_hat, delta, contiguity_nsim, seed, workers)
     record.put("contiguity_delta", delta)
     record.put("contiguity_mean", mean)
@@ -549,8 +559,8 @@ def run_lamn_verify(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     n_deltas = _get_count(cfg, "n_deltas", "config", required=False, default=5)
     delta_scale = _get(cfg, "delta_scale", float, "config", required=False, default=1.0)
     test_nsim = _get_count(cfg, "test_nsim", "config", required=False, default=2000)
-    theta_a = _get_vector(cfg, "theta_a", "config", required=False, default=np.zeros(spec.dim))
-    theta_b = _get_vector(cfg, "theta_b", "config", required=False, default=np.ones(spec.dim))
+    theta_a = _get_vector(cfg, "theta_a", "config", required=False, default=np.zeros(spec.dim), length=spec.dim)
+    theta_b = _get_vector(cfg, "theta_b", "config", required=False, default=np.ones(spec.dim), length=spec.dim)
     record = _start_record(cfg)
     record.put("spec_dim", spec.dim)
     record.put("spec_curvature", type(spec.curvature).__name__)

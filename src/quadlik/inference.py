@@ -79,11 +79,21 @@ def fit_mle(
 
     Starts from ``model.start(data)`` unless an explicit start is given.
     A run that does not satisfy the gradient criterion yields an NaO result
-    (the partial trace is retained).
+    (the partial trace is retained); a start where the objective is NaO
+    yields an NaO result with the degenerate empty trace, as a bootstrap
+    replicate does.
     """
     objective = model.objective(data)
     x0 = model.start(data) if start is None else np.asarray(start, dtype=float)
-    theta, trace = safeguarded_maximize(objective, x0, tol=tol, max_steps=max_steps)
+    first = [objective(x0)]
+    if is_nao(first[0]):
+        return MleResult(NaO, None, NewtonTrace([], [], False, 0))
+
+    def q(theta):
+        # the ascent evaluates its start first: hand it the evaluation above
+        return first.pop() if first else objective(theta)
+
+    theta, trace = safeguarded_maximize(q, x0, tol=tol, max_steps=max_steps)
     if not trace.converged:
         return MleResult(NaO, None, trace)
     ev = objective(theta)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import LikModel, NaO, ObjectiveEval, OpenBox, quadratic_eval, spd_factor
+from .core import LikModel, NaO, Objective, ObjectiveEval, OpenBox, quadratic_eval, spd_factor
 from .lamn import LamnDraw, LamnSpec, sample_lamn
 from .rng import derive_rng
 
@@ -256,6 +257,16 @@ class RelationshipMatrix:
     def size(self) -> int:
         return self.a.shape[0]
 
+    @cached_property
+    def trace(self) -> float:
+        """``tr(A)``, computed once per matrix."""
+        return float(np.trace(self.a))
+
+    @cached_property
+    def trace_sq(self) -> float:
+        """``tr(A^2)``, the sum of squared entries of symmetric A, computed once."""
+        return float(np.sum(self.a * self.a))
+
 
 def relationship_matrix(ped: Pedigree) -> RelationshipMatrix:
     """Tabular recursion over records in pedigree order.
@@ -329,7 +340,12 @@ class AnimalParams:
 
 
 class _AnimalKernel:
-    """Eigendecomposition of A, shared by likelihood and simulation paths."""
+    """Eigendecomposition of A, shared by likelihood and simulation paths.
+
+    A response enters the likelihood only through its rotation ``Q'y``
+    (:meth:`rotate`, one O(N^2) product per data set); given it,
+    :meth:`natural_eval` costs O(N).
+    """
 
     def __init__(self, a: RelationshipMatrix):
         self.a = a.a
@@ -341,13 +357,17 @@ class _AnimalKernel:
         self.eig_clamp = float(max(0.0, -lam.min()))
         self._sim_factor = q * np.sqrt(np.clip(lam, 0.0, None))
 
-    def natural_eval(self, y: np.ndarray, mu: float, s2: float, t2: float):
-        """(value, gradient, Hessian) over (mu, sigma2, tau2); None if V singular."""
+    def rotate(self, y) -> np.ndarray:
+        """The response in the eigenbasis of A, ``Q'y``."""
+        return self.q.T @ np.asarray(y, dtype=float)
+
+    def natural_eval(self, qty: np.ndarray, mu: float, s2: float, t2: float):
+        """(value, gradient, Hessian) over (mu, sigma2, tau2) from ``Q'y``; None if V singular."""
         w = s2 * self.lam + t2
         # relative floor for rank deficiency, absolute floor so 1/w^3 stays finite
         if w.min() <= self.n * np.finfo(float).eps * w.max() or w.min() < 1e-100:
             return None
-        rt = self.q.T @ y - mu * self.ones_t
+        rt = qty - mu * self.ones_t
         rt2 = rt * rt
         inv_w = 1.0 / w
         inv_w2 = inv_w * inv_w
@@ -391,7 +411,8 @@ def animal_loglik(a: RelationshipMatrix, y, params: AnimalParams) -> ObjectiveEv
     y = np.asarray(y, dtype=float)
     if y.size != a.size:
         raise ValueError("response length does not match the pedigree")
-    out = _AnimalKernel(a).natural_eval(y, params.mu, params.sigma2, params.tau2)
+    kernel = _AnimalKernel(a)
+    out = kernel.natural_eval(kernel.rotate(y), params.mu, params.sigma2, params.tau2)
     if out is None:
         return NaO
     return ObjectiveEval(*out)
@@ -445,9 +466,7 @@ def method_of_moments_start(a: RelationshipMatrix, y) -> AnimalParams:
     r = y - mu0
     var_y = max(float(r @ r) / (n - 1), 1e-12)
     floor = 1e-3 * var_y
-    tr_a = float(np.trace(a.a))
-    tr_a2 = float(np.sum(a.a * a.a))
-    design = np.array([[tr_a2, tr_a], [tr_a, float(n)]])
+    design = np.array([[a.trace_sq, a.trace], [a.trace, float(n)]])
     rhs = np.array([float(r @ (a.a @ r)), float(r @ r)])
     det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
     if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0):
@@ -457,13 +476,23 @@ def method_of_moments_start(a: RelationshipMatrix, y) -> AnimalParams:
     return AnimalParams(mu0, max(float(s2), floor), max(float(t2), floor))
 
 
+@dataclass(frozen=True, eq=False)
+class RotatedResponse:
+    """A trait vector in the eigenbasis of A, ``qty = Q'y``."""
+
+    qty: np.ndarray
+
+
 class AnimalModel(LikModel):
     """Trait model fit over (mu, log sigma2, log tau2).
 
     The log-variance parameterization keeps Newton iterates interior and
     makes the parameter domain the whole space; reported results map back
     to natural variances.  The eigendecomposition of A is computed once and
-    shared read-only by every evaluation and simulation.
+    shared read-only by every evaluation and simulation.  ``objective(y)``
+    rotates the response once, an O(N^2) product, and each evaluation then
+    costs O(N); ``eval`` takes a raw response (rotated on every call) or a
+    :class:`RotatedResponse`.
     """
 
     def __init__(self, a: RelationshipMatrix):
@@ -488,13 +517,21 @@ class AnimalModel(LikModel):
     def phi_to_params(phi: np.ndarray) -> AnimalParams:
         return AnimalParams(float(phi[0]), float(np.exp(phi[1])), float(np.exp(phi[2])))
 
+    def rotate(self, data) -> RotatedResponse:
+        """``Q'y`` of a raw response; a RotatedResponse is returned as is."""
+        if isinstance(data, RotatedResponse):
+            return data
+        return RotatedResponse(self._kernel.rotate(data))
+
+    def objective(self, data) -> Objective:
+        return super().objective(self.rotate(data))
+
     def eval(self, data, theta: np.ndarray):
-        y = np.asarray(data, dtype=float)
         mu, log_s2, log_t2 = float(theta[0]), float(theta[1]), float(theta[2])
         if not np.isfinite(mu) or abs(log_s2) > 700.0 or abs(log_t2) > 700.0:
             return NaO
         s2, t2 = float(np.exp(log_s2)), float(np.exp(log_t2))
-        out = self._kernel.natural_eval(y, mu, s2, t2)
+        out = self._kernel.natural_eval(self.rotate(data).qty, mu, s2, t2)
         if out is None:
             return NaO
         value, g, h = out

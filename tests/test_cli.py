@@ -335,3 +335,45 @@ class TestAnimalStudyKeys:
         )
         assert main(["animal-study", "--config", cfg]) == EXIT_INPUT_ERROR
         assert "unknown keys" in capsys.readouterr().err
+
+
+class TestVectorLength:
+    @pytest.mark.parametrize(
+        "experiment, extra, key",
+        [
+            ("diagnose", {"theta_b": [1.0]}, "theta_b"),
+            ("diagnose", {"contiguity_delta": [1, 2, 3]}, "contiguity_delta"),
+            ("lamn-verify", {"theta_a": [0.0]}, "theta_a"),
+            ("lamn-verify", {"theta_b": [1.0, 1.0, 1.0]}, "theta_b"),
+        ],
+        ids=["diagnose-theta_b", "diagnose-contiguity_delta", "lamn-theta_a", "lamn-theta_b"],
+    )
+    def test_wrong_length_names_key(self, tmp_path, capsys, experiment, extra, key):
+        if experiment == "diagnose":
+            cfg = {"model": lan_setup(tmp_path), "data": "z.csv", "test_nsim": 50, "contiguity_nsim": 50}
+        else:
+            cfg = {
+                "spec": {"dim": 2, "curvature": {"kind": "constant", "k": [[1.0, 0.0], [0.0, 1.0]]}},
+                "nsim": 100, "n_deltas": 1, "test_nsim": 50,
+            }
+        cfg.update(extra)
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"config.{key}" in err and "parameter dimension 2" in err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestNaoStart:
+    def test_nao_start_exits_nao(self, tmp_path):
+        # the rate start 1 / mean(x) = -0.5 lies outside the positive domain
+        save_vector_csv(str(tmp_path / "x.csv"), np.array([-1.0, -2.0, -3.0]))
+        cfg = write_config(
+            tmp_path, "c.json", experiment="fit", model={"kind": "iid_exponential", "n": 3},
+            data="x.csv", out="r",
+        )
+        assert main(["fit", "--config", cfg]) == EXIT_NAO
+        report = read_report(tmp_path, "r")
+        assert report["status"] == "NaO"
+        assert report["fit_newton_steps"] == 0
+        assert report["fit_newton_converged"] == 0

@@ -5,6 +5,7 @@ from scipy import integrate
 from scipy.stats import chi2 as scipy_chi2
 
 from quadlik import (
+    ExponentialRateIid,
     NaO,
     chisq_upper_quantile,
     chisq_upper_tail,
@@ -18,7 +19,7 @@ from quadlik import (
     wald_pivot,
 )
 from quadlik.inference import MleResult
-from quadlik.newton import NewtonTrace
+from quadlik.newton import NewtonTrace, safeguarded_maximize
 
 
 def chisq_tail_by_quadrature(p, x):
@@ -164,6 +165,43 @@ class TestConfidenceRegion:
             if not is_nao(region) and region.contains(theta):
                 hits += 1
         assert 0.93 <= hits / n <= 0.97
+
+
+class TestFitMle:
+    @pytest.mark.parametrize(
+        "data, start",
+        [([-1.0, -2.0, -3.0], None), ([1.0, 2.0, 3.0], [-1.0])],
+        ids=["negative-start", "explicit-outside"],
+    )
+    def test_nao_start_gives_degenerate_nao(self, data, start):
+        fit = fit_mle(ExponentialRateIid(3), np.array(data), start=start)
+        assert is_nao(fit.theta_hat) and fit.observed_info is None
+        assert fit.trace.iterates == [] and fit.trace.grad_norms == []
+        assert not fit.converged and fit.trace.steps == 0
+
+    def test_nao_start_still_raises_in_the_ascent(self):
+        model = ExponentialRateIid(3)
+        data = np.array([-1.0, -2.0, -3.0])
+        with pytest.raises(ValueError):
+            safeguarded_maximize(model.objective(data), model.start(data))
+
+    def test_start_is_evaluated_once(self):
+        class Counting(ExponentialRateIid):
+            calls = 0
+
+            def eval(self, data, theta):
+                Counting.calls += 1
+                return super().eval(data, theta)
+
+        model = Counting(5)
+        data = np.array([0.5, 1.0, 2.0, 0.2, 0.9])
+        _, trace = safeguarded_maximize(model.objective(data), model.start(data))
+        ascent_calls, Counting.calls = Counting.calls, 0
+        fit = fit_mle(model, data)
+        # the ascent's evaluations plus the one at the estimate, nothing more
+        assert Counting.calls == ascent_calls + 1
+        assert fit.trace.steps == trace.steps
+        assert np.array_equal(fit.theta_hat, trace.iterates[-1])
 
 
 class TestStandardizedEstimator:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian, rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlik import (
     AnimalModel,
@@ -30,7 +32,7 @@ from quadlik import (
     synthetic_pedigree,
 )
 from quadlik.core import QuadraticForm, spd_factor
-from quadlik.models import DataFormatError, PedigreeError
+from quadlik.models import DataFormatError, PedigreeError, RotatedResponse, _AnimalKernel
 
 
 class _ZeroNoise:
@@ -272,6 +274,64 @@ class TestAnimalLoglik:
         assert is_nao(animal_loglik(a, y, tiny))
 
 
+class TestAnimalRotation:
+    """The response is rotated once per data set; evaluations reuse Q'y."""
+
+    MODEL = AnimalModel(relationship_matrix(synthetic_pedigree(6, 9, 2, 17)))
+    TRUTH = AnimalModel.params_to_phi(AnimalParams(0.5, 1.2, 0.8))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        phi=st.tuples(st.floats(-3, 3), st.floats(-5, 5), st.floats(-5, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_objective_matches_eval_bitwise(self, phi, seed):
+        model = self.MODEL
+        y = model.simulate(self.TRUTH, derive_rng(seed))
+        phi = np.array(phi)
+        evals = [model.objective(y)(phi), model.eval(y, phi), model.eval(model.rotate(y), phi)]
+        for ev in evals[1:]:
+            assert ev.value == evals[0].value
+            assert np.array_equal(ev.gradient, evals[0].gradient)
+            assert np.array_equal(ev.hessian, evals[0].hessian)
+        # the natural-scale entry point rotates through the same kernel
+        s2, t2 = float(np.exp(phi[1])), float(np.exp(phi[2]))
+        natural = animal_loglik(model.relationship, y, AnimalParams(phi[0], s2, t2))
+        assert natural.value == pytest.approx(evals[0].value, rel=1e-12, abs=1e-12)
+        chain = natural.gradient * np.array([1.0, s2, t2])
+        assert np.allclose(chain, evals[0].gradient, rtol=1e-10, atol=1e-12)
+
+    def test_one_rotation_per_objective(self, monkeypatch):
+        calls = []
+        original = _AnimalKernel.rotate
+
+        def counting(kernel, y):
+            calls.append(1)
+            return original(kernel, y)
+
+        monkeypatch.setattr(_AnimalKernel, "rotate", counting)
+        model = self.MODEL
+        y = model.simulate(self.TRUTH, derive_rng(4))
+        q = model.objective(y)
+        assert len(calls) == 1
+        for i in range(20):
+            q(self.TRUTH + 0.05 * i)
+        assert len(calls) == 1
+        model.objective(y)
+        assert len(calls) == 2
+        fit = fit_mle(model, y)
+        assert fit.converged and fit.trace.steps > 0
+        assert len(calls) == 3
+        # a raw response handed to eval is rotated on each call; a rotated one never
+        model.eval(y, self.TRUTH)
+        assert len(calls) == 4
+        rotated = model.rotate(y)
+        assert isinstance(rotated, RotatedResponse) and model.rotate(rotated) is rotated
+        model.eval(rotated, self.TRUTH)
+        model.objective(rotated)(self.TRUTH)
+        assert len(calls) == 5
+
+
 class TestAnimalSimulate:
     def test_sigma_zero_boundary_is_iid(self):
         ped = synthetic_pedigree(5, 10, 1, 3)
@@ -376,6 +436,16 @@ class TestMethodOfMoments:
             ok_t = truth.tau2 / 3 <= start.tau2 <= truth.tau2 * 3
             good += int(ok_s and ok_t)
         assert good / reps >= 0.9
+
+    def test_pedigree_constants_cached(self):
+        a = relationship_matrix(synthetic_pedigree(10, 20, 2, 3))
+        y = animal_simulate(a, AnimalParams(0.0, 1.0, 1.0), derive_rng(5))
+        assert "trace" not in vars(a) and "trace_sq" not in vars(a)
+        first = method_of_moments_start(a, y)
+        assert vars(a)["trace"] == float(np.trace(a.a))
+        assert vars(a)["trace_sq"] == float(np.sum(a.a * a.a))
+        second = method_of_moments_start(a, y)
+        assert (first.mu, first.sigma2, first.tau2) == (second.mu, second.sigma2, second.tau2)
 
     def test_requires_three_observations(self):
         ped = Pedigree((PedigreeRecord(1, None, None), PedigreeRecord(2, None, None)))
