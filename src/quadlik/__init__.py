@@ -14,6 +14,7 @@ from .core import (
     OpenBox,
     QuadraticForm,
     ShiftedObjective,
+    StackedObjective,
     is_nao,
     is_spd,
     local_shift,
@@ -34,7 +35,7 @@ from .funcspace import (
     rudin_tail_bound,
     sup_norm_on_box,
 )
-from .newton import NewtonTrace, newton_iterate, newton_step, safeguarded_maximize
+from .newton import NewtonTrace, lockstep_maximize, newton_iterate, newton_step, safeguarded_maximize
 from .inference import (
     ConfidenceRegion,
     MleResult,

@@ -3,9 +3,11 @@
 The single bootstrap simulates datasets from the fitted model, refits each,
 and collects a pivot; its empirical quantile calibrates the nominal
 chi-square quantile.  The double bootstrap nests one more level at each
-outer refit to diagnose the single bootstrap itself.  Replicates draw from
-per-index streams, so results do not depend on worker scheduling; failed
-refits become NaO and are counted, never silently dropped.
+outer refit to diagnose the single bootstrap itself.  Each level refits all
+of its datasets in one lockstep safeguarded Newton over the model's stacked
+objective.  Replicates draw from per-index streams, so results do not
+depend on worker scheduling; failed refits become NaO and are counted,
+never silently dropped.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .core import LikModel, NaO, is_nao, spd_factor
 from .inference import chisq_upper_quantile, wald_pivot
-from .newton import safeguarded_maximize
+from .newton import lockstep_maximize
 from .parallel import replicates
 
 PivotFn = Callable[[object, np.ndarray, np.ndarray], object]
@@ -82,6 +84,36 @@ def make_wald_pivot(model: LikModel) -> PivotFn:
     return pivot
 
 
+def _started(start: StartFn, data):
+    """The refit's start for a simulated dataset; NaO when it cannot be formed."""
+    try:
+        x0 = start(data)
+    except (ValueError, np.linalg.LinAlgError):
+        return NaO
+    return NaO if is_nao(x0) else np.atleast_1d(np.asarray(x0, dtype=float))
+
+
+def _refit(model: LikModel, theta_hat: np.ndarray, pivot: PivotFn, datas: list, starts: list) -> list:
+    """Refit datasets in one lockstep Newton and take the pivot at each converged refit.
+
+    Returns ``(theta_star, value)`` per dataset, NaO where the refit or the
+    pivot failed.  The pivot sees each dataset as the stacked objective
+    holds it, so the animal model's response is rotated once per dataset.
+    """
+    if not datas:
+        return []
+    q = model.stacked_objective(datas)
+    thetas, traces = lockstep_maximize(q, np.array(starts))
+    out = []
+    for held, theta_star, trace in zip(q.data, thetas, traces):
+        if is_nao(trace) or not trace.converged:
+            out.append((NaO, NaO))
+            continue
+        value = pivot(held, theta_star, theta_hat)
+        out.append((theta_star, NaO if is_nao(value) or not np.isfinite(value) else float(value)))
+    return out
+
+
 def _one_replicate(
     model: LikModel,
     theta_hat: np.ndarray,
@@ -90,17 +122,10 @@ def _one_replicate(
     data,
 ):
     """Refit a simulated dataset and evaluate the pivot; NaO on any failure."""
-    try:
-        x0 = start(data)
-        theta_star, trace = safeguarded_maximize(model.objective(data), x0)
-    except (ValueError, np.linalg.LinAlgError):
+    x0 = _started(start, data)
+    if is_nao(x0):
         return NaO, NaO
-    if not trace.converged:
-        return NaO, NaO
-    value = pivot(data, theta_star, theta_hat)
-    if is_nao(value) or not np.isfinite(value):
-        return theta_star, NaO
-    return theta_star, float(value)
+    return _refit(model, theta_hat, pivot, [data], [x0])[0]
 
 
 def _bootstrap_level(
@@ -113,11 +138,16 @@ def _bootstrap_level(
     path: tuple,
     workers: int,
 ) -> PivotSamples:
-    def one(i: int, data):
-        return _one_replicate(model, theta_hat, pivot, start, data)[1]
+    """Simulate and start each replicate, then refit all of them in lockstep."""
 
-    values, n_nao = replicates(model, theta_hat, B, seed, path, one, workers)
-    return PivotSamples(np.asarray(values), n_nao, seed, B)
+    def one(i: int, data):
+        x0 = _started(start, data)
+        return NaO if is_nao(x0) else (data, x0)
+
+    started, _ = replicates(model, theta_hat, B, seed, path, one, workers)
+    refits = _refit(model, theta_hat, pivot, [d for d, _ in started], [x0 for _, x0 in started])
+    values = [v for _, v in refits if not is_nao(v)]
+    return PivotSamples(np.asarray(values), B - len(values), seed, B)
 
 
 def parametric_bootstrap(
@@ -131,9 +161,11 @@ def parametric_bootstrap(
 ) -> PivotSamples:
     """Simulate at the fit, refit each dataset, and collect pivot values.
 
-    Refits run safeguarded Newton from ``start(data)``; replicates whose
-    refit fails to converge, or whose pivot is NaO or non-finite, are
-    counted in ``n_nao``.  Output is a pure function of (seed, B),
+    All B refits run in one lockstep safeguarded Newton from
+    ``start(data)``; replicates whose refit fails to converge, or whose
+    pivot is NaO or non-finite, are counted in ``n_nao``.  The pivot gets
+    each dataset as the stacked objective holds it (the animal model's
+    :class:`RotatedResponse`).  Output is a pure function of (seed, B),
     independent of ``workers``.
     """
     if B < 1:

@@ -201,10 +201,14 @@ def _get(block: dict, key: str, types, where: str, required: bool = True, defaul
     return value
 
 
-def _get_count(block: dict, key: str, where: str, required: bool = True, default=None) -> int:
+def _get_count(
+    block: dict, key: str, where: str, required: bool = True, default=None, minimum: int = 1
+) -> int:
+    """An integer of at least ``minimum`` (1: a positive count, 0: a non-negative one)."""
     value = _get(block, key, int, where, required, default)
-    if value is not None and value < 1:
-        raise ConfigError(f"{where}.{key}: must be a positive count, got {value}")
+    if value is not None and value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ConfigError(f"{where}.{key}: must be a {kind} count, got {value}")
     return value
 
 
@@ -263,7 +267,7 @@ EXPERIMENT_KEYS = {
         "model", "data", "alpha", "box_halfwidth", "points_per_axis",
         "test_nsim", "theta_b", "contiguity_delta", "contiguity_nsim",
     },
-    "bootstrap": {"model", "data", "alpha", "B", "double", "B2", "dump_pivots", "max_steps"},
+    "bootstrap": {"model", "data", "alpha", "B", "double", "B2", "dump_pivots"},
     "lamn-verify": {"spec", "nsim", "n_deltas", "delta_scale", "test_nsim", "theta_a", "theta_b"},
     "ar1-study": {
         "thetas", "n", "x0", "mc_paths", "theta_a", "theta_b",
@@ -419,7 +423,7 @@ def run_fit(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     record = _start_record(cfg)
     record.put("model_kind", cfg["model"]["kind"])
     record.put("alpha", alpha)
-    max_steps = _get(cfg, "max_steps", int, "config", required=False, default=100)
+    max_steps = _get_count(cfg, "max_steps", "config", required=False, default=100, minimum=0)
     fit = fit_mle(model, data, max_steps=max_steps)
     _put_fit(record, fit, alpha)
     if is_nao(fit.theta_hat):
@@ -638,7 +642,7 @@ def run_animal_study(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
         raise ConfigError("config.model.kind: animal-study requires an animal model")
     seed = cfg["seed"]
     alpha = _get(cfg, "alpha", float, "config", required=False, default=0.05)
-    B = _get(cfg, "B", int, "config", required=False, default=0)
+    B = _get_count(cfg, "B", "config", required=False, default=0, minimum=0)
     record = _start_record(cfg)
     record.put("n_individuals", model.n_individuals)
     record.put("eig_clamp", model.eig_clamp)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 
 class NaOType:
@@ -57,30 +56,48 @@ def is_nao(x) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cholesky_pivots(m: np.ndarray) -> tuple[np.ndarray | None, float]:
+_EPS = np.finfo(float).eps
+
+
+def cholesky_pivots(m: np.ndarray):
     """Cholesky factorization tracking the smallest pivot encountered.
 
-    Returns ``(lower, min_pivot)`` where ``lower`` is the lower-triangular
-    factor, or ``None`` when some pivot fails the floor
-    ``p * eps * max|m|``.  This one test backs every positive-definiteness
-    decision (and hence every NaO) in the package.
+    For one matrix returns ``(lower, min_pivot)`` where ``lower`` is the
+    lower-triangular factor, or ``None`` when some pivot fails the floor
+    ``p * eps * max|m|``; a matrix with a NaN entry fails with pivot -inf.
+    A stack ``(..., p, p)`` is decided matrix by matrix, exactly as each
+    would be alone: ``lower`` is ``(..., p, p)``, all NaN for every matrix
+    that fails (a factor that passes is finite), and ``min_pivot`` is
+    ``(...)``.  This one test backs every positive-definiteness decision
+    (and hence every NaO) in the package.
     """
     a = np.asarray(m, dtype=float)
-    p = a.shape[0]
-    floor = p * np.finfo(float).eps * float(np.max(np.abs(a)))
-    lower = np.zeros((p, p))
-    min_pivot = np.inf
+    p = a.shape[-1]
+    stack = a.reshape(-1, p, p)
+    floor = p * _EPS * np.abs(stack).reshape(len(stack), -1).max(axis=1)
+    live = floor == floor  # a NaN entry makes the floor NaN
+    min_pivot = np.where(live, np.inf, -np.inf)
+    lower = np.zeros_like(stack)
     for j in range(p):
-        s = float(a[j, j] - lower[j, :j] @ lower[j, :j])
-        if np.isnan(s):
-            return None, -np.inf
-        min_pivot = min(min_pivot, s)
-        if s <= floor:
-            return None, min_pivot
-        lower[j, j] = np.sqrt(s)
+        s = stack[:, j, j]
+        if j:
+            row = lower[:, j, :j]
+            s = s - (row * row).sum(axis=1)
+        # a NaN pivot makes min_pivot NaN, which is reported as -inf
+        min_pivot = np.where(live, np.minimum(min_pivot, s), min_pivot)
+        live &= s > floor
+        diag = np.sqrt(np.where(live, s, 1.0))
+        lower[:, j, j] = diag
         if j + 1 < p:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    return lower, min_pivot
+            col = stack[:, j + 1 :, j]
+            if j:
+                col = col - (lower[:, j + 1 :, :j] * lower[:, None, j, :j]).sum(axis=2)
+            lower[:, j + 1 :, j] = col / diag[:, None]
+    min_pivot[np.isnan(min_pivot)] = -np.inf
+    if a.ndim == 2:
+        return (lower[0] if live[0] else None), float(min_pivot[0])
+    lower[~live] = np.nan
+    return lower.reshape(a.shape), min_pivot.reshape(a.shape[:-2])
 
 
 def spd_factor(m: np.ndarray) -> np.ndarray | None:
@@ -89,8 +106,24 @@ def spd_factor(m: np.ndarray) -> np.ndarray | None:
 
 
 def spd_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``(L L') x = b`` given the lower factor ``L``."""
-    return cho_solve((lower, True), b)
+    """Solve ``(L L') x = b`` given the lower factor ``L``.
+
+    ``lower`` may be a stack ``(..., p, p)`` with ``b`` of shape ``(..., p)``;
+    forward then back substitution over the stack at once.
+    """
+    lower = np.asarray(lower, dtype=float)
+    b = np.asarray(b, dtype=float)
+    p = b.shape[-1]
+    x = np.array(np.broadcast_to(b, np.broadcast_shapes(lower.shape[:-1], b.shape)))
+    for i in range(p):
+        for k in range(i):
+            x[..., i] -= lower[..., i, k] * x[..., k]
+        x[..., i] /= lower[..., i, i]
+    for i in range(p - 1, -1, -1):
+        for k in range(i + 1, p):
+            x[..., i] -= lower[..., k, i] * x[..., k]
+        x[..., i] /= lower[..., i, i]
+    return x
 
 
 def is_spd(m: np.ndarray) -> bool:
@@ -193,13 +226,87 @@ class OpenBox:
 
     def contains(self, theta) -> bool:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if th.shape != self.lower.shape or not np.all(np.isfinite(th)):
-            return False
-        return bool(np.all(self.lower < th) and np.all(th < self.upper))
+        return th.shape == self.lower.shape and bool(self.contains_rows(th[None])[0])
+
+    def contains_rows(self, thetas: np.ndarray) -> np.ndarray:
+        """:meth:`contains` for each row of an ``(m, dim)`` stack.
+
+        The strict comparisons reject NaN and infinite entries, also on
+        unbounded axes.
+        """
+        th = np.asarray(thetas, dtype=float)
+        return ((self.lower < th) & (th < self.upper)).all(axis=-1)
 
     @classmethod
     def unbounded(cls, dim: int) -> "OpenBox":
         return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
+
+
+@dataclass(frozen=True, eq=False)
+class StackedEval:
+    """Evaluations of m rows, each packed as value, gradient, Hessian (row-major).
+
+    ``packed`` is ``(m, 1 + p + p*p)``; rows where ``ok`` is False are NaO
+    and their entries mean nothing.
+    """
+
+    packed: np.ndarray
+    ok: np.ndarray
+
+    @staticmethod
+    def split(packed: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of packed rows as values ``(m,)``, gradients ``(m, p)``, Hessians ``(m, p, p)``."""
+        return packed[:, 0], packed[:, 1 : p + 1], packed[:, p + 1 :].reshape(-1, p, p)
+
+
+class StackedObjective:
+    """An objective over a stack of data sets, ``q(rows, thetas) -> StackedEval``.
+
+    Data set ``rows[j]`` is evaluated at ``thetas[j]``.  ``data[i]`` is data
+    set ``i`` as the model holds it (the animal model's rotated response).
+    ``kernel(rows, thetas)`` returns (value, gradient, Hessian) arrays, with
+    symmetric Hessians and NaN where the likelihood cannot be evaluated; it
+    only sees rows inside the domain.  Out-of-domain, NaO and non-finite
+    rows come back NaO, so each row is what :meth:`LikModel.objective`
+    gives for its data set.
+    """
+
+    def __init__(self, domain: OpenBox, data: list, kernel):
+        self.domain = domain
+        self.data = data
+        self._kernel = kernel
+
+    @classmethod
+    def looped(cls, objectives: list, domain: OpenBox, data: list) -> "StackedObjective":
+        """A stack of single-point objectives, evaluated one row at a time."""
+
+        def kernel(rows, thetas):
+            m, p = thetas.shape
+            value, gradient, hessian = np.full(m, np.nan), np.full((m, p), np.nan), np.full((m, p, p), np.nan)
+            for j, (r, th) in enumerate(zip(rows, thetas)):
+                ev = objectives[r](th)
+                if not is_nao(ev):
+                    value[j], gradient[j], hessian[j] = ev.value, ev.gradient, ev.hessian
+            return value, gradient, hessian
+
+        return cls(domain, data, kernel)
+
+    def __call__(self, rows: np.ndarray, thetas: np.ndarray) -> StackedEval:
+        thetas = np.asarray(thetas, dtype=float)
+        m, p = thetas.shape
+        inside = self.domain.contains_rows(thetas)
+        if inside.all():
+            packed = _pack(*self._kernel(rows, thetas))
+        else:
+            packed = np.full((m, 1 + p + p * p), np.nan)
+            if inside.any():
+                packed[inside] = _pack(*self._kernel(rows[inside], thetas[inside]))
+        return StackedEval(packed, np.isfinite(packed).all(axis=1))
+
+
+def _pack(value, gradient, hessian) -> np.ndarray:
+    m = len(value)
+    return np.concatenate([value.reshape(m, 1), gradient, hessian.reshape(m, -1)], axis=1)
 
 
 class LikModel:
@@ -208,7 +315,8 @@ class LikModel:
     Subclasses set ``dim_param`` and ``domain`` and provide a deterministic
     ``eval(data, theta) -> ObjectiveEval`` (or NaO where the likelihood
     cannot be evaluated), a ``simulate(theta, rng) -> data`` draw, and a
-    ``start(data)`` heuristic used to initialize Newton's method.
+    ``start(data)`` heuristic used to initialize Newton's method.  Models
+    with a vectorized likelihood override :meth:`stacked_objective`.
     """
 
     dim_param: int
@@ -243,6 +351,14 @@ class LikModel:
 
         return q
 
+    def stacked_objective(self, datas) -> StackedObjective:
+        """Objective over a stack of data sets, with the rules of :meth:`objective`.
+
+        The default evaluates ``objective(data)`` one row at a time.
+        """
+        datas = list(datas)
+        return StackedObjective.looped([self.objective(d) for d in datas], self.domain, datas)
+
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -269,9 +385,22 @@ def quadratic_eval(u: float, z: np.ndarray, k: np.ndarray, theta: np.ndarray) ->
     value ``u + z.theta - theta'k theta / 2``, gradient ``z - k theta``,
     Hessian ``-k``, for a float parameter vector of matching length and
     symmetric ``k``; no NaO or shape checks, so models can call it per eval.
+    It is :func:`quadratic_stack` at one point.
     """
-    kth = k @ theta
-    return ObjectiveEval(u + float(z @ theta) - 0.5 * float(theta @ kth), z - kth, -k)
+    return ObjectiveEval(*quadratic_stack(u, z, k, theta))
+
+
+def quadratic_stack(u, z: np.ndarray, k: np.ndarray, theta: np.ndarray):
+    """:func:`quadratic_eval` over a trailing axis, as (value, gradient, Hessian) arrays.
+
+    ``z`` and ``theta`` are ``(..., p)`` and ``k`` is ``(..., p, p)``,
+    broadcast against each other; each row is computed exactly as it
+    would be alone.
+    """
+    kth = (k * theta[..., None, :]).sum(axis=-1)
+    value = u + (z * theta).sum(axis=-1) - 0.5 * (theta * kth).sum(axis=-1)
+    hessian = -k if k.ndim > theta.ndim else np.broadcast_to(-k, kth.shape + kth.shape[-1:])
+    return value, z - kth, hessian
 
 
 def quadratic_mle(q: QuadraticForm) -> MaybeParam:

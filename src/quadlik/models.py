@@ -16,7 +16,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LikModel, NaO, Objective, ObjectiveEval, OpenBox, quadratic_eval, spd_factor
+from .core import (
+    LikModel,
+    NaO,
+    Objective,
+    ObjectiveEval,
+    OpenBox,
+    StackedObjective,
+    quadratic_eval,
+    quadratic_stack,
+    spd_factor,
+)
 from .lamn import LamnDraw, LamnSpec, sample_lamn
 from .rng import derive_rng
 
@@ -45,6 +55,11 @@ class LanNormalLocation(LikModel):
     def eval(self, data, theta: np.ndarray) -> ObjectiveEval:
         return quadratic_eval(0.0, np.asarray(data, dtype=float), self.k, theta)
 
+    def stacked_objective(self, datas) -> StackedObjective:
+        datas = list(datas)
+        z = np.array(datas, dtype=float).reshape(len(datas), self.dim_param)
+        return StackedObjective(self.domain, datas, lambda rows, thetas: quadratic_stack(0.0, z[rows], self.k, thetas))
+
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         return self.k @ th + self._factor @ rng.standard_normal(self.dim_param)
@@ -70,6 +85,15 @@ class WishartLamnModel(LikModel):
 
     def eval(self, data: LamnDraw, theta: np.ndarray) -> ObjectiveEval:
         return quadratic_eval(0.0, data.z, data.k, theta)
+
+    def stacked_objective(self, datas) -> StackedObjective:
+        datas = list(datas)
+        p = self.dim_param
+        z = np.array([d.z for d in datas]).reshape(len(datas), p)
+        k = np.array([d.k for d in datas]).reshape(len(datas), p, p)
+        return StackedObjective(
+            self.domain, datas, lambda rows, thetas: quadratic_stack(0.0, z[rows], k[rows], thetas)
+        )
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> LamnDraw:
         return sample_lamn(self.spec, theta, rng)
@@ -267,6 +291,11 @@ class RelationshipMatrix:
         """``tr(A^2)``, the sum of squared entries of symmetric A, computed once."""
         return float(np.sum(self.a * self.a))
 
+    @cached_property
+    def kernel(self) -> "_AnimalKernel":
+        """The eigendecomposition of A, one ``eigh`` per matrix."""
+        return _AnimalKernel(self)
+
 
 def relationship_matrix(ped: Pedigree) -> RelationshipMatrix:
     """Tabular recursion over records in pedigree order.
@@ -339,12 +368,42 @@ class AnimalParams:
         object.__setattr__(self, "tau2", float(self.tau2))
 
 
+def _weight_sums() -> np.ndarray:
+    """Map from the sums of the animal kernel to its outputs.
+
+    With ``w = s2 lam + t2``, ``rt = Q'y - mu Q'1`` and ``o = Q'1``, the
+    kernel forms eight weight rows over the eigenvalues, 1/w, 1/w^2,
+    rt^2/w, rt^2/w^2, rt^2/w^3, o rt/w, o rt/w^2 and o^2/w, and sums each
+    against 1, lam and lam^2 (24 sums, row-major).  Every term of the log
+    likelihood is one of those sums times -1, -1/2, 1/2 or 1.  Outputs: the
+    value without its log-determinant, the gradient, and the Hessian
+    entries (mu,mu), (mu,s2), (mu,t2), (s2,s2), (s2,t2), (t2,t2).
+    """
+    m = np.zeros((8, 3, 10))
+    m[2, 0, 0] = -0.5
+    m[5, 0, 1] = 1.0
+    m[0, 1, 2], m[3, 1, 2] = -0.5, 0.5
+    m[0, 0, 3], m[3, 0, 3] = -0.5, 0.5
+    m[7, 0, 4] = -1.0
+    m[6, 1, 5] = -1.0
+    m[6, 0, 6] = -1.0
+    m[1, 2, 7], m[4, 2, 7] = 0.5, -1.0
+    m[1, 1, 8], m[4, 1, 8] = 0.5, -1.0
+    m[1, 0, 9], m[4, 0, 9] = 0.5, -1.0
+    return m.reshape(24, 10)
+
+
+_WEIGHT_SUMS = _weight_sums()
+# output columns that fill the symmetric 3 x 3 Hessian
+_HESSIAN_ENTRIES = [4, 5, 6, 5, 7, 8, 6, 8, 9]
+
+
 class _AnimalKernel:
     """Eigendecomposition of A, shared by likelihood and simulation paths.
 
     A response enters the likelihood only through its rotation ``Q'y``
     (:meth:`rotate`, one O(N^2) product per data set); given it,
-    :meth:`natural_eval` costs O(N).
+    :meth:`natural_eval` costs O(N) per evaluation.
     """
 
     def __init__(self, a: RelationshipMatrix):
@@ -356,44 +415,53 @@ class _AnimalKernel:
         self.ones_t = q.T @ np.ones(self.n)
         self.eig_clamp = float(max(0.0, -lam.min()))
         self._sim_factor = q * np.sqrt(np.clip(lam, 0.0, None))
+        self._ones_t_sq = self.ones_t * self.ones_t
+        self._rank_floor = self.n * np.finfo(float).eps
+        # every sum over eigenvalues is a weight row times 1, lam or lam^2
+        self._basis = np.stack([np.ones(self.n), lam, lam * lam], axis=1)
 
     def rotate(self, y) -> np.ndarray:
         """The response in the eigenbasis of A, ``Q'y``."""
         return self.q.T @ np.asarray(y, dtype=float)
 
-    def natural_eval(self, qty: np.ndarray, mu: float, s2: float, t2: float):
-        """(value, gradient, Hessian) over (mu, sigma2, tau2) from ``Q'y``; None if V singular."""
-        w = s2 * self.lam + t2
+    def natural_eval(self, qty: np.ndarray, mu, s2, t2):
+        """(value, gradient, Hessian) over (mu, sigma2, tau2) from ``Q'y``.
+
+        Works over a trailing axis: ``qty`` is ``(..., N)`` and ``mu``,
+        ``s2``, ``t2`` are scalars or ``(...)``; the value is ``(...)``, the
+        gradient ``(..., 3)`` and the Hessian ``(..., 3, 3)``, all NaN where
+        V is numerically singular.
+        """
+        mu, s2, t2 = np.asarray(mu, dtype=float), np.asarray(s2, dtype=float), np.asarray(t2, dtype=float)
+        w = s2[..., None] * self.lam + t2[..., None]
         # relative floor for rank deficiency, absolute floor so 1/w^3 stays finite
-        if w.min() <= self.n * np.finfo(float).eps * w.max() or w.min() < 1e-100:
-            return None
-        rt = qty - mu * self.ones_t
-        rt2 = rt * rt
-        inv_w = 1.0 / w
-        inv_w2 = inv_w * inv_w
-        inv_w3 = inv_w2 * inv_w
-        lam = self.lam
-        value = -0.5 * float(np.log(w).sum()) - 0.5 * float(rt2 @ inv_w)
-        grad = np.array(
-            [
-                float((self.ones_t * rt) @ inv_w),
-                -0.5 * float(lam @ inv_w) + 0.5 * float((lam * rt2) @ inv_w2),
-                -0.5 * float(inv_w.sum()) + 0.5 * float(rt2 @ inv_w2),
-            ]
-        )
-        h_mumu = -float((self.ones_t**2) @ inv_w)
-        h_mus2 = -float((lam * self.ones_t * rt) @ inv_w2)
-        h_mut2 = -float((self.ones_t * rt) @ inv_w2)
-        h_s2s2 = 0.5 * float((lam**2) @ inv_w2) - float((lam**2 * rt2) @ inv_w3)
-        h_s2t2 = 0.5 * float(lam @ inv_w2) - float((lam * rt2) @ inv_w3)
-        h_t2t2 = 0.5 * float(inv_w2.sum()) - float(rt2 @ inv_w3)
-        hess = np.array(
-            [
-                [h_mumu, h_mus2, h_mut2],
-                [h_mus2, h_s2s2, h_s2t2],
-                [h_mut2, h_s2t2, h_t2t2],
-            ]
-        )
+        w_min = w.min(axis=-1)
+        singular = (w_min <= self._rank_floor * w.max(axis=-1)) | (w_min < 1e-100)
+        if singular.any():
+            w[singular] = 1.0
+        # weight rows (see _WEIGHT_SUMS), filled in place
+        weights = np.empty(w.shape[:-1] + (8, self.n))
+        inv_w, inv_w2, rt2_w, rt2_w2, rt2_w3, o_rt_w, o_rt_w2, o2_w = (weights[..., r, :] for r in range(8))
+        np.divide(1.0, w, out=inv_w)
+        np.multiply(inv_w, inv_w, out=inv_w2)
+        rt = qty - mu[..., None] * self.ones_t
+        np.multiply(rt, inv_w, out=o_rt_w)
+        np.multiply(rt, o_rt_w, out=rt2_w)
+        np.multiply(o_rt_w, o_rt_w, out=rt2_w2)
+        np.multiply(rt2_w2, inv_w, out=rt2_w3)
+        np.multiply(o_rt_w, inv_w, out=o_rt_w2)
+        np.multiply(o_rt_w, self.ones_t, out=o_rt_w)
+        np.multiply(o_rt_w2, self.ones_t, out=o_rt_w2)
+        np.multiply(inv_w, self._ones_t_sq, out=o2_w)
+        sums = weights @ self._basis
+        out = sums.reshape(w.shape[:-1] + (24,)) @ _WEIGHT_SUMS
+        value = out[..., 0] - 0.5 * np.log(w).sum(axis=-1)
+        grad = out[..., 1:4]
+        hess = out[..., _HESSIAN_ENTRIES].reshape(w.shape[:-1] + (3, 3))
+        if singular.any():
+            value = np.where(singular, np.nan, value)
+            grad[singular] = np.nan
+            hess[singular] = np.nan
         return value, grad, hess
 
     def simulate(self, mu: float, sigma2: float, tau2: float, rng: np.random.Generator) -> np.ndarray:
@@ -405,17 +473,17 @@ class _AnimalKernel:
 def animal_loglik(a: RelationshipMatrix, y, params: AnimalParams) -> ObjectiveEval:
     """Gaussian log likelihood over (mu, sigma2, tau2), constants dropped.
 
-    Computed through one eigendecomposition of A; a numerically singular
-    covariance gives NaO.
+    Computed through the eigendecomposition of A (``a.kernel``, computed
+    once per matrix); a numerically singular covariance gives NaO.
     """
     y = np.asarray(y, dtype=float)
     if y.size != a.size:
         raise ValueError("response length does not match the pedigree")
-    kernel = _AnimalKernel(a)
-    out = kernel.natural_eval(kernel.rotate(y), params.mu, params.sigma2, params.tau2)
-    if out is None:
+    kernel = a.kernel
+    value, grad, hess = kernel.natural_eval(kernel.rotate(y), params.mu, params.sigma2, params.tau2)
+    if np.isnan(value):
         return NaO
-    return ObjectiveEval(*out)
+    return ObjectiveEval(value, grad, hess)
 
 
 def animal_simulate(a: RelationshipMatrix, params, rng: np.random.Generator) -> np.ndarray:
@@ -433,7 +501,7 @@ def animal_simulate(a: RelationshipMatrix, params, rng: np.random.Generator) -> 
         mu, s2, t2 = (float(v) for v in params)
         if s2 < 0 or t2 < 0:
             raise ValueError("variances may not be negative")
-    return _AnimalKernel(a).simulate(mu, s2, t2, rng)
+    return a.kernel.simulate(mu, s2, t2, rng)
 
 
 def logit_heritability(params: AnimalParams) -> float:
@@ -483,21 +551,30 @@ class RotatedResponse:
     qty: np.ndarray
 
 
+# the animal model's parameters (mu, log sigma2, log tau2): the bound on
+# |phi| inside which it is evaluated (mu finite), which entries are log
+# variances, and where the chain rule adds the gradient to the Hessian
+_PHI_BOUND = np.array([np.finfo(float).max, 700.0, 700.0])
+_LOG_VARIANCES = np.array([0.0, 1.0, 1.0])
+_LOG_VARIANCE_DIAGONAL = np.diag(_LOG_VARIANCES)
+
+
 class AnimalModel(LikModel):
     """Trait model fit over (mu, log sigma2, log tau2).
 
     The log-variance parameterization keeps Newton iterates interior and
     makes the parameter domain the whole space; reported results map back
-    to natural variances.  The eigendecomposition of A is computed once and
-    shared read-only by every evaluation and simulation.  ``objective(y)``
-    rotates the response once, an O(N^2) product, and each evaluation then
-    costs O(N); ``eval`` takes a raw response (rotated on every call) or a
-    :class:`RotatedResponse`.
+    to natural variances.  The eigendecomposition of A is computed once per
+    matrix (``RelationshipMatrix.kernel``) and shared read-only by every
+    evaluation and simulation.  ``objective(y)`` and
+    ``stacked_objective(ys)`` rotate each response once, an O(N^2) product,
+    and each evaluation then costs O(N); ``eval`` takes a raw response
+    (rotated on every call) or a :class:`RotatedResponse`.
     """
 
     def __init__(self, a: RelationshipMatrix):
         self.relationship = a
-        self._kernel = _AnimalKernel(a)
+        self._kernel = a.kernel
         self.dim_param = 3
         self.domain = OpenBox.unbounded(3)
 
@@ -526,24 +603,44 @@ class AnimalModel(LikModel):
     def objective(self, data) -> Objective:
         return super().objective(self.rotate(data))
 
-    def eval(self, data, theta: np.ndarray):
-        mu, log_s2, log_t2 = float(theta[0]), float(theta[1]), float(theta[2])
-        if not np.isfinite(mu) or abs(log_s2) > 700.0 or abs(log_t2) > 700.0:
-            return NaO
-        s2, t2 = float(np.exp(log_s2)), float(np.exp(log_t2))
-        out = self._kernel.natural_eval(self.rotate(data).qty, mu, s2, t2)
-        if out is None:
-            return NaO
-        value, g, h = out
-        grad = np.array([g[0], g[1] * s2, g[2] * t2])
-        hess = np.array(
-            [
-                [h[0, 0], h[0, 1] * s2, h[0, 2] * t2],
-                [h[0, 1] * s2, h[1, 1] * s2 * s2 + g[1] * s2, h[1, 2] * s2 * t2],
-                [h[0, 2] * t2, h[1, 2] * s2 * t2, h[2, 2] * t2 * t2 + g[2] * t2],
+    def stacked_objective(self, datas) -> StackedObjective:
+        held = [self.rotate(d) for d in datas]
+        qty = np.array([r.qty for r in held]).reshape(len(held), self.n_individuals)
+        # blocks of rows keep the kernel's (rows, 8, N) weights near 1 MB
+        block = max(1, 2**14 // self.n_individuals)
+
+        def kernel(rows, thetas):
+            parts = [
+                self._log_scale_eval(qty[rows[i : i + block]], thetas[i : i + block])
+                for i in range(0, len(rows), block)
             ]
-        )
+            return tuple(np.concatenate(column) for column in zip(*parts))
+
+        return StackedObjective(self.domain, held, kernel)
+
+    def eval(self, data, theta: np.ndarray):
+        value, grad, hess = self._log_scale_eval(self.rotate(data).qty, np.asarray(theta, dtype=float))
+        if np.isnan(value):
+            return NaO
         return ObjectiveEval(value, grad, hess)
+
+    def _log_scale_eval(self, qty: np.ndarray, theta: np.ndarray):
+        """(value, gradient, Hessian) over (mu, log sigma2, log tau2), over a
+        trailing axis like ``natural_eval``; NaN where it cannot be evaluated."""
+        outside = ~(np.abs(theta) <= _PHI_BOUND).all(axis=-1)
+        if outside.any():
+            theta = np.where(outside[..., None], 0.0, theta)
+        # (1, sigma2, tau2): d(sigma2)/d(log sigma2) = sigma2, and likewise for tau2
+        scale = np.exp(theta * _LOG_VARIANCES)
+        value, g, h = self._kernel.natural_eval(qty, theta[..., 0], scale[..., 1], scale[..., 2])
+        grad = g * scale
+        hess = h * (scale[..., :, None] * scale[..., None, :])
+        hess += _LOG_VARIANCE_DIAGONAL * grad[..., None, :]
+        if outside.any():
+            value = np.where(outside, np.nan, value)
+            grad[outside] = np.nan
+            hess[outside] = np.nan
+        return value, grad, hess
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         params = self.phi_to_params(np.asarray(theta, dtype=float))

@@ -377,3 +377,40 @@ class TestNaoStart:
         assert report["status"] == "NaO"
         assert report["fit_newton_steps"] == 0
         assert report["fit_newton_converged"] == 0
+
+
+class TestStepAndReplicateCounts:
+    @pytest.mark.parametrize(
+        "experiment, extra, message",
+        [
+            ("fit", {"max_steps": -7}, "config.max_steps"),
+            ("fit", {"max_steps": 2.5}, "config.max_steps"),
+            ("fit", {"max_steps": True}, "config.max_steps"),
+            ("bootstrap", {"B": 5, "max_steps": 0}, "max_steps"),
+            ("animal-study", {"B": -4}, "config.B"),
+            ("animal-study", {"B": "200"}, "config.B"),
+        ],
+        ids=["fit-negative", "fit-fraction", "fit-bool", "bootstrap-unread", "animal-negative", "animal-string"],
+    )
+    def test_bad_count_exits_input_error(self, tmp_path, capsys, experiment, extra, message):
+        if experiment == "animal-study":
+            cfg = {
+                "model": {"kind": "animal", "synthetic": {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}},
+                "truth": {"mu": 0.0, "sigma2": 1.0, "tau2": 1.0},
+            }
+        else:
+            cfg = {"model": lan_setup(tmp_path), "data": "z.csv"}
+        cfg.update(extra)
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_zero_bootstrap_size_skips_the_bootstrap(self, tmp_path):
+        path = write_config(
+            tmp_path, "c.json", experiment="animal-study", out="r", B=0,
+            model={"kind": "animal", "synthetic": {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}},
+            truth={"mu": 0.0, "sigma2": 1.0, "tau2": 1.0},
+        )
+        assert main(["animal-study", "--config", path]) == EXIT_OK
+        assert "pivot_B" not in read_report(tmp_path, "r")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian, random_spd, rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlik import (
     NaO,
@@ -13,7 +15,7 @@ from quadlik import (
     quadratic_loglik,
     quadratic_mle,
 )
-from quadlik.core import spd_factor
+from quadlik.core import cholesky_pivots, spd_factor
 
 
 class TestNaO:
@@ -123,6 +125,65 @@ class TestSpdFactor:
 
     def test_indefinite_rejected(self):
         assert spd_factor(np.diag([1.0, -1.0])) is None
+
+
+# entries: ordinary reals, values near the float maximum, and NaN
+_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(1e307, 1.7e308),
+    st.floats(-1.7e308, -1e307),
+    st.just(float("nan")),
+)
+
+
+@st.composite
+def _matrix_stacks(draw):
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    mats = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["spd", "indefinite", "raw"]))
+        g = np.array(draw(st.lists(_ENTRIES, min_size=p * p, max_size=p * p))).reshape(p, p)
+        with np.errstate(all="ignore"):
+            if kind == "spd":
+                g = np.nan_to_num(g, nan=1.0) / 1e154
+                g = g @ g.T + draw(st.floats(0.0, 2.0)) * np.eye(p)
+            elif kind == "indefinite":
+                g = np.nan_to_num(g, nan=0.0)
+                g = 0.5 * g + 0.5 * g.T
+                g[p - 1, p - 1] = -abs(g[p - 1, p - 1]) - 1.0
+        mats.append(g)
+    return np.array(mats)
+
+
+class TestStackedPivots:
+    """A stack is decided matrix by matrix, exactly as each matrix alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=_matrix_stacks())
+    def test_rows_match_single_calls(self, stack):
+        with np.errstate(all="ignore"):
+            lower, min_pivot = cholesky_pivots(stack)
+            singles = [cholesky_pivots(m) for m in stack]
+        assert lower.shape == stack.shape and min_pivot.shape == stack.shape[:1]
+        for row_lower, row_pivot, (single_lower, single_pivot) in zip(lower, min_pivot, singles):
+            assert np.isnan(row_lower[0, 0]) == (single_lower is None)
+            if single_lower is not None:
+                assert np.array_equal(row_lower, single_lower)
+                assert np.all(np.isfinite(row_lower))
+            assert row_pivot == single_pivot
+
+    def test_nan_entry_fails_with_minus_infinity(self):
+        for m in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.nan]])):
+            assert cholesky_pivots(m) == (None, -np.inf)
+
+    def test_nested_stack_shape(self):
+        stack = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+        stack[1, 2] = -np.eye(2)
+        lower, min_pivot = cholesky_pivots(stack)
+        assert lower.shape == (2, 3, 2, 2) and min_pivot.shape == (2, 3)
+        assert np.isnan(lower[1, 2]).all() and min_pivot[1, 2] == -1.0
+        assert np.array_equal(lower[0, 0], np.eye(2)) and min_pivot[0, 0] == 1.0
 
 
 class TestOpenBox:

@@ -26,11 +26,14 @@ from quadlik import (
     load_vector_csv,
     logit_heritability,
     logit_heritability_se,
+    make_wald_pivot,
     method_of_moments_start,
+    parametric_bootstrap,
     quadratic_mle,
     relationship_matrix,
     synthetic_pedigree,
 )
+from quadlik.cli import _heritability_pivot
 from quadlik.core import QuadraticForm, spd_factor
 from quadlik.models import DataFormatError, PedigreeError, RotatedResponse, _AnimalKernel
 
@@ -330,6 +333,47 @@ class TestAnimalRotation:
         model.eval(rotated, self.TRUTH)
         model.objective(rotated)(self.TRUTH)
         assert len(calls) == 5
+
+    @pytest.mark.parametrize("pivot_factory", [_heritability_pivot, make_wald_pivot], ids=["heritability", "wald"])
+    def test_one_rotation_per_bootstrap_replicate(self, monkeypatch, pivot_factory):
+        # the refit and the pivot share the replicate's rotated response
+        calls = []
+        original = _AnimalKernel.rotate
+
+        def counting(kernel, y):
+            calls.append(1)
+            return original(kernel, y)
+
+        monkeypatch.setattr(_AnimalKernel, "rotate", counting)
+        model, B = self.MODEL, 50
+        samples = parametric_bootstrap(model, self.TRUTH, B, pivot_factory(model), model.start, seed=8)
+        assert samples.values.size > 0
+        assert len(calls) == B
+
+
+class TestOneEigendecomposition:
+    def test_matrix_shares_one_eigh(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        a = relationship_matrix(synthetic_pedigree(5, 6, 2, 23))
+        params = AnimalParams(0.3, 1.1, 0.9)
+        y = animal_simulate(a, params, derive_rng(1))
+        animal_simulate(a, (0.0, 0.0, 1.0), derive_rng(2))
+        animal_loglik(a, y, params)
+        animal_loglik(a, y, AnimalParams(0.0, 2.0, 0.5))
+        model = AnimalModel(a)
+        fit_mle(model, y)
+        AnimalModel(a).simulate(model.params_to_phi(params), derive_rng(3))
+        assert len(calls) == 1
+        # a second matrix, even an equal one, has its own decomposition
+        animal_loglik(relationship_matrix(synthetic_pedigree(5, 6, 2, 23)), y, params)
+        assert len(calls) == 2
 
 
 class TestAnimalSimulate:

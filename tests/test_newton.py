@@ -284,6 +284,15 @@ class TestSafeguardedMaximize:
         assert not is_nao(result)
         assert is_nao(fit.theta_hat)
 
+    def test_pivot_failure_above_the_shift_floor_stops_unconverged(self):
+        # the second pivot 3.8e-6 fails the floor 2 eps 1e10 = 4.4e-6 but lies
+        # above 1e-8, so the shift lambda = 1e-8 - pivot is not positive
+        k = np.array([[1e10, 1e10], [1e10, 1e10 + 4e-6]])
+        q = QuadraticForm(0.0, np.array([1.0, 0.0]), k).objective()
+        result, trace = safeguarded_maximize(q, np.array([0.0, 0.0]))
+        assert not trace.converged and trace.steps == 0
+        assert np.array_equal(result, [0.0, 0.0])
+
     @settings(max_examples=200, deadline=None)
     @given(
         b=st.floats(-1e3, 1e3),
