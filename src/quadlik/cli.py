@@ -204,11 +204,12 @@ def _get(block: dict, key: str, types, where: str, required: bool = True, defaul
 def _get_count(
     block: dict, key: str, where: str, required: bool = True, default=None, minimum: int = 1
 ) -> int:
-    """An integer of at least ``minimum`` (1: a positive count, 0: a non-negative one)."""
+    """An integer of at least ``minimum`` (1: a positive count, 0: a non-negative one;
+    2 for a sample size that a spread or a two-sample test needs)."""
     value = _get(block, key, int, where, required, default)
     if value is not None and value < minimum:
-        kind = "positive" if minimum == 1 else "non-negative"
-        raise ConfigError(f"{where}.{key}: must be a {kind} count, got {value}")
+        kind = {0: "a non-negative count", 1: "a positive count"}.get(minimum, f"a count of at least {minimum}")
+        raise ConfigError(f"{where}.{key}: must be {kind}, got {value}")
     return value
 
 
@@ -447,6 +448,8 @@ def _get_box(cfg: dict, dim: int, default_halfwidth: float) -> GridBox:
         half = _get_vector(cfg, "box_halfwidth", "config", length=dim)
     else:
         half = np.full(dim, _get(cfg, "box_halfwidth", float, "config", required=False, default=default_halfwidth))
+    if not np.all((half > 0) & np.isfinite(half)):
+        raise ConfigError("config.box_halfwidth: must be positive and finite")
     if isinstance(cfg.get("points_per_axis"), list):
         points = _get_counts(cfg, "points_per_axis", "config")
     else:
@@ -461,8 +464,8 @@ def run_diagnose(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     data = _load_data(cfg, model)
     seed = cfg["seed"]
     alpha = _get(cfg, "alpha", float, "config", required=False, default=0.05)
-    test_nsim = _get_count(cfg, "test_nsim", "config", required=False, default=500)
-    contiguity_nsim = _get_count(cfg, "contiguity_nsim", "config", required=False, default=2000)
+    test_nsim = _get_count(cfg, "test_nsim", "config", required=False, default=500, minimum=2)
+    contiguity_nsim = _get_count(cfg, "contiguity_nsim", "config", required=False, default=2000, minimum=2)
     box = _get_box(cfg, model.dim_param, 1.0)
     theta_b = _get_vector(cfg, "theta_b", "config", required=False, length=model.dim_param)
     delta = _get_vector(cfg, "contiguity_delta", "config", required=False, length=model.dim_param)
@@ -559,10 +562,10 @@ def _build_spec(cfg: dict) -> LamnSpec:
 def run_lamn_verify(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     spec = _build_spec(cfg)
     seed = cfg["seed"]
-    nsim = _get_count(cfg, "nsim", "config", required=False, default=100_000)
+    nsim = _get_count(cfg, "nsim", "config", required=False, default=100_000, minimum=2)
     n_deltas = _get_count(cfg, "n_deltas", "config", required=False, default=5)
     delta_scale = _get(cfg, "delta_scale", float, "config", required=False, default=1.0)
-    test_nsim = _get_count(cfg, "test_nsim", "config", required=False, default=2000)
+    test_nsim = _get_count(cfg, "test_nsim", "config", required=False, default=2000, minimum=2)
     theta_a = _get_vector(cfg, "theta_a", "config", required=False, default=np.zeros(spec.dim), length=spec.dim)
     theta_b = _get_vector(cfg, "theta_b", "config", required=False, default=np.ones(spec.dim), length=spec.dim)
     record = _start_record(cfg)
@@ -598,7 +601,7 @@ def run_ar1_study(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     mc_paths = _get_count(cfg, "mc_paths", "config", required=False, default=100_000)
     theta_a = _get(cfg, "theta_a", float, "config", required=False, default=0.0)
     theta_b = _get(cfg, "theta_b", float, "config", required=False, default=0.9)
-    invariance_nsim = _get_count(cfg, "invariance_nsim", "config", required=False, default=2000)
+    invariance_nsim = _get_count(cfg, "invariance_nsim", "config", required=False, default=2000, minimum=2)
     box = _get_box(cfg, 1, 1.0)
     record = _start_record(cfg)
     record.put("n", n)

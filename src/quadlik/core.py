@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -158,16 +159,21 @@ class QuadraticForm:
             raise ValueError(f"curvature matrix is not symmetric (max asymmetry {asym:g})")
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "z", z)
-        # halves before the sum, so entries near the float maximum do not overflow
-        object.__setattr__(self, "k", 0.5 * k + 0.5 * k.T)
+        object.__setattr__(self, "k", _symmetrized(k))
 
     @property
     def dim(self) -> int:
         return self.z.size
 
     def objective(self) -> Objective:
-        """This form as an objective callable (NaO-propagating)."""
-        return lambda theta: quadratic_loglik(self, theta)
+        """This form as an objective callable (NaO-propagating), with a stacked evaluation."""
+        return _QuadraticObjective(self)
+
+
+def _symmetrized(h: np.ndarray) -> np.ndarray:
+    """``(h + h')/2`` over the last two axes, halves first so entries near the
+    float maximum do not overflow."""
+    return 0.5 * h + 0.5 * h.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +194,7 @@ class ObjectiveEval:
             raise ValueError(f"hessian is not symmetric (max asymmetry {asym:g})")
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "gradient", g)
-        # halves before the sum, as in QuadraticForm
-        object.__setattr__(self, "hessian", 0.5 * h + 0.5 * h.T)
+        object.__setattr__(self, "hessian", _symmetrized(h))
 
     @property
     def dim(self) -> int:
@@ -258,6 +263,11 @@ class StackedEval:
         """Views of packed rows as values ``(m,)``, gradients ``(m, p)``, Hessians ``(m, p, p)``."""
         return packed[:, 0], packed[:, 1 : p + 1], packed[:, p + 1 :].reshape(-1, p, p)
 
+    def parts(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`split` with each Hessian symmetrized as :class:`ObjectiveEval` does."""
+        value, gradient, hessian = self.split(self.packed, p)
+        return value, gradient, _symmetrized(hessian)
+
 
 class StackedObjective:
     """An objective over a stack of data sets, ``q(rows, thetas) -> StackedEval``.
@@ -295,7 +305,7 @@ class StackedObjective:
         thetas = np.asarray(thetas, dtype=float)
         m, p = thetas.shape
         inside = self.domain.contains_rows(thetas)
-        if inside.all():
+        if m and inside.all():
             packed = _pack(*self._kernel(rows, thetas))
         else:
             packed = np.full((m, 1 + p + p * p), np.nan)
@@ -327,6 +337,13 @@ class LikModel:
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator):
         raise NotImplementedError
+
+    def simulate_stack(self, theta: np.ndarray, rngs) -> list:
+        """One data set per stream, as :meth:`stacked_objective` holds it.
+
+        Data set ``i`` uses ``rngs[i]`` alone, exactly as ``simulate`` would.
+        """
+        return [self.simulate(theta, rng) for rng in rngs]
 
     def start(self, data) -> np.ndarray:
         return np.zeros(self.dim_param)
@@ -379,6 +396,25 @@ def quadratic_loglik(q: QuadraticForm, theta: MaybeParam):
     return quadratic_eval(q.u, q.z, q.k, th)
 
 
+class _QuadraticObjective:
+    """``QuadraticForm.objective()``: :func:`quadratic_loglik` at one point, or
+    at each row of an ``(m, p)`` stack through :meth:`stack`."""
+
+    def __init__(self, form: QuadraticForm):
+        self.form = form
+
+    def __call__(self, theta):
+        return quadratic_loglik(self.form, theta)
+
+    def stack(self, thetas) -> StackedEval:
+        """Row j holds, packed, what ``self(thetas[j])`` gives."""
+        th = np.asarray(thetas, dtype=float)
+        if th.shape[1:] != self.form.z.shape:
+            raise ValueError(f"parameter rows of shape {th.shape[1:]} do not match dimension {self.form.dim}")
+        value, gradient, hessian = quadratic_stack(self.form.u, self.form.z, self.form.k, th)
+        return StackedEval(_pack(value, gradient, _symmetrized(hessian)), np.ones(len(th), dtype=bool))
+
+
 def quadratic_eval(u: float, z: np.ndarray, k: np.ndarray, theta: np.ndarray) -> ObjectiveEval:
     """The quadratic kernel shared by every exactly quadratic log likelihood.
 
@@ -417,7 +453,8 @@ class ShiftedObjective:
     The value at 0 is exactly 0.0 because ``l(psi)`` is cached once and
     subtracted; gradients and Hessians carry the ``1/tau`` and ``1/tau**2``
     chain-rule factors.  Evaluations landing outside the model domain give
-    NaO.
+    NaO.  :meth:`stack` evaluates a stack of shifts in one call of the
+    model's stacked objective.
     """
 
     def __init__(self, model: LikModel, data, psi, tau: float = 1.0, tau_sq: float | None = None):
@@ -451,6 +488,24 @@ class ShiftedObjective:
             ev.gradient / self.tau,
             ev.hessian / self.tau_sq,
         )
+
+    @cached_property
+    def _stacked(self) -> StackedObjective:
+        return self.model.stacked_objective([self.data])
+
+    def stack(self, deltas) -> StackedEval:
+        """This objective at each row of an ``(m, p)`` stack of shifts.
+
+        Row j holds, packed, what ``self(deltas[j])`` gives, with the
+        Hessian symmetrized before and after rescaling as the two
+        :class:`ObjectiveEval` constructions of that call do; ``ok`` is
+        False where it gives NaO.
+        """
+        d = np.asarray(deltas, dtype=float)
+        ev = self._stacked(np.zeros(len(d), dtype=int), self.psi + d / self.tau)
+        value, gradient, hessian = ev.parts(self.psi.size)
+        hessian = _symmetrized(hessian / self.tau_sq)
+        return StackedEval(_pack(value - self.base_value, gradient / self.tau, hessian), ev.ok)
 
 
 def local_shift(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NaO, ObjectiveEval, Objective, QuadraticForm, is_nao
+from .core import NaO, ObjectiveEval, Objective, QuadraticForm, StackedEval, is_nao
 
 # Default grid resolution per axis, keyed by dimension.  Grid diagnostics are
 # rejected above dimension 3; use monte_carlo_points there instead.
@@ -51,6 +51,10 @@ class GridBox:
             raise ValueError("lower, upper, points_per_axis differ in length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
             raise ValueError("box requires finite lower < upper on every axis")
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        if not np.all(np.isfinite(width)):
+            raise ValueError("box width upper - lower overflows on some axis")
         if not np.all(pts >= 1):
             raise ValueError("points_per_axis must be >= 1")
         object.__setattr__(self, "lower", lo)
@@ -131,33 +135,76 @@ def monte_carlo_points(lower, upper, n: int = DEFAULT_CLOUD_SIZE, rng: np.random
 
 
 def value_function(q: Objective):
-    """Scalar view of an objective: its value component, NaO passed through."""
+    """Scalar view of an objective: its value component, NaO passed through.
 
-    def f(x):
-        ev = q(x)
+    The view keeps the objective's stacked evaluation (see :func:`_on_points`).
+    """
+    return _ValueView(q)
+
+
+class _ValueView:
+    def __init__(self, q: Objective):
+        self.q = q
+
+    def __call__(self, x):
+        ev = self.q(x)
         if is_nao(ev):
             return NaO
         return ev.value
 
-    return f
+    def stack(self, points: np.ndarray) -> StackedEval:
+        ev = _on_points(self.q, points)
+        return StackedEval(ev.packed[:, :1], ev.ok)
 
 
-def _scalar(f, x: np.ndarray) -> float:
-    v = f(x)
-    if is_nao(v):
-        raise NonFiniteEvaluationError(x, "NaO evaluation")
-    v = float(v)
-    if not np.isfinite(v):
-        raise NonFiniteEvaluationError(x)
-    return v
+def _on_points(f, points: np.ndarray) -> StackedEval:
+    """``f`` at each row of ``points``.
+
+    An objective with a stacked evaluation (``f.stack``, as a shifted
+    objective, a quadratic form's objective or a value view of either has)
+    is evaluated in one call; anything else is called point by point, which
+    serves plain callables and is the reference for the stacked path.  Rows
+    hold the packed value, gradient and Hessian of an objective, or the
+    value of a scalar function; ``ok`` is False where ``f`` gave NaO.
+    """
+    stack = getattr(f, "stack", None)
+    if stack is not None:
+        return stack(points)
+    results = [f(x) for x in points]
+    ok = np.array([not is_nao(v) for v in results], dtype=bool)
+    rows = [
+        np.concatenate(([v.value], v.gradient, v.hessian.ravel())) if isinstance(v, ObjectiveEval) else [float(v)]
+        for v, good in zip(results, ok)
+        if good
+    ]
+    packed = np.full((len(results), len(rows[0]) if rows else 1), np.nan)
+    packed[ok] = rows
+    return StackedEval(packed, ok)
+
+
+def _raise_at_first_failure(points: np.ndarray, evals, message: str | None = None) -> None:
+    """NonFiniteEvaluationError at the first point, in grid order, where one of
+    ``evals`` (checked in order) is NaO or not finite.
+
+    Without ``message`` the error says which of the two it was.
+    """
+    bad = [~ev.ok | ~np.isfinite(ev.packed).all(axis=1) for ev in evals]
+    hit = np.logical_or.reduce(bad)
+    if not hit.any():
+        return
+    i = int(np.argmax(hit))
+    if message is None:
+        ev = next(ev for ev, b in zip(evals, bad) if b[i])
+        message = "non-finite evaluation" if ev.ok[i] else "NaO evaluation"
+    raise NonFiniteEvaluationError(points[i], message)
 
 
 def sup_norm_on_box(f, g, box: GridBox) -> float:
     """Grid maximum of ``|f - g|`` over the box (a lower bound to the sup)."""
-    best = 0.0
-    for x in box.points():
-        best = max(best, abs(_scalar(f, x) - _scalar(g, x)))
-    return best
+    points = box.points()
+    ef, eg = _on_points(f, points), _on_points(g, points)
+    _raise_at_first_failure(points, (ef, eg))
+    return float(np.max(np.abs(ef.packed[:, 0] - eg.packed[:, 0])))
 
 
 def rudin_tail_bound(nested: NestedBoxes) -> float:
@@ -179,27 +226,17 @@ def rudin_distance(f, g, nested: NestedBoxes) -> float:
     return best
 
 
-def _eval_both(f: Objective, g: Objective, x: np.ndarray) -> tuple[ObjectiveEval, ObjectiveEval]:
-    ef, eg = f(x), g(x)
-    if is_nao(ef) or not ef.all_finite():
-        raise NonFiniteEvaluationError(x, "NaO or non-finite evaluation")
-    if is_nao(eg) or not eg.all_finite():
-        raise NonFiniteEvaluationError(x, "NaO or non-finite evaluation")
-    return ef, eg
-
-
 def c2_distance(f: Objective, g: Objective, box: GridBox) -> tuple[float, float, float]:
     """Sup norms over the grid of value, gradient, and Hessian differences.
 
     Gradient and Hessian differences are measured entrywise (max-abs).
     """
-    d0 = d1 = d2 = 0.0
-    for x in box.points():
-        ef, eg = _eval_both(f, g, x)
-        d0 = max(d0, abs(ef.value - eg.value))
-        d1 = max(d1, float(np.max(np.abs(ef.gradient - eg.gradient))))
-        d2 = max(d2, float(np.max(np.abs(ef.hessian - eg.hessian))))
-    return d0, d1, d2
+    points = box.points()
+    ef, eg = _on_points(f, points), _on_points(g, points)
+    _raise_at_first_failure(points, (ef, eg), "NaO or non-finite evaluation")
+    diff = np.abs(ef.packed - eg.packed)
+    p = box.dim
+    return float(np.max(diff[:, 0])), float(np.max(diff[:, 1 : p + 1])), float(np.max(diff[:, p + 1 :]))
 
 
 def quadratic_fit_at(q: Objective, delta0) -> QuadraticForm:

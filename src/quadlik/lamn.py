@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import LikModel, NaO, is_nao, quadratic_eval, spd_factor
+from .core import LikModel, NaO, StackedEval, StackedObjective, is_nao, quadratic_eval, spd_factor
 from .inference import symmetric_sqrt
-from .parallel import replicates
+from .parallel import stacked_replicates
 from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -186,28 +186,32 @@ def contiguity_estimate(
     return mean, se
 
 
+def _at(q: StackedObjective, theta: np.ndarray) -> StackedEval:
+    """Every data set of a stacked objective evaluated at one fixed point."""
+    n = len(q.data)
+    return q(np.arange(n), np.tile(theta, (n, 1)))
+
+
 def model_contiguity_estimate(
     model: LikModel, psi, delta, nsim: int, seed: int, workers: int = 1
 ) -> tuple[float, float, int]:
     """Mean and standard error of exp(l(psi + delta) - l(psi)) over fresh data.
 
     Data are simulated at psi; replicates whose evaluation is NaO are
-    dropped and counted.  Returns (mean, se, n_nao).
+    dropped and counted.  Returns (mean, se, n_nao).  All replicates are
+    evaluated as one stack, so ``workers`` does not matter.
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     d = np.atleast_1d(np.asarray(delta, dtype=float))
 
-    def one(i: int, data):
-        objective = model.objective(data)
-        base, shifted = objective(psi), objective(psi + d)
-        if is_nao(base) or is_nao(shifted):
-            return NaO
-        return float(np.exp(shifted.value - base.value))
+    def ratios(datas):
+        q = model.stacked_objective(datas)
+        base, shifted = _at(q, psi), _at(q, psi + d)
+        return np.exp(shifted.packed[:, 0] - base.packed[:, 0]), base.ok & shifted.ok
 
-    values, n_nao = replicates(model, psi, nsim, seed, ("model-contiguity",), one, workers)
-    if len(values) < 2:
+    arr, n_nao = stacked_replicates(model, psi, nsim, seed, ("model-contiguity",), ratios)
+    if arr.size < 2:
         raise ValueError("too few finite replicates for a contiguity estimate")
-    arr = np.asarray(values)
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size)), n_nao
 
 
@@ -233,17 +237,16 @@ class KsTestReport:
         return rec
 
 
-def _curvature_summaries(model: LikModel, theta, nsim: int, seed: int, stream: str, workers: int):
+def _curvature_summaries(model: LikModel, theta, nsim: int, seed: int, stream: str):
     """Scalar summaries of observed information at the truth, per replicate."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
 
-    def one(i: int, data):
-        ev = model.objective(data)(th)
-        return NaO if is_nao(ev) else -ev.hessian
+    def informations(datas):
+        ev = _at(model.stacked_objective(datas), th)
+        return -ev.parts(p)[2], ev.ok
 
-    kept, n_nao = replicates(model, th, nsim, seed, (stream,), one, workers)
-    infos = np.reshape(kept, (-1, p, p))
+    infos, n_nao = stacked_replicates(model, th, nsim, seed, (stream,), informations)
     sign, logdet = np.linalg.slogdet(infos)
     entries = {f"info_{i}{j}": infos[:, i, j] for i in range(p) for j in range(i, p)}
     entries["logdet"] = logdet[sign > 0]
@@ -259,9 +262,11 @@ def hessian_invariance_test(
     entry and the log determinant), and runs a two-sample Kolmogorov-Smirnov
     test per summary.  Small adjusted p-values mean the curvature law
     depends on the parameter, which rules out the mixed-normal structure.
+    Each parameter's replicates are evaluated as one stack, so ``workers``
+    does not matter.
     """
-    sums_a, nao_a = _curvature_summaries(model, theta_a, nsim, seed, "invariance-a", workers)
-    sums_b, nao_b = _curvature_summaries(model, theta_b, nsim, seed, "invariance-b", workers)
+    sums_a, nao_a = _curvature_summaries(model, theta_a, nsim, seed, "invariance-a")
+    sums_b, nao_b = _curvature_summaries(model, theta_b, nsim, seed, "invariance-b")
     per_summary: dict[str, float] = {}
     best_stat = 0.0
     for name in sums_a:
@@ -291,24 +296,27 @@ def score_normality_test(
     Each replicate computes ``(observed information)^{-1/2} gradient``;
     coordinates are tested against the standard normal by Kolmogorov-
     Smirnov with a Bonferroni-adjusted minimum p-value.  Replicates where
-    the information is not positive definite are dropped and counted.
+    the information is not positive definite are dropped and counted.  The
+    replicates are evaluated as one stack, so ``workers`` does not matter.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
 
-    def one(i: int, data):
-        ev = model.objective(data)(th)
-        if is_nao(ev):
-            return NaO
-        root = symmetric_sqrt(-ev.hessian)
-        if is_nao(root):
-            return NaO
-        return np.linalg.solve(root, ev.gradient)
+    def standardized_scores(datas):
+        ev = _at(model.stacked_objective(datas), th)
+        _, gradient, hessian = ev.parts(p)
+        scores, ok = np.full((len(datas), p), np.nan), ev.ok.copy()
+        for i in np.flatnonzero(ok):
+            root = symmetric_sqrt(-hessian[i])
+            if is_nao(root):
+                ok[i] = False
+            else:
+                scores[i] = np.linalg.solve(root, gradient[i])
+        return scores, ok
 
-    rows, n_nao = replicates(model, th, nsim, seed, ("score-normality",), one, workers)
-    if len(rows) < 2:
+    t, n_nao = stacked_replicates(model, th, nsim, seed, ("score-normality",), standardized_scores)
+    if len(t) < 2:
         raise ValueError("too few finite replicates for a normality test")
-    t = np.asarray(rows)
     per_summary: dict[str, float] = {}
     best_stat = 0.0
     for j in range(p):

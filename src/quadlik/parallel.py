@@ -1,6 +1,7 @@
 """Replicate engine for simulation loops.
 
-Every Monte Carlo loop in the package runs through :func:`replicates`:
+Every Monte Carlo loop in the package runs through :func:`replicates`, or
+through :func:`stacked_replicates` where one call handles every replicate:
 replicate ``i`` simulates from its own stream ``(seed, *path, i)``, results
 are collected in replicate order regardless of worker count, and NaO
 results are dropped and counted.  Output is therefore schedule invariant.
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
+
+import numpy as np
 
 from .core import is_nao
 from .rng import derive_rng
@@ -36,3 +39,16 @@ def replicates(model, theta, n: int, seed: int, path: tuple, fn, workers: int = 
 
     kept = [r for r in parallel_map(one, n, workers) if not is_nao(r)]
     return kept, n - len(kept)
+
+
+def stacked_replicates(model, theta, n: int, seed: int, path: tuple, fn) -> tuple[np.ndarray, int]:
+    """:func:`replicates` with one call of ``fn`` for all n datasets.
+
+    The datasets come from ``model.simulate_stack`` with the streams
+    ``(seed, *path, i)``; ``fn(datas)`` returns ``(values, ok)``, one row of
+    ``values`` per dataset and ``ok`` False where it is NaO.  Returns the
+    rows where ``ok`` holds, in replicate order, and the NaO count.
+    """
+    datas = model.simulate_stack(theta, [derive_rng(seed, *path, i) for i in range(n)])
+    values, ok = fn(datas)
+    return values[ok], n - int(np.count_nonzero(ok))

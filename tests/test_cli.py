@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import quadlik.cli
 from quadlik.cli import EXIT_INPUT_ERROR, EXIT_NAO, EXIT_OK, ReportRecord, main
 from quadlik.models import ar1_simulate, save_pedigree_csv, save_vector_csv, synthetic_pedigree
 from quadlik.rng import derive_rng
@@ -306,6 +308,67 @@ class TestBoxValidation:
         )
         assert main(["diagnose", "--config", cfg]) == EXIT_OK
         assert read_report(tmp_path, "r")["quadraticity_points_per_axis"] == [5, 3]
+
+
+class TestSampleSizeAndBoxKeys:
+    """Sample sizes are counts of at least 2 and box half-widths positive and
+    finite; a bad value exits 1 naming its key, before any fit or simulation."""
+
+    @pytest.mark.parametrize(
+        "experiment, key, value, message",
+        [
+            ("diagnose", "test_nsim", 1, "at least 2"),
+            ("diagnose", "contiguity_nsim", 1, "at least 2"),
+            ("lamn-verify", "test_nsim", 1, "at least 2"),
+            ("lamn-verify", "nsim", 1, "at least 2"),
+            ("ar1-study", "invariance_nsim", 1, "at least 2"),
+            ("diagnose", "box_halfwidth", 0, "positive and finite"),
+            ("diagnose", "box_halfwidth", -1, "positive and finite"),
+            ("diagnose", "box_halfwidth", [1.0, 0.0], "positive and finite"),
+            ("ar1-study", "box_halfwidth", -0.5, "positive and finite"),
+        ],
+        ids=[
+            "diagnose-test_nsim", "diagnose-contiguity_nsim", "lamn-test_nsim", "lamn-nsim",
+            "ar1-invariance_nsim", "box-zero", "box-negative", "box-axis-zero", "ar1-box-negative",
+        ],
+    )
+    def test_rejected_before_the_work(self, tmp_path, capsys, monkeypatch, experiment, key, value, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the config should be rejected before any fit or simulation")
+
+        for name in ("fit_mle", "contiguity_estimate", "ar1_simulate_paths"):
+            monkeypatch.setattr(quadlik.cli, name, no_work)
+        if experiment == "diagnose":
+            cfg = {"model": lan_setup(tmp_path), "data": "z.csv"}
+        elif experiment == "lamn-verify":
+            cfg = {"spec": {"dim": 2, "curvature": {"kind": "constant", "k": [[1.0, 0.0], [0.0, 1.0]]}}}
+        else:
+            cfg = {"n": 10}
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg, **{key: value})
+        assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"config.{key}" in err and message in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_two_replicates_run(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "c.json", experiment="diagnose", model=lan_setup(tmp_path), data="z.csv",
+            out="r", test_nsim=2, contiguity_nsim=2,
+        )
+        assert main(["diagnose", "--config", cfg]) == EXIT_OK
+        report = read_report(tmp_path, "r")
+        assert report["normality_n_nao"] == 0 and report["contiguity_n_nao"] == 0
+
+    def test_overflowing_box_exits_without_a_warning(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(quadlik.cli, "fit_mle", lambda *a, **k: pytest.fail("fit before the box check"))
+        cfg = write_config(
+            tmp_path, "c.json", experiment="diagnose", model=lan_setup(tmp_path), data="z.csv",
+            out="r", box_halfwidth=1e308,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["diagnose", "--config", cfg]) == EXIT_INPUT_ERROR
+        assert "overflows" in capsys.readouterr().err
 
 
 class TestRealValidation:

@@ -1,19 +1,38 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_spd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlik import (
+    AnimalModel,
+    AnimalParams,
+    Ar1Model,
+    ExponentialRateIid,
     GridBox,
+    LamnSpec,
     NestedBoxes,
     NonFiniteEvaluationError,
+    NormalLocationIid,
     QuadraticForm,
+    WishartCurvature,
     c2_distance,
+    derive_rng,
+    lan_normal_location,
+    local_shift,
     quadratic_fit_at,
     quadraticity_report,
+    relationship_matrix,
     rudin_distance,
     rudin_tail_bound,
     sup_norm_on_box,
+    synthetic_pedigree,
+    wishart_lamn_model,
 )
+from quadlik.core import NaO
+from quadlik.funcspace import _on_points, value_function
 
 
 def quartic(delta):
@@ -222,3 +241,159 @@ class TestQuadraticityReport:
         rec = quadraticity_report(quartic, [0.0], box).to_record()
         assert rec["quadraticity_points_per_axis"] == [5]
         assert rec["quadraticity_rudin_tail_bound"] == 2.0**-9
+
+
+class TestGridBoxOverflow:
+    def test_rejects_overflowing_width_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                GridBox([-1e308, -1.0], [1e308, 1.0], [3, 3])
+            # the widest box that still fits is accepted
+            GridBox([-8e307], [8e307], [3])
+
+
+def _looped(f):
+    """``f`` without its stacked evaluation: evaluated point by point."""
+    return lambda x: f(x)
+
+
+def _shift_cases():
+    """(model, psi) for every model family."""
+    ped = synthetic_pedigree(6, 9, 2, 17)
+    animal = AnimalModel(relationship_matrix(ped))
+    wishart = wishart_lamn_model(LamnSpec(2, WishartCurvature(5.0, np.eye(2) / 5.0)))
+    return {
+        "lan": (lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])), np.array([0.3, -0.2])),
+        "wishart": (wishart, np.array([0.4, 0.1])),
+        "ar1": (Ar1Model(12, x0=1.0), np.array([0.5])),
+        "iid_normal": (NormalLocationIid(2, 7), np.array([0.1, -0.4])),
+        "iid_exponential": (ExponentialRateIid(6), np.array([1.3])),
+        "animal": (animal, AnimalModel.params_to_phi(AnimalParams(0.5, 1.2, 0.8))),
+    }
+
+
+SHIFT_CASES = _shift_cases()
+
+
+class TestStackedEvaluation:
+    """A stacked evaluation gives, row by row, what the point-by-point loop gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(SHIFT_CASES)),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 30),
+        tau=st.floats(0.2, 5.0),
+        scale=st.floats(0.01, 4.0),
+    )
+    def test_shifted_rows_match_the_loop(self, kind, seed, m, tau, scale):
+        model, psi = SHIFT_CASES[kind]
+        data = model.simulate(psi, derive_rng(seed))
+        q = local_shift(model, data, psi, tau=tau)
+        rng = np.random.default_rng(seed)
+        deltas = scale * rng.standard_normal((m, psi.size))
+        deltas[0] = 0.0
+        if m > 1:
+            deltas[1, -1] = -4.0 * tau * psi[-1] - 1e4 * tau  # outside the exponential and animal domains
+        stacked, looped = q.stack(deltas), _on_points(_looped(q), deltas)
+        assert np.array_equal(stacked.ok, looped.ok)
+        assert stacked.ok[0] and stacked.packed[0, 0] == 0.0
+        if kind == "animal":
+            a, b = stacked.packed[stacked.ok], looped.packed[looped.ok]
+            # the value is l(psi + delta/tau) - l(psi): measure it against those terms
+            size = np.abs(b) + np.abs(q.base_value) * (np.arange(b.shape[1]) == 0)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(size, np.abs(b).max(axis=1, keepdims=True)))
+        else:
+            assert np.array_equal(stacked.packed[stacked.ok], looped.packed[looped.ok])
+        assert np.isnan(stacked.packed[~stacked.ok]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20))
+    def test_quadratic_rows_match_the_loop(self, p, seed, m):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((p, p))
+        q = QuadraticForm(rng.standard_normal(), rng.standard_normal(p), g + g.T).objective()
+        points = 3.0 * rng.standard_normal((m, p))
+        stacked, looped = q.stack(points), _on_points(_looped(q), points)
+        assert stacked.ok.all() and looped.ok.all()
+        assert np.array_equal(stacked.packed, looped.packed)
+        view = value_function(q)
+        assert np.array_equal(view.stack(points).packed, _on_points(_looped(view), points).packed)
+
+    def test_distances_match_the_loop(self):
+        model, psi = SHIFT_CASES["animal"]
+        q = local_shift(model, model.simulate(psi, derive_rng(3)), psi, tau=2.0)
+        fit = quadratic_fit_at(q, np.zeros(3)).objective()
+        box = GridBox([-1.0] * 3, [1.0] * 3, [4, 3, 5])
+        assert c2_distance(q, fit, box) == c2_distance(_looped(q), _looped(fit), box)
+        nested = NestedBoxes.shrinking(box, 3)
+        stacked = rudin_distance(value_function(q), value_function(fit), nested)
+        looped = rudin_distance(_looped(value_function(q)), _looped(value_function(fit)), nested)
+        assert stacked == looped
+
+    @pytest.mark.parametrize("looped", [False, True], ids=["stacked", "looped"])
+    def test_nao_point_matches_the_loop(self, looped):
+        # with log tau2 + delta_2 near 500 the Hessian overflows: NaO from delta_2 = 500 on
+        model, psi = SHIFT_CASES["animal"]
+        q = local_shift(model, model.simulate(psi, derive_rng(5)), psi)
+        fit = quadratic_fit_at(q, np.zeros(3)).objective()
+        f = _looped(q) if looped else q
+        box = GridBox([-1.0, -1.0, 0.0], [1.0, 1.0, 2000.0], [2, 2, 5])
+        view = _looped(value_function(q)) if looped else value_function(q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteEvaluationError, match="NaO or non-finite") as err:
+                c2_distance(fit, f, box)
+            assert err.value.point.tolist() == [-1.0, -1.0, 500.0]
+            with pytest.raises(NonFiniteEvaluationError, match="NaO evaluation") as err:
+                sup_norm_on_box(view, value_function(fit), box)
+            assert err.value.point.tolist() == [-1.0, -1.0, 500.0]
+
+    def test_first_failing_point_in_grid_order_f_before_g(self):
+        box = GridBox([0.0], [4.0], [5])
+        f_nao_from_2 = lambda x: NaO if x[0] >= 2.0 else 0.0
+        g_inf_from_1 = lambda x: np.inf if x[0] >= 1.0 else 0.0
+        g_inf_from_2 = lambda x: np.inf if x[0] >= 2.0 else 0.0
+        with pytest.raises(NonFiniteEvaluationError, match="non-finite evaluation") as err:
+            sup_norm_on_box(f_nao_from_2, g_inf_from_1, box)
+        assert err.value.point.tolist() == [1.0]
+        with pytest.raises(NonFiniteEvaluationError, match="NaO evaluation") as err:
+            sup_norm_on_box(f_nao_from_2, g_inf_from_2, box)
+        assert err.value.point.tolist() == [2.0]
+
+
+class TestQuadraticFormRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        definite=st.booleans(),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_fit_recovers_the_form(self, p, seed, definite, scale):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((p, p))
+        k = scale * (random_spd(rng, p) if definite else g + g.T)
+        u, z = scale * rng.standard_normal(), scale * rng.standard_normal(p)
+        anchor = 3.0 * rng.standard_normal(p)
+        fit = quadratic_fit_at(QuadraticForm(u, z, k).objective(), anchor)
+        # tolerances relative to the size of the terms each coefficient is built from
+        a = np.abs(anchor)
+        z_terms = np.abs(z) + np.abs(k) @ a
+        u_terms = abs(u) + np.abs(z) @ a + a @ np.abs(k) @ a
+        assert np.array_equal(fit.k, QuadraticForm(u, z, k).k)
+        assert np.all(np.abs(fit.z - z) <= 1e-12 * z_terms)
+        assert abs(fit.u - u) <= 1e-12 * u_terms
+
+    def test_nao_passes_through(self):
+        form = QuadraticForm(1.0, [0.5, -0.5], [[2.0, 0.0], [0.0, 1.0]])
+        assert form.objective()(NaO) is NaO
+        assert value_function(form.objective())(NaO) is NaO
+        model, psi = SHIFT_CASES["iid_exponential"]
+        q = local_shift(model, model.simulate(psi, derive_rng(2)), psi)
+        assert q(NaO) is NaO
+        points = np.array([[0.5], [-2.0], [0.0]])
+        for f in (q, value_function(q)):
+            ev = f.stack(points)
+            assert ev.ok.tolist() == [True, False, True]
+            assert np.isnan(ev.packed[1]).all()

@@ -418,6 +418,28 @@ class TestAnimalSimulate:
         with pytest.raises(ValueError):
             animal_simulate(a, (0.0, -1.0, 1.0), derive_rng(1))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        phi=st.tuples(st.floats(-3, 3), st.floats(-4, 4), st.floats(-4, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 12),
+    )
+    def test_stack_rows_are_rotated_single_draws(self, phi, seed, n):
+        model = AnimalModel(relationship_matrix(synthetic_pedigree(6, 30, 3, 5)))
+        phi = np.array(phi)
+        stack = model.simulate_stack(phi, [derive_rng(seed, "stack", i) for i in range(n)])
+        assert len(stack) == n
+        for i, held in enumerate(stack):
+            assert isinstance(held, RotatedResponse)
+            single = model.rotate(model.simulate(phi, derive_rng(seed, "stack", i))).qty
+            assert rel_err(held.qty, single) <= 1e-12
+
+    def test_default_stack_is_the_single_draws(self):
+        model = lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        theta = np.array([0.3, -1.0])
+        stack = model.simulate_stack(theta, [derive_rng(4, i) for i in range(5)])
+        assert all(np.array_equal(d, model.simulate(theta, derive_rng(4, i))) for i, d in enumerate(stack))
+
 
 class TestLogitHeritability:
     def test_equal_variances(self):
