@@ -3,11 +3,12 @@
 The single bootstrap simulates datasets from the fitted model, refits each,
 and collects a pivot; its empirical quantile calibrates the nominal
 chi-square quantile.  The double bootstrap nests one more level at each
-outer refit to diagnose the single bootstrap itself.  Each level refits all
-of its datasets in one lockstep safeguarded Newton over the model's stacked
-objective.  Replicates draw from per-index streams, so results do not
-depend on worker scheduling; failed refits become NaO and are counted,
-never silently dropped.
+outer refit to diagnose the single bootstrap itself: all of its inner
+replicates form a second level.  Each level refits all of its datasets in
+one lockstep safeguarded Newton over the model's stacked objective.
+Replicates draw from per-index streams, so results do not depend on the
+order of the draws; failed refits become NaO and are counted, never
+silently dropped.
 """
 
 from __future__ import annotations
@@ -17,13 +18,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LikModel, NaO, is_nao, spd_factor
+from .core import LikModel, NaO, StackedEval, cholesky_pivots, is_nao, spd_factor
 from .inference import chisq_upper_quantile, wald_pivot
-from .newton import lockstep_maximize
+from .newton import lockstep_fit
 from .parallel import replicates
 
 PivotFn = Callable[[object, np.ndarray, np.ndarray], object]
 StartFn = Callable[[object], np.ndarray]
+
+# the most inner replicates of a double bootstrap refit in one lockstep;
+# past a few hundred rows a lockstep's per-call cost is already spread thin,
+# and larger blocks only hold more rows in memory at once
+INNER_LEVEL_ROWS = 2**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +76,13 @@ class CalibrationResult:
 
 
 def make_wald_pivot(model: LikModel) -> PivotFn:
-    """Default pivot: Wald quadratic form in the refit's observed information."""
+    """Default pivot: Wald quadratic form in the refit's observed information.
+
+    The returned pivot has a ``stack(ev, thetas, theta_hats)`` attribute that
+    takes each row's evaluation at its refit, a :class:`StackedEval`, and
+    gives row ``j`` exactly as ``pivot(data_j, thetas[j], theta_hats[j])``
+    would, with NaN where that is NaO.
+    """
 
     def pivot(data, theta_star: np.ndarray, theta_hat: np.ndarray):
         ev = model.objective(data)(theta_star)
@@ -81,6 +93,16 @@ def make_wald_pivot(model: LikModel) -> PivotFn:
             return NaO
         return wald_pivot(theta_star, theta_hat, info)
 
+    def stack(ev: StackedEval, thetas: np.ndarray, theta_hats: np.ndarray) -> np.ndarray:
+        info = -ev.parts(thetas.shape[1])[2]
+        d = thetas - theta_hats
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower, _ = cholesky_pivots(info)
+            # wald_pivot's ``d @ h @ d`` row by row, bit for bit (einsum is not)
+            values = np.matmul(np.matmul(d[:, None, :], info), d[:, :, None])[:, 0, 0]
+        return np.where(ev.ok & ~np.isnan(lower[:, 0, 0]), values, np.nan)
+
+    pivot.stack = stack
     return pivot
 
 
@@ -93,23 +115,27 @@ def _started(start: StartFn, data):
     return NaO if is_nao(x0) else np.atleast_1d(np.asarray(x0, dtype=float))
 
 
-def _refit(model: LikModel, theta_hat: np.ndarray, pivot: PivotFn, datas: list, starts: list) -> list:
+def _refit(model: LikModel, theta_hats: np.ndarray, pivot: PivotFn, datas: list, starts: list) -> list:
     """Refit datasets in one lockstep Newton and take the pivot at each converged refit.
 
-    Returns ``(theta_star, value)`` per dataset, NaO where the refit or the
-    pivot failed.  The pivot sees each dataset as the stacked objective
-    holds it, so the animal model's response is rotated once per dataset.
+    Dataset ``j``'s pivot is taken against ``theta_hats[j]``.  Returns
+    ``(theta_star, value)`` per dataset, NaO where the refit or the pivot
+    failed.  A pivot with a ``stack`` attribute gets each row's final
+    lockstep evaluation; any other pivot sees each dataset as the stacked
+    objective holds it, so the animal model's response is rotated once per
+    dataset.
     """
     if not datas:
         return []
     q = model.stacked_objective(datas)
-    thetas, traces = lockstep_maximize(q, np.array(starts))
+    thetas, traces, final = lockstep_fit(q, np.array(starts))
+    stacked = pivot.stack(final, thetas, theta_hats) if hasattr(pivot, "stack") else None
     out = []
-    for held, theta_star, trace in zip(q.data, thetas, traces):
+    for j, (held, theta_star, trace) in enumerate(zip(q.data, thetas, traces)):
         if is_nao(trace) or not trace.converged:
             out.append((NaO, NaO))
             continue
-        value = pivot(held, theta_star, theta_hat)
+        value = pivot(held, theta_star, theta_hats[j]) if stacked is None else stacked[j]
         out.append((theta_star, NaO if is_nao(value) or not np.isfinite(value) else float(value)))
     return out
 
@@ -125,29 +151,49 @@ def _one_replicate(
     x0 = _started(start, data)
     if is_nao(x0):
         return NaO, NaO
-    return _refit(model, theta_hat, pivot, [data], [x0])[0]
+    return _refit(model, np.asarray(theta_hat, dtype=float).reshape(1, -1), pivot, [data], [x0])[0]
 
 
 def _bootstrap_level(
     model: LikModel,
-    theta_hat: np.ndarray,
+    centers: list,
     B: int,
     pivot: PivotFn,
     start: StartFn,
     seed: int,
-    path: tuple,
+    paths: list,
     workers: int,
-) -> PivotSamples:
-    """Simulate and start each replicate, then refit all of them in lockstep."""
+) -> list:
+    """One bootstrap level: B datasets at each center, all refit in one lockstep.
 
-    def one(i: int, data):
+    Dataset ``j`` of center ``c`` is drawn by ``model.simulate`` from the
+    stream ``(seed, *paths[c], j)``, started, refit, and pivoted against
+    ``centers[c]``.  Returns, per center, its B ``(theta_star, value)``
+    pairs in stream order, ``(NaO, NaO)`` where the start or the refit
+    failed.
+    """
+
+    def one(j: int, data):
         x0 = _started(start, data)
-        return NaO if is_nao(x0) else (data, x0)
+        return NaO if is_nao(x0) else (j, data, x0)
 
-    started, _ = replicates(model, theta_hat, B, seed, path, one, workers)
-    refits = _refit(model, theta_hat, pivot, [d for d, _ in started], [x0 for _, x0 in started])
-    values = [v for _, v in refits if not is_nao(v)]
-    return PivotSamples(np.asarray(values), B - len(values), seed, B)
+    keys, datas, starts = [], [], []
+    for c, (center, path) in enumerate(zip(centers, paths)):
+        for j, data, x0 in replicates(model, center, B, seed, path, one, workers)[0]:
+            keys.append((c, j))
+            datas.append(data)
+            starts.append(x0)
+    theta_hats = np.asarray(centers, dtype=float)[[c for c, _ in keys]]
+    out = [[(NaO, NaO)] * B for _ in centers]
+    for (c, j), pair in zip(keys, _refit(model, theta_hats, pivot, datas, starts)):
+        out[c][j] = pair
+    return out
+
+
+def _samples(pairs: list, seed: int) -> PivotSamples:
+    """The level's pivot values, NaO ones counted."""
+    values = [v for _, v in pairs if not is_nao(v)]
+    return PivotSamples(np.asarray(values), len(pairs) - len(values), seed, len(pairs))
 
 
 def parametric_bootstrap(
@@ -163,17 +209,19 @@ def parametric_bootstrap(
 
     All B refits run in one lockstep safeguarded Newton from
     ``start(data)``; replicates whose refit fails to converge, or whose
-    pivot is NaO or non-finite, are counted in ``n_nao``.  The pivot gets
-    each dataset as the stacked objective holds it (the animal model's
-    :class:`RotatedResponse`).  Output is a pure function of (seed, B),
-    independent of ``workers``.
+    pivot is NaO or non-finite, are counted in ``n_nao``.  A pivot with a
+    ``stack`` attribute (:func:`make_wald_pivot`) is taken from each refit's
+    last lockstep evaluation; any other gets each dataset as the stacked
+    objective holds it (the animal model's :class:`RotatedResponse`).
+    Output is a pure function of (seed, B); ``workers`` is ignored.
     """
     if B < 1:
         raise ValueError("B must be at least 1")
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
-    return _bootstrap_level(model, th, B, pivot, start, seed, ("bootstrap", 0), workers)
+    (pairs,) = _bootstrap_level(model, [th], B, pivot, start, seed, [("bootstrap", 0)], workers)
+    return _samples(pairs, seed)
 
 
 def calibrate(samples: PivotSamples, level: float, p: int) -> CalibrationResult:
@@ -240,7 +288,13 @@ def double_bootstrap(
 
     Each of the B1 outer replicates is simulated at ``theta_hat`` and refit;
     an inner bootstrap of size B2 at the refit calibrates the pivot quantile
-    there, and the outer pivot is compared against it.
+    there, and the outer pivot is compared against it.  Both levels are
+    lockstep refits: the B1 outer datasets in one, then the B2 inner
+    datasets of every converged outer refit, drawn from the streams
+    ``(seed, "bootstrap", 1, i, j)``, in blocks of whole outer refits of
+    at most ``INNER_LEVEL_ROWS`` rows (results do not depend on the
+    blocks).  An outer pivot that is NaO after a converged refit still gets
+    its inner level.
     """
     if B1 < 1 or B2 < 1:
         raise ValueError("B1 and B2 must be at least 1")
@@ -248,28 +302,30 @@ def double_bootstrap(
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
     p = th.size
-
-    def one(i: int, data):
-        theta_star, value = _one_replicate(model, th, pivot, start, data)
-        if is_nao(theta_star):
-            return value, None
-        inner = _bootstrap_level(model, theta_star, B2, pivot, start, seed, ("bootstrap", 1, i), 1)
-        return value, inner
-
-    results, _ = replicates(model, th, B1, seed, ("bootstrap", 0), one, workers)
-    outer_values = [v for v, _ in results if not is_nao(v)]
-    outer = PivotSamples(np.asarray(outer_values), B1 - len(outer_values), seed, B1)
+    (outer_pairs,) = _bootstrap_level(model, [th], B1, pivot, start, seed, [("bootstrap", 0)], workers)
+    refit = [i for i, (theta_star, _) in enumerate(outer_pairs) if not is_nao(theta_star)]
+    inner_at = {}
+    # every inner row is held until its block is refit (about 2 KB a row on
+    # a 3-parameter Wishart model), so blocks bound the level's memory
+    per_block = max(1, INNER_LEVEL_ROWS // B2)
+    for k in range(0, len(refit), per_block):
+        block = refit[k : k + per_block]
+        centers = [outer_pairs[i][0] for i in block]
+        paths = [("bootstrap", 1, i) for i in block]
+        inner = _bootstrap_level(model, centers, B2, pivot, start, seed, paths, workers)
+        inner_at.update(zip(block, inner))
     calibrations: list[Optional[CalibrationResult]] = []
     indicators: list[Optional[int]] = []
-    for value, inner in results:
-        if inner is None or inner.values.size == 0:
+    for i, (_, value) in enumerate(outer_pairs):
+        samples = _samples(inner_at.get(i, []), seed)
+        if samples.values.size == 0:
             calibrations.append(None)
             indicators.append(None)
             continue
-        cal = calibrate(inner, level, p)
+        cal = calibrate(samples, level, p)
         calibrations.append(cal)
         indicators.append(None if is_nao(value) else int(value <= cal.calibrated_quantile))
-    return DoubleBootstrapReport(outer, calibrations, indicators, level, B2)
+    return DoubleBootstrapReport(_samples(outer_pairs, seed), calibrations, indicators, level, B2)
 
 
 def importance_reweight(g_values, logratio_values) -> float:

@@ -793,11 +793,18 @@ def main(argv=None) -> int:
     for name in RUNNERS:
         cmd = sub.add_parser(name, help=f"run the {name} experiment")
         cmd.add_argument("--config", required=True, help="path to the JSON config")
-        cmd.add_argument("--workers", type=int, default=1, help="worker threads for replicate loops")
+        cmd.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="accepted for compatibility (at least 1); changes neither results nor speed",
+        )
         cmd.add_argument("--out", default=None, help="report base path (overrides config)")
     args = parser.parse_args(argv)
 
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
         cfg = load_config(args.config)
         if cfg["experiment"] != args.command:
             raise ConfigError(

@@ -47,7 +47,9 @@ class ConstantCurvature:
 class WishartCurvature:
     """Wishart curvature law with real degrees of freedom and SPD scale.
 
-    dof > dim - 1 keeps draws almost surely positive definite.
+    dof > dim - 1 keeps draws almost surely positive definite.  The scale's
+    Cholesky factor and the strict lower-triangle indices are computed once
+    here, for every Bartlett draw.
     """
 
     dof: float
@@ -57,12 +59,16 @@ class WishartCurvature:
         scale = np.asarray(self.scale, dtype=float)
         if scale.ndim != 2 or scale.shape[0] != scale.shape[1]:
             raise ValueError("scale must be a square matrix")
-        if spd_factor(scale) is None:
+        scale = (scale + scale.T) / 2.0
+        lower = spd_factor(scale)
+        if lower is None:
             raise ValueError("scale must be positive definite")
         if not float(self.dof) > scale.shape[0] - 1:
             raise ValueError("dof must exceed dim - 1")
         object.__setattr__(self, "dof", float(self.dof))
-        object.__setattr__(self, "scale", (scale + scale.T) / 2.0)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_lower", lower)
+        object.__setattr__(self, "_tril", np.tril_indices(scale.shape[0], k=-1))
 
     @property
     def dim(self) -> int:
@@ -103,14 +109,13 @@ class LamnDraw:
 def _bartlett_batch(law: WishartCurvature, size: int, rng: np.random.Generator) -> np.ndarray:
     """Wishart draws via the Bartlett construction, shape (size, p, p)."""
     p = law.dim
-    lower = spd_factor(law.scale)
     c = np.zeros((size, p, p))
     for i in range(p):
         c[:, i, i] = np.sqrt(rng.chisquare(law.dof - i, size=size))
     if p > 1:
-        tril = np.tril_indices(p, k=-1)
-        c[:, tril[0], tril[1]] = rng.standard_normal((size, len(tril[0])))
-    f = np.einsum("ij,njk->nik", lower, c)
+        rows, cols = law._tril
+        c[:, rows, cols] = rng.standard_normal((size, rows.size))
+    f = np.einsum("ij,njk->nik", law._lower, c)
     return np.einsum("nik,njk->nij", f, f)
 
 

@@ -640,7 +640,9 @@ class AnimalModel(LikModel):
 
     def eval(self, data, theta: np.ndarray):
         value, grad, hess = self._log_scale_eval(self.rotate(data).qty, np.asarray(theta, dtype=float))
-        if np.isnan(value):
+        # an overflowed Hessian (an overflowed gradient reaches its diagonal)
+        # is NaO here, before ObjectiveEval's symmetry check warns on inf - inf
+        if np.isnan(value) or not np.isfinite(hess).all():
             return NaO
         return ObjectiveEval(value, grad, hess)
 
@@ -653,9 +655,12 @@ class AnimalModel(LikModel):
         # (1, sigma2, tau2): d(sigma2)/d(log sigma2) = sigma2, and likewise for tau2
         scale = np.exp(theta * _LOG_VARIANCES)
         value, g, h = self._kernel.natural_eval(qty, theta[..., 0], scale[..., 1], scale[..., 2])
-        grad = g * scale
-        hess = h * (scale[..., :, None] * scale[..., None, :])
-        hess += _LOG_VARIANCE_DIAGONAL * grad[..., None, :]
+        # past a log variance of about 355 these products overflow; the row is
+        # then non-finite, which the objective turns into NaO without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = g * scale
+            hess = h * (scale[..., :, None] * scale[..., None, :])
+            hess += _LOG_VARIANCE_DIAGONAL * grad[..., None, :]
         if outside.any():
             value = np.where(outside, np.nan, value)
             grad[outside] = np.nan

@@ -159,6 +159,17 @@ def lockstep_maximize(
     tol: float | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> tuple[np.ndarray, list]:
+    """:func:`lockstep_fit` without the final evaluations."""
+    thetas, traces, _ = lockstep_fit(q, starts, tol, max_steps)
+    return thetas, traces
+
+
+def lockstep_fit(
+    q: StackedObjective,
+    starts: np.ndarray,
+    tol: float | None = None,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> tuple[np.ndarray, list, StackedEval]:
     """Safeguarded Newton ascent on every row of a stacked objective at once.
 
     Row ``i`` starts at ``starts[i]`` and runs exactly as it would alone.
@@ -171,8 +182,9 @@ def lockstep_maximize(
     its tolerance (by default ``1e-8 * (1 + |q(start)|)``) or after
     ``max_steps`` steps; stopped rows drop out of later evaluations.
 
-    Returns the final points ``(m, p)`` and one :class:`NewtonTrace` per
-    row, NaO for a row whose objective is NaO at its start.
+    Returns the final points ``(m, p)``, one :class:`NewtonTrace` per row
+    (NaO for a row whose objective is NaO at its start), and each row's
+    evaluation at its final point, the last one the ascent accepted.
     """
     starts = np.asarray(starts, dtype=float)
     m, p = starts.shape
@@ -230,7 +242,7 @@ def lockstep_maximize(
         NewtonTrace(iterates[i], grad_norms[i], bool(converged[i]), int(steps[i])) if ev.ok[i] else NaO
         for i in range(m)
     ]
-    return cur, traces
+    return cur, traces, StackedEval(state, ev.ok)
 
 
 def _shifted_factor(h: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -3,13 +3,13 @@
 Every Monte Carlo loop in the package runs through :func:`replicates`, or
 through :func:`stacked_replicates` where one call handles every replicate:
 replicate ``i`` simulates from its own stream ``(seed, *path, i)``, results
-are collected in replicate order regardless of worker count, and NaO
-results are dropped and counted.  Output is therefore schedule invariant.
+are collected in replicate order, and NaO results are dropped and counted.
+Output therefore depends on neither the order of the draws nor the
+``workers`` argument, which the engine accepts and ignores.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -21,11 +21,12 @@ T = TypeVar("T")
 
 
 def parallel_map(fn: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
-    """``[fn(0), ..., fn(n-1)]``, optionally on a thread pool."""
-    if workers is None or workers <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+    """``[fn(0), ..., fn(n-1)]`` in order.
+
+    ``workers`` is accepted for compatibility and ignored: the replicates
+    are short numpy calls that a thread pool only slowed down.
+    """
+    return [fn(i) for i in range(n)]
 
 
 def replicates(model, theta, n: int, seed: int, path: tuple, fn, workers: int = 1) -> tuple[list, int]:

@@ -3,8 +3,8 @@
 Every stochastic procedure in the package takes an integer seed and derives
 one independent counter-based stream per replicate from ``(seed, *path)``.
 A replicate's stream depends only on the seed and its path, never on draw
-order elsewhere, so results are bit-identical no matter how the replicates
-are scheduled across workers.
+order elsewhere, so results are bit-identical whatever order the
+replicates are drawn in.
 """
 
 from __future__ import annotations

@@ -2,22 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import quadlik.bootstrap
 from quadlik import (
     Ar1Model,
+    LamnSpec,
     PivotSamples,
+    WishartCurvature,
     calibrate,
     chisq_upper_quantile,
     derive_rng,
     double_bootstrap,
     fit_mle,
     importance_reweight,
+    is_nao,
     lan_normal_location,
     make_wald_pivot,
     parametric_bootstrap,
+    safeguarded_maximize,
+    wishart_lamn_model,
 )
-from quadlik.core import NaO
+from quadlik.core import LikModel, NaO, ObjectiveEval, OpenBox, StackedObjective
 
 
 def lan_fixture(p=2, seed=0):
@@ -157,6 +165,191 @@ class TestDoubleBootstrap:
         b = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, model.start, seed=31, workers=4)
         assert np.array_equal(a.outer.values, b.outer.values)
         assert a.coverage_indicators == b.coverage_indicators
+
+
+class HessianModel(LikModel):
+    """Toy model whose data set is the evaluation itself: a value and a Hessian
+    (gradient 0), whatever the parameter.
+
+    Its stacked kernel hands them back as given, as the quadratic models'
+    kernels do, so only the pivot's own arithmetic is under test.
+    """
+
+    def __init__(self, p):
+        self.dim_param = p
+        self.domain = OpenBox.unbounded(p)
+
+    def eval(self, data, theta):
+        value, hessian = data
+        return ObjectiveEval(value, np.zeros(self.dim_param), hessian)
+
+    def stacked_objective(self, datas):
+        values = np.array([v for v, _ in datas])
+        h = np.array([h for _, h in datas])
+
+        def kernel(rows, thetas):
+            return values[rows], np.zeros((len(rows), self.dim_param)), h[rows]
+
+        return StackedObjective(self.domain, list(datas), kernel)
+
+
+# moderate, near the float maximum (either sign), and NaN entries
+ENTRY = st.one_of(
+    st.floats(-10, 10),
+    st.floats(1e306, 1.7e308),
+    st.floats(-1.7e308, -1e306),
+    st.just(float("nan")),
+)
+
+
+@st.composite
+def pivot_rows(draw):
+    """(p, data sets, refits, centers) for 1-6 rows of one dimension."""
+    p = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    datas = []
+    for _ in range(m):
+        # a non-finite value makes the row NaO whatever its Hessian
+        value = draw(st.sampled_from([0.0, 0.0, 0.0, float("nan"), float("-inf")]))
+        if draw(st.booleans()):
+            g = np.array(draw(st.lists(st.floats(-10, 10), min_size=p * p, max_size=p * p))).reshape(p, p)
+            scale = draw(st.sampled_from([1.0, 1e-3, 1e305]))
+            h = -(g @ g.T + np.eye(p)) * scale
+        else:
+            entries = draw(st.lists(ENTRY, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))
+            h = np.zeros((p, p))
+            h[np.tril_indices(p)] = entries
+            h.T[np.tril_indices(p)] = entries
+        datas.append((value, h))
+    point = st.lists(st.floats(-100, 100), min_size=p, max_size=p)
+    refits = np.array(draw(st.lists(point, min_size=m, max_size=m)))
+    centers = np.array(draw(st.lists(point, min_size=m, max_size=m)))
+    return p, datas, refits, centers
+
+
+class TestStackedWaldPivot:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=pivot_rows())
+    def test_stack_equals_the_call_bit_for_bit(self, rows):
+        p, datas, refits, centers = rows
+        model = HessianModel(p)
+        pivot = make_wald_pivot(model)
+        ev = model.stacked_objective(datas)(np.arange(len(datas)), refits)
+        stacked = pivot.stack(ev, refits, centers)
+        assert stacked.shape == (len(datas),)
+        # the call's own pivot test warns on Hessians near the float maximum
+        with np.errstate(all="ignore"):
+            for j, data in enumerate(datas):
+                alone = pivot(data, refits[j], centers[j])
+                if is_nao(alone):
+                    assert np.isnan(stacked[j])
+                elif np.isnan(alone):
+                    assert np.isnan(stacked[j])
+                else:
+                    assert np.float64(alone).tobytes() == stacked[j].tobytes()
+
+
+def refit_alone(model, theta_hat, pivot, start, data):
+    """One replicate the long way: its own safeguarded fit, then the pivot call."""
+    try:
+        x0 = start(data)
+    except ValueError:
+        return NaO, NaO
+    if is_nao(x0):
+        return NaO, NaO
+    try:
+        theta_star, trace = safeguarded_maximize(model.objective(data), x0)
+    except ValueError:
+        return NaO, NaO
+    if not trace.converged:
+        return NaO, NaO
+    value = pivot(data, theta_star, theta_hat)
+    return theta_star, NaO if is_nao(value) or not np.isfinite(value) else float(value)
+
+
+def double_alone(model, theta_hat, B1, B2, pivot, start, seed, level):
+    """The double bootstrap as nested loops over explicit streams."""
+    outer, calibrations, indicators = [], [], []
+    for i in range(B1):
+        data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
+        theta_star, value = refit_alone(model, theta_hat, pivot, start, data)
+        outer.append(value)
+        cal = None
+        if not is_nao(theta_star):
+            inner = []
+            for j in range(B2):
+                inner_data = model.simulate(theta_star, derive_rng(seed, "bootstrap", 1, i, j))
+                inner.append(refit_alone(model, theta_star, pivot, start, inner_data)[1])
+            values = [v for v in inner if not is_nao(v)]
+            if values:
+                cal = calibrate(PivotSamples(np.array(values), B2 - len(values), seed, B2), level, theta_hat.size)
+        calibrations.append(cal)
+        indicators.append(None if cal is None or is_nao(value) else int(value <= cal.calibrated_quantile))
+    return outer, calibrations, indicators
+
+
+def wishart_model():
+    return wishart_lamn_model(LamnSpec(3, WishartCurvature(5.0, np.eye(3) / 5.0)))
+
+
+def lan_model():
+    return lan_normal_location(np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]]))
+
+
+def first_coordinate(data):
+    return float(data.z[0]) if hasattr(data, "z") else float(data[0])
+
+
+class TestDoubleBootstrapLayout:
+    CASES = {"lan": (lan_model, np.array([0.3, -0.2, 0.5])), "wishart": (wishart_model, np.array([0.4, -1.0, 0.2]))}
+
+    def check(self, model, theta_hat, pivot, start, seed, B1=9, B2=7, level=0.9):
+        report = double_bootstrap(model, theta_hat, B1, B2, pivot, start, seed, level=level)
+        outer, calibrations, indicators = double_alone(model, theta_hat, B1, B2, pivot, start, seed, level)
+        kept = [v for v in outer if not is_nao(v)]
+        assert report.outer.n_nao == B1 - len(kept)
+        assert np.array_equal(report.outer.values, kept)
+        assert [c is None for c in report.per_outer_calibrations] == [c is None for c in calibrations]
+        for got, want in zip(report.per_outer_calibrations, calibrations):
+            if want is not None:
+                assert got.calibrated_quantile == want.calibrated_quantile
+                assert got.nominal_quantile == want.nominal_quantile
+        assert report.coverage_indicators == indicators
+        return outer, calibrations
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_levels_equal_nested_loops(self, name):
+        factory, theta_hat = self.CASES[name]
+        model = factory()
+        self.check(model, theta_hat, make_wald_pivot(model), model.start, seed=57)
+
+    @pytest.mark.parametrize("rows", [1, 15])
+    def test_inner_blocks_equal_nested_loops(self, monkeypatch, rows):
+        # one outer refit per block, then two: B2 = 7
+        monkeypatch.setattr(quadlik.bootstrap, "INNER_LEVEL_ROWS", rows)
+        model = wishart_model()
+        self.check(model, self.CASES["wishart"][1], make_wald_pivot(model), model.start, seed=59)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_nao_rules(self, name):
+        factory, theta_hat = self.CASES[name]
+        model = factory()
+        wald = make_wald_pivot(model)
+
+        def start(data):
+            # the start fails on some data sets, so their refits fail
+            return NaO if first_coordinate(data) > 1.2 else model.start(data)
+
+        def pivot(data, theta_star, theta_hat):
+            # NaO on some converged refits; a plain pivot, called row by row
+            return NaO if first_coordinate(data) < -0.6 else wald(data, theta_star, theta_hat)
+
+        outer, calibrations = self.check(model, theta_hat, pivot, start, seed=61, B1=24, B2=6)
+        # an outer refit that fails gives None; an NaO outer pivot after a
+        # converged refit still gets its inner level
+        refit_failed = [i for i in range(24) if is_nao(outer[i]) and calibrations[i] is None]
+        pivot_failed = [i for i in range(24) if is_nao(outer[i]) and calibrations[i] is not None]
+        assert refit_failed and pivot_failed
 
 
 class TestCalibrationStudies:

@@ -94,6 +94,15 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv")
         assert main(["fit", "--config", cfg]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        cfg = write_config(
+            tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="r",
+        )
+        assert main(["fit", "--config", cfg, "--workers", workers]) == EXIT_INPUT_ERROR
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestFitCommand:
     def test_lan_fit_is_closed_form(self, tmp_path):

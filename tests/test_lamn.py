@@ -46,6 +46,25 @@ class TestSpecValidation:
             LamnDraw([0.0, 0.0], np.diag([1.0, 0.0]))
 
 
+class TestScaleFactorCache:
+    def test_scale_is_factored_once_per_law(self, monkeypatch):
+        import quadlik.core
+
+        scale = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]]) / 5.0
+        seen = []
+        original = quadlik.core.cholesky_pivots
+
+        def counting(m):
+            seen.append(np.array_equal(m, scale))
+            return original(m)
+
+        monkeypatch.setattr(quadlik.core, "cholesky_pivots", counting)
+        spec = LamnSpec(3, WishartCurvature(5.0, scale))
+        draws = [sample_lamn(spec, np.zeros(3), derive_rng(71, i)) for i in range(100)]
+        assert len(draws) == 100 and len(seen) > 100
+        assert sum(seen) == 1
+
+
 class TestSampling:
     def test_constant_k_mean_and_covariance(self):
         k = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian, rel_err
@@ -349,6 +351,24 @@ class TestAnimalRotation:
         samples = parametric_bootstrap(model, self.TRUTH, B, pivot_factory(model), model.start, seed=8)
         assert samples.values.size > 0
         assert len(calls) == B
+
+
+class TestLargeLogVariance:
+    """A log variance past about 355 overflows the log-scale products: NaO, quietly."""
+
+    MODEL = TestAnimalRotation.MODEL
+    TRUTH = TestAnimalRotation.TRUTH
+
+    @pytest.mark.parametrize("phi", [[0.1, 0.0, 500.0], [0.1, 500.0, 0.0], [0.1, 0.0, 356.0]])
+    def test_overflow_is_nao_without_a_warning(self, phi):
+        model = self.MODEL
+        y = model.simulate(self.TRUTH, derive_rng(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_nao(model.objective(y)(np.array(phi)))
+            assert is_nao(model.eval(y, np.array(phi)))
+            ev = model.stacked_objective([y, y])(np.array([0, 1]), np.array([phi, self.TRUTH]))
+        assert ev.ok.tolist() == [False, True]
 
 
 class TestOneEigendecomposition:
