@@ -21,7 +21,7 @@ import numpy as np
 from .core import LikModel, NaO, StackedEval, cholesky_pivots, is_nao, spd_factor
 from .inference import chisq_upper_quantile, wald_pivot
 from .newton import lockstep_fit
-from .parallel import replicates
+from .parallel import draw
 
 PivotFn = Callable[[object, np.ndarray, np.ndarray], object]
 StartFn = Callable[[object], np.ndarray]
@@ -162,27 +162,23 @@ def _bootstrap_level(
     start: StartFn,
     seed: int,
     paths: list,
-    workers: int,
 ) -> list:
     """One bootstrap level: B datasets at each center, all refit in one lockstep.
 
-    Dataset ``j`` of center ``c`` is drawn by ``model.simulate`` from the
-    stream ``(seed, *paths[c], j)``, started, refit, and pivoted against
-    ``centers[c]``.  Returns, per center, its B ``(theta_star, value)``
-    pairs in stream order, ``(NaO, NaO)`` where the start or the refit
-    failed.
+    The B datasets of center ``c`` are drawn in one ``model.simulate_stack``
+    call, dataset ``j`` from the stream ``(seed, *paths[c], j)``; each is
+    started, refit, and pivoted against ``centers[c]``.  Returns, per
+    center, its B ``(theta_star, value)`` pairs in stream order,
+    ``(NaO, NaO)`` where the start or the refit failed.
     """
-
-    def one(j: int, data):
-        x0 = _started(start, data)
-        return NaO if is_nao(x0) else (j, data, x0)
-
     keys, datas, starts = [], [], []
     for c, (center, path) in enumerate(zip(centers, paths)):
-        for j, data, x0 in replicates(model, center, B, seed, path, one, workers)[0]:
-            keys.append((c, j))
-            datas.append(data)
-            starts.append(x0)
+        for j, data in enumerate(draw(model, center, B, seed, path)):
+            x0 = _started(start, data)
+            if not is_nao(x0):
+                keys.append((c, j))
+                datas.append(data)
+                starts.append(x0)
     theta_hats = np.asarray(centers, dtype=float)[[c for c, _ in keys]]
     out = [[(NaO, NaO)] * B for _ in centers]
     for (c, j), pair in zip(keys, _refit(model, theta_hats, pivot, datas, starts)):
@@ -203,7 +199,6 @@ def parametric_bootstrap(
     pivot: PivotFn,
     start: StartFn,
     seed: int,
-    workers: int = 1,
 ) -> PivotSamples:
     """Simulate at the fit, refit each dataset, and collect pivot values.
 
@@ -213,14 +208,14 @@ def parametric_bootstrap(
     ``stack`` attribute (:func:`make_wald_pivot`) is taken from each refit's
     last lockstep evaluation; any other gets each dataset as the stacked
     objective holds it (the animal model's :class:`RotatedResponse`).
-    Output is a pure function of (seed, B); ``workers`` is ignored.
+    Output is a pure function of (seed, B).
     """
     if B < 1:
         raise ValueError("B must be at least 1")
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
-    (pairs,) = _bootstrap_level(model, [th], B, pivot, start, seed, [("bootstrap", 0)], workers)
+    (pairs,) = _bootstrap_level(model, [th], B, pivot, start, seed, [("bootstrap", 0)])
     return _samples(pairs, seed)
 
 
@@ -282,7 +277,6 @@ def double_bootstrap(
     start: StartFn,
     seed: int,
     level: float = 0.95,
-    workers: int = 1,
 ) -> DoubleBootstrapReport:
     """Nested bootstrap: an inner bootstrap at each outer refit.
 
@@ -302,7 +296,7 @@ def double_bootstrap(
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
     p = th.size
-    (outer_pairs,) = _bootstrap_level(model, [th], B1, pivot, start, seed, [("bootstrap", 0)], workers)
+    (outer_pairs,) = _bootstrap_level(model, [th], B1, pivot, start, seed, [("bootstrap", 0)])
     refit = [i for i, (theta_star, _) in enumerate(outer_pairs) if not is_nao(theta_star)]
     inner_at = {}
     # every inner row is held until its block is refit (about 2 KB a row on
@@ -312,7 +306,7 @@ def double_bootstrap(
         block = refit[k : k + per_block]
         centers = [outer_pairs[i][0] for i in block]
         paths = [("bootstrap", 1, i) for i in block]
-        inner = _bootstrap_level(model, centers, B2, pivot, start, seed, paths, workers)
+        inner = _bootstrap_level(model, centers, B2, pivot, start, seed, paths)
         inner_at.update(zip(block, inner))
     calibrations: list[Optional[CalibrationResult]] = []
     indicators: list[Optional[int]] = []

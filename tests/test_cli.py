@@ -94,6 +94,39 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv")
         assert main(["fit", "--config", cfg]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "experiment, extra, message",
+        [
+            ("fit", {"seed": -1}, "config.seed"),
+            ("lamn-verify", {"seed": -5}, "config.seed"),
+            ("fit", {"alpha": 1.5}, "config.alpha"),
+            ("fit", {"alpha": 0.0}, "config.alpha"),
+            ("fit", {"alpha": 1}, "config.alpha"),
+            ("bootstrap", {"alpha": -0.1, "B": 4}, "config.alpha"),
+            ("fit-nao", {"alpha": 1.5}, "config.alpha"),
+        ],
+        ids=["seed-negative", "lamn-seed-negative", "alpha-above-one", "alpha-zero", "alpha-one",
+             "bootstrap-alpha-negative", "alpha-on-nao-data"],
+    )
+    def test_seed_and_alpha_checked_before_the_fit(self, tmp_path, capsys, monkeypatch, experiment, extra, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the config should be rejected before any fit")
+
+        monkeypatch.setattr(quadlik.cli, "fit_mle", no_fit)
+        if experiment == "lamn-verify":
+            cfg = {"spec": {"dim": 2, "curvature": {"kind": "constant", "k": [[1.0, 0.0], [0.0, 1.0]]}}}
+        elif experiment == "fit-nao":
+            # data whose fit ends NaO: the rate start 1 / mean(x) lies outside the domain
+            experiment = "fit"
+            save_vector_csv(str(tmp_path / "x.csv"), np.array([-1.0, -2.0, -3.0]))
+            cfg = {"model": {"kind": "iid_exponential", "n": 3}, "data": "x.csv"}
+        else:
+            cfg = {"model": lan_setup(tmp_path), "data": "z.csv"}
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg, **extra)
+        assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
         cfg = write_config(
@@ -198,6 +231,21 @@ class TestBootstrapCommand:
             B=2, double=True, out="r",
         )
         assert main(["bootstrap", "--config", cfg]) == EXIT_INPUT_ERROR
+
+    def test_double_runs_its_outer_level_once(self, tmp_path, monkeypatch):
+        # the single bootstrap's samples come from the double bootstrap's outer level
+        def single(*args, **kwargs):
+            raise AssertionError("a double bootstrap should not run the single bootstrap as well")
+
+        monkeypatch.setattr(quadlik.cli, "parametric_bootstrap", single)
+        cfg = write_config(
+            tmp_path, "c.json", experiment="bootstrap", model=lan_setup(tmp_path), data="z.csv",
+            B=6, double=True, B2=4, out="r",
+        )
+        assert main(["bootstrap", "--config", cfg]) == EXIT_OK
+        report = read_report(tmp_path, "r")
+        assert report["pivot_B"] == report["double_outer_B"] == 6
+        assert report["pivot_mean"] == report["double_outer_mean"]
 
 
 class TestDeterminism:

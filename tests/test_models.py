@@ -10,10 +10,13 @@ from quadlik import (
     AnimalModel,
     AnimalParams,
     Ar1Data,
+    Ar1Model,
     ExponentialRateIid,
+    LamnSpec,
     NormalLocationIid,
     Pedigree,
     PedigreeRecord,
+    WishartCurvature,
     animal_loglik,
     animal_simulate,
     ar1_expected_info,
@@ -34,6 +37,7 @@ from quadlik import (
     quadratic_mle,
     relationship_matrix,
     synthetic_pedigree,
+    wishart_lamn_model,
 )
 from quadlik.cli import _heritability_pivot
 from quadlik.core import QuadraticForm, spd_factor
@@ -338,19 +342,20 @@ class TestAnimalRotation:
 
     @pytest.mark.parametrize("pivot_factory", [_heritability_pivot, make_wald_pivot], ids=["heritability", "wald"])
     def test_one_rotation_per_bootstrap_replicate(self, monkeypatch, pivot_factory):
-        # the refit and the pivot share the replicate's rotated response
-        calls = []
-        original = _AnimalKernel.rotate
+        # each replicate is drawn already rotated, as one row of the level's
+        # one Q'Y product, and its start, refit and pivot all share that row
+        calls = {"rotate": 0, "simulate_rotated": 0}
+        for name, original in [(name, getattr(_AnimalKernel, name)) for name in calls]:
 
-        def counting(kernel, y):
-            calls.append(1)
-            return original(kernel, y)
+            def counting(kernel, *args, name=name, original=original):
+                calls[name] += 1
+                return original(kernel, *args)
 
-        monkeypatch.setattr(_AnimalKernel, "rotate", counting)
+            monkeypatch.setattr(_AnimalKernel, name, counting)
         model, B = self.MODEL, 50
         samples = parametric_bootstrap(model, self.TRUTH, B, pivot_factory(model), model.start, seed=8)
         assert samples.values.size > 0
-        assert len(calls) == B
+        assert calls == {"rotate": 0, "simulate_rotated": 1}
 
 
 class TestLargeLogVariance:
@@ -539,6 +544,20 @@ class TestMethodOfMoments:
         with pytest.raises(ValueError):
             method_of_moments_start(a, np.array([1.0, 2.0]))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        phi=st.tuples(st.floats(-3, 3), st.floats(-4, 4), st.floats(-4, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_start_from_rotated_response_matches_raw(self, phi, seed):
+        # the start takes what simulate_stack returns as well as a raw response
+        model = AnimalModel(relationship_matrix(synthetic_pedigree(6, 30, 3, 5)))
+        y = model.simulate(np.array(phi), derive_rng(seed, "start"))
+        raw, rotated = model.start(y), model.start(model.rotate(y))
+        assert rel_err(rotated, raw) <= 1e-12
+        (stacked,) = model.simulate_stack(np.array(phi), [derive_rng(seed, "start")])
+        assert rel_err(model.start(stacked), raw) <= 1e-12
+
 
 class TestIidHelpers:
     def test_normal_location_finite_differences(self):
@@ -609,6 +628,39 @@ class TestCsvFormats:
         with pytest.raises(DataFormatError) as err:
             load_pedigree_csv(str(path))
         assert err.value.line == 3
+
+
+class TestParseData:
+    """Each model reads its data set from the flat values of a data file."""
+
+    MODELS = {
+        "lan": (lambda: lan_normal_location(np.eye(2)), 2, "expected 2 values, got 3"),
+        "iid_normal": (lambda: NormalLocationIid(2, 3), 6, "expected 6 values, got 7"),
+        "iid_exponential": (lambda: ExponentialRateIid(4), 4, "expected 4 values, got 5"),
+        "ar1": (lambda: Ar1Model(3), 4, "expected 4 values for the AR(1) path, got 5"),
+        "wishart": (
+            lambda: wishart_lamn_model(LamnSpec(2, WishartCurvature(5.0, np.eye(2) / 5.0))),
+            6,
+            "expected 6 values (z then k row-major), got 7",
+        ),
+        "animal": (
+            lambda: AnimalModel(relationship_matrix(synthetic_pedigree(3, 2, 1, 1))),
+            5,
+            "expected 5 values, got 6",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_fitting_length_parses_and_others_name_the_count(self, name):
+        make, size, message = self.MODELS[name]
+        model = make()
+        # the Wishart data set is z, then an SPD k row by row
+        flat = np.array([0.3, -0.2, 2.0, 0.5, 0.5, 1.0]) if name == "wishart" else np.linspace(1.0, 2.0, size)
+        data = model.parse_data(flat)
+        assert not is_nao(model.objective(data)(model.start(data)))
+        with pytest.raises(DataFormatError) as err:
+            model.parse_data(np.ones(size + 1))
+        assert err.value.line == 1 and str(err.value) == f"line 1: {message}"
 
 
 class TestWishartModelWrapper:

@@ -19,12 +19,12 @@ from quadlik import (
     symmetric_sqrt,
     wishart_lamn_model,
 )
-from quadlik.core import NaO
+from quadlik.core import LikModel
 from quadlik.newton import safeguarded_maximize
-from quadlik.parallel import replicates, stacked_replicates
+from quadlik.parallel import replicates
 
 
-class ToyModel:
+class ToyModel(LikModel):
     """Scalar data: one standard normal draw shifted by theta."""
 
     def simulate(self, theta, rng):
@@ -36,17 +36,25 @@ class TestReplicateEngine:
     @given(
         n=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
-        workers=st.integers(1, 4),
         nao_mask=st.integers(0, 2**40 - 1),
     )
-    def test_accounting_order_and_schedule_invariance(self, n, seed, workers, nao_mask):
-        def fn(i, data):
-            return NaO if (nao_mask >> i) & 1 else (i, data)
+    def test_accounting_order_and_schedule_invariance(self, n, seed, nao_mask):
+        nao = np.array([bool((nao_mask >> i) & 1) for i in range(n)], dtype=bool)
+        seen = []
 
-        kept, n_nao = replicates(ToyModel(), 0.5, n, seed, ("toy", 3), fn, workers)
-        assert len(kept) + n_nao == n
-        assert [i for i, _ in kept] == [i for i in range(n) if not (nao_mask >> i) & 1]
-        assert replicates(ToyModel(), 0.5, n, seed, ("toy", 3), fn, 1) == (kept, n_nao)
+        def fn(datas):
+            seen.append(list(datas))
+            return np.array([(i, d) for i, d in enumerate(datas)]).reshape(-1, 2), ~nao
+
+        kept, n_nao = replicates(ToyModel(), 0.5, n, seed, ("toy", 3), fn)
+        # the oracle: replicate i alone, from its own stream, in an explicit loop
+        drawn = [0.5 + derive_rng(seed, "toy", 3, i).standard_normal() for i in range(n)]
+        assert seen == [drawn]
+        assert len(kept) + n_nao == n and n_nao == int(nao.sum())
+        assert kept[:, 0].tolist() == [i for i in range(n) if not nao[i]]
+        assert kept[:, 1].tolist() == [d for d, bad in zip(drawn, nao) if not bad]
+        again = replicates(ToyModel(), 0.5, n, seed, ("toy", 3), fn)
+        assert np.array_equal(again[0], kept) and again[1] == n_nao
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(0, 30), seed=st.integers(0, 2**32 - 1), nao_mask=st.integers(0, 2**30 - 1))
@@ -57,17 +65,19 @@ class TestReplicateEngine:
         def rows(datas):
             return np.array(datas).reshape(-1, 2), ~np.array(nao, dtype=bool)
 
-        kept, n_nao = stacked_replicates(model, np.zeros(2), n, seed, ("toy", 3), rows)
-        expected, expected_nao = replicates(
-            model, np.zeros(2), n, seed, ("toy", 3), lambda i, data: NaO if nao[i] else data
-        )
-        assert n_nao == expected_nao
+        kept, n_nao = replicates(model, np.zeros(2), n, seed, ("toy", 3), rows)
+        expected = [model.simulate(np.zeros(2), derive_rng(seed, "toy", 3, i)) for i in range(n)]
+        expected = [data for data, bad in zip(expected, nao) if not bad]
+        assert n_nao == sum(nao)
         assert np.array_equal(kept, np.reshape(expected, (-1, 2)))
 
     def test_each_replicate_simulates_once_from_its_stream(self):
-        kept, n_nao = replicates(ToyModel(), 2.0, 5, 9, ("toy",), lambda i, data: data, 2)
+        def rows(datas):
+            return np.array(datas), np.ones(len(datas), dtype=bool)
+
+        kept, n_nao = replicates(ToyModel(), 2.0, 5, 9, ("toy",), rows)
         expected = [2.0 + derive_rng(9, "toy", i).standard_normal() for i in range(5)]
-        assert kept == expected and n_nao == 0
+        assert kept.tolist() == expected and n_nao == 0
 
 
 class TestStreamLayout:
