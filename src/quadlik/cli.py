@@ -303,6 +303,8 @@ def _resolve(cfg: dict, path: str) -> str:
 def _wishart_curvature(block: dict, dim: int, where: str) -> WishartCurvature:
     """``dof`` and an optional ``scale`` (default ``I / dof``)."""
     dof = _get(block, "dof", float, where)
+    if not dof > dim - 1:
+        raise ConfigError(f"{where}.dof: must exceed dim - 1 = {dim - 1}, got {dof}")
     scale = _get_matrix(block, "scale", where, required=False)
     return WishartCurvature(dof, np.eye(dim) / dof if scale is None else scale)
 

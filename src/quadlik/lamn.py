@@ -105,18 +105,95 @@ class LamnDraw:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "k", (k + k.T) / 2.0)
 
+    @classmethod
+    def stack(cls, z, k) -> list["LamnDraw"]:
+        """``[LamnDraw(z[i], k[i]) for each row i]``, tested as one stack.
 
-def _bartlett_batch(law: WishartCurvature, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Wishart draws via the Bartlett construction, shape (size, p, p)."""
+        One :func:`spd_factor` call decides every row, exactly as each row's
+        own test would; the same ValueError is raised if any row fails.
+        """
+        z = np.asarray(z, dtype=float)
+        k = np.asarray(k, dtype=float)
+        n, p = z.shape
+        if k.shape != (n, p, p):
+            raise ValueError("curvature shape does not match z")
+        if n and np.isnan(spd_factor(k)[:, 0, 0]).any():
+            raise ValueError("draw curvature must be positive definite")
+        draws = []
+        for zi, ki in zip(z, (k + np.swapaxes(k, 1, 2)) / 2.0):
+            draw = object.__new__(cls)
+            object.__setattr__(draw, "z", zi)
+            object.__setattr__(draw, "k", ki)
+            draws.append(draw)
+        return draws
+
+
+def _bartlett(law: WishartCurvature, chi: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Wishart matrices ``(L C)(L C)'`` from the Bartlett numbers, shape (n, p, p).
+
+    Row i of C has the square roots of ``chi[i]`` on its diagonal and
+    ``normals[i]`` in its strict lower triangle.
+    """
     p = law.dim
-    c = np.zeros((size, p, p))
-    for i in range(p):
-        c[:, i, i] = np.sqrt(rng.chisquare(law.dof - i, size=size))
-    if p > 1:
-        rows, cols = law._tril
-        c[:, rows, cols] = rng.standard_normal((size, rows.size))
+    c = np.zeros((len(chi), p, p))
+    c[:, np.arange(p), np.arange(p)] = np.sqrt(chi)
+    rows, cols = law._tril
+    c[:, rows, cols] = normals
     f = np.einsum("ij,njk->nik", law._lower, c)
     return np.einsum("nik,njk->nij", f, f)
+
+
+def _lapack_factor(k: np.ndarray) -> np.ndarray | None:
+    """``np.linalg.cholesky(k)``, or None when LAPACK rejects any matrix of the stack."""
+    try:
+        return np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _sample(spec: LamnSpec, theta, rngs, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` draws from each stream, stacked stream by stream: (z, k).
+
+    Each stream gives its numbers in this order: the p chi-square blocks
+    and the strict lower-triangle normals of its ``size`` Bartlett draws, a
+    redraw of both when ``np.linalg.cholesky`` rejects one of its K (a
+    second rejection raises), then xi.  Only those draws loop over the
+    streams; the arithmetic runs once over the whole stack.
+    """
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if th.size != spec.dim:
+        raise ValueError("theta length does not match spec dimension")
+    p, law, n = spec.dim, spec.curvature, len(rngs) * size
+    if isinstance(law, ConstantCurvature):
+        k = np.broadcast_to(law.k, (n, p, p)).copy()
+        factors = np.broadcast_to(spd_factor(law.k), k.shape)
+    else:
+        dofs, n_tril = law.dof - np.arange(p), law._tril[0].size
+        chi, normals = [None] * len(rngs), [None] * len(rngs)
+
+        def numbers(s: int) -> None:
+            chi[s] = [rngs[s].chisquare(dof, size) for dof in dofs]
+            normals[s] = rngs[s].standard_normal((size, n_tril))
+
+        def wishart() -> np.ndarray:
+            c = np.array(chi).reshape(len(rngs), p, size).transpose(0, 2, 1)
+            return _bartlett(law, c.reshape(n, p), np.array(normals).reshape(n, n_tril))
+
+        for s in range(len(rngs)):
+            numbers(s)
+        k = wishart()
+        factors = _lapack_factor(k)
+        if factors is None:
+            for s in range(len(rngs)):
+                if _lapack_factor(k[s * size : (s + 1) * size]) is None:
+                    numbers(s)
+            k = wishart()
+            factors = _lapack_factor(k)
+            if factors is None:
+                raise RuntimeError("Wishart draw numerically singular twice in a row")
+    xi = np.array([rng.standard_normal((size, p)) for rng in rngs]).reshape(n, p)
+    z = np.einsum("nij,j->ni", k, th) + np.einsum("nij,nj->ni", factors, xi)
+    return z, k
 
 
 def sample_lamn_batch(
@@ -128,31 +205,17 @@ def sample_lamn_batch(
     normal with mean K theta and variance K, via a Cholesky factor of K.
     A numerically singular Wishart draw is retried once, then raises.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if th.size != spec.dim:
-        raise ValueError("theta length does not match spec dimension")
-    if isinstance(spec.curvature, ConstantCurvature):
-        k = np.broadcast_to(spec.curvature.k, (size, spec.dim, spec.dim)).copy()
-        factors = np.broadcast_to(spd_factor(spec.curvature.k), k.shape)
-    else:
-        k = _bartlett_batch(spec.curvature, size, rng)
-        try:
-            factors = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError:
-            k = _bartlett_batch(spec.curvature, size, rng)
-            try:
-                factors = np.linalg.cholesky(k)
-            except np.linalg.LinAlgError:
-                raise RuntimeError("Wishart draw numerically singular twice in a row")
-    xi = rng.standard_normal((size, spec.dim))
-    z = np.einsum("nij,j->ni", k, th) + np.einsum("nij,nj->ni", factors, xi)
-    return z, k
+    return _sample(spec, theta, [rng], size)
+
+
+def sample_lamn_stack(spec: LamnSpec, theta, rngs) -> list[LamnDraw]:
+    """One draw per stream: draw i is ``sample_lamn(spec, theta, rngs[i])``."""
+    return LamnDraw.stack(*_sample(spec, theta, rngs, 1))
 
 
 def sample_lamn(spec: LamnSpec, theta, rng: np.random.Generator) -> LamnDraw:
     """One draw of (Z, K) at the given parameter."""
-    z, k = sample_lamn_batch(spec, theta, 1, rng)
-    return LamnDraw(z[0], k[0])
+    return sample_lamn_stack(spec, theta, [rng])[0]
 
 
 def lamn_loglik(draw: LamnDraw, delta):

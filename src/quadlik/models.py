@@ -27,7 +27,7 @@ from .core import (
     quadratic_stack,
     spd_factor,
 )
-from .lamn import LamnDraw, LamnSpec, sample_lamn
+from .lamn import LamnDraw, LamnSpec, sample_lamn, sample_lamn_stack
 from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -100,6 +100,9 @@ class WishartLamnModel(LikModel):
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> LamnDraw:
         return sample_lamn(self.spec, theta, rng)
+
+    def simulate_stack(self, theta: np.ndarray, rngs) -> list[LamnDraw]:
+        return sample_lamn_stack(self.spec, theta, rngs)
 
     def parse_data(self, flat: np.ndarray) -> LamnDraw:
         p = self.dim_param

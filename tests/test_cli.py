@@ -534,3 +534,23 @@ class TestStepAndReplicateCounts:
         )
         assert main(["animal-study", "--config", path]) == EXIT_OK
         assert "pivot_B" not in read_report(tmp_path, "r")
+
+
+class TestWishartDof:
+    @pytest.mark.parametrize(
+        "experiment, dof, key",
+        [("fit", 0, "config.model.dof"), ("lamn-verify", -1, "config.spec.curvature.dof")],
+        ids=["fit-model", "lamn-verify-spec"],
+    )
+    def test_dof_at_or_below_dim_minus_one_names_key(self, tmp_path, capsys, experiment, dof, key):
+        if experiment == "fit":
+            save_vector_csv(str(tmp_path / "d.csv"), np.array([0.5, -0.2, 1.0, 0.1, 0.1, 2.0]))
+            cfg = {"model": {"kind": "wishart_lamn", "dim": 2, "dof": dof}, "data": "d.csv"}
+        else:
+            cfg = {"spec": {"dim": 2, "curvature": {"kind": "wishart", "dof": dof}}, "nsim": 100, "n_deltas": 1}
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_spd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlik import (
     ConstantCurvature,
@@ -20,7 +22,7 @@ from quadlik import (
     score_normality_test,
     wishart_lamn_model,
 )
-from quadlik.core import NaO, QuadraticForm
+from quadlik.core import NaO, QuadraticForm, spd_factor
 from quadlik.models import Ar1Model
 
 
@@ -115,6 +117,143 @@ class TestSampling:
             eigs = np.linalg.eigvalsh(k)
             scale = np.abs(k).max()
             assert eigs.min() >= -1e-10 * scale
+
+
+def reference_draw(spec, theta, rng):
+    """One draw in the documented stream order, written out step by step:
+    the p chi-squares, the strict lower-triangle normals, one redraw of both
+    if K fails ``np.linalg.cholesky``, then xi."""
+    p, law = spec.dim, spec.curvature
+    if isinstance(law, ConstantCurvature):
+        k, factor = law.k[None].copy(), spd_factor(law.k)[None]
+    else:
+        for attempt in range(2):
+            c = np.zeros((1, p, p))
+            for i in range(p):
+                c[:, i, i] = np.sqrt(rng.chisquare(law.dof - i, size=1))
+            if p > 1:
+                rows, cols = np.tril_indices(p, k=-1)
+                c[:, rows, cols] = rng.standard_normal((1, rows.size))
+            f = np.einsum("ij,njk->nik", spd_factor(law.scale), c)
+            k = np.einsum("nik,njk->nij", f, f)
+            try:
+                factor = np.linalg.cholesky(k)
+                break
+            except np.linalg.LinAlgError:
+                if attempt:
+                    raise RuntimeError("Wishart draw numerically singular twice in a row")
+    xi = rng.standard_normal((1, p))
+    z = np.einsum("nij,j->ni", k, np.asarray(theta, dtype=float)) + np.einsum("nij,nj->ni", factor, xi)
+    return LamnDraw(z[0], k[0])
+
+
+class FixedStream:
+    """A stand-in stream that hands out fixed chi-squares and normals in call order."""
+
+    def __init__(self, chi, normals):
+        self.chi, self.normals = list(chi), list(normals)
+
+    def chisquare(self, df, size=None):
+        return np.full(size, self.chi.pop(0))
+
+    def standard_normal(self, size=None):
+        n = int(np.prod(size))
+        out, self.normals = self.normals[:n], self.normals[n:]
+        return np.reshape(out, size)
+
+
+def assert_same_draws(stacked, looped):
+    assert len(stacked) == len(looped)
+    for a, b in zip(stacked, looped):
+        assert np.array_equal(a.z, b.z) and np.array_equal(a.k, b.k)
+
+
+@st.composite
+def lamn_specs(draw):
+    p = draw(st.integers(1, 4))
+    g = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=p * p, max_size=p * p))).reshape(p, p)
+    scale = g @ g.T + 0.1 * np.eye(p) + 0.05 * (np.ones((p, p)) - np.eye(p))
+    if draw(st.booleans()):
+        return LamnSpec(p, WishartCurvature(p - 1 + draw(st.floats(1.0, 10.0)), scale))
+    return LamnSpec(p, ConstantCurvature(scale))
+
+
+class TestStackedDraws:
+    """A level's stacked draw equals the per-stream draws bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=lamn_specs(), n=st.sampled_from([0, 1, 40]), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_looped_draws(self, spec, n, seed):
+        model = wishart_lamn_model(spec)
+        theta = derive_rng(seed, "theta").standard_normal(spec.dim)
+        stacked = model.simulate_stack(theta, [derive_rng(seed, i) for i in range(n)])
+        looped = [model.simulate(theta, derive_rng(seed, i)) for i in range(n)]
+        assert_same_draws(stacked, looped)
+        assert_same_draws(looped, [reference_draw(spec, theta, derive_rng(seed, i)) for i in range(n)])
+
+
+class TestStackedDrawRarePaths:
+    spec = LamnSpec(3, WishartCurvature(5.0, np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]])))
+    theta = np.array([0.5, -1.0, 0.25])
+
+    def streams(self):
+        return [derive_rng(81, i) for i in range(40)]
+
+    def first_k(self, i):
+        return sample_lamn_batch(self.spec, self.theta, 1, derive_rng(81, i))[1][0]
+
+    @staticmethod
+    def reject(monkeypatch, poisoned):
+        """Make ``np.linalg.cholesky`` fail on any stack holding one of ``poisoned``."""
+        real = np.linalg.cholesky
+
+        def cholesky(a):
+            mats = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
+            if any(np.array_equal(m, q) for m in mats for q in poisoned):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+
+    def test_rejected_row_is_redrawn_from_its_own_stream(self, monkeypatch):
+        model = wishart_lamn_model(self.spec)
+        before = model.simulate_stack(self.theta, self.streams())
+        self.reject(monkeypatch, [self.first_k(7)])
+        stacked = model.simulate_stack(self.theta, self.streams())
+        assert_same_draws(stacked, [model.simulate(self.theta, rng) for rng in self.streams()])
+        assert_same_draws(stacked, [reference_draw(self.spec, self.theta, rng) for rng in self.streams()])
+        assert not np.array_equal(stacked[7].k, before[7].k)
+        assert_same_draws(stacked[:7] + stacked[8:], before[:7] + before[8:])
+
+    def test_row_rejected_twice_raises(self, monkeypatch):
+        model = wishart_lamn_model(self.spec)
+        first = self.first_k(7)
+        self.reject(monkeypatch, [first])
+        second = model.simulate(self.theta, derive_rng(81, 7)).k
+        self.reject(monkeypatch, [first, second])
+        with pytest.raises(RuntimeError, match="singular twice"):
+            [model.simulate(self.theta, rng) for rng in self.streams()]
+        with pytest.raises(RuntimeError, match="singular twice"):
+            model.simulate_stack(self.theta, self.streams())
+
+    def test_row_below_the_pivot_floor_raises(self):
+        # K = diag(1, 1e-20): LAPACK factors it, but its last pivot lies
+        # below the floor 2 * eps * max|K|
+        spec = LamnSpec(2, WishartCurvature(1.5, np.eye(2)))
+        model = wishart_lamn_model(spec)
+        fixed = lambda: FixedStream([1.0, 1e-20], [0.0, 0.3, -0.2])  # noqa: E731
+        k = sample_lamn_batch(spec, np.zeros(2), 1, fixed())[1]
+        np.linalg.cholesky(k)
+        assert spd_factor(k[0]) is None
+        streams = lambda: [derive_rng(82, 0), derive_rng(82, 1), fixed(), derive_rng(82, 2)]  # noqa: E731
+        with pytest.raises(ValueError, match="draw curvature must be positive definite"):
+            [model.simulate(np.zeros(2), rng) for rng in streams()]
+        with pytest.raises(ValueError, match="draw curvature must be positive definite"):
+            model.simulate_stack(np.zeros(2), streams())
+
+    def test_stack_of_draws_checks_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            LamnDraw.stack(np.zeros((2, 2)), np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
 class TestLamnLoglik:
