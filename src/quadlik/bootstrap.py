@@ -5,7 +5,9 @@ and collects a pivot; its empirical quantile calibrates the nominal
 chi-square quantile.  The double bootstrap nests one more level at each
 outer refit to diagnose the single bootstrap itself: all of its inner
 replicates form a second level.  Each level refits all of its datasets in
-one lockstep safeguarded Newton over the model's stacked objective.
+one lockstep safeguarded Newton over the model's stacked objective, then
+takes the whole level's pivot in one call on the lockstep's final
+evaluations.
 Replicates draw from per-index streams, so results do not depend on the
 order of the draws; failed refits become NaO and are counted, never
 silently dropped.
@@ -18,12 +20,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LikModel, NaO, StackedEval, cholesky_pivots, is_nao, spd_factor
-from .inference import chisq_upper_quantile, wald_pivot
+from .core import LikModel, NaO, StackedEval, cholesky_pivots, is_nao
+from .inference import chisq_upper_quantile
 from .newton import lockstep_fit
 from .parallel import draw
 
-PivotFn = Callable[[object, np.ndarray, np.ndarray], object]
+# a pivot maps a refit level's final evaluations, its refits (m, p) and their
+# centres (m, p) to (m,) values, NaN where a row is NaO
+PivotFn = Callable[[StackedEval, np.ndarray, np.ndarray], np.ndarray]
 StartFn = Callable[[object], np.ndarray]
 
 # the most inner replicates of a double bootstrap refit in one lockstep;
@@ -78,22 +82,12 @@ class CalibrationResult:
 def make_wald_pivot(model: LikModel) -> PivotFn:
     """Default pivot: Wald quadratic form in the refit's observed information.
 
-    The returned pivot has a ``stack(ev, thetas, theta_hats)`` attribute that
-    takes each row's evaluation at its refit, a :class:`StackedEval`, and
-    gives row ``j`` exactly as ``pivot(data_j, thetas[j], theta_hats[j])``
-    would, with NaN where that is NaO.
+    Row ``j`` is ``wald_pivot(thetas[j], theta_hats[j], info_j)`` for the
+    negative Hessian ``info_j`` of the row's evaluation, NaN where that
+    evaluation is NaO or ``info_j`` fails the pivot test.
     """
 
-    def pivot(data, theta_star: np.ndarray, theta_hat: np.ndarray):
-        ev = model.objective(data)(theta_star)
-        if is_nao(ev):
-            return NaO
-        info = -ev.hessian
-        if spd_factor(info) is None:
-            return NaO
-        return wald_pivot(theta_star, theta_hat, info)
-
-    def stack(ev: StackedEval, thetas: np.ndarray, theta_hats: np.ndarray) -> np.ndarray:
+    def pivot(ev: StackedEval, thetas: np.ndarray, theta_hats: np.ndarray) -> np.ndarray:
         info = -ev.parts(thetas.shape[1])[2]
         d = thetas - theta_hats
         with np.errstate(over="ignore", invalid="ignore"):
@@ -102,7 +96,6 @@ def make_wald_pivot(model: LikModel) -> PivotFn:
             values = np.matmul(np.matmul(d[:, None, :], info), d[:, :, None])[:, 0, 0]
         return np.where(ev.ok & ~np.isnan(lower[:, 0, 0]), values, np.nan)
 
-    pivot.stack = stack
     return pivot
 
 
@@ -118,26 +111,18 @@ def _started(start: StartFn, data):
 def _refit(model: LikModel, theta_hats: np.ndarray, pivot: PivotFn, datas: list, starts: list) -> list:
     """Refit datasets in one lockstep Newton and take the pivot at each converged refit.
 
-    Dataset ``j``'s pivot is taken against ``theta_hats[j]``.  Returns
-    ``(theta_star, value)`` per dataset, NaO where the refit or the pivot
-    failed.  A pivot with a ``stack`` attribute gets each row's final
-    lockstep evaluation; any other pivot sees each dataset as the stacked
-    objective holds it, so the animal model's response is rotated once per
-    dataset.
+    The pivot gets each row's final lockstep evaluation, and row ``j`` is
+    taken against ``theta_hats[j]``.  Returns ``(theta_star, value)`` per
+    dataset, NaO where the refit failed or the pivot is NaN or infinite.
     """
     if not datas:
         return []
-    q = model.stacked_objective(datas)
-    thetas, traces, final = lockstep_fit(q, np.array(starts))
-    stacked = pivot.stack(final, thetas, theta_hats) if hasattr(pivot, "stack") else None
-    out = []
-    for j, (held, theta_star, trace) in enumerate(zip(q.data, thetas, traces)):
-        if is_nao(trace) or not trace.converged:
-            out.append((NaO, NaO))
-            continue
-        value = pivot(held, theta_star, theta_hats[j]) if stacked is None else stacked[j]
-        out.append((theta_star, NaO if is_nao(value) or not np.isfinite(value) else float(value)))
-    return out
+    thetas, traces, final = lockstep_fit(model.stacked_objective(datas), np.array(starts))
+    values = pivot(final, thetas, theta_hats).tolist()
+    return [
+        (NaO, NaO) if is_nao(trace) or not trace.converged else (theta_star, v if np.isfinite(v) else NaO)
+        for theta_star, trace, v in zip(thetas, traces, values)
+    ]
 
 
 def _one_replicate(
@@ -204,11 +189,9 @@ def parametric_bootstrap(
 
     All B refits run in one lockstep safeguarded Newton from
     ``start(data)``; replicates whose refit fails to converge, or whose
-    pivot is NaO or non-finite, are counted in ``n_nao``.  A pivot with a
-    ``stack`` attribute (:func:`make_wald_pivot`) is taken from each refit's
-    last lockstep evaluation; any other gets each dataset as the stacked
-    objective holds it (the animal model's :class:`RotatedResponse`).
-    Output is a pure function of (seed, B).
+    pivot is NaN or infinite, are counted in ``n_nao``.  The pivot is one
+    call over the level, on each refit's last lockstep evaluation (see
+    :data:`PivotFn`).  Output is a pure function of (seed, B).
     """
     if B < 1:
         raise ValueError("B must be at least 1")
@@ -287,8 +270,9 @@ def double_bootstrap(
     datasets of every converged outer refit, drawn from the streams
     ``(seed, "bootstrap", 1, i, j)``, in blocks of whole outer refits of
     at most ``INNER_LEVEL_ROWS`` rows (results do not depend on the
-    blocks).  An outer pivot that is NaO after a converged refit still gets
-    its inner level.
+    blocks).  The pivot is called once per lockstep, as in
+    :func:`parametric_bootstrap`.  An outer pivot that is NaO after a
+    converged refit still gets its inner level.
     """
     if B1 < 1 or B2 < 1:
         raise ValueError("B1 and B2 must be at least 1")

@@ -10,7 +10,9 @@ randomness derives from the mandatory integer seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 
@@ -22,7 +24,7 @@ from .bootstrap import (
     make_wald_pivot,
     parametric_bootstrap,
 )
-from .core import NaO, QuadraticForm, is_nao, local_shift
+from .core import QuadraticForm, StackedEval, is_nao, local_shift
 from .funcspace import GridBox, c2_distance, quadraticity_report
 from .parallel import replicates
 from .inference import (
@@ -179,8 +181,11 @@ def _get(block: dict, key: str, types, where: str, required: bool = True, defaul
             raise ConfigError(f"{where}: missing required key {key!r}")
         return default
     value = block[key]
-    if types is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if types is float:
+        try:
+            return _real(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}.{key}: expected a finite real") from None
     if types is int and isinstance(value, bool):
         raise ConfigError(f"{where}.{key}: expected an integer, got a boolean")
     if not isinstance(value, types if isinstance(types, tuple) else (types,)):
@@ -210,9 +215,12 @@ def _get_counts(block: dict, key: str, where: str, required: bool = True, defaul
 
 
 def _real(v) -> float:
-    """``float(v)`` for a JSON number; TypeError for booleans, strings and the rest."""
+    """``float(v)`` for a finite JSON number (``json`` also reads ``NaN``, ``Infinity``, ``-1e400``);
+    TypeError for booleans, strings and the rest, ValueError for the non-finite."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"not a real: {v!r}")
+    if (isinstance(v, int) and abs(v) > sys.float_info.max) or not math.isfinite(v):
+        raise ValueError("not a finite real")
     return float(v)
 
 
@@ -226,7 +234,7 @@ def _get_vector(
     try:
         vec = np.asarray([_real(v) for v in raw])
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key}: expected a list of reals") from None
+        raise ConfigError(f"{where}.{key}: expected a list of finite reals") from None
     if length is not None and vec.size != length:
         raise ConfigError(
             f"{where}.{key}: length {vec.size} does not match the parameter dimension {length}"
@@ -241,7 +249,7 @@ def _get_matrix(block: dict, key: str, where: str, required: bool = True, defaul
     try:
         mat = np.asarray([[_real(v) for v in row] for row in raw])
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key}: expected a list of rows of reals") from None
+        raise ConfigError(f"{where}.{key}: expected a list of rows of finite reals") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"{where}.{key}: expected a square matrix")
     return mat
@@ -431,6 +439,8 @@ def _get_box(cfg: dict, dim: int, default_halfwidth: float) -> GridBox:
         raise ConfigError("config.box_halfwidth: must be positive and finite")
     if isinstance(cfg.get("points_per_axis"), list):
         points = _get_counts(cfg, "points_per_axis", "config")
+        if len(points) != dim:
+            raise ConfigError(f"config.points_per_axis: length {len(points)} does not match the parameter dimension {dim}")
     else:
         points = _get_count(cfg, "points_per_axis", "config", required=False)
     if points is None:
@@ -677,23 +687,26 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
 
 
 def _heritability_pivot(model: AnimalModel):
-    """Squared studentized logit-heritability pivot for bootstrap calibration."""
+    """Squared studentized logit-heritability pivot for bootstrap calibration, over
+    a refit level: NaN where a row is NaO, its information is singular or the
+    contrast's variance is not positive."""
+    contrast = np.array([0.0, 1.0, -1.0])
 
-    def pivot(data, theta_star, theta_hat):
-        ev = model.objective(data)(theta_star)
-        if is_nao(ev):
-            return NaO
-        info = -ev.hessian
-        contrast = np.array([0.0, 1.0, -1.0])
+    def pivot(ev: StackedEval, thetas: np.ndarray, theta_hats: np.ndarray) -> np.ndarray:
+        info = -ev.parts(model.dim_param)[2]
         try:
-            cov_c = np.linalg.solve(info, contrast)
-        except np.linalg.LinAlgError:
-            return NaO
-        var_h = float(contrast @ cov_c)
-        if not var_h > 0:
-            return NaO
-        diff = float(theta_star[1] - theta_star[2]) - float(theta_hat[1] - theta_hat[2])
-        return diff * diff / var_h
+            # right-hand sides as (m, 3, 1), which every numpy reads as a stack
+            cov = np.linalg.solve(info, np.broadcast_to(contrast[:, None], info.shape[:2] + (1,)))[:, :, 0]
+        except np.linalg.LinAlgError:  # a singular row fails the call: solve row by row
+            cov = np.full(thetas.shape, np.nan)
+            for j, row in enumerate(info):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    cov[j] = np.linalg.solve(row, contrast)
+        diff = (thetas[:, 1] - thetas[:, 2]) - (theta_hats[:, 1] - theta_hats[:, 2])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            var_h = (cov * contrast).sum(axis=1)
+            values = diff * diff / var_h
+        return np.where(ev.ok & (var_h > 0), values, np.nan)
 
     return pivot
 

@@ -75,7 +75,7 @@ def cholesky_pivots(m: np.ndarray):
     a = np.asarray(m, dtype=float)
     p = a.shape[-1]
     stack = a.reshape(-1, p, p)
-    floor = p * _EPS * np.abs(stack).reshape(len(stack), -1).max(axis=1)
+    floor = p * _EPS * np.abs(stack).reshape(len(stack), p * p).max(axis=1)
     live = floor == floor  # a NaN entry makes the floor NaN
     min_pivot = np.where(live, np.inf, -np.inf)
     lower = np.zeros_like(stack)

@@ -117,7 +117,7 @@ class LamnDraw:
         n, p = z.shape
         if k.shape != (n, p, p):
             raise ValueError("curvature shape does not match z")
-        if n and np.isnan(spd_factor(k)[:, 0, 0]).any():
+        if np.isnan(spd_factor(k)[:, 0, 0]).any():
             raise ValueError("draw curvature must be positive definite")
         draws = []
         for zi, ki in zip(z, (k + np.swapaxes(k, 1, 2)) / 2.0):

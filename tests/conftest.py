@@ -1,4 +1,4 @@
-"""Shared test oracles: finite differences and error metrics.
+"""Shared test oracles: finite differences, error metrics and one-row pivots.
 
 The finite-difference helpers differentiate objective *values* only, so they
 stay independent of the analytic gradients and Hessians they check.
@@ -7,6 +7,8 @@ stay independent of the analytic gradients and Hessians they check.
 from __future__ import annotations
 
 import numpy as np
+
+from quadlik.core import StackedEval, is_nao
 
 
 def fd_gradient(value_fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -51,3 +53,20 @@ def rel_err(actual, expected) -> float:
 def random_spd(rng: np.random.Generator, p: int, floor: float = 0.1) -> np.ndarray:
     g = rng.standard_normal((p, p))
     return g @ g.T + floor * np.eye(p)
+
+
+def pivot_alone(pivot, model, data, theta_star, theta_hat) -> float:
+    """A level pivot on a stack of one: the data set's single evaluation at
+    ``theta_star``, packed as the lockstep packs its final evaluations.
+
+    Returns a float, NaN where the pivot's row is NaO.
+    """
+    ev = model.objective(data)(theta_star)
+    p = np.size(theta_star)
+    if is_nao(ev):
+        row = StackedEval(np.full((1, 1 + p + p * p), np.nan), np.array([False]))
+    else:
+        packed = np.concatenate([[ev.value], ev.gradient, ev.hessian.ravel()])
+        row = StackedEval(packed[None], np.array([True]))
+    thetas = np.asarray(theta_star, dtype=float).reshape(1, p)
+    return float(pivot(row, thetas, np.asarray(theta_hat, dtype=float).reshape(1, p))[0])

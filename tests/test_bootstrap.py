@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import pivot_alone, random_spd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -23,9 +24,11 @@ from quadlik import (
     make_wald_pivot,
     parametric_bootstrap,
     safeguarded_maximize,
+    wald_pivot,
     wishart_lamn_model,
 )
-from quadlik.core import LikModel, NaO, ObjectiveEval, OpenBox, StackedObjective
+from quadlik.cli import _heritability_pivot
+from quadlik.core import LikModel, NaO, ObjectiveEval, OpenBox, StackedObjective, spd_factor
 
 
 def lan_fixture(p=2, seed=0):
@@ -78,13 +81,14 @@ class TestParametricBootstrap:
     def test_nao_accounting(self):
         model, fit = lan_fixture(p=1, seed=4)
 
-        def flaky_pivot(data, theta_star, theta_hat):
-            # fail on a deterministic subset of datasets
-            return NaO if float(data[0]) > 0 else 1.0
+        def flaky_pivot(ev, thetas, theta_hats):
+            # NaN on a fixed subset of the refits
+            return np.where(thetas[:, 0] > theta_hats[:, 0], np.nan, 1.0)
 
         samples = parametric_bootstrap(model, fit.theta_hat, 50, flaky_pivot, model.start, seed=13)
-        assert samples.n_nao > 0
+        assert 0 < samples.n_nao < 50
         assert samples.values.size + samples.n_nao == 50
+        assert np.all(samples.values == 1.0)
 
     def test_domain_check(self):
         model, fit = lan_fixture(p=1, seed=5)
@@ -227,30 +231,114 @@ def pivot_rows(draw):
     return p, datas, refits, centers
 
 
+def same_bits(stacked, alone) -> bool:
+    """A level pivot's value against a per-row formula's: both NaN (NaO), or
+    the same bits."""
+    if is_nao(alone) or np.isnan(alone):
+        return bool(np.isnan(stacked))
+    return np.float64(alone).tobytes() == np.float64(stacked).tobytes()
+
+
+def wald_alone(model, data, theta_star, theta_hat):
+    """The Wald pivot row by row: its own evaluation, gated by the pivot test."""
+    ev = model.objective(data)(theta_star)
+    if is_nao(ev) or spd_factor(-ev.hessian) is None:
+        return NaO
+    return wald_pivot(theta_star, theta_hat, -ev.hessian)
+
+
 class TestStackedWaldPivot:
     @settings(max_examples=300, deadline=None)
     @given(rows=pivot_rows())
     def test_stack_equals_the_call_bit_for_bit(self, rows):
         p, datas, refits, centers = rows
         model = HessianModel(p)
-        pivot = make_wald_pivot(model)
         ev = model.stacked_objective(datas)(np.arange(len(datas)), refits)
-        stacked = pivot.stack(ev, refits, centers)
+        stacked = make_wald_pivot(model)(ev, refits, centers)
         assert stacked.shape == (len(datas),)
-        # the call's own pivot test warns on Hessians near the float maximum
+        # the row's own pivot test warns on Hessians near the float maximum
         with np.errstate(all="ignore"):
             for j, data in enumerate(datas):
-                alone = pivot(data, refits[j], centers[j])
-                if is_nao(alone):
-                    assert np.isnan(stacked[j])
-                elif np.isnan(alone):
-                    assert np.isnan(stacked[j])
-                else:
-                    assert np.float64(alone).tobytes() == stacked[j].tobytes()
+                assert same_bits(stacked[j], wald_alone(model, data, refits[j], centers[j]))
+
+
+def heritability_alone(model, data, theta_star, theta_hat):
+    """The logit-heritability pivot row by row: its own evaluation, then
+    ``np.linalg.solve`` of the contrast."""
+    ev = model.objective(data)(theta_star)
+    if is_nao(ev):
+        return NaO
+    contrast = np.array([0.0, 1.0, -1.0])
+    try:
+        cov_c = np.linalg.solve(-ev.hessian, contrast)
+    except np.linalg.LinAlgError:
+        return NaO
+    var_h = float(contrast @ cov_c)
+    if not var_h > 0:
+        return NaO
+    diff = float(theta_star[1] - theta_star[2]) - float(theta_hat[1] - theta_hat[2])
+    return diff * diff / var_h
+
+
+@st.composite
+def heritability_rows(draw):
+    """(data sets, refits, centers) for 1-6 rows of dimension 3, mixing SPD,
+    indefinite, exactly singular and NaO rows."""
+    m = draw(st.integers(1, 6))
+    datas = []
+    for _ in range(m):
+        value = draw(st.sampled_from([0.0, 0.0, 0.0, float("nan")]))
+        g = np.array(draw(st.lists(st.floats(-10, 10), min_size=9, max_size=9))).reshape(3, 3)
+        info = g @ g.T + draw(st.sampled_from([1e-3, 1.0])) * np.eye(3)
+        kind = draw(st.sampled_from(["spd", "negative", "indefinite", "singular", "nan", "inf"]))
+        if kind == "negative":
+            info = -info
+        elif kind == "indefinite":
+            info[2, 2] = -abs(info[2, 2]) - draw(st.floats(0.0, 100.0))
+        elif kind == "singular":
+            # a zero row and column: LAPACK meets an exactly zero pivot
+            k = draw(st.integers(0, 2))
+            info[k, :] = info[:, k] = 0.0
+        elif kind != "spd":
+            k = draw(st.integers(0, 2))
+            info[k, :] = info[:, k] = float(kind)
+        datas.append((value, -info))
+    point = st.lists(st.floats(-100, 100), min_size=3, max_size=3)
+    refits = np.array(draw(st.lists(point, min_size=m, max_size=m)))
+    centers = np.array(draw(st.lists(point, min_size=m, max_size=m)))
+    return datas, refits, centers
+
+
+class TestStackedHeritabilityPivot:
+    def check(self, datas, refits, centers):
+        model = HessianModel(3)
+        ev = model.stacked_objective(datas)(np.arange(len(datas)), refits)
+        stacked = _heritability_pivot(model)(ev, refits, centers)
+        assert stacked.shape == (len(datas),)
+        with np.errstate(all="ignore"):
+            for j, data in enumerate(datas):
+                assert same_bits(stacked[j], heritability_alone(model, data, refits[j], centers[j]))
+        return stacked
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=heritability_rows())
+    def test_level_equals_each_row_bit_for_bit(self, rows):
+        self.check(*rows)
+
+    def test_one_singular_row_among_good_rows(self):
+        rng = np.random.default_rng(3)
+        infos = [random_spd(rng, 3) for _ in range(4)]
+        infos[2][1, :] = infos[2][:, 1] = 0.0
+        datas = [(0.0, -info) for info in infos]
+        refits, centers = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.array(infos), np.array([0.0, 1.0, -1.0]))
+        stacked = self.check(datas, refits, centers)
+        assert np.isnan(stacked).tolist() == [False, False, True, False]
 
 
 def refit_alone(model, theta_hat, pivot, start, data):
-    """One replicate the long way: its own safeguarded fit, then the pivot call."""
+    """One replicate the long way: its own safeguarded fit, then the pivot on a stack of one."""
     try:
         x0 = start(data)
     except ValueError:
@@ -263,8 +351,8 @@ def refit_alone(model, theta_hat, pivot, start, data):
         return NaO, NaO
     if not trace.converged:
         return NaO, NaO
-    value = pivot(data, theta_star, theta_hat)
-    return theta_star, NaO if is_nao(value) or not np.isfinite(value) else float(value)
+    value = pivot_alone(pivot, model, data, theta_star, theta_hat)
+    return theta_star, value if np.isfinite(value) else NaO
 
 
 def double_alone(model, theta_hat, B1, B2, pivot, start, seed, level):
@@ -340,9 +428,9 @@ class TestDoubleBootstrapLayout:
             # the start fails on some data sets, so their refits fail
             return NaO if first_coordinate(data) > 1.2 else model.start(data)
 
-        def pivot(data, theta_star, theta_hat):
-            # NaO on some converged refits; a plain pivot, called row by row
-            return NaO if first_coordinate(data) < -0.6 else wald(data, theta_star, theta_hat)
+        def pivot(ev, thetas, theta_hats):
+            # NaN on some converged refits
+            return np.where(thetas[:, 0] < theta_hats[:, 0] - 0.6, np.nan, wald(ev, thetas, theta_hats))
 
         outer, calibrations = self.check(model, theta_hat, pivot, start, seed=61, B1=24, B2=6)
         # an outer refit that fails gives None; an NaO outer pivot after a

@@ -348,6 +348,7 @@ class TestBoxValidation:
             ("box_halfwidth", True),
             ("points_per_axis", [2.7]),
             ("box_halfwidth", "wide"),
+            ("points_per_axis", [5, 5, 5]),
         ],
     )
     def test_bad_box_value_names_key(self, tmp_path, capsys, key, value):
@@ -443,6 +444,49 @@ class TestRealValidation:
         path = write_config(tmp_path, "c.json", experiment=experiment, **cfg)
         assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
         assert key in capsys.readouterr().err
+
+
+class TestNonFiniteReals:
+    """Python's ``json`` reads ``NaN``, ``Infinity`` and ``-1e400`` (as -inf);
+    any of them, or an integer past the float range, exits 1 naming its key."""
+
+    LAMN_SPEC = {"dim": 2, "curvature": {"kind": "constant", "k": [[1.0, 0.0], [0.0, 1.0]]}}
+
+    @pytest.mark.parametrize(
+        "experiment, extra, raw, key",
+        [
+            ("lamn-verify", {"delta_scale": float("nan")}, None, "config.delta_scale"),
+            ("lamn-verify", {"delta_scale": "RAW"}, "-1e400", "config.delta_scale"),
+            ("lamn-verify", {"theta_b": [float("nan"), 1.0]}, None, "config.theta_b"),
+            ("ar1-study", {"theta_b": float("inf")}, None, "config.theta_b"),
+            ("ar1-study", {"x0": 10**400}, None, "config.x0"),
+            ("fit", {"model": {"kind": "lan", "k": [[float("inf"), 0.0], [0.0, 1.0]]}}, None, "config.model.k"),
+            ("fit", {"model": {"kind": "lan", "k": [[1.0, 0.0], [0.0, "RAW"]]}}, "1e400", "config.model.k"),
+        ],
+        ids=["delta_scale-nan", "delta_scale-minus-1e400", "theta_b-vector-nan", "theta_b-infinity",
+             "x0-huge-integer", "model.k-infinity", "model.k-1e400"],
+    )
+    def test_rejected_naming_key(self, tmp_path, capsys, monkeypatch, experiment, extra, raw, key):
+        for name in ("fit_mle", "contiguity_estimate", "ar1_simulate_paths"):
+            monkeypatch.setattr(quadlik.cli, name, lambda *a, **k: pytest.fail("work before the config check"))
+        if experiment == "lamn-verify":
+            cfg = {"spec": self.LAMN_SPEC, "nsim": 100, "n_deltas": 1, "test_nsim": 50}
+        elif experiment == "ar1-study":
+            cfg = {"n": 10}
+        else:
+            cfg = {"model": lan_setup(tmp_path), "data": "z.csv"}
+        cfg.update(extra)
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        if raw is not None:
+            with open(path, encoding="utf8") as handle:
+                text = handle.read().replace('"RAW"', raw)
+            with open(path, "w", encoding="utf8") as handle:
+                handle.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestAnimalStudyKeys:

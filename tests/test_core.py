@@ -185,6 +185,12 @@ class TestStackedPivots:
         assert np.isnan(lower[1, 2]).all() and min_pivot[1, 2] == -1.0
         assert np.array_equal(lower[0, 0], np.eye(2)) and min_pivot[0, 0] == 1.0
 
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 1, 1), (2, 0, 2, 2)])
+    def test_empty_stack(self, shape):
+        lower, min_pivot = cholesky_pivots(np.zeros(shape))
+        assert lower.shape == shape and min_pivot.shape == shape[:-2]
+        assert spd_factor(np.zeros(shape)).shape == shape
+
 
 class TestOpenBox:
     def test_membership_is_strict(self):

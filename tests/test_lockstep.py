@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import pivot_alone
 
 from quadlik import (
     AnimalModel,
@@ -111,8 +112,8 @@ class TestStackedLevel:
         for i in range(B):
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
             theta_star, trace = safeguarded_maximize(model.objective(data), model.start(data))
-            value = pivot(data, theta_star, theta_hat) if trace.converged else None
-            if value is not None and not is_nao(value):
+            value = pivot_alone(pivot, model, data, theta_star, theta_hat) if trace.converged else np.nan
+            if not np.isnan(value):
                 single.append(value)
         assert samples.n_nao == B - len(single)
         assert np.allclose(samples.values, single, rtol=1e-6, atol=0.0)

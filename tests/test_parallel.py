@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import pivot_alone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -94,7 +95,7 @@ class TestStreamLayout:
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
             theta_star, trace = safeguarded_maximize(model.objective(data), model.start(data))
             assert trace.converged
-            expected.append(pivot(data, theta_star, theta_hat))
+            expected.append(pivot_alone(pivot, model, data, theta_star, theta_hat))
         samples = parametric_bootstrap(model, theta_hat, B, pivot, model.start, seed)
         assert samples.n_nao == 0
         assert np.array_equal(samples.values, expected)
