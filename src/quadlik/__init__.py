@@ -16,7 +16,6 @@ from .core import (
     ShiftedObjective,
     StackedObjective,
     is_nao,
-    is_spd,
     local_shift,
     quadratic_loglik,
     quadratic_mle,
@@ -35,7 +34,7 @@ from .funcspace import (
     rudin_tail_bound,
     sup_norm_on_box,
 )
-from .newton import NewtonTrace, lockstep_maximize, newton_iterate, newton_step, safeguarded_maximize
+from .newton import NewtonTrace, newton_iterate, newton_step, safeguarded_maximize
 from .inference import (
     ConfidenceRegion,
     MleResult,

@@ -4,10 +4,9 @@ The single bootstrap simulates datasets from the fitted model, refits each,
 and collects a pivot; its empirical quantile calibrates the nominal
 chi-square quantile.  The double bootstrap nests one more level at each
 outer refit to diagnose the single bootstrap itself: all of its inner
-replicates form a second level.  Each level refits all of its datasets in
-one lockstep safeguarded Newton over the model's stacked objective, then
-takes the whole level's pivot in one call on the lockstep's final
-evaluations.
+replicates form a second level.  Each level is one data stack, started
+by one ``model.starts`` call, refit in one lockstep safeguarded Newton and
+pivoted in one call on the lockstep's final evaluations.
 Replicates draw from per-index streams, so results do not depend on the
 order of the draws; failed refits become NaO and are counted, never
 silently dropped.
@@ -28,7 +27,6 @@ from .parallel import draw
 # a pivot maps a refit level's final evaluations, its refits (m, p) and their
 # centres (m, p) to (m,) values, NaN where a row is NaO
 PivotFn = Callable[[StackedEval, np.ndarray, np.ndarray], np.ndarray]
-StartFn = Callable[[object], np.ndarray]
 
 # the most inner replicates of a double bootstrap refit in one lockstep;
 # past a few hundred rows a lockstep's per-call cost is already spread thin,
@@ -99,25 +97,14 @@ def make_wald_pivot(model: LikModel) -> PivotFn:
     return pivot
 
 
-def _started(start: StartFn, data):
-    """The refit's start for a simulated dataset; NaO when it cannot be formed."""
-    try:
-        x0 = start(data)
-    except (ValueError, np.linalg.LinAlgError):
-        return NaO
-    return NaO if is_nao(x0) else np.atleast_1d(np.asarray(x0, dtype=float))
+def _refit(model: LikModel, theta_hats: np.ndarray, pivot: PivotFn, stack) -> list:
+    """Refit a data stack in one lockstep Newton from ``model.starts``, then pivot
+    row ``j`` on its final evaluation against ``theta_hats[j]``.
 
-
-def _refit(model: LikModel, theta_hats: np.ndarray, pivot: PivotFn, datas: list, starts: list) -> list:
-    """Refit datasets in one lockstep Newton and take the pivot at each converged refit.
-
-    The pivot gets each row's final lockstep evaluation, and row ``j`` is
-    taken against ``theta_hats[j]``.  Returns ``(theta_star, value)`` per
-    dataset, NaO where the refit failed or the pivot is NaN or infinite.
+    Returns ``(theta_star, value)`` per data set, NaO where the start (a NaN
+    row) or the refit failed or the pivot is NaN or infinite.
     """
-    if not datas:
-        return []
-    thetas, traces, final = lockstep_fit(model.stacked_objective(datas), np.array(starts))
+    thetas, traces, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack))
     values = pivot(final, thetas, theta_hats).tolist()
     return [
         (NaO, NaO) if is_nao(trace) or not trace.converged else (theta_star, v if np.isfinite(v) else NaO)
@@ -125,50 +112,24 @@ def _refit(model: LikModel, theta_hats: np.ndarray, pivot: PivotFn, datas: list,
     ]
 
 
-def _one_replicate(
-    model: LikModel,
-    theta_hat: np.ndarray,
-    pivot: PivotFn,
-    start: StartFn,
-    data,
-):
+# nothing in the package calls it; bench/tracing.py binds it by name
+def _one_replicate(model: LikModel, theta_hat: np.ndarray, pivot: PivotFn, data):
     """Refit a simulated dataset and evaluate the pivot; NaO on any failure."""
-    x0 = _started(start, data)
-    if is_nao(x0):
-        return NaO, NaO
-    return _refit(model, np.asarray(theta_hat, dtype=float).reshape(1, -1), pivot, [data], [x0])[0]
+    theta_hats = np.asarray(theta_hat, dtype=float).reshape(1, -1)
+    return _refit(model, theta_hats, pivot, model.stack_data([data]))[0]
 
 
-def _bootstrap_level(
-    model: LikModel,
-    centers: list,
-    B: int,
-    pivot: PivotFn,
-    start: StartFn,
-    seed: int,
-    paths: list,
-) -> list:
-    """One bootstrap level: B datasets at each center, all refit in one lockstep.
+def _bootstrap_level(model: LikModel, centers: list, B: int, pivot: PivotFn, seed: int, paths: list) -> list:
+    """One bootstrap level: B datasets at each center, joined in one data stack.
 
-    The B datasets of center ``c`` are drawn in one ``model.simulate_stack``
-    call, dataset ``j`` from the stream ``(seed, *paths[c], j)``; each is
-    started, refit, and pivoted against ``centers[c]``.  Returns, per
-    center, its B ``(theta_star, value)`` pairs in stream order,
-    ``(NaO, NaO)`` where the start or the refit failed.
+    Dataset ``j`` of center ``c`` is drawn from the stream ``(seed,
+    *paths[c], j)``.  Returns, per center, its B ``(theta_star, value)``
+    pairs from :func:`_refit` against that center, in stream order.
     """
-    keys, datas, starts = [], [], []
-    for c, (center, path) in enumerate(zip(centers, paths)):
-        for j, data in enumerate(draw(model, center, B, seed, path)):
-            x0 = _started(start, data)
-            if not is_nao(x0):
-                keys.append((c, j))
-                datas.append(data)
-                starts.append(x0)
-    theta_hats = np.asarray(centers, dtype=float)[[c for c, _ in keys]]
-    out = [[(NaO, NaO)] * B for _ in centers]
-    for (c, j), pair in zip(keys, _refit(model, theta_hats, pivot, datas, starts)):
-        out[c][j] = pair
-    return out
+    stacks = [draw(model, center, B, seed, path) for center, path in zip(centers, paths)]
+    stack = np.concatenate(stacks) if isinstance(stacks[0], np.ndarray) else [d for s in stacks for d in s]
+    pairs = _refit(model, np.repeat(np.asarray(centers, dtype=float), B, axis=0), pivot, stack)
+    return [pairs[c * B : (c + 1) * B] for c in range(len(centers))]
 
 
 def _samples(pairs: list, seed: int) -> PivotSamples:
@@ -182,13 +143,12 @@ def parametric_bootstrap(
     theta_hat,
     B: int,
     pivot: PivotFn,
-    start: StartFn,
     seed: int,
 ) -> PivotSamples:
     """Simulate at the fit, refit each dataset, and collect pivot values.
 
     All B refits run in one lockstep safeguarded Newton from
-    ``start(data)``; replicates whose refit fails to converge, or whose
+    ``model.starts``; replicates whose refit fails to converge, or whose
     pivot is NaN or infinite, are counted in ``n_nao``.  The pivot is one
     call over the level, on each refit's last lockstep evaluation (see
     :data:`PivotFn`).  Output is a pure function of (seed, B).
@@ -198,7 +158,7 @@ def parametric_bootstrap(
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
-    (pairs,) = _bootstrap_level(model, [th], B, pivot, start, seed, [("bootstrap", 0)])
+    (pairs,) = _bootstrap_level(model, [th], B, pivot, seed, [("bootstrap", 0)])
     return _samples(pairs, seed)
 
 
@@ -257,7 +217,6 @@ def double_bootstrap(
     B1: int,
     B2: int,
     pivot: PivotFn,
-    start: StartFn,
     seed: int,
     level: float = 0.95,
 ) -> DoubleBootstrapReport:
@@ -280,17 +239,17 @@ def double_bootstrap(
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
     p = th.size
-    (outer_pairs,) = _bootstrap_level(model, [th], B1, pivot, start, seed, [("bootstrap", 0)])
+    (outer_pairs,) = _bootstrap_level(model, [th], B1, pivot, seed, [("bootstrap", 0)])
     refit = [i for i, (theta_star, _) in enumerate(outer_pairs) if not is_nao(theta_star)]
     inner_at = {}
-    # every inner row is held until its block is refit (about 2 KB a row on
-    # a 3-parameter Wishart model), so blocks bound the level's memory
+    # every inner row's data set and Newton trace are held until its block
+    # is refit, so blocks bound the level's memory
     per_block = max(1, INNER_LEVEL_ROWS // B2)
     for k in range(0, len(refit), per_block):
         block = refit[k : k + per_block]
         centers = [outer_pairs[i][0] for i in block]
         paths = [("bootstrap", 1, i) for i in block]
-        inner = _bootstrap_level(model, centers, B2, pivot, start, seed, paths)
+        inner = _bootstrap_level(model, centers, B2, pivot, seed, paths)
         inner_at.update(zip(block, inner))
     calibrations: list[Optional[CalibrationResult]] = []
     indicators: list[Optional[int]] = []

@@ -511,10 +511,10 @@ def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
     pivot = make_wald_pivot(model)
     if use_double:
         # its outer level is the single bootstrap (same seed, B and streams)
-        report = double_bootstrap(model, fit.theta_hat, B, B2, pivot, model.start, seed, level=1.0 - alpha)
+        report = double_bootstrap(model, fit.theta_hat, B, B2, pivot, seed, level=1.0 - alpha)
         samples = report.outer
     else:
-        samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, model.start, seed)
+        samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, seed)
     record.update(samples.to_record())
     if samples.values.size:
         cal = calibrate(samples, 1.0 - alpha, fit.theta_hat.size)
@@ -545,6 +545,13 @@ def _build_spec(cfg: dict) -> LamnSpec:
     raise ConfigError(f"config.spec.curvature.kind: unknown kind {kind!r}")
 
 
+def _dev_se(mean: float, se: float, target: float) -> float:
+    """``|mean - target|`` in standard errors (0 if ``se`` is 0); NaN, an NaO check, if either is not finite."""
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        return math.nan
+    return abs(mean - target) / se if se > 0 else 0.0
+
+
 def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
     spec = _build_spec(cfg)
     seed = cfg["seed"]
@@ -559,17 +566,19 @@ def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
     record.put("spec_curvature", type(spec.curvature).__name__)
 
     delta_rng = derive_rng(seed, "deltas")
-    max_dev = 0.0
+    devs = []
     for i in range(n_deltas):
         delta = delta_scale * (2.0 * delta_rng.random(spec.dim) - 1.0)
         mean, se = contiguity_estimate(spec, delta, nsim, seed, stream=i)
-        dev = abs(mean - 1.0) / se if se > 0 else 0.0
-        max_dev = max(max_dev, dev)
+        devs.append(_dev_se(mean, se, 1.0))
         record.put(f"contiguity_{i}_delta", delta)
         record.put(f"contiguity_{i}_mean", mean)
         record.put(f"contiguity_{i}_se", se)
-        record.put(f"contiguity_{i}_dev_se", dev)
-    record.put("contiguity_max_dev_se", max_dev)
+        record.put(f"contiguity_{i}_dev_se", devs[-1])
+    record.put("contiguity_max_dev_se", np.max(devs, initial=0.0))
+    if np.isnan(devs).any():
+        record.put("status", "NaO")
+        return record, EXIT_NAO
 
     model = wishart_lamn_model(spec) if isinstance(spec.curvature, WishartCurvature) else lan_normal_location(spec.curvature.k)
     record.update(score_normality_test(model, theta_a, test_nsim, seed).to_record("normality"))
@@ -594,17 +603,24 @@ def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
     record.put("x0", x0)
     record.put("thetas", thetas)
 
+    devs = []
     for idx, theta in enumerate(thetas):
         expected = ar1_expected_info(float(theta), n, x0)
-        paths = ar1_simulate_paths(float(theta), n, x0, mc_paths, derive_rng(seed, "ar1-mc", idx))
-        info = np.sum(paths[:, :-1] ** 2, axis=1)
-        mean = float(info.mean())
-        se = float(info.std(ddof=1) / np.sqrt(mc_paths))
+        # an exploding path overflows to a non-finite mean, which is NaO below
+        with np.errstate(over="ignore", invalid="ignore"):
+            paths = ar1_simulate_paths(float(theta), n, x0, mc_paths, derive_rng(seed, "ar1-mc", idx))
+            info = np.sum(paths[:, :-1] ** 2, axis=1)
+            mean = float(info.mean())
+            se = float(info.std(ddof=1) / np.sqrt(mc_paths))
+        devs.append(_dev_se(mean, se, expected))
         record.put(f"info_{idx}_theta", float(theta))
         record.put(f"info_{idx}_recursion", expected)
         record.put(f"info_{idx}_mc_mean", mean)
         record.put(f"info_{idx}_mc_se", se)
-        record.put(f"info_{idx}_dev_se", abs(mean - expected) / se if se > 0 else 0.0)
+        record.put(f"info_{idx}_dev_se", devs[-1])
+    if np.isnan(devs).any():
+        record.put("status", "NaO")
+        return record, EXIT_NAO
 
     model = Ar1Model(n, x0)
     data = model.simulate(np.array([theta_a]), derive_rng(seed, "ar1-data"))
@@ -675,7 +691,7 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
 
     if B > 0:
         pivot = _heritability_pivot(model)
-        samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, model.start, seed)
+        samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, seed)
         record.update(samples.to_record())
         if samples.values.size:
             cal = calibrate(samples, 1.0 - alpha, 1)

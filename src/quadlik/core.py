@@ -127,11 +127,6 @@ def spd_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def is_spd(m: np.ndarray) -> bool:
-    """Positive definiteness by the pivot test."""
-    return spd_factor(m) is not None
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -270,24 +265,23 @@ class StackedEval:
 
 
 class StackedObjective:
-    """An objective over a stack of data sets, ``q(rows, thetas) -> StackedEval``.
+    """An objective over a data stack, ``q(rows, thetas) -> StackedEval``.
 
-    Data set ``rows[j]`` is evaluated at ``thetas[j]``.  ``data[i]`` is data
-    set ``i`` as the model holds it (the animal model's rotated response).
-    ``kernel(rows, thetas)`` returns (value, gradient, Hessian) arrays, with
-    symmetric Hessians and NaN where the likelihood cannot be evaluated; it
-    only sees rows inside the domain.  Out-of-domain, NaO and non-finite
-    rows come back NaO, so each row is what :meth:`LikModel.objective`
-    gives for its data set.
+    Data set ``rows[j]`` of the stack is evaluated at ``thetas[j]``;
+    ``n_rows`` is the stack's number of data sets.  ``kernel(rows, thetas)``
+    returns (value, gradient, Hessian) arrays, with symmetric Hessians and
+    NaN where the likelihood cannot be evaluated; it only sees rows inside
+    the domain.  Out-of-domain, NaO and non-finite rows come back NaO, so
+    each row is what :meth:`LikModel.objective` gives for its data set.
     """
 
-    def __init__(self, domain: OpenBox, data: list, kernel):
+    def __init__(self, domain: OpenBox, n_rows: int, kernel):
         self.domain = domain
-        self.data = data
+        self.n_rows = n_rows
         self._kernel = kernel
 
     @classmethod
-    def looped(cls, objectives: list, domain: OpenBox, data: list) -> "StackedObjective":
+    def looped(cls, objectives: list, domain: OpenBox) -> "StackedObjective":
         """A stack of single-point objectives, evaluated one row at a time."""
 
         def kernel(rows, thetas):
@@ -299,7 +293,7 @@ class StackedObjective:
                     value[j], gradient[j], hessian[j] = ev.value, ev.gradient, ev.hessian
             return value, gradient, hessian
 
-        return cls(domain, data, kernel)
+        return cls(domain, len(objectives), kernel)
 
     def __call__(self, rows: np.ndarray, thetas: np.ndarray) -> StackedEval:
         thetas = np.asarray(thetas, dtype=float)
@@ -326,8 +320,10 @@ class LikModel:
     ``eval(data, theta) -> ObjectiveEval`` (or NaO where the likelihood
     cannot be evaluated), a ``simulate(theta, rng) -> data`` draw, a
     ``start(data)`` heuristic used to initialize Newton's method, and a
-    ``parse_data(flat)`` reader for data files.  Models with a vectorized
-    likelihood override :meth:`stacked_objective`.
+    ``parse_data(flat)`` reader for data files.  A Monte Carlo level is one
+    *data stack*, drawn, started and refit in that form: an ``ndarray`` whose
+    rows are data sets for a model with a vectorized likelihood (which
+    overrides :meth:`stack_data` and :meth:`stacked_objective`), else a list.
     """
 
     dim_param: int
@@ -339,18 +335,32 @@ class LikModel:
     def simulate(self, theta: np.ndarray, rng: np.random.Generator):
         raise NotImplementedError
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> list:
-        """One data set per stream, as :meth:`stacked_objective` holds it.
+    def simulate_stack(self, theta: np.ndarray, rngs):
+        """The data stack of one draw per stream: data set ``i`` uses ``rngs[i]``
+        alone, exactly as ``simulate`` would."""
+        return self.stack_data([self.simulate(theta, rng) for rng in rngs])
 
-        Data set ``i`` uses ``rngs[i]`` alone, exactly as ``simulate`` would.
-        Every Monte Carlo loop draws here, so :meth:`start` and the
-        objectives take what this returns as well as what ``simulate`` does.
-        """
-        return [self.simulate(theta, rng) for rng in rngs]
+    def stack_data(self, datas):
+        """The data stack of a list of data sets (by default the list itself); a
+        data stack is returned unchanged."""
+        return list(datas)
 
     def start(self, data) -> np.ndarray:
-        """Newton's start for a data set from ``simulate`` or ``simulate_stack``."""
+        """Newton's start for a data set."""
         return np.zeros(self.dim_param)
+
+    def starts(self, stack) -> np.ndarray:
+        """Newton's start for each data set (row) of a stack, ``(m, dim_param)``:
+        a NaN row where :meth:`start` raises ValueError (LinAlgError is one) or
+        gives NaO."""
+        out = np.full((len(stack), self.dim_param), np.nan)
+        for i, data in enumerate(stack):
+            try:
+                x0 = self.start(data)
+            except ValueError:
+                continue
+            out[i] = np.nan if is_nao(x0) else x0
+        return out
 
     def parse_data(self, flat: np.ndarray):
         """The data set a data file's values hold; DataFormatError if their number is wrong."""
@@ -377,12 +387,12 @@ class LikModel:
         return q
 
     def stacked_objective(self, datas) -> StackedObjective:
-        """Objective over a stack of data sets, with the rules of :meth:`objective`.
+        """Objective over a data stack or a list of data sets, with the rules of
+        :meth:`objective`.
 
         The default evaluates ``objective(data)`` one row at a time.
         """
-        datas = list(datas)
-        return StackedObjective.looped([self.objective(d) for d in datas], self.domain, datas)
+        return StackedObjective.looped([self.objective(d) for d in self.stack_data(datas)], self.domain)
 
 
 # ---------------------------------------------------------------------------

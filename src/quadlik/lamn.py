@@ -105,28 +105,6 @@ class LamnDraw:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "k", (k + k.T) / 2.0)
 
-    @classmethod
-    def stack(cls, z, k) -> list["LamnDraw"]:
-        """``[LamnDraw(z[i], k[i]) for each row i]``, tested as one stack.
-
-        One :func:`spd_factor` call decides every row, exactly as each row's
-        own test would; the same ValueError is raised if any row fails.
-        """
-        z = np.asarray(z, dtype=float)
-        k = np.asarray(k, dtype=float)
-        n, p = z.shape
-        if k.shape != (n, p, p):
-            raise ValueError("curvature shape does not match z")
-        if np.isnan(spd_factor(k)[:, 0, 0]).any():
-            raise ValueError("draw curvature must be positive definite")
-        draws = []
-        for zi, ki in zip(z, (k + np.swapaxes(k, 1, 2)) / 2.0):
-            draw = object.__new__(cls)
-            object.__setattr__(draw, "z", zi)
-            object.__setattr__(draw, "k", ki)
-            draws.append(draw)
-        return draws
-
 
 def _bartlett(law: WishartCurvature, chi: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Wishart matrices ``(L C)(L C)'`` from the Bartlett numbers, shape (n, p, p).
@@ -208,14 +186,19 @@ def sample_lamn_batch(
     return _sample(spec, theta, [rng], size)
 
 
-def sample_lamn_stack(spec: LamnSpec, theta, rngs) -> list[LamnDraw]:
-    """One draw per stream: draw i is ``sample_lamn(spec, theta, rngs[i])``."""
-    return LamnDraw.stack(*_sample(spec, theta, rngs, 1))
+def sample_lamn_stack(spec: LamnSpec, theta, rngs) -> np.ndarray:
+    """Row i of an ``(m, p + p*p)`` stack is ``sample_lamn(spec, theta, rngs[i])``,
+    z then k row-major; every k is tested (and symmetrized) as a LamnDraw's is."""
+    z, k = _sample(spec, theta, rngs, 1)
+    if np.isnan(spd_factor(k)[:, 0, 0]).any():
+        raise ValueError("draw curvature must be positive definite")
+    return np.concatenate([z, ((k + np.swapaxes(k, 1, 2)) / 2.0).reshape(len(z), spec.dim**2)], axis=1)
 
 
 def sample_lamn(spec: LamnSpec, theta, rng: np.random.Generator) -> LamnDraw:
     """One draw of (Z, K) at the given parameter."""
-    return sample_lamn_stack(spec, theta, [rng])[0]
+    z, k = _sample(spec, theta, [rng], 1)
+    return LamnDraw(z[0], k[0])
 
 
 def lamn_loglik(draw: LamnDraw, delta):
@@ -256,7 +239,7 @@ def contiguity_estimate(
 
 def _at(q: StackedObjective, theta: np.ndarray) -> StackedEval:
     """Every data set of a stacked objective evaluated at one fixed point."""
-    n = len(q.data)
+    n = q.n_rows
     return q(np.arange(n), np.tile(theta, (n, 1)))
 
 

@@ -55,10 +55,13 @@ class LanNormalLocation(LikModel):
     def eval(self, data, theta: np.ndarray) -> ObjectiveEval:
         return quadratic_eval(0.0, np.asarray(data, dtype=float), self.k, theta)
 
+    def stack_data(self, datas) -> np.ndarray:
+        """The z vectors as the rows of an ``(m, p)`` stack."""
+        return np.asarray(datas, dtype=float).reshape(len(datas), self.dim_param)
+
     def stacked_objective(self, datas) -> StackedObjective:
-        datas = list(datas)
-        z = np.array(datas, dtype=float).reshape(len(datas), self.dim_param)
-        return StackedObjective(self.domain, datas, lambda rows, thetas: quadratic_stack(0.0, z[rows], self.k, thetas))
+        z = self.stack_data(datas)
+        return StackedObjective(self.domain, len(z), lambda rows, thetas: quadratic_stack(0.0, z[rows], self.k, thetas))
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -89,19 +92,24 @@ class WishartLamnModel(LikModel):
     def eval(self, data: LamnDraw, theta: np.ndarray) -> ObjectiveEval:
         return quadratic_eval(0.0, data.z, data.k, theta)
 
-    def stacked_objective(self, datas) -> StackedObjective:
-        datas = list(datas)
+    def stack_data(self, datas) -> np.ndarray:
+        """Draws as the rows of an ``(m, p + p*p)`` stack, z then k row-major."""
+        if isinstance(datas, np.ndarray):
+            return datas
         p = self.dim_param
-        z = np.array([d.z for d in datas]).reshape(len(datas), p)
-        k = np.array([d.k for d in datas]).reshape(len(datas), p, p)
+        return np.array([np.concatenate([d.z, d.k.ravel()]) for d in datas]).reshape(len(datas), p + p * p)
+
+    def stacked_objective(self, datas) -> StackedObjective:
+        stack, p = self.stack_data(datas), self.dim_param
+        z, k = stack[:, :p], stack[:, p:].reshape(len(stack), p, p)
         return StackedObjective(
-            self.domain, datas, lambda rows, thetas: quadratic_stack(0.0, z[rows], k[rows], thetas)
+            self.domain, len(stack), lambda rows, thetas: quadratic_stack(0.0, z[rows], k[rows], thetas)
         )
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> LamnDraw:
         return sample_lamn(self.spec, theta, rng)
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> list[LamnDraw]:
+    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
         return sample_lamn_stack(self.spec, theta, rngs)
 
     def parse_data(self, flat: np.ndarray) -> LamnDraw:
@@ -556,36 +564,35 @@ def method_of_moments_start(a: RelationshipMatrix, y) -> AnimalParams:
     Matches ``r'r`` and ``r'Ar`` of the centered responses to their expected
     values under the model; clamps both variances to at least
     ``1e-3 var(y)``, and falls back to an even split when the system is
-    degenerate (as for A = I, where only the sum is identified).  ``y`` is a
-    raw response or a :class:`RotatedResponse`, whose ``Q'y`` gives every sum
-    at O(N): ``1'y = Q'1.Q'y``, ``r'r = |Q'r|^2``, ``r'Ar = sum lam (Q'r)^2``.
+    degenerate (as for A = I, where only the sum is identified).  This raw
+    form keeps a fit's start, and so its Newton path, to the bit;
+    :meth:`AnimalModel.starts` forms the start of a stack from ``Q'y``.
     """
-    rotated = isinstance(y, RotatedResponse)
-    y = y.qty if rotated else np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     n = y.size
     if n < 3:
         raise ValueError("need at least 3 observations")
     if n != a.size:
         raise ValueError("response length does not match the pedigree")
-    if rotated:
-        mu0 = float(a.kernel.ones_t @ y) / n
-        r = y - mu0 * a.kernel.ones_t
-        r_a_r = float(a.kernel.lam @ (r * r))
-    else:
-        # the raw form keeps a fit's start, and so its Newton path, to the bit
-        mu0 = float(y.mean())
-        r = y - mu0
-        r_a_r = float(r @ (a.a @ r))
+    mu0 = float(y.mean())
+    r = y - mu0
+    r_a_r = float(r @ (a.a @ r))
     var_y = max(float(r @ r) / (n - 1), 1e-12)
     floor = 1e-3 * var_y
-    design = np.array([[a.trace_sq, a.trace], [a.trace, float(n)]])
+    design = _moment_design(a)
     rhs = np.array([r_a_r, float(r @ r)])
-    det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
-    if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0):
+    if design is None:
         s2 = t2 = var_y / 2.0
     else:
         s2, t2 = np.linalg.solve(design, rhs)
     return AnimalParams(mu0, max(float(s2), floor), max(float(t2), floor))
+
+
+def _moment_design(a: RelationshipMatrix) -> np.ndarray | None:
+    """The method of moments' 2x2 system, None when it is degenerate."""
+    design = np.array([[a.trace_sq, a.trace], [a.trace, float(a.size)]])
+    det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
+    return None if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0) else design
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,9 +617,9 @@ class AnimalModel(LikModel):
     makes the parameter domain the whole space; reported results map back
     to natural variances.  The eigendecomposition of A is computed once per
     matrix (``RelationshipMatrix.kernel``) and shared read-only by every
-    evaluation and simulation.  ``objective(y)`` and
-    ``stacked_objective(ys)`` rotate each response once, an O(N^2) product,
-    and each evaluation then costs O(N); ``eval`` takes a raw response
+    evaluation and simulation.  ``objective(y)`` rotates the response once,
+    an O(N^2) product, and each evaluation then costs O(N); the data stack
+    is the rotated responses ``Q'y``, and ``eval`` takes a raw response
     (rotated on every call) or a :class:`RotatedResponse`.
     """
 
@@ -647,9 +654,14 @@ class AnimalModel(LikModel):
     def objective(self, data) -> Objective:
         return super().objective(self.rotate(data))
 
+    def stack_data(self, datas) -> np.ndarray:
+        """``Q'y`` of responses (raw or rotated) as the rows of an ``(m, N)`` stack."""
+        if isinstance(datas, np.ndarray):
+            return datas
+        return np.array([self.rotate(y).qty for y in datas]).reshape(len(datas), self.n_individuals)
+
     def stacked_objective(self, datas) -> StackedObjective:
-        held = [self.rotate(d) for d in datas]
-        qty = np.array([r.qty for r in held]).reshape(len(held), self.n_individuals)
+        qty = self.stack_data(datas)
         # blocks of rows keep the kernel's (rows, 8, N) weights near 1 MB
         block = max(1, 2**14 // self.n_individuals)
 
@@ -660,7 +672,7 @@ class AnimalModel(LikModel):
             ]
             return tuple(np.concatenate(column) for column in zip(*parts))
 
-        return StackedObjective(self.domain, held, kernel)
+        return StackedObjective(self.domain, len(qty), kernel)
 
     def eval(self, data, theta: np.ndarray):
         value, grad, hess = self._log_scale_eval(self.rotate(data).qty, np.asarray(theta, dtype=float))
@@ -695,13 +707,42 @@ class AnimalModel(LikModel):
         params = self.phi_to_params(np.asarray(theta, dtype=float))
         return self._kernel.simulate(params.mu, params.sigma2, params.tau2, rng)
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> list[RotatedResponse]:
+    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
         params = self.phi_to_params(np.asarray(theta, dtype=float))
-        qty = self._kernel.simulate_rotated(params.mu, params.sigma2, params.tau2, rngs)
-        return [RotatedResponse(row) for row in qty]
+        return self._kernel.simulate_rotated(params.mu, params.sigma2, params.tau2, rngs)
 
     def start(self, data) -> np.ndarray:
         return self.params_to_phi(method_of_moments_start(self.relationship, data))
+
+    def starts(self, stack) -> np.ndarray:
+        """:func:`method_of_moments_start` of each response of a stack, from ``Q'y``
+        at O(N) a row: ``1'y = Q'1.Q'y``, ``r'r = |Q'r|^2``, ``r'Ar = sum lam (Q'r)^2``.
+        Each sum is a row-wise dot product and the 2x2 systems one broadcast
+        solve, so a row is the per-row formula's on ``Q'y``, to the bit."""
+        qty = self.stack_data(stack)
+        m, n = qty.shape
+        if n < 3:
+            return np.full((m, 3), np.nan)
+        kernel = self._kernel
+
+        def dots(x, v):  # ``x[j] @ v[j]`` a row, bit for bit (a matrix-vector product is not)
+            return np.matmul(x[:, None, :], v[..., None])[:, 0, 0]
+
+        mu0 = dots(qty, kernel.ones_t) / n
+        r = qty - mu0[:, None] * kernel.ones_t
+        r_r = dots(r, r)
+        var_y = np.maximum(r_r / (n - 1), 1e-12)
+        design = _moment_design(self.relationship)
+        if design is None:
+            s2 = t2 = var_y / 2.0
+        else:
+            rhs = np.stack([dots(r * r, kernel.lam), r_r], axis=1)
+            s2, t2 = np.linalg.solve(np.broadcast_to(design, (m, 2, 2)), rhs[:, :, None])[:, :, 0].T
+        floor = 1e-3 * var_y
+        s2, t2 = np.maximum(s2, floor), np.maximum(t2, floor)
+        phi = np.stack([mu0, np.log(s2), np.log(t2)], axis=1)
+        phi[np.isnan(phi).any(axis=1)] = np.nan  # the variances are NaN: no start
+        return phi
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n_individuals)

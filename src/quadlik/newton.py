@@ -139,29 +139,18 @@ def safeguarded_maximize(
 ) -> tuple[MaybeParam, NewtonTrace]:
     """Newton ascent with Hessian shift and Armijo backtracking.
 
-    :func:`lockstep_maximize` on a stack of one.  Unlike
+    :func:`lockstep_fit` on a stack of one.  Unlike
     :func:`newton_iterate` this never returns NaO; a start where the
     objective is NaO or non-finite raises ValueError.
     """
     if is_nao(delta0):
         raise ValueError("safeguarded_maximize requires a non-NaO start")
     cur = np.atleast_1d(np.asarray(delta0, dtype=float))
-    stacked = StackedObjective.looped([q], OpenBox.unbounded(cur.size), [None])
-    theta, traces = lockstep_maximize(stacked, cur[None], tol, max_steps)
+    stacked = StackedObjective.looped([q], OpenBox.unbounded(cur.size))
+    theta, traces, _ = lockstep_fit(stacked, cur[None], tol, max_steps)
     if is_nao(traces[0]):
         raise ValueError("objective is not finite at the starting point")
     return theta[0], traces[0]
-
-
-def lockstep_maximize(
-    q: StackedObjective,
-    starts: np.ndarray,
-    tol: float | None = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> tuple[np.ndarray, list]:
-    """:func:`lockstep_fit` without the final evaluations."""
-    thetas, traces, _ = lockstep_fit(q, starts, tol, max_steps)
-    return thetas, traces
 
 
 def lockstep_fit(

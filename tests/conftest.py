@@ -1,4 +1,4 @@
-"""Shared test oracles: finite differences, error metrics and one-row pivots.
+"""Shared test oracles: finite differences, error metrics, one-row pivots and refits.
 
 The finite-difference helpers differentiate objective *values* only, so they
 stay independent of the analytic gradients and Hessians they check.
@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from quadlik.core import StackedEval, is_nao
+from quadlik.core import NaO, StackedEval, is_nao
+from quadlik.newton import safeguarded_maximize
 
 
 def fd_gradient(value_fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -70,3 +71,20 @@ def pivot_alone(pivot, model, data, theta_star, theta_hat) -> float:
         row = StackedEval(packed[None], np.array([True]))
     thetas = np.asarray(theta_star, dtype=float).reshape(1, p)
     return float(pivot(row, thetas, np.asarray(theta_hat, dtype=float).reshape(1, p))[0])
+
+
+def refit_alone(model, theta_hat, pivot, data):
+    """One bootstrap replicate the long way: its own ``model.start`` and
+    safeguarded fit, then the pivot on a stack of one; ``(NaO, NaO)`` where
+    any of them fails."""
+    try:
+        x0 = model.start(data)
+        if is_nao(x0):
+            return NaO, NaO
+        theta_star, trace = safeguarded_maximize(model.objective(data), x0)
+    except ValueError:
+        return NaO, NaO
+    if not trace.converged:
+        return NaO, NaO
+    value = pivot_alone(pivot, model, data, theta_star, theta_hat)
+    return theta_star, value if np.isfinite(value) else NaO

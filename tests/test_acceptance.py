@@ -281,7 +281,7 @@ def test_criterion_6_animal_model():
             continue  # counted converged, excluded from both coverages
         t0_sq = (h_hat - h_true) ** 2 / var_h
         samples = parametric_bootstrap(
-            model, fit.theta_hat, B, pivot, model.start, seed=200_000 + rep
+            model, fit.theta_hat, B, pivot, seed=200_000 + rep
         )
         if not samples.values.size:
             continue
@@ -353,7 +353,7 @@ def test_criterion_8_pivot_law():
         data = model.simulate(theta, derive_rng(1008, rep))
         fit = fit_mle(model, data)
         samples = parametric_bootstrap(
-            model, fit.theta_hat, 5000, pivot, model.start, seed=300_000 + rep
+            model, fit.theta_hat, 5000, pivot, seed=300_000 + rep
         )
         assert samples.n_nao == 0
         pval = stats.kstest(samples.values, lambda x: stats.chi2.cdf(x, 2)).pvalue

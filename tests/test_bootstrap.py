@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import pivot_alone, random_spd
+from conftest import random_spd, refit_alone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -23,12 +23,12 @@ from quadlik import (
     lan_normal_location,
     make_wald_pivot,
     parametric_bootstrap,
-    safeguarded_maximize,
     wald_pivot,
     wishart_lamn_model,
 )
 from quadlik.cli import _heritability_pivot
 from quadlik.core import LikModel, NaO, ObjectiveEval, OpenBox, StackedObjective, spd_factor
+from quadlik.models import LanNormalLocation, WishartLamnModel
 
 
 def lan_fixture(p=2, seed=0):
@@ -58,7 +58,7 @@ class TestParametricBootstrap:
     def test_lan_pivots_are_chisq(self):
         model, fit = lan_fixture(p=2, seed=1)
         samples = parametric_bootstrap(
-            model, fit.theta_hat, 2000, make_wald_pivot(model), model.start, seed=101
+            model, fit.theta_hat, 2000, make_wald_pivot(model), seed=101
         )
         assert samples.n_nao == 0
         assert stats.kstest(samples.values, lambda x: stats.chi2.cdf(x, 2)).pvalue > 0.01
@@ -66,15 +66,15 @@ class TestParametricBootstrap:
     def test_single_replicate_reproducible(self):
         model, fit = lan_fixture(p=1, seed=2)
         pivot = make_wald_pivot(model)
-        a = parametric_bootstrap(model, fit.theta_hat, 1, pivot, model.start, seed=7)
-        b = parametric_bootstrap(model, fit.theta_hat, 1, pivot, model.start, seed=7)
+        a = parametric_bootstrap(model, fit.theta_hat, 1, pivot, seed=7)
+        b = parametric_bootstrap(model, fit.theta_hat, 1, pivot, seed=7)
         assert a.values[0] == b.values[0]
 
     def test_schedule_invariance(self):
         model, fit = lan_fixture(p=2, seed=3)
         pivot = make_wald_pivot(model)
-        serial = parametric_bootstrap(model, fit.theta_hat, 64, pivot, model.start, seed=11)
-        threaded = parametric_bootstrap(model, fit.theta_hat, 64, pivot, model.start, seed=11)
+        serial = parametric_bootstrap(model, fit.theta_hat, 64, pivot, seed=11)
+        threaded = parametric_bootstrap(model, fit.theta_hat, 64, pivot, seed=11)
         assert np.array_equal(serial.values, threaded.values)
         assert serial.n_nao == threaded.n_nao
 
@@ -85,7 +85,7 @@ class TestParametricBootstrap:
             # NaN on a fixed subset of the refits
             return np.where(thetas[:, 0] > theta_hats[:, 0], np.nan, 1.0)
 
-        samples = parametric_bootstrap(model, fit.theta_hat, 50, flaky_pivot, model.start, seed=13)
+        samples = parametric_bootstrap(model, fit.theta_hat, 50, flaky_pivot, seed=13)
         assert 0 < samples.n_nao < 50
         assert samples.values.size + samples.n_nao == 50
         assert np.all(samples.values == 1.0)
@@ -93,7 +93,7 @@ class TestParametricBootstrap:
     def test_domain_check(self):
         model, fit = lan_fixture(p=1, seed=5)
         with pytest.raises(ValueError, match="domain"):
-            parametric_bootstrap(model, np.array([np.nan]), 2, make_wald_pivot(model), model.start, 1)
+            parametric_bootstrap(model, np.array([np.nan]), 2, make_wald_pivot(model), 1)
 
 
 class TestCalibrate:
@@ -130,7 +130,7 @@ class TestDoubleBootstrap:
     def test_smoke_shape(self):
         model, fit = lan_fixture(p=1, seed=6)
         report = double_bootstrap(
-            model, fit.theta_hat, 2, 2, make_wald_pivot(model), model.start, seed=19
+            model, fit.theta_hat, 2, 2, make_wald_pivot(model), seed=19
         )
         assert report.outer.B == 2
         assert len(report.per_outer_calibrations) == 2
@@ -148,13 +148,13 @@ class TestDoubleBootstrap:
 
         model.simulate = counting
         b1, b2 = 3, 4
-        double_bootstrap(model, fit.theta_hat, b1, b2, make_wald_pivot(model), model.start, seed=23)
+        double_bootstrap(model, fit.theta_hat, b1, b2, make_wald_pivot(model), seed=23)
         assert count["n"] == b1 * (1 + b2)
 
     def test_exact_model_calibrations_cluster_at_nominal(self):
         model, fit = lan_fixture(p=2, seed=8)
         report = double_bootstrap(
-            model, fit.theta_hat, 12, 600, make_wald_pivot(model), model.start, seed=29, level=0.9
+            model, fit.theta_hat, 12, 600, make_wald_pivot(model), seed=29, level=0.9
         )
         nominal = chisq_upper_quantile(2, 0.1)
         quantiles = [c.calibrated_quantile for c in report.per_outer_calibrations if c is not None]
@@ -165,8 +165,8 @@ class TestDoubleBootstrap:
     def test_schedule_invariance(self):
         model, fit = lan_fixture(p=1, seed=9)
         pivot = make_wald_pivot(model)
-        a = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, model.start, seed=31)
-        b = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, model.start, seed=31)
+        a = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, seed=31)
+        b = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, seed=31)
         assert np.array_equal(a.outer.values, b.outer.values)
         assert a.coverage_indicators == b.coverage_indicators
 
@@ -194,7 +194,7 @@ class HessianModel(LikModel):
         def kernel(rows, thetas):
             return values[rows], np.zeros((len(rows), self.dim_param)), h[rows]
 
-        return StackedObjective(self.domain, list(datas), kernel)
+        return StackedObjective(self.domain, len(datas), kernel)
 
 
 # moderate, near the float maximum (either sign), and NaN entries
@@ -337,37 +337,19 @@ class TestStackedHeritabilityPivot:
         assert np.isnan(stacked).tolist() == [False, False, True, False]
 
 
-def refit_alone(model, theta_hat, pivot, start, data):
-    """One replicate the long way: its own safeguarded fit, then the pivot on a stack of one."""
-    try:
-        x0 = start(data)
-    except ValueError:
-        return NaO, NaO
-    if is_nao(x0):
-        return NaO, NaO
-    try:
-        theta_star, trace = safeguarded_maximize(model.objective(data), x0)
-    except ValueError:
-        return NaO, NaO
-    if not trace.converged:
-        return NaO, NaO
-    value = pivot_alone(pivot, model, data, theta_star, theta_hat)
-    return theta_star, value if np.isfinite(value) else NaO
-
-
-def double_alone(model, theta_hat, B1, B2, pivot, start, seed, level):
+def double_alone(model, theta_hat, B1, B2, pivot, seed, level):
     """The double bootstrap as nested loops over explicit streams."""
     outer, calibrations, indicators = [], [], []
     for i in range(B1):
         data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
-        theta_star, value = refit_alone(model, theta_hat, pivot, start, data)
+        theta_star, value = refit_alone(model, theta_hat, pivot, data)
         outer.append(value)
         cal = None
         if not is_nao(theta_star):
             inner = []
             for j in range(B2):
                 inner_data = model.simulate(theta_star, derive_rng(seed, "bootstrap", 1, i, j))
-                inner.append(refit_alone(model, theta_star, pivot, start, inner_data)[1])
+                inner.append(refit_alone(model, theta_star, pivot, inner_data)[1])
             values = [v for v in inner if not is_nao(v)]
             if values:
                 cal = calibrate(PivotSamples(np.array(values), B2 - len(values), seed, B2), level, theta_hat.size)
@@ -376,24 +358,49 @@ def double_alone(model, theta_hat, B1, B2, pivot, start, seed, level):
     return outer, calibrations, indicators
 
 
+WISHART_SPEC = LamnSpec(3, WishartCurvature(5.0, np.eye(3) / 5.0))
+LAN_K = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
+
+
 def wishart_model():
-    return wishart_lamn_model(LamnSpec(3, WishartCurvature(5.0, np.eye(3) / 5.0)))
+    return wishart_lamn_model(WISHART_SPEC)
 
 
 def lan_model():
-    return lan_normal_location(np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]]))
+    return lan_normal_location(LAN_K)
 
 
 def first_coordinate(data):
+    """z[0] of a data set or of a row of its model's data stack."""
     return float(data.z[0]) if hasattr(data, "z") else float(data[0])
+
+
+class FailingStart:
+    """A model whose start raises on data sets with z[0] > 2 and is not
+    finite on those with z[0] < -0.3."""
+
+    def start(self, data):
+        if first_coordinate(data) > 2.0:
+            raise ValueError("no start for this data set")
+        if first_coordinate(data) < -0.3:
+            return np.full(self.dim_param, np.inf)
+        return super().start(data)
+
+
+class FailingStartLan(FailingStart, LanNormalLocation):
+    pass
+
+
+class FailingStartWishart(FailingStart, WishartLamnModel):
+    pass
 
 
 class TestDoubleBootstrapLayout:
     CASES = {"lan": (lan_model, np.array([0.3, -0.2, 0.5])), "wishart": (wishart_model, np.array([0.4, -1.0, 0.2]))}
 
-    def check(self, model, theta_hat, pivot, start, seed, B1=9, B2=7, level=0.9):
-        report = double_bootstrap(model, theta_hat, B1, B2, pivot, start, seed, level=level)
-        outer, calibrations, indicators = double_alone(model, theta_hat, B1, B2, pivot, start, seed, level)
+    def check(self, model, theta_hat, pivot, seed, B1=9, B2=7, level=0.9):
+        report = double_bootstrap(model, theta_hat, B1, B2, pivot, seed, level=level)
+        outer, calibrations, indicators = double_alone(model, theta_hat, B1, B2, pivot, seed, level)
         kept = [v for v in outer if not is_nao(v)]
         assert report.outer.n_nao == B1 - len(kept)
         assert np.array_equal(report.outer.values, kept)
@@ -409,35 +416,49 @@ class TestDoubleBootstrapLayout:
     def test_levels_equal_nested_loops(self, name):
         factory, theta_hat = self.CASES[name]
         model = factory()
-        self.check(model, theta_hat, make_wald_pivot(model), model.start, seed=57)
+        self.check(model, theta_hat, make_wald_pivot(model), seed=57)
 
     @pytest.mark.parametrize("rows", [1, 15])
     def test_inner_blocks_equal_nested_loops(self, monkeypatch, rows):
         # one outer refit per block, then two: B2 = 7
         monkeypatch.setattr(quadlik.bootstrap, "INNER_LEVEL_ROWS", rows)
         model = wishart_model()
-        self.check(model, self.CASES["wishart"][1], make_wald_pivot(model), model.start, seed=59)
+        self.check(model, self.CASES["wishart"][1], make_wald_pivot(model), seed=59)
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_nao_rules(self, name):
-        factory, theta_hat = self.CASES[name]
-        model = factory()
+    def test_nao_rules(self, monkeypatch, name):
+        theta_hat = self.CASES[name][1]
+        model = FailingStartLan(LAN_K) if name == "lan" else FailingStartWishart(WISHART_SPEC)
         wald = make_wald_pivot(model)
-
-        def start(data):
-            # the start fails on some data sets, so their refits fail
-            return NaO if first_coordinate(data) > 1.2 else model.start(data)
 
         def pivot(ev, thetas, theta_hats):
             # NaN on some converged refits
             return np.where(thetas[:, 0] < theta_hats[:, 0] - 0.6, np.nan, wald(ev, thetas, theta_hats))
 
-        outer, calibrations = self.check(model, theta_hat, pivot, start, seed=61, B1=24, B2=6)
+        levels = []
+        level = quadlik.bootstrap._bootstrap_level
+
+        def recorded(model, centers, B, pivot, seed, paths):
+            pairs = level(model, centers, B, pivot, seed, paths)
+            levels.extend(zip(centers, paths, pairs))
+            return pairs
+
+        monkeypatch.setattr(quadlik.bootstrap, "_bootstrap_level", recorded)
+        outer, calibrations = self.check(model, theta_hat, pivot, seed=61, B1=24, B2=6)
         # an outer refit that fails gives None; an NaO outer pivot after a
         # converged refit still gets its inner level
         refit_failed = [i for i in range(24) if is_nao(outer[i]) and calibrations[i] is None]
         pivot_failed = [i for i in range(24) if is_nao(outer[i]) and calibrations[i] is not None]
         assert refit_failed and pivot_failed
+        # at both levels, a replicate whose start raises or is not finite is NaO
+        failed = {(level, kind): 0 for level in (0, 1) for kind in ("raises", "inf")}
+        for center, path, pairs in levels:
+            for j, pair in enumerate(pairs):
+                z0 = first_coordinate(model.simulate(center, derive_rng(61, *path, j)))
+                if z0 > 2.0 or z0 < -0.3:
+                    assert is_nao(pair[0]) and is_nao(pair[1])
+                    failed[path[1], "raises" if z0 > 2.0 else "inf"] += 1
+        assert all(failed.values()), failed
 
 
 class TestCalibrationStudies:
@@ -446,7 +467,7 @@ class TestCalibrationStudies:
         # to Monte Carlo error in the empirical quantile
         model, fit = lan_fixture(p=2, seed=10)
         samples = parametric_bootstrap(
-            model, fit.theta_hat, 5000, make_wald_pivot(model), model.start, seed=43
+            model, fit.theta_hat, 5000, make_wald_pivot(model), seed=43
         )
         cal = calibrate(samples, 0.95, 2)
         assert abs(cal.calibrated_quantile - cal.nominal_quantile) / cal.nominal_quantile < 0.05
@@ -468,7 +489,7 @@ class TestCalibrationStudies:
                 continue
             t0_sq = float(fit.theta_hat[0] - theta0[0]) ** 2 * float(fit.observed_info[0, 0])
             samples = parametric_bootstrap(
-                model, fit.theta_hat, 200, pivot, model.start, seed=614_000 + rep
+                model, fit.theta_hat, 200, pivot, seed=614_000 + rep
             )
             kap = calibrate(samples, 0.95, 1).calibrated_quantile
             kappas.append(kap)

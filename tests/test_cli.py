@@ -598,3 +598,27 @@ class TestWishartDof:
             assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
         assert key in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+class TestNonFiniteMonteCarloChecks:
+    """A Monte Carlo check whose mean or standard error is not finite is NaO."""
+
+    def run(self, tmp_path, experiment, **cfg):
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([experiment, "--config", path])
+        return code, read_report(tmp_path, "r")
+
+    def test_lamn_verify_overflowing_contiguity(self, tmp_path):
+        spec = {"dim": 2, "curvature": {"kind": "wishart", "dof": 4}}
+        code, report = self.run(tmp_path, "lamn-verify", spec=spec, nsim=200, n_deltas=2, delta_scale=1e200)
+        assert code == EXIT_NAO and report["status"] == "NaO"
+        assert report["contiguity_0_mean"] == report["contiguity_0_se"] == "nan"
+        assert report["contiguity_0_dev_se"] == report["contiguity_max_dev_se"] == "nan"
+
+    def test_ar1_study_exploding_paths(self, tmp_path):
+        code, report = self.run(tmp_path, "ar1-study", thetas=[0.5, 1e200], n=10, mc_paths=200)
+        assert code == EXIT_NAO and report["status"] == "NaO"
+        assert report["info_0_dev_se"] <= 4.0
+        assert report["info_1_mc_se"] == report["info_1_dev_se"] == "nan"

@@ -162,10 +162,17 @@ class FixedStream:
         return np.reshape(out, size)
 
 
-def assert_same_draws(stacked, looped):
-    assert len(stacked) == len(looped)
-    for a, b in zip(stacked, looped):
-        assert np.array_equal(a.z, b.z) and np.array_equal(a.k, b.k)
+def as_rows(draws, p):
+    """Draws as the rows of a Wishart data stack, z then k row-major; a stack as is."""
+    if isinstance(draws, np.ndarray):
+        return draws
+    return np.array([np.concatenate([d.z, d.k.ravel()]) for d in draws]).reshape(len(draws), p + p * p)
+
+
+def assert_same_draws(stacked, looped, p):
+    """Same draws, bit for bit, whether each side is a stack or a list of draws."""
+    a, b = as_rows(stacked, p), as_rows(looped, p)
+    assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @st.composite
@@ -188,8 +195,9 @@ class TestStackedDraws:
         theta = derive_rng(seed, "theta").standard_normal(spec.dim)
         stacked = model.simulate_stack(theta, [derive_rng(seed, i) for i in range(n)])
         looped = [model.simulate(theta, derive_rng(seed, i)) for i in range(n)]
-        assert_same_draws(stacked, looped)
-        assert_same_draws(looped, [reference_draw(spec, theta, derive_rng(seed, i)) for i in range(n)])
+        assert_same_draws(stacked, looped, spec.dim)
+        assert np.array_equal(model.stack_data(looped), stacked) and model.stack_data(stacked) is stacked
+        assert_same_draws(looped, [reference_draw(spec, theta, derive_rng(seed, i)) for i in range(n)], spec.dim)
 
 
 class TestStackedDrawRarePaths:
@@ -220,10 +228,10 @@ class TestStackedDrawRarePaths:
         before = model.simulate_stack(self.theta, self.streams())
         self.reject(monkeypatch, [self.first_k(7)])
         stacked = model.simulate_stack(self.theta, self.streams())
-        assert_same_draws(stacked, [model.simulate(self.theta, rng) for rng in self.streams()])
-        assert_same_draws(stacked, [reference_draw(self.spec, self.theta, rng) for rng in self.streams()])
-        assert not np.array_equal(stacked[7].k, before[7].k)
-        assert_same_draws(stacked[:7] + stacked[8:], before[:7] + before[8:])
+        assert_same_draws(stacked, [model.simulate(self.theta, rng) for rng in self.streams()], 3)
+        assert_same_draws(stacked, [reference_draw(self.spec, self.theta, rng) for rng in self.streams()], 3)
+        assert not np.array_equal(stacked[7, 3:], before[7, 3:])
+        assert_same_draws(np.delete(stacked, 7, axis=0), np.delete(before, 7, axis=0), 3)
 
     def test_row_rejected_twice_raises(self, monkeypatch):
         model = wishart_lamn_model(self.spec)
@@ -252,8 +260,9 @@ class TestStackedDrawRarePaths:
             model.simulate_stack(np.zeros(2), streams())
 
     def test_stack_of_draws_checks_shapes(self):
+        # draws of dimension 2 do not make a stack of the dimension-3 model
         with pytest.raises(ValueError, match="shape"):
-            LamnDraw.stack(np.zeros((2, 2)), np.broadcast_to(np.eye(3), (2, 3, 3)))
+            wishart_lamn_model(self.spec).stack_data([LamnDraw(np.zeros(2), np.eye(2))] * 2)
 
 
 class TestLamnLoglik:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import pivot_alone
+from conftest import pivot_alone, refit_alone
 
 from quadlik import (
     AnimalModel,
@@ -21,9 +21,8 @@ from quadlik import (
     synthetic_pedigree,
     wishart_lamn_model,
 )
-from quadlik.bootstrap import _one_replicate
 from quadlik.cli import _heritability_pivot
-from quadlik.newton import lockstep_maximize
+from quadlik.newton import lockstep_fit
 
 
 def lan():
@@ -61,10 +60,10 @@ class TestLockstepMaximize:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_stack_equals_each_row_alone(self, name):
         model, datas, starts = data_sets(name, 40, 3)
-        thetas, traces = lockstep_maximize(model.stacked_objective(datas), starts)
+        thetas, traces, _ = lockstep_fit(model.stacked_objective(datas), starts)
         steps = {t.steps for t in traces}
         for i, (data, x0) in enumerate(zip(datas, starts)):
-            one, (trace,) = lockstep_maximize(model.stacked_objective([data]), x0[None])
+            one, (trace,), _ = lockstep_fit(model.stacked_objective([data]), x0[None])
             assert np.array_equal(thetas[i], one[0]) and same_trace(traces[i], trace)
             theta, single = safeguarded_maximize(model.objective(data), x0)
             assert np.array_equal(thetas[i], theta) and same_trace(traces[i], single)
@@ -74,16 +73,16 @@ class TestLockstepMaximize:
     def test_nao_start_rows_drop_out(self):
         model, datas, starts = data_sets("exponential", 6, 5)
         starts[[1, 4]] = -1.0  # outside the positive domain
-        thetas, traces = lockstep_maximize(model.stacked_objective(datas), starts)
+        thetas, traces, _ = lockstep_fit(model.stacked_objective(datas), starts)
         assert [is_nao(t) for t in traces] == [False, True, False, False, True, False]
         assert np.array_equal(thetas[[1, 4]], starts[[1, 4]])
         assert all(t.converged for i, t in enumerate(traces) if i not in (1, 4))
 
     def test_tolerance_and_step_cap_per_row(self):
         model, datas, starts = data_sets("exponential", 5, 7)
-        _, capped = lockstep_maximize(model.stacked_objective(datas), starts, max_steps=0)
+        _, capped, _ = lockstep_fit(model.stacked_objective(datas), starts, max_steps=0)
         assert all(t.steps == 0 and not t.converged for t in capped)
-        _, loose = lockstep_maximize(model.stacked_objective(datas), starts, tol=1e300)
+        _, loose, _ = lockstep_fit(model.stacked_objective(datas), starts, tol=1e300)
         assert all(t.steps == 0 and t.converged for t in loose)
 
 
@@ -92,11 +91,11 @@ class TestStackedLevel:
     def test_level_equals_each_replicate_alone(self, name):
         model, theta_hat, seed, B = MODELS[name](), THETAS[name], 17, 30
         pivot = make_wald_pivot(model)
-        samples = parametric_bootstrap(model, theta_hat, B, pivot, model.start, seed)
+        samples = parametric_bootstrap(model, theta_hat, B, pivot, seed)
         alone = []
         for i in range(B):
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
-            _, value = _one_replicate(model, theta_hat, pivot, model.start, data)
+            _, value = refit_alone(model, theta_hat, pivot, data)
             alone.append(value)
         assert samples.n_nao == sum(is_nao(v) for v in alone) == 0
         assert np.array_equal(samples.values, alone)
@@ -107,7 +106,7 @@ class TestStackedLevel:
         y = model.simulate(model.params_to_phi(AnimalParams(0.0, 1.33, 0.67)), derive_rng(5))
         theta_hat = fit_mle(model, y).theta_hat
         pivot, seed, B = _heritability_pivot(model), 11, 200
-        samples = parametric_bootstrap(model, theta_hat, B, pivot, model.start, seed)
+        samples = parametric_bootstrap(model, theta_hat, B, pivot, seed)
         single = []
         for i in range(B):
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))

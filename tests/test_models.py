@@ -353,7 +353,7 @@ class TestAnimalRotation:
 
             monkeypatch.setattr(_AnimalKernel, name, counting)
         model, B = self.MODEL, 50
-        samples = parametric_bootstrap(model, self.TRUTH, B, pivot_factory(model), model.start, seed=8)
+        samples = parametric_bootstrap(model, self.TRUTH, B, pivot_factory(model), seed=8)
         assert samples.values.size > 0
         assert calls == {"rotate": 0, "simulate_rotated": 1}
 
@@ -453,11 +453,14 @@ class TestAnimalSimulate:
         model = AnimalModel(relationship_matrix(synthetic_pedigree(6, 30, 3, 5)))
         phi = np.array(phi)
         stack = model.simulate_stack(phi, [derive_rng(seed, "stack", i) for i in range(n)])
-        assert len(stack) == n
-        for i, held in enumerate(stack):
-            assert isinstance(held, RotatedResponse)
-            single = model.rotate(model.simulate(phi, derive_rng(seed, "stack", i))).qty
-            assert rel_err(held.qty, single) <= 1e-12
+        assert stack.shape == (n, model.n_individuals) and model.stack_data(stack) is stack
+        singles = [model.simulate(phi, derive_rng(seed, "stack", i)) for i in range(n)]
+        rotated = model.stack_data(singles)
+        assert rotated.shape == stack.shape
+        for held, row, y in zip(stack, rotated, singles):
+            assert np.array_equal(row, model.rotate(y).qty)
+            # simulate_stack forms Q'y without forming y: equal up to rounding
+            assert rel_err(held, row) <= 1e-12
 
     def test_default_stack_is_the_single_draws(self):
         model = lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -550,13 +553,99 @@ class TestMethodOfMoments:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_start_from_rotated_response_matches_raw(self, phi, seed):
-        # the start takes what simulate_stack returns as well as a raw response
-        model = AnimalModel(relationship_matrix(synthetic_pedigree(6, 30, 3, 5)))
+        # a stack's starts come from Q'y; a fit's start from the raw response
+        model = TestStackedStarts.MODELS[False]
         y = model.simulate(np.array(phi), derive_rng(seed, "start"))
-        raw, rotated = model.start(y), model.start(model.rotate(y))
-        assert rel_err(rotated, raw) <= 1e-12
-        (stacked,) = model.simulate_stack(np.array(phi), [derive_rng(seed, "start")])
-        assert rel_err(model.start(stacked), raw) <= 1e-12
+        raw = model.start(y)
+        assert rel_err(model.starts([y])[0], raw) <= 1e-12
+        stacked = model.simulate_stack(np.array(phi), [derive_rng(seed, "start")])
+        assert rel_err(model.starts(stacked)[0], raw) <= 1e-12
+
+
+def rotated_start(a, qty) -> np.ndarray:
+    """Oracle: the method-of-moments start of one rotated response ``Q'y``,
+    every sum formed row by row; NaN where it has no start."""
+    kernel, n = a.kernel, qty.size
+    if n < 3:
+        return np.full(3, np.nan)
+    mu0 = float(kernel.ones_t @ qty) / n
+    r = qty - mu0 * kernel.ones_t
+    r_a_r = float(kernel.lam @ (r * r))
+    var_y = max(float(r @ r) / (n - 1), 1e-12)
+    floor = 1e-3 * var_y
+    design = np.array([[a.trace_sq, a.trace], [a.trace, float(n)]])
+    det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
+    if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0):
+        s2 = t2 = var_y / 2.0
+    else:
+        s2, t2 = np.linalg.solve(design, np.array([r_a_r, float(r @ r)]))
+    try:
+        params = AnimalParams(mu0, max(float(s2), floor), max(float(t2), floor))
+    except ValueError:
+        return np.full(3, np.nan)
+    return AnimalModel.params_to_phi(params)
+
+
+class TestStackedStarts:
+    """``AnimalModel.starts`` of a stack is the per-row rotated formula, to the bit."""
+
+    # a random-mating pedigree, and A = I, whose moment system is degenerate
+    FOUNDERS = Pedigree(tuple(PedigreeRecord(i + 1, None, None) for i in range(9)))
+    MODELS = {
+        False: AnimalModel(relationship_matrix(synthetic_pedigree(6, 30, 3, 5))),
+        True: AnimalModel(relationship_matrix(FOUNDERS)),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        phi=st.tuples(st.floats(-3, 3), st.floats(-4, 4), st.floats(-4, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([0, 1, 2, 17]),
+        identity=st.booleans(),
+        poisoned=st.booleans(),
+    )
+    def test_starts_equal_the_rotated_formula_bit_for_bit(self, phi, seed, m, identity, poisoned):
+        model = self.MODELS[identity]
+        stack = model.simulate_stack(np.array(phi), [derive_rng(seed, "starts", i) for i in range(m)])
+        if poisoned and m:
+            stack[m // 2] = np.nan  # a response with no start
+        starts = model.starts(stack)
+        assert starts.shape == (m, 3)
+        for row, start in zip(stack, starts):
+            expected = rotated_start(model.relationship, row)
+            assert start.tobytes() == expected.tobytes() or np.isnan(start).all() and np.isnan(expected).all()
+        assert np.isnan(starts).any(axis=1).sum() == int(poisoned and m > 0)
+
+    def test_identity_design_splits_evenly(self):
+        model = self.MODELS[True]
+        starts = model.starts(model.simulate_stack(np.zeros(3), [derive_rng(3, i) for i in range(4)]))
+        assert np.array_equal(starts[:, 1], starts[:, 2])
+
+    def test_too_few_individuals_have_no_start(self):
+        pair = Pedigree((PedigreeRecord(1, None, None), PedigreeRecord(2, None, None)))
+        model = AnimalModel(relationship_matrix(pair))
+        assert np.isnan(model.starts(np.ones((3, 2)))).all()
+
+
+class TestDataStacks:
+    """A model's stack of simulated data sets is the stack of its single draws,
+    bit for bit (the animal model's, to rounding, is checked in
+    ``TestAnimalSimulate``)."""
+
+    MODELS = {
+        "lan": lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])),
+        "wishart": wishart_lamn_model(LamnSpec(2, WishartCurvature(4.0, np.eye(2)))),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(MODELS)), n=st.sampled_from([0, 1, 9]), seed=st.integers(0, 2**32 - 1))
+    def test_stack_data_of_single_draws_is_simulate_stack(self, name, n, seed):
+        model, theta = self.MODELS[name], np.array([0.3, -1.0])
+        stack = model.simulate_stack(theta, [derive_rng(seed, "stack", i) for i in range(n)])
+        singles = model.stack_data([model.simulate(theta, derive_rng(seed, "stack", i)) for i in range(n)])
+        assert singles.shape == stack.shape and np.array_equal(stack, singles)
+        assert np.array_equal(model.stack_data(stack), stack)
+        assert model.stacked_objective(stack).n_rows == n
 
 
 class TestIidHelpers:

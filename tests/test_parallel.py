@@ -96,7 +96,7 @@ class TestStreamLayout:
             theta_star, trace = safeguarded_maximize(model.objective(data), model.start(data))
             assert trace.converged
             expected.append(pivot_alone(pivot, model, data, theta_star, theta_hat))
-        samples = parametric_bootstrap(model, theta_hat, B, pivot, model.start, seed)
+        samples = parametric_bootstrap(model, theta_hat, B, pivot, seed)
         assert samples.n_nao == 0
         assert np.array_equal(samples.values, expected)
 
