@@ -126,8 +126,7 @@ def _bootstrap_level(model: LikModel, centers: list, B: int, pivot: PivotFn, see
     *paths[c], j)``.  Returns, per center, its B ``(theta_star, value)``
     pairs from :func:`_refit` against that center, in stream order.
     """
-    stacks = [draw(model, center, B, seed, path) for center, path in zip(centers, paths)]
-    stack = np.concatenate(stacks) if isinstance(stacks[0], np.ndarray) else [d for s in stacks for d in s]
+    stack = np.concatenate([draw(model, center, B, seed, path) for center, path in zip(centers, paths)])
     pairs = _refit(model, np.repeat(np.asarray(centers, dtype=float), B, axis=0), pivot, stack)
     return [pairs[c * B : (c + 1) * B] for c in range(len(centers))]
 

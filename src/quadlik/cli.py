@@ -732,13 +732,17 @@ def run_classical_comparison(cfg: dict) -> tuple[ReportRecord, int]:
     unit = _get(cfg, "unit", str, "config", required=False, default="normal")
     if unit not in {"normal", "exponential"}:
         raise ConfigError(f"config.unit: unknown unit {unit!r}")
-    psi = _get_vector(cfg, "psi", "config", required=False, default=np.array([1.0]))
+    # the exponential unit's psi is its one rate
+    psi_length = None if unit == "normal" else 1
+    psi = _get_vector(cfg, "psi", "config", required=False, default=np.array([1.0]), length=psi_length)
+    if unit == "exponential" and not psi[0] > 0:
+        raise ConfigError(f"config.psi: the exponential unit's rate must be positive, got {psi[0]}")
     ladder = _get_counts(cfg, "ladder", "config", required=False, default=[10, 100, 1000, 10000])
     replications = _get_count(cfg, "replications", "config", required=False, default=100)
     tau_mode = _get(cfg, "tau", str, "config", required=False, default="sqrt_n")
     if tau_mode not in {"sqrt_n", "one"}:
         raise ConfigError("config.tau: must be 'sqrt_n' or 'one'")
-    p = psi.size if unit == "normal" else 1
+    p = psi.size
     box = _get_box(cfg, p, 2.0)
     record = _start_record(cfg)
     record.put("unit", unit)

@@ -11,8 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -229,12 +229,15 @@ class OpenBox:
         return th.shape == self.lower.shape and bool(self.contains_rows(th[None])[0])
 
     def contains_rows(self, thetas: np.ndarray) -> np.ndarray:
-        """:meth:`contains` for each row of an ``(m, dim)`` stack.
+        """:meth:`contains` for each row of an ``(m, k)`` stack: all False
+        unless ``k == dim``.
 
         The strict comparisons reject NaN and infinite entries, also on
         unbounded axes.
         """
         th = np.asarray(thetas, dtype=float)
+        if th.shape[-1:] != self.lower.shape:
+            return np.zeros(th.shape[:-1], dtype=bool)
         return ((self.lower < th) & (th < self.upper)).all(axis=-1)
 
     @classmethod
@@ -263,6 +266,17 @@ class StackedEval:
         value, gradient, hessian = self.split(self.packed, p)
         return value, gradient, _symmetrized(hessian)
 
+    def first(self, p: int):
+        """Row 0 as an :class:`ObjectiveEval`, or NaO where it is NaO."""
+        if not self.ok[0]:
+            return NaO
+        value, gradient, hessian = self.split(self.packed[:1], p)
+        return ObjectiveEval(value[0], gradient[0], hessian[0])
+
+
+# the row index of a stack of one data set, evaluated at one point
+_ONE_ROW = np.zeros(1, dtype=int)
+
 
 class StackedObjective:
     """An objective over a data stack, ``q(rows, thetas) -> StackedEval``.
@@ -271,8 +285,10 @@ class StackedObjective:
     ``n_rows`` is the stack's number of data sets.  ``kernel(rows, thetas)``
     returns (value, gradient, Hessian) arrays, with symmetric Hessians and
     NaN where the likelihood cannot be evaluated; it only sees rows inside
-    the domain.  Out-of-domain, NaO and non-finite rows come back NaO, so
-    each row is what :meth:`LikModel.objective` gives for its data set.
+    the domain.  Rows of the wrong width, out of the domain or with a
+    non-finite evaluation come back NaO: these are the only NaO rules of a
+    model's likelihood, which :meth:`LikModel.objective` reads as a stack of
+    one.
     """
 
     def __init__(self, domain: OpenBox, n_rows: int, kernel):
@@ -282,7 +298,8 @@ class StackedObjective:
 
     @classmethod
     def looped(cls, objectives: list, domain: OpenBox) -> "StackedObjective":
-        """A stack of single-point objectives, evaluated one row at a time."""
+        """A stack of single-point objective callables, evaluated one row at a
+        time (a model's stack is :meth:`LikModel.stacked_objective`)."""
 
         def kernel(rows, thetas):
             m, p = thetas.shape
@@ -316,34 +333,42 @@ def _pack(value, gradient, hessian) -> np.ndarray:
 class LikModel:
     """Evaluation contract for a statistical model.
 
-    Subclasses set ``dim_param`` and ``domain`` and provide a deterministic
-    ``eval(data, theta) -> ObjectiveEval`` (or NaO where the likelihood
-    cannot be evaluated), a ``simulate(theta, rng) -> data`` draw, a
-    ``start(data)`` heuristic used to initialize Newton's method, and a
-    ``parse_data(flat)`` reader for data files.  A Monte Carlo level is one
-    *data stack*, drawn, started and refit in that form: an ``ndarray`` whose
-    rows are data sets for a model with a vectorized likelihood (which
-    overrides :meth:`stack_data` and :meth:`stacked_objective`), else a list.
+    Subclasses set ``dim_param`` and ``domain`` and provide the log
+    likelihood as one vectorized kernel, ``loglik(stack, thetas)``, a
+    ``stack_data(datas)`` that lays data sets out as the rows of an array,
+    a ``simulate(theta, rng) -> data`` draw, a ``start(data)`` heuristic
+    used to initialize Newton's method, and a ``parse_data(flat)`` reader
+    for data files.  A Monte Carlo level is one such *data stack*, drawn,
+    started and refit in that form; a single data set is a stack of one.
     """
 
     dim_param: int
     domain: OpenBox
 
-    def eval(self, data, theta: np.ndarray):
+    def loglik(self, stack: np.ndarray, thetas: np.ndarray):
+        """The log likelihood of data set ``stack[j]`` at ``thetas[j]``, for every
+        row j at once: value ``(m,)``, gradient ``(m, p)`` and symmetric Hessian
+        ``(m, p, p)``, NaN where the likelihood cannot be evaluated.
+
+        It sees only parameters inside the domain, and computes each row
+        exactly as it would a stack of that row alone.  It is the model's only
+        likelihood formula: :meth:`objective` and :meth:`stacked_objective`
+        add the NaO rules.
+        """
         raise NotImplementedError
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator):
         raise NotImplementedError
 
-    def simulate_stack(self, theta: np.ndarray, rngs):
+    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
         """The data stack of one draw per stream: data set ``i`` uses ``rngs[i]``
         alone, exactly as ``simulate`` would."""
         return self.stack_data([self.simulate(theta, rng) for rng in rngs])
 
-    def stack_data(self, datas):
-        """The data stack of a list of data sets (by default the list itself); a
-        data stack is returned unchanged."""
-        return list(datas)
+    def stack_data(self, datas) -> np.ndarray:
+        """The data stack of a list of data sets, one row each (by default the
+        data sets as a float array); a data stack is returned as it is."""
+        return np.asarray(datas, dtype=float)
 
     def start(self, data) -> np.ndarray:
         """Newton's start for a data set."""
@@ -367,32 +392,39 @@ class LikModel:
         raise NotImplementedError
 
     def objective(self, data) -> Objective:
-        """Objective ``theta -> ObjectiveEval`` for fixed data.
+        """Objective ``theta -> ObjectiveEval`` for fixed data: row 0 of
+        :meth:`stacked_objective` on the stack of this one data set.
 
-        Evaluations outside the domain, NaO-valued evaluations, and
-        non-finite evaluations all come back as NaO.
+        NaO in gives NaO out, and so does a parameter of the wrong length,
+        outside the domain, or with a non-finite evaluation.
         """
+        stacked = self.stacked_objective([data])
 
         def q(theta):
             if is_nao(theta):
                 return NaO
             th = np.atleast_1d(np.asarray(theta, dtype=float))
-            if not self.domain.contains(th):
-                return NaO
-            ev = self.eval(data, th)
-            if is_nao(ev) or not ev.all_finite():
-                return NaO
-            return ev
+            return stacked(_ONE_ROW, th[None]).first(th.size) if th.ndim == 1 else NaO
 
         return q
 
     def stacked_objective(self, datas) -> StackedObjective:
-        """Objective over a data stack or a list of data sets, with the rules of
-        :meth:`objective`.
+        """:meth:`loglik` over a data stack (or a list of data sets), with the NaO
+        rules of :class:`StackedObjective`."""
+        stack = self.stack_data(datas)
+        # blocks of rows keep a kernel's temporaries near 1 MB (the animal
+        # model's weights are eight times its rows)
+        block = max(1, 2**14 // max(1, math.prod(stack.shape[1:])))
 
-        The default evaluates ``objective(data)`` one row at a time.
-        """
-        return StackedObjective.looped([self.objective(d) for d in self.stack_data(datas)], self.domain)
+        def kernel(rows, thetas):
+            if len(rows) <= block:
+                return self.loglik(stack[rows], thetas)
+            parts = [
+                self.loglik(stack[rows[i : i + block]], thetas[i : i + block]) for i in range(0, len(rows), block)
+            ]
+            return tuple(np.concatenate(column) for column in zip(*parts))
+
+        return StackedObjective(self.domain, len(stack), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +470,8 @@ def quadratic_eval(u: float, z: np.ndarray, k: np.ndarray, theta: np.ndarray) ->
 
     value ``u + z.theta - theta'k theta / 2``, gradient ``z - k theta``,
     Hessian ``-k``, for a float parameter vector of matching length and
-    symmetric ``k``; no NaO or shape checks, so models can call it per eval.
-    It is :func:`quadratic_stack` at one point.
+    symmetric ``k``; no NaO or shape checks.  It is :func:`quadratic_stack`
+    at one point.
     """
     return ObjectiveEval(*quadratic_stack(u, z, k, theta))
 
@@ -472,7 +504,7 @@ class ShiftedObjective:
     subtracted; gradients and Hessians carry the ``1/tau`` and ``1/tau**2``
     chain-rule factors.  Evaluations landing outside the model domain give
     NaO.  :meth:`stack` evaluates a stack of shifts in one call of the
-    model's stacked objective.
+    model's stacked objective; a single shift is row 0 of a stack of one.
     """
 
     def __init__(self, model: LikModel, data, psi, tau: float = 1.0, tau_sq: float | None = None):
@@ -488,36 +520,23 @@ class ShiftedObjective:
         # callers with an exact squared rate (tau = sqrt(n)) can pass tau_sq = n
         # so the Hessian rescaling is free of the sqrt-then-square rounding
         self.tau_sq = float(tau_sq) if tau_sq is not None else self.tau * self.tau
-        self._objective = model.objective(data)
-        base = self._objective(psi)
-        if is_nao(base):
+        self._stacked = model.stacked_objective([data])
+        base = self._stacked(_ONE_ROW, psi[None])
+        if not base.ok[0]:
             raise ValueError("objective is not finite at psi")
-        self.base_value = base.value
+        self.base_value = float(base.packed[0, 0])
 
     def __call__(self, delta):
         if is_nao(delta):
             return NaO
         d = np.atleast_1d(np.asarray(delta, dtype=float))
-        ev = self._objective(self.psi + d / self.tau)
-        if is_nao(ev):
-            return NaO
-        return ObjectiveEval(
-            ev.value - self.base_value,
-            ev.gradient / self.tau,
-            ev.hessian / self.tau_sq,
-        )
-
-    @cached_property
-    def _stacked(self) -> StackedObjective:
-        return self.model.stacked_objective([self.data])
+        return self.stack(d[None]).first(self.psi.size) if d.ndim == 1 else NaO
 
     def stack(self, deltas) -> StackedEval:
         """This objective at each row of an ``(m, p)`` stack of shifts.
 
-        Row j holds, packed, what ``self(deltas[j])`` gives, with the
-        Hessian symmetrized before and after rescaling as the two
-        :class:`ObjectiveEval` constructions of that call do; ``ok`` is
-        False where it gives NaO.
+        The Hessian of row j is the model's, symmetrized, rescaled and
+        symmetrized again; ``ok`` is False where the row is NaO.
         """
         d = np.asarray(deltas, dtype=float)
         ev = self._stacked(np.zeros(len(d), dtype=int), self.psi + d / self.tau)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
 from .core import LikModel, MaybeParam, NaO, is_nao, spd_factor
-from .newton import NewtonTrace, safeguarded_maximize
+from .newton import NewtonTrace, lockstep_fit
 
 # ---------------------------------------------------------------------------
 # Chi-square upper tail and quantile
@@ -77,29 +77,23 @@ def fit_mle(
 ) -> MleResult:
     """Maximize the model's log likelihood by safeguarded Newton.
 
-    Starts from ``model.start(data)`` unless an explicit start is given.
-    A run that does not satisfy the gradient criterion yields an NaO result
-    (the partial trace is retained); a start where the objective is NaO
-    yields an NaO result with the degenerate empty trace, as a bootstrap
-    replicate does.
+    A lockstep fit of one row, the data set's stack of one, from
+    ``model.start(data)`` unless an explicit start is given; the observed
+    information is read from the fit's final evaluation.  A run that does
+    not satisfy the gradient criterion yields an NaO result (the partial
+    trace is retained); a start where the objective is NaO yields an NaO
+    result with the degenerate empty trace, as a bootstrap replicate does.
     """
-    objective = model.objective(data)
-    x0 = model.start(data) if start is None else np.asarray(start, dtype=float)
-    first = [objective(x0)]
-    if is_nao(first[0]):
+    x0 = model.start(data) if start is None else start
+    if is_nao(x0):
         return MleResult(NaO, None, NewtonTrace([], [], False, 0))
-
-    def q(theta):
-        # the ascent evaluates its start first: hand it the evaluation above
-        return first.pop() if first else objective(theta)
-
-    theta, trace = safeguarded_maximize(q, x0, tol=tol, max_steps=max_steps)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    theta, (trace,), final = lockstep_fit(model.stacked_objective([data]), x0[None], tol, max_steps)
+    if is_nao(trace):
+        return MleResult(NaO, None, NewtonTrace([], [], False, 0))
     if not trace.converged:
         return MleResult(NaO, None, trace)
-    ev = objective(theta)
-    if is_nao(ev):
-        return MleResult(NaO, None, trace)
-    return MleResult(theta, -ev.hessian, trace)
+    return MleResult(theta[0], -final.parts(x0.size)[2][0], trace)
 
 
 def symmetric_sqrt(m) -> MaybeParam:

@@ -16,17 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    LikModel,
-    NaO,
-    Objective,
-    ObjectiveEval,
-    OpenBox,
-    StackedObjective,
-    quadratic_eval,
-    quadratic_stack,
-    spd_factor,
-)
+from .core import LikModel, NaO, ObjectiveEval, OpenBox, quadratic_stack, spd_factor
 from .lamn import LamnDraw, LamnSpec, sample_lamn, sample_lamn_stack
 from .rng import derive_rng
 
@@ -52,16 +42,12 @@ class LanNormalLocation(LikModel):
         self.dim_param = k.shape[0]
         self.domain = OpenBox.unbounded(self.dim_param)
 
-    def eval(self, data, theta: np.ndarray) -> ObjectiveEval:
-        return quadratic_eval(0.0, np.asarray(data, dtype=float), self.k, theta)
+    def loglik(self, stack: np.ndarray, thetas: np.ndarray):
+        return quadratic_stack(0.0, stack, self.k, thetas)
 
     def stack_data(self, datas) -> np.ndarray:
         """The z vectors as the rows of an ``(m, p)`` stack."""
         return np.asarray(datas, dtype=float).reshape(len(datas), self.dim_param)
-
-    def stacked_objective(self, datas) -> StackedObjective:
-        z = self.stack_data(datas)
-        return StackedObjective(self.domain, len(z), lambda rows, thetas: quadratic_stack(0.0, z[rows], self.k, thetas))
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -89,8 +75,9 @@ class WishartLamnModel(LikModel):
         self.dim_param = spec.dim
         self.domain = OpenBox.unbounded(spec.dim)
 
-    def eval(self, data: LamnDraw, theta: np.ndarray) -> ObjectiveEval:
-        return quadratic_eval(0.0, data.z, data.k, theta)
+    def loglik(self, stack: np.ndarray, thetas: np.ndarray):
+        p = self.dim_param
+        return quadratic_stack(0.0, stack[:, :p], stack[:, p:].reshape(len(stack), p, p), thetas)
 
     def stack_data(self, datas) -> np.ndarray:
         """Draws as the rows of an ``(m, p + p*p)`` stack, z then k row-major."""
@@ -98,13 +85,6 @@ class WishartLamnModel(LikModel):
             return datas
         p = self.dim_param
         return np.array([np.concatenate([d.z, d.k.ravel()]) for d in datas]).reshape(len(datas), p + p * p)
-
-    def stacked_objective(self, datas) -> StackedObjective:
-        stack, p = self.stack_data(datas), self.dim_param
-        z, k = stack[:, :p], stack[:, p:].reshape(len(stack), p, p)
-        return StackedObjective(
-            self.domain, len(stack), lambda rows, thetas: quadratic_stack(0.0, z[rows], k[rows], thetas)
-        )
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> LamnDraw:
         return sample_lamn(self.spec, theta, rng)
@@ -178,19 +158,28 @@ def _theta_scalar(theta) -> float:
     return float(th[0])
 
 
+def _row_dots(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``x[j] @ v[j]`` for each row j, bit for bit (a matrix-vector product is not)."""
+    return np.matmul(x[:, None, :], v[..., None])[:, 0, 0]
+
+
+def _ar1_kernel(paths: np.ndarray, theta: np.ndarray):
+    """(value, gradient, Hessian) of each path (row) of ``paths`` at ``theta[j]``."""
+    lag = paths[:, :-1]
+    resid = paths[:, 1:] - theta[:, None] * lag
+    value = -0.5 * _row_dots(resid, resid)
+    return value, _row_dots(lag, resid)[:, None], -_row_dots(lag, lag)[:, None, None]
+
+
 def ar1_loglik(data: Ar1Data, theta) -> ObjectiveEval:
     """Gaussian log likelihood of the autoregression (variance known, one).
 
     value ``-sum (X_i - theta X_{i-1})^2 / 2``; the Hessian
-    ``-sum X_{i-1}^2`` does not involve theta at all.
+    ``-sum X_{i-1}^2`` does not involve theta at all.  It is
+    :meth:`Ar1Model.loglik` on a stack of one path.
     """
-    th = _theta_scalar(theta)
-    lag = data.x[:-1]
-    resid = data.x[1:] - th * lag
-    value = -0.5 * float(resid @ resid)
-    grad = float(lag @ resid)
-    hess = -float(lag @ lag)
-    return ObjectiveEval(value, np.array([grad]), np.array([[hess]]))
+    value, grad, hess = _ar1_kernel(data.x[None], np.array([_theta_scalar(theta)]))
+    return ObjectiveEval(value[0], grad[0], hess[0])
 
 
 def ar1_expected_info(theta: float, n: int, x0: float) -> float:
@@ -202,7 +191,8 @@ def ar1_expected_info(theta: float, n: int, x0: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    e = float(x0) ** 2
+    x0 = float(x0)
+    e = x0 * x0  # inf past about 1.3e154, where ``x0 ** 2`` raises
     total = e
     for _ in range(n - 1):
         e = theta * theta * e + 1.0
@@ -222,8 +212,14 @@ class Ar1Model(LikModel):
         self.dim_param = 1
         self.domain = OpenBox.unbounded(1)
 
-    def eval(self, data: Ar1Data, theta: np.ndarray) -> ObjectiveEval:
-        return ar1_loglik(data, theta)
+    def loglik(self, stack: np.ndarray, thetas: np.ndarray):
+        return _ar1_kernel(stack, thetas[:, 0])
+
+    def stack_data(self, datas) -> np.ndarray:
+        """The paths as the rows of an ``(m, n + 1)`` stack."""
+        if isinstance(datas, np.ndarray):
+            return datas
+        return np.array([d.x for d in datas]).reshape(len(datas), self.n + 1)
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> Ar1Data:
         x0 = float(rng.standard_normal()) if self.random_x0 else self.x0
@@ -595,13 +591,6 @@ def _moment_design(a: RelationshipMatrix) -> np.ndarray | None:
     return None if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0) else design
 
 
-@dataclass(frozen=True, eq=False)
-class RotatedResponse:
-    """A trait vector in the eigenbasis of A, ``qty = Q'y``."""
-
-    qty: np.ndarray
-
-
 # the animal model's parameters (mu, log sigma2, log tau2): the bound on
 # |phi| inside which it is evaluated (mu finite), which entries are log
 # variances, and where the chain rule adds the gradient to the Hessian
@@ -617,10 +606,13 @@ class AnimalModel(LikModel):
     makes the parameter domain the whole space; reported results map back
     to natural variances.  The eigendecomposition of A is computed once per
     matrix (``RelationshipMatrix.kernel``) and shared read-only by every
-    evaluation and simulation.  ``objective(y)`` rotates the response once,
-    an O(N^2) product, and each evaluation then costs O(N); the data stack
-    is the rotated responses ``Q'y``, and ``eval`` takes a raw response
-    (rotated on every call) or a :class:`RotatedResponse`.
+    evaluation and simulation.  A data set is a raw response y; the data
+    stack holds the rotated responses ``Q'y``, one O(N^2) product per data
+    set (so ``objective(y)`` rotates once).  :meth:`loglik` then costs O(N)
+    a row: it takes ``Q'y`` rows and (mu, log sigma2, log tau2) rows, and
+    gives NaN where V is numerically singular or a log variance lies past
+    700, and a non-finite row, without a warning, where the log-scale
+    products overflow (a log variance past about 355); both are NaO.
     """
 
     def __init__(self, a: RelationshipMatrix):
@@ -645,46 +637,15 @@ class AnimalModel(LikModel):
     def phi_to_params(phi: np.ndarray) -> AnimalParams:
         return AnimalParams(float(phi[0]), float(np.exp(phi[1])), float(np.exp(phi[2])))
 
-    def rotate(self, data) -> RotatedResponse:
-        """``Q'y`` of a raw response; a RotatedResponse is returned as is."""
-        if isinstance(data, RotatedResponse):
-            return data
-        return RotatedResponse(self._kernel.rotate(data))
-
-    def objective(self, data) -> Objective:
-        return super().objective(self.rotate(data))
-
     def stack_data(self, datas) -> np.ndarray:
-        """``Q'y`` of responses (raw or rotated) as the rows of an ``(m, N)`` stack."""
+        """``Q'y`` of raw responses as the rows of an ``(m, N)`` stack."""
         if isinstance(datas, np.ndarray):
             return datas
-        return np.array([self.rotate(y).qty for y in datas]).reshape(len(datas), self.n_individuals)
+        return np.array([self._kernel.rotate(y) for y in datas]).reshape(len(datas), self.n_individuals)
 
-    def stacked_objective(self, datas) -> StackedObjective:
-        qty = self.stack_data(datas)
-        # blocks of rows keep the kernel's (rows, 8, N) weights near 1 MB
-        block = max(1, 2**14 // self.n_individuals)
-
-        def kernel(rows, thetas):
-            parts = [
-                self._log_scale_eval(qty[rows[i : i + block]], thetas[i : i + block])
-                for i in range(0, len(rows), block)
-            ]
-            return tuple(np.concatenate(column) for column in zip(*parts))
-
-        return StackedObjective(self.domain, len(qty), kernel)
-
-    def eval(self, data, theta: np.ndarray):
-        value, grad, hess = self._log_scale_eval(self.rotate(data).qty, np.asarray(theta, dtype=float))
-        # an overflowed Hessian (an overflowed gradient reaches its diagonal)
-        # is NaO here, before ObjectiveEval's symmetry check warns on inf - inf
-        if np.isnan(value) or not np.isfinite(hess).all():
-            return NaO
-        return ObjectiveEval(value, grad, hess)
-
-    def _log_scale_eval(self, qty: np.ndarray, theta: np.ndarray):
-        """(value, gradient, Hessian) over (mu, log sigma2, log tau2), over a
-        trailing axis like ``natural_eval``; NaN where it cannot be evaluated."""
+    def loglik(self, qty: np.ndarray, theta: np.ndarray):
+        """(value, gradient, Hessian) over (mu, log sigma2, log tau2) from ``Q'y``,
+        over a trailing axis like ``natural_eval``."""
         outside = ~(np.abs(theta) <= _PHI_BOUND).all(axis=-1)
         if outside.any():
             theta = np.where(outside[..., None], 0.0, theta)
@@ -724,19 +685,15 @@ class AnimalModel(LikModel):
         if n < 3:
             return np.full((m, 3), np.nan)
         kernel = self._kernel
-
-        def dots(x, v):  # ``x[j] @ v[j]`` a row, bit for bit (a matrix-vector product is not)
-            return np.matmul(x[:, None, :], v[..., None])[:, 0, 0]
-
-        mu0 = dots(qty, kernel.ones_t) / n
+        mu0 = _row_dots(qty, kernel.ones_t) / n
         r = qty - mu0[:, None] * kernel.ones_t
-        r_r = dots(r, r)
+        r_r = _row_dots(r, r)
         var_y = np.maximum(r_r / (n - 1), 1e-12)
         design = _moment_design(self.relationship)
         if design is None:
             s2 = t2 = var_y / 2.0
         else:
-            rhs = np.stack([dots(r * r, kernel.lam), r_r], axis=1)
+            rhs = np.stack([_row_dots(r * r, kernel.lam), r_r], axis=1)
             s2, t2 = np.linalg.solve(np.broadcast_to(design, (m, 2, 2)), rhs[:, :, None])[:, :, 0].T
         floor = 1e-3 * var_y
         s2, t2 = np.maximum(s2, floor), np.maximum(t2, floor)
@@ -762,11 +719,14 @@ class NormalLocationIid(LikModel):
         self.dim_param = self.p
         self.domain = OpenBox.unbounded(self.p)
 
-    def eval(self, data, theta: np.ndarray) -> ObjectiveEval:
-        x = np.asarray(data, dtype=float).reshape(self.n, self.p)
-        resid = x - theta
-        value = -0.5 * float(np.sum(resid * resid))
-        return ObjectiveEval(value, resid.sum(axis=0), -self.n * np.eye(self.p))
+    def loglik(self, stack: np.ndarray, thetas: np.ndarray):
+        resid = stack - thetas[:, None, :]
+        value = -0.5 * (resid * resid).sum(axis=(1, 2))
+        return value, resid.sum(axis=1), np.broadcast_to(-self.n * np.eye(self.p), (len(stack), self.p, self.p))
+
+    def stack_data(self, datas) -> np.ndarray:
+        """The samples as the ``(n, p)`` rows of an ``(m, n, p)`` stack."""
+        return np.asarray(datas, dtype=float).reshape(len(datas), self.n, self.p)
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return theta + rng.standard_normal((self.n, self.p))
@@ -786,14 +746,15 @@ class ExponentialRateIid(LikModel):
         self.dim_param = 1
         self.domain = OpenBox(np.array([0.0]), np.array([np.inf]))
 
-    def eval(self, data, theta: np.ndarray) -> ObjectiveEval:
-        x = np.asarray(data, dtype=float)
-        th = float(theta[0])
-        total = float(x.sum())
+    def loglik(self, stack: np.ndarray, thetas: np.ndarray):
+        th = thetas[:, 0]
+        total = stack.sum(axis=1)
         value = self.n * np.log(th) - th * total
-        grad = np.array([self.n / th - total])
-        hess = np.array([[-self.n / th**2]])
-        return ObjectiveEval(value, grad, hess)
+        return value, (self.n / th - total)[:, None], (-self.n / th**2)[:, None, None]
+
+    def stack_data(self, datas) -> np.ndarray:
+        """The samples as the rows of an ``(m, n)`` stack."""
+        return np.asarray(datas, dtype=float).reshape(len(datas), self.n)
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(scale=1.0 / float(theta[0]), size=self.n)

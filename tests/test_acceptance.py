@@ -254,8 +254,9 @@ def test_criterion_6_animal_model():
         rel_err(ev_nat.gradient, fd_gradient(value_nat, point)) < 1e-6
         and rel_err(ev_nat.hessian, fd_hessian(value_nat, point)) < 1e-4
     )
-    ev_log = model.eval(y0, phi_truth)
-    value_log = lambda v: model.eval(y0, v).value
+    q0 = model.objective(y0)
+    ev_log = q0(phi_truth)
+    value_log = lambda v: q0(v).value
     ok_fd = ok_fd and rel_err(ev_log.gradient, fd_gradient(value_log, phi_truth)) < 1e-6
     ok_fd = ok_fd and rel_err(ev_log.hessian, fd_hessian(value_log, phi_truth)) < 1e-4
 

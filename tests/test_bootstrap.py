@@ -27,7 +27,7 @@ from quadlik import (
     wishart_lamn_model,
 )
 from quadlik.cli import _heritability_pivot
-from quadlik.core import LikModel, NaO, ObjectiveEval, OpenBox, StackedObjective, spd_factor
+from quadlik.core import LikModel, NaO, OpenBox, spd_factor
 from quadlik.models import LanNormalLocation, WishartLamnModel
 
 
@@ -175,26 +175,21 @@ class HessianModel(LikModel):
     """Toy model whose data set is the evaluation itself: a value and a Hessian
     (gradient 0), whatever the parameter.
 
-    Its stacked kernel hands them back as given, as the quadratic models'
-    kernels do, so only the pivot's own arithmetic is under test.
+    Its kernel hands them back as given, as the quadratic models' kernels do,
+    so only the pivot's own arithmetic is under test.
     """
 
     def __init__(self, p):
         self.dim_param = p
         self.domain = OpenBox.unbounded(p)
 
-    def eval(self, data, theta):
-        value, hessian = data
-        return ObjectiveEval(value, np.zeros(self.dim_param), hessian)
+    def stack_data(self, datas):
+        """Rows of the value, then the Hessian row-major."""
+        return np.array([np.concatenate([[v], np.ravel(h)]) for v, h in datas]).reshape(len(datas), -1)
 
-    def stacked_objective(self, datas):
-        values = np.array([v for v, _ in datas])
-        h = np.array([h for _, h in datas])
-
-        def kernel(rows, thetas):
-            return values[rows], np.zeros((len(rows), self.dim_param)), h[rows]
-
-        return StackedObjective(self.domain, len(datas), kernel)
+    def loglik(self, stack, thetas):
+        p = self.dim_param
+        return stack[:, 0], np.zeros((len(stack), p)), stack[:, 1:].reshape(len(stack), p, p)
 
 
 # moderate, near the float maximum (either sign), and NaN entries

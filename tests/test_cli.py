@@ -622,3 +622,25 @@ class TestNonFiniteMonteCarloChecks:
         assert code == EXIT_NAO and report["status"] == "NaO"
         assert report["info_0_dev_se"] <= 4.0
         assert report["info_1_mc_se"] == report["info_1_dev_se"] == "nan"
+
+    def test_ar1_study_overflowing_start(self, tmp_path):
+        # x0 ** 2 overflows: the recursion's expected information is inf, not a traceback
+        code, report = self.run(tmp_path, "ar1-study", thetas=[0.5], n=10, x0=1e200, mc_paths=100)
+        assert code == EXIT_NAO and report["status"] == "NaO"
+        assert report["info_0_recursion"] == "inf" and report["info_0_dev_se"] == "nan"
+
+
+class TestClassicalExponentialPsi:
+    """The exponential unit's psi is one finite positive rate."""
+
+    @pytest.mark.parametrize("psi", [[0], [-1], [1, 2]], ids=["zero", "negative", "two-entries"])
+    def test_bad_rate_names_key(self, tmp_path, capsys, psi):
+        path = write_config(
+            tmp_path, "c.json", experiment="classical-comparison", out="r",
+            unit="exponential", psi=psi, ladder=[10], replications=3,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classical-comparison", "--config", path]) == EXIT_INPUT_ERROR
+        assert "config.psi" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()

@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from conftest import random_spd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlik import (
+    AnimalModel,
+    AnimalParams,
+    Ar1Model,
+    ExponentialRateIid,
     GridBox,
+    LamnSpec,
     NaO,
+    NormalLocationIid,
     QuadraticForm,
+    WishartCurvature,
     confidence_region,
     derive_rng,
     is_nao,
@@ -18,10 +28,14 @@ from quadlik import (
     newton_iterate,
     newton_step,
     quadratic_loglik,
+    relationship_matrix,
     standardized_estimator,
     symmetric_sqrt,
+    synthetic_pedigree,
     wald_pivot,
+    wishart_lamn_model,
 )
+from quadlik.funcspace import value_function
 from quadlik.inference import MleResult
 from quadlik.lamn import LamnDraw
 from quadlik.newton import NewtonTrace
@@ -116,3 +130,72 @@ class TestAr1NonExamplePair:
         assert report.d2 == 0.0
         test = hessian_invariance_test(model, np.array([0.0]), np.array([0.9]), 1200, 93)
         assert test.p_value < 0.01
+
+
+# (model, psi, a strategy for an entry outside the domain, a strategy for
+# entries inside it whose evaluation is not finite, the axes those go on)
+_UNBOUNDED = st.sampled_from([np.nan, np.inf, -np.inf])
+_HUGE = st.floats(1e160, 1e300) | st.floats(-1e300, -1e160)
+NAO_CASES = {
+    "lan": (lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])), np.array([0.3, -0.2]), _UNBOUNDED, _HUGE, [0, 1]),
+    "wishart": (
+        wishart_lamn_model(LamnSpec(2, WishartCurvature(5.0, np.eye(2) / 5.0))),
+        np.array([0.4, 0.1]), _UNBOUNDED, _HUGE, [0, 1],
+    ),
+    "ar1": (Ar1Model(12, x0=1.0), np.array([0.5]), _UNBOUNDED, _HUGE, [0]),
+    # past a log variance of 355 the log-scale Hessian overflows
+    "animal": (
+        AnimalModel(relationship_matrix(synthetic_pedigree(6, 9, 2, 17))),
+        AnimalModel.params_to_phi(AnimalParams(0.5, 1.2, 0.8)),
+        _UNBOUNDED, st.floats(356.0, 1e300), [2],
+    ),
+    "iid_normal": (NormalLocationIid(2, 7), np.array([0.1, -0.4]), _UNBOUNDED, _HUGE, [0, 1]),
+    # a rate under about 3e-308 overflows the score n / rate
+    "iid_exponential": (
+        ExponentialRateIid(6), np.array([1.3]), st.floats(max_value=0.0) | st.just(np.inf), st.floats(5e-324, 1e-310), [0],
+    ),
+}
+
+
+class TestNaOPropagationProperty:
+    """NaO in gives NaO out of every public operation, and a model's objective
+    is NaO at a parameter of the wrong length, outside the domain, or with a
+    non-finite evaluation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(NAO_CASES)), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_nao_in_nao_out(self, kind, seed, data):
+        model, psi, outside, blowup, axes = NAO_CASES[kind]
+        p = psi.size
+        rng = np.random.default_rng(seed)
+        sample = model.simulate(psi, derive_rng(seed))
+        q = model.objective(sample)
+        form = QuadraticForm(rng.standard_normal(), rng.standard_normal(p), random_spd(rng, p))
+        fit = MleResult(psi, form.k, NewtonTrace([psi], [0.0], True, 0))
+        nao_fit = MleResult(NaO, None, NewtonTrace([], [], False, 0))
+        results = [
+            newton_step(q, NaO),
+            newton_iterate(q, NaO)[0],
+            quadratic_loglik(form, NaO),
+            wald_pivot(NaO, psi, form.k),
+            wald_pivot(psi, NaO, form.k),
+            wald_pivot(psi, psi, NaO),
+            symmetric_sqrt(NaO),
+            standardized_estimator(nao_fit, psi),
+            standardized_estimator(fit, NaO),
+            lamn_loglik(LamnDraw(form.z, form.k), NaO),
+            value_function(q)(NaO),
+            local_shift(model, sample, psi)(NaO),
+            q(NaO),
+        ]
+        assert all(r is NaO for r in results)
+        assert not is_nao(q(psi))
+
+        out = psi.copy()
+        out[data.draw(st.integers(0, p - 1))] = data.draw(outside)
+        wrong = data.draw(st.sampled_from([psi[:-1], np.append(psi, 0.0), psi[None]]))
+        far = psi.copy()
+        for j in data.draw(st.lists(st.sampled_from(axes), min_size=1, unique=True)):
+            far[j] = data.draw(blowup)
+        with np.errstate(all="ignore"):
+            assert q(out) is NaO and q(wrong) is NaO and q(far) is NaO

@@ -41,7 +41,7 @@ from quadlik import (
 )
 from quadlik.cli import _heritability_pivot
 from quadlik.core import QuadraticForm, spd_factor
-from quadlik.models import DataFormatError, PedigreeError, RotatedResponse, _AnimalKernel
+from quadlik.models import DataFormatError, LanNormalLocation, PedigreeError, WishartLamnModel, _AnimalKernel
 
 
 class _ZeroNoise:
@@ -260,8 +260,9 @@ class TestAnimalLoglik:
         a, y, params = self._instance(21)
         model = AnimalModel(a)
         phi = AnimalModel.params_to_phi(params)
-        ev = model.eval(y, phi)
-        value = lambda v: model.eval(y, v).value
+        q = model.objective(y)
+        ev = q(phi)
+        value = lambda v: q(v).value
         assert rel_err(ev.gradient, fd_gradient(value, phi)) < 1e-6
         assert rel_err(ev.hessian, fd_hessian(value, phi, h=1e-4)) < 1e-4
 
@@ -295,20 +296,23 @@ class TestAnimalRotation:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_objective_matches_eval_bitwise(self, phi, seed):
+        # objective(y) is a row of the stacked objective of raw responses or of Q'y
         model = self.MODEL
         y = model.simulate(self.TRUTH, derive_rng(seed))
         phi = np.array(phi)
-        evals = [model.objective(y)(phi), model.eval(y, phi), model.eval(model.rotate(y), phi)]
-        for ev in evals[1:]:
-            assert ev.value == evals[0].value
-            assert np.array_equal(ev.gradient, evals[0].gradient)
-            assert np.array_equal(ev.hessian, evals[0].hessian)
+        ev = model.objective(y)(phi)
+        thetas = np.array([self.TRUTH, phi])
+        for stack in ([y, y], model.stack_data([y, y])):
+            value, gradient, hessian = model.stacked_objective(stack)(np.arange(2), thetas).parts(3)
+            assert value[1] == ev.value
+            assert np.array_equal(gradient[1], ev.gradient)
+            assert np.array_equal(hessian[1], ev.hessian)
         # the natural-scale entry point rotates through the same kernel
         s2, t2 = float(np.exp(phi[1])), float(np.exp(phi[2]))
         natural = animal_loglik(model.relationship, y, AnimalParams(phi[0], s2, t2))
-        assert natural.value == pytest.approx(evals[0].value, rel=1e-12, abs=1e-12)
+        assert natural.value == pytest.approx(ev.value, rel=1e-12, abs=1e-12)
         chain = natural.gradient * np.array([1.0, s2, t2])
-        assert np.allclose(chain, evals[0].gradient, rtol=1e-10, atol=1e-12)
+        assert np.allclose(chain, ev.gradient, rtol=1e-10, atol=1e-12)
 
     def test_one_rotation_per_objective(self, monkeypatch):
         calls = []
@@ -331,13 +335,11 @@ class TestAnimalRotation:
         fit = fit_mle(model, y)
         assert fit.converged and fit.trace.steps > 0
         assert len(calls) == 3
-        # a raw response handed to eval is rotated on each call; a rotated one never
-        model.eval(y, self.TRUTH)
-        assert len(calls) == 4
-        rotated = model.rotate(y)
-        assert isinstance(rotated, RotatedResponse) and model.rotate(rotated) is rotated
-        model.eval(rotated, self.TRUTH)
-        model.objective(rotated)(self.TRUTH)
+        # a stack of raw responses rotates each once; a stack of Q'y never
+        stack = model.stack_data([y, y])
+        assert len(calls) == 5
+        assert model.stack_data(stack) is stack
+        model.stacked_objective(stack)(np.arange(2), np.array([self.TRUTH, self.TRUTH]))
         assert len(calls) == 5
 
     @pytest.mark.parametrize("pivot_factory", [_heritability_pivot, make_wald_pivot], ids=["heritability", "wald"])
@@ -371,7 +373,6 @@ class TestLargeLogVariance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert is_nao(model.objective(y)(np.array(phi)))
-            assert is_nao(model.eval(y, np.array(phi)))
             ev = model.stacked_objective([y, y])(np.array([0, 1]), np.array([phi, self.TRUTH]))
         assert ev.ok.tolist() == [False, True]
 
@@ -458,7 +459,7 @@ class TestAnimalSimulate:
         rotated = model.stack_data(singles)
         assert rotated.shape == stack.shape
         for held, row, y in zip(stack, rotated, singles):
-            assert np.array_equal(row, model.rotate(y).qty)
+            assert np.array_equal(row, model.relationship.kernel.rotate(y))
             # simulate_stack forms Q'y without forming y: equal up to rounding
             assert rel_err(held, row) <= 1e-12
 
@@ -654,8 +655,9 @@ class TestIidHelpers:
         rng = derive_rng(3)
         data = model.simulate(np.array([0.5, -0.5]), rng)
         theta = np.array([0.2, 0.1])
-        ev = model.eval(data, theta)
-        value = lambda t: model.eval(data, t).value
+        q = model.objective(data)
+        ev = q(theta)
+        value = lambda t: q(t).value
         assert rel_err(ev.gradient, fd_gradient(value, theta)) < 1e-6
         assert rel_err(ev.hessian, fd_hessian(value, theta)) < 1e-4
 
@@ -663,8 +665,9 @@ class TestIidHelpers:
         model = ExponentialRateIid(9)
         data = model.simulate(np.array([2.0]), derive_rng(4))
         theta = np.array([1.5])
-        ev = model.eval(data, theta)
-        value = lambda t: model.eval(data, t).value
+        q = model.objective(data)
+        ev = q(theta)
+        value = lambda t: q(t).value
         assert rel_err(ev.gradient, fd_gradient(value, theta)) < 1e-6
         assert rel_err(ev.hessian, fd_hessian(value, theta)) < 1e-4
 
@@ -760,4 +763,112 @@ class TestWishartModelWrapper:
         model = wishart_lamn_model(spec)
         draw = model.simulate(np.zeros(2), derive_rng(31))
         theta = np.array([0.3, -0.7])
-        assert model.eval(draw, theta).value == pytest.approx(lamn_loglik(draw, theta))
+        assert model.objective(draw)(theta).value == pytest.approx(lamn_loglik(draw, theta))
+
+
+def quadratic_row(z, k, theta):
+    """The quadratic kernel at one point, term by term."""
+    kth = (k * theta[None, :]).sum(axis=-1)
+    return 0.0 + (z * theta).sum(axis=-1) - 0.5 * (theta * kth).sum(axis=-1), z - kth, -k
+
+
+def animal_row(model, y, phi):
+    """The log-scale animal likelihood of one raw response, from its own ``Q'y``."""
+    kernel = model.relationship.kernel
+    if not (np.abs(phi) <= np.array([np.finfo(float).max, 700.0, 700.0])).all():
+        return np.nan, np.full(3, np.nan), np.full((3, 3), np.nan)
+    scale = np.exp(phi * np.array([0.0, 1.0, 1.0]))
+    value, g, h = kernel.natural_eval(kernel.q.T @ y, phi[0], scale[1], scale[2])
+    grad = g * scale
+    hess = h * (scale[:, None] * scale[None, :])
+    hess += np.diag([0.0, 1.0, 1.0]) * grad[None, :]
+    return value, grad, hess
+
+
+def per_point_loglik(model, data, theta):
+    """Oracle: each model's likelihood formula for one data set at one point,
+    in scalar and 1-D arithmetic; None where it is NaO (outside the domain,
+    wrong length or a non-finite evaluation)."""
+    p = model.dim_param
+    if theta.shape != (p,) or not ((model.domain.lower < theta) & (theta < model.domain.upper)).all():
+        return None
+    if isinstance(model, LanNormalLocation):
+        row = quadratic_row(np.asarray(data, dtype=float), model.k, theta)
+    elif isinstance(model, WishartLamnModel):
+        row = quadratic_row(data.z, data.k, theta)
+    elif isinstance(model, Ar1Model):
+        lag = data.x[:-1]
+        resid = data.x[1:] - float(theta[0]) * lag
+        row = -0.5 * float(resid @ resid), np.array([float(lag @ resid)]), np.array([[-float(lag @ lag)]])
+    elif isinstance(model, AnimalModel):
+        row = animal_row(model, data, theta)
+    elif isinstance(model, NormalLocationIid):
+        resid = np.asarray(data, dtype=float).reshape(model.n, model.p) - theta
+        row = -0.5 * float(np.sum(resid * resid)), resid.sum(axis=0), -model.n * np.eye(model.p)
+    else:
+        total = float(np.asarray(data, dtype=float).sum())
+        # Python floats raise where th**2 under- or overflows (a rate below about
+        # 1.5e-154 or above 1.3e154); there the formula is taken in float64
+        for th in (float(theta[0]), np.float64(theta[0])):
+            try:
+                row = model.n * np.log(th) - th * total, np.array([model.n / th - total]), np.array([[-model.n / th**2]])
+                break
+            except (ZeroDivisionError, OverflowError):
+                continue
+    value, gradient, hessian = row
+    packed = np.concatenate([[value], gradient, np.ravel(hessian)])
+    return packed if np.isfinite(packed).all() else None
+
+
+KERNEL_CASES = {
+    "lan": (lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])), np.array([0.3, -0.2])),
+    "wishart": (wishart_lamn_model(LamnSpec(2, WishartCurvature(5.0, np.eye(2) / 5.0))), np.array([0.4, 0.1])),
+    "ar1": (Ar1Model(12, x0=1.0), np.array([0.5])),
+    "animal": (
+        AnimalModel(relationship_matrix(synthetic_pedigree(6, 9, 2, 17))),
+        AnimalModel.params_to_phi(AnimalParams(0.5, 1.2, 0.8)),
+    ),
+    # 6000 values a data set: the stacked objective evaluates it two rows at a time
+    "iid_normal": (NormalLocationIid(2, 3000), np.array([0.1, -0.4])),
+    "iid_exponential": (ExponentialRateIid(6), np.array([1.3])),
+}
+
+
+@st.composite
+def kernel_points(draw, psi):
+    """A parameter near psi, with some entries far out, non-finite or past the
+    animal model's log-variance overflow."""
+    entry = st.one_of(
+        st.floats(-2.0, 2.0),
+        st.floats(-1e300, 1e300),
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-320, 356.0, 800.0]),
+    )
+    return np.array([psi[j] + draw(st.floats(-2.0, 2.0)) if draw(st.booleans()) else draw(entry) for j in range(psi.size)])
+
+
+class TestOneLikelihoodKernel:
+    """Each model's stacked rows and ``objective(data)`` equal, bit for bit, its
+    likelihood evaluated one data set at one point, and are NaO exactly where
+    that is."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6))
+    def test_rows_equal_the_per_point_formula(self, kind, data, seed, m):
+        model, psi = KERNEL_CASES[kind]
+        datas = [model.simulate(psi, derive_rng(seed, "kernel", i)) for i in range(m)]
+        thetas = np.array([data.draw(kernel_points(psi)) for _ in range(m)])
+        p = psi.size
+        with np.errstate(all="ignore"):
+            ev = model.stacked_objective(datas)(np.arange(m), thetas)
+            for j in range(m):
+                expected = per_point_loglik(model, datas[j], thetas[j])
+                single = model.objective(datas[j])(thetas[j])
+                if expected is None:
+                    assert not ev.ok[j] and is_nao(single)
+                    continue
+                assert ev.ok[j] and ev.packed[j].tobytes() == expected.tobytes()
+                hessian = expected[p + 1 :].reshape(p, p)
+                assert np.float64(single.value).tobytes() == expected[:1].tobytes()
+                assert single.gradient.tobytes() == expected[1 : p + 1].tobytes()
+                assert single.hessian.tobytes() == (0.5 * hessian + 0.5 * hessian.T).tobytes()

@@ -270,8 +270,9 @@ class TestSafeguardedMaximize:
             dim_param = 1
             domain = OpenBox.unbounded(1)
 
-            def eval(self, data, theta):
-                return q(theta)
+            def loglik(self, stack, thetas):
+                ev = q(thetas[0])
+                return np.array([ev.value]), ev.gradient[None], ev.hessian[None]
 
             def start(self, data):
                 return np.array([1e-300])
