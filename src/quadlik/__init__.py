@@ -92,7 +92,6 @@ from .models import (
     load_vector_csv,
     logit_heritability,
     logit_heritability_se,
-    method_of_moments_start,
     relationship_matrix,
     synthetic_pedigree,
     wishart_lamn_model,

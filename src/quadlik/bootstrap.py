@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LikModel, NaO, StackedEval, cholesky_pivots, is_nao
+from .core import LikModel, StackedEval, cholesky_pivots
 from .inference import chisq_upper_quantile
 from .newton import lockstep_fit
 from .parallel import draw
@@ -97,44 +97,48 @@ def make_wald_pivot(model: LikModel) -> PivotFn:
     return pivot
 
 
-def _refit(model: LikModel, theta_hats: np.ndarray, pivot: PivotFn, stack) -> list:
+def _refit(model: LikModel, theta_hats: np.ndarray, pivot: PivotFn, stack) -> tuple[np.ndarray, np.ndarray]:
     """Refit a data stack in one lockstep Newton from ``model.starts``, then pivot
     row ``j`` on its final evaluation against ``theta_hats[j]``.
 
-    Returns ``(theta_star, value)`` per data set, NaO where the start (a NaN
-    row) or the refit failed or the pivot is NaN or infinite.
+    Returns the refits ``(m, p)``, a NaN row where the start or the refit
+    failed, and the pivot values ``(m,)``, NaN where the row is NaO: its
+    refit failed or its pivot is NaN or infinite.
     """
-    thetas, traces, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack))
-    values = pivot(final, thetas, theta_hats).tolist()
-    return [
-        (NaO, NaO) if is_nao(trace) or not trace.converged else (theta_star, v if np.isfinite(v) else NaO)
-        for theta_star, trace, v in zip(thetas, traces, values)
-    ]
+    thetas, _, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack))
+    values = pivot(final, thetas, theta_hats)
+    thetas[~converged] = np.nan
+    return thetas, np.where(converged & np.isfinite(values), values, np.nan)
 
 
 # nothing in the package calls it; bench/tracing.py binds it by name
 def _one_replicate(model: LikModel, theta_hat: np.ndarray, pivot: PivotFn, data):
-    """Refit a simulated dataset and evaluate the pivot; NaO on any failure."""
+    """Row 0 of :func:`_refit` on the stack of one simulated data set."""
     theta_hats = np.asarray(theta_hat, dtype=float).reshape(1, -1)
-    return _refit(model, theta_hats, pivot, model.stack_data([data]))[0]
+    thetas, values = _refit(model, theta_hats, pivot, model.stack_data([data]))
+    return thetas[0], values[0]
 
 
-def _bootstrap_level(model: LikModel, centers: list, B: int, pivot: PivotFn, seed: int, paths: list) -> list:
+def _bootstrap_level(
+    model: LikModel, centers, B: int, pivot: PivotFn, seed: int, paths: list
+) -> tuple[np.ndarray, np.ndarray]:
     """One bootstrap level: B datasets at each center, joined in one data stack.
 
     Dataset ``j`` of center ``c`` is drawn from the stream ``(seed,
-    *paths[c], j)``.  Returns, per center, its B ``(theta_star, value)``
-    pairs from :func:`_refit` against that center, in stream order.
+    *paths[c], j)``.  Returns :func:`_refit`'s refits ``(len(centers), B,
+    p)`` and pivot values ``(len(centers), B)``, each against its center,
+    in stream order.
     """
+    centers = np.asarray(centers, dtype=float)
     stack = np.concatenate([draw(model, center, B, seed, path) for center, path in zip(centers, paths)])
-    pairs = _refit(model, np.repeat(np.asarray(centers, dtype=float), B, axis=0), pivot, stack)
-    return [pairs[c * B : (c + 1) * B] for c in range(len(centers))]
+    thetas, values = _refit(model, np.repeat(centers, B, axis=0), pivot, stack)
+    return thetas.reshape(len(centers), B, -1), values.reshape(len(centers), B)
 
 
-def _samples(pairs: list, seed: int) -> PivotSamples:
-    """The level's pivot values, NaO ones counted."""
-    values = [v for _, v in pairs if not is_nao(v)]
-    return PivotSamples(np.asarray(values), len(pairs) - len(values), seed, len(pairs))
+def _samples(values: np.ndarray, seed: int) -> PivotSamples:
+    """A level's pivot values, the non-finite (NaO) ones counted."""
+    ok = np.isfinite(values)
+    return PivotSamples(values[ok], values.size - int(np.count_nonzero(ok)), seed, values.size)
 
 
 def parametric_bootstrap(
@@ -157,8 +161,8 @@ def parametric_bootstrap(
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
-    (pairs,) = _bootstrap_level(model, [th], B, pivot, seed, [("bootstrap", 0)])
-    return _samples(pairs, seed)
+    _, values = _bootstrap_level(model, [th], B, pivot, seed, [("bootstrap", 0)])
+    return _samples(values[0], seed)
 
 
 def calibrate(samples: PivotSamples, level: float, p: int) -> CalibrationResult:
@@ -238,30 +242,29 @@ def double_bootstrap(
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
     p = th.size
-    (outer_pairs,) = _bootstrap_level(model, [th], B1, pivot, seed, [("bootstrap", 0)])
-    refit = [i for i, (theta_star, _) in enumerate(outer_pairs) if not is_nao(theta_star)]
-    inner_at = {}
-    # every inner row's data set and Newton trace are held until its block
-    # is refit, so blocks bound the level's memory
+    thetas, values = _bootstrap_level(model, [th], B1, pivot, seed, [("bootstrap", 0)])
+    outer_thetas, outer_values = thetas[0], values[0]
+    refit = np.flatnonzero(~np.isnan(outer_thetas[:, 0]))
+    inner_values = np.full((B1, B2), np.nan)
+    # every inner row's data set is held until its block is refit, so blocks
+    # bound the level's memory
     per_block = max(1, INNER_LEVEL_ROWS // B2)
-    for k in range(0, len(refit), per_block):
+    for k in range(0, refit.size, per_block):
         block = refit[k : k + per_block]
-        centers = [outer_pairs[i][0] for i in block]
-        paths = [("bootstrap", 1, i) for i in block]
-        inner = _bootstrap_level(model, centers, B2, pivot, seed, paths)
-        inner_at.update(zip(block, inner))
+        paths = [("bootstrap", 1, i) for i in block.tolist()]
+        inner_values[block] = _bootstrap_level(model, outer_thetas[block], B2, pivot, seed, paths)[1]
     calibrations: list[Optional[CalibrationResult]] = []
     indicators: list[Optional[int]] = []
-    for i, (_, value) in enumerate(outer_pairs):
-        samples = _samples(inner_at.get(i, []), seed)
+    for value, inner in zip(outer_values.tolist(), inner_values):
+        samples = _samples(inner, seed)
         if samples.values.size == 0:
             calibrations.append(None)
             indicators.append(None)
             continue
         cal = calibrate(samples, level, p)
         calibrations.append(cal)
-        indicators.append(None if is_nao(value) else int(value <= cal.calibrated_quantile))
-    return DoubleBootstrapReport(_samples(outer_pairs, seed), calibrations, indicators, level, B2)
+        indicators.append(None if np.isnan(value) else int(value <= cal.calibrated_quantile))
+    return DoubleBootstrapReport(_samples(outer_values, seed), calibrations, indicators, level, B2)
 
 
 def importance_reweight(g_values, logratio_values) -> float:

@@ -4,7 +4,7 @@ Every run is a pure function of the config file and the data files it
 references: reports are emitted as both text and JSON with floats printed
 at 17 significant digits, large arrays spill to sibling CSV files, and all
 randomness derives from the mandatory integer seed.  Exit codes: 0 success,
-1 input error, 2 NaO result.
+1 input error, 2 NaO result, 3 internal error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -67,6 +68,7 @@ SPILL_THRESHOLD = 32
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NAO = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 class ConfigError(ValueError):
@@ -833,6 +835,10 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, OSError, ValueError) as err:
         print(f"quadlik: error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception:
+        print("quadlik: internal error", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
     return code
 
 

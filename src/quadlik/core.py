@@ -333,13 +333,17 @@ def _pack(value, gradient, hessian) -> np.ndarray:
 class LikModel:
     """Evaluation contract for a statistical model.
 
-    Subclasses set ``dim_param`` and ``domain`` and provide the log
-    likelihood as one vectorized kernel, ``loglik(stack, thetas)``, a
-    ``stack_data(datas)`` that lays data sets out as the rows of an array,
-    a ``simulate(theta, rng) -> data`` draw, a ``start(data)`` heuristic
-    used to initialize Newton's method, and a ``parse_data(flat)`` reader
-    for data files.  A Monte Carlo level is one such *data stack*, drawn,
-    started and refit in that form; a single data set is a stack of one.
+    Subclasses set ``dim_param`` and ``domain`` and provide:
+
+    * ``loglik(stack, thetas)``, the log likelihood as one vectorized kernel;
+    * ``stack_data(datas)``, which lays data sets out as the rows of an array;
+    * ``simulate(theta, rng) -> data``, one draw, and ``simulate_stack(theta,
+      rngs)``, the data stack of one draw per stream;
+    * ``starts(stack)``, the start of Newton's method for each row of a stack;
+    * ``parse_data(flat)``, the reader for data files.
+
+    A Monte Carlo level is one such *data stack*, drawn, started and refit in
+    that form; a single data set is a stack of one.
     """
 
     dim_param: int
@@ -370,22 +374,11 @@ class LikModel:
         data sets as a float array); a data stack is returned as it is."""
         return np.asarray(datas, dtype=float)
 
-    def start(self, data) -> np.ndarray:
-        """Newton's start for a data set."""
-        return np.zeros(self.dim_param)
-
-    def starts(self, stack) -> np.ndarray:
-        """Newton's start for each data set (row) of a stack, ``(m, dim_param)``:
-        a NaN row where :meth:`start` raises ValueError (LinAlgError is one) or
-        gives NaO."""
-        out = np.full((len(stack), self.dim_param), np.nan)
-        for i, data in enumerate(stack):
-            try:
-                x0 = self.start(data)
-            except ValueError:
-                continue
-            out[i] = np.nan if is_nao(x0) else x0
-        return out
+    def starts(self, stack: np.ndarray) -> np.ndarray:
+        """Newton's start for each data set (row) of a data stack, ``(m,
+        dim_param)``, NaN or outside the domain where there is none (by
+        default the origin)."""
+        return np.zeros((len(stack), self.dim_param))
 
     def parse_data(self, flat: np.ndarray):
         """The data set a data file's values hold; DataFormatError if their number is wrong."""
@@ -533,14 +526,18 @@ class ShiftedObjective:
         return self.stack(d[None]).first(self.psi.size) if d.ndim == 1 else NaO
 
     def stack(self, deltas) -> StackedEval:
-        """This objective at each row of an ``(m, p)`` stack of shifts.
+        """This objective at each row of an ``(m, k)`` stack of shifts.
 
         The Hessian of row j is the model's, symmetrized, rescaled and
-        symmetrized again; ``ok`` is False where the row is NaO.
+        symmetrized again; ``ok`` is False where the row is NaO, as every row
+        is when ``k`` is not ``len(psi)``.
         """
         d = np.asarray(deltas, dtype=float)
+        p = self.psi.size
+        if d.shape[1:] != (p,):
+            return StackedEval(np.full((len(d), 1 + p + p * p), np.nan), np.zeros(len(d), dtype=bool))
         ev = self._stacked(np.zeros(len(d), dtype=int), self.psi + d / self.tau)
-        value, gradient, hessian = ev.parts(self.psi.size)
+        value, gradient, hessian = ev.parts(p)
         hessian = _symmetrized(hessian / self.tau_sq)
         return StackedEval(_pack(value - self.base_value, gradient / self.tau, hessian), ev.ok)
 

@@ -78,22 +78,20 @@ def fit_mle(
     """Maximize the model's log likelihood by safeguarded Newton.
 
     A lockstep fit of one row, the data set's stack of one, from
-    ``model.start(data)`` unless an explicit start is given; the observed
-    information is read from the fit's final evaluation.  A run that does
-    not satisfy the gradient criterion yields an NaO result (the partial
-    trace is retained); a start where the objective is NaO yields an NaO
-    result with the degenerate empty trace, as a bootstrap replicate does.
+    ``model.starts`` of that stack unless an explicit start is given; the
+    observed information is read from the fit's final evaluation.  A run
+    that does not satisfy the gradient criterion yields an NaO result (the
+    trace is retained); a start where the objective is NaO (a NaN start
+    among them) yields an NaO result with 0 steps, as a bootstrap
+    replicate does.
     """
-    x0 = model.start(data) if start is None else start
-    if is_nao(x0):
-        return MleResult(NaO, None, NewtonTrace([], [], False, 0))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    theta, (trace,), final = lockstep_fit(model.stacked_objective([data]), x0[None], tol, max_steps)
-    if is_nao(trace):
-        return MleResult(NaO, None, NewtonTrace([], [], False, 0))
+    stack = model.stack_data([data])
+    x0 = model.starts(stack)[0] if start is None else np.atleast_1d(np.asarray(start, dtype=float))
+    thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), x0[None], tol, max_steps)
+    trace = NewtonTrace.first_row(thetas, steps, converged, final)
     if not trace.converged:
         return MleResult(NaO, None, trace)
-    return MleResult(theta[0], -final.parts(x0.size)[2][0], trace)
+    return MleResult(thetas[0], -final.parts(x0.size)[2][0], trace)
 
 
 def symmetric_sqrt(m) -> MaybeParam:

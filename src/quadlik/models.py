@@ -128,24 +128,27 @@ class Ar1Data:
 
 
 def ar1_simulate(theta: float, n: int, x0: float, rng: np.random.Generator) -> Ar1Data:
-    """Simulate X_i = theta X_{i-1} + N(0,1) noise from the fixed start x0."""
+    """Simulate X_i = theta X_{i-1} + N(0,1) noise from the fixed start x0:
+    the one path of :func:`ar1_simulate_paths`."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    x = np.empty(n + 1)
-    x[0] = float(x0)
-    noise = rng.standard_normal(n)
-    for i in range(1, n + 1):
-        x[i] = theta * x[i - 1] + noise[i - 1]
-    return Ar1Data(x)
+    return Ar1Data(ar1_simulate_paths(theta, n, x0, 1, rng)[0])
 
 
 def ar1_simulate_paths(
     theta: float, n: int, x0: float, n_paths: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized paths, shape (n_paths, n + 1), all starting at x0."""
-    x = np.empty((n_paths, n + 1))
-    x[:, 0] = float(x0)
-    noise = rng.standard_normal((n_paths, n))
+    return _ar1_paths(theta, float(x0), rng.standard_normal((n_paths, n)))
+
+
+def _ar1_paths(theta: float, x0, noise: np.ndarray) -> np.ndarray:
+    """The AR(1) recursion, one path a row: row j starts at ``x0`` (a scalar or
+    ``x0[j]``) and takes its noise from ``noise[j]``; each row is computed
+    exactly as it would be alone."""
+    m, n = noise.shape
+    x = np.empty((m, n + 1))
+    x[:, 0] = x0
     for i in range(1, n + 1):
         x[:, i] = theta * x[:, i - 1] + noise[:, i - 1]
     return x
@@ -224,6 +227,17 @@ class Ar1Model(LikModel):
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> Ar1Data:
         x0 = float(rng.standard_normal()) if self.random_x0 else self.x0
         return ar1_simulate(_theta_scalar(theta), self.n, x0, rng)
+
+    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+        """One path per stream, each drawn as :meth:`simulate` draws it (a random
+        start first, then the noise), and all run through one recursion."""
+        x0 = np.full(len(rngs), self.x0)
+        noise = np.empty((len(rngs), self.n))
+        for j, rng in enumerate(rngs):
+            if self.random_x0:
+                x0[j] = rng.standard_normal()
+            rng.standard_normal(out=noise[j])
+        return _ar1_paths(_theta_scalar(theta), x0, noise)
 
     def parse_data(self, flat: np.ndarray) -> Ar1Data:
         return Ar1Data(_of_length(flat, self.n + 1, "values for the AR(1) path"))
@@ -554,36 +568,6 @@ def logit_heritability_se(params: AnimalParams, observed_info: np.ndarray) -> fl
     return float(np.sqrt(g @ cov_g))
 
 
-def method_of_moments_start(a: RelationshipMatrix, y) -> AnimalParams:
-    """Cheap interior starting point: mean plus a 2x2 trace-matching solve.
-
-    Matches ``r'r`` and ``r'Ar`` of the centered responses to their expected
-    values under the model; clamps both variances to at least
-    ``1e-3 var(y)``, and falls back to an even split when the system is
-    degenerate (as for A = I, where only the sum is identified).  This raw
-    form keeps a fit's start, and so its Newton path, to the bit;
-    :meth:`AnimalModel.starts` forms the start of a stack from ``Q'y``.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    if n < 3:
-        raise ValueError("need at least 3 observations")
-    if n != a.size:
-        raise ValueError("response length does not match the pedigree")
-    mu0 = float(y.mean())
-    r = y - mu0
-    r_a_r = float(r @ (a.a @ r))
-    var_y = max(float(r @ r) / (n - 1), 1e-12)
-    floor = 1e-3 * var_y
-    design = _moment_design(a)
-    rhs = np.array([r_a_r, float(r @ r)])
-    if design is None:
-        s2 = t2 = var_y / 2.0
-    else:
-        s2, t2 = np.linalg.solve(design, rhs)
-    return AnimalParams(mu0, max(float(s2), floor), max(float(t2), floor))
-
-
 def _moment_design(a: RelationshipMatrix) -> np.ndarray | None:
     """The method of moments' 2x2 system, None when it is degenerate."""
     design = np.array([[a.trace_sq, a.trace], [a.trace, float(a.size)]])
@@ -672,14 +656,19 @@ class AnimalModel(LikModel):
         params = self.phi_to_params(np.asarray(theta, dtype=float))
         return self._kernel.simulate_rotated(params.mu, params.sigma2, params.tau2, rngs)
 
-    def start(self, data) -> np.ndarray:
-        return self.params_to_phi(method_of_moments_start(self.relationship, data))
-
     def starts(self, stack) -> np.ndarray:
-        """:func:`method_of_moments_start` of each response of a stack, from ``Q'y``
-        at O(N) a row: ``1'y = Q'1.Q'y``, ``r'r = |Q'r|^2``, ``r'Ar = sum lam (Q'r)^2``.
-        Each sum is a row-wise dot product and the 2x2 systems one broadcast
-        solve, so a row is the per-row formula's on ``Q'y``, to the bit."""
+        """A cheap interior start for each response: the mean, plus variances
+        that match ``r'r`` and ``r'Ar`` of the centered response ``r`` to their
+        expected values under the model (one 2x2 solve).
+
+        Both variances are clamped to at least ``1e-3 var(y)``, and split
+        evenly when the system is degenerate (as for A = I, where only their
+        sum is identified).  Every sum comes from ``Q'y`` at O(N) a row:
+        ``1'y = Q'1.Q'y``, ``r'r = |Q'r|^2``, ``r'Ar = sum lam (Q'r)^2``, each a
+        row-wise dot product, and the 2x2 systems are one broadcast solve.
+        A row is NaN where there is no start: fewer than 3 individuals, or
+        a response that is not finite.
+        """
         qty = self.stack_data(stack)
         m, n = qty.shape
         if n < 3:
@@ -762,8 +751,11 @@ class ExponentialRateIid(LikModel):
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n)
 
-    def start(self, data) -> np.ndarray:
-        return np.array([1.0 / float(np.mean(data))])
+    def starts(self, stack: np.ndarray) -> np.ndarray:
+        """The rate MLE ``1 / mean`` of each sample; outside the domain (NaO)
+        where that mean is not positive."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return 1.0 / stack.mean(axis=1, keepdims=True)
 
     def unit_fisher(self, theta) -> np.ndarray:
         return np.array([[1.0 / float(theta[0]) ** 2]])

@@ -10,7 +10,7 @@ objectives (one per simulated data set), and a single fit is a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,27 +33,27 @@ MIN_BACKTRACK = 2.0**-60
 
 @dataclass(frozen=True, eq=False)
 class NewtonTrace:
-    """Iterate history of a Newton run.
-
-    ``grad_norms`` is parallel to ``iterates`` (NaN where an iterate could
-    not be evaluated).  ``steps`` counts attempted steps; for the degenerate
-    NaO-start trace both lists are empty and steps is 0.
+    """Summary of a Newton run: the steps it took, whether it met the
+    gradient criterion, and the gradient sup norm of its last finite
+    evaluation (NaN when its start had none).
     """
 
-    iterates: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-    converged: bool = False
     steps: int = 0
+    converged: bool = False
+    final_grad_norm: float = float("nan")
 
-    def final_grad_norm(self) -> float:
-        finite = [g for g in self.grad_norms if np.isfinite(g)]
-        return finite[-1] if finite else float("nan")
+    @classmethod
+    def first_row(cls, thetas, steps, converged, final: StackedEval) -> "NewtonTrace":
+        """Row 0 of a :func:`lockstep_fit` result ``(thetas, steps, converged, final)``."""
+        gradient = StackedEval.split(final.packed[:1], thetas.shape[1])[1]
+        norm = float(np.abs(gradient).max()) if final.ok[0] else float("nan")
+        return cls(int(steps[0]), bool(converged[0]), norm)
 
     def to_record(self, prefix: str = "newton") -> dict:
         return {
             f"{prefix}_steps": self.steps,
             f"{prefix}_converged": int(self.converged),
-            f"{prefix}_final_grad_norm": self.final_grad_norm(),
+            f"{prefix}_final_grad_norm": self.final_grad_norm,
         }
 
 
@@ -103,32 +103,26 @@ def newton_iterate(
     default tolerance is value-relative: ``1e-8 * (1 + |q(delta0)|)``.
     """
     if is_nao(delta0):
-        return NaO, NewtonTrace([], [], False, 0)
+        return NaO, NewtonTrace()
     cur = np.atleast_1d(np.asarray(delta0, dtype=float))
-    iterates: list = [cur]
-    grad_norms: list = []
     ev = _finite_eval(q, cur)
     if is_nao(ev):
-        grad_norms.append(float("nan"))
-        return NaO, NewtonTrace(iterates, grad_norms, False, 0)
+        return NaO, NewtonTrace()
     if tol is None:
         tol = _default_tol(ev.value)
+    steps = 0
     while True:
-        grad_norms.append(float(np.max(np.abs(ev.gradient))))
-        if grad_norms[-1] <= tol:
-            return cur, NewtonTrace(iterates, grad_norms, True, len(iterates) - 1)
-        if len(iterates) - 1 >= max_steps:
-            return NaO, NewtonTrace(iterates, grad_norms, False, len(iterates) - 1)
+        norm = float(np.max(np.abs(ev.gradient)))
+        if norm <= tol:
+            return cur, NewtonTrace(steps, True, norm)
+        if steps >= max_steps:
+            return NaO, NewtonTrace(steps, False, norm)
         nxt = _step_from(cur, ev)
-        iterates.append(nxt)
-        if is_nao(nxt):
-            grad_norms.append(float("nan"))
-            return NaO, NewtonTrace(iterates, grad_norms, False, len(iterates) - 1)
-        cur = nxt
-        ev = _finite_eval(q, cur)
+        steps += 1
+        ev = NaO if is_nao(nxt) else _finite_eval(q, nxt)
         if is_nao(ev):
-            grad_norms.append(float("nan"))
-            return NaO, NewtonTrace(iterates, grad_norms, False, len(iterates) - 1)
+            return NaO, NewtonTrace(steps, False, norm)
+        cur = nxt
 
 
 def safeguarded_maximize(
@@ -147,10 +141,10 @@ def safeguarded_maximize(
         raise ValueError("safeguarded_maximize requires a non-NaO start")
     cur = np.atleast_1d(np.asarray(delta0, dtype=float))
     stacked = StackedObjective.looped([q], OpenBox.unbounded(cur.size))
-    theta, traces, _ = lockstep_fit(stacked, cur[None], tol, max_steps)
-    if is_nao(traces[0]):
+    thetas, steps, converged, final = lockstep_fit(stacked, cur[None], tol, max_steps)
+    if not final.ok[0]:
         raise ValueError("objective is not finite at the starting point")
-    return theta[0], traces[0]
+    return thetas[0], NewtonTrace.first_row(thetas, steps, converged, final)
 
 
 def lockstep_fit(
@@ -158,7 +152,7 @@ def lockstep_fit(
     starts: np.ndarray,
     tol: float | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
-) -> tuple[np.ndarray, list, StackedEval]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, StackedEval]:
     """Safeguarded Newton ascent on every row of a stacked objective at once.
 
     Row ``i`` starts at ``starts[i]`` and runs exactly as it would alone.
@@ -166,14 +160,16 @@ def lockstep_fit(
     ``lambda I``, with ``lambda = max(0, 1e-8 - smallest pivot)`` escalated
     tenfold until positive definite; a lambda that overflows stops the row
     unconverged.  Step lengths are halved until the Armijo ascent condition
-    holds, down to ``MIN_BACKTRACK``, so objective values along each trace
-    are nondecreasing.  A row stops when its gradient sup norm falls under
+    holds, down to ``MIN_BACKTRACK``, so objective values along each row's
+    path are nondecreasing.  A row stops when its gradient sup norm falls under
     its tolerance (by default ``1e-8 * (1 + |q(start)|)``) or after
     ``max_steps`` steps; stopped rows drop out of later evaluations.
 
-    Returns the final points ``(m, p)``, one :class:`NewtonTrace` per row
-    (NaO for a row whose objective is NaO at its start), and each row's
-    evaluation at its final point, the last one the ascent accepted.
+    Returns, per row, the final point ``(m, p)``, the number of steps taken
+    ``(m,)``, whether the gradient criterion was met ``(m,)``, and the
+    evaluation at the final point, the last one the ascent accepted.  A row
+    whose objective is NaO at its start stays there, with ``final.ok``
+    False, 0 steps and ``converged`` False.
     """
     starts = np.asarray(starts, dtype=float)
     m, p = starts.shape
@@ -181,18 +177,13 @@ def lockstep_fit(
     # each row's current point and its packed (value, gradient, Hessian)
     cur, state = starts.copy(), ev.packed.copy()
     tols = _default_tol(state[:, 0]) if tol is None else np.full(m, float(tol))
-    iterates = [[x] for x in starts]
-    grad_norms: list = [[] for _ in range(m)]
     steps = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     live = np.flatnonzero(ev.ok)
     with np.errstate(over="ignore", invalid="ignore"):
         while live.size:
             value, grad, hess = StackedEval.split(state[live], p)
-            norms = np.abs(grad).max(axis=1)
-            for i, g in zip(live.tolist(), norms.tolist()):
-                grad_norms[i].append(g)
-            met = norms <= tols[live]
+            met = np.abs(grad).max(axis=1) <= tols[live]
             converged[live[met]] = True
             going = ~met & (steps[live] < max_steps)
             if not going.all():
@@ -221,17 +212,11 @@ def lockstep_fit(
                 done = rows[accept]
                 cur[done], state[done] = trial[accept], et.packed[accept]
                 steps[done] += 1
-                for i, t in zip(done.tolist(), trial[accept]):
-                    iterates[i].append(t)
                 pending = pending[~accept]
                 step /= 2.0
             # rows whose backtracking found no ascent stop here
             live = np.delete(live, pending)
-    traces = [
-        NewtonTrace(iterates[i], grad_norms[i], bool(converged[i]), int(steps[i])) if ev.ok[i] else NaO
-        for i in range(m)
-    ]
-    return cur, traces, StackedEval(state, ev.ok)
+    return cur, steps, converged, StackedEval(state, ev.ok)
 
 
 def _shifted_factor(h: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from quadlik.core import NaO, StackedEval, is_nao
+from quadlik.core import StackedEval, is_nao
 from quadlik.newton import safeguarded_maximize
 
 
@@ -74,17 +74,19 @@ def pivot_alone(pivot, model, data, theta_star, theta_hat) -> float:
 
 
 def refit_alone(model, theta_hat, pivot, data):
-    """One bootstrap replicate the long way: its own ``model.start`` and
-    safeguarded fit, then the pivot on a stack of one; ``(NaO, NaO)`` where
-    any of them fails."""
+    """One bootstrap replicate the long way: its own start, from the stack of
+    this one data set, and safeguarded fit, then the pivot on a stack of one.
+
+    Returns ``(theta_star, value)``: a NaN row and NaN where the start or the
+    fit fails, and NaN for the value where the pivot is not finite.
+    """
+    failed = np.full(model.dim_param, np.nan), np.nan
+    x0 = model.starts(model.stack_data([data]))[0]
     try:
-        x0 = model.start(data)
-        if is_nao(x0):
-            return NaO, NaO
         theta_star, trace = safeguarded_maximize(model.objective(data), x0)
-    except ValueError:
-        return NaO, NaO
+    except ValueError:  # the objective is NaO at the start
+        return failed
     if not trace.converged:
-        return NaO, NaO
+        return failed
     value = pivot_alone(pivot, model, data, theta_star, theta_hat)
-    return theta_star, value if np.isfinite(value) else NaO
+    return theta_star, value if np.isfinite(value) else np.nan

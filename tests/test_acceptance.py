@@ -118,7 +118,7 @@ def test_criterion_3_standardized_estimator_normality():
         if rep == 0:
             # tie the vectorized harness to the operation contract
             for i in range(50):
-                fit = MleResult(theta_hat[i], kk[i], NewtonTrace([theta_hat[i]], [0.0], True, 0))
+                fit = MleResult(theta_hat[i], kk[i], NewtonTrace(0, True, 0.0))
                 op_t = standardized_estimator(fit, theta)
                 assert np.allclose(op_t, t[i], atol=1e-10)
         pvals = [stats.kstest(t[:, j], "norm").pvalue for j in range(2)]

@@ -340,16 +340,16 @@ def double_alone(model, theta_hat, B1, B2, pivot, seed, level):
         theta_star, value = refit_alone(model, theta_hat, pivot, data)
         outer.append(value)
         cal = None
-        if not is_nao(theta_star):
+        if not np.isnan(theta_star).any():
             inner = []
             for j in range(B2):
                 inner_data = model.simulate(theta_star, derive_rng(seed, "bootstrap", 1, i, j))
                 inner.append(refit_alone(model, theta_star, pivot, inner_data)[1])
-            values = [v for v in inner if not is_nao(v)]
+            values = [v for v in inner if not np.isnan(v)]
             if values:
                 cal = calibrate(PivotSamples(np.array(values), B2 - len(values), seed, B2), level, theta_hat.size)
         calibrations.append(cal)
-        indicators.append(None if cal is None or is_nao(value) else int(value <= cal.calibrated_quantile))
+        indicators.append(None if cal is None or np.isnan(value) else int(value <= cal.calibrated_quantile))
     return outer, calibrations, indicators
 
 
@@ -371,15 +371,15 @@ def first_coordinate(data):
 
 
 class FailingStart:
-    """A model whose start raises on data sets with z[0] > 2 and is not
-    finite on those with z[0] < -0.3."""
+    """A model with no start (a NaN row) for data sets with z[0] > 2, and an
+    infinite one for those with z[0] < -0.3."""
 
-    def start(self, data):
-        if first_coordinate(data) > 2.0:
-            raise ValueError("no start for this data set")
-        if first_coordinate(data) < -0.3:
-            return np.full(self.dim_param, np.inf)
-        return super().start(data)
+    def starts(self, stack):
+        out = super().starts(stack)
+        z0 = np.asarray(stack)[:, 0]
+        out[z0 > 2.0] = np.nan
+        out[z0 < -0.3] = np.inf
+        return out
 
 
 class FailingStartLan(FailingStart, LanNormalLocation):
@@ -396,7 +396,7 @@ class TestDoubleBootstrapLayout:
     def check(self, model, theta_hat, pivot, seed, B1=9, B2=7, level=0.9):
         report = double_bootstrap(model, theta_hat, B1, B2, pivot, seed, level=level)
         outer, calibrations, indicators = double_alone(model, theta_hat, B1, B2, pivot, seed, level)
-        kept = [v for v in outer if not is_nao(v)]
+        kept = [v for v in outer if not np.isnan(v)]
         assert report.outer.n_nao == B1 - len(kept)
         assert np.array_equal(report.outer.values, kept)
         assert [c is None for c in report.per_outer_calibrations] == [c is None for c in calibrations]
@@ -434,25 +434,26 @@ class TestDoubleBootstrapLayout:
         level = quadlik.bootstrap._bootstrap_level
 
         def recorded(model, centers, B, pivot, seed, paths):
-            pairs = level(model, centers, B, pivot, seed, paths)
-            levels.extend(zip(centers, paths, pairs))
-            return pairs
+            thetas, values = level(model, centers, B, pivot, seed, paths)
+            assert thetas.shape == (len(centers), B, theta_hat.size) and values.shape == (len(centers), B)
+            levels.extend(zip(centers, paths, thetas, values))
+            return thetas, values
 
         monkeypatch.setattr(quadlik.bootstrap, "_bootstrap_level", recorded)
         outer, calibrations = self.check(model, theta_hat, pivot, seed=61, B1=24, B2=6)
         # an outer refit that fails gives None; an NaO outer pivot after a
         # converged refit still gets its inner level
-        refit_failed = [i for i in range(24) if is_nao(outer[i]) and calibrations[i] is None]
-        pivot_failed = [i for i in range(24) if is_nao(outer[i]) and calibrations[i] is not None]
+        refit_failed = [i for i in range(24) if np.isnan(outer[i]) and calibrations[i] is None]
+        pivot_failed = [i for i in range(24) if np.isnan(outer[i]) and calibrations[i] is not None]
         assert refit_failed and pivot_failed
-        # at both levels, a replicate whose start raises or is not finite is NaO
-        failed = {(level, kind): 0 for level in (0, 1) for kind in ("raises", "inf")}
-        for center, path, pairs in levels:
-            for j, pair in enumerate(pairs):
+        # at both levels, a replicate without a start, or with an infinite one, is NaO
+        failed = {(level, kind): 0 for level in (0, 1) for kind in ("nan", "inf")}
+        for center, path, thetas, values in levels:
+            for j, (theta_star, value) in enumerate(zip(thetas, values)):
                 z0 = first_coordinate(model.simulate(center, derive_rng(61, *path, j)))
                 if z0 > 2.0 or z0 < -0.3:
-                    assert is_nao(pair[0]) and is_nao(pair[1])
-                    failed[path[1], "raises" if z0 > 2.0 else "inf"] += 1
+                    assert np.isnan(theta_star).all() and np.isnan(value)
+                    failed[path[1], "nan" if z0 > 2.0 else "inf"] += 1
         assert all(failed.values()), failed
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quadlik.cli
-from quadlik.cli import EXIT_INPUT_ERROR, EXIT_NAO, EXIT_OK, ReportRecord, main
+from quadlik.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_NAO, EXIT_OK, ReportRecord, main
 from quadlik.models import ar1_simulate, save_pedigree_csv, save_vector_csv, synthetic_pedigree
 from quadlik.rng import derive_rng
 
@@ -530,17 +530,35 @@ class TestVectorLength:
 
 class TestNaoStart:
     def test_nao_start_exits_nao(self, tmp_path):
-        # the rate start 1 / mean(x) = -0.5 lies outside the positive domain
-        save_vector_csv(str(tmp_path / "x.csv"), np.array([-1.0, -2.0, -3.0]))
-        cfg = write_config(
-            tmp_path, "c.json", experiment="fit", model={"kind": "iid_exponential", "n": 3},
-            data="x.csv", out="r",
-        )
-        assert main(["fit", "--config", cfg]) == EXIT_NAO
-        report = read_report(tmp_path, "r")
-        assert report["status"] == "NaO"
-        assert report["fit_newton_steps"] == 0
-        assert report["fit_newton_converged"] == 0
+        # the rate start 1 / mean(x) is -0.5, and for a sample of zeros 1 / 0:
+        # both lie outside the positive domain
+        for data in ([-1.0, -2.0, -3.0], [0.0, 0.0, 0.0]):
+            save_vector_csv(str(tmp_path / "x.csv"), np.array(data))
+            cfg = write_config(
+                tmp_path, "c.json", experiment="fit", model={"kind": "iid_exponential", "n": 3},
+                data="x.csv", out="r",
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["fit", "--config", cfg]) == EXIT_NAO
+            report = read_report(tmp_path, "r")
+            assert report["status"] == "NaO"
+            assert report["fit_newton_steps"] == 0
+            assert report["fit_newton_converged"] == 0
+
+
+class TestInternalError:
+    def test_unclassified_exception_exits_three_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("a bug, not an input error")
+
+        monkeypatch.setitem(quadlik.cli.RUNNERS, "fit", broken)
+        cfg = write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="r")
+        assert main(["fit", "--config", cfg]) == EXIT_INTERNAL_ERROR == 3
+        err = capsys.readouterr().err
+        assert err.startswith("quadlik: internal error\n")
+        assert "Traceback" in err and "RuntimeError: a bug, not an input error" in err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestStepAndReplicateCounts:

@@ -121,7 +121,7 @@ class TestChisqQuantile:
 
 class TestConfidenceRegion:
     def _fit(self, theta_hat, info):
-        trace = NewtonTrace([np.asarray(theta_hat)], [0.0], True, 0)
+        trace = NewtonTrace(0, True, 0.0)
         return MleResult(np.asarray(theta_hat, dtype=float), np.asarray(info, dtype=float), trace)
 
     def test_membership_matches_pivot_exactly(self):
@@ -147,7 +147,7 @@ class TestConfidenceRegion:
         assert is_nao(confidence_region(fit, 0.05))
 
     def test_nao_fit_gives_nao(self):
-        fit = MleResult(NaO, None, NewtonTrace([], [], False, 0))
+        fit = MleResult(NaO, None, NewtonTrace())
         assert is_nao(confidence_region(fit, 0.05))
 
     def test_lan_coverage_small(self):
@@ -176,14 +176,14 @@ class TestFitMle:
     def test_nao_start_gives_degenerate_nao(self, data, start):
         fit = fit_mle(ExponentialRateIid(3), np.array(data), start=start)
         assert is_nao(fit.theta_hat) and fit.observed_info is None
-        assert fit.trace.iterates == [] and fit.trace.grad_norms == []
+        assert np.isnan(fit.trace.final_grad_norm)
         assert not fit.converged and fit.trace.steps == 0
 
     def test_nao_start_still_raises_in_the_ascent(self):
         model = ExponentialRateIid(3)
         data = np.array([-1.0, -2.0, -3.0])
         with pytest.raises(ValueError):
-            safeguarded_maximize(model.objective(data), model.start(data))
+            safeguarded_maximize(model.objective(data), model.starts(model.stack_data([data]))[0])
 
     def test_start_is_evaluated_once(self):
         class Counting(ExponentialRateIid):
@@ -195,26 +195,27 @@ class TestFitMle:
 
         model = Counting(5)
         data = np.array([0.5, 1.0, 2.0, 0.2, 0.9])
-        _, trace = safeguarded_maximize(model.objective(data), model.start(data))
+        theta, trace = safeguarded_maximize(model.objective(data), model.starts(model.stack_data([data]))[0])
         ascent_calls, Counting.calls = Counting.calls, 0
         fit = fit_mle(model, data)
         # the ascent's evaluations, nothing more: the information is the last one's
         assert Counting.calls == ascent_calls
         assert fit.trace.steps == trace.steps
-        assert np.array_equal(fit.theta_hat, trace.iterates[-1])
+        assert np.array_equal(fit.theta_hat, theta)
+        assert fit.trace.final_grad_norm == trace.final_grad_norm
 
 
 class TestStandardizedEstimator:
     def test_zero_at_psi(self):
-        fit = MleResult(np.array([1.0, 2.0]), np.eye(2), NewtonTrace([], [], True, 0))
+        fit = MleResult(np.array([1.0, 2.0]), np.eye(2), NewtonTrace(0, True))
         assert np.allclose(standardized_estimator(fit, [1.0, 2.0]), np.zeros(2))
 
     def test_nao_fit(self):
-        fit = MleResult(NaO, None, NewtonTrace([], [], False, 0))
+        fit = MleResult(NaO, None, NewtonTrace())
         assert is_nao(standardized_estimator(fit, [0.0]))
 
     def test_known_transform(self):
-        fit = MleResult(np.array([2.0]), np.array([[4.0]]), NewtonTrace([], [], True, 0))
+        fit = MleResult(np.array([2.0]), np.array([[4.0]]), NewtonTrace(0, True))
         assert standardized_estimator(fit, [0.0]) == pytest.approx([4.0])
 
 

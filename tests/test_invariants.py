@@ -48,7 +48,7 @@ class TestNaOPropagationTable:
         q = QuadraticForm(0.0, [1.0, -1.0], np.eye(2))
         model = lan_normal_location(np.eye(2))
         shifted = local_shift(model, np.zeros(2), np.zeros(2))
-        nao_fit = MleResult(NaO, None, NewtonTrace([], [], False, 0))
+        nao_fit = MleResult(NaO, None, NewtonTrace())
         draw = LamnDraw([1.0], [[1.0]])
         operations = [
             lambda: quadratic_loglik(q, NaO),
@@ -171,8 +171,8 @@ class TestNaOPropagationProperty:
         sample = model.simulate(psi, derive_rng(seed))
         q = model.objective(sample)
         form = QuadraticForm(rng.standard_normal(), rng.standard_normal(p), random_spd(rng, p))
-        fit = MleResult(psi, form.k, NewtonTrace([psi], [0.0], True, 0))
-        nao_fit = MleResult(NaO, None, NewtonTrace([], [], False, 0))
+        fit = MleResult(psi, form.k, NewtonTrace(0, True, 0.0))
+        nao_fit = MleResult(NaO, None, NewtonTrace())
         results = [
             newton_step(q, NaO),
             newton_iterate(q, NaO)[0],
@@ -199,3 +199,9 @@ class TestNaOPropagationProperty:
             far[j] = data.draw(blowup)
         with np.errstate(all="ignore"):
             assert q(out) is NaO and q(wrong) is NaO and q(far) is NaO
+        # a shift of the wrong shape is NaO too, and so is a stack of shifts
+        # of the wrong length
+        shifted = local_shift(model, sample, psi)
+        assert shifted(wrong) is NaO
+        if wrong.ndim == 1:
+            assert not shifted.stack(np.stack([wrong, wrong])).ok.any()

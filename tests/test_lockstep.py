@@ -12,7 +12,6 @@ from quadlik import (
     WishartCurvature,
     derive_rng,
     fit_mle,
-    is_nao,
     lan_normal_location,
     make_wald_pivot,
     parametric_bootstrap,
@@ -21,6 +20,7 @@ from quadlik import (
     synthetic_pedigree,
     wishart_lamn_model,
 )
+from quadlik.bootstrap import _refit
 from quadlik.cli import _heritability_pivot
 from quadlik.newton import lockstep_fit
 
@@ -42,48 +42,44 @@ def data_sets(name, n, seed):
     datas = [model.simulate(THETAS[name], derive_rng(seed, i)) for i in range(n)]
     rng = np.random.default_rng(seed)
     # scattered starts, so rows take different step counts and backtracks
-    starts = np.array([model.start(d) * (1.0 + rng.uniform(-0.9, 3.0)) for d in datas])
+    starts = model.starts(model.stack_data(datas)) * (1.0 + rng.uniform(-0.9, 3.0, (n, 1)))
     return model, datas, starts
 
 
-def same_trace(a, b):
-    return (
-        a.steps == b.steps
-        and a.converged == b.converged
-        and a.grad_norms == b.grad_norms
-        and len(a.iterates) == len(b.iterates)
-        and all(np.array_equal(x, y) for x, y in zip(a.iterates, b.iterates))
-    )
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestLockstepMaximize:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_stack_equals_each_row_alone(self, name):
         model, datas, starts = data_sets(name, 40, 3)
-        thetas, traces, _ = lockstep_fit(model.stacked_objective(datas), starts)
-        steps = {t.steps for t in traces}
+        thetas, steps, converged, final = lockstep_fit(model.stacked_objective(datas), starts)
         for i, (data, x0) in enumerate(zip(datas, starts)):
-            one, (trace,), _ = lockstep_fit(model.stacked_objective([data]), x0[None])
-            assert np.array_equal(thetas[i], one[0]) and same_trace(traces[i], trace)
-            theta, single = safeguarded_maximize(model.objective(data), x0)
-            assert np.array_equal(thetas[i], theta) and same_trace(traces[i], single)
+            one, one_steps, one_converged, one_final = lockstep_fit(model.stacked_objective([data]), x0[None])
+            assert same_bits(thetas[i], one[0]) and steps[i] == one_steps[0] and converged[i] == one_converged[0]
+            assert final.ok[i] == one_final.ok[0] and same_bits(final.packed[i], one_final.packed[0])
+            theta, trace = safeguarded_maximize(model.objective(data), x0)
+            assert same_bits(thetas[i], theta) and (trace.steps, trace.converged) == (steps[i], converged[i])
+            assert trace.final_grad_norm == np.abs(final.packed[i, 1 : 1 + theta.size]).max()
         if name == "exponential":
-            assert len(steps) > 1
+            assert len(set(steps.tolist())) > 1
 
     def test_nao_start_rows_drop_out(self):
         model, datas, starts = data_sets("exponential", 6, 5)
         starts[[1, 4]] = -1.0  # outside the positive domain
-        thetas, traces, _ = lockstep_fit(model.stacked_objective(datas), starts)
-        assert [is_nao(t) for t in traces] == [False, True, False, False, True, False]
+        thetas, steps, converged, final = lockstep_fit(model.stacked_objective(datas), starts)
+        assert final.ok.tolist() == [True, False, True, True, False, True]
         assert np.array_equal(thetas[[1, 4]], starts[[1, 4]])
-        assert all(t.converged for i, t in enumerate(traces) if i not in (1, 4))
+        assert steps[[1, 4]].tolist() == [0, 0]
+        assert converged.tolist() == final.ok.tolist()
 
     def test_tolerance_and_step_cap_per_row(self):
         model, datas, starts = data_sets("exponential", 5, 7)
-        _, capped, _ = lockstep_fit(model.stacked_objective(datas), starts, max_steps=0)
-        assert all(t.steps == 0 and not t.converged for t in capped)
-        _, loose, _ = lockstep_fit(model.stacked_objective(datas), starts, tol=1e300)
-        assert all(t.steps == 0 and t.converged for t in loose)
+        _, steps, converged, _ = lockstep_fit(model.stacked_objective(datas), starts, max_steps=0)
+        assert not steps.any() and not converged.any()
+        _, steps, converged, _ = lockstep_fit(model.stacked_objective(datas), starts, tol=1e300)
+        assert not steps.any() and converged.all()
 
 
 class TestStackedLevel:
@@ -97,8 +93,25 @@ class TestStackedLevel:
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
             _, value = refit_alone(model, theta_hat, pivot, data)
             alone.append(value)
-        assert samples.n_nao == sum(is_nao(v) for v in alone) == 0
+        assert samples.n_nao == np.isnan(alone).sum() == 0
         assert np.array_equal(samples.values, alone)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_refit_rows_equal_refit_alone(self, name):
+        model, datas, _ = data_sets(name, 30, 23)
+        if name == "exponential":
+            # no start: a sample of zeros, a negative mean
+            datas[3], datas[8] = np.zeros(7), -datas[8]
+        theta_hats = THETAS[name] + np.random.default_rng(1).uniform(-0.5, 0.5, (len(datas), THETAS[name].size))
+        pivot = make_wald_pivot(model)
+        thetas, values = _refit(model, theta_hats, pivot, model.stack_data(datas))
+        assert thetas.shape == (len(datas), THETAS[name].size) and values.shape == (len(datas),)
+        for i, data in enumerate(datas):
+            theta_star, value = refit_alone(model, theta_hats[i], pivot, data)
+            assert same_bits(thetas[i], theta_star) and same_bits(values[i], value)
+        if name == "exponential":
+            assert np.isnan(thetas[[3, 8]]).all() and np.isnan(values[[3, 8]]).all()
+            assert np.isfinite(values).sum() == len(datas) - 2
 
     def test_animal_level_matches_single_fits(self):
         # N = 200, B = 200: every replicate refit alone by the single-fit path
@@ -110,7 +123,8 @@ class TestStackedLevel:
         single = []
         for i in range(B):
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
-            theta_star, trace = safeguarded_maximize(model.objective(data), model.start(data))
+            x0 = model.starts(model.stack_data([data]))[0]
+            theta_star, trace = safeguarded_maximize(model.objective(data), x0)
             value = pivot_alone(pivot, model, data, theta_star, theta_hat) if trace.converged else np.nan
             if not np.isnan(value):
                 single.append(value)

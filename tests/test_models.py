@@ -32,7 +32,6 @@ from quadlik import (
     logit_heritability,
     logit_heritability_se,
     make_wald_pivot,
-    method_of_moments_start,
     parametric_bootstrap,
     quadratic_mle,
     relationship_matrix,
@@ -94,6 +93,16 @@ class TestAr1Simulation:
         a = ar1_simulate(0.5, 50, 1.0, derive_rng(9, 1))
         b = ar1_simulate(0.5, 50, 1.0, derive_rng(9, 1))
         assert np.array_equal(a.x, b.x)
+
+    def test_path_is_the_scalar_recursion(self):
+        for theta, n, seed in [(-0.9, 1, 0), (0.5, 17, 1), (1.3, 200, 2)]:
+            x = ar1_simulate(theta, n, 1.5, derive_rng(seed)).x
+            expected = [1.5]
+            for noise in derive_rng(seed).standard_normal(n):
+                expected.append(theta * expected[-1] + noise)
+            assert np.array_equal(x, expected)
+        with pytest.raises(ValueError, match="at least 1"):
+            ar1_simulate(0.5, 0, 1.0, derive_rng(0))
 
     def test_paths_match_scalar_path_shape(self):
         paths = ar1_simulate_paths(0.5, 20, 1.0, 100, derive_rng(2))
@@ -500,21 +509,45 @@ class TestLogitHeritability:
         assert se == pytest.approx(se_log, rel=1e-4)
 
 
+def method_of_moments_start(a, y) -> AnimalParams:
+    """Oracle: the method-of-moments start of one raw response y, each sum
+    formed from y and A directly."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    mu0 = float(y.mean())
+    r = y - mu0
+    r_a_r = float(r @ (a.a @ r))
+    var_y = max(float(r @ r) / (n - 1), 1e-12)
+    floor = 1e-3 * var_y
+    design = np.array([[a.trace_sq, a.trace], [a.trace, float(n)]])
+    det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
+    if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0):
+        s2 = t2 = var_y / 2.0
+    else:
+        s2, t2 = np.linalg.solve(design, np.array([r_a_r, float(r @ r)]))
+    return AnimalParams(mu0, max(float(s2), floor), max(float(t2), floor))
+
+
+def start_params(a, ys) -> list:
+    """``AnimalModel.starts`` of raw responses, as natural parameters."""
+    model = AnimalModel(a)
+    return [model.phi_to_params(phi) for phi in model.starts(model.stack_data(ys))]
+
+
 class TestMethodOfMoments:
     def test_identity_a_falls_back(self):
         ped = Pedigree(tuple(PedigreeRecord(i + 1, None, None) for i in range(8)))
         a = relationship_matrix(ped)
         y = derive_rng(2).standard_normal(8)
-        start = method_of_moments_start(a, y)
+        (start,) = start_params(a, [y])
         assert start.sigma2 == start.tau2  # even split on the degenerate system
 
     def test_start_is_interior(self):
         rng = derive_rng(77)
         ped = synthetic_pedigree(10, 20, 2, 3)
         a = relationship_matrix(ped)
-        for _ in range(20):
-            y = animal_simulate(a, AnimalParams(0.0, 1.0, 1.0), rng)
-            start = method_of_moments_start(a, y)
+        ys = [animal_simulate(a, AnimalParams(0.0, 1.0, 1.0), rng) for _ in range(20)]
+        for start in start_params(a, ys):
             assert start.sigma2 > 0 and start.tau2 > 0
 
     def test_recovers_truth_roughly(self):
@@ -524,9 +557,7 @@ class TestMethodOfMoments:
         rng = derive_rng(19)
         good = 0
         reps = 60
-        for _ in range(reps):
-            y = animal_simulate(a, truth, rng)
-            start = method_of_moments_start(a, y)
+        for start in start_params(a, [animal_simulate(a, truth, rng) for _ in range(reps)]):
             ok_s = truth.sigma2 / 3 <= start.sigma2 <= truth.sigma2 * 3
             ok_t = truth.tau2 / 3 <= start.tau2 <= truth.tau2 * 3
             good += int(ok_s and ok_t)
@@ -536,17 +567,17 @@ class TestMethodOfMoments:
         a = relationship_matrix(synthetic_pedigree(10, 20, 2, 3))
         y = animal_simulate(a, AnimalParams(0.0, 1.0, 1.0), derive_rng(5))
         assert "trace" not in vars(a) and "trace_sq" not in vars(a)
-        first = method_of_moments_start(a, y)
+        (first,) = start_params(a, [y])
         assert vars(a)["trace"] == float(np.trace(a.a))
         assert vars(a)["trace_sq"] == float(np.sum(a.a * a.a))
-        second = method_of_moments_start(a, y)
+        (second,) = start_params(a, [y])
         assert (first.mu, first.sigma2, first.tau2) == (second.mu, second.sigma2, second.tau2)
 
     def test_requires_three_observations(self):
+        # no start for two individuals, so the fit is NaO before any step
         ped = Pedigree((PedigreeRecord(1, None, None), PedigreeRecord(2, None, None)))
-        a = relationship_matrix(ped)
-        with pytest.raises(ValueError):
-            method_of_moments_start(a, np.array([1.0, 2.0]))
+        fit = fit_mle(AnimalModel(relationship_matrix(ped)), np.array([1.0, 2.0]))
+        assert is_nao(fit.theta_hat) and fit.trace.steps == 0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -554,10 +585,10 @@ class TestMethodOfMoments:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_start_from_rotated_response_matches_raw(self, phi, seed):
-        # a stack's starts come from Q'y; a fit's start from the raw response
+        # a stack's starts come from Q'y; the oracle forms its sums from y
         model = TestStackedStarts.MODELS[False]
         y = model.simulate(np.array(phi), derive_rng(seed, "start"))
-        raw = model.start(y)
+        raw = model.params_to_phi(method_of_moments_start(model.relationship, y))
         assert rel_err(model.starts([y])[0], raw) <= 1e-12
         stacked = model.simulate_stack(np.array(phi), [derive_rng(seed, "start")])
         assert rel_err(model.starts(stacked)[0], raw) <= 1e-12
@@ -634,14 +665,16 @@ class TestDataStacks:
     ``TestAnimalSimulate``)."""
 
     MODELS = {
-        "lan": lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])),
-        "wishart": wishart_lamn_model(LamnSpec(2, WishartCurvature(4.0, np.eye(2)))),
+        "lan": (lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])), np.array([0.3, -1.0])),
+        "wishart": (wishart_lamn_model(LamnSpec(2, WishartCurvature(4.0, np.eye(2)))), np.array([0.3, -1.0])),
+        "ar1": (Ar1Model(12, x0=1.5), np.array([1.1])),
+        "ar1_random_x0": (Ar1Model(5, random_x0=True), np.array([-0.7])),
     }
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(MODELS)), n=st.sampled_from([0, 1, 9]), seed=st.integers(0, 2**32 - 1))
     def test_stack_data_of_single_draws_is_simulate_stack(self, name, n, seed):
-        model, theta = self.MODELS[name], np.array([0.3, -1.0])
+        model, theta = self.MODELS[name]
         stack = model.simulate_stack(theta, [derive_rng(seed, "stack", i) for i in range(n)])
         singles = model.stack_data([model.simulate(theta, derive_rng(seed, "stack", i)) for i in range(n)])
         assert singles.shape == stack.shape and np.array_equal(stack, singles)
@@ -749,7 +782,7 @@ class TestParseData:
         # the Wishart data set is z, then an SPD k row by row
         flat = np.array([0.3, -0.2, 2.0, 0.5, 0.5, 1.0]) if name == "wishart" else np.linspace(1.0, 2.0, size)
         data = model.parse_data(flat)
-        assert not is_nao(model.objective(data)(model.start(data)))
+        assert not is_nao(model.objective(data)(model.starts(model.stack_data([data]))[0]))
         with pytest.raises(DataFormatError) as err:
             model.parse_data(np.ones(size + 1))
         assert err.value.line == 1 and str(err.value) == f"line 1: {message}"

@@ -89,6 +89,20 @@ def golden_section_max(f, lo, hi, tol=1e-12):
     return (a + b) / 2.0
 
 
+def ascent_values(q, start, steps):
+    """The objective after 0, 1, ..., ``steps`` safeguarded steps from ``start``.
+
+    Each step is a run capped at ``max_steps = 1`` from the previous point,
+    under the full run's tolerance: the ascent keeps no other state between
+    steps, so point k is where a run capped at ``max_steps = k`` stops.
+    """
+    tol = 1e-8 * (1.0 + abs(q(start).value))
+    points = [start]
+    for _ in range(steps):
+        points.append(safeguarded_maximize(q, points[-1], tol=tol, max_steps=1)[0])
+    return [q(x).value for x in points]
+
+
 class TestNewtonStep:
     def test_one_step_exactness_on_quadratics(self):
         rng = np.random.default_rng(42)
@@ -128,7 +142,7 @@ class TestNewtonIterate:
     def test_nao_start(self):
         result, trace = newton_iterate(quartic, NaO)
         assert is_nao(result)
-        assert trace.iterates == []
+        assert np.isnan(trace.final_grad_norm)
         assert trace.steps == 0
         assert not trace.converged
 
@@ -140,10 +154,11 @@ class TestNewtonIterate:
         assert not trace.converged
 
     def test_step_failure_records_nao(self):
+        # the failed step counts; the norm is the start's, the last finite one
         result, trace = newton_iterate(convex, np.array([0.5]), tol=1e-12)
         assert is_nao(result)
-        assert is_nao(trace.iterates[-1])
-        assert np.isnan(trace.grad_norms[-1])
+        assert trace.steps == 1 and not trace.converged
+        assert trace.final_grad_norm == 0.5
 
     def test_superlinear_decay_against_golden_section(self):
         rng = np.random.default_rng(7)
@@ -156,8 +171,14 @@ class TestNewtonIterate:
         # value comparisons cannot localize a smooth maximum beyond ~sqrt(eps)
         assert abs(float(result[0]) - oracle) < 5e-8
         assert q(result).value >= q([oracle]).value - 1e-12
-        # superlinear: successive gradient-norm ratios shrink toward zero
-        norms = [g for g in trace.grad_norms if g > 0]
+        # superlinear: along successive Newton steps, the gradient-norm
+        # ratios shrink toward zero
+        point, norms = np.array([0.0]), []
+        for _ in range(trace.steps):
+            norms.append(float(np.max(np.abs(q(point).gradient))))
+            point = newton_step(q, point)
+        assert np.array_equal(point, result)
+        norms = [g for g in norms + [trace.final_grad_norm] if g > 0]
         ratios = [b / a for a, b in zip(norms, norms[1:])]
         assert len(ratios) >= 2
         assert ratios[-1] < 0.1 * ratios[0]
@@ -167,11 +188,10 @@ class TestNewtonIterate:
         rng = np.random.default_rng(9)
         q = QuadraticForm(0.0, rng.standard_normal(2), random_spd(rng, 2))
         result, trace = newton_iterate(q.objective(), rng.standard_normal(2))
-        assert trace.steps == len(trace.iterates) - 1
-        assert len(trace.grad_norms) == len(trace.iterates)
-        assert trace.converged
-        assert not is_nao(trace.iterates[-1])
-        assert trace.grad_norms[-1] <= 1e-8 * (1 + abs(q.u))
+        assert trace.converged and trace.steps == 1
+        assert not is_nao(result)
+        assert trace.final_grad_norm == float(np.max(np.abs(q.objective()(result).gradient)))
+        assert trace.final_grad_norm <= 1e-8 * (1 + abs(q.u))
 
 
 class TestContinuityUnderPerturbation:
@@ -240,9 +260,13 @@ class TestSafeguardedMaximize:
         y = (rng.random(30) < 0.4).astype(float)
         q = logistic_style(x, y)
         result, trace = safeguarded_maximize(q, np.array([4.0]))
-        assert trace.converged
-        values = [q(it).value for it in trace.iterates]
+        assert trace.converged and trace.steps > 1
+        values = ascent_values(q, np.array([4.0]), trace.steps)
         assert all(b >= a for a, b in zip(values, values[1:]))
+        # a max_steps = 0..K sweep stops at the same points
+        sweep = [safeguarded_maximize(q, np.array([4.0]), max_steps=k)[0] for k in range(trace.steps + 1)]
+        assert values == [q(x).value for x in sweep]
+        assert values[-1] == q(result).value
 
     def test_nonfinite_start_raises(self):
         with pytest.raises(ValueError, match="not finite"):
@@ -274,8 +298,8 @@ class TestSafeguardedMaximize:
                 ev = q(thetas[0])
                 return np.array([ev.value]), ev.gradient[None], ev.hessian[None]
 
-            def start(self, data):
-                return np.array([1e-300])
+            def starts(self, stack):
+                return np.full((len(stack), 1), 1e-300)
 
         with deadline(5.0):
             result, trace = safeguarded_maximize(q, np.array([1e-300]))
@@ -305,9 +329,10 @@ class TestSafeguardedMaximize:
         start = q(np.array([x0]))
         assume(start.all_finite())
         with deadline(2.0):
-            _, trace = safeguarded_maximize(q, np.array([x0]))
-        values = [q(it).value for it in trace.iterates]
+            result, trace = safeguarded_maximize(q, np.array([x0]))
+            values = ascent_values(q, np.array([x0]), trace.steps)
         assert all(v1 >= v0 for v0, v1 in zip(values, values[1:]))
+        assert values[-1] == q(result).value
 
 
 class TestNaOPropagationTable:
