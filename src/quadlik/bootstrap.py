@@ -15,7 +15,7 @@ silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -183,32 +183,31 @@ def calibrate(samples: PivotSamples, level: float, p: int) -> CalibrationResult:
 
 @dataclass(frozen=True, eq=False)
 class DoubleBootstrapReport:
-    """Outer pivots plus inner calibrations at each outer refit.
+    """Outer pivots plus the inner calibration at each outer refit.
 
-    ``coverage_indicators[i]`` is 1 when the outer pivot falls under its own
-    inner calibrated quantile (None where anything was NaO); their mean is
-    the prepivoting diagnostic that should sit near the level.
+    ``inner_quantiles[i]`` is the calibrated quantile of outer refit ``i``'s
+    inner level, and ``coverage[i]`` is 1.0 when the outer pivot falls under
+    it, else 0.0; both are NaN where anything was NaO.  The mean coverage
+    is the prepivoting diagnostic that should sit near the level.
     """
 
     outer: PivotSamples
-    per_outer_calibrations: list
-    coverage_indicators: list
+    inner_quantiles: np.ndarray
+    coverage: np.ndarray
     level: float
     B2: int
 
     def coverage_rate(self) -> float:
-        used = [c for c in self.coverage_indicators if c is not None]
-        if not used:
-            return float("nan")
-        return float(np.mean(used))
+        used = self.coverage[~np.isnan(self.coverage)]
+        return float(used.mean()) if used.size else float("nan")
 
     def to_record(self, prefix: str = "double") -> dict:
         rec = self.outer.to_record(f"{prefix}_outer")
         rec[f"{prefix}_level"] = self.level
         rec[f"{prefix}_B2"] = self.B2
         rec[f"{prefix}_coverage_rate"] = self.coverage_rate()
-        quantiles = [c.calibrated_quantile for c in self.per_outer_calibrations if c is not None]
-        if quantiles:
+        quantiles = self.inner_quantiles[~np.isnan(self.inner_quantiles)]
+        if quantiles.size:
             rec[f"{prefix}_inner_quantile_mean"] = float(np.mean(quantiles))
             rec[f"{prefix}_inner_quantile_sd"] = float(np.std(quantiles))
         return rec
@@ -234,14 +233,17 @@ def double_bootstrap(
     at most ``INNER_LEVEL_ROWS`` rows (results do not depend on the
     blocks).  The pivot is called once per lockstep, as in
     :func:`parametric_bootstrap`.  An outer pivot that is NaO after a
-    converged refit still gets its inner level.
+    converged refit still gets its inner level.  Each inner quantile is
+    :func:`calibrate`'s, bit for bit, taken for all the inner levels with
+    the same number of finite pivots at once.
     """
     if B1 < 1 or B2 < 1:
         raise ValueError("B1 and B2 must be at least 1")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie strictly between 0 and 1")
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     if not model.domain.contains(th):
         raise ValueError("theta_hat lies outside the model domain")
-    p = th.size
     thetas, values = _bootstrap_level(model, [th], B1, pivot, seed, [("bootstrap", 0)])
     outer_thetas, outer_values = thetas[0], values[0]
     refit = np.flatnonzero(~np.isnan(outer_thetas[:, 0]))
@@ -253,18 +255,15 @@ def double_bootstrap(
         block = refit[k : k + per_block]
         paths = [("bootstrap", 1, i) for i in block.tolist()]
         inner_values[block] = _bootstrap_level(model, outer_thetas[block], B2, pivot, seed, paths)[1]
-    calibrations: list[Optional[CalibrationResult]] = []
-    indicators: list[Optional[int]] = []
-    for value, inner in zip(outer_values.tolist(), inner_values):
-        samples = _samples(inner, seed)
-        if samples.values.size == 0:
-            calibrations.append(None)
-            indicators.append(None)
-            continue
-        cal = calibrate(samples, level, p)
-        calibrations.append(cal)
-        indicators.append(None if np.isnan(value) else int(value <= cal.calibrated_quantile))
-    return DoubleBootstrapReport(_samples(outer_values, seed), calibrations, indicators, level, B2)
+    # NaO (NaN) values sort last, so row i's first counts[i] are its sorted finite values
+    ordered = np.sort(inner_values, axis=1)
+    counts = np.count_nonzero(np.isfinite(inner_values), axis=1)
+    quantiles = np.full(B1, np.nan)
+    for count in np.unique(counts[counts > 0]).tolist():
+        rows = counts == count
+        quantiles[rows] = np.quantile(ordered[rows, :count], level, axis=1, method="linear")
+    coverage = np.where(np.isnan(outer_values) | np.isnan(quantiles), np.nan, outer_values <= quantiles)
+    return DoubleBootstrapReport(_samples(outer_values, seed), quantiles, coverage, level, B2)
 
 
 def importance_reweight(g_values, logratio_values) -> float:

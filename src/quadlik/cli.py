@@ -10,7 +10,6 @@ randomness derives from the mandatory integer seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from .bootstrap import (
     make_wald_pivot,
     parametric_bootstrap,
 )
-from .core import QuadraticForm, StackedEval, is_nao, local_shift
+from .core import QuadraticForm, StackedEval, cholesky_pivots, is_nao, local_shift, spd_factor
 from .funcspace import GridBox, c2_distance, quadraticity_report
 from .parallel import replicates
 from .inference import (
@@ -96,7 +95,7 @@ class ReportRecord:
 
     def put(self, key: str, value) -> None:
         if key in self._items:
-            raise ValueError(f"duplicate report key {key!r}")
+            raise KeyError(f"duplicate report key {key!r}")
         if isinstance(value, bool):
             value = int(value)
         elif isinstance(value, (np.integer,)):
@@ -367,14 +366,10 @@ def _load_data(cfg: dict, model) -> object:
 
 
 def _standard_errors(info: np.ndarray) -> np.ndarray | None:
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
+    """Square roots of the diagonal of the inverse information, None where it fails the pivot test."""
+    if spd_factor(info) is None:
         return None
-    diag = np.diag(cov)
-    if np.any(diag < 0):
-        return None
-    return np.sqrt(diag)
+    return np.sqrt(np.diag(np.linalg.inv(info)))
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +677,8 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
     record.put("animal_tau2", params.tau2)
     h_hat = logit_heritability(params)
     record.put("animal_logit_heritability", h_hat)
-    # h = phi_1 - phi_2 in the fitting coordinates; delta method on the fit
-    contrast = np.array([0.0, 1.0, -1.0])
-    cov_c = np.linalg.solve(fit.observed_info, contrast)
-    se_h = float(np.sqrt(contrast @ cov_c))
+    # delta method on the fit: the pivot's variance, on a stack of one
+    se_h = float(np.sqrt(_heritability_variance(fit.observed_info[None])[0]))
     record.put("animal_logit_heritability_se", se_h)
     z = np.sqrt(chisq_upper_quantile(1, alpha))
     record.put("wald_interval_low", h_hat - z * se_h)
@@ -704,25 +697,28 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
     return record, EXIT_OK
 
 
+def _heritability_variance(info: np.ndarray) -> np.ndarray:
+    """Delta-method variance ``c' info^-1 c`` of the logit heritability for a
+    stack of informations ``(m, 3, 3)``: ``(m,)``, NaN where one fails the
+    pivot test."""
+    contrast = np.array([0.0, 1.0, -1.0])  # h = phi_1 - phi_2 in the fitting coordinates
+    with np.errstate(over="ignore", invalid="ignore"):
+        good = ~np.isnan(cholesky_pivots(info)[0][:, 0, 0])
+        cov = np.full(info.shape[:2], np.nan)
+        # right-hand sides as (k, 3, 1), which every numpy reads as a stack
+        cov[good] = np.linalg.solve(info[good], np.broadcast_to(contrast[:, None], (int(good.sum()), 3, 1)))[:, :, 0]
+        return (cov * contrast).sum(axis=1)
+
+
 def _heritability_pivot(model: AnimalModel):
     """Squared studentized logit-heritability pivot for bootstrap calibration, over
-    a refit level: NaN where a row is NaO, its information is singular or the
-    contrast's variance is not positive."""
-    contrast = np.array([0.0, 1.0, -1.0])
+    a refit level: NaN where a row is NaO, its information fails the pivot test
+    or the contrast's variance is not positive."""
 
     def pivot(ev: StackedEval, thetas: np.ndarray, theta_hats: np.ndarray) -> np.ndarray:
-        info = -ev.parts(model.dim_param)[2]
-        try:
-            # right-hand sides as (m, 3, 1), which every numpy reads as a stack
-            cov = np.linalg.solve(info, np.broadcast_to(contrast[:, None], info.shape[:2] + (1,)))[:, :, 0]
-        except np.linalg.LinAlgError:  # a singular row fails the call: solve row by row
-            cov = np.full(thetas.shape, np.nan)
-            for j, row in enumerate(info):
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    cov[j] = np.linalg.solve(row, contrast)
+        var_h = _heritability_variance(-ev.parts(model.dim_param)[2])
         diff = (thetas[:, 1] - thetas[:, 2]) - (theta_hats[:, 1] - theta_hats[:, 2])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            var_h = (cov * contrast).sum(axis=1)
             values = diff * diff / var_h
         return np.where(ev.ok & (var_h > 0), values, np.nan)
 
@@ -832,10 +828,11 @@ def main(argv=None) -> int:
             out_base = out_base.rsplit(".", 1)[0]
         record, code = RUNNERS[args.command](cfg)
         record.write(out_base)
-    except (ConfigError, DataFormatError, OSError, ValueError) as err:
-        print(f"quadlik: error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except Exception:
+    except Exception as err:
+        # a LinAlgError is a ValueError, but only a program bug raises one
+        if isinstance(err, (ConfigError, DataFormatError, OSError, ValueError)) and not isinstance(err, np.linalg.LinAlgError):
+            print(f"quadlik: error: {err}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         print("quadlik: internal error", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL_ERROR

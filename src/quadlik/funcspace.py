@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NaO, ObjectiveEval, Objective, QuadraticForm, StackedEval, is_nao
+from .core import ObjectiveEval, Objective, QuadraticForm, StackedEval, is_nao
 
 # Default grid resolution per axis, keyed by dimension.  Grid diagnostics are
 # rejected above dimension 3; use monte_carlo_points there instead.
@@ -134,36 +134,13 @@ def monte_carlo_points(lower, upper, n: int = DEFAULT_CLOUD_SIZE, rng: np.random
 # ---------------------------------------------------------------------------
 
 
-def value_function(q: Objective):
-    """Scalar view of an objective: its value component, NaO passed through.
-
-    The view keeps the objective's stacked evaluation (see :func:`_on_points`).
-    """
-    return _ValueView(q)
-
-
-class _ValueView:
-    def __init__(self, q: Objective):
-        self.q = q
-
-    def __call__(self, x):
-        ev = self.q(x)
-        if is_nao(ev):
-            return NaO
-        return ev.value
-
-    def stack(self, points: np.ndarray) -> StackedEval:
-        ev = _on_points(self.q, points)
-        return StackedEval(ev.packed[:, :1], ev.ok)
-
-
 def _on_points(f, points: np.ndarray) -> StackedEval:
     """``f`` at each row of ``points``.
 
     An objective with a stacked evaluation (``f.stack``, as a shifted
-    objective, a quadratic form's objective or a value view of either has)
-    is evaluated in one call; anything else is called point by point, which
-    serves plain callables and is the reference for the stacked path.  Rows
+    objective or a quadratic form's objective has) is evaluated in one
+    call; anything else is called point by point, which serves plain
+    callables and is the reference for the stacked path.  Rows
     hold the packed value, gradient and Hessian of an objective, or the
     value of a scalar function; ``ok`` is False where ``f`` gave NaO.
     """
@@ -203,6 +180,8 @@ def sup_norm_on_box(f, g, box: GridBox) -> float:
     """Grid maximum of ``|f - g|`` over the box (a lower bound to the sup)."""
     points = box.points()
     ef, eg = _on_points(f, points), _on_points(g, points)
+    # of an objective only the value is compared, so only it must be finite
+    ef, eg = (StackedEval(ev.packed[:, :1], ev.ok) for ev in (ef, eg))
     _raise_at_first_failure(points, (ef, eg))
     return float(np.max(np.abs(ef.packed[:, 0] - eg.packed[:, 0])))
 
@@ -295,7 +274,7 @@ def quadraticity_report(
     fit = quadratic_fit_at(q, anchor).objective()
     d0, d1, d2 = c2_distance(q, fit, box)
     nested = NestedBoxes.shrinking(box, n_boxes)
-    rud = rudin_distance(value_function(q), value_function(fit), nested)
+    rud = rudin_distance(q, fit, nested)
     return QuadraticityReport(
         d0=d0,
         d1=d1,

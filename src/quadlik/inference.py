@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
-from .core import LikModel, MaybeParam, NaO, is_nao, spd_factor
+from .core import LikModel, MaybeParam, NaO, cholesky_pivots, is_nao, spd_factor
 from .newton import NewtonTrace, lockstep_fit
 
 # ---------------------------------------------------------------------------
@@ -98,16 +98,25 @@ def symmetric_sqrt(m) -> MaybeParam:
     """Symmetric square root of a positive definite matrix, else NaO.
 
     Positive definiteness is decided by the pivot test; the root itself
-    comes from an eigendecomposition and is symmetrized exactly.
+    comes from an eigendecomposition and is symmetrized exactly.  A stack
+    ``(m, p, p)`` gives the stack of roots, each with the bits it has
+    alone, and all NaN for every matrix that fails (as in
+    :func:`~quadlik.core.cholesky_pivots`).
     """
     if is_nao(m):
         return NaO
     a = np.asarray(m, dtype=float)
-    if spd_factor(a) is None:
-        return NaO
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-    return (root + root.T) / 2.0
+    stack = a.reshape(-1, *a.shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        good = ~np.isnan(cholesky_pivots(stack)[0][:, 0, 0])
+    s = stack[good]
+    w, v = np.linalg.eigh((s + np.swapaxes(s, 1, 2)) / 2.0)
+    root = np.matmul(v * np.sqrt(np.maximum(w, 0.0))[:, None, :], np.swapaxes(v, 1, 2))
+    roots = np.full_like(stack, np.nan)
+    roots[good] = (root + np.swapaxes(root, 1, 2)) / 2.0
+    if a.ndim == 2:
+        return roots[0] if good[0] else NaO
+    return roots
 
 
 def wald_pivot(theta_hat, theta, h) -> MaybeParam:

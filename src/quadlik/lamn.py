@@ -349,13 +349,10 @@ def score_normality_test(model: LikModel, theta, nsim: int, seed: int) -> KsTest
     def standardized_scores(datas):
         ev = _at(model.stacked_objective(datas), th)
         _, gradient, hessian = ev.parts(p)
-        scores, ok = np.full((len(datas), p), np.nan), ev.ok.copy()
-        for i in np.flatnonzero(ok):
-            root = symmetric_sqrt(-hessian[i])
-            if is_nao(root):
-                ok[i] = False
-            else:
-                scores[i] = np.linalg.solve(root, gradient[i])
+        roots = symmetric_sqrt(-hessian)
+        ok = ev.ok & ~np.isnan(roots[:, 0, 0])
+        scores = np.full((len(datas), p), np.nan)
+        scores[ok] = np.linalg.solve(roots[ok], gradient[ok][:, :, None])[:, :, 0]
         return scores, ok
 
     t, n_nao = replicates(model, th, nsim, seed, ("score-normality",), standardized_scores)

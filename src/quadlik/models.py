@@ -739,7 +739,10 @@ class ExponentialRateIid(LikModel):
         th = thetas[:, 0]
         total = stack.sum(axis=1)
         value = self.n * np.log(th) - th * total
-        return value, (self.n / th - total)[:, None], (-self.n / th**2)[:, None, None]
+        # a rate past 1e154 squares to inf, and its Hessian is then -0
+        with np.errstate(over="ignore"):
+            hessian = -self.n / th**2
+        return value, (self.n / th - total)[:, None], hessian[:, None, None]
 
     def stack_data(self, datas) -> np.ndarray:
         """The samples as the rows of an ``(m, n)`` stack."""

@@ -133,8 +133,7 @@ class TestDoubleBootstrap:
             model, fit.theta_hat, 2, 2, make_wald_pivot(model), seed=19
         )
         assert report.outer.B == 2
-        assert len(report.per_outer_calibrations) == 2
-        assert len(report.coverage_indicators) == 2
+        assert report.inner_quantiles.shape == report.coverage.shape == (2,)
         assert report.B2 == 2
 
     def test_simulation_count(self):
@@ -157,8 +156,8 @@ class TestDoubleBootstrap:
             model, fit.theta_hat, 12, 600, make_wald_pivot(model), seed=29, level=0.9
         )
         nominal = chisq_upper_quantile(2, 0.1)
-        quantiles = [c.calibrated_quantile for c in report.per_outer_calibrations if c is not None]
-        assert len(quantiles) == 12
+        quantiles = report.inner_quantiles
+        assert not np.isnan(quantiles).any() and quantiles.shape == (12,)
         # the pivot is exactly chi-square here, so inner quantiles sit near nominal
         assert abs(np.median(quantiles) - nominal) / nominal < 0.15
 
@@ -168,7 +167,7 @@ class TestDoubleBootstrap:
         a = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, seed=31)
         b = double_bootstrap(model, fit.theta_hat, 4, 3, pivot, seed=31)
         assert np.array_equal(a.outer.values, b.outer.values)
-        assert a.coverage_indicators == b.coverage_indicators
+        assert np.array_equal(a.coverage, b.coverage, equal_nan=True)
 
 
 class HessianModel(LikModel):
@@ -258,17 +257,13 @@ class TestStackedWaldPivot:
 
 
 def heritability_alone(model, data, theta_star, theta_hat):
-    """The logit-heritability pivot row by row: its own evaluation, then
-    ``np.linalg.solve`` of the contrast."""
+    """The logit-heritability pivot row by row: its own evaluation, gated by
+    the pivot test, then ``np.linalg.solve`` of the contrast."""
     ev = model.objective(data)(theta_star)
-    if is_nao(ev):
+    if is_nao(ev) or spd_factor(-ev.hessian) is None:
         return NaO
     contrast = np.array([0.0, 1.0, -1.0])
-    try:
-        cov_c = np.linalg.solve(-ev.hessian, contrast)
-    except np.linalg.LinAlgError:
-        return NaO
-    var_h = float(contrast @ cov_c)
+    var_h = float(contrast @ np.linalg.solve(-ev.hessian, contrast))
     if not var_h > 0:
         return NaO
     diff = float(theta_star[1] - theta_star[2]) - float(theta_hat[1] - theta_hat[2])
@@ -331,26 +326,46 @@ class TestStackedHeritabilityPivot:
         stacked = self.check(datas, refits, centers)
         assert np.isnan(stacked).tolist() == [False, False, True, False]
 
+    def test_indefinite_row_is_nao_whatever_its_contrast_variance(self):
+        # c' info^-1 c = 2 > 0 for c = (0, 1, -1), but info fails the pivot test
+        rng = np.random.default_rng(4)
+        infos = [random_spd(rng, 3), np.diag([-1.0, 1.0, 1.0]), random_spd(rng, 3)]
+        contrast = np.array([0.0, 1.0, -1.0])
+        assert contrast @ np.linalg.solve(infos[1], contrast) == 2.0
+        datas = [(0.0, -info) for info in infos]
+        refits, centers = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        stacked = self.check(datas, refits, centers)
+        assert np.isnan(stacked).tolist() == [False, True, False]
+
 
 def double_alone(model, theta_hat, B1, B2, pivot, seed, level):
-    """The double bootstrap as nested loops over explicit streams."""
-    outer, calibrations, indicators = [], [], []
+    """The double bootstrap as nested loops over explicit streams, one
+    :func:`calibrate` per outer refit.
+
+    Returns, per outer replicate, its pivot value, its inner calibrated
+    quantile, its coverage indicator (1.0 or 0.0; both NaN where anything
+    was NaO) and its number of finite inner pivots.
+    """
+    outer, quantiles, coverage, counts = [], [], [], []
     for i in range(B1):
         data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
         theta_star, value = refit_alone(model, theta_hat, pivot, data)
         outer.append(value)
-        cal = None
+        values = []
         if not np.isnan(theta_star).any():
-            inner = []
             for j in range(B2):
                 inner_data = model.simulate(theta_star, derive_rng(seed, "bootstrap", 1, i, j))
-                inner.append(refit_alone(model, theta_star, pivot, inner_data)[1])
-            values = [v for v in inner if not np.isnan(v)]
-            if values:
-                cal = calibrate(PivotSamples(np.array(values), B2 - len(values), seed, B2), level, theta_hat.size)
-        calibrations.append(cal)
-        indicators.append(None if cal is None or np.isnan(value) else int(value <= cal.calibrated_quantile))
-    return outer, calibrations, indicators
+                inner = refit_alone(model, theta_star, pivot, inner_data)[1]
+                if not np.isnan(inner):
+                    values.append(inner)
+        quantile = np.nan
+        if values:
+            samples = PivotSamples(np.array(values), B2 - len(values), seed, B2)
+            quantile = calibrate(samples, level, theta_hat.size).calibrated_quantile
+        quantiles.append(quantile)
+        coverage.append(np.nan if np.isnan(quantile) or np.isnan(value) else float(value <= quantile))
+        counts.append(len(values))
+    return outer, quantiles, coverage, counts
 
 
 WISHART_SPEC = LamnSpec(3, WishartCurvature(5.0, np.eye(3) / 5.0))
@@ -395,17 +410,14 @@ class TestDoubleBootstrapLayout:
 
     def check(self, model, theta_hat, pivot, seed, B1=9, B2=7, level=0.9):
         report = double_bootstrap(model, theta_hat, B1, B2, pivot, seed, level=level)
-        outer, calibrations, indicators = double_alone(model, theta_hat, B1, B2, pivot, seed, level)
+        outer, quantiles, coverage, counts = double_alone(model, theta_hat, B1, B2, pivot, seed, level)
         kept = [v for v in outer if not np.isnan(v)]
         assert report.outer.n_nao == B1 - len(kept)
         assert np.array_equal(report.outer.values, kept)
-        assert [c is None for c in report.per_outer_calibrations] == [c is None for c in calibrations]
-        for got, want in zip(report.per_outer_calibrations, calibrations):
-            if want is not None:
-                assert got.calibrated_quantile == want.calibrated_quantile
-                assert got.nominal_quantile == want.nominal_quantile
-        assert report.coverage_indicators == indicators
-        return outer, calibrations
+        # calibrate's quantiles bit for bit, NaN where an inner level had no finite pivot
+        assert report.inner_quantiles.tobytes() == np.array(quantiles).tobytes()
+        assert np.array_equal(report.coverage, coverage, equal_nan=True)
+        return outer, quantiles, counts
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_levels_equal_nested_loops(self, name):
@@ -440,12 +452,14 @@ class TestDoubleBootstrapLayout:
             return thetas, values
 
         monkeypatch.setattr(quadlik.bootstrap, "_bootstrap_level", recorded)
-        outer, calibrations = self.check(model, theta_hat, pivot, seed=61, B1=24, B2=6)
-        # an outer refit that fails gives None; an NaO outer pivot after a
-        # converged refit still gets its inner level
-        refit_failed = [i for i in range(24) if np.isnan(outer[i]) and calibrations[i] is None]
-        pivot_failed = [i for i in range(24) if np.isnan(outer[i]) and calibrations[i] is not None]
+        outer, quantiles, counts = self.check(model, theta_hat, pivot, seed=61, B1=24, B2=6)
+        # an outer refit that fails gives no inner quantile; an NaO outer
+        # pivot after a converged refit still gets its inner level
+        refit_failed = [i for i in range(24) if np.isnan(outer[i]) and np.isnan(quantiles[i])]
+        pivot_failed = [i for i in range(24) if np.isnan(outer[i]) and not np.isnan(quantiles[i])]
         assert refit_failed and pivot_failed
+        # the inner levels' NaO counts differ, so their quantiles come from several groups
+        assert len(set(counts) - {0}) > 1, counts
         # at both levels, a replicate without a start, or with an infinite one, is NaO
         failed = {(level, kind): 0 for level in (0, 1) for kind in ("nan", "inf")}
         for center, path, thetas, values in levels:

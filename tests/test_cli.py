@@ -6,6 +6,7 @@ import pytest
 
 import quadlik.cli
 from quadlik.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_NAO, EXIT_OK, ReportRecord, main
+from quadlik.inference import MleResult
 from quadlik.models import ar1_simulate, save_pedigree_csv, save_vector_csv, synthetic_pedigree
 from quadlik.rng import derive_rng
 
@@ -32,7 +33,7 @@ class TestReportRecord:
     def test_rejects_duplicate_keys(self):
         record = ReportRecord()
         record.put("a", 1)
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(KeyError, match="duplicate report key 'a'"):
             record.put("a", 2)
 
     def test_seventeen_digit_floats(self):
@@ -319,6 +320,27 @@ class TestStudies:
         assert report["wald_interval_low"] < report["animal_logit_heritability"] < report["wald_interval_high"]
         assert "calibrated_interval_low" in report
 
+    def test_animal_study_singular_information_has_no_interval(self, tmp_path, monkeypatch):
+        # an information that fails the pivot test has no delta-method variance
+        fit_mle = quadlik.cli.fit_mle
+
+        def singular(model, data):
+            fit = fit_mle(model, data)
+            return MleResult(fit.theta_hat, np.zeros((3, 3)), fit.trace)
+
+        monkeypatch.setattr(quadlik.cli, "fit_mle", singular)
+        cfg = write_config(
+            tmp_path, "c.json", experiment="animal-study",
+            model={"kind": "animal", "synthetic": {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}},
+            truth={"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}, out="r",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["animal-study", "--config", cfg]) == EXIT_OK
+        report = read_report(tmp_path, "r")
+        assert report["status"] == "ok" and "fit_se" not in report
+        assert report["animal_logit_heritability_se"] == report["wald_interval_low"] == "nan"
+
 
 class TestCountValidation:
     def test_nonpositive_counts_rejected(self, tmp_path):
@@ -546,18 +568,56 @@ class TestNaoStart:
             assert report["fit_newton_steps"] == 0
             assert report["fit_newton_converged"] == 0
 
+    def test_rate_start_near_the_float_maximum(self, tmp_path):
+        # the start 1 / mean(x) = 5e299 squares to inf; the fit stops there at once
+        save_vector_csv(str(tmp_path / "x.csv"), np.array([1e-300, 2e-300, 3e-300]))
+        cfg = write_config(
+            tmp_path, "c.json", experiment="fit", model={"kind": "iid_exponential", "n": 3}, data="x.csv", out="r"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg]) == EXIT_OK
+        assert (tmp_path / "r.json").read_text() == (
+            '{\n  "schema_version": 1,\n  "experiment": "fit",\n  "seed": 42,\n'
+            '  "model_kind": "iid_exponential",\n  "alpha": 0.050000000000000003,\n'
+            '  "fit_newton_steps": 0,\n  "fit_newton_converged": 1,\n  "fit_newton_final_grad_norm": 0,\n'
+            '  "status": "ok",\n  "fit_theta_hat": [4.9999999999999995e+299],\n  "fit_observed_info": [0]\n}\n'
+        )
+
 
 class TestInternalError:
     def test_unclassified_exception_exits_three_with_traceback(self, tmp_path, capsys, monkeypatch):
+        self.check(tmp_path, capsys, monkeypatch, RuntimeError("a bug, not an input error"))
+
+    def test_linalg_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        # a ValueError subclass, but no input should raise one
+        self.check(tmp_path, capsys, monkeypatch, np.linalg.LinAlgError("Singular matrix"))
+
+    @staticmethod
+    def check(tmp_path, capsys, monkeypatch, error):
         def broken(cfg):
-            raise RuntimeError("a bug, not an input error")
+            raise error
 
         monkeypatch.setitem(quadlik.cli.RUNNERS, "fit", broken)
         cfg = write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="r")
         assert main(["fit", "--config", cfg]) == EXIT_INTERNAL_ERROR == 3
         err = capsys.readouterr().err
         assert err.startswith("quadlik: internal error\n")
-        assert "Traceback" in err and "RuntimeError: a bug, not an input error" in err
+        assert "Traceback" in err and f"{type(error).__name__}: {error}" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_duplicate_report_key_exits_three(self, tmp_path, capsys, monkeypatch):
+        def twice(cfg):
+            record = quadlik.cli._start_record(cfg)
+            record.put("seed", 1)
+            return record, EXIT_OK
+
+        monkeypatch.setitem(quadlik.cli.RUNNERS, "fit", twice)
+        cfg = write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="r")
+        assert main(["fit", "--config", cfg]) == EXIT_INTERNAL_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("quadlik: internal error\n")
+        assert "KeyError: \"duplicate report key 'seed'\"" in err
         assert not (tmp_path / "r.json").exists()
 
 

@@ -32,7 +32,7 @@ from quadlik import (
     wishart_lamn_model,
 )
 from quadlik.core import NaO
-from quadlik.funcspace import _on_points, value_function
+from quadlik.funcspace import _on_points
 
 
 def quartic(delta):
@@ -318,8 +318,6 @@ class TestStackedEvaluation:
         stacked, looped = q.stack(points), _on_points(_looped(q), points)
         assert stacked.ok.all() and looped.ok.all()
         assert np.array_equal(stacked.packed, looped.packed)
-        view = value_function(q)
-        assert np.array_equal(view.stack(points).packed, _on_points(_looped(view), points).packed)
 
     def test_distances_match_the_loop(self):
         model, psi = SHIFT_CASES["animal"]
@@ -328,8 +326,8 @@ class TestStackedEvaluation:
         box = GridBox([-1.0] * 3, [1.0] * 3, [4, 3, 5])
         assert c2_distance(q, fit, box) == c2_distance(_looped(q), _looped(fit), box)
         nested = NestedBoxes.shrinking(box, 3)
-        stacked = rudin_distance(value_function(q), value_function(fit), nested)
-        looped = rudin_distance(_looped(value_function(q)), _looped(value_function(fit)), nested)
+        stacked = rudin_distance(q, fit, nested)
+        looped = rudin_distance(_looped(q), _looped(fit), nested)
         assert stacked == looped
 
     @pytest.mark.parametrize("looped", [False, True], ids=["stacked", "looped"])
@@ -340,13 +338,12 @@ class TestStackedEvaluation:
         fit = quadratic_fit_at(q, np.zeros(3)).objective()
         f = _looped(q) if looped else q
         box = GridBox([-1.0, -1.0, 0.0], [1.0, 1.0, 2000.0], [2, 2, 5])
-        view = _looped(value_function(q)) if looped else value_function(q)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteEvaluationError, match="NaO or non-finite") as err:
                 c2_distance(fit, f, box)
             assert err.value.point.tolist() == [-1.0, -1.0, 500.0]
             with pytest.raises(NonFiniteEvaluationError, match="NaO evaluation") as err:
-                sup_norm_on_box(view, value_function(fit), box)
+                sup_norm_on_box(f, fit, box)
             assert err.value.point.tolist() == [-1.0, -1.0, 500.0]
 
     def test_first_failing_point_in_grid_order_f_before_g(self):
@@ -388,12 +385,10 @@ class TestQuadraticFormRoundTrip:
     def test_nao_passes_through(self):
         form = QuadraticForm(1.0, [0.5, -0.5], [[2.0, 0.0], [0.0, 1.0]])
         assert form.objective()(NaO) is NaO
-        assert value_function(form.objective())(NaO) is NaO
         model, psi = SHIFT_CASES["iid_exponential"]
         q = local_shift(model, model.simulate(psi, derive_rng(2)), psi)
         assert q(NaO) is NaO
         points = np.array([[0.5], [-2.0], [0.0]])
-        for f in (q, value_function(q)):
-            ev = f.stack(points)
-            assert ev.ok.tolist() == [True, False, True]
-            assert np.isnan(ev.packed[1]).all()
+        ev = q.stack(points)
+        assert ev.ok.tolist() == [True, False, True]
+        assert np.isnan(ev.packed[1]).all()

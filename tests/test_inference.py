@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_spd, rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import chi2 as scipy_chi2
 
@@ -18,6 +20,7 @@ from quadlik import (
     symmetric_sqrt,
     wald_pivot,
 )
+from quadlik.core import spd_factor
 from quadlik.inference import MleResult
 from quadlik.newton import NewtonTrace, safeguarded_maximize
 
@@ -31,6 +34,47 @@ def chisq_tail_by_quadrature(p, x):
 
     value, _ = integrate.quad(density, x, np.inf, limit=200)
     return value
+
+
+def sqrt_alone(m):
+    """The symmetric root of one matrix: the pivot test, then ``eigh``."""
+    if spd_factor(m) is None:
+        return NaO
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    return (root + root.T) / 2.0
+
+
+# moderate, near the float maximum (either sign), and NaN entries
+ENTRY = st.one_of(
+    st.floats(-10, 10),
+    st.floats(1e306, 1.7e308),
+    st.floats(-1.7e308, -1e306),
+    st.just(float("nan")),
+)
+
+
+@st.composite
+def matrix_stacks(draw):
+    """1-6 symmetric matrices of one dimension 1-3: SPD (some near the float
+    maximum), indefinite, exactly singular, or of arbitrary entries."""
+    p, m = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    mats = []
+    for _ in range(m):
+        g = np.array(draw(st.lists(st.floats(-10, 10), min_size=p * p, max_size=p * p))).reshape(p, p)
+        a = (g @ g.T + np.eye(p)) * draw(st.sampled_from([1.0, 1e-3, 1e305]))
+        kind = draw(st.sampled_from(["spd", "indefinite", "singular", "entries"]))
+        if kind == "indefinite":
+            a[-1, -1] = -abs(a[-1, -1]) - 1.0
+        elif kind == "singular":
+            k = draw(st.integers(0, p - 1))
+            a[k, :] = a[:, k] = 0.0
+        elif kind == "entries":
+            entries = draw(st.lists(ENTRY, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))
+            a[np.tril_indices(p)] = entries
+            a.T[np.tril_indices(p)] = entries
+        mats.append(a)
+    return np.array(mats)
 
 
 class TestSymmetricSqrt:
@@ -55,6 +99,20 @@ class TestSymmetricSqrt:
             assert not is_nao(root)
             assert np.array_equal(root, root.T)  # exact symmetry
             assert rel_err(root @ root, m) < 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=matrix_stacks())
+    def test_stack_rows_equal_single_calls_bit_for_bit(self, stack):
+        # a root near the float maximum overflows, as it does alone
+        with np.errstate(all="ignore"):
+            roots = symmetric_sqrt(stack)
+            assert roots.shape == stack.shape
+            for m, root in zip(stack, roots):
+                alone = symmetric_sqrt(m)
+                if is_nao(alone):
+                    assert is_nao(sqrt_alone(m)) and np.isnan(root).all()
+                else:
+                    assert root.tobytes() == alone.tobytes() == sqrt_alone(m).tobytes()
 
 
 class TestWaldPivot:

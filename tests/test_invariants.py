@@ -35,7 +35,6 @@ from quadlik import (
     wald_pivot,
     wishart_lamn_model,
 )
-from quadlik.funcspace import value_function
 from quadlik.inference import MleResult
 from quadlik.lamn import LamnDraw
 from quadlik.newton import NewtonTrace
@@ -184,7 +183,6 @@ class TestNaOPropagationProperty:
             standardized_estimator(nao_fit, psi),
             standardized_estimator(fit, NaO),
             lamn_loglik(LamnDraw(form.z, form.k), NaO),
-            value_function(q)(NaO),
             local_shift(model, sample, psi)(NaO),
             q(NaO),
         ]
