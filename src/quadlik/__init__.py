@@ -17,7 +17,6 @@ from .core import (
     StackedObjective,
     is_nao,
     local_shift,
-    quadratic_loglik,
     quadratic_mle,
     spd_factor,
 )
@@ -27,7 +26,6 @@ from .funcspace import (
     NonFiniteEvaluationError,
     QuadraticityReport,
     c2_distance,
-    monte_carlo_points,
     quadratic_fit_at,
     quadraticity_report,
     rudin_distance,

@@ -160,9 +160,15 @@ class QuadraticForm:
     def dim(self) -> int:
         return self.z.size
 
-    def objective(self) -> Objective:
-        """This form as an objective callable (NaO-propagating), with a stacked evaluation."""
-        return _QuadraticObjective(self)
+    def objective(self) -> RowObjective:
+        """This form as an objective: value ``u + z.theta - theta'k theta / 2``,
+        gradient ``z - k theta``, Hessian ``-k``, with the NaO rules of
+        :class:`StackedObjective`."""
+
+        def kernel(rows, thetas):
+            return quadratic_stack(self.u, self.z, self.k, thetas)
+
+        return RowObjective(StackedObjective(OpenBox.unbounded(self.dim), 1, kernel))
 
 
 def _symmetrized(h: np.ndarray) -> np.ndarray:
@@ -274,10 +280,6 @@ class StackedEval:
         return ObjectiveEval(value[0], gradient[0], hessian[0])
 
 
-# the row index of a stack of one data set, evaluated at one point
-_ONE_ROW = np.zeros(1, dtype=int)
-
-
 class StackedObjective:
     """An objective over a data stack, ``q(rows, thetas) -> StackedEval``.
 
@@ -286,9 +288,8 @@ class StackedObjective:
     returns (value, gradient, Hessian) arrays, with symmetric Hessians and
     NaN where the likelihood cannot be evaluated; it only sees rows inside
     the domain.  Rows of the wrong width, out of the domain or with a
-    non-finite evaluation come back NaO: these are the only NaO rules of a
-    model's likelihood, which :meth:`LikModel.objective` reads as a stack of
-    one.
+    non-finite evaluation come back NaO: these are the only NaO rules of an
+    objective, which :class:`RowObjective` reads at one data set.
     """
 
     def __init__(self, domain: OpenBox, n_rows: int, kernel):
@@ -328,6 +329,31 @@ class StackedObjective:
 def _pack(value, gradient, hessian) -> np.ndarray:
     m = len(value)
     return np.concatenate([value.reshape(m, 1), gradient, hessian.reshape(m, -1)], axis=1)
+
+
+class RowObjective:
+    """The objective of one data set, row 0 of a :class:`StackedObjective`.
+
+    ``q(theta)`` is an :class:`ObjectiveEval` or NaO (for NaO, or a
+    parameter that is not one vector); :meth:`stack` evaluates an ``(m, k)``
+    stack of points in one call.  A model's objective, a local shift and a
+    quadratic form's objective are all of this class.
+    """
+
+    def __init__(self, stacked: StackedObjective):
+        self.stacked = stacked
+
+    def __call__(self, theta):
+        if is_nao(theta):
+            return NaO
+        th = np.atleast_1d(np.asarray(theta, dtype=float))
+        return self.stack(th[None]).first(th.size) if th.ndim == 1 else NaO
+
+    def stack(self, thetas) -> StackedEval:
+        """Row j holds, packed, what ``self(thetas[j])`` gives; ``ok`` is False
+        where that is NaO, as every row is when ``k`` is not the dimension."""
+        th = np.asarray(thetas, dtype=float)
+        return self.stacked(np.zeros(len(th), dtype=int), th)
 
 
 class LikModel:
@@ -384,22 +410,14 @@ class LikModel:
         """The data set a data file's values hold; DataFormatError if their number is wrong."""
         raise NotImplementedError
 
-    def objective(self, data) -> Objective:
+    def objective(self, data) -> RowObjective:
         """Objective ``theta -> ObjectiveEval`` for fixed data: row 0 of
         :meth:`stacked_objective` on the stack of this one data set.
 
         NaO in gives NaO out, and so does a parameter of the wrong length,
         outside the domain, or with a non-finite evaluation.
         """
-        stacked = self.stacked_objective([data])
-
-        def q(theta):
-            if is_nao(theta):
-                return NaO
-            th = np.atleast_1d(np.asarray(theta, dtype=float))
-            return stacked(_ONE_ROW, th[None]).first(th.size) if th.ndim == 1 else NaO
-
-        return q
+        return RowObjective(self.stacked_objective([data]))
 
     def stacked_objective(self, datas) -> StackedObjective:
         """:meth:`loglik` over a data stack (or a list of data sets), with the NaO
@@ -425,56 +443,14 @@ class LikModel:
 # ---------------------------------------------------------------------------
 
 
-def quadratic_loglik(q: QuadraticForm, theta: MaybeParam):
-    """Evaluate a quadratic objective.
-
-    value ``u + z.theta - theta'k theta / 2``, gradient ``z - k theta``,
-    Hessian ``-k``.  NaO in, NaO out.
-    """
-    if is_nao(theta):
-        return NaO
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if th.shape != q.z.shape:
-        raise ValueError(f"parameter length {th.size} does not match dimension {q.dim}")
-    return quadratic_eval(q.u, q.z, q.k, th)
-
-
-class _QuadraticObjective:
-    """``QuadraticForm.objective()``: :func:`quadratic_loglik` at one point, or
-    at each row of an ``(m, p)`` stack through :meth:`stack`."""
-
-    def __init__(self, form: QuadraticForm):
-        self.form = form
-
-    def __call__(self, theta):
-        return quadratic_loglik(self.form, theta)
-
-    def stack(self, thetas) -> StackedEval:
-        """Row j holds, packed, what ``self(thetas[j])`` gives."""
-        th = np.asarray(thetas, dtype=float)
-        if th.shape[1:] != self.form.z.shape:
-            raise ValueError(f"parameter rows of shape {th.shape[1:]} do not match dimension {self.form.dim}")
-        value, gradient, hessian = quadratic_stack(self.form.u, self.form.z, self.form.k, th)
-        return StackedEval(_pack(value, gradient, _symmetrized(hessian)), np.ones(len(th), dtype=bool))
-
-
-def quadratic_eval(u: float, z: np.ndarray, k: np.ndarray, theta: np.ndarray) -> ObjectiveEval:
+def quadratic_stack(u, z: np.ndarray, k: np.ndarray, theta: np.ndarray):
     """The quadratic kernel shared by every exactly quadratic log likelihood.
 
     value ``u + z.theta - theta'k theta / 2``, gradient ``z - k theta``,
-    Hessian ``-k``, for a float parameter vector of matching length and
-    symmetric ``k``; no NaO or shape checks.  It is :func:`quadratic_stack`
-    at one point.
-    """
-    return ObjectiveEval(*quadratic_stack(u, z, k, theta))
-
-
-def quadratic_stack(u, z: np.ndarray, k: np.ndarray, theta: np.ndarray):
-    """:func:`quadratic_eval` over a trailing axis, as (value, gradient, Hessian) arrays.
-
-    ``z`` and ``theta`` are ``(..., p)`` and ``k`` is ``(..., p, p)``,
-    broadcast against each other; each row is computed exactly as it
-    would be alone.
+    Hessian ``-k``, as arrays over a trailing axis: ``z`` and ``theta`` are
+    ``(..., p)`` and ``k`` is ``(..., p, p)`` (symmetric), broadcast against
+    each other; each row is computed exactly as it would be alone.  No NaO
+    or shape checks.
     """
     kth = (k * theta[..., None, :]).sum(axis=-1)
     value = u + (z * theta).sum(axis=-1) - 0.5 * (theta * kth).sum(axis=-1)
@@ -490,14 +466,15 @@ def quadratic_mle(q: QuadraticForm) -> MaybeParam:
     return spd_solve(lower, q.z)
 
 
-class ShiftedObjective:
+class ShiftedObjective(RowObjective):
     """Recentered log-likelihood ratio ``delta -> l(psi + delta/tau) - l(psi)``.
 
     The value at 0 is exactly 0.0 because ``l(psi)`` is cached once and
     subtracted; gradients and Hessians carry the ``1/tau`` and ``1/tau**2``
-    chain-rule factors.  Evaluations landing outside the model domain give
-    NaO.  :meth:`stack` evaluates a stack of shifts in one call of the
-    model's stacked objective; a single shift is row 0 of a stack of one.
+    chain-rule factors (the model's Hessian, symmetrized, is rescaled and
+    symmetrized again).  A stack of shifts is one call of the model's
+    stacked objective at ``psi + delta/tau``; evaluations landing outside
+    the model domain give NaO.
     """
 
     def __init__(self, model: LikModel, data, psi, tau: float = 1.0, tau_sq: float | None = None):
@@ -513,33 +490,20 @@ class ShiftedObjective:
         # callers with an exact squared rate (tau = sqrt(n)) can pass tau_sq = n
         # so the Hessian rescaling is free of the sqrt-then-square rounding
         self.tau_sq = float(tau_sq) if tau_sq is not None else self.tau * self.tau
-        self._stacked = model.stacked_objective([data])
-        base = self._stacked(_ONE_ROW, psi[None])
+        stacked = model.stacked_objective([data])
+        base = stacked(np.zeros(1, dtype=int), psi[None])
         if not base.ok[0]:
             raise ValueError("objective is not finite at psi")
-        self.base_value = float(base.packed[0, 0])
+        self.base_value = base_value = float(base.packed[0, 0])
+        tau, tau_sq = self.tau, self.tau_sq
 
-    def __call__(self, delta):
-        if is_nao(delta):
-            return NaO
-        d = np.atleast_1d(np.asarray(delta, dtype=float))
-        return self.stack(d[None]).first(self.psi.size) if d.ndim == 1 else NaO
+        # the kernel holds no reference to self: a cycle would keep the model
+        # and its data alive until the next garbage collection
+        def kernel(rows, deltas):
+            value, gradient, hessian = stacked(rows, psi + deltas / tau).parts(psi.size)
+            return value - base_value, gradient / tau, _symmetrized(hessian / tau_sq)
 
-    def stack(self, deltas) -> StackedEval:
-        """This objective at each row of an ``(m, k)`` stack of shifts.
-
-        The Hessian of row j is the model's, symmetrized, rescaled and
-        symmetrized again; ``ok`` is False where the row is NaO, as every row
-        is when ``k`` is not ``len(psi)``.
-        """
-        d = np.asarray(deltas, dtype=float)
-        p = self.psi.size
-        if d.shape[1:] != (p,):
-            return StackedEval(np.full((len(d), 1 + p + p * p), np.nan), np.zeros(len(d), dtype=bool))
-        ev = self._stacked(np.zeros(len(d), dtype=int), self.psi + d / self.tau)
-        value, gradient, hessian = ev.parts(p)
-        hessian = _symmetrized(hessian / self.tau_sq)
-        return StackedEval(_pack(value - self.base_value, gradient / self.tau, hessian), ev.ok)
+        super().__init__(StackedObjective(OpenBox.unbounded(psi.size), 1, kernel))
 
 
 def local_shift(

@@ -15,10 +15,9 @@ import numpy as np
 
 from .core import ObjectiveEval, Objective, QuadraticForm, StackedEval, is_nao
 
-# Default grid resolution per axis, keyed by dimension.  Grid diagnostics are
-# rejected above dimension 3; use monte_carlo_points there instead.
+# Default grid resolution per axis, keyed by dimension.  Default grids are
+# rejected above dimension 3.
 DEFAULT_POINTS_PER_AXIS = {1: 33, 2: 33, 3: 9}
-DEFAULT_CLOUD_SIZE = 10_000
 
 
 class NonFiniteEvaluationError(ValueError):
@@ -89,10 +88,7 @@ class GridBox:
     def default(cls, lower, upper) -> "GridBox":
         lo = np.atleast_1d(np.asarray(lower, dtype=float))
         if lo.size not in DEFAULT_POINTS_PER_AXIS:
-            raise ValueError(
-                f"grid diagnostics support dimension <= 3, got {lo.size}; "
-                "use monte_carlo_points for higher dimensions"
-            )
+            raise ValueError(f"grid diagnostics support dimension <= 3, got {lo.size}")
         return cls(lower, upper, np.full(lo.size, DEFAULT_POINTS_PER_AXIS[lo.size]))
 
 
@@ -120,15 +116,6 @@ class NestedBoxes:
         return cls(tuple(box.scaled_about_center(n / n_boxes) for n in range(1, n_boxes + 1)))
 
 
-def monte_carlo_points(lower, upper, n: int = DEFAULT_CLOUD_SIZE, rng: np.random.Generator = None) -> np.ndarray:
-    """Uniform point cloud on a box, for diagnostics above dimension 3."""
-    if rng is None:
-        raise ValueError("monte_carlo_points requires an explicit rng")
-    lo = np.atleast_1d(np.asarray(lower, dtype=float))
-    hi = np.atleast_1d(np.asarray(upper, dtype=float))
-    return lo + (hi - lo) * rng.random((n, lo.size))
-
-
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
@@ -137,10 +124,11 @@ def monte_carlo_points(lower, upper, n: int = DEFAULT_CLOUD_SIZE, rng: np.random
 def _on_points(f, points: np.ndarray) -> StackedEval:
     """``f`` at each row of ``points``.
 
-    An objective with a stacked evaluation (``f.stack``, as a shifted
-    objective or a quadratic form's objective has) is evaluated in one
-    call; anything else is called point by point, which serves plain
-    callables and is the reference for the stacked path.  Rows
+    An objective with a stacked evaluation (``f.stack``, as every
+    :class:`~quadlik.core.RowObjective` has: a model's objective, a local
+    shift, a quadratic form's objective) is evaluated in one call; anything
+    else is called point by point, which serves plain callables and is the
+    reference for the stacked path.  Rows
     hold the packed value, gradient and Hessian of an objective, or the
     value of a scalar function; ``ok`` is False where ``f`` gave NaO.
     """

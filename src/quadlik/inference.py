@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
-from .core import LikModel, MaybeParam, NaO, cholesky_pivots, is_nao, spd_factor
+from .core import LikModel, MaybeParam, NaO, _symmetrized, cholesky_pivots, is_nao, spd_factor
 from .newton import NewtonTrace, lockstep_fit
 
 # ---------------------------------------------------------------------------
@@ -110,10 +110,10 @@ def symmetric_sqrt(m) -> MaybeParam:
     with np.errstate(over="ignore", invalid="ignore"):
         good = ~np.isnan(cholesky_pivots(stack)[0][:, 0, 0])
     s = stack[good]
-    w, v = np.linalg.eigh((s + np.swapaxes(s, 1, 2)) / 2.0)
+    w, v = np.linalg.eigh(_symmetrized(s))
     root = np.matmul(v * np.sqrt(np.maximum(w, 0.0))[:, None, :], np.swapaxes(v, 1, 2))
     roots = np.full_like(stack, np.nan)
-    roots[good] = (root + np.swapaxes(root, 1, 2)) / 2.0
+    roots[good] = _symmetrized(root)
     if a.ndim == 2:
         return roots[0] if good[0] else NaO
     return roots

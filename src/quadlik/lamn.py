@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import LikModel, NaO, StackedEval, StackedObjective, is_nao, quadratic_eval, spd_factor
+from .core import LikModel, NaO, StackedEval, StackedObjective, _symmetrized, is_nao, quadratic_stack, spd_factor
 from .inference import symmetric_sqrt
 from .parallel import replicates
 from .rng import derive_rng
@@ -36,7 +36,7 @@ class ConstantCurvature:
             raise ValueError("curvature must be a square matrix")
         if spd_factor(k) is None:
             raise ValueError("constant curvature must be positive definite")
-        object.__setattr__(self, "k", (k + k.T) / 2.0)
+        object.__setattr__(self, "k", _symmetrized(k))
 
     @property
     def dim(self) -> int:
@@ -59,7 +59,7 @@ class WishartCurvature:
         scale = np.asarray(self.scale, dtype=float)
         if scale.ndim != 2 or scale.shape[0] != scale.shape[1]:
             raise ValueError("scale must be a square matrix")
-        scale = (scale + scale.T) / 2.0
+        scale = _symmetrized(scale)
         lower = spd_factor(scale)
         if lower is None:
             raise ValueError("scale must be positive definite")
@@ -103,7 +103,7 @@ class LamnDraw:
         if spd_factor(k) is None:
             raise ValueError("draw curvature must be positive definite")
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "k", (k + k.T) / 2.0)
+        object.__setattr__(self, "k", _symmetrized(k))
 
 
 def _bartlett(law: WishartCurvature, chi: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -192,7 +192,7 @@ def sample_lamn_stack(spec: LamnSpec, theta, rngs) -> np.ndarray:
     z, k = _sample(spec, theta, rngs, 1)
     if np.isnan(spd_factor(k)[:, 0, 0]).any():
         raise ValueError("draw curvature must be positive definite")
-    return np.concatenate([z, ((k + np.swapaxes(k, 1, 2)) / 2.0).reshape(len(z), spec.dim**2)], axis=1)
+    return np.concatenate([z, _symmetrized(k).reshape(len(z), spec.dim**2)], axis=1)
 
 
 def sample_lamn(spec: LamnSpec, theta, rng: np.random.Generator) -> LamnDraw:
@@ -208,7 +208,7 @@ def lamn_loglik(draw: LamnDraw, delta):
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     if d.size != draw.z.size:
         raise ValueError("delta length does not match the draw")
-    return quadratic_eval(0.0, draw.z, draw.k, d).value
+    return float(quadratic_stack(0.0, draw.z, draw.k, d)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LikModel, NaO, ObjectiveEval, OpenBox, quadratic_stack, spd_factor
+from .core import LikModel, NaO, ObjectiveEval, OpenBox, _symmetrized, quadratic_stack, spd_factor
 from .lamn import LamnDraw, LamnSpec, sample_lamn, sample_lamn_stack
 from .rng import derive_rng
 
@@ -37,7 +37,7 @@ class LanNormalLocation(LikModel):
         lower = spd_factor(k)
         if lower is None:
             raise ValueError("curvature must be symmetric positive definite")
-        self.k = (k + k.T) / 2.0
+        self.k = _symmetrized(k)
         self._factor = lower
         self.dim_param = k.shape[0]
         self.domain = OpenBox.unbounded(self.dim_param)
@@ -307,7 +307,7 @@ class RelationshipMatrix:
             raise ValueError("relationship matrix must be symmetric")
         if np.any(a < -1e-12) or np.any(a > 2.0 + 1e-12):
             raise ValueError("relationship entries must lie in [0, 2]")
-        object.__setattr__(self, "a", (a + a.T) / 2.0)
+        object.__setattr__(self, "a", _symmetrized(a))
 
     @property
     def size(self) -> int:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian, random_spd, rel_err
@@ -12,7 +15,6 @@ from quadlik import (
     is_nao,
     lan_normal_location,
     local_shift,
-    quadratic_loglik,
     quadratic_mle,
 )
 from quadlik.core import cholesky_pivots, spd_factor
@@ -53,28 +55,27 @@ class TestQuadraticForm:
 
 class TestQuadraticLoglik:
     def test_zero_case(self):
-        ev = quadratic_loglik(QuadraticForm(0, [0.0], [[1.0]]), [0.0])
+        ev = QuadraticForm(0, [0.0], [[1.0]]).objective()([0.0])
         assert ev.value == 0.0
         assert ev.gradient == pytest.approx([0.0])
         assert np.allclose(ev.hessian, [[-1.0]])
 
     def test_direct_formula_1d(self):
-        ev = quadratic_loglik(QuadraticForm(1, [2.0], [[2.0]]), [1.0])
+        ev = QuadraticForm(1, [2.0], [[2.0]]).objective()([1.0])
         assert ev.value == pytest.approx(2.0)
         assert ev.gradient == pytest.approx([0.0])
         assert np.allclose(ev.hessian, [[-2.0]])
 
     def test_direct_formula_2d(self):
-        ev = quadratic_loglik(QuadraticForm(0, [1.0, 1.0], [[2.0, 0.0], [0.0, 4.0]]), [1.0, 1.0])
+        ev = QuadraticForm(0, [1.0, 1.0], [[2.0, 0.0], [0.0, 4.0]]).objective()([1.0, 1.0])
         assert ev.value == pytest.approx(-1.0)
         assert ev.gradient == pytest.approx([-1.0, -3.0])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            quadratic_loglik(QuadraticForm(0, [1.0], [[1.0]]), [1.0, 2.0])
+        assert is_nao(QuadraticForm(0, [1.0], [[1.0]]).objective()([1.0, 2.0]))
 
     def test_nao_propagates(self):
-        assert is_nao(quadratic_loglik(QuadraticForm(0, [1.0], [[1.0]]), NaO))
+        assert is_nao(QuadraticForm(0, [1.0], [[1.0]]).objective()(NaO))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1234)
@@ -82,8 +83,8 @@ class TestQuadraticLoglik:
             p = int(rng.integers(1, 4))
             q = QuadraticForm(rng.standard_normal(), rng.standard_normal(p), random_spd(rng, p))
             theta = rng.standard_normal(p)
-            ev = quadratic_loglik(q, theta)
-            value = lambda t: quadratic_loglik(q, t).value
+            ev = q.objective()(theta)
+            value = lambda t: q.objective()(t).value
             assert rel_err(ev.gradient, fd_gradient(value, theta)) < 1e-6
             assert rel_err(ev.hessian, fd_hessian(value, theta)) < 1e-4
 
@@ -106,7 +107,7 @@ class TestQuadraticMle:
             q = QuadraticForm(0.0, rng.standard_normal(p), random_spd(rng, p))
             mle = quadratic_mle(q)
             assert not is_nao(mle)
-            grad = quadratic_loglik(q, mle).gradient
+            grad = q.objective()(mle).gradient
             assert np.max(np.abs(grad)) < 1e-10
 
 
@@ -277,6 +278,20 @@ class TestLocalShift:
         model = ExponentialRateIid(4)
         with pytest.raises(ValueError, match="domain"):
             local_shift(model, np.ones(4), psi=[-1.0], tau=1.0)
+
+    def test_freed_without_the_garbage_collector(self):
+        # a reference cycle through the shift would keep its model (for the
+        # animal model, N x N matrices) alive until the next collection
+        model = lan_normal_location(np.eye(2))
+        alive = weakref.ref(model)
+        q = local_shift(model, np.zeros(2), np.zeros(2))
+        q(np.ones(2))
+        gc.disable()
+        try:
+            del model, q
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestObjectiveEval:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_spd, rel_err
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import chi2 as scipy_chi2
@@ -40,9 +40,10 @@ def sqrt_alone(m):
     """The symmetric root of one matrix: the pivot test, then ``eigh``."""
     if spd_factor(m) is None:
         return NaO
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    # halves first, so entries near the float maximum do not overflow
+    w, v = np.linalg.eigh(0.5 * m + 0.5 * m.T)
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-    return (root + root.T) / 2.0
+    return 0.5 * root + 0.5 * root.T
 
 
 # moderate, near the float maximum (either sign), and NaN entries
@@ -102,6 +103,8 @@ class TestSymmetricSqrt:
 
     @settings(max_examples=300, deadline=None)
     @given(stack=matrix_stacks())
+    # entries past about 9e307, whose sum overflows: the root is 1.2247e154 I
+    @example(stack=np.diag([1.5e308, 1.5e308])[None])
     def test_stack_rows_equal_single_calls_bit_for_bit(self, stack):
         # a root near the float maximum overflows, as it does alone
         with np.errstate(all="ignore"):

@@ -24,10 +24,8 @@ from quadlik import (
     lan_normal_location,
     local_shift,
     model_contiguity_estimate,
-    monte_carlo_points,
     newton_iterate,
     newton_step,
-    quadratic_loglik,
     relationship_matrix,
     standardized_estimator,
     symmetric_sqrt,
@@ -50,7 +48,7 @@ class TestNaOPropagationTable:
         nao_fit = MleResult(NaO, None, NewtonTrace())
         draw = LamnDraw([1.0], [[1.0]])
         operations = [
-            lambda: quadratic_loglik(q, NaO),
+            lambda: q.objective()(NaO),
             lambda: model.objective(np.zeros(2))(NaO),
             lambda: shifted(NaO),
             lambda: newton_step(q.objective(), NaO),
@@ -92,17 +90,6 @@ class TestStreamDerivation:
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
             derive_rng(1, -2)
-
-
-class TestMonteCarloCloud:
-    def test_points_inside_box(self):
-        pts = monte_carlo_points([-1.0] * 5, [2.0] * 5, n=500, rng=derive_rng(3))
-        assert pts.shape == (500, 5)
-        assert np.all(pts >= -1.0) and np.all(pts <= 2.0)
-
-    def test_requires_rng(self):
-        with pytest.raises(ValueError):
-            monte_carlo_points([0.0], [1.0], n=10)
 
 
 class TestFatouOneSidedness:
@@ -175,7 +162,7 @@ class TestNaOPropagationProperty:
         results = [
             newton_step(q, NaO),
             newton_iterate(q, NaO)[0],
-            quadratic_loglik(form, NaO),
+            form.objective()(NaO),
             wald_pivot(NaO, psi, form.k),
             wald_pivot(psi, NaO, form.k),
             wald_pivot(psi, psi, NaO),
@@ -197,6 +184,11 @@ class TestNaOPropagationProperty:
             far[j] = data.draw(blowup)
         with np.errstate(all="ignore"):
             assert q(out) is NaO and q(wrong) is NaO and q(far) is NaO
+        # a quadratic form's objective follows the same rules
+        f = form.objective()
+        assert f(wrong) is NaO and f(np.full(p, np.nan)) is NaO
+        if wrong.ndim == 1:
+            assert not f.stack(np.stack([wrong, wrong])).ok.any()
         # a shift of the wrong shape is NaO too, and so is a stack of shifts
         # of the wrong length
         shifted = local_shift(model, sample, psi)

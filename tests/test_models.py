@@ -840,13 +840,16 @@ def per_point_loglik(model, data, theta):
         row = -0.5 * float(np.sum(resid * resid)), resid.sum(axis=0), -model.n * np.eye(model.p)
     else:
         total = float(np.asarray(data, dtype=float).sum())
-        # Python floats raise where th**2 under- or overflows (a rate below about
-        # 1.5e-154 or above 1.3e154); there the formula is taken in float64
+        # the rate is squared as th * th, one correctly rounded multiply as in
+        # numpy (Python's th**2 calls libm pow, which can differ in the last bit);
+        # Python's * overflows to inf, but n / (th * th) raises where the square
+        # underflows to 0 (a rate below about 1.5e-154): there the formula is
+        # taken in float64
         for th in (float(theta[0]), np.float64(theta[0])):
             try:
-                row = model.n * np.log(th) - th * total, np.array([model.n / th - total]), np.array([[-model.n / th**2]])
+                row = model.n * np.log(th) - th * total, np.array([model.n / th - total]), np.array([[-model.n / (th * th)]])
                 break
-            except (ZeroDivisionError, OverflowError):
+            except ZeroDivisionError:
                 continue
     value, gradient, hessian = row
     packed = np.concatenate([[value], gradient, np.ravel(hessian)])
