@@ -65,7 +65,6 @@ from .bootstrap import (
     PivotSamples,
     calibrate,
     double_bootstrap,
-    importance_reweight,
     make_wald_pivot,
     parametric_bootstrap,
 )
@@ -79,17 +78,12 @@ from .models import (
     Pedigree,
     PedigreeRecord,
     RelationshipMatrix,
-    animal_loglik,
-    animal_simulate,
     ar1_expected_info,
-    ar1_loglik,
-    ar1_simulate,
     ar1_simulate_paths,
     lan_normal_location,
     load_pedigree_csv,
     load_vector_csv,
     logit_heritability,
-    logit_heritability_se,
     relationship_matrix,
     synthetic_pedigree,
     wishart_lamn_model,

@@ -265,23 +265,3 @@ def double_bootstrap(
     coverage = np.where(np.isnan(outer_values) | np.isnan(quantiles), np.nan, outer_values <= quantiles)
     return DoubleBootstrapReport(_samples(outer_values, seed), quantiles, coverage, level, B2)
 
-
-def importance_reweight(g_values, logratio_values) -> float:
-    """Mean of ``g * exp(logratio)``: expectation under a shifted parameter.
-
-    Reweighting draws made at one parameter by the likelihood ratio gives
-    expectations at the shifted parameter without new simulation.  A
-    non-finite weight raises with the offending index.
-    """
-    g = np.asarray(g_values, dtype=float)
-    lr = np.asarray(logratio_values, dtype=float)
-    if g.shape != lr.shape or g.ndim != 1:
-        raise ValueError("g and logratio must be one-dimensional and equally long")
-    if g.size < 1:
-        raise ValueError("need at least one value")
-    with np.errstate(over="ignore"):
-        products = g * np.exp(lr)
-    bad = np.flatnonzero(~np.isfinite(products))
-    if bad.size:
-        raise ValueError(f"non-finite reweighted term at index {int(bad[0])}")
-    return float(products.mean())

@@ -110,6 +110,11 @@ class ReportRecord:
             raise TypeError(f"unsupported report value type for {key!r}: {type(value)}")
         self._items[key] = value
 
+    def put_status(self, status: str) -> None:
+        """Put ``status``, or give it a new value in its place: a Monte Carlo
+        check can turn an ok fit's run NaO."""
+        self._items["status"] = status
+
     def update(self, mapping: dict) -> None:
         for key, value in mapping.items():
             self.put(key, value)
@@ -472,10 +477,10 @@ def run_diagnose(cfg: dict) -> tuple[ReportRecord, int]:
     if theta_b is None:
         theta_b = theta_hat + step
     record.put("invariance_theta_b", theta_b)
-    record.update(
-        hessian_invariance_test(model, theta_hat, theta_b, test_nsim, seed).to_record("invariance")
-    )
-    record.update(score_normality_test(model, theta_hat, test_nsim, seed).to_record("normality"))
+    invariance = hessian_invariance_test(model, theta_hat, theta_b, test_nsim, seed)
+    record.update(invariance.to_record("invariance"))
+    normality = score_normality_test(model, theta_hat, test_nsim, seed)
+    record.update(normality.to_record("normality"))
 
     if delta is None:
         delta = step / 2.0
@@ -484,7 +489,7 @@ def run_diagnose(cfg: dict) -> tuple[ReportRecord, int]:
     record.put("contiguity_mean", mean)
     record.put("contiguity_se", se_c)
     record.put("contiguity_n_nao", n_nao)
-    return record, EXIT_OK
+    return record, _checks_exit(record, invariance.p_value, normality.p_value, mean)
 
 
 def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
@@ -542,6 +547,15 @@ def _build_spec(cfg: dict) -> LamnSpec:
     raise ConfigError(f"config.spec.curvature.kind: unknown kind {kind!r}")
 
 
+def _checks_exit(record: ReportRecord, *results: float) -> int:
+    """Exit code of a run whose Monte Carlo checks gave ``results``: NaO (exit 2,
+    status NaO) where one is NaN, a check left with too few usable replicates."""
+    if np.isnan(results).any():
+        record.put_status("NaO")
+        return EXIT_NAO
+    return EXIT_OK
+
+
 def _dev_se(mean: float, se: float, target: float) -> float:
     """``|mean - target|`` in standard errors (0 if ``se`` is 0); NaN, an NaO check, if either is not finite."""
     if not (math.isfinite(mean) and math.isfinite(se)):
@@ -578,11 +592,11 @@ def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
         return record, EXIT_NAO
 
     model = wishart_lamn_model(spec) if isinstance(spec.curvature, WishartCurvature) else lan_normal_location(spec.curvature.k)
-    record.update(score_normality_test(model, theta_a, test_nsim, seed).to_record("normality"))
-    record.update(
-        hessian_invariance_test(model, theta_a, theta_b, test_nsim, seed).to_record("invariance")
-    )
-    return record, EXIT_OK
+    normality = score_normality_test(model, theta_a, test_nsim, seed)
+    record.update(normality.to_record("normality"))
+    invariance = hessian_invariance_test(model, theta_a, theta_b, test_nsim, seed)
+    record.update(invariance.to_record("invariance"))
+    return record, _checks_exit(record, normality.p_value, invariance.p_value)
 
 
 def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
@@ -630,12 +644,9 @@ def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
     record.put("fit_theta_hat", fit.theta_hat)
     shifted = local_shift(model, data, fit.theta_hat, tau=1.0)
     record.update(quadraticity_report(shifted, np.zeros(1), box).to_record())
-    record.update(
-        hessian_invariance_test(
-            model, np.array([theta_a]), np.array([theta_b]), invariance_nsim, seed
-        ).to_record("invariance")
-    )
-    return record, EXIT_OK
+    invariance = hessian_invariance_test(model, np.array([theta_a]), np.array([theta_b]), invariance_nsim, seed)
+    record.update(invariance.to_record("invariance"))
+    return record, _checks_exit(record, invariance.p_value)
 
 
 def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:

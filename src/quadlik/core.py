@@ -297,22 +297,6 @@ class StackedObjective:
         self.n_rows = n_rows
         self._kernel = kernel
 
-    @classmethod
-    def looped(cls, objectives: list, domain: OpenBox) -> "StackedObjective":
-        """A stack of single-point objective callables, evaluated one row at a
-        time (a model's stack is :meth:`LikModel.stacked_objective`)."""
-
-        def kernel(rows, thetas):
-            m, p = thetas.shape
-            value, gradient, hessian = np.full(m, np.nan), np.full((m, p), np.nan), np.full((m, p, p), np.nan)
-            for j, (r, th) in enumerate(zip(rows, thetas)):
-                ev = objectives[r](th)
-                if not is_nao(ev):
-                    value[j], gradient[j], hessian[j] = ev.value, ev.gradient, ev.hessian
-            return value, gradient, hessian
-
-        return cls(domain, len(objectives), kernel)
-
     def __call__(self, rows: np.ndarray, thetas: np.ndarray) -> StackedEval:
         thetas = np.asarray(thetas, dtype=float)
         m, p = thetas.shape

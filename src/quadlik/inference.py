@@ -68,30 +68,22 @@ class MleResult:
         return self.theta_hat.size
 
 
-def fit_mle(
-    model: LikModel,
-    data,
-    tol: float | None = None,
-    max_steps: int = 100,
-    start: np.ndarray | None = None,
-) -> MleResult:
+def fit_mle(model: LikModel, data, max_steps: int = 100) -> MleResult:
     """Maximize the model's log likelihood by safeguarded Newton.
 
     A lockstep fit of one row, the data set's stack of one, from
-    ``model.starts`` of that stack unless an explicit start is given; the
-    observed information is read from the fit's final evaluation.  A run
-    that does not satisfy the gradient criterion yields an NaO result (the
-    trace is retained); a start where the objective is NaO (a NaN start
-    among them) yields an NaO result with 0 steps, as a bootstrap
-    replicate does.
+    ``model.starts`` of that stack; the observed information is read from
+    the fit's final evaluation.  A run that does not satisfy the gradient
+    criterion yields an NaO result (the trace is retained); a start where
+    the objective is NaO (a NaN start among them) yields an NaO result
+    with 0 steps, as a bootstrap replicate does.
     """
     stack = model.stack_data([data])
-    x0 = model.starts(stack)[0] if start is None else np.atleast_1d(np.asarray(start, dtype=float))
-    thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), x0[None], tol, max_steps)
+    thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack), max_steps=max_steps)
     trace = NewtonTrace.first_row(thetas, steps, converged, final)
     if not trace.converged:
         return MleResult(NaO, None, trace)
-    return MleResult(thetas[0], -final.parts(x0.size)[2][0], trace)
+    return MleResult(thetas[0], -final.parts(model.dim_param)[2][0], trace)
 
 
 def symmetric_sqrt(m) -> MaybeParam:

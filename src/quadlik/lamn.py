@@ -9,6 +9,7 @@ standard normal, and the shifted likelihood ratio integrating to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,7 +248,8 @@ def model_contiguity_estimate(model: LikModel, psi, delta, nsim: int, seed: int)
     """Mean and standard error of exp(l(psi + delta) - l(psi)) over fresh data.
 
     Data are simulated at psi; replicates whose evaluation is NaO are
-    dropped and counted.  Returns (mean, se, n_nao).  All replicates are
+    dropped and counted.  Returns (mean, se, n_nao), the mean and se NaN
+    (an NaO check) when fewer than 2 replicates remain.  All replicates are
     evaluated as one stack.
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
@@ -260,7 +262,7 @@ def model_contiguity_estimate(model: LikModel, psi, delta, nsim: int, seed: int)
 
     arr, n_nao = replicates(model, psi, nsim, seed, ("model-contiguity",), ratios)
     if arr.size < 2:
-        raise ValueError("too few finite replicates for a contiguity estimate")
+        return math.nan, math.nan, n_nao
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size)), n_nao
 
 
@@ -309,7 +311,9 @@ def hessian_invariance_test(model: LikModel, theta_a, theta_b, nsim: int, seed: 
     entry and the log determinant), and runs a two-sample Kolmogorov-Smirnov
     test per summary.  Small adjusted p-values mean the curvature law
     depends on the parameter, which rules out the mixed-normal structure.
-    Each parameter's replicates are evaluated as one stack.
+    Each parameter's replicates are evaluated as one stack.  A summary needs
+    2 values at each parameter; with none left the statistic and p-value
+    are NaN, an NaO check.
     """
     sums_a, nao_a = _curvature_summaries(model, theta_a, nsim, seed, "invariance-a")
     sums_b, nao_b = _curvature_summaries(model, theta_b, nsim, seed, "invariance-b")
@@ -328,7 +332,7 @@ def hessian_invariance_test(model: LikModel, theta_a, theta_b, nsim: int, seed: 
         if stat > best_stat:
             best_stat = stat
     if not per_summary:
-        raise ValueError("no usable summaries (all replicates NaO)")
+        return KsTestReport(math.nan, math.nan, {}, 0, nao_a + nao_b)
     m = len(per_summary)
     adj = min(1.0, m * min(per_summary.values()))
     return KsTestReport(best_stat, adj, per_summary, m, nao_a + nao_b)
@@ -340,7 +344,8 @@ def score_normality_test(model: LikModel, theta, nsim: int, seed: int) -> KsTest
     Each replicate computes ``(observed information)^{-1/2} gradient``;
     coordinates are tested against the standard normal by Kolmogorov-
     Smirnov with a Bonferroni-adjusted minimum p-value.  Replicates where
-    the information is not positive definite are dropped and counted.  The
+    the information is not positive definite are dropped and counted; with
+    fewer than 2 left the statistic and p-value are NaN, an NaO check.  The
     replicates are evaluated as one stack.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -357,7 +362,7 @@ def score_normality_test(model: LikModel, theta, nsim: int, seed: int) -> KsTest
 
     t, n_nao = replicates(model, th, nsim, seed, ("score-normality",), standardized_scores)
     if len(t) < 2:
-        raise ValueError("too few finite replicates for a normality test")
+        return KsTestReport(math.nan, math.nan, {}, 0, n_nao)
     per_summary: dict[str, float] = {}
     best_stat = 0.0
     for j in range(p):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LikModel, NaO, ObjectiveEval, OpenBox, _symmetrized, quadratic_stack, spd_factor
+from .core import LikModel, OpenBox, _symmetrized, quadratic_stack, spd_factor
 from .lamn import LamnDraw, LamnSpec, sample_lamn, sample_lamn_stack
 from .rng import derive_rng
 
@@ -127,14 +127,6 @@ class Ar1Data:
         return self.x.size - 1
 
 
-def ar1_simulate(theta: float, n: int, x0: float, rng: np.random.Generator) -> Ar1Data:
-    """Simulate X_i = theta X_{i-1} + N(0,1) noise from the fixed start x0:
-    the one path of :func:`ar1_simulate_paths`."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Ar1Data(ar1_simulate_paths(theta, n, x0, 1, rng)[0])
-
-
 def ar1_simulate_paths(
     theta: float, n: int, x0: float, n_paths: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -172,17 +164,6 @@ def _ar1_kernel(paths: np.ndarray, theta: np.ndarray):
     resid = paths[:, 1:] - theta[:, None] * lag
     value = -0.5 * _row_dots(resid, resid)
     return value, _row_dots(lag, resid)[:, None], -_row_dots(lag, lag)[:, None, None]
-
-
-def ar1_loglik(data: Ar1Data, theta) -> ObjectiveEval:
-    """Gaussian log likelihood of the autoregression (variance known, one).
-
-    value ``-sum (X_i - theta X_{i-1})^2 / 2``; the Hessian
-    ``-sum X_{i-1}^2`` does not involve theta at all.  It is
-    :meth:`Ar1Model.loglik` on a stack of one path.
-    """
-    value, grad, hess = _ar1_kernel(data.x[None], np.array([_theta_scalar(theta)]))
-    return ObjectiveEval(value[0], grad[0], hess[0])
 
 
 def ar1_expected_info(theta: float, n: int, x0: float) -> float:
@@ -226,7 +207,7 @@ class Ar1Model(LikModel):
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> Ar1Data:
         x0 = float(rng.standard_normal()) if self.random_x0 else self.x0
-        return ar1_simulate(_theta_scalar(theta), self.n, x0, rng)
+        return Ar1Data(ar1_simulate_paths(_theta_scalar(theta), self.n, x0, 1, rng)[0])
 
     def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
         """One path per stream, each drawn as :meth:`simulate` draws it (a random
@@ -498,6 +479,9 @@ class _AnimalKernel:
         return value, grad, hess
 
     def simulate(self, mu: float, sigma2: float, tau2: float, rng: np.random.Generator) -> np.ndarray:
+        """One response y at natural parameters; a zero variance, the boundary,
+        is allowed here.  Negative eigenvalues of A (rounding artifacts) are
+        clamped to zero in the factor; the clamp is ``eig_clamp``."""
         genetic = np.sqrt(sigma2) * (self._sim_factor @ rng.standard_normal(self.n))
         environment = np.sqrt(tau2) * rng.standard_normal(self.n)
         return mu + genetic + environment
@@ -522,50 +506,9 @@ class _AnimalKernel:
         return qty
 
 
-def animal_loglik(a: RelationshipMatrix, y, params: AnimalParams) -> ObjectiveEval:
-    """Gaussian log likelihood over (mu, sigma2, tau2), constants dropped.
-
-    Computed through the eigendecomposition of A (``a.kernel``, computed
-    once per matrix); a numerically singular covariance gives NaO.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size != a.size:
-        raise ValueError("response length does not match the pedigree")
-    kernel = a.kernel
-    value, grad, hess = kernel.natural_eval(kernel.rotate(y), params.mu, params.sigma2, params.tau2)
-    if np.isnan(value):
-        return NaO
-    return ObjectiveEval(value, grad, hess)
-
-
-def animal_simulate(a: RelationshipMatrix, params, rng: np.random.Generator) -> np.ndarray:
-    """Draw a trait vector mu + genetic + environmental noise.
-
-    ``params`` is an AnimalParams or a plain (mu, sigma2, tau2) triple; the
-    triple form admits zero variances, a boundary allowed for simulation
-    only.  Negative eigenvalues of A (rounding artifacts) are clamped to
-    zero in the simulation factor; the clamp magnitude is available as
-    ``AnimalModel.eig_clamp``.
-    """
-    if isinstance(params, AnimalParams):
-        mu, s2, t2 = params.mu, params.sigma2, params.tau2
-    else:
-        mu, s2, t2 = (float(v) for v in params)
-        if s2 < 0 or t2 < 0:
-            raise ValueError("variances may not be negative")
-    return a.kernel.simulate(mu, s2, t2, rng)
-
-
 def logit_heritability(params: AnimalParams) -> float:
     """log sigma2 - log tau2, the unconstrained variance-ratio transform."""
     return float(np.log(params.sigma2) - np.log(params.tau2))
-
-
-def logit_heritability_se(params: AnimalParams, observed_info: np.ndarray) -> float:
-    """Delta-method standard error from (mu, sigma2, tau2) observed information."""
-    g = np.array([0.0, 1.0 / params.sigma2, -1.0 / params.tau2])
-    cov_g = np.linalg.solve(np.asarray(observed_info, dtype=float), g)
-    return float(np.sqrt(g @ cov_g))
 
 
 def _moment_design(a: RelationshipMatrix) -> np.ndarray | None:
@@ -653,7 +596,13 @@ class AnimalModel(LikModel):
         return self._kernel.simulate(params.mu, params.sigma2, params.tau2, rng)
 
     def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
-        params = self.phi_to_params(np.asarray(theta, dtype=float))
+        """``Q'y`` of one draw per stream.  Past the bound on ``|phi|`` where
+        :meth:`loglik` is NaN the variances may overflow, and there is no
+        draw: every row is NaN, so NaO."""
+        theta = np.asarray(theta, dtype=float)
+        if not (np.abs(theta) <= _PHI_BOUND).all():
+            return np.full((len(rngs), self.n_individuals), np.nan)
+        params = self.phi_to_params(theta)
         return self._kernel.simulate_rotated(params.mu, params.sigma2, params.tau2, rngs)
 
     def starts(self, stack) -> np.ndarray:

@@ -18,7 +18,7 @@ from .core import (
     MaybeParam,
     NaO,
     Objective,
-    OpenBox,
+    RowObjective,
     StackedEval,
     StackedObjective,
     cholesky_pivots,
@@ -126,22 +126,21 @@ def newton_iterate(
 
 
 def safeguarded_maximize(
-    q: Objective,
+    q: RowObjective,
     delta0: np.ndarray,
     tol: float | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> tuple[MaybeParam, NewtonTrace]:
     """Newton ascent with Hessian shift and Armijo backtracking.
 
-    :func:`lockstep_fit` on a stack of one.  Unlike
+    :func:`lockstep_fit` of ``q.stacked`` on a stack of one.  Unlike
     :func:`newton_iterate` this never returns NaO; a start where the
     objective is NaO or non-finite raises ValueError.
     """
     if is_nao(delta0):
         raise ValueError("safeguarded_maximize requires a non-NaO start")
     cur = np.atleast_1d(np.asarray(delta0, dtype=float))
-    stacked = StackedObjective.looped([q], OpenBox.unbounded(cur.size))
-    thetas, steps, converged, final = lockstep_fit(stacked, cur[None], tol, max_steps)
+    thetas, steps, converged, final = lockstep_fit(q.stacked, cur[None], tol, max_steps)
     if not final.ok[0]:
         raise ValueError("objective is not finite at the starting point")
     return thetas[0], NewtonTrace.first_row(thetas, steps, converged, final)

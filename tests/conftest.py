@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences, error metrics, one-row pivots and refits.
+"""Shared test oracles: finite differences, error metrics, hand-written
+objectives, one-row pivots and refits.
 
 The finite-difference helpers differentiate objective *values* only, so they
 stay independent of the analytic gradients and Hessians they check.
@@ -8,8 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from quadlik.core import StackedEval, is_nao
+from quadlik.core import OpenBox, RowObjective, StackedEval, StackedObjective, is_nao
 from quadlik.newton import safeguarded_maximize
+
+
+def row_objective(kernel) -> RowObjective:
+    """A hand-written objective of one real parameter: ``kernel(thetas)`` gives
+    the value ``(m,)``, gradient ``(m, 1)`` and Hessian ``(m, 1, 1)`` of an
+    ``(m, 1)`` stack of points.  Overflow is left to the NaO rules, quietly,
+    as scalar float arithmetic leaves it."""
+
+    def stacked(rows, thetas):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return kernel(thetas)
+
+    return RowObjective(StackedObjective(OpenBox.unbounded(1), 1, stacked))
 
 
 def fd_gradient(value_fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -42,6 +56,14 @@ def fd_hessian(value_fn, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
             ) / (4.0 * h * h)
             hess[j, i] = hess[i, j]
     return hess
+
+
+def natural_loglik(a, y, point):
+    """The animal log likelihood of one response y in natural coordinates: value,
+    gradient and Hessian over ``point = (mu, sigma2, tau2)``, from the
+    eigendecomposition of A, NaN where V is numerically singular."""
+    kernel = a.kernel
+    return kernel.natural_eval(kernel.rotate(y), *point)
 
 
 def rel_err(actual, expected) -> float:

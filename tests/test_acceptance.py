@@ -17,7 +17,6 @@ from quadlik import (
     GridBox,
     LamnSpec,
     WishartCurvature,
-    animal_loglik,
     ar1_expected_info,
     ar1_simulate_paths,
     calibrate,
@@ -42,7 +41,7 @@ from quadlik import (
 from quadlik.core import QuadraticForm
 from quadlik.inference import MleResult
 from quadlik.newton import NewtonTrace
-from conftest import fd_gradient, fd_hessian, rel_err
+from conftest import fd_gradient, fd_hessian, natural_loglik, rel_err
 
 
 def announce(name: str, ok: bool, detail: str, elapsed: float, budget: float) -> None:
@@ -247,12 +246,12 @@ def test_criterion_6_animal_model():
 
     # analytic derivatives against finite differences at N = 200
     y0 = model.simulate(phi_truth, derive_rng(1006, "fd"))
-    ev_nat = animal_loglik(a, y0, truth)
-    value_nat = lambda v: animal_loglik(a, y0, AnimalParams(v[0], v[1], v[2])).value
     point = np.array([truth.mu, truth.sigma2, truth.tau2])
+    _, gradient_nat, hessian_nat = natural_loglik(a, y0, point)
+    value_nat = lambda v: natural_loglik(a, y0, v)[0]
     ok_fd = (
-        rel_err(ev_nat.gradient, fd_gradient(value_nat, point)) < 1e-6
-        and rel_err(ev_nat.hessian, fd_hessian(value_nat, point)) < 1e-4
+        rel_err(gradient_nat, fd_gradient(value_nat, point)) < 1e-6
+        and rel_err(hessian_nat, fd_hessian(value_nat, point)) < 1e-4
     )
     q0 = model.objective(y0)
     ev_log = q0(phi_truth)
@@ -374,10 +373,10 @@ def test_criterion_9_cli_determinism(tmp_path):
     import json
 
     from quadlik.cli import main
-    from quadlik.models import ar1_simulate, save_vector_csv
+    from quadlik.models import save_vector_csv
 
     save_vector_csv(str(tmp_path / "z.csv"), np.array([0.7, -0.3]))
-    save_vector_csv(str(tmp_path / "x.csv"), ar1_simulate(0.3, 30, 1.0, derive_rng(9)).x)
+    save_vector_csv(str(tmp_path / "x.csv"), ar1_simulate_paths(0.3, 30, 1.0, 1, derive_rng(9))[0])
     configs = {
         "fit": {
             "model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "z.csv",

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from quadlik import (
     derive_rng,
     double_bootstrap,
     fit_mle,
-    importance_reweight,
     is_nao,
     lan_normal_location,
     make_wald_pivot,
@@ -511,39 +509,3 @@ class TestCalibrationStudies:
         wald_rate, cal_rate = wald / used, cal / used
         assert abs(cal_rate - 0.95) <= abs(wald_rate - 0.95)
 
-
-class TestImportanceReweight:
-    def test_zero_logratio_is_plain_mean_exactly(self):
-        rng = derive_rng(53)
-        g = rng.standard_normal(101)
-        assert importance_reweight(g, np.zeros_like(g)) == float(g.mean())
-
-    def test_unit_g_integrates_to_one(self):
-        rng = derive_rng(37)
-        x = rng.standard_normal(100_000)
-        delta = 0.7
-        logratio = delta * x - delta * delta / 2.0
-        w = np.exp(logratio)
-        estimate = importance_reweight(np.ones_like(x), logratio)
-        se = w.std(ddof=1) / np.sqrt(x.size)
-        assert abs(estimate - 1.0) <= 4 * se
-
-    def test_indicator_against_normal_overlap_oracle(self):
-        # target: P_{delta}(X <= c) = Phi(c - delta), computed in closed form
-        rng = derive_rng(41)
-        x = rng.standard_normal(200_000)
-        delta, c = 0.5, 0.25
-        g = (x <= c).astype(float)
-        logratio = delta * x - delta * delta / 2.0
-        estimate = importance_reweight(g, logratio)
-        truth = 0.5 * (1.0 + math.erf((c - delta) / math.sqrt(2.0)))
-        se = (g * np.exp(logratio)).std(ddof=1) / np.sqrt(x.size)
-        assert abs(estimate - truth) <= 4 * se
-
-    def test_nonfinite_raises_with_index(self):
-        with pytest.raises(ValueError, match="index 1"):
-            importance_reweight([1.0, 1.0], [0.0, 1e9])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            importance_reweight([1.0], [0.0, 0.0])

@@ -7,7 +7,7 @@ import pytest
 import quadlik.cli
 from quadlik.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_NAO, EXIT_OK, ReportRecord, main
 from quadlik.inference import MleResult
-from quadlik.models import ar1_simulate, save_pedigree_csv, save_vector_csv, synthetic_pedigree
+from quadlik.models import ar1_simulate_paths, save_pedigree_csv, save_vector_csv, synthetic_pedigree
 from quadlik.rng import derive_rng
 
 
@@ -176,7 +176,7 @@ class TestFitCommand:
 
 class TestDiagnoseCommand:
     def test_ar1_non_example_signature(self, tmp_path):
-        save_vector_csv(str(tmp_path / "x.csv"), ar1_simulate(0.0, 50, 1.0, derive_rng(3)).x)
+        save_vector_csv(str(tmp_path / "x.csv"), ar1_simulate_paths(0.0, 50, 1.0, 1, derive_rng(3))[0])
         cfg = write_config(
             tmp_path, "c.json", experiment="diagnose",
             model={"kind": "ar1", "n": 50}, data="x.csv", out="r",
@@ -679,7 +679,8 @@ class TestWishartDof:
 
 
 class TestNonFiniteMonteCarloChecks:
-    """A Monte Carlo check whose mean or standard error is not finite is NaO."""
+    """A Monte Carlo check whose mean or standard error is not finite, or that
+    is left with too few usable replicates, is NaO."""
 
     def run(self, tmp_path, experiment, **cfg):
         path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
@@ -706,6 +707,23 @@ class TestNonFiniteMonteCarloChecks:
         code, report = self.run(tmp_path, "ar1-study", thetas=[0.5], n=10, x0=1e200, mc_paths=100)
         assert code == EXIT_NAO and report["status"] == "NaO"
         assert report["info_0_recursion"] == "inf" and report["info_0_dev_se"] == "nan"
+
+
+    def test_diagnose_fit_at_the_variance_boundary(self, tmp_path):
+        # the fit converges at log sigma2 = -18 with almost no information on
+        # that axis, so the default theta_b = theta_hat + se puts log sigma2
+        # past the bound where the model has no draws: every replicate there is NaO
+        save_pedigree_csv(str(tmp_path / "ped.csv"), synthetic_pedigree(6, 7, 2, 3))
+        save_vector_csv(str(tmp_path / "y.csv"), derive_rng(2, "y").standard_normal(20))
+        code, report = self.run(
+            tmp_path, "diagnose", seed=1, model={"kind": "animal", "pedigree": "ped.csv"}, data="y.csv",
+            test_nsim=60, contiguity_nsim=60,
+        )
+        assert code == EXIT_NAO and report["status"] == "NaO"
+        assert report["fit_newton_converged"] == 1 and report["fit_theta_hat"][1] < -18
+        assert report["invariance_theta_b"][1] > 700
+        assert report["invariance_p_value"] == "nan" and report["invariance_n_summaries"] == 0
+        assert report["contiguity_mean"] == "nan" and report["contiguity_n_nao"] == 60
 
 
 class TestClassicalExponentialPsi:

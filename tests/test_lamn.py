@@ -23,7 +23,7 @@ from quadlik import (
     wishart_lamn_model,
 )
 from quadlik.core import NaO, QuadraticForm, spd_factor
-from quadlik.models import Ar1Model
+from quadlik.models import Ar1Model, LanNormalLocation
 
 
 def wishart_spec(p=2, dof=5.0):
@@ -363,3 +363,24 @@ class TestScoreNormality:
         b = score_normality_test(model, np.zeros(2), 300, 41)
         assert a.p_value == b.p_value
         assert a.statistic == b.statistic
+
+
+class TestTooFewReplicates:
+    """A check left with fewer than 2 usable replicates is NaO: NaN, not an error."""
+
+    class Nowhere(LanNormalLocation):
+        """A LAN model whose likelihood is NaN everywhere: every replicate is NaO."""
+
+        def loglik(self, stack, thetas):
+            value, gradient, hessian = super().loglik(stack, thetas)
+            return value * np.nan, gradient, hessian
+
+    def test_every_check_is_nan(self):
+        model, theta = self.Nowhere(np.eye(2)), np.zeros(2)
+        invariance = hessian_invariance_test(model, theta, theta + 1.0, 20, 0)
+        normality = score_normality_test(model, theta, 20, 0)
+        mean, se, n_nao = model_contiguity_estimate(model, theta, theta + 0.5, 20, 0)
+        assert np.isnan([invariance.statistic, invariance.p_value, normality.statistic, normality.p_value]).all()
+        assert invariance.n_summaries == normality.n_summaries == 0
+        assert (invariance.n_nao, normality.n_nao) == (40, 20)
+        assert np.isnan([mean, se]).all() and n_nao == 20

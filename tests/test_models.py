@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import fd_gradient, fd_hessian, rel_err
+from conftest import fd_gradient, fd_hessian, natural_loglik, rel_err
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +17,7 @@ from quadlik import (
     Pedigree,
     PedigreeRecord,
     WishartCurvature,
-    animal_loglik,
-    animal_simulate,
     ar1_expected_info,
-    ar1_loglik,
-    ar1_simulate,
     ar1_simulate_paths,
     derive_rng,
     fit_mle,
@@ -30,7 +26,6 @@ from quadlik import (
     load_pedigree_csv,
     load_vector_csv,
     logit_heritability,
-    logit_heritability_se,
     make_wald_pivot,
     parametric_bootstrap,
     quadratic_mle,
@@ -38,7 +33,7 @@ from quadlik import (
     synthetic_pedigree,
     wishart_lamn_model,
 )
-from quadlik.cli import _heritability_pivot
+from quadlik.cli import _heritability_pivot, _heritability_variance
 from quadlik.core import QuadraticForm, spd_factor
 from quadlik.models import DataFormatError, LanNormalLocation, PedigreeError, WishartLamnModel, _AnimalKernel
 
@@ -81,28 +76,26 @@ class TestLanNormalLocation:
 
 class TestAr1Simulation:
     def test_theta_zero_is_iid_normal(self):
-        data = ar1_simulate(0.0, 10_000, 0.0, derive_rng(5))
-        inner = data.x[1:]
+        inner = ar1_simulate_paths(0.0, 10_000, 0.0, 1, derive_rng(5))[0, 1:]
         assert abs(inner.var(ddof=1) - 1.0) < 4 * np.sqrt(2.0 / 10_000)
 
     def test_degenerate_noise_constant_path(self):
-        data = ar1_simulate(1.0, 10, 2.5, _ZeroNoise())
-        assert np.all(data.x == 2.5)
+        assert np.all(ar1_simulate_paths(1.0, 10, 2.5, 1, _ZeroNoise()) == 2.5)
 
     def test_deterministic_under_seed(self):
-        a = ar1_simulate(0.5, 50, 1.0, derive_rng(9, 1))
-        b = ar1_simulate(0.5, 50, 1.0, derive_rng(9, 1))
-        assert np.array_equal(a.x, b.x)
+        a = ar1_simulate_paths(0.5, 50, 1.0, 1, derive_rng(9, 1))
+        b = ar1_simulate_paths(0.5, 50, 1.0, 1, derive_rng(9, 1))
+        assert np.array_equal(a, b)
 
     def test_path_is_the_scalar_recursion(self):
         for theta, n, seed in [(-0.9, 1, 0), (0.5, 17, 1), (1.3, 200, 2)]:
-            x = ar1_simulate(theta, n, 1.5, derive_rng(seed)).x
+            x = Ar1Model(n, 1.5).simulate(np.array([theta]), derive_rng(seed)).x
             expected = [1.5]
             for noise in derive_rng(seed).standard_normal(n):
                 expected.append(theta * expected[-1] + noise)
             assert np.array_equal(x, expected)
         with pytest.raises(ValueError, match="at least 1"):
-            ar1_simulate(0.5, 0, 1.0, derive_rng(0))
+            Ar1Model(0)
 
     def test_paths_match_scalar_path_shape(self):
         paths = ar1_simulate_paths(0.5, 20, 1.0, 100, derive_rng(2))
@@ -112,11 +105,11 @@ class TestAr1Simulation:
 
 class TestAr1Loglik:
     def test_all_zero_path(self):
-        ev = ar1_loglik(Ar1Data(np.zeros(6)), 0.3)
+        ev = Ar1Model(5).objective(Ar1Data(np.zeros(6)))(0.3)
         assert ev.value == 0.0 and ev.gradient[0] == 0.0 and ev.hessian[0, 0] == 0.0
 
     def test_perfect_fit(self):
-        ev = ar1_loglik(Ar1Data(np.array([1.0, 1.0])), 1.0)
+        ev = Ar1Model(1).objective(Ar1Data(np.array([1.0, 1.0])))(1.0)
         assert ev.value == 0.0
         assert ev.gradient[0] == 0.0
         assert ev.hessian[0, 0] == -1.0
@@ -124,16 +117,16 @@ class TestAr1Loglik:
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            data = ar1_simulate(0.6, 30, 1.0, rng)
+            q = Ar1Model(30).objective(Ar1Data(ar1_simulate_paths(0.6, 30, 1.0, 1, rng)[0]))
             theta = rng.uniform(-1, 1)
-            ev = ar1_loglik(data, theta)
-            value = lambda t: ar1_loglik(data, float(t[0])).value
+            ev = q(theta)
+            value = lambda t: q(t).value
             assert rel_err(ev.gradient, fd_gradient(value, np.array([theta]))) < 1e-6
             assert rel_err(ev.hessian, fd_hessian(value, np.array([theta]))) < 1e-4
 
     def test_hessian_free_of_theta(self):
-        data = ar1_simulate(0.4, 25, 1.0, derive_rng(8))
-        h = [ar1_loglik(data, t).hessian[0, 0] for t in (-0.9, 0.0, 0.7, 2.0)]
+        q = Ar1Model(25).objective(Ar1Data(ar1_simulate_paths(0.4, 25, 1.0, 1, derive_rng(8))[0]))
+        h = [q(t).hessian[0, 0] for t in (-0.9, 0.0, 0.7, 2.0)]
         assert len(set(h)) == 1
 
 
@@ -236,21 +229,20 @@ class TestAnimalLoglik:
         a = relationship_matrix(ped)
         rng = derive_rng(seed, 1)
         params = AnimalParams(0.5, 1.2, 0.8)
-        y = animal_simulate(a, params, rng)
+        y = a.kernel.simulate(params.mu, params.sigma2, params.tau2, rng)
         return a, y, params
 
     def test_identity_a_reduces_to_iid(self):
         ped = Pedigree(tuple(PedigreeRecord(i + 1, None, None) for i in range(10)))
         a = relationship_matrix(ped)
-        y = animal_simulate(a, AnimalParams(1.0, 0.6, 0.4), derive_rng(4))
-        params = AnimalParams(1.0, 0.5, 0.5)
-        ev = animal_loglik(a, y, params)
+        y = a.kernel.simulate(1.0, 0.6, 0.4, derive_rng(4))
+        _, _, hessian = natural_loglik(a, y, [1.0, 0.5, 0.5])
         # information in the variance pair is singular: only the sum is identified
-        info_vv = -ev.hessian[1:, 1:]
+        info_vv = -hessian[1:, 1:]
         assert spd_factor(info_vv) is None
         # mu maximizer is the sample mean: gradient in mu vanishes there
-        ev_at_mean = animal_loglik(a, y, AnimalParams(float(y.mean()), 0.5, 0.5))
-        assert abs(ev_at_mean.gradient[0]) < 1e-10
+        _, gradient_at_mean, _ = natural_loglik(a, y, [float(y.mean()), 0.5, 0.5])
+        assert abs(gradient_at_mean[0]) < 1e-10
 
     def test_finite_difference_oracle_natural_coords(self):
         rng = np.random.default_rng(3)
@@ -258,12 +250,12 @@ class TestAnimalLoglik:
             a, y, params = self._instance(seed)
 
             def value(v):
-                return animal_loglik(a, y, AnimalParams(v[0], v[1], v[2])).value
+                return natural_loglik(a, y, v)[0]
 
             point = np.array([params.mu, params.sigma2, params.tau2])
-            ev = animal_loglik(a, y, params)
-            assert rel_err(ev.gradient, fd_gradient(value, point)) < 1e-6
-            assert rel_err(ev.hessian, fd_hessian(value, point, h=1e-4)) < 1e-4
+            _, gradient, hessian = natural_loglik(a, y, point)
+            assert rel_err(gradient, fd_gradient(value, point)) < 1e-6
+            assert rel_err(hessian, fd_hessian(value, point, h=1e-4)) < 1e-4
 
     def test_finite_difference_oracle_log_coords(self):
         a, y, params = self._instance(21)
@@ -282,15 +274,16 @@ class TestAnimalLoglik:
         from quadlik import RelationshipMatrix
 
         a_perm = RelationshipMatrix(a.a[np.ix_(perm, perm)])
-        ev = animal_loglik(a, y, params)
-        ev_perm = animal_loglik(a_perm, y[perm], params)
-        assert ev_perm.value == pytest.approx(ev.value, rel=1e-10)
-        assert np.allclose(ev_perm.gradient, ev.gradient, rtol=1e-8, atol=1e-10)
+        point = [params.mu, params.sigma2, params.tau2]
+        value, gradient, _ = natural_loglik(a, y, point)
+        value_perm, gradient_perm, _ = natural_loglik(a_perm, y[perm], point)
+        assert value_perm == pytest.approx(value, rel=1e-10)
+        assert np.allclose(gradient_perm, gradient, rtol=1e-8, atol=1e-10)
 
     def test_singular_covariance_gives_nao(self):
         a, y, _ = self._instance(41)
-        tiny = AnimalParams(0.0, 1e-320, 1e-320)
-        assert is_nao(animal_loglik(a, y, tiny))
+        value, gradient, hessian = natural_loglik(a, y, [0.0, 1e-320, 1e-320])
+        assert np.isnan(value) and np.isnan(gradient).all() and np.isnan(hessian).all()
 
 
 class TestAnimalRotation:
@@ -316,11 +309,11 @@ class TestAnimalRotation:
             assert value[1] == ev.value
             assert np.array_equal(gradient[1], ev.gradient)
             assert np.array_equal(hessian[1], ev.hessian)
-        # the natural-scale entry point rotates through the same kernel
+        # the natural-scale kernel, reached through the chain rule
         s2, t2 = float(np.exp(phi[1])), float(np.exp(phi[2]))
-        natural = animal_loglik(model.relationship, y, AnimalParams(phi[0], s2, t2))
-        assert natural.value == pytest.approx(ev.value, rel=1e-12, abs=1e-12)
-        chain = natural.gradient * np.array([1.0, s2, t2])
+        value, gradient, _ = natural_loglik(model.relationship, y, [phi[0], s2, t2])
+        assert value == pytest.approx(ev.value, rel=1e-12, abs=1e-12)
+        chain = gradient * np.array([1.0, s2, t2])
         assert np.allclose(chain, ev.gradient, rtol=1e-10, atol=1e-12)
 
     def test_one_rotation_per_objective(self, monkeypatch):
@@ -398,16 +391,17 @@ class TestOneEigendecomposition:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         a = relationship_matrix(synthetic_pedigree(5, 6, 2, 23))
         params = AnimalParams(0.3, 1.1, 0.9)
-        y = animal_simulate(a, params, derive_rng(1))
-        animal_simulate(a, (0.0, 0.0, 1.0), derive_rng(2))
-        animal_loglik(a, y, params)
-        animal_loglik(a, y, AnimalParams(0.0, 2.0, 0.5))
+        point = [params.mu, params.sigma2, params.tau2]
+        y = a.kernel.simulate(*point, derive_rng(1))
+        a.kernel.simulate(0.0, 0.0, 1.0, derive_rng(2))
+        natural_loglik(a, y, point)
+        natural_loglik(a, y, [0.0, 2.0, 0.5])
         model = AnimalModel(a)
         fit_mle(model, y)
         AnimalModel(a).simulate(model.params_to_phi(params), derive_rng(3))
         assert len(calls) == 1
         # a second matrix, even an equal one, has its own decomposition
-        animal_loglik(relationship_matrix(synthetic_pedigree(5, 6, 2, 23)), y, params)
+        natural_loglik(relationship_matrix(synthetic_pedigree(5, 6, 2, 23)), y, point)
         assert len(calls) == 2
 
 
@@ -416,7 +410,7 @@ class TestAnimalSimulate:
         ped = synthetic_pedigree(5, 10, 1, 3)
         a = relationship_matrix(ped)
         rng = derive_rng(6)
-        draws = np.array([animal_simulate(a, (2.0, 0.0, 0.25), rng) for _ in range(20_000)])
+        draws = np.array([a.kernel.simulate(2.0, 0.0, 0.25, rng) for _ in range(20_000)])
         assert abs(draws.mean() - 2.0) < 0.02
         cov = np.cov(draws.T)
         assert np.linalg.norm(cov - 0.25 * np.eye(a.size)) / np.linalg.norm(0.25 * np.eye(a.size)) < 0.05
@@ -434,24 +428,24 @@ class TestAnimalSimulate:
         a = relationship_matrix(ped)
         params = AnimalParams(0.0, 1.0, 0.5)
         rng = derive_rng(8)
-        draws = np.array([animal_simulate(a, params, rng) for _ in range(100_000)])
+        draws = np.array([a.kernel.simulate(params.mu, params.sigma2, params.tau2, rng) for _ in range(100_000)])
         v = params.sigma2 * a.a + params.tau2 * np.eye(5)
         frob = np.linalg.norm(np.cov(draws.T) - v) / np.linalg.norm(v)
         assert frob < 0.05
+
+    def test_negative_variance_rejected(self):
+        # natural parameters are checked by AnimalParams; the model itself
+        # draws at log variances, which cannot be negative
+        with pytest.raises(ValueError, match="strictly positive"):
+            AnimalParams(0.0, -1.0, 1.0)
 
     def test_deterministic_under_seed(self):
         ped = synthetic_pedigree(4, 4, 1, 9)
         a = relationship_matrix(ped)
         params = AnimalParams(1.0, 1.0, 1.0)
-        d1 = animal_simulate(a, params, derive_rng(10))
-        d2 = animal_simulate(a, params, derive_rng(10))
+        d1 = a.kernel.simulate(params.mu, params.sigma2, params.tau2, derive_rng(10))
+        d2 = a.kernel.simulate(params.mu, params.sigma2, params.tau2, derive_rng(10))
         assert np.array_equal(d1, d2)
-
-    def test_negative_variance_rejected(self):
-        ped = synthetic_pedigree(4, 4, 1, 9)
-        a = relationship_matrix(ped)
-        with pytest.raises(ValueError):
-            animal_simulate(a, (0.0, -1.0, 1.0), derive_rng(1))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -499,14 +493,14 @@ class TestLogitHeritability:
         y = model.simulate(AnimalModel.params_to_phi(truth), derive_rng(15))
         fit = fit_mle(model, y)
         assert fit.converged
-        params = AnimalModel.phi_to_params(fit.theta_hat)
-        info_natural = -animal_loglik(a, y, params).hessian
-        se = logit_heritability_se(params, info_natural)
+        se = float(np.sqrt(_heritability_variance(fit.observed_info[None])[0]))
         assert se > 0
-        # log-coordinate contrast route agrees at the maximizer
-        contrast = np.array([0.0, 1.0, -1.0])
-        se_log = float(np.sqrt(contrast @ np.linalg.solve(fit.observed_info, contrast)))
-        assert se == pytest.approx(se_log, rel=1e-4)
+        # the delta method in natural coordinates agrees at the maximizer
+        params = AnimalModel.phi_to_params(fit.theta_hat)
+        _, _, hessian = natural_loglik(a, y, [params.mu, params.sigma2, params.tau2])
+        g = np.array([0.0, 1.0 / params.sigma2, -1.0 / params.tau2])
+        se_natural = float(np.sqrt(g @ np.linalg.solve(-hessian, g)))
+        assert se == pytest.approx(se_natural, rel=1e-4)
 
 
 def method_of_moments_start(a, y) -> AnimalParams:
@@ -546,7 +540,7 @@ class TestMethodOfMoments:
         rng = derive_rng(77)
         ped = synthetic_pedigree(10, 20, 2, 3)
         a = relationship_matrix(ped)
-        ys = [animal_simulate(a, AnimalParams(0.0, 1.0, 1.0), rng) for _ in range(20)]
+        ys = [a.kernel.simulate(0.0, 1.0, 1.0, rng) for _ in range(20)]
         for start in start_params(a, ys):
             assert start.sigma2 > 0 and start.tau2 > 0
 
@@ -557,7 +551,8 @@ class TestMethodOfMoments:
         rng = derive_rng(19)
         good = 0
         reps = 60
-        for start in start_params(a, [animal_simulate(a, truth, rng) for _ in range(reps)]):
+        ys = [a.kernel.simulate(truth.mu, truth.sigma2, truth.tau2, rng) for _ in range(reps)]
+        for start in start_params(a, ys):
             ok_s = truth.sigma2 / 3 <= start.sigma2 <= truth.sigma2 * 3
             ok_t = truth.tau2 / 3 <= start.tau2 <= truth.tau2 * 3
             good += int(ok_s and ok_t)
@@ -565,7 +560,7 @@ class TestMethodOfMoments:
 
     def test_pedigree_constants_cached(self):
         a = relationship_matrix(synthetic_pedigree(10, 20, 2, 3))
-        y = animal_simulate(a, AnimalParams(0.0, 1.0, 1.0), derive_rng(5))
+        y = a.kernel.simulate(0.0, 1.0, 1.0, derive_rng(5))
         assert "trace" not in vars(a) and "trace_sq" not in vars(a)
         (first,) = start_params(a, [y])
         assert vars(a)["trace"] == float(np.trace(a.a))

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import random_spd, rel_err
+from conftest import random_spd, rel_err, row_objective
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,39 +22,33 @@ from quadlik import (
 )
 
 
-def quartic(delta):
-    d = float(np.atleast_1d(delta)[0])
-    return ObjectiveEval(-(d**4) / 4.0, np.array([-(d**3)]), np.array([[-3.0 * d * d]]))
+quartic = row_objective(lambda th: (-(th[:, 0] ** 4) / 4.0, -(th**3), -3.0 * (th * th)[:, :, None]))
 
-
-def convex(delta):
-    d = float(np.atleast_1d(delta)[0])
-    return ObjectiveEval(d * d / 2.0, np.array([d]), np.array([[1.0]]))
+convex = row_objective(lambda th: (th[:, 0] * th[:, 0] / 2.0, th, np.ones((len(th), 1, 1))))
 
 
 def logistic_style(x, y):
     """Strictly concave 1-d log likelihood of logistic-regression form."""
 
-    def q(theta):
-        t = float(np.atleast_1d(theta)[0])
-        eta = t * x
-        value = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    def kernel(th):
+        eta = th * x
+        value = (y * eta - np.logaddexp(0.0, eta)).sum(axis=1)
         mu = 1.0 / (1.0 + np.exp(-eta))
-        grad = float(np.sum(x * (y - mu)))
-        hess = -float(np.sum(x * x * mu * (1.0 - mu)))
-        return ObjectiveEval(value, np.array([grad]), np.array([[hess]]))
+        grad = (x * (y - mu)).sum(axis=1)
+        hess = -(x * x * mu * (1.0 - mu)).sum(axis=1)
+        return value, grad[:, None], hess[:, None, None]
 
-    return q
+    return row_objective(kernel)
 
 
 def quadratic_1d(b, c):
     """``b x - c x^2 / 2``: concave for c > 0, convex (unbounded above) for c < 0."""
 
-    def q(delta):
-        x = float(np.atleast_1d(delta)[0])
-        return ObjectiveEval(b * x - 0.5 * c * x * x, np.array([b - c * x]), np.array([[-c]]))
+    def kernel(th):
+        x = th[:, 0]
+        return b * x - 0.5 * c * x * x, b - c * th, np.full((len(th), 1, 1), -c)
 
-    return q
+    return row_objective(kernel)
 
 
 @contextmanager
@@ -269,17 +263,13 @@ class TestSafeguardedMaximize:
         assert values[-1] == q(result).value
 
     def test_nonfinite_start_raises(self):
+        nowhere = row_objective(lambda th: (th[:, 0] * np.nan, th * np.nan, th[:, :, None] * np.nan))
         with pytest.raises(ValueError, match="not finite"):
-            safeguarded_maximize(
-                lambda d: NaO,
-                np.array([0.0]),
-            )
+            safeguarded_maximize(nowhere, np.array([0.0]))
 
     def test_never_nao_on_hard_objective(self):
         # concave-but-flat regions force the shift path; result stays real
-        def plateau(d):
-            t = float(np.atleast_1d(d)[0])
-            return ObjectiveEval(-(t**6) / 6.0, np.array([-(t**5)]), np.array([[-5.0 * t**4]]))
+        plateau = row_objective(lambda th: (-(th[:, 0] ** 6) / 6.0, -(th**5), -5.0 * (th**4)[:, :, None]))
 
         result, trace = safeguarded_maximize(plateau, np.array([2.0]))
         assert not is_nao(result)
@@ -295,8 +285,7 @@ class TestSafeguardedMaximize:
             domain = OpenBox.unbounded(1)
 
             def loglik(self, stack, thetas):
-                ev = q(thetas[0])
-                return np.array([ev.value]), ev.gradient[None], ev.hessian[None]
+                return q.stack(thetas).parts(1)
 
             def starts(self, stack):
                 return np.full((len(stack), 1), 1e-300)
@@ -326,8 +315,7 @@ class TestSafeguardedMaximize:
     )
     def test_returns_with_nondecreasing_values(self, b, c, x0):
         q = quadratic_1d(b, c)
-        start = q(np.array([x0]))
-        assume(start.all_finite())
+        assume(not is_nao(q(np.array([x0]))))
         with deadline(2.0):
             result, trace = safeguarded_maximize(q, np.array([x0]))
             values = ascent_values(q, np.array([x0]), trace.steps)
