@@ -141,8 +141,9 @@ def _ar1_paths(theta: float, x0, noise: np.ndarray) -> np.ndarray:
     m, n = noise.shape
     x = np.empty((m, n + 1))
     x[:, 0] = x0
-    for i in range(1, n + 1):
-        x[:, i] = theta * x[:, i - 1] + noise[:, i - 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an exploding path is inf or NaN
+        for i in range(1, n + 1):
+            x[:, i] = theta * x[:, i - 1] + noise[:, i - 1]
     return x
 
 
@@ -161,9 +162,10 @@ def _row_dots(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _ar1_kernel(paths: np.ndarray, theta: np.ndarray):
     """(value, gradient, Hessian) of each path (row) of ``paths`` at ``theta[j]``."""
     lag = paths[:, :-1]
-    resid = paths[:, 1:] - theta[:, None] * lag
-    value = -0.5 * _row_dots(resid, resid)
-    return value, _row_dots(lag, resid)[:, None], -_row_dots(lag, lag)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are NaO
+        resid = paths[:, 1:] - theta[:, None] * lag
+        value = -0.5 * _row_dots(resid, resid)
+        return value, _row_dots(lag, resid)[:, None], -_row_dots(lag, lag)[:, None, None]
 
 
 def ar1_expected_info(theta: float, n: int, x0: float) -> float:

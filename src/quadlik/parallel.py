@@ -2,7 +2,8 @@
 
 Every Monte Carlo loop in the package draws its data sets through
 :func:`draw`: replicate ``i`` simulates from its own stream
-``(seed, *path, i)``, and all n data sets come from one
+``(seed, *path, i)`` (one :func:`~quadlik.rng.derive_rngs` call gives
+all n), and all n data sets come from one
 ``model.simulate_stack`` call, as one data stack.  :func:`replicates` hands
 it to ``fn`` and keeps the rows that are not NaO, in replicate order,
 counting the rest.  Output therefore depends only on the seed and the path.
@@ -14,7 +15,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .rng import derive_rng
+from .rng import derive_rngs
 
 T = TypeVar("T")
 
@@ -32,7 +33,7 @@ def parallel_map(fn: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
 def draw(model, theta, n: int, seed: int, path: tuple):
     """The data stack of n data sets at theta, data set ``i`` from the stream
     ``(seed, *path, i)``."""
-    return model.simulate_stack(theta, [derive_rng(seed, *path, i) for i in range(n)])
+    return model.simulate_stack(theta, derive_rngs(seed, path, n))
 
 
 def replicates(model, theta, n: int, seed: int, path: tuple, fn) -> tuple[np.ndarray, int]:

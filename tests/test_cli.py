@@ -708,6 +708,12 @@ class TestNonFiniteMonteCarloChecks:
         assert code == EXIT_NAO and report["status"] == "NaO"
         assert report["info_0_recursion"] == "inf" and report["info_0_dev_se"] == "nan"
 
+    def test_ar1_study_exploding_invariance_draws(self, tmp_path):
+        # at theta_b = 1e200 the model's stacked draws and its kernel overflow:
+        # every invariance replicate is NaO, without a numeric warning
+        code, report = self.run(tmp_path, "ar1-study", thetas=[0.5], theta_b=1e200, n=10, invariance_nsim=50)
+        assert code == EXIT_NAO and report["status"] == "NaO"
+
 
     def test_diagnose_fit_at_the_variance_boundary(self, tmp_path):
         # the fit converges at log sigma2 = -18 with almost no information on
