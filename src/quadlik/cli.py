@@ -59,6 +59,7 @@ from .models import (
     synthetic_pedigree,
     wishart_lamn_model,
 )
+from .newton import DEFAULT_MAX_STEPS
 from .rng import derive_rng
 
 SCHEMA_VERSION = 1
@@ -413,7 +414,7 @@ def run_fit(cfg: dict) -> tuple[ReportRecord, int]:
     record = _start_record(cfg)
     record.put("model_kind", cfg["model"]["kind"])
     record.put("alpha", alpha)
-    max_steps = _get_count(cfg, "max_steps", "config", required=False, default=100, minimum=0)
+    max_steps = _get_count(cfg, "max_steps", "config", required=False, default=DEFAULT_MAX_STEPS, minimum=0)
     fit = fit_mle(model, data, max_steps=max_steps)
     _put_fit(record, fit, alpha)
     if is_nao(fit.theta_hat):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
 from .core import LikModel, MaybeParam, NaO, _symmetrized, cholesky_pivots, is_nao, spd_factor
-from .newton import NewtonTrace, lockstep_fit
+from .newton import DEFAULT_MAX_STEPS, NewtonTrace, lockstep_fit
 
 # ---------------------------------------------------------------------------
 # Chi-square upper tail and quantile
@@ -68,7 +68,7 @@ class MleResult:
         return self.theta_hat.size
 
 
-def fit_mle(model: LikModel, data, max_steps: int = 100) -> MleResult:
+def fit_mle(model: LikModel, data, max_steps: int = DEFAULT_MAX_STEPS) -> MleResult:
     """Maximize the model's log likelihood by safeguarded Newton.
 
     A lockstep fit of one row, the data set's stack of one, from

@@ -4,8 +4,11 @@ The plain Newton map is undefined whenever the negative Hessian is not
 positive definite; in that case it returns NaO rather than raising, so the
 frequency of failure is itself a measurable quantity downstream.  The
 safeguarded variant shifts the Hessian and backtracks, guaranteeing monotone
-ascent, and never returns NaO.  It runs in lockstep over a stack of
-objectives (one per simulated data set), and a single fit is a stack of one.
+ascent, and never returns NaO.  Both are modes of one engine,
+:func:`lockstep_fit`, which runs over a stack of objectives (one per
+simulated data set); a single fit or Newton step is a stack of one.  In the
+plain mode a step counts when it is attempted, and a row whose pivot test
+fails or whose step lands on an NaO evaluation stops NaO.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 from .core import (
     MaybeParam,
     NaO,
-    Objective,
     RowObjective,
     StackedEval,
     StackedObjective,
@@ -45,8 +47,7 @@ class NewtonTrace:
     @classmethod
     def first_row(cls, thetas, steps, converged, final: StackedEval) -> "NewtonTrace":
         """Row 0 of a :func:`lockstep_fit` result ``(thetas, steps, converged, final)``."""
-        gradient = StackedEval.split(final.packed[:1], thetas.shape[1])[1]
-        norm = float(np.abs(gradient).max()) if final.ok[0] else float("nan")
+        norm = float(np.abs(final.packed[0, 1 : 1 + thetas.shape[1]]).max()) if final.ok[0] else float("nan")
         return cls(int(steps[0]), bool(converged[0]), norm)
 
     def to_record(self, prefix: str = "newton") -> dict:
@@ -57,72 +58,51 @@ class NewtonTrace:
         }
 
 
-def _finite_eval(q: Objective, delta: np.ndarray):
-    ev = q(delta)
-    if is_nao(ev) or not ev.all_finite():
-        return NaO
-    return ev
+def _plain_fit(q: RowObjective, delta: MaybeParam, tol, max_steps: int):
+    """:func:`lockstep_fit`'s plain mode on the stack of ``delta`` alone; None
+    where ``delta`` is NaO or not one vector."""
+    if is_nao(delta):
+        return None
+    d = np.atleast_1d(np.asarray(delta, dtype=float))
+    return lockstep_fit(q.stacked, d[None], tol, max_steps, plain=True) if d.ndim == 1 else None
 
 
-def _default_tol(value0):
-    return 1e-8 * (1.0 + np.abs(value0))
-
-
-def _step_from(delta: np.ndarray, ev) -> MaybeParam:
-    h = -ev.hessian
-    lower, _ = cholesky_pivots(h)
-    if lower is None:
-        return NaO
-    return delta + spd_solve(lower, ev.gradient)
-
-
-def newton_step(q: Objective, delta: MaybeParam) -> MaybeParam:
+def newton_step(q: RowObjective, delta: MaybeParam) -> MaybeParam:
     """One Newton update ``delta + (-H)^{-1} grad``; NaO when undefined.
 
-    Undefined means: NaO input, NaO or non-finite evaluation, or negative
-    Hessian failing the positive-definite pivot test.
+    One step of :func:`lockstep_fit`'s plain mode on a stack of one, under a
+    tolerance it cannot meet.  Undefined means: NaO input or a parameter that
+    is not one vector, NaO evaluation, or negative Hessian failing the
+    positive-definite pivot test.  The plain mode marks that failure with an
+    all-NaN point, so a step whose solve overflows to all NaN is NaO too.  The
+    destination is returned even where the objective is NaO there: the
+    one-step estimator may leave the domain.
     """
-    if is_nao(delta):
+    fit = _plain_fit(q, delta, -np.inf, 1)
+    if fit is None:
         return NaO
-    d = np.atleast_1d(np.asarray(delta, dtype=float))
-    ev = _finite_eval(q, d)
-    if is_nao(ev):
-        return NaO
-    return _step_from(d, ev)
+    thetas, _, _, final = fit
+    return thetas[0] if final.ok[0] and not np.isnan(thetas[0]).all() else NaO
 
 
 def newton_iterate(
-    q: Objective,
+    q: RowObjective,
     delta0: MaybeParam,
     tol: float | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> tuple[MaybeParam, NewtonTrace]:
     """Iterate the Newton map until the gradient sup norm falls under ``tol``.
 
-    Returns NaO when a step is undefined or ``max_steps`` is exhausted.  The
-    default tolerance is value-relative: ``1e-8 * (1 + |q(delta0)|)``.
+    :func:`lockstep_fit`'s plain mode on a stack of one.  Returns NaO when a
+    step is undefined or ``max_steps`` is exhausted; the trace counts the
+    failed step.  The default tolerance is value-relative: ``1e-8 * (1 +
+    |q(delta0)|)``.
     """
-    if is_nao(delta0):
+    fit = _plain_fit(q, delta0, tol, max_steps)
+    if fit is None:
         return NaO, NewtonTrace()
-    cur = np.atleast_1d(np.asarray(delta0, dtype=float))
-    ev = _finite_eval(q, cur)
-    if is_nao(ev):
-        return NaO, NewtonTrace()
-    if tol is None:
-        tol = _default_tol(ev.value)
-    steps = 0
-    while True:
-        norm = float(np.max(np.abs(ev.gradient)))
-        if norm <= tol:
-            return cur, NewtonTrace(steps, True, norm)
-        if steps >= max_steps:
-            return NaO, NewtonTrace(steps, False, norm)
-        nxt = _step_from(cur, ev)
-        steps += 1
-        ev = NaO if is_nao(nxt) else _finite_eval(q, nxt)
-        if is_nao(ev):
-            return NaO, NewtonTrace(steps, False, norm)
-        cur = nxt
+    trace = NewtonTrace.first_row(*fit)
+    return (fit[0][0] if trace.converged else NaO), trace
 
 
 def safeguarded_maximize(
@@ -151,6 +131,7 @@ def lockstep_fit(
     starts: np.ndarray,
     tol: float | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
+    plain: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, StackedEval]:
     """Safeguarded Newton ascent on every row of a stacked objective at once.
 
@@ -169,13 +150,20 @@ def lockstep_fit(
     evaluation at the final point, the last one the ascent accepted.  A row
     whose objective is NaO at its start stays there, with ``final.ok``
     False, 0 steps and ``converged`` False.
+
+    ``plain=True`` runs the plain Newton map instead: no shift and no
+    backtracking, each live row takes its full step, and a step counts when
+    it is attempted.  A row stops NaO where its pivot test fails (its point
+    becomes NaN) or where its step lands on an NaO evaluation (its point is
+    that destination); such a row is not converged, and its ``final`` row is
+    its last finite evaluation, not the one at its final point.
     """
     starts = np.asarray(starts, dtype=float)
     m, p = starts.shape
     ev = q(np.arange(m), starts)
     # each row's current point and its packed (value, gradient, Hessian)
     cur, state = starts.copy(), ev.packed.copy()
-    tols = _default_tol(state[:, 0]) if tol is None else np.full(m, float(tol))
+    tols = 1e-8 * (1.0 + np.abs(state[:, 0])) if tol is None else np.full(m, float(tol))
     steps = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     live = np.flatnonzero(ev.ok)
@@ -190,6 +178,15 @@ def lockstep_fit(
                 if not live.size:
                     break
             lower, min_pivot = cholesky_pivots(-hess)
+            if plain:
+                # a row without a factor steps to NaN; a row whose evaluation
+                # is NaO keeps its last finite one and stops
+                cur[live] += spd_solve(lower, grad)
+                steps[live] += 1
+                et = q(live, cur[live])
+                state[live[et.ok]] = et.packed[et.ok]
+                live = live[et.ok]
+                continue
             lam = 1e-8 - min_pivot
             shift = lam > 0.0
             if shift.any():

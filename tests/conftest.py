@@ -13,17 +13,17 @@ from quadlik.core import OpenBox, RowObjective, StackedEval, StackedObjective, i
 from quadlik.newton import safeguarded_maximize
 
 
-def row_objective(kernel) -> RowObjective:
-    """A hand-written objective of one real parameter: ``kernel(thetas)`` gives
-    the value ``(m,)``, gradient ``(m, 1)`` and Hessian ``(m, 1, 1)`` of an
-    ``(m, 1)`` stack of points.  Overflow is left to the NaO rules, quietly,
-    as scalar float arithmetic leaves it."""
+def row_objective(kernel, dim: int = 1) -> RowObjective:
+    """A hand-written objective of ``dim`` real parameters: ``kernel(thetas)``
+    gives the value ``(m,)``, gradient ``(m, dim)`` and Hessian ``(m, dim,
+    dim)`` of an ``(m, dim)`` stack of points.  Overflow is left to the NaO
+    rules, quietly, as scalar float arithmetic leaves it."""
 
     def stacked(rows, thetas):
         with np.errstate(over="ignore", invalid="ignore"):
             return kernel(thetas)
 
-    return RowObjective(StackedObjective(OpenBox.unbounded(1), 1, stacked))
+    return RowObjective(StackedObjective(OpenBox.unbounded(dim), 1, stacked))
 
 
 def fd_gradient(value_fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

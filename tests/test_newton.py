@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quadlik import (
     LikModel,
     NaO,
-    ObjectiveEval,
     OpenBox,
     QuadraticForm,
     fit_mle,
@@ -117,6 +116,12 @@ class TestNewtonStep:
     def test_nao_propagates(self):
         assert is_nao(newton_step(quartic, NaO))
 
+    def test_step_that_solves_to_all_nan_is_nao(self):
+        # the pivot test passes, but the solve overflows to inf and then
+        # 0 * inf, leaving no entry of the destination a number
+        q = QuadraticForm(0.0, [1e300, 0.0], np.diag([1e-20, 1e-6])).objective()
+        assert is_nao(newton_step(q, np.zeros(2)))
+
     def test_idempotent_at_optimum(self):
         rng = np.random.default_rng(1)
         q = QuadraticForm(0.0, rng.standard_normal(3), random_spd(rng, 3))
@@ -199,24 +204,16 @@ class TestContinuityUnderPerturbation:
         delta = rng.standard_normal(2)
 
         def perturbed(eps):
-            def qp(d):
-                d = np.atleast_1d(np.asarray(d, dtype=float))
-                base = q.objective()(d)
-                s = float(np.sin(d[0]) * np.cos(d[1]))
-                bump_grad = np.array([np.cos(d[0]) * np.cos(d[1]), -np.sin(d[0]) * np.sin(d[1])])
-                bump_hess = np.array(
-                    [
-                        [-np.sin(d[0]) * np.cos(d[1]), -np.cos(d[0]) * np.sin(d[1])],
-                        [-np.cos(d[0]) * np.sin(d[1]), -np.sin(d[0]) * np.cos(d[1])],
-                    ]
+            def kernel(th):
+                value, gradient, hessian = q.objective().stack(th).parts(2)
+                s0, c0, s1, c1 = np.sin(th[:, 0]), np.cos(th[:, 0]), np.sin(th[:, 1]), np.cos(th[:, 1])
+                bump_grad = np.stack([c0 * c1, -s0 * s1], axis=1)
+                bump_hess = np.stack(
+                    [np.stack([-s0 * c1, -c0 * s1], axis=1), np.stack([-c0 * s1, -s0 * c1], axis=1)], axis=1
                 )
-                return ObjectiveEval(
-                    base.value + eps * s,
-                    base.gradient + eps * bump_grad,
-                    base.hessian + eps * bump_hess,
-                )
+                return value + eps * (s0 * c1), gradient + eps * bump_grad, hessian + eps * bump_hess
 
-            return qp
+            return row_objective(kernel, dim=2)
 
         exact = newton_step(q.objective(), delta)
         gaps = []
@@ -329,3 +326,15 @@ class TestNaOPropagationTable:
         assert is_nao(newton_step(q, NaO))
         result, _ = newton_iterate(q, NaO)
         assert is_nao(result)
+
+    @pytest.mark.parametrize(
+        "delta",
+        [np.zeros((2, 1)), np.zeros(0), np.zeros(3), np.array([np.nan, 0.0]), np.array([0.0, np.inf])],
+        ids=["column", "empty", "wrong-length", "nan", "inf"],
+    )
+    def test_parameters_that_are_not_a_point(self, delta):
+        q = QuadraticForm(0.0, [1.0, -1.0], np.eye(2)).objective()
+        assert is_nao(newton_step(q, delta))
+        result, trace = newton_iterate(q, delta)
+        assert is_nao(result)
+        assert (trace.steps, trace.converged) == (0, False) and np.isnan(trace.final_grad_norm)
