@@ -71,7 +71,6 @@ from .bootstrap import (
 from .models import (
     AnimalModel,
     AnimalParams,
-    Ar1Data,
     Ar1Model,
     ExponentialRateIid,
     NormalLocationIid,

@@ -115,7 +115,7 @@ def _refit(model: LikModel, theta_hats: np.ndarray, pivot: PivotFn, stack) -> tu
 def _one_replicate(model: LikModel, theta_hat: np.ndarray, pivot: PivotFn, data):
     """Row 0 of :func:`_refit` on the stack of one simulated data set."""
     theta_hats = np.asarray(theta_hat, dtype=float).reshape(1, -1)
-    thetas, values = _refit(model, theta_hats, pivot, model.stack_data([data]))
+    thetas, values = _refit(model, theta_hats, pivot, np.asarray([data], dtype=float))
     return thetas[0], values[0]
 
 

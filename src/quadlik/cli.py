@@ -367,7 +367,7 @@ def _build_model(cfg: dict):
     return ExponentialRateIid(_get(block, "n", int, "config.model"))
 
 
-def _load_data(cfg: dict, model) -> object:
+def _load_data(cfg: dict, model) -> np.ndarray:
     return model.parse_data(load_vector_csv(_resolve(cfg, _get(cfg, "data", str, "config"))))
 
 
@@ -420,13 +420,18 @@ def run_fit(cfg: dict) -> tuple[ReportRecord, int]:
     if is_nao(fit.theta_hat):
         return record, EXIT_NAO
     if isinstance(model, AnimalModel):
-        params = model.phi_to_params(fit.theta_hat)
-        record.put("animal_mu", params.mu)
-        record.put("animal_sigma2", params.sigma2)
-        record.put("animal_tau2", params.tau2)
-        record.put("animal_logit_heritability", logit_heritability(params))
+        _put_animal_fit(record, model, fit.theta_hat)
         record.put("animal_eig_clamp", model.eig_clamp)
     return record, EXIT_OK
+
+
+def _put_animal_fit(record: ReportRecord, model: AnimalModel, theta_hat: np.ndarray) -> float:
+    """Put an animal fit's natural parameters and logit heritability; returns the latter."""
+    params = model.phi_to_params(theta_hat)
+    h_hat = logit_heritability(params)
+    record.update({"animal_mu": params.mu, "animal_sigma2": params.sigma2, "animal_tau2": params.tau2})
+    record.put("animal_logit_heritability", h_hat)
+    return h_hat
 
 
 def _get_box(cfg: dict, dim: int, default_halfwidth: float) -> GridBox:
@@ -588,8 +593,7 @@ def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
         record.put(f"contiguity_{i}_se", se)
         record.put(f"contiguity_{i}_dev_se", devs[-1])
     record.put("contiguity_max_dev_se", np.max(devs, initial=0.0))
-    if np.isnan(devs).any():
-        record.put("status", "NaO")
+    if _checks_exit(record, *devs) == EXIT_NAO:
         return record, EXIT_NAO
 
     model = wishart_lamn_model(spec) if isinstance(spec.curvature, WishartCurvature) else lan_normal_location(spec.curvature.k)
@@ -630,8 +634,7 @@ def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
         record.put(f"info_{idx}_mc_mean", mean)
         record.put(f"info_{idx}_mc_se", se)
         record.put(f"info_{idx}_dev_se", devs[-1])
-    if np.isnan(devs).any():
-        record.put("status", "NaO")
+    if _checks_exit(record, *devs) == EXIT_NAO:
         return record, EXIT_NAO
 
     model = Ar1Model(n, x0)
@@ -663,7 +666,7 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
 
     truth_block = _get(cfg, "truth", dict, "config", required=False)
     if "data" in cfg:
-        y = _load_data(cfg, model)
+        data = _load_data(cfg, model)
     else:
         if truth_block is None:
             raise ConfigError("config: animal-study needs either 'data' or 'truth' to simulate from")
@@ -673,22 +676,17 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
             _get(truth_block, "sigma2", float, "config.truth"),
             _get(truth_block, "tau2", float, "config.truth"),
         )
-        y = model.simulate(AnimalModel.params_to_phi(truth), derive_rng(seed, "animal-data"))
+        data = model.simulate(AnimalModel.params_to_phi(truth), derive_rng(seed, "animal-data"))
         record.put("truth_mu", truth.mu)
         record.put("truth_sigma2", truth.sigma2)
         record.put("truth_tau2", truth.tau2)
         record.put("truth_logit_heritability", logit_heritability(truth))
 
-    fit = fit_mle(model, y)
+    fit = fit_mle(model, data)
     _put_fit(record, fit, alpha)
     if is_nao(fit.theta_hat):
         return record, EXIT_NAO
-    params = model.phi_to_params(fit.theta_hat)
-    record.put("animal_mu", params.mu)
-    record.put("animal_sigma2", params.sigma2)
-    record.put("animal_tau2", params.tau2)
-    h_hat = logit_heritability(params)
-    record.put("animal_logit_heritability", h_hat)
+    h_hat = _put_animal_fit(record, model, fit.theta_hat)
     # delta method on the fit: the pivot's variance, on a stack of one
     se_h = float(np.sqrt(_heritability_variance(fit.observed_info[None])[0]))
     record.put("animal_logit_heritability_se", se_h)

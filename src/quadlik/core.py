@@ -343,17 +343,17 @@ class RowObjective:
 class LikModel:
     """Evaluation contract for a statistical model.
 
+    A *data stack* is one array whose rows are data sets, and a data set is
+    exactly one row of its model's stack: a Monte Carlo level is drawn,
+    started and refit in that form, and a single data set is a stack of one.
     Subclasses set ``dim_param`` and ``domain`` and provide:
 
     * ``loglik(stack, thetas)``, the log likelihood as one vectorized kernel;
-    * ``stack_data(datas)``, which lays data sets out as the rows of an array;
-    * ``simulate(theta, rng) -> data``, one draw, and ``simulate_stack(theta,
-      rngs)``, the data stack of one draw per stream;
+    * ``simulate_stack(theta, rngs)``, the data stack of one draw per stream,
+      the model's one draw method (:meth:`simulate` is its row 0);
     * ``starts(stack)``, the start of Newton's method for each row of a stack;
-    * ``parse_data(flat)``, the reader for data files.
-
-    A Monte Carlo level is one such *data stack*, drawn, started and refit in
-    that form; a single data set is a stack of one.
+    * ``parse_data(flat)``, the one reader of outside data: it checks a data
+      file's values and returns them as a row of the stack.
     """
 
     dim_param: int
@@ -371,18 +371,14 @@ class LikModel:
         """
         raise NotImplementedError
 
-    def simulate(self, theta: np.ndarray, rng: np.random.Generator):
-        raise NotImplementedError
+    def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One data set: row 0 of :meth:`simulate_stack` on the one stream ``rng``."""
+        return self.simulate_stack(theta, [rng])[0]
 
     def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
         """The data stack of one draw per stream: data set ``i`` uses ``rngs[i]``
-        alone, exactly as ``simulate`` would."""
-        return self.stack_data([self.simulate(theta, rng) for rng in rngs])
-
-    def stack_data(self, datas) -> np.ndarray:
-        """The data stack of a list of data sets, one row each (by default the
-        data sets as a float array); a data stack is returned as it is."""
-        return np.asarray(datas, dtype=float)
+        alone, and is drawn exactly as it would be in a stack of its own."""
+        raise NotImplementedError
 
     def starts(self, stack: np.ndarray) -> np.ndarray:
         """Newton's start for each data set (row) of a data stack, ``(m,
@@ -390,8 +386,9 @@ class LikModel:
         default the origin)."""
         return np.zeros((len(stack), self.dim_param))
 
-    def parse_data(self, flat: np.ndarray):
-        """The data set a data file's values hold; DataFormatError if their number is wrong."""
+    def parse_data(self, flat: np.ndarray) -> np.ndarray:
+        """The data set a data file's values hold, as a row of the stack;
+        DataFormatError if their number is wrong."""
         raise NotImplementedError
 
     def objective(self, data) -> RowObjective:
@@ -404,9 +401,9 @@ class LikModel:
         return RowObjective(self.stacked_objective([data]))
 
     def stacked_objective(self, datas) -> StackedObjective:
-        """:meth:`loglik` over a data stack (or a list of data sets), with the NaO
+        """:meth:`loglik` over a data stack (or a list of its rows), with the NaO
         rules of :class:`StackedObjective`."""
-        stack = self.stack_data(datas)
+        stack = np.asarray(datas, dtype=float)
         # blocks of rows keep a kernel's temporaries near 1 MB (the animal
         # model's weights are eight times its rows)
         block = max(1, 2**14 // max(1, math.prod(stack.shape[1:])))

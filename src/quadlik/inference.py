@@ -78,7 +78,7 @@ def fit_mle(model: LikModel, data, max_steps: int = DEFAULT_MAX_STEPS) -> MleRes
     the objective is NaO (a NaN start among them) yields an NaO result
     with 0 steps, as a bootstrap replicate does.
     """
-    stack = model.stack_data([data])
+    stack = np.asarray([data], dtype=float)
     thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack), max_steps=max_steps)
     trace = NewtonTrace.first_row(thetas, steps, converged, final)
     if not trace.converged:

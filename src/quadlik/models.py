@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import LikModel, OpenBox, _symmetrized, quadratic_stack, spd_factor
-from .lamn import LamnDraw, LamnSpec, sample_lamn, sample_lamn_stack
+from .lamn import LamnDraw, LamnSpec, sample_lamn_stack
 from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -45,13 +45,11 @@ class LanNormalLocation(LikModel):
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
         return quadratic_stack(0.0, stack, self.k, thetas)
 
-    def stack_data(self, datas) -> np.ndarray:
-        """The z vectors as the rows of an ``(m, p)`` stack."""
-        return np.asarray(datas, dtype=float).reshape(len(datas), self.dim_param)
-
-    def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return self.k @ th + self._factor @ rng.standard_normal(self.dim_param)
+    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+        """The z vectors of one draw per stream as the rows of an ``(m, p)`` stack."""
+        kth = self.k @ np.atleast_1d(np.asarray(theta, dtype=float))
+        draws = [kth + self._factor @ rng.standard_normal(self.dim_param) for rng in rngs]
+        return np.array(draws).reshape(len(rngs), self.dim_param)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.dim_param)
@@ -79,23 +77,17 @@ class WishartLamnModel(LikModel):
         p = self.dim_param
         return quadratic_stack(0.0, stack[:, :p], stack[:, p:].reshape(len(stack), p, p), thetas)
 
-    def stack_data(self, datas) -> np.ndarray:
-        """Draws as the rows of an ``(m, p + p*p)`` stack, z then k row-major."""
-        if isinstance(datas, np.ndarray):
-            return datas
-        p = self.dim_param
-        return np.array([np.concatenate([d.z, d.k.ravel()]) for d in datas]).reshape(len(datas), p + p * p)
-
-    def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> LamnDraw:
-        return sample_lamn(self.spec, theta, rng)
-
     def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+        """Draws as the rows of an ``(m, p + p*p)`` stack, z then k row-major."""
         return sample_lamn_stack(self.spec, theta, rngs)
 
-    def parse_data(self, flat: np.ndarray) -> LamnDraw:
+    def parse_data(self, flat: np.ndarray) -> np.ndarray:
+        """The row ``z`` then ``k`` row-major, ``k`` tested and symmetrized as a
+        :class:`LamnDraw`'s is."""
         p = self.dim_param
         _of_length(flat, p + p * p, "values (z then k row-major)")
-        return LamnDraw(flat[:p], flat[p:].reshape(p, p))
+        draw = LamnDraw(flat[:p], flat[p:].reshape(p, p))
+        return np.concatenate([draw.z, draw.k.ravel()])
 
 
 def wishart_lamn_model(spec: LamnSpec) -> WishartLamnModel:
@@ -106,25 +98,6 @@ def wishart_lamn_model(spec: LamnSpec) -> WishartLamnModel:
 # ---------------------------------------------------------------------------
 # AR(1): exactly quadratic, curvature law depends on the parameter
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Ar1Data:
-    """An observed path X_0 ... X_n."""
-
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        if x.size < 2:
-            raise ValueError("a path needs at least X_0 and X_1")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("path entries must be finite")
-        object.__setattr__(self, "x", x)
-
-    @property
-    def n(self) -> int:
-        return self.x.size - 1
 
 
 def ar1_simulate_paths(
@@ -201,19 +174,11 @@ class Ar1Model(LikModel):
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
         return _ar1_kernel(stack, thetas[:, 0])
 
-    def stack_data(self, datas) -> np.ndarray:
-        """The paths as the rows of an ``(m, n + 1)`` stack."""
-        if isinstance(datas, np.ndarray):
-            return datas
-        return np.array([d.x for d in datas]).reshape(len(datas), self.n + 1)
-
-    def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> Ar1Data:
-        x0 = float(rng.standard_normal()) if self.random_x0 else self.x0
-        return Ar1Data(ar1_simulate_paths(_theta_scalar(theta), self.n, x0, 1, rng)[0])
-
     def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
-        """One path per stream, each drawn as :meth:`simulate` draws it (a random
-        start first, then the noise), and all run through one recursion."""
+        """One path per stream as the rows of an ``(m, n + 1)`` stack: each stream
+        draws its start first (with ``random_x0``), then its noise, and all
+        run through one recursion.  An exploding path is kept, inf or NaN, and
+        its fit is NaO."""
         x0 = np.full(len(rngs), self.x0)
         noise = np.empty((len(rngs), self.n))
         for j, rng in enumerate(rngs):
@@ -222,8 +187,11 @@ class Ar1Model(LikModel):
             rng.standard_normal(out=noise[j])
         return _ar1_paths(_theta_scalar(theta), x0, noise)
 
-    def parse_data(self, flat: np.ndarray) -> Ar1Data:
-        return Ar1Data(_of_length(flat, self.n + 1, "values for the AR(1) path"))
+    def parse_data(self, flat: np.ndarray) -> np.ndarray:
+        _of_length(flat, self.n + 1, "values for the AR(1) path")
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("path entries must be finite")
+        return flat
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +503,14 @@ class AnimalModel(LikModel):
     makes the parameter domain the whole space; reported results map back
     to natural variances.  The eigendecomposition of A is computed once per
     matrix (``RelationshipMatrix.kernel``) and shared read-only by every
-    evaluation and simulation.  A data set is a raw response y; the data
-    stack holds the rotated responses ``Q'y``, one O(N^2) product per data
-    set (so ``objective(y)`` rotates once).  :meth:`loglik` then costs O(N)
-    a row: it takes ``Q'y`` rows and (mu, log sigma2, log tau2) rows, and
-    gives NaN where V is numerically singular or a log variance lies past
-    700, and a non-finite row, without a warning, where the log-scale
-    products overflow (a log variance past about 355); both are NaO.
+    evaluation and simulation.  A data set is a rotated response ``Q'y``:
+    :meth:`parse_data` rotates a raw response y once, one O(N^2) product,
+    and :meth:`simulate_stack` draws ``Q'y`` without forming y.
+    :meth:`loglik` then costs O(N) a row: it takes ``Q'y`` rows and (mu, log
+    sigma2, log tau2) rows, and gives NaN where V is numerically singular or
+    a log variance lies past 700, and a non-finite row, without a warning,
+    where the log-scale products overflow (a log variance past about 355);
+    both are NaO.
     """
 
     def __init__(self, a: RelationshipMatrix):
@@ -566,12 +535,6 @@ class AnimalModel(LikModel):
     def phi_to_params(phi: np.ndarray) -> AnimalParams:
         return AnimalParams(float(phi[0]), float(np.exp(phi[1])), float(np.exp(phi[2])))
 
-    def stack_data(self, datas) -> np.ndarray:
-        """``Q'y`` of raw responses as the rows of an ``(m, N)`` stack."""
-        if isinstance(datas, np.ndarray):
-            return datas
-        return np.array([self._kernel.rotate(y) for y in datas]).reshape(len(datas), self.n_individuals)
-
     def loglik(self, qty: np.ndarray, theta: np.ndarray):
         """(value, gradient, Hessian) over (mu, log sigma2, log tau2) from ``Q'y``,
         over a trailing axis like ``natural_eval``."""
@@ -592,10 +555,6 @@ class AnimalModel(LikModel):
             grad[outside] = np.nan
             hess[outside] = np.nan
         return value, grad, hess
-
-    def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        params = self.phi_to_params(np.asarray(theta, dtype=float))
-        return self._kernel.simulate(params.mu, params.sigma2, params.tau2, rng)
 
     def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
         """``Q'y`` of one draw per stream.  Past the bound on ``|phi|`` where
@@ -620,7 +579,7 @@ class AnimalModel(LikModel):
         A row is NaN where there is no start: fewer than 3 individuals, or
         a response that is not finite.
         """
-        qty = self.stack_data(stack)
+        qty = np.asarray(stack, dtype=float)
         m, n = qty.shape
         if n < 3:
             return np.full((m, 3), np.nan)
@@ -642,7 +601,8 @@ class AnimalModel(LikModel):
         return phi
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
-        return _of_length(flat, self.n_individuals)
+        """The response ``y`` rotated to ``Q'y``, once."""
+        return self._kernel.rotate(_of_length(flat, self.n_individuals))
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +624,10 @@ class NormalLocationIid(LikModel):
         value = -0.5 * (resid * resid).sum(axis=(1, 2))
         return value, resid.sum(axis=1), np.broadcast_to(-self.n * np.eye(self.p), (len(stack), self.p, self.p))
 
-    def stack_data(self, datas) -> np.ndarray:
-        """The samples as the ``(n, p)`` rows of an ``(m, n, p)`` stack."""
-        return np.asarray(datas, dtype=float).reshape(len(datas), self.n, self.p)
-
-    def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return theta + rng.standard_normal((self.n, self.p))
+    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+        """The samples of one draw per stream as the ``(n, p)`` rows of an ``(m, n, p)`` stack."""
+        draws = [theta + rng.standard_normal((self.n, self.p)) for rng in rngs]
+        return np.array(draws).reshape(len(rngs), self.n, self.p)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n * self.p).reshape(self.n, self.p)
@@ -695,12 +653,10 @@ class ExponentialRateIid(LikModel):
             hessian = -self.n / th**2
         return value, (self.n / th - total)[:, None], hessian[:, None, None]
 
-    def stack_data(self, datas) -> np.ndarray:
-        """The samples as the rows of an ``(m, n)`` stack."""
-        return np.asarray(datas, dtype=float).reshape(len(datas), self.n)
-
-    def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.exponential(scale=1.0 / float(theta[0]), size=self.n)
+    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+        """The samples of one draw per stream as the rows of an ``(m, n)`` stack."""
+        scale = 1.0 / float(theta[0])
+        return np.array([rng.exponential(scale=scale, size=self.n) for rng in rngs]).reshape(len(rngs), self.n)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n)

@@ -72,17 +72,17 @@ def newton_step(q: RowObjective, delta: MaybeParam) -> MaybeParam:
 
     One step of :func:`lockstep_fit`'s plain mode on a stack of one, under a
     tolerance it cannot meet.  Undefined means: NaO input or a parameter that
-    is not one vector, NaO evaluation, or negative Hessian failing the
-    positive-definite pivot test.  The plain mode marks that failure with an
-    all-NaN point, so a step whose solve overflows to all NaN is NaO too.  The
-    destination is returned even where the objective is NaO there: the
-    one-step estimator may leave the domain.
+    is not one vector, NaO evaluation, negative Hessian failing the
+    positive-definite pivot test (the plain mode marks it with an all-NaN
+    point), or a destination with any entry that is not finite, as where the
+    solve overflows.  A finite destination is returned even where the
+    objective is NaO there: the one-step estimator may leave the domain.
     """
     fit = _plain_fit(q, delta, -np.inf, 1)
     if fit is None:
         return NaO
     thetas, _, _, final = fit
-    return thetas[0] if final.ok[0] and not np.isnan(thetas[0]).all() else NaO
+    return thetas[0] if final.ok[0] and np.isfinite(thetas[0]).all() else NaO
 
 
 def newton_iterate(

@@ -103,7 +103,7 @@ def refit_alone(model, theta_hat, pivot, data):
     fit fails, and NaN for the value where the pivot is not finite.
     """
     failed = np.full(model.dim_param, np.nan), np.nan
-    x0 = model.starts(model.stack_data([data]))[0]
+    x0 = model.starts(np.array([data]))[0]
     try:
         theta_star, trace = safeguarded_maximize(model.objective(data), x0)
     except ValueError:  # the objective is NaO at the start

@@ -137,13 +137,13 @@ class TestDoubleBootstrap:
     def test_simulation_count(self):
         model, fit = lan_fixture(p=1, seed=7)
         count = {"n": 0}
-        original = model.simulate
+        original = model.simulate_stack
 
-        def counting(theta, rng):
-            count["n"] += 1
-            return original(theta, rng)
+        def counting(theta, rngs):
+            count["n"] += len(rngs)
+            return original(theta, rngs)
 
-        model.simulate = counting
+        model.simulate_stack = counting
         b1, b2 = 3, 4
         double_bootstrap(model, fit.theta_hat, b1, b2, make_wald_pivot(model), seed=23)
         assert count["n"] == b1 * (1 + b2)
@@ -170,7 +170,7 @@ class TestDoubleBootstrap:
 
 class HessianModel(LikModel):
     """Toy model whose data set is the evaluation itself: a value and a Hessian
-    (gradient 0), whatever the parameter.
+    (gradient 0), whatever the parameter, as one row (:func:`hessian_row`).
 
     Its kernel hands them back as given, as the quadratic models' kernels do,
     so only the pivot's own arithmetic is under test.
@@ -180,13 +180,14 @@ class HessianModel(LikModel):
         self.dim_param = p
         self.domain = OpenBox.unbounded(p)
 
-    def stack_data(self, datas):
-        """Rows of the value, then the Hessian row-major."""
-        return np.array([np.concatenate([[v], np.ravel(h)]) for v, h in datas]).reshape(len(datas), -1)
-
     def loglik(self, stack, thetas):
         p = self.dim_param
         return stack[:, 0], np.zeros((len(stack), p)), stack[:, 1:].reshape(len(stack), p, p)
+
+
+def hessian_row(value, h) -> np.ndarray:
+    """A :class:`HessianModel` data set: the value, then the Hessian row-major."""
+    return np.concatenate([[value], np.ravel(h)])
 
 
 # moderate, near the float maximum (either sign), and NaN entries
@@ -216,7 +217,7 @@ def pivot_rows(draw):
             h = np.zeros((p, p))
             h[np.tril_indices(p)] = entries
             h.T[np.tril_indices(p)] = entries
-        datas.append((value, h))
+        datas.append(hessian_row(value, h))
     point = st.lists(st.floats(-100, 100), min_size=p, max_size=p)
     refits = np.array(draw(st.lists(point, min_size=m, max_size=m)))
     centers = np.array(draw(st.lists(point, min_size=m, max_size=m)))
@@ -290,7 +291,7 @@ def heritability_rows(draw):
         elif kind != "spd":
             k = draw(st.integers(0, 2))
             info[k, :] = info[:, k] = float(kind)
-        datas.append((value, -info))
+        datas.append(hessian_row(value, -info))
     point = st.lists(st.floats(-100, 100), min_size=3, max_size=3)
     refits = np.array(draw(st.lists(point, min_size=m, max_size=m)))
     centers = np.array(draw(st.lists(point, min_size=m, max_size=m)))
@@ -317,7 +318,7 @@ class TestStackedHeritabilityPivot:
         rng = np.random.default_rng(3)
         infos = [random_spd(rng, 3) for _ in range(4)]
         infos[2][1, :] = infos[2][:, 1] = 0.0
-        datas = [(0.0, -info) for info in infos]
+        datas = [hessian_row(0.0, -info) for info in infos]
         refits, centers = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.array(infos), np.array([0.0, 1.0, -1.0]))
@@ -330,7 +331,7 @@ class TestStackedHeritabilityPivot:
         infos = [random_spd(rng, 3), np.diag([-1.0, 1.0, 1.0]), random_spd(rng, 3)]
         contrast = np.array([0.0, 1.0, -1.0])
         assert contrast @ np.linalg.solve(infos[1], contrast) == 2.0
-        datas = [(0.0, -info) for info in infos]
+        datas = [hessian_row(0.0, -info) for info in infos]
         refits, centers = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
         stacked = self.check(datas, refits, centers)
         assert np.isnan(stacked).tolist() == [False, True, False]
@@ -376,11 +377,6 @@ def wishart_model():
 
 def lan_model():
     return lan_normal_location(LAN_K)
-
-
-def first_coordinate(data):
-    """z[0] of a data set or of a row of its model's data stack."""
-    return float(data.z[0]) if hasattr(data, "z") else float(data[0])
 
 
 class FailingStart:
@@ -462,7 +458,7 @@ class TestDoubleBootstrapLayout:
         failed = {(level, kind): 0 for level in (0, 1) for kind in ("nan", "inf")}
         for center, path, thetas, values in levels:
             for j, (theta_star, value) in enumerate(zip(thetas, values)):
-                z0 = first_coordinate(model.simulate(center, derive_rng(61, *path, j)))
+                z0 = model.simulate(center, derive_rng(61, *path, j))[0]
                 if z0 > 2.0 or z0 < -0.3:
                     assert np.isnan(theta_star).all() and np.isnan(value)
                     failed[path[1], "nan" if z0 > 2.0 else "inf"] += 1

@@ -714,6 +714,11 @@ class TestNonFiniteMonteCarloChecks:
         code, report = self.run(tmp_path, "ar1-study", thetas=[0.5], theta_b=1e200, n=10, invariance_nsim=50)
         assert code == EXIT_NAO and report["status"] == "NaO"
 
+    def test_ar1_study_exploding_data(self, tmp_path):
+        # at theta_a = 1e200 the simulated path explodes: its fit is NaO, not an input error
+        code, report = self.run(tmp_path, "ar1-study", thetas=[0.5], theta_a=1e200, n=10, mc_paths=100, invariance_nsim=50)
+        assert code == EXIT_NAO and report["status"] == "NaO"
+        assert report["fit_newton_converged"] == 0 and "fit_theta_hat" not in report
 
     def test_diagnose_fit_at_the_variance_boundary(self, tmp_path):
         # the fit converges at log sigma2 = -18 with almost no information on

@@ -241,7 +241,7 @@ class TestFitMle:
         model = ExponentialRateIid(3)
         data = np.array([-1.0, -2.0, -3.0])
         with pytest.raises(ValueError):
-            safeguarded_maximize(model.objective(data), model.starts(model.stack_data([data]))[0])
+            safeguarded_maximize(model.objective(data), model.starts(np.array([data]))[0])
 
     def test_start_is_evaluated_once(self):
         class Counting(ExponentialRateIid):
@@ -253,7 +253,7 @@ class TestFitMle:
 
         model = Counting(5)
         data = np.array([0.5, 1.0, 2.0, 0.2, 0.9])
-        theta, trace = safeguarded_maximize(model.objective(data), model.starts(model.stack_data([data]))[0])
+        theta, trace = safeguarded_maximize(model.objective(data), model.starts(np.array([data]))[0])
         ascent_calls, Counting.calls = Counting.calls, 0
         fit = fit_mle(model, data)
         # the ascent's evaluations, nothing more: the information is the last one's

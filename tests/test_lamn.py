@@ -23,7 +23,7 @@ from quadlik import (
     wishart_lamn_model,
 )
 from quadlik.core import NaO, QuadraticForm, spd_factor
-from quadlik.models import Ar1Model, LanNormalLocation
+from quadlik.models import Ar1Model, DataFormatError, LanNormalLocation
 
 
 def wishart_spec(p=2, dof=5.0):
@@ -163,10 +163,10 @@ class FixedStream:
 
 
 def as_rows(draws, p):
-    """Draws as the rows of a Wishart data stack, z then k row-major; a stack as is."""
-    if isinstance(draws, np.ndarray):
-        return draws
-    return np.array([np.concatenate([d.z, d.k.ravel()]) for d in draws]).reshape(len(draws), p + p * p)
+    """Draws as the rows of a Wishart data stack, z then k row-major: a
+    ``LamnDraw`` laid out so, a row (or the rows of a stack) as it is."""
+    rows = [np.concatenate([d.z, d.k.ravel()]) if isinstance(d, LamnDraw) else d for d in draws]
+    return np.array(rows).reshape(len(draws), p + p * p)
 
 
 def assert_same_draws(stacked, looped, p):
@@ -196,7 +196,7 @@ class TestStackedDraws:
         stacked = model.simulate_stack(theta, [derive_rng(seed, i) for i in range(n)])
         looped = [model.simulate(theta, derive_rng(seed, i)) for i in range(n)]
         assert_same_draws(stacked, looped, spec.dim)
-        assert np.array_equal(model.stack_data(looped), stacked) and model.stack_data(stacked) is stacked
+        assert_same_draws(looped, [sample_lamn(spec, theta, derive_rng(seed, i)) for i in range(n)], spec.dim)
         assert_same_draws(looped, [reference_draw(spec, theta, derive_rng(seed, i)) for i in range(n)], spec.dim)
 
 
@@ -237,7 +237,7 @@ class TestStackedDrawRarePaths:
         model = wishart_lamn_model(self.spec)
         first = self.first_k(7)
         self.reject(monkeypatch, [first])
-        second = model.simulate(self.theta, derive_rng(81, 7)).k
+        second = sample_lamn(self.spec, self.theta, derive_rng(81, 7)).k
         self.reject(monkeypatch, [first, second])
         with pytest.raises(RuntimeError, match="singular twice"):
             [model.simulate(self.theta, rng) for rng in self.streams()]
@@ -260,9 +260,10 @@ class TestStackedDrawRarePaths:
             model.simulate_stack(np.zeros(2), streams())
 
     def test_stack_of_draws_checks_shapes(self):
-        # draws of dimension 2 do not make a stack of the dimension-3 model
-        with pytest.raises(ValueError, match="shape"):
-            wishart_lamn_model(self.spec).stack_data([LamnDraw(np.zeros(2), np.eye(2))] * 2)
+        # a draw of dimension 2 is not a data set of the dimension-3 model
+        draw = LamnDraw(np.zeros(2), np.eye(2))
+        with pytest.raises(DataFormatError, match="expected 12 values"):
+            wishart_lamn_model(self.spec).parse_data(np.concatenate([draw.z, draw.k.ravel()]))
 
 
 class TestLamnLoglik:

@@ -44,7 +44,7 @@ def data_sets(name, n, seed):
     datas = [model.simulate(THETAS[name], derive_rng(seed, i)) for i in range(n)]
     rng = np.random.default_rng(seed)
     # scattered starts, so rows take different step counts and backtracks
-    starts = model.starts(model.stack_data(datas)) * (1.0 + rng.uniform(-0.9, 3.0, (n, 1)))
+    starts = model.starts(np.array(datas)) * (1.0 + rng.uniform(-0.9, 3.0, (n, 1)))
     return model, datas, starts
 
 
@@ -114,7 +114,7 @@ class TestStackedLevel:
             datas[3], datas[8] = np.zeros(7), -datas[8]
         theta_hats = THETAS[name] + np.random.default_rng(1).uniform(-0.5, 0.5, (len(datas), THETAS[name].size))
         pivot = make_wald_pivot(model)
-        thetas, values = _refit(model, theta_hats, pivot, model.stack_data(datas))
+        thetas, values = _refit(model, theta_hats, pivot, np.array(datas))
         assert thetas.shape == (len(datas), THETAS[name].size) and values.shape == (len(datas),)
         for i, data in enumerate(datas):
             theta_star, value = refit_alone(model, theta_hats[i], pivot, data)
@@ -133,7 +133,7 @@ class TestStackedLevel:
         single = []
         for i in range(B):
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
-            x0 = model.starts(model.stack_data([data]))[0]
+            x0 = model.starts(np.array([data]))[0]
             theta_star, trace = safeguarded_maximize(model.objective(data), x0)
             value = pivot_alone(pivot, model, data, theta_star, theta_hat) if trace.converged else np.nan
             if not np.isnan(value):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from quadlik import (
     AnimalModel,
     AnimalParams,
-    Ar1Data,
     Ar1Model,
     ExponentialRateIid,
     LamnSpec,
@@ -25,6 +24,7 @@ from quadlik import (
     lan_normal_location,
     load_pedigree_csv,
     load_vector_csv,
+    local_shift,
     logit_heritability,
     make_wald_pivot,
     parametric_bootstrap,
@@ -89,7 +89,7 @@ class TestAr1Simulation:
 
     def test_path_is_the_scalar_recursion(self):
         for theta, n, seed in [(-0.9, 1, 0), (0.5, 17, 1), (1.3, 200, 2)]:
-            x = Ar1Model(n, 1.5).simulate(np.array([theta]), derive_rng(seed)).x
+            x = Ar1Model(n, 1.5).simulate(np.array([theta]), derive_rng(seed))
             expected = [1.5]
             for noise in derive_rng(seed).standard_normal(n):
                 expected.append(theta * expected[-1] + noise)
@@ -105,11 +105,11 @@ class TestAr1Simulation:
 
 class TestAr1Loglik:
     def test_all_zero_path(self):
-        ev = Ar1Model(5).objective(Ar1Data(np.zeros(6)))(0.3)
+        ev = Ar1Model(5).objective(np.zeros(6))(0.3)
         assert ev.value == 0.0 and ev.gradient[0] == 0.0 and ev.hessian[0, 0] == 0.0
 
     def test_perfect_fit(self):
-        ev = Ar1Model(1).objective(Ar1Data(np.array([1.0, 1.0])))(1.0)
+        ev = Ar1Model(1).objective(np.array([1.0, 1.0]))(1.0)
         assert ev.value == 0.0
         assert ev.gradient[0] == 0.0
         assert ev.hessian[0, 0] == -1.0
@@ -117,7 +117,7 @@ class TestAr1Loglik:
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            q = Ar1Model(30).objective(Ar1Data(ar1_simulate_paths(0.6, 30, 1.0, 1, rng)[0]))
+            q = Ar1Model(30).objective(ar1_simulate_paths(0.6, 30, 1.0, 1, rng)[0])
             theta = rng.uniform(-1, 1)
             ev = q(theta)
             value = lambda t: q(t).value
@@ -125,7 +125,7 @@ class TestAr1Loglik:
             assert rel_err(ev.hessian, fd_hessian(value, np.array([theta]))) < 1e-4
 
     def test_hessian_free_of_theta(self):
-        q = Ar1Model(25).objective(Ar1Data(ar1_simulate_paths(0.4, 25, 1.0, 1, derive_rng(8))[0]))
+        q = Ar1Model(25).objective(ar1_simulate_paths(0.4, 25, 1.0, 1, derive_rng(8))[0])
         h = [q(t).hessian[0, 0] for t in (-0.9, 0.0, 0.7, 2.0)]
         assert len(set(h)) == 1
 
@@ -298,17 +298,17 @@ class TestAnimalRotation:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_objective_matches_eval_bitwise(self, phi, seed):
-        # objective(y) is a row of the stacked objective of raw responses or of Q'y
+        # objective(Q'y) is a row of the stacked objective of Q'y rows
         model = self.MODEL
-        y = model.simulate(self.TRUTH, derive_rng(seed))
+        y = model.relationship.kernel.simulate(0.5, 1.2, 0.8, derive_rng(seed))
+        qty = model.parse_data(y)
         phi = np.array(phi)
-        ev = model.objective(y)(phi)
+        ev = model.objective(qty)(phi)
         thetas = np.array([self.TRUTH, phi])
-        for stack in ([y, y], model.stack_data([y, y])):
-            value, gradient, hessian = model.stacked_objective(stack)(np.arange(2), thetas).parts(3)
-            assert value[1] == ev.value
-            assert np.array_equal(gradient[1], ev.gradient)
-            assert np.array_equal(hessian[1], ev.hessian)
+        value, gradient, hessian = model.stacked_objective([qty, qty])(np.arange(2), thetas).parts(3)
+        assert value[1] == ev.value
+        assert np.array_equal(gradient[1], ev.gradient)
+        assert np.array_equal(hessian[1], ev.hessian)
         # the natural-scale kernel, reached through the chain rule
         s2, t2 = float(np.exp(phi[1])), float(np.exp(phi[2]))
         value, gradient, _ = natural_loglik(model.relationship, y, [phi[0], s2, t2])
@@ -326,23 +326,17 @@ class TestAnimalRotation:
 
         monkeypatch.setattr(_AnimalKernel, "rotate", counting)
         model = self.MODEL
-        y = model.simulate(self.TRUTH, derive_rng(4))
-        q = model.objective(y)
+        # a raw response is rotated once, when it is read; the data set is Q'y
+        qty = model.parse_data(model.relationship.kernel.simulate(0.5, 1.2, 0.8, derive_rng(4)))
         assert len(calls) == 1
+        q = model.objective(qty)
         for i in range(20):
             q(self.TRUTH + 0.05 * i)
-        assert len(calls) == 1
-        model.objective(y)
-        assert len(calls) == 2
-        fit = fit_mle(model, y)
+        fit = fit_mle(model, qty)
         assert fit.converged and fit.trace.steps > 0
-        assert len(calls) == 3
-        # a stack of raw responses rotates each once; a stack of Q'y never
-        stack = model.stack_data([y, y])
-        assert len(calls) == 5
-        assert model.stack_data(stack) is stack
-        model.stacked_objective(stack)(np.arange(2), np.array([self.TRUTH, self.TRUTH]))
-        assert len(calls) == 5
+        local_shift(model, qty, fit.theta_hat)(np.full(3, 0.1))
+        model.stacked_objective([qty, qty])(np.arange(2), np.array([self.TRUTH, self.TRUTH]))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("pivot_factory", [_heritability_pivot, make_wald_pivot], ids=["heritability", "wald"])
     def test_one_rotation_per_bootstrap_replicate(self, monkeypatch, pivot_factory):
@@ -397,7 +391,7 @@ class TestOneEigendecomposition:
         natural_loglik(a, y, point)
         natural_loglik(a, y, [0.0, 2.0, 0.5])
         model = AnimalModel(a)
-        fit_mle(model, y)
+        fit_mle(model, model.parse_data(y))
         AnimalModel(a).simulate(model.params_to_phi(params), derive_rng(3))
         assert len(calls) == 1
         # a second matrix, even an equal one, has its own decomposition
@@ -457,14 +451,12 @@ class TestAnimalSimulate:
         model = AnimalModel(relationship_matrix(synthetic_pedigree(6, 30, 3, 5)))
         phi = np.array(phi)
         stack = model.simulate_stack(phi, [derive_rng(seed, "stack", i) for i in range(n)])
-        assert stack.shape == (n, model.n_individuals) and model.stack_data(stack) is stack
-        singles = [model.simulate(phi, derive_rng(seed, "stack", i)) for i in range(n)]
-        rotated = model.stack_data(singles)
-        assert rotated.shape == stack.shape
-        for held, row, y in zip(stack, rotated, singles):
-            assert np.array_equal(row, model.relationship.kernel.rotate(y))
+        assert stack.shape == (n, model.n_individuals)
+        params = model.phi_to_params(phi)
+        for i, held in enumerate(stack):
+            y = model.relationship.kernel.simulate(params.mu, params.sigma2, params.tau2, derive_rng(seed, "stack", i))
             # simulate_stack forms Q'y without forming y: equal up to rounding
-            assert rel_err(held, row) <= 1e-12
+            assert rel_err(held, model.parse_data(y)) <= 1e-12
 
     def test_default_stack_is_the_single_draws(self):
         model = lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -490,14 +482,14 @@ class TestLogitHeritability:
         a = relationship_matrix(ped)
         model = AnimalModel(a)
         truth = AnimalParams(0.0, 1.0, 1.0)
-        y = model.simulate(AnimalModel.params_to_phi(truth), derive_rng(15))
-        fit = fit_mle(model, y)
+        qty = model.simulate(AnimalModel.params_to_phi(truth), derive_rng(15))
+        fit = fit_mle(model, qty)
         assert fit.converged
         se = float(np.sqrt(_heritability_variance(fit.observed_info[None])[0]))
         assert se > 0
         # the delta method in natural coordinates agrees at the maximizer
         params = AnimalModel.phi_to_params(fit.theta_hat)
-        _, _, hessian = natural_loglik(a, y, [params.mu, params.sigma2, params.tau2])
+        _, _, hessian = a.kernel.natural_eval(qty, params.mu, params.sigma2, params.tau2)
         g = np.array([0.0, 1.0 / params.sigma2, -1.0 / params.tau2])
         se_natural = float(np.sqrt(g @ np.linalg.solve(-hessian, g)))
         assert se == pytest.approx(se_natural, rel=1e-4)
@@ -523,9 +515,9 @@ def method_of_moments_start(a, y) -> AnimalParams:
 
 
 def start_params(a, ys) -> list:
-    """``AnimalModel.starts`` of raw responses, as natural parameters."""
+    """``AnimalModel.starts`` of raw responses, read as data sets, as natural parameters."""
     model = AnimalModel(a)
-    return [model.phi_to_params(phi) for phi in model.starts(model.stack_data(ys))]
+    return [model.phi_to_params(phi) for phi in model.starts(np.array([model.parse_data(y) for y in ys]))]
 
 
 class TestMethodOfMoments:
@@ -582,9 +574,10 @@ class TestMethodOfMoments:
     def test_start_from_rotated_response_matches_raw(self, phi, seed):
         # a stack's starts come from Q'y; the oracle forms its sums from y
         model = TestStackedStarts.MODELS[False]
-        y = model.simulate(np.array(phi), derive_rng(seed, "start"))
+        params = model.phi_to_params(np.array(phi))
+        y = model.relationship.kernel.simulate(params.mu, params.sigma2, params.tau2, derive_rng(seed, "start"))
         raw = model.params_to_phi(method_of_moments_start(model.relationship, y))
-        assert rel_err(model.starts([y])[0], raw) <= 1e-12
+        assert rel_err(model.starts([model.parse_data(y)])[0], raw) <= 1e-12
         stacked = model.simulate_stack(np.array(phi), [derive_rng(seed, "start")])
         assert rel_err(model.starts(stacked)[0], raw) <= 1e-12
 
@@ -656,24 +649,25 @@ class TestStackedStarts:
 
 class TestDataStacks:
     """A model's stack of simulated data sets is the stack of its single draws,
-    bit for bit (the animal model's, to rounding, is checked in
-    ``TestAnimalSimulate``)."""
+    bit for bit: each stream draws alone (the animal model's draws, against
+    raw responses, are checked in ``TestAnimalSimulate``)."""
 
     MODELS = {
         "lan": (lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])), np.array([0.3, -1.0])),
         "wishart": (wishart_lamn_model(LamnSpec(2, WishartCurvature(4.0, np.eye(2)))), np.array([0.3, -1.0])),
         "ar1": (Ar1Model(12, x0=1.5), np.array([1.1])),
         "ar1_random_x0": (Ar1Model(5, random_x0=True), np.array([-0.7])),
+        "iid_normal": (NormalLocationIid(2, 4), np.array([0.3, -1.0])),
+        "iid_exponential": (ExponentialRateIid(6), np.array([1.5])),
     }
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(MODELS)), n=st.sampled_from([0, 1, 9]), seed=st.integers(0, 2**32 - 1))
-    def test_stack_data_of_single_draws_is_simulate_stack(self, name, n, seed):
+    def test_single_draws_are_the_rows_of_simulate_stack(self, name, n, seed):
         model, theta = self.MODELS[name]
         stack = model.simulate_stack(theta, [derive_rng(seed, "stack", i) for i in range(n)])
-        singles = model.stack_data([model.simulate(theta, derive_rng(seed, "stack", i)) for i in range(n)])
-        assert singles.shape == stack.shape and np.array_equal(stack, singles)
-        assert np.array_equal(model.stack_data(stack), stack)
+        singles = [model.simulate(theta, derive_rng(seed, "stack", i)) for i in range(n)]
+        assert np.array_equal(stack, np.array(singles).reshape(stack.shape))
         assert model.stacked_objective(stack).n_rows == n
 
 
@@ -777,21 +771,39 @@ class TestParseData:
         # the Wishart data set is z, then an SPD k row by row
         flat = np.array([0.3, -0.2, 2.0, 0.5, 0.5, 1.0]) if name == "wishart" else np.linspace(1.0, 2.0, size)
         data = model.parse_data(flat)
-        assert not is_nao(model.objective(data)(model.starts(model.stack_data([data]))[0]))
+        assert not is_nao(model.objective(data)(model.starts(np.array([data]))[0]))
         with pytest.raises(DataFormatError) as err:
             model.parse_data(np.ones(size + 1))
         assert err.value.line == 1 and str(err.value) == f"line 1: {message}"
 
+    def test_checks_and_returns_the_stack_row(self):
+        # AR(1): a path entry that is not finite is an input error
+        with pytest.raises(ValueError, match="path entries must be finite"):
+            self.MODELS["ar1"][0]().parse_data(np.array([1.0, np.inf, 2.0, 3.0]))
+        # Wishart: k is tested positive definite, then symmetrized into the row
+        wishart = self.MODELS["wishart"][0]()
+        with pytest.raises(ValueError, match="positive definite"):
+            wishart.parse_data(np.array([0.3, -0.2, 1.0, 0.0, 0.0, -1.0]))
+        row = wishart.parse_data(np.array([0.3, -0.2, 2.0, 0.5, 0.5 + 1e-12, 1.0]))
+        assert row.shape == (6,) and row[3] == row[4]
+        # animal: the response is rotated to Q'y once, when it is read
+        animal = self.MODELS["animal"][0]()
+        y = np.linspace(1.0, 2.0, 5)
+        assert np.array_equal(animal.parse_data(y), animal.relationship.kernel.rotate(y))
+
 
 class TestWishartModelWrapper:
     def test_eval_matches_draw_loglik(self):
-        from quadlik import LamnSpec, WishartCurvature, lamn_loglik, wishart_lamn_model
+        from quadlik import LamnSpec, WishartCurvature, lamn_loglik, sample_lamn, wishart_lamn_model
 
         spec = LamnSpec(2, WishartCurvature(5.0, np.eye(2) / 5.0))
         model = wishart_lamn_model(spec)
-        draw = model.simulate(np.zeros(2), derive_rng(31))
+        # a data set is the sampler's draw as a row, z then k row-major
+        draw = sample_lamn(spec, np.zeros(2), derive_rng(31))
+        row = model.simulate(np.zeros(2), derive_rng(31))
+        assert np.array_equal(row, np.concatenate([draw.z, draw.k.ravel()]))
         theta = np.array([0.3, -0.7])
-        assert model.objective(draw)(theta).value == pytest.approx(lamn_loglik(draw, theta))
+        assert model.objective(row)(theta).value == pytest.approx(lamn_loglik(draw, theta))
 
 
 def quadratic_row(z, k, theta):
@@ -800,13 +812,13 @@ def quadratic_row(z, k, theta):
     return 0.0 + (z * theta).sum(axis=-1) - 0.5 * (theta * kth).sum(axis=-1), z - kth, -k
 
 
-def animal_row(model, y, phi):
-    """The log-scale animal likelihood of one raw response, from its own ``Q'y``."""
+def animal_row(model, qty, phi):
+    """The log-scale animal likelihood of one rotated response ``Q'y``."""
     kernel = model.relationship.kernel
     if not (np.abs(phi) <= np.array([np.finfo(float).max, 700.0, 700.0])).all():
         return np.nan, np.full(3, np.nan), np.full((3, 3), np.nan)
     scale = np.exp(phi * np.array([0.0, 1.0, 1.0]))
-    value, g, h = kernel.natural_eval(kernel.q.T @ y, phi[0], scale[1], scale[2])
+    value, g, h = kernel.natural_eval(qty, phi[0], scale[1], scale[2])
     grad = g * scale
     hess = h * (scale[:, None] * scale[None, :])
     hess += np.diag([0.0, 1.0, 1.0]) * grad[None, :]
@@ -823,10 +835,10 @@ def per_point_loglik(model, data, theta):
     if isinstance(model, LanNormalLocation):
         row = quadratic_row(np.asarray(data, dtype=float), model.k, theta)
     elif isinstance(model, WishartLamnModel):
-        row = quadratic_row(data.z, data.k, theta)
+        row = quadratic_row(data[:p], data[p:].reshape(p, p), theta)
     elif isinstance(model, Ar1Model):
-        lag = data.x[:-1]
-        resid = data.x[1:] - float(theta[0]) * lag
+        lag = data[:-1]
+        resid = data[1:] - float(theta[0]) * lag
         row = -0.5 * float(resid @ resid), np.array([float(lag @ resid)]), np.array([[-float(lag @ lag)]])
     elif isinstance(model, AnimalModel):
         row = animal_row(model, data, theta)

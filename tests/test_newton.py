@@ -116,11 +116,22 @@ class TestNewtonStep:
     def test_nao_propagates(self):
         assert is_nao(newton_step(quartic, NaO))
 
-    def test_step_that_solves_to_all_nan_is_nao(self):
-        # the pivot test passes, but the solve overflows to inf and then
-        # 0 * inf, leaving no entry of the destination a number
-        q = QuadraticForm(0.0, [1e300, 0.0], np.diag([1e-20, 1e-6])).objective()
-        assert is_nao(newton_step(q, np.zeros(2)))
+    @pytest.mark.parametrize(
+        "z, k",
+        [
+            # the solve overflows to inf and then 0 * inf: no entry is a number
+            ([1e300, 0.0], np.diag([1e-20, 1e-6])),
+            # one entry overflows to inf, the others stay finite
+            ([1e300, 1e300, 0.0, 1.0], np.diag([1e-12, 1.0, 1.0, 1.0])),
+            # an SPD matrix scaled to 1e-300 against z ~ 1e150: inf and NaN entries
+            (1e150 * np.random.default_rng(7).standard_normal(4), 1e-300 * random_spd(np.random.default_rng(8), 4)),
+        ],
+        ids=["all-nan", "one-inf", "scaled-spd"],
+    )
+    def test_step_that_solves_to_all_nan_is_nao(self, z, k):
+        # the pivot test passes, but the destination is not finite in every entry
+        q = QuadraticForm(0.0, z, k).objective()
+        assert is_nao(newton_step(q, np.zeros(len(z))))
 
     def test_idempotent_at_optimum(self):
         rng = np.random.default_rng(1)

@@ -28,8 +28,8 @@ from quadlik.parallel import replicates
 class ToyModel(LikModel):
     """Scalar data: one standard normal draw shifted by theta."""
 
-    def simulate(self, theta, rng):
-        return theta + rng.standard_normal()
+    def simulate_stack(self, theta, rngs):
+        return np.array([theta + rng.standard_normal() for rng in rngs])
 
 
 class TestReplicateEngine:
@@ -93,7 +93,7 @@ class TestStreamLayout:
         expected = []
         for i in range(B):
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
-            theta_star, trace = safeguarded_maximize(model.objective(data), model.starts(model.stack_data([data]))[0])
+            theta_star, trace = safeguarded_maximize(model.objective(data), model.starts(np.array([data]))[0])
             assert trace.converged
             expected.append(pivot_alone(pivot, model, data, theta_star, theta_hat))
         samples = parametric_bootstrap(model, theta_hat, B, pivot, seed)
