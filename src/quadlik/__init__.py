@@ -13,7 +13,6 @@ from .core import (
     ObjectiveEval,
     OpenBox,
     QuadraticForm,
-    ShiftedObjective,
     StackedObjective,
     is_nao,
     local_shift,
@@ -53,7 +52,6 @@ from .lamn import (
     WishartCurvature,
     contiguity_estimate,
     hessian_invariance_test,
-    lamn_loglik,
     model_contiguity_estimate,
     sample_lamn,
     sample_lamn_batch,

@@ -24,9 +24,9 @@ from .bootstrap import (
     make_wald_pivot,
     parametric_bootstrap,
 )
-from .core import QuadraticForm, StackedEval, cholesky_pivots, is_nao, local_shift, spd_factor
+from .core import QuadraticForm, StackedEval, cholesky_pivots, is_nao, local_shift
 from .funcspace import GridBox, c2_distance, quadraticity_report
-from .parallel import replicates
+from .parallel import draw
 from .inference import (
     ConfidenceRegion,
     chisq_upper_quantile,
@@ -334,12 +334,12 @@ def _build_model(cfg: dict):
         return lan_normal_location(_get_matrix(block, "k", "config.model"))
     if kind == "wishart_lamn":
         _check_keys(block, {"kind", "dim", "dof", "scale"}, "config.model")
-        dim = _get(block, "dim", int, "config.model")
+        dim = _get_count(block, "dim", "config.model")
         return wishart_lamn_model(LamnSpec(dim, _wishart_curvature(block, dim, "config.model")))
     if kind == "ar1":
         _check_keys(block, {"kind", "n", "x0", "random_x0"}, "config.model")
         return Ar1Model(
-            _get(block, "n", int, "config.model"),
+            _get_count(block, "n", "config.model"),
             _get(block, "x0", float, "config.model", required=False, default=1.0),
             _get(block, "random_x0", bool, "config.model", required=False, default=False),
         )
@@ -352,29 +352,28 @@ def _build_model(cfg: dict):
         if ped_path is not None:
             ped = load_pedigree_csv(_resolve(cfg, ped_path))
         else:
-            _check_keys(synth, {"founders", "per_generation", "generations", "seed"}, "config.model.synthetic")
+            where = "config.model.synthetic"
+            _check_keys(synth, {"founders", "per_generation", "generations", "seed"}, where)
             ped = synthetic_pedigree(
-                _get(synth, "founders", int, "config.model.synthetic"),
-                _get(synth, "per_generation", int, "config.model.synthetic"),
-                _get(synth, "generations", int, "config.model.synthetic"),
-                _get(synth, "seed", int, "config.model.synthetic"),
+                _get_count(synth, "founders", where, minimum=2),
+                _get_count(synth, "per_generation", where),
+                _get_count(synth, "generations", where, minimum=0),
+                _get_count(synth, "seed", where, minimum=0),
             )
         return AnimalModel(relationship_matrix(ped))
     if kind == "iid_normal":
         _check_keys(block, {"kind", "p", "n"}, "config.model")
-        return NormalLocationIid(_get(block, "p", int, "config.model"), _get(block, "n", int, "config.model"))
+        return NormalLocationIid(_get_count(block, "p", "config.model"), _get_count(block, "n", "config.model"))
     _check_keys(block, {"kind", "n"}, "config.model")
-    return ExponentialRateIid(_get(block, "n", int, "config.model"))
+    return ExponentialRateIid(_get_count(block, "n", "config.model"))
 
 
 def _load_data(cfg: dict, model) -> np.ndarray:
     return model.parse_data(load_vector_csv(_resolve(cfg, _get(cfg, "data", str, "config"))))
 
 
-def _standard_errors(info: np.ndarray) -> np.ndarray | None:
-    """Square roots of the diagonal of the inverse information, None where it fails the pivot test."""
-    if spd_factor(info) is None:
-        return None
+def _standard_errors(info: np.ndarray) -> np.ndarray:
+    """Square roots of the diagonal of the inverse of a fit's information (which passes the pivot test)."""
     return np.sqrt(np.diag(np.linalg.inv(info)))
 
 
@@ -399,12 +398,8 @@ def _put_fit(record: ReportRecord, fit, alpha: float, prefix: str = "fit") -> No
     record.put("status", "ok")
     record.put(f"{prefix}_theta_hat", fit.theta_hat)
     record.put(f"{prefix}_observed_info", fit.observed_info.ravel())
-    se = _standard_errors(fit.observed_info)
-    if se is not None:
-        record.put(f"{prefix}_se", se)
-    region = confidence_region(fit, alpha)
-    if not is_nao(region):
-        record.update(region.to_record(f"{prefix}_region"))
+    record.put(f"{prefix}_se", _standard_errors(fit.observed_info))
+    record.update(confidence_region(fit, alpha).to_record(f"{prefix}_region"))
 
 
 def run_fit(cfg: dict) -> tuple[ReportRecord, int]:
@@ -478,8 +473,7 @@ def run_diagnose(cfg: dict) -> tuple[ReportRecord, int]:
     shifted = local_shift(model, data, theta_hat, tau=1.0)
     record.update(quadraticity_report(shifted, np.zeros(p), box).to_record())
 
-    se = _standard_errors(fit.observed_info)
-    step = se if se is not None else np.full(p, 0.1)
+    step = _standard_errors(fit.observed_info)
     if theta_b is None:
         theta_b = theta_hat + step
     record.put("invariance_theta_b", theta_b)
@@ -541,7 +535,7 @@ def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
 def _build_spec(cfg: dict) -> LamnSpec:
     block = _get(cfg, "spec", dict, "config")
     _check_keys(block, {"dim", "curvature"}, "config.spec")
-    dim = _get(block, "dim", int, "config.spec")
+    dim = _get_count(block, "dim", "config.spec")
     curv = _get(block, "curvature", dict, "config.spec")
     kind = _get(curv, "kind", str, "config.spec.curvature")
     if kind == "constant":
@@ -765,16 +759,12 @@ def run_classical_comparison(cfg: dict) -> tuple[ReportRecord, int]:
         k_unit = model.unit_fisher(psi)
         tau, tau_sq = (np.sqrt(n), float(n)) if tau_mode == "sqrt_n" else (1.0, 1.0)
 
-        def distances(datas):
-            rows = []
-            for data in datas:
-                shifted = local_shift(model, data, psi, tau, tau_sq)
-                grad0 = shifted(np.zeros(p)).gradient
-                limit = QuadraticForm(0.0, grad0, k_unit).objective()
-                rows.append(c2_distance(shifted, limit, box))
-            return np.array(rows), np.ones(len(rows), dtype=bool)
-
-        arr, _ = replicates(model, psi, replications, seed, ("classical", n_idx), distances)
+        rows = []
+        for data in draw(model, psi, replications, seed, ("classical", n_idx)):
+            shifted = local_shift(model, data, psi, tau, tau_sq)
+            limit = QuadraticForm(0.0, shifted(np.zeros(p)).gradient, k_unit).objective()
+            rows.append(c2_distance(shifted, limit, box))
+        arr = np.array(rows)
         for j in range(3):
             medians[j].append(float(np.median(arr[:, j])))
         record.put(f"ladder_{n_idx}_n", n)

@@ -447,48 +447,33 @@ def quadratic_mle(q: QuadraticForm) -> MaybeParam:
     return spd_solve(lower, q.z)
 
 
-class ShiftedObjective(RowObjective):
-    """Recentered log-likelihood ratio ``delta -> l(psi + delta/tau) - l(psi)``.
+def local_shift(model: LikModel, data, psi, tau: float = 1.0, tau_sq: float | None = None) -> RowObjective:
+    """Recentered log-likelihood ratio ``q(delta) = l(psi + delta/tau) - l(psi)``.
 
-    The value at 0 is exactly 0.0 because ``l(psi)`` is cached once and
+    ``q(0)`` is exactly 0.0 because ``l(psi)`` is evaluated once and
     subtracted; gradients and Hessians carry the ``1/tau`` and ``1/tau**2``
     chain-rule factors (the model's Hessian, symmetrized, is rescaled and
-    symmetrized again).  A stack of shifts is one call of the model's
+    symmetrized again).  A caller with an exact squared rate (tau = sqrt(n))
+    can pass ``tau_sq = n``, so the Hessian rescaling is free of the
+    sqrt-then-square rounding.  A stack of shifts is one call of the model's
     stacked objective at ``psi + delta/tau``; evaluations landing outside
     the model domain give NaO.
     """
+    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    if not model.domain.contains(psi):
+        raise ValueError("shift center psi lies outside the model domain")
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    tau = float(tau)
+    tau_sq = float(tau_sq) if tau_sq is not None else tau * tau
+    stacked = model.stacked_objective([data])
+    base = stacked(np.zeros(1, dtype=int), psi[None])
+    if not base.ok[0]:
+        raise ValueError("objective is not finite at psi")
+    base_value = float(base.packed[0, 0])
 
-    def __init__(self, model: LikModel, data, psi, tau: float = 1.0, tau_sq: float | None = None):
-        psi = np.atleast_1d(np.asarray(psi, dtype=float))
-        if not model.domain.contains(psi):
-            raise ValueError("shift center psi lies outside the model domain")
-        if not tau > 0:
-            raise ValueError("tau must be positive")
-        self.model = model
-        self.data = data
-        self.psi = psi
-        self.tau = float(tau)
-        # callers with an exact squared rate (tau = sqrt(n)) can pass tau_sq = n
-        # so the Hessian rescaling is free of the sqrt-then-square rounding
-        self.tau_sq = float(tau_sq) if tau_sq is not None else self.tau * self.tau
-        stacked = model.stacked_objective([data])
-        base = stacked(np.zeros(1, dtype=int), psi[None])
-        if not base.ok[0]:
-            raise ValueError("objective is not finite at psi")
-        self.base_value = base_value = float(base.packed[0, 0])
-        tau, tau_sq = self.tau, self.tau_sq
+    def kernel(rows, deltas):
+        value, gradient, hessian = stacked(rows, psi + deltas / tau).parts(psi.size)
+        return value - base_value, gradient / tau, _symmetrized(hessian / tau_sq)
 
-        # the kernel holds no reference to self: a cycle would keep the model
-        # and its data alive until the next garbage collection
-        def kernel(rows, deltas):
-            value, gradient, hessian = stacked(rows, psi + deltas / tau).parts(psi.size)
-            return value - base_value, gradient / tau, _symmetrized(hessian / tau_sq)
-
-        super().__init__(StackedObjective(OpenBox.unbounded(psi.size), 1, kernel))
-
-
-def local_shift(
-    model: LikModel, data, psi, tau: float = 1.0, tau_sq: float | None = None
-) -> ShiftedObjective:
-    """Shifted objective ``q(delta) = l(psi + delta/tau) - l(psi)`` with q(0) = 0."""
-    return ShiftedObjective(model, data, psi, tau, tau_sq)
+    return RowObjective(StackedObjective(OpenBox.unbounded(psi.size), 1, kernel))

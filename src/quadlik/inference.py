@@ -8,7 +8,7 @@ inverse from ``scipy.special`` (DiDonato & Morris 1986, ACM TOMS 12:377).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
@@ -50,7 +50,9 @@ class MleResult:
     """A fit: estimate, observed information at it, Newton trace.
 
     ``theta_hat`` is NaO (and ``observed_info`` None) when the safeguarded
-    ascent did not meet the gradient criterion.
+    ascent did not converge: it did not meet the gradient criterion, or its
+    observed information failed the pivot test.  A fit that is not NaO has
+    an information that passes that test.
     """
 
     theta_hat: MaybeParam
@@ -74,16 +76,18 @@ def fit_mle(model: LikModel, data, max_steps: int = DEFAULT_MAX_STEPS) -> MleRes
     A lockstep fit of one row, the data set's stack of one, from
     ``model.starts`` of that stack; the observed information is read from
     the fit's final evaluation.  A run that does not satisfy the gradient
-    criterion yields an NaO result (the trace is retained); a start where
+    criterion, or whose observed information fails the pivot test, yields
+    an NaO result whose trace is kept and marked not converged; a start where
     the objective is NaO (a NaN start among them) yields an NaO result
     with 0 steps, as a bootstrap replicate does.
     """
     stack = np.asarray([data], dtype=float)
     thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack), max_steps=max_steps)
     trace = NewtonTrace.first_row(thetas, steps, converged, final)
-    if not trace.converged:
-        return MleResult(NaO, None, trace)
-    return MleResult(thetas[0], -final.parts(model.dim_param)[2][0], trace)
+    info = -final.parts(model.dim_param)[2][0]
+    if not trace.converged or spd_factor(info) is None:
+        return MleResult(NaO, None, replace(trace, converged=False))
+    return MleResult(thetas[0], info, trace)
 
 
 def symmetric_sqrt(m) -> MaybeParam:

@@ -5,6 +5,9 @@ that does not depend on the parameter, then Z | K normal with mean K theta
 and variance K.  The checks verify, on any LikModel, the signatures of that
 structure: curvature invariant in law across parameters, standardized score
 standard normal, and the shifted likelihood ratio integrating to one.
+Each check draws its replicates as one data stack with
+:func:`~quadlik.parallel.draw`, evaluates every row at its points in one
+stacked call, and counts the rows that are NaO.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import LikModel, NaO, StackedEval, StackedObjective, _symmetrized, is_nao, quadratic_stack, spd_factor
+from .core import LikModel, StackedEval, _symmetrized, spd_factor
 from .inference import symmetric_sqrt
-from .parallel import replicates
+from .parallel import draw
 from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -202,16 +205,6 @@ def sample_lamn(spec: LamnSpec, theta, rng: np.random.Generator) -> LamnDraw:
     return LamnDraw(z[0], k[0])
 
 
-def lamn_loglik(draw: LamnDraw, delta):
-    """Shifted log likelihood ``delta . z - delta' k delta / 2``; zero at zero."""
-    if is_nao(delta):
-        return NaO
-    d = np.atleast_1d(np.asarray(delta, dtype=float))
-    if d.size != draw.z.size:
-        raise ValueError("delta length does not match the draw")
-    return float(quadratic_stack(0.0, draw.z, draw.k, d)[0])
-
-
 # ---------------------------------------------------------------------------
 # Statistical checks
 # ---------------------------------------------------------------------------
@@ -238,10 +231,12 @@ def contiguity_estimate(
     return mean, se
 
 
-def _at(q: StackedObjective, theta: np.ndarray) -> StackedEval:
-    """Every data set of a stacked objective evaluated at one fixed point."""
-    n = q.n_rows
-    return q(np.arange(n), np.tile(theta, (n, 1)))
+def _drawn_at(model: LikModel, theta, nsim: int, seed: int, path: tuple, *points) -> list[StackedEval]:
+    """The nsim data sets :func:`~quadlik.parallel.draw` gives at theta, every
+    one evaluated at each of ``points``: one StackedEval a point."""
+    q = model.stacked_objective(draw(model, theta, nsim, seed, path))
+    rows = np.arange(nsim)
+    return [q(rows, np.tile(point, (nsim, 1))) for point in points]
 
 
 def model_contiguity_estimate(model: LikModel, psi, delta, nsim: int, seed: int) -> tuple[float, float, int]:
@@ -254,13 +249,9 @@ def model_contiguity_estimate(model: LikModel, psi, delta, nsim: int, seed: int)
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     d = np.atleast_1d(np.asarray(delta, dtype=float))
-
-    def ratios(datas):
-        q = model.stacked_objective(datas)
-        base, shifted = _at(q, psi), _at(q, psi + d)
-        return np.exp(shifted.packed[:, 0] - base.packed[:, 0]), base.ok & shifted.ok
-
-    arr, n_nao = replicates(model, psi, nsim, seed, ("model-contiguity",), ratios)
+    base, shifted = _drawn_at(model, psi, nsim, seed, ("model-contiguity",), psi, psi + d)
+    ok = base.ok & shifted.ok
+    arr, n_nao = np.exp(shifted.packed[ok, 0] - base.packed[ok, 0]), nsim - int(ok.sum())
     if arr.size < 2:
         return math.nan, math.nan, n_nao
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size)), n_nao
@@ -292,12 +283,8 @@ def _curvature_summaries(model: LikModel, theta, nsim: int, seed: int, stream: s
     """Scalar summaries of observed information at the truth, per replicate."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
-
-    def informations(datas):
-        ev = _at(model.stacked_objective(datas), th)
-        return -ev.parts(p)[2], ev.ok
-
-    infos, n_nao = replicates(model, th, nsim, seed, (stream,), informations)
+    (ev,) = _drawn_at(model, th, nsim, seed, (stream,), th)
+    infos, n_nao = -ev.parts(p)[2][ev.ok], nsim - int(ev.ok.sum())
     sign, logdet = np.linalg.slogdet(infos)
     entries = {f"info_{i}{j}": infos[:, i, j] for i in range(p) for j in range(i, p)}
     entries["logdet"] = logdet[sign > 0]
@@ -350,17 +337,11 @@ def score_normality_test(model: LikModel, theta, nsim: int, seed: int) -> KsTest
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
-
-    def standardized_scores(datas):
-        ev = _at(model.stacked_objective(datas), th)
-        _, gradient, hessian = ev.parts(p)
-        roots = symmetric_sqrt(-hessian)
-        ok = ev.ok & ~np.isnan(roots[:, 0, 0])
-        scores = np.full((len(datas), p), np.nan)
-        scores[ok] = np.linalg.solve(roots[ok], gradient[ok][:, :, None])[:, :, 0]
-        return scores, ok
-
-    t, n_nao = replicates(model, th, nsim, seed, ("score-normality",), standardized_scores)
+    (ev,) = _drawn_at(model, th, nsim, seed, ("score-normality",), th)
+    _, gradient, hessian = ev.parts(p)
+    roots = symmetric_sqrt(-hessian)
+    ok = ev.ok & ~np.isnan(roots[:, 0, 0])
+    t, n_nao = np.linalg.solve(roots[ok], gradient[ok][:, :, None])[:, :, 0], nsim - int(ok.sum())
     if len(t) < 2:
         return KsTestReport(math.nan, math.nan, {}, 0, n_nao)
     per_summary: dict[str, float] = {}

@@ -188,10 +188,7 @@ class Ar1Model(LikModel):
         return _ar1_paths(_theta_scalar(theta), x0, noise)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
-        _of_length(flat, self.n + 1, "values for the AR(1) path")
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("path entries must be finite")
-        return flat
+        return _of_length(flat, self.n + 1, "values for the AR(1) path")
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +312,8 @@ def synthetic_pedigree(
     """
     if n_founders < 2:
         raise ValueError("need at least two founders")
+    if n_generations >= 2 and n_per_generation < 2:
+        raise ValueError("n_per_generation must be at least 2 when n_generations is 2 or more")
     rng = derive_rng(seed, "pedigree")
     records = [PedigreeRecord(i + 1, None, None) for i in range(n_founders)]
     previous = list(range(1, n_founders + 1))
@@ -691,7 +690,11 @@ def _of_length(flat: np.ndarray, expected: int, what: str = "values") -> np.ndar
 
 
 def load_vector_csv(path: str) -> np.ndarray:
-    """One-column CSV of reals; a single non-numeric first line is a header."""
+    """One-column CSV of finite reals; a single non-numeric first line is a header.
+
+    A value that parses but is not finite (``nan``, ``inf``, ``1e400``) is a
+    DataFormatError that names its line.
+    """
     values: list[float] = []
     with open(path, "r", encoding="utf8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -699,11 +702,14 @@ def load_vector_csv(path: str) -> np.ndarray:
             if not text:
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 if lineno == 1:
                     continue
                 raise DataFormatError(lineno, f"expected a number, got {text!r}") from None
+            if not np.isfinite(value):
+                raise DataFormatError(lineno, f"expected a finite number, got {text!r}")
+            values.append(value)
     if not values:
         raise DataFormatError(1, "no data rows")
     return np.asarray(values)
@@ -713,14 +719,6 @@ def save_vector_csv(path: str, values) -> None:
     with open(path, "w", encoding="utf8", newline="\n") as handle:
         for v in np.asarray(values, dtype=float).ravel():
             handle.write(f"{v:.17g}\n")
-
-
-def save_matrix_csv(path: str, a) -> None:
-    """Dense matrix as CSV, row-major."""
-    mat = np.asarray(a, dtype=float)
-    with open(path, "w", encoding="utf8", newline="\n") as handle:
-        for row in mat:
-            handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_pedigree_csv(path: str) -> Pedigree:

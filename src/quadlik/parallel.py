@@ -1,19 +1,16 @@
-"""Replicate engine for simulation loops.
+"""Replicate draws for simulation loops.
 
 Every Monte Carlo loop in the package draws its data sets through
 :func:`draw`: replicate ``i`` simulates from its own stream
 ``(seed, *path, i)`` (one :func:`~quadlik.rng.derive_rngs` call gives
-all n), and all n data sets come from one
-``model.simulate_stack`` call, as one data stack.  :func:`replicates` hands
-it to ``fn`` and keeps the rows that are not NaO, in replicate order,
-counting the rest.  Output therefore depends only on the seed and the path.
+all n), and all n data sets come from one ``model.simulate_stack`` call,
+as one data stack.  Each caller evaluates that stack in place and counts
+its own NaO rows.  Output therefore depends only on the seed and the path.
 """
 
 from __future__ import annotations
 
 from typing import Callable, TypeVar
-
-import numpy as np
 
 from .rng import derive_rngs
 
@@ -34,14 +31,3 @@ def draw(model, theta, n: int, seed: int, path: tuple):
     """The data stack of n data sets at theta, data set ``i`` from the stream
     ``(seed, *path, i)``."""
     return model.simulate_stack(theta, derive_rngs(seed, path, n))
-
-
-def replicates(model, theta, n: int, seed: int, path: tuple, fn) -> tuple[np.ndarray, int]:
-    """``fn`` on the n data sets :func:`draw` gives, with NaO accounting.
-
-    ``fn(stack)`` returns ``(values, ok)``: an array with one row per data
-    set and ``ok`` False where that row is NaO.  Returns the rows where
-    ``ok`` holds, in replicate order, and the NaO count.
-    """
-    values, ok = fn(draw(model, theta, n, seed, path))
-    return values[ok], n - int(np.count_nonzero(ok))

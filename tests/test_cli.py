@@ -6,7 +6,6 @@ import pytest
 
 import quadlik.cli
 from quadlik.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_NAO, EXIT_OK, ReportRecord, main
-from quadlik.inference import MleResult
 from quadlik.models import ar1_simulate_paths, save_pedigree_csv, save_vector_csv, synthetic_pedigree
 from quadlik.rng import derive_rng
 
@@ -320,29 +319,38 @@ class TestStudies:
         assert report["wald_interval_low"] < report["animal_logit_heritability"] < report["wald_interval_high"]
         assert "calibrated_interval_low" in report
 
-    def test_animal_study_singular_information_has_no_interval(self, tmp_path, monkeypatch):
-        # an information that fails the pivot test has no delta-method variance
-        fit_mle = quadlik.cli.fit_mle
-
-        def singular(model, data):
-            fit = fit_mle(model, data)
-            return MleResult(fit.theta_hat, np.zeros((3, 3)), fit.trace)
-
-        monkeypatch.setattr(quadlik.cli, "fit_mle", singular)
-        cfg = write_config(
-            tmp_path, "c.json", experiment="animal-study",
-            model={"kind": "animal", "synthetic": {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}},
-            truth={"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}, out="r",
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["animal-study", "--config", cfg]) == EXIT_OK
-        report = read_report(tmp_path, "r")
-        assert report["status"] == "ok" and "fit_se" not in report
-        assert report["animal_logit_heritability_se"] == report["wald_interval_low"] == "nan"
-
-
 class TestCountValidation:
+    SYNTHETIC = {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}
+
+    @pytest.mark.parametrize(
+        "experiment, block, key",
+        [
+            ("fit", {"model": {"kind": "ar1", "n": 0}}, "config.model.n"),
+            ("fit", {"model": {"kind": "iid_normal", "p": 1, "n": 0}}, "config.model.n"),
+            ("fit", {"model": {"kind": "iid_exponential", "n": -3}}, "config.model.n"),
+            ("fit", {"model": {"kind": "iid_normal", "p": -1, "n": 3}}, "config.model.p"),
+            ("fit", {"model": {"kind": "wishart_lamn", "dim": 0, "dof": 3.0}}, "config.model.dim"),
+            ("lamn-verify", {"spec": {"dim": 0, "curvature": {"kind": "wishart", "dof": 3.0}}}, "config.spec.dim"),
+            ("fit", {"synthetic": {"founders": 1}}, "config.model.synthetic.founders"),
+            ("fit", {"synthetic": {"per_generation": -2}}, "config.model.synthetic.per_generation"),
+            ("fit", {"synthetic": {"generations": -1}}, "config.model.synthetic.generations"),
+            ("fit", {"synthetic": {"seed": -1}}, "config.model.synthetic.seed"),
+            # one child a generation has no two parents to draw for the next
+            ("fit", {"synthetic": {"per_generation": 1, "generations": 2}}, "per_generation"),
+        ],
+        ids=["ar1-n", "iid_normal-n", "iid_exponential-n", "iid_normal-p", "wishart-dim", "spec-dim",
+             "founders", "per_generation", "generations", "pedigree-seed", "one-child-generations"],
+    )
+    def test_count_keys_name_themselves(self, tmp_path, capsys, experiment, block, key):
+        if "synthetic" in block:
+            block = {"model": {"kind": "animal", "synthetic": {**self.SYNTHETIC, **block["synthetic"]}}}
+        if experiment == "fit":
+            block = {**block, "data": "x.csv"}
+        cfg = write_config(tmp_path, "c.json", experiment=experiment, out="r", **block)
+        assert main([experiment, "--config", cfg]) == EXIT_INPUT_ERROR
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.txt").exists()
+
     def test_nonpositive_counts_rejected(self, tmp_path):
         model = lan_setup(tmp_path)
         cfg = write_config(
@@ -576,12 +584,13 @@ class TestNaoStart:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["fit", "--config", cfg]) == EXIT_OK
+            assert main(["fit", "--config", cfg]) == EXIT_NAO
+        # its information, 0, fails the pivot test: the fit is NaO and not converged
         assert (tmp_path / "r.json").read_text() == (
             '{\n  "schema_version": 1,\n  "experiment": "fit",\n  "seed": 42,\n'
             '  "model_kind": "iid_exponential",\n  "alpha": 0.050000000000000003,\n'
-            '  "fit_newton_steps": 0,\n  "fit_newton_converged": 1,\n  "fit_newton_final_grad_norm": 0,\n'
-            '  "status": "ok",\n  "fit_theta_hat": [4.9999999999999995e+299],\n  "fit_observed_info": [0]\n}\n'
+            '  "fit_newton_steps": 0,\n  "fit_newton_converged": 0,\n  "fit_newton_final_grad_norm": 0,\n'
+            '  "status": "NaO"\n}\n'
         )
 
 

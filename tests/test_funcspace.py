@@ -302,7 +302,8 @@ class TestStackedEvaluation:
         if kind == "animal":
             a, b = stacked.packed[stacked.ok], looped.packed[looped.ok]
             # the value is l(psi + delta/tau) - l(psi): measure it against those terms
-            size = np.abs(b) + np.abs(q.base_value) * (np.arange(b.shape[1]) == 0)
+            base_value = model.objective(data)(psi).value
+            size = np.abs(b) + np.abs(base_value) * (np.arange(b.shape[1]) == 0)
             assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(size, np.abs(b).max(axis=1, keepdims=True)))
         else:
             assert np.array_equal(stacked.packed[stacked.ok], looped.packed[looped.ok])

@@ -20,7 +20,7 @@ from quadlik import (
     symmetric_sqrt,
     wald_pivot,
 )
-from quadlik.core import spd_factor
+from quadlik.core import LikModel, OpenBox, spd_factor
 from quadlik.inference import MleResult
 from quadlik.newton import NewtonTrace, safeguarded_maximize
 
@@ -236,6 +236,24 @@ class TestFitMle:
         assert is_nao(fit.theta_hat) and fit.observed_info is None
         assert np.isnan(fit.trace.final_grad_norm)
         assert not fit.converged and fit.trace.steps == 0
+
+    def test_information_failing_the_pivot_test_is_nao(self):
+        class FlatAxis(LikModel):
+            """``-theta_0^2 / 2``, flat along theta_1: a zero gradient at the
+            origin, its start, and a singular Hessian."""
+
+            dim_param = 2
+            domain = OpenBox.unbounded(2)
+
+            def loglik(self, stack, thetas):
+                hessian = np.broadcast_to(np.diag([-1.0, 0.0]), (len(thetas), 2, 2))
+                return -0.5 * thetas[:, 0] ** 2, thetas * [-1.0, 0.0], hessian
+
+        # the rate start 1 / mean = 5e299 squares to inf: a zero gradient, an information of 0
+        for model, data in [(ExponentialRateIid(3), [1e-300, 2e-300, 3e-300]), (FlatAxis(), [0.0])]:
+            fit = fit_mle(model, np.array(data))
+            assert is_nao(fit.theta_hat) and fit.observed_info is None
+            assert not fit.converged and fit.trace.steps == 0 and fit.trace.final_grad_norm == 0.0
 
     def test_nao_start_still_raises_in_the_ascent(self):
         model = ExponentialRateIid(3)

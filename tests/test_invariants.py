@@ -20,7 +20,6 @@ from quadlik import (
     confidence_region,
     derive_rng,
     is_nao,
-    lamn_loglik,
     lan_normal_location,
     local_shift,
     model_contiguity_estimate,
@@ -34,7 +33,6 @@ from quadlik import (
     wishart_lamn_model,
 )
 from quadlik.inference import MleResult
-from quadlik.lamn import LamnDraw
 from quadlik.newton import NewtonTrace
 
 
@@ -46,7 +44,6 @@ class TestNaOPropagationTable:
         model = lan_normal_location(np.eye(2))
         shifted = local_shift(model, np.zeros(2), np.zeros(2))
         nao_fit = MleResult(NaO, None, NewtonTrace())
-        draw = LamnDraw([1.0], [[1.0]])
         operations = [
             lambda: q.objective()(NaO),
             lambda: model.objective(np.zeros(2))(NaO),
@@ -59,7 +56,6 @@ class TestNaOPropagationTable:
             lambda: wald_pivot(np.zeros(2), np.zeros(2), NaO),
             lambda: confidence_region(nao_fit, 0.05),
             lambda: standardized_estimator(nao_fit, np.zeros(2)),
-            lambda: lamn_loglik(draw, NaO),
         ]
         for op in operations:
             assert is_nao(op())
@@ -169,7 +165,6 @@ class TestNaOPropagationProperty:
             symmetric_sqrt(NaO),
             standardized_estimator(nao_fit, psi),
             standardized_estimator(fit, NaO),
-            lamn_loglik(LamnDraw(form.z, form.k), NaO),
             local_shift(model, sample, psi)(NaO),
             q(NaO),
         ]

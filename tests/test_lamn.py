@@ -13,7 +13,6 @@ from quadlik import (
     derive_rng,
     hessian_invariance_test,
     is_nao,
-    lamn_loglik,
     lan_normal_location,
     model_contiguity_estimate,
     quadratic_mle,
@@ -267,26 +266,27 @@ class TestStackedDrawRarePaths:
 
 
 class TestLamnLoglik:
+    """The LAMN log likelihood ``delta.z - delta'k delta / 2`` is a quadratic form's objective."""
+
     def test_zero_at_zero(self):
-        draw = LamnDraw([1.0], [[1.0]])
-        assert lamn_loglik(draw, [0.0]) == 0.0
+        assert QuadraticForm(0.0, [1.0], [[1.0]]).objective()([0.0]).value == 0.0
 
     def test_direct_value(self):
-        draw = LamnDraw([1.0], [[1.0]])
-        assert lamn_loglik(draw, [1.0]) == pytest.approx(0.5)
+        assert QuadraticForm(0.0, [1.0], [[1.0]]).objective()([1.0]).value == pytest.approx(0.5)
 
     def test_maximizer_is_solve(self):
         rng = np.random.default_rng(3)
         k = random_spd(rng, 3)
         z = rng.standard_normal(3)
-        draw = LamnDraw(z, k)
-        best = quadratic_mle(QuadraticForm(0.0, z, k))
+        form = QuadraticForm(0.0, z, k)
+        best = quadratic_mle(form)
         grid = [best + 0.1 * rng.standard_normal(3) for _ in range(50)]
-        best_val = lamn_loglik(draw, best)
-        assert all(lamn_loglik(draw, g) <= best_val + 1e-12 for g in grid)
+        q = form.objective()
+        best_val = q(best).value
+        assert all(q(g).value <= best_val + 1e-12 for g in grid)
 
     def test_nao_propagates(self):
-        assert is_nao(lamn_loglik(LamnDraw([1.0], [[1.0]]), NaO))
+        assert is_nao(QuadraticForm(0.0, [1.0], [[1.0]]).objective()(NaO))
 
 
 class TestContiguity:

@@ -1,4 +1,4 @@
-"""The replicate engine: NaO accounting, order, and the stream layout."""
+"""Replicate draws, the Monte Carlo checks' NaO accounting, and the stream layout."""
 
 import numpy as np
 import pytest
@@ -20,65 +20,99 @@ from quadlik import (
     symmetric_sqrt,
     wishart_lamn_model,
 )
-from quadlik.core import LikModel
+from quadlik.core import LikModel, OpenBox, quadratic_stack
 from quadlik.newton import safeguarded_maximize
-from quadlik.parallel import replicates
+from quadlik.parallel import draw
 
 
-class ToyModel(LikModel):
-    """Scalar data: one standard normal draw shifted by theta."""
+class MaskedModel(LikModel):
+    """A one-parameter LAMN model, curvature ``k`` chi-square(3), whose data
+    set i carries ``mask[i]`` as a flag: its log likelihood is NaN, so it is
+    NaO, where the flag is set."""
+
+    dim_param = 1
+    domain = OpenBox.unbounded(1)
+
+    def __init__(self, mask):
+        self.mask = np.asarray(mask, dtype=float)
+
+    def loglik(self, stack, thetas):
+        value, gradient, hessian = quadratic_stack(0.0, stack[:, :1], stack[:, 1:2, None], thetas)
+        return np.where(stack[:, 2] == 0.0, value, np.nan), gradient, hessian
 
     def simulate_stack(self, theta, rngs):
-        return np.array([theta + rng.standard_normal() for rng in rngs])
+        rows = []
+        for rng in rngs:
+            k = rng.chisquare(3.0)
+            rows.append([k * theta[0] + np.sqrt(k) * rng.standard_normal(), k])
+        return np.column_stack([np.reshape(rows, (-1, 2)), self.mask[: len(rngs)]])
 
 
-class TestReplicateEngine:
+class TestDraw:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
-        nao_mask=st.integers(0, 2**40 - 1),
+        path=st.lists(st.one_of(st.integers(0, 2**40), st.sampled_from(["toy", "score-normality"])), max_size=3),
+        lan=st.booleans(),
     )
-    def test_accounting_order_and_schedule_invariance(self, n, seed, nao_mask):
-        nao = np.array([bool((nao_mask >> i) & 1) for i in range(n)], dtype=bool)
-        seen = []
+    def test_row_i_is_a_draw_from_stream_i(self, n, seed, path, lan):
+        model = lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])) if lan else MaskedModel(np.zeros(n))
+        theta = np.array([0.3, -0.2]) if lan else np.array([0.7])
+        stack = draw(model, theta, n, seed, tuple(path))
+        assert len(stack) == n
+        for i in range(n):
+            assert np.array_equal(stack[i], model.simulate(theta, derive_rng(seed, *path, i)))
 
-        def fn(datas):
-            seen.append(list(datas))
-            return np.array([(i, d) for i, d in enumerate(datas)]).reshape(-1, 2), ~nao
 
-        kept, n_nao = replicates(ToyModel(), 0.5, n, seed, ("toy", 3), fn)
-        # the oracle: replicate i alone, from its own stream, in an explicit loop
-        drawn = [0.5 + derive_rng(seed, "toy", 3, i).standard_normal() for i in range(n)]
-        assert seen == [drawn]
-        assert len(kept) + n_nao == n and n_nao == int(nao.sum())
-        assert kept[:, 0].tolist() == [i for i in range(n) if not nao[i]]
-        assert kept[:, 1].tolist() == [d for d, bad in zip(drawn, nao) if not bad]
-        again = replicates(ToyModel(), 0.5, n, seed, ("toy", 3), fn)
-        assert np.array_equal(again[0], kept) and again[1] == n_nao
+class TestCheckNaoAccounting:
+    """Each Monte Carlo check counts the NaO rows of its drawn stack and keeps
+    the rest: what a loop over the usable data sets, one at a time, gives."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(0, 30), seed=st.integers(0, 2**32 - 1), nao_mask=st.integers(0, 2**30 - 1))
-    def test_stacked_engine_keeps_the_accounting(self, n, seed, nao_mask):
-        model = lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        nao = [bool((nao_mask >> i) & 1) for i in range(n)]
+    @settings(max_examples=30, deadline=None)
+    @given(
+        check=st.sampled_from(["contiguity", "invariance", "normality"]),
+        n=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+        mask=st.integers(0, 2**30 - 1),
+    )
+    def test_nao_rows_are_counted_and_the_rest_kept(self, check, n, seed, mask):
+        nao = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+        model, clean = MaskedModel(nao), MaskedModel(np.zeros(1))
+        theta, other = np.array([0.4]), np.array([-0.6])
+        kept = n - int(nao.sum())
 
-        def rows(datas):
-            return np.array(datas).reshape(-1, 2), ~np.array(nao, dtype=bool)
+        def usable(at, path):
+            """The objectives of the data sets drawn at ``at`` whose flag is not set, in order."""
+            return [clean.objective(clean.simulate(at, derive_rng(seed, *path, i))) for i in range(n) if not nao[i]]
 
-        kept, n_nao = replicates(model, np.zeros(2), n, seed, ("toy", 3), rows)
-        expected = [model.simulate(np.zeros(2), derive_rng(seed, "toy", 3, i)) for i in range(n)]
-        expected = [data for data, bad in zip(expected, nao) if not bad]
-        assert n_nao == sum(nao)
-        assert np.array_equal(kept, np.reshape(expected, (-1, 2)))
-
-    def test_each_replicate_simulates_once_from_its_stream(self):
-        def rows(datas):
-            return np.array(datas), np.ones(len(datas), dtype=bool)
-
-        kept, n_nao = replicates(ToyModel(), 2.0, 5, 9, ("toy",), rows)
-        expected = [2.0 + derive_rng(9, "toy", i).standard_normal() for i in range(5)]
-        assert kept.tolist() == expected and n_nao == 0
+        if check == "contiguity":
+            mean, se, n_nao = model_contiguity_estimate(model, theta, other, n, seed)
+            assert n_nao == n - kept
+            if kept < 2:
+                assert np.isnan(mean) and np.isnan(se)
+            else:
+                qs = usable(theta, ("model-contiguity",))
+                ratios = np.array([np.exp(q(theta + other).value - q(theta).value) for q in qs])
+                assert (mean, se) == (ratios.mean(), ratios.std(ddof=1) / np.sqrt(kept))
+            return
+        if check == "invariance":
+            report = hessian_invariance_test(model, theta, other, n, seed)
+            assert report.n_nao == 2 * (n - kept)
+        else:
+            report = score_normality_test(model, theta, n, seed)
+            assert report.n_nao == n - kept
+        if kept < 2:
+            assert np.isnan(report.p_value) and report.per_summary == {}
+        elif check == "invariance":
+            a = np.array([-q(theta).hessian[0, 0] for q in usable(theta, ("invariance-a",))])
+            b = np.array([-q(other).hessian[0, 0] for q in usable(other, ("invariance-b",))])
+            pairs = {"info_00": (a, b), "logdet": (np.log(a), np.log(b))}
+            assert report.per_summary == {name: float(stats.ks_2samp(*pair).pvalue) for name, pair in pairs.items()}
+        else:
+            evs = [q(theta) for q in usable(theta, ("score-normality",))]
+            scores = np.array([np.linalg.solve(symmetric_sqrt(-ev.hessian), ev.gradient)[0] for ev in evs])
+            assert report.per_summary == {"coord_0": float(stats.kstest(scores, "norm").pvalue)}
 
 
 class TestStreamLayout:
