@@ -4,9 +4,11 @@ The single bootstrap simulates datasets from the fitted model, refits each,
 and collects a pivot; its empirical quantile calibrates the nominal
 chi-square quantile.  The double bootstrap nests one more level at each
 outer refit to diagnose the single bootstrap itself: all of its inner
-replicates form a second level.  Each level is one data stack, started
-by one ``model.starts`` call, refit in one lockstep safeguarded Newton and
-pivoted in one call on the lockstep's final evaluations.
+replicates form a second level.  Each level block is one data stack,
+drawn for all its centres by one :func:`~quadlik.parallel.draw` call (one
+key pass, one ``simulate_stack`` call), started by one ``model.starts``
+call, refit in one lockstep safeguarded Newton and pivoted in one call on
+the lockstep's final evaluations.
 Replicates draw from per-index streams, so results do not depend on the
 order of the draws; failed refits become NaO and are counted, never
 silently dropped.
@@ -122,7 +124,8 @@ def _one_replicate(model: LikModel, theta_hat: np.ndarray, pivot: PivotFn, data)
 def _bootstrap_level(
     model: LikModel, centers, B: int, pivot: PivotFn, seed: int, paths: list
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One bootstrap level: B datasets at each center, joined in one data stack.
+    """One bootstrap level: B datasets at each center, drawn as one data stack
+    by one :func:`~quadlik.parallel.draw` call.
 
     Dataset ``j`` of center ``c`` is drawn from the stream ``(seed,
     *paths[c], j)``.  Returns :func:`_refit`'s refits ``(len(centers), B,
@@ -130,8 +133,7 @@ def _bootstrap_level(
     in stream order.
     """
     centers = np.asarray(centers, dtype=float)
-    stack = np.concatenate([draw(model, center, B, seed, path) for center, path in zip(centers, paths)])
-    thetas, values = _refit(model, np.repeat(centers, B, axis=0), pivot, stack)
+    thetas, values = _refit(model, np.repeat(centers, B, axis=0), pivot, draw(model, centers, B, seed, paths))
     return thetas.reshape(len(centers), B, -1), values.reshape(len(centers), B)
 
 

@@ -760,7 +760,7 @@ def run_classical_comparison(cfg: dict) -> tuple[ReportRecord, int]:
         tau, tau_sq = (np.sqrt(n), float(n)) if tau_mode == "sqrt_n" else (1.0, 1.0)
 
         rows = []
-        for data in draw(model, psi, replications, seed, ("classical", n_idx)):
+        for data in draw(model, [psi], replications, seed, [("classical", n_idx)]):
             shifted = local_shift(model, data, psi, tau, tau_sq)
             limit = QuadraticForm(0.0, shifted(np.zeros(p)).gradient, k_unit).objective()
             rows.append(c2_distance(shifted, limit, box))

@@ -171,6 +171,15 @@ class QuadraticForm:
         return RowObjective(StackedObjective(OpenBox.unbounded(self.dim), 1, kernel))
 
 
+def _centres(thetas, m: int, p: int) -> np.ndarray:
+    """A draw's centres as an ``(m, p)`` array: the rows of ``thetas``, or one
+    ``(p,)`` centre for every row."""
+    ths = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if ths.shape not in {(p,), (m, p)}:
+        raise ValueError(f"expected one centre of length {p} or {m} of them, got shape {ths.shape}")
+    return np.broadcast_to(ths, (m, p))
+
+
 def _symmetrized(h: np.ndarray) -> np.ndarray:
     """``(h + h')/2`` over the last two axes, halves first so entries near the
     float maximum do not overflow."""
@@ -349,8 +358,9 @@ class LikModel:
     Subclasses set ``dim_param`` and ``domain`` and provide:
 
     * ``loglik(stack, thetas)``, the log likelihood as one vectorized kernel;
-    * ``simulate_stack(theta, rngs)``, the data stack of one draw per stream,
-      the model's one draw method (:meth:`simulate` is its row 0);
+    * ``simulate_stack(thetas, streams)``, the data stack of one draw per
+      stream, each at its own centre, the model's one draw method
+      (:meth:`simulate` is its row 0);
     * ``starts(stack)``, the start of Newton's method for each row of a stack;
     * ``parse_data(flat)``, the one reader of outside data: it checks a data
       file's values and returns them as a row of the stack.
@@ -375,9 +385,15 @@ class LikModel:
         """One data set: row 0 of :meth:`simulate_stack` on the one stream ``rng``."""
         return self.simulate_stack(theta, [rng])[0]
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
-        """The data stack of one draw per stream: data set ``i`` uses ``rngs[i]``
-        alone, and is drawn exactly as it would be in a stack of its own."""
+    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
+        """The data stack of one draw per stream: data set ``i`` is drawn at
+        ``thetas[i]`` (or at one centre ``thetas`` for every row) from
+        ``streams[i]`` alone, exactly as it would be in a stack of its own.
+
+        ``streams`` is a sequence of generators or
+        :class:`~quadlik.rng.KeyedStreams`; a draw makes one pass over it,
+        finishing each stream before it asks for the next.
+        """
         raise NotImplementedError
 
     def starts(self, stack: np.ndarray) -> np.ndarray:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import LikModel, StackedEval, _symmetrized, spd_factor
+from .core import LikModel, StackedEval, _centres, _symmetrized, spd_factor
 from .inference import symmetric_sqrt
 from .parallel import draw
-from .rng import derive_rng
+from .rng import derive_rng, restartable
 
 # ---------------------------------------------------------------------------
 # Curvature laws and draws
@@ -133,48 +133,64 @@ def _lapack_factor(k: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _sample(spec: LamnSpec, theta, rngs, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``size`` draws from each stream, stacked stream by stream: (z, k).
+def _sample(spec: LamnSpec, thetas, streams, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` draws from each stream at its centre, row ``i`` of ``thetas``
+    (or one centre for all), stacked stream by stream: (z, k).
 
-    Each stream gives its numbers in this order: the p chi-square blocks
-    and the strict lower-triangle normals of its ``size`` Bartlett draws, a
-    redraw of both when ``np.linalg.cholesky`` rejects one of its K (a
-    second rejection raises), then xi.  Only those draws loop over the
-    streams; the arithmetic runs once over the whole stack.
+    Each stream gives its numbers in one pass: the p chi-square blocks of
+    its ``size`` Bartlett draws, then one ``standard_normal`` call for their
+    strict lower-triangle normals followed by xi.  When
+    ``np.linalg.cholesky`` rejects one of a stream's K, the stream restarts
+    from its start, replays those chi-squares and normals, and draws all its
+    numbers again; the order is therefore always the chi-squares, the
+    normals, one redraw of both if K was rejected (a second rejection
+    raises), then xi.  Only those draws loop over the streams; the
+    arithmetic runs once over the whole stack.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if th.size != spec.dim:
-        raise ValueError("theta length does not match spec dimension")
-    p, law, n = spec.dim, spec.curvature, len(rngs) * size
+    p, law, m = spec.dim, spec.curvature, len(streams)
+    ths = np.repeat(_centres(thetas, m, p), size, axis=0)
+    n = m * size
     if isinstance(law, ConstantCurvature):
         k = np.broadcast_to(law.k, (n, p, p)).copy()
         factors = np.broadcast_to(spd_factor(law.k), k.shape)
+        xi = np.empty((m, size * p))
+        for rng, row in zip(streams, xi):
+            rng.standard_normal(out=row)
     else:
-        dofs, n_tril = law.dof - np.arange(p), law._tril[0].size
-        chi, normals = [None] * len(rngs), [None] * len(rngs)
+        streams = restartable(streams)
+        dofs, n_tril = (law.dof - np.arange(p)).tolist(), law._tril[0].size
+        chi, normals = np.empty((m, p, size)), np.empty((m, size * (n_tril + p)))
 
-        def numbers(s: int) -> None:
-            chi[s] = [rngs[s].chisquare(dof, size) for dof in dofs]
-            normals[s] = rngs[s].standard_normal((size, n_tril))
+        def numbers(s: int, rng) -> None:
+            if size == 1:  # scalar draws, the same numbers without an array each
+                chi[s, :, 0] = [rng.chisquare(dof) for dof in dofs]
+            else:
+                for d, dof in enumerate(dofs):
+                    chi[s, d] = rng.chisquare(dof, size)
+            rng.standard_normal(out=normals[s])
 
         def wishart() -> np.ndarray:
-            c = np.array(chi).reshape(len(rngs), p, size).transpose(0, 2, 1)
-            return _bartlett(law, c.reshape(n, p), np.array(normals).reshape(n, n_tril))
+            c = chi.transpose(0, 2, 1).reshape(n, p)
+            return _bartlett(law, c, normals[:, : size * n_tril].reshape(n, n_tril))
 
-        for s in range(len(rngs)):
-            numbers(s)
+        for s in range(m):
+            numbers(s, streams[s])
         k = wishart()
         factors = _lapack_factor(k)
         if factors is None:
-            for s in range(len(rngs)):
+            for s in range(m):
                 if _lapack_factor(k[s * size : (s + 1) * size]) is None:
-                    numbers(s)
+                    rng = streams[s]
+                    for dof in dofs:  # the rejected draw, replayed
+                        rng.chisquare(dof, size)
+                    rng.standard_normal(size * n_tril)
+                    numbers(s, rng)
             k = wishart()
             factors = _lapack_factor(k)
             if factors is None:
                 raise RuntimeError("Wishart draw numerically singular twice in a row")
-    xi = np.array([rng.standard_normal((size, p)) for rng in rngs]).reshape(n, p)
-    z = np.einsum("nij,j->ni", k, th) + np.einsum("nij,nj->ni", factors, xi)
+        xi = normals[:, size * n_tril :]
+    z = np.einsum("nij,nj->ni", k, ths) + np.einsum("nij,nj->ni", factors, xi.reshape(n, p))
     return z, k
 
 
@@ -190,10 +206,11 @@ def sample_lamn_batch(
     return _sample(spec, theta, [rng], size)
 
 
-def sample_lamn_stack(spec: LamnSpec, theta, rngs) -> np.ndarray:
-    """Row i of an ``(m, p + p*p)`` stack is ``sample_lamn(spec, theta, rngs[i])``,
-    z then k row-major; every k is tested (and symmetrized) as a LamnDraw's is."""
-    z, k = _sample(spec, theta, rngs, 1)
+def sample_lamn_stack(spec: LamnSpec, thetas, streams) -> np.ndarray:
+    """Row i of an ``(m, p + p*p)`` stack is ``sample_lamn(spec, thetas[i],
+    streams[i])``, z then k row-major; every k is tested (and symmetrized)
+    as a LamnDraw's is."""
+    z, k = _sample(spec, thetas, streams, 1)
     if np.isnan(spd_factor(k)[:, 0, 0]).any():
         raise ValueError("draw curvature must be positive definite")
     return np.concatenate([z, _symmetrized(k).reshape(len(z), spec.dim**2)], axis=1)
@@ -234,7 +251,7 @@ def contiguity_estimate(
 def _drawn_at(model: LikModel, theta, nsim: int, seed: int, path: tuple, *points) -> list[StackedEval]:
     """The nsim data sets :func:`~quadlik.parallel.draw` gives at theta, every
     one evaluated at each of ``points``: one StackedEval a point."""
-    q = model.stacked_objective(draw(model, theta, nsim, seed, path))
+    q = model.stacked_objective(draw(model, [theta], nsim, seed, [path]))
     rows = np.arange(nsim)
     return [q(rows, np.tile(point, (nsim, 1))) for point in points]
 

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LikModel, OpenBox, _symmetrized, quadratic_stack, spd_factor
-from .lamn import LamnDraw, LamnSpec, sample_lamn_stack
+from .core import LikModel, OpenBox, _centres, _symmetrized, quadratic_stack, spd_factor
+from .lamn import LamnSpec, sample_lamn_stack
 from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -45,11 +45,14 @@ class LanNormalLocation(LikModel):
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
         return quadratic_stack(0.0, stack, self.k, thetas)
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
         """The z vectors of one draw per stream as the rows of an ``(m, p)`` stack."""
-        kth = self.k @ np.atleast_1d(np.asarray(theta, dtype=float))
-        draws = [kth + self._factor @ rng.standard_normal(self.dim_param) for rng in rngs]
-        return np.array(draws).reshape(len(rngs), self.dim_param)
+        xi = np.empty((len(streams), self.dim_param))
+        for rng, row in zip(streams, xi):
+            rng.standard_normal(out=row)
+        # one matrix-vector product a row, as ``k @ theta`` for one row (einsum is not)
+        mean = np.matmul(self.k, _centres(thetas, len(xi), self.dim_param)[..., None])
+        return (mean + np.matmul(self._factor, xi[..., None]))[..., 0]
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.dim_param)
@@ -77,17 +80,20 @@ class WishartLamnModel(LikModel):
         p = self.dim_param
         return quadratic_stack(0.0, stack[:, :p], stack[:, p:].reshape(len(stack), p, p), thetas)
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
         """Draws as the rows of an ``(m, p + p*p)`` stack, z then k row-major."""
-        return sample_lamn_stack(self.spec, theta, rngs)
+        return sample_lamn_stack(self.spec, thetas, streams)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         """The row ``z`` then ``k`` row-major, ``k`` tested and symmetrized as a
-        :class:`LamnDraw`'s is."""
+        :class:`~quadlik.lamn.LamnDraw`'s is; a DataFormatError where it is
+        not positive definite."""
         p = self.dim_param
         _of_length(flat, p + p * p, "values (z then k row-major)")
-        draw = LamnDraw(flat[:p], flat[p:].reshape(p, p))
-        return np.concatenate([draw.z, draw.k.ravel()])
+        k = flat[p:].reshape(p, p)
+        if spd_factor(k) is None:
+            raise DataFormatError(1, f"k (values {p + 1} to {p + p * p}) must be positive definite")
+        return np.concatenate([flat[:p], _symmetrized(k).ravel()])
 
 
 def wishart_lamn_model(spec: LamnSpec) -> WishartLamnModel:
@@ -107,10 +113,10 @@ def ar1_simulate_paths(
     return _ar1_paths(theta, float(x0), rng.standard_normal((n_paths, n)))
 
 
-def _ar1_paths(theta: float, x0, noise: np.ndarray) -> np.ndarray:
-    """The AR(1) recursion, one path a row: row j starts at ``x0`` (a scalar or
-    ``x0[j]``) and takes its noise from ``noise[j]``; each row is computed
-    exactly as it would be alone."""
+def _ar1_paths(theta, x0, noise: np.ndarray) -> np.ndarray:
+    """The AR(1) recursion, one path a row: row j has coefficient ``theta``
+    and starts at ``x0`` (each a scalar or its row j) and takes its noise from
+    ``noise[j]``; each row is computed exactly as it would be alone."""
     m, n = noise.shape
     x = np.empty((m, n + 1))
     x[:, 0] = x0
@@ -118,13 +124,6 @@ def _ar1_paths(theta: float, x0, noise: np.ndarray) -> np.ndarray:
         for i in range(1, n + 1):
             x[:, i] = theta * x[:, i - 1] + noise[:, i - 1]
     return x
-
-
-def _theta_scalar(theta) -> float:
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if th.size != 1:
-        raise ValueError("AR(1) has a single parameter")
-    return float(th[0])
 
 
 def _row_dots(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -174,18 +173,18 @@ class Ar1Model(LikModel):
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
         return _ar1_kernel(stack, thetas[:, 0])
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
         """One path per stream as the rows of an ``(m, n + 1)`` stack: each stream
         draws its start first (with ``random_x0``), then its noise, and all
         run through one recursion.  An exploding path is kept, inf or NaN, and
         its fit is NaO."""
-        x0 = np.full(len(rngs), self.x0)
-        noise = np.empty((len(rngs), self.n))
-        for j, rng in enumerate(rngs):
+        x0 = np.full(len(streams), self.x0)
+        noise = np.empty((len(streams), self.n))
+        for j, rng in enumerate(streams):
             if self.random_x0:
                 x0[j] = rng.standard_normal()
             rng.standard_normal(out=noise[j])
-        return _ar1_paths(_theta_scalar(theta), x0, noise)
+        return _ar1_paths(_centres(thetas, len(x0), 1)[:, 0], x0, noise)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n + 1, "values for the AR(1) path")
@@ -455,23 +454,25 @@ class _AnimalKernel:
         environment = np.sqrt(tau2) * rng.standard_normal(self.n)
         return mu + genetic + environment
 
-    def simulate_rotated(self, mu: float, sigma2: float, tau2: float, rngs) -> np.ndarray:
-        """``Q'y`` of one :meth:`simulate` draw per stream, shape (len(rngs), N).
+    def simulate_rotated(self, mu: np.ndarray, sigma2: np.ndarray, tau2: np.ndarray, streams) -> np.ndarray:
+        """``Q'y`` of one :meth:`simulate` draw per stream, row i at ``mu[i]``,
+        ``sigma2[i]`` and ``tau2[i]``, shape (len(streams), N).
 
         Each stream draws the two normal vectors of ``simulate`` in its
         order; ``Q'y = mu Q'1 + sqrt(sigma2) sqrt(lam) z1 + sqrt(tau2) Q'z2``
         is then formed for the whole stack with one product, without forming
         y.  Rows agree with ``rotate(simulate(...))`` up to rounding.
         """
-        z1, z2 = np.empty((2, len(rngs), self.n))
-        for rng, genetic, environment in zip(rngs, z1, z2):
+        z1, z2 = np.empty((2, len(streams), self.n))
+        for rng, genetic, environment in zip(streams, z1, z2):
             rng.standard_normal(out=genetic)
             rng.standard_normal(out=environment)
         qty = z2 @ self.q
-        qty *= np.sqrt(tau2)
-        z1 *= np.sqrt(sigma2) * self._sqrt_lam
+        qty *= np.sqrt(tau2)[:, None]
+        # the per-row factors go into the spent normal blocks, not new arrays
+        z1 *= np.multiply(np.sqrt(sigma2)[:, None], self._sqrt_lam, out=z2)
         qty += z1
-        qty += mu * self.ones_t
+        qty += np.multiply(mu[:, None], self.ones_t, out=z1)
         return qty
 
 
@@ -555,15 +556,17 @@ class AnimalModel(LikModel):
             hess[outside] = np.nan
         return value, grad, hess
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
-        """``Q'y`` of one draw per stream.  Past the bound on ``|phi|`` where
-        :meth:`loglik` is NaN the variances may overflow, and there is no
-        draw: every row is NaN, so NaO."""
-        theta = np.asarray(theta, dtype=float)
-        if not (np.abs(theta) <= _PHI_BOUND).all():
-            return np.full((len(rngs), self.n_individuals), np.nan)
-        params = self.phi_to_params(theta)
-        return self._kernel.simulate_rotated(params.mu, params.sigma2, params.tau2, rngs)
+    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
+        """``Q'y`` of one draw per stream, row i at ``thetas[i]``.  Past the
+        bound on ``|phi|`` where :meth:`loglik` is NaN the variances may
+        overflow, and there is no draw: such a row is NaN, so NaO."""
+        phi = _centres(thetas, len(streams), 3)
+        outside = ~(np.abs(phi) <= _PHI_BOUND).all(axis=1)
+        # an outside row is drawn at phi = 0, and then set to NaN
+        phi = np.where(outside[:, None], 0.0, phi)
+        qty = self._kernel.simulate_rotated(phi[:, 0], np.exp(phi[:, 1]), np.exp(phi[:, 2]), streams)
+        qty[outside] = np.nan
+        return qty
 
     def starts(self, stack) -> np.ndarray:
         """A cheap interior start for each response: the mean, plus variances
@@ -623,10 +626,12 @@ class NormalLocationIid(LikModel):
         value = -0.5 * (resid * resid).sum(axis=(1, 2))
         return value, resid.sum(axis=1), np.broadcast_to(-self.n * np.eye(self.p), (len(stack), self.p, self.p))
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
         """The samples of one draw per stream as the ``(n, p)`` rows of an ``(m, n, p)`` stack."""
-        draws = [theta + rng.standard_normal((self.n, self.p)) for rng in rngs]
-        return np.array(draws).reshape(len(rngs), self.n, self.p)
+        noise = np.empty((len(streams), self.n, self.p))
+        for rng, row in zip(streams, noise):
+            rng.standard_normal(out=row)
+        return _centres(thetas, len(noise), self.p)[:, None, :] + noise
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n * self.p).reshape(self.n, self.p)
@@ -652,10 +657,11 @@ class ExponentialRateIid(LikModel):
             hessian = -self.n / th**2
         return value, (self.n / th - total)[:, None], hessian[:, None, None]
 
-    def simulate_stack(self, theta: np.ndarray, rngs) -> np.ndarray:
+    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
         """The samples of one draw per stream as the rows of an ``(m, n)`` stack."""
-        scale = 1.0 / float(theta[0])
-        return np.array([rng.exponential(scale=scale, size=self.n) for rng in rngs]).reshape(len(rngs), self.n)
+        scales = 1.0 / _centres(thetas, len(streams), 1)[:, 0]
+        draws = [rng.exponential(scale=scale, size=self.n) for rng, scale in zip(streams, scales.tolist())]
+        return np.array(draws).reshape(len(streams), self.n)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n)

@@ -1,18 +1,22 @@
 """Replicate draws for simulation loops.
 
 Every Monte Carlo loop in the package draws its data sets through
-:func:`draw`: replicate ``i`` simulates from its own stream
-``(seed, *path, i)`` (one :func:`~quadlik.rng.derive_rngs` call gives
-all n), and all n data sets come from one ``model.simulate_stack`` call,
-as one data stack.  Each caller evaluates that stack in place and counts
-its own NaO rows.  Output therefore depends only on the seed and the path.
+:func:`draw`, one call a level: data set ``j`` of centre ``c`` is simulated
+at that centre from its own keyed stream ``(seed, *paths[c], j)``.  The
+keys of all the level's streams come from one
+:func:`~quadlik.rng.derive_streams` pass, and all its data sets from one
+``model.simulate_stack`` call, with a centre per row, as one data stack.
+Each caller evaluates that stack in place and counts its own NaO rows.
+Output therefore depends only on the seed and the paths.
 """
 
 from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-from .rng import derive_rngs
+import numpy as np
+
+from .rng import derive_streams
 
 T = TypeVar("T")
 
@@ -27,7 +31,9 @@ def parallel_map(fn: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
     return [fn(i) for i in range(n)]
 
 
-def draw(model, theta, n: int, seed: int, path: tuple):
-    """The data stack of n data sets at theta, data set ``i`` from the stream
-    ``(seed, *path, i)``."""
-    return model.simulate_stack(theta, derive_rngs(seed, path, n))
+def draw(model, centers, n: int, seed: int, paths: list):
+    """The data stack of n data sets at each centre, centre by centre: row
+    ``c * n + j`` is drawn at ``centers[c]`` from the stream ``(seed,
+    *paths[c], j)``."""
+    centers = np.asarray(centers, dtype=float).reshape(len(paths), -1)
+    return model.simulate_stack(np.repeat(centers, n, axis=0), derive_streams(seed, paths, n))

@@ -6,18 +6,20 @@ A replicate's stream depends only on the seed and its path, never on draw
 order elsewhere, so results are bit-identical whatever order the
 replicates are drawn in.
 
-:func:`derive_rngs` gives the n streams ``(seed, *path, i)`` of a whole
-level at once; ``parallel.draw`` takes every level's streams from it.
-:func:`derive_rng` is the one-stream path, and the reference that
-:func:`derive_rngs` equals bit for bit.
+Philox is counter-based, so a stream is just its key.  :func:`derive_streams`
+makes the keys of a whole level, ``(seed, *path, j)`` for each of its
+paths, in one hash pass, and :class:`KeyedStreams` serves them all from one
+generator re-keyed per stream; ``parallel.draw`` takes every level's
+streams from it.  :func:`derive_rng` is the one-stream path, and the
+reference that :func:`derive_streams` equals bit for bit.
 """
 
 from __future__ import annotations
 
+import os
 import zlib
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # numpy.random.SeedSequence's hash (bit_generator.pyx): a pool of 4 uint32
 # words, mixed with these constants
@@ -102,41 +104,98 @@ def _prefix_pool(words: list[int]):
     return pool, const
 
 
-class _Key(ISeedSequence):
-    """A Philox key already hashed.  Philox asks its seed sequence for
-    ``generate_state(2, np.uint64)`` once; that request returns the key, and
-    any other raises, so a numpy whose Philox asks for something else fails
-    loudly instead of drawing other streams.  It cannot spawn."""
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a Philox key serves generate_state(2, uint64), not ({n_words}, {np.dtype(dtype)})")
-        return self.key
-
-
-def derive_rngs(seed: int, path: tuple, n: int) -> list[np.random.Generator]:
-    """``[derive_rng(seed, *path, i) for i in range(n)]``, bit for bit.
-
-    The SeedSequence hash runs once, in Python ints, over the words every
-    stream shares: the seed's words padded to four, then the path's.  Only
-    the last word, ``i``, differs; it is mixed in and the keys generated over
-    all n streams as arrays.  Holds for n <= 2**32, where ``i`` is one word.
-    """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("the seed must be non-negative")
-    run = _words(seed)
-    words = run + [0] * (_POOL_SIZE - len(run))
-    for c in path:
-        words += _words(_component(c))
-    pool, _ = _absorb(*_prefix_pool(words), np.arange(n, dtype=np.uint64))
+def _philox_key(pool) -> np.ndarray:
+    """``generate_state(2, np.uint64)`` of a mixed pool: the Philox key, shape
+    ``(..., 2)``, over the pool words' shape."""
     state, const = [], _INIT_B
     for p in pool:
         h, const = _hashmix(p, const, _MULT_B)
         state.append(h)
     # generate_state(2, np.uint64) pairs the four uint32 words little-endian
-    keys = np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
-    return [np.random.Generator(np.random.Philox(_Key(k))) for k in keys]
+    return np.stack(np.broadcast_arrays(state[0] | state[1] << 32, state[2] | state[3] << 32), axis=-1)
+
+
+class KeyedStreams:
+    """Philox streams given by their keys, served by one generator.
+
+    ``streams[i]`` re-keys that generator to stream ``i`` at its start:
+    counter 0, empty buffer, no saved uint32, which is exactly a fresh
+    ``Philox`` of the key.  A stream is therefore valid only until the next
+    one is served, and asking for stream ``i`` again restarts it.  A draw
+    makes one pass over its streams, finishing each before the next.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self._rng = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
+        self._start = self._rng.bit_generator.state
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        self._start["state"]["key"] = self.keys[i]
+        self._rng.bit_generator.state = self._start
+        return self._rng
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+class SnapshotStreams:
+    """A caller's own generators as restartable streams: ``streams[i]`` is
+    generator ``i``, put back, whenever it is served again, to the state it
+    had when it was first served."""
+
+    def __init__(self, rngs):
+        self._rngs = list(rngs)
+        self._starts: dict[int, dict] = {}
+
+    def __len__(self) -> int:
+        return len(self._rngs)
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        rng = self._rngs[i]
+        if i in self._starts:
+            rng.bit_generator.state = self._starts[i]
+        else:
+            self._starts[i] = rng.bit_generator.state
+        return rng
+
+
+def restartable(streams) -> KeyedStreams | SnapshotStreams:
+    """Streams that serve ``streams[i]`` again from its start: keyed streams as
+    they are, a sequence of generators as :class:`SnapshotStreams`."""
+    return streams if isinstance(streams, KeyedStreams) else SnapshotStreams(streams)
+
+
+def derive_streams(seed: int, paths, n: int) -> KeyedStreams:
+    """The streams ``(seed, *path, j)`` for each path and ``j < n``, path by
+    path: stream ``c * n + j`` equals ``derive_rng(seed, *paths[c], j)`` bit
+    for bit.
+
+    One key pass: the SeedSequence hash runs once, in Python ints, over the
+    words every stream shares, the seed's words padded to four and the
+    paths' common leading words.  The words that differ, the rest of each
+    path and ``j``, are mixed in as uint64 arrays, one per path length in
+    words.  Holds for n <= 2**32, where ``j`` is one word.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("the seed must be non-negative")
+    run = _words(seed)
+    head = run + [0] * (_POOL_SIZE - len(run))
+    tails = [[w for c in path for w in _words(_component(c))] for path in paths]
+    common = list(os.path.commonprefix(tails))  # compares any sequences, item by item
+    pool, const = _prefix_pool(head + common)
+    by_length: dict[int, list[int]] = {}
+    for c, tail in enumerate(tails):
+        by_length.setdefault(len(tail), []).append(c)
+    keys = np.empty((len(tails), n, 2), dtype=np.uint64)
+    index = np.arange(n, dtype=np.uint64)
+    for rows in by_length.values():
+        mixed, mixed_const = list(pool), const
+        for word in np.array([tails[c][len(common) :] for c in rows], dtype=np.uint64).T:
+            mixed, mixed_const = _absorb(mixed, mixed_const, word[:, None])
+        keys[rows] = _philox_key(_absorb(mixed, mixed_const, index)[0])
+    return KeyedStreams(keys.reshape(-1, 2))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import quadlik.bootstrap
+import quadlik.parallel
 from quadlik import (
     Ar1Model,
     LamnSpec,
@@ -425,6 +426,32 @@ class TestDoubleBootstrapLayout:
         monkeypatch.setattr(quadlik.bootstrap, "INNER_LEVEL_ROWS", rows)
         model = wishart_model()
         self.check(model, self.CASES["wishart"][1], make_wald_pivot(model), seed=59)
+
+    @pytest.mark.parametrize("rows", [1, 15, 2**10])
+    def test_one_key_pass_and_one_draw_per_lockstep_block(self, monkeypatch, rows):
+        """Each lockstep block of a level, outer or inner, draws its data sets
+        with one key pass and one ``simulate_stack`` call, all its centres at once."""
+        monkeypatch.setattr(quadlik.bootstrap, "INNER_LEVEL_ROWS", rows)
+        model, theta_hat = wishart_model(), self.CASES["wishart"][1]
+        calls = {"keys": [], "draws": [], "locksteps": []}
+
+        def counted(name, fn, size):
+            def call(*args):
+                calls[name].append(size(*args))
+                return fn(*args)
+
+            return call
+
+        derive_streams, lockstep_fit = quadlik.parallel.derive_streams, quadlik.bootstrap.lockstep_fit
+        monkeypatch.setattr(quadlik.parallel, "derive_streams", counted("keys", derive_streams, lambda s, paths, n: len(paths) * n))
+        monkeypatch.setattr(model, "simulate_stack", counted("draws", model.simulate_stack, lambda thetas, streams: len(streams)))
+        monkeypatch.setattr(quadlik.bootstrap, "lockstep_fit", counted("locksteps", lockstep_fit, lambda q, starts: len(starts)))
+        B1, B2 = 9, 7
+        report = double_bootstrap(model, theta_hat, B1, B2, make_wald_pivot(model), seed=61)
+        assert report.outer.n_nao == 0  # every outer refit gets an inner level
+        per_block = max(1, rows // B2)
+        blocks = [B2 * min(per_block, B1 - k) for k in range(0, B1, per_block)]
+        assert calls == {"keys": [B1] + blocks, "draws": [B1] + blocks, "locksteps": [B1] + blocks}
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_nao_rules(self, monkeypatch, name):

@@ -166,6 +166,16 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg]) == EXIT_INPUT_ERROR
         assert "line 3" in capsys.readouterr().err
 
+    def test_wishart_data_with_non_definite_k_names_a_line(self, tmp_path, capsys):
+        save_vector_csv(str(tmp_path / "d.csv"), np.array([0.3, -0.2, 1.0, 0.0, 0.0, -1.0]))
+        cfg = write_config(
+            tmp_path, "c.json", experiment="fit",
+            model={"kind": "wishart_lamn", "dim": 2, "dof": 3.0}, data="d.csv", out="r",
+        )
+        assert main(["fit", "--config", cfg]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("quadlik: error: line 1: k (values 3 to 6)")
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_data_file(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="nope.csv", out="r",

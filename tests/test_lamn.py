@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import quadlik.lamn
 from conftest import random_spd
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from quadlik import (
 )
 from quadlik.core import NaO, QuadraticForm, spd_factor
 from quadlik.models import Ar1Model, DataFormatError, LanNormalLocation
+from quadlik.rng import derive_streams
 
 
 def wishart_spec(p=2, dof=5.0):
@@ -147,18 +150,31 @@ def reference_draw(spec, theta, rng):
 
 
 class FixedStream:
-    """A stand-in stream that hands out fixed chi-squares and normals in call order."""
+    """A stand-in stream that hands out fixed chi-squares and normals in call
+    order; its state, which a restart puts back, is what is left to hand out."""
 
     def __init__(self, chi, normals):
         self.chi, self.normals = list(chi), list(normals)
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return list(self.chi), list(self.normals)
+
+    @state.setter
+    def state(self, value):
+        self.chi, self.normals = map(list, value)
 
     def chisquare(self, df, size=None):
-        return np.full(size, self.chi.pop(0))
+        return self.chi.pop(0) if size is None else np.full(size, self.chi.pop(0))
 
-    def standard_normal(self, size=None):
-        n = int(np.prod(size))
-        out, self.normals = self.normals[:n], self.normals[n:]
-        return np.reshape(out, size)
+    def standard_normal(self, size=None, out=None):
+        n = int(np.prod(size if out is None else out.shape))
+        values, self.normals = self.normals[:n], self.normals[n:]
+        if out is None:
+            return np.reshape(values, size)
+        out[...] = np.reshape(values, out.shape)
+        return out
 
 
 def as_rows(draws, p):
@@ -199,15 +215,38 @@ class TestStackedDraws:
         assert_same_draws(looped, [reference_draw(spec, theta, derive_rng(seed, i)) for i in range(n)], spec.dim)
 
 
+class OwnLevel:
+    """40 of a caller's own generators, ``derive_rng(81, i)``, at one centre."""
+
+    def __init__(self, theta):
+        self.thetas = np.broadcast_to(theta, (40, len(theta)))
+
+    def streams(self):
+        return [self.fresh(i) for i in range(40)]
+
+    def fresh(self, i):
+        return derive_rng(81, i)
+
+
+class KeyedLevel(OwnLevel):
+    """A keyed level of 4 centres of 10 streams, ``(81, "c", c, j)``."""
+
+    def __init__(self, theta):
+        self.thetas = np.repeat(theta + 0.5 * np.arange(4)[:, None], 10, axis=0)
+
+    def streams(self):
+        return derive_streams(81, [("c", c) for c in range(4)], 10)
+
+    def fresh(self, i):
+        return derive_rng(81, "c", i // 10, i % 10)
+
+
 class TestStackedDrawRarePaths:
     spec = LamnSpec(3, WishartCurvature(5.0, np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]])))
     theta = np.array([0.5, -1.0, 0.25])
 
-    def streams(self):
-        return [derive_rng(81, i) for i in range(40)]
-
-    def first_k(self, i):
-        return sample_lamn_batch(self.spec, self.theta, 1, derive_rng(81, i))[1][0]
+    def first_k(self, level, i):
+        return sample_lamn_batch(self.spec, level.thetas[i], 1, level.fresh(i))[1][0]
 
     @staticmethod
     def reject(monkeypatch, poisoned):
@@ -222,26 +261,40 @@ class TestStackedDrawRarePaths:
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
 
-    def test_rejected_row_is_redrawn_from_its_own_stream(self, monkeypatch):
+    def check_rejected_row_is_redrawn(self, level, monkeypatch):
         model = wishart_lamn_model(self.spec)
-        before = model.simulate_stack(self.theta, self.streams())
-        self.reject(monkeypatch, [self.first_k(7)])
-        stacked = model.simulate_stack(self.theta, self.streams())
-        assert_same_draws(stacked, [model.simulate(self.theta, rng) for rng in self.streams()], 3)
-        assert_same_draws(stacked, [reference_draw(self.spec, self.theta, rng) for rng in self.streams()], 3)
+        before = model.simulate_stack(level.thetas, level.streams())
+        self.reject(monkeypatch, [self.first_k(level, 7)])
+        stacked = model.simulate_stack(level.thetas, level.streams())
+        singles = [model.simulate(level.thetas[i], level.fresh(i)) for i in range(40)]
+        assert_same_draws(stacked, singles, 3)
+        references = [reference_draw(self.spec, level.thetas[i], level.fresh(i)) for i in range(40)]
+        assert_same_draws(stacked, references, 3)
         assert not np.array_equal(stacked[7, 3:], before[7, 3:])
         assert_same_draws(np.delete(stacked, 7, axis=0), np.delete(before, 7, axis=0), 3)
 
-    def test_row_rejected_twice_raises(self, monkeypatch):
+    def check_rejected_twice_raises(self, level, monkeypatch):
         model = wishart_lamn_model(self.spec)
-        first = self.first_k(7)
+        first = self.first_k(level, 7)
         self.reject(monkeypatch, [first])
-        second = sample_lamn(self.spec, self.theta, derive_rng(81, 7)).k
+        second = sample_lamn(self.spec, level.thetas[7], level.fresh(7)).k
         self.reject(monkeypatch, [first, second])
         with pytest.raises(RuntimeError, match="singular twice"):
-            [model.simulate(self.theta, rng) for rng in self.streams()]
+            [model.simulate(level.thetas[i], level.fresh(i)) for i in range(40)]
         with pytest.raises(RuntimeError, match="singular twice"):
-            model.simulate_stack(self.theta, self.streams())
+            model.simulate_stack(level.thetas, level.streams())
+
+    def test_rejected_row_is_redrawn_from_its_own_stream(self, monkeypatch):
+        self.check_rejected_row_is_redrawn(OwnLevel(self.theta), monkeypatch)
+
+    def test_keyed_level_rejected_row_is_replayed_from_its_key(self, monkeypatch):
+        self.check_rejected_row_is_redrawn(KeyedLevel(self.theta), monkeypatch)
+
+    def test_row_rejected_twice_raises(self, monkeypatch):
+        self.check_rejected_twice_raises(OwnLevel(self.theta), monkeypatch)
+
+    def test_keyed_level_row_rejected_twice_raises(self, monkeypatch):
+        self.check_rejected_twice_raises(KeyedLevel(self.theta), monkeypatch)
 
     def test_row_below_the_pivot_floor_raises(self):
         # K = diag(1, 1e-20): LAPACK factors it, but its last pivot lies
@@ -257,6 +310,26 @@ class TestStackedDrawRarePaths:
             [model.simulate(np.zeros(2), rng) for rng in streams()]
         with pytest.raises(ValueError, match="draw curvature must be positive definite"):
             model.simulate_stack(np.zeros(2), streams())
+
+    def test_keyed_level_row_below_the_pivot_floor_raises(self, monkeypatch):
+        # no key draws a K below the pivot floor, so the floor is made to
+        # reject row 7's K, as LAPACK's factor is made to in ``reject``
+        level, model = KeyedLevel(self.theta), wishart_lamn_model(self.spec)
+        poisoned = self.first_k(level, 7)
+        real = quadlik.lamn.spd_factor
+
+        def spd_factor_floored(k):
+            lower = real(k)
+            below = np.all(np.asarray(k).reshape(-1, 3, 3) == poisoned, axis=(1, 2))
+            lower.reshape(-1, 3, 3)[below] = np.nan
+            return lower
+
+        monkeypatch.setattr(quadlik.lamn, "spd_factor", spd_factor_floored)
+        with pytest.raises(ValueError, match="draw curvature must be positive definite"):
+            model.simulate(level.thetas[7], level.fresh(7))
+        with pytest.raises(ValueError, match="draw curvature must be positive definite"):
+            model.simulate_stack(level.thetas, level.streams())
+        model.simulate(level.thetas[8], level.fresh(8))
 
     def test_stack_of_draws_checks_shapes(self):
         # a draw of dimension 2 is not a data set of the dimension-3 model

@@ -788,7 +788,7 @@ class TestParseData:
     def test_checks_and_returns_the_stack_row(self):
         # Wishart: k is tested positive definite, then symmetrized into the row
         wishart = self.MODELS["wishart"][0]()
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(DataFormatError, match="^line 1: k .values 3 to 6. must be positive definite$"):
             wishart.parse_data(np.array([0.3, -0.2, 1.0, 0.0, 0.0, -1.0]))
         row = wishart.parse_data(np.array([0.3, -0.2, 2.0, 0.5, 0.5 + 1e-12, 1.0]))
         assert row.shape == (6,) and row[3] == row[4]

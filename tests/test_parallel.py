@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from quadlik import (
+    AnimalModel,
+    Ar1Model,
+    ConstantCurvature,
+    ExponentialRateIid,
     LamnSpec,
+    NormalLocationIid,
     WishartCurvature,
     derive_rng,
     hessian_invariance_test,
@@ -16,11 +21,13 @@ from quadlik import (
     make_wald_pivot,
     model_contiguity_estimate,
     parametric_bootstrap,
+    relationship_matrix,
     score_normality_test,
     symmetric_sqrt,
+    synthetic_pedigree,
     wishart_lamn_model,
 )
-from quadlik.core import LikModel, OpenBox, quadratic_stack
+from quadlik.core import LikModel, OpenBox, _centres, quadratic_stack
 from quadlik.newton import safeguarded_maximize
 from quadlik.parallel import draw
 
@@ -40,29 +47,65 @@ class MaskedModel(LikModel):
         value, gradient, hessian = quadratic_stack(0.0, stack[:, :1], stack[:, 1:2, None], thetas)
         return np.where(stack[:, 2] == 0.0, value, np.nan), gradient, hessian
 
-    def simulate_stack(self, theta, rngs):
+    def simulate_stack(self, thetas, streams):
         rows = []
-        for rng in rngs:
+        for rng, (theta,) in zip(streams, _centres(thetas, len(streams), 1)):
             k = rng.chisquare(3.0)
-            rows.append([k * theta[0] + np.sqrt(k) * rng.standard_normal(), k])
-        return np.column_stack([np.reshape(rows, (-1, 2)), self.mask[: len(rngs)]])
+            rows.append([k * theta + np.sqrt(k) * rng.standard_normal(), k])
+        return np.column_stack([np.reshape(rows, (-1, 2)), self.mask[: len(streams)]])
+
+
+# every model's draw, with a law for its centres: (model, centre(rng))
+DRAW_MODELS = {
+    "lan": (lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])), lambda r: r.standard_normal(2)),
+    "wishart_constant": (
+        wishart_lamn_model(LamnSpec(2, ConstantCurvature(np.array([[1.5, 0.4], [0.4, 0.8]])))),
+        lambda r: r.standard_normal(2),
+    ),
+    "wishart": (
+        wishart_lamn_model(LamnSpec(3, WishartCurvature(5.0, np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]])))),
+        lambda r: r.standard_normal(3),
+    ),
+    "ar1": (Ar1Model(7, x0=1.5), lambda r: r.uniform(-1.2, 1.2, 1)),
+    "ar1_random_x0": (Ar1Model(5, random_x0=True), lambda r: r.uniform(-1.2, 1.2, 1)),
+    "iid_normal": (NormalLocationIid(2, 4), lambda r: r.standard_normal(2)),
+    "iid_exponential": (ExponentialRateIid(6), lambda r: r.uniform(0.2, 3.0, 1)),
+    "animal": (
+        AnimalModel(relationship_matrix(synthetic_pedigree(4, 5, 2, 3))),
+        lambda r: r.standard_normal(3) * [1.0, 0.5, 0.5],
+    ),
+    "toy": (MaskedModel(np.zeros(64)), lambda r: r.standard_normal(1)),
+}
 
 
 class TestDraw:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
-        n=st.integers(0, 40),
-        seed=st.integers(0, 2**32 - 1),
-        path=st.lists(st.one_of(st.integers(0, 2**40), st.sampled_from(["toy", "score-normality"])), max_size=3),
-        lan=st.booleans(),
+        name=st.sampled_from(sorted(DRAW_MODELS)),
+        n=st.integers(0, 6),
+        seed=st.integers(0, 2**64),
+        paths=st.lists(
+            st.lists(st.one_of(st.integers(0, 2**40), st.sampled_from(["toy", "score-normality"])), max_size=3).map(tuple),
+            min_size=1,
+            max_size=4,
+        ),
     )
-    def test_row_i_is_a_draw_from_stream_i(self, n, seed, path, lan):
-        model = lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]])) if lan else MaskedModel(np.zeros(n))
-        theta = np.array([0.3, -0.2]) if lan else np.array([0.7])
-        stack = draw(model, theta, n, seed, tuple(path))
-        assert len(stack) == n
-        for i in range(n):
-            assert np.array_equal(stack[i], model.simulate(theta, derive_rng(seed, *path, i)))
+    def test_row_i_is_a_draw_from_stream_i(self, name, n, seed, paths):
+        """Row ``(c, j)`` of a many-centre draw is the data set drawn alone at
+        centre c from the stream ``(seed, *paths[c], j)``."""
+        model, centre = DRAW_MODELS[name]
+        centers = np.array([centre(derive_rng(seed, "centre", c)) for c in range(len(paths))])
+        stack = draw(model, centers, n, seed, paths)
+        assert len(stack) == len(paths) * n
+        for c, path in enumerate(paths):
+            for j in range(n):
+                alone = model.simulate(centers[c], derive_rng(seed, *path, j))
+                if name == "animal":
+                    # Q'y of a stack is one matrix product, of a row a vector
+                    # product: equal up to rounding (TestAnimalSimulate)
+                    np.testing.assert_allclose(stack[c * n + j], alone, rtol=1e-12, atol=1e-12)
+                else:
+                    assert np.array_equal(stack[c * n + j], alone)
 
 
 class TestCheckNaoAccounting:
