@@ -132,8 +132,8 @@ def _bootstrap_level(
     p)`` and pivot values ``(len(centers), B)``, each against its center,
     in stream order.
     """
-    centers = np.asarray(centers, dtype=float)
-    thetas, values = _refit(model, np.repeat(centers, B, axis=0), pivot, draw(model, centers, B, seed, paths))
+    stack = draw(model, centers, B, seed, paths)
+    thetas, values = _refit(model, np.repeat(np.asarray(centers, dtype=float), B, axis=0), pivot, stack)
     return thetas.reshape(len(centers), B, -1), values.reshape(len(centers), B)
 
 

@@ -171,13 +171,14 @@ class QuadraticForm:
         return RowObjective(StackedObjective(OpenBox.unbounded(self.dim), 1, kernel))
 
 
-def _centres(thetas, m: int, p: int) -> np.ndarray:
-    """A draw's centres as an ``(m, p)`` array: the rows of ``thetas``, or one
-    ``(p,)`` centre for every row."""
-    ths = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if ths.shape not in {(p,), (m, p)}:
-        raise ValueError(f"expected one centre of length {p} or {m} of them, got shape {ths.shape}")
-    return np.broadcast_to(ths, (m, p))
+def _centres(centers, m: int, p: int) -> np.ndarray:
+    """The centre of each row of an m-row draw, shape ``(m, p)``: ``centers``
+    holds c centres of length p, and each has ``m / c`` consecutive rows."""
+    ths = np.asarray(centers, dtype=float)
+    c = len(ths) if ths.ndim else 0
+    if not c or ths.size != c * p or m % c:
+        raise ValueError(f"expected centres of length {p}, as many as divide {m} rows, got shape {ths.shape}")
+    return np.repeat(ths.reshape(c, p), m // c, axis=0)
 
 
 def _symmetrized(h: np.ndarray) -> np.ndarray:
@@ -358,9 +359,9 @@ class LikModel:
     Subclasses set ``dim_param`` and ``domain`` and provide:
 
     * ``loglik(stack, thetas)``, the log likelihood as one vectorized kernel;
-    * ``simulate_stack(thetas, streams)``, the data stack of one draw per
-      stream, each at its own centre, the model's one draw method
-      (:meth:`simulate` is its row 0);
+    * ``simulate_stack(centers, streams)``, the data stack of one draw per
+      stream, the streams split evenly among the centres, the model's one
+      draw method (:meth:`simulate` is its row 0);
     * ``starts(stack)``, the start of Newton's method for each row of a stack;
     * ``parse_data(flat)``, the one reader of outside data: it checks a data
       file's values and returns them as a row of the stack.
@@ -383,12 +384,13 @@ class LikModel:
 
     def simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One data set: row 0 of :meth:`simulate_stack` on the one stream ``rng``."""
-        return self.simulate_stack(theta, [rng])[0]
+        return self.simulate_stack([theta], [rng])[0]
 
-    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
-        """The data stack of one draw per stream: data set ``i`` is drawn at
-        ``thetas[i]`` (or at one centre ``thetas`` for every row) from
-        ``streams[i]`` alone, exactly as it would be in a stack of its own.
+    def simulate_stack(self, centers, streams) -> np.ndarray:
+        """The data stack of one draw per stream: with c ``centers`` and
+        ``n = len(streams) / c``, data set ``i`` is drawn at ``centers[i // n]``
+        from ``streams[i]`` alone, exactly as in a draw of its centre's n data
+        sets alone, whatever other centres share the call.
 
         ``streams`` is a sequence of generators or
         :class:`~quadlik.rng.KeyedStreams`; a draw makes one pass over it,

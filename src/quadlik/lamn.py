@@ -133,9 +133,10 @@ def _lapack_factor(k: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _sample(spec: LamnSpec, thetas, streams, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``size`` draws from each stream at its centre, row ``i`` of ``thetas``
-    (or one centre for all), stacked stream by stream: (z, k).
+def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` draws from each stream, stacked stream by stream: (z, k).  The
+    streams are split evenly among the ``centers`` as
+    :meth:`~quadlik.core.LikModel.simulate_stack` splits them.
 
     Each stream gives its numbers in one pass: the p chi-square blocks of
     its ``size`` Bartlett draws, then one ``standard_normal`` call for their
@@ -148,7 +149,7 @@ def _sample(spec: LamnSpec, thetas, streams, size: int) -> tuple[np.ndarray, np.
     arithmetic runs once over the whole stack.
     """
     p, law, m = spec.dim, spec.curvature, len(streams)
-    ths = np.repeat(_centres(thetas, m, p), size, axis=0)
+    ths = np.repeat(_centres(centers, m, p), size, axis=0)
     n = m * size
     if isinstance(law, ConstantCurvature):
         k = np.broadcast_to(law.k, (n, p, p)).copy()
@@ -162,11 +163,8 @@ def _sample(spec: LamnSpec, thetas, streams, size: int) -> tuple[np.ndarray, np.
         chi, normals = np.empty((m, p, size)), np.empty((m, size * (n_tril + p)))
 
         def numbers(s: int, rng) -> None:
-            if size == 1:  # scalar draws, the same numbers without an array each
-                chi[s, :, 0] = [rng.chisquare(dof) for dof in dofs]
-            else:
-                for d, dof in enumerate(dofs):
-                    chi[s, d] = rng.chisquare(dof, size)
+            for d, dof in enumerate(dofs):
+                chi[s, d] = rng.chisquare(dof, size)
             rng.standard_normal(out=normals[s])
 
         def wishart() -> np.ndarray:
@@ -203,14 +201,15 @@ def sample_lamn_batch(
     normal with mean K theta and variance K, via a Cholesky factor of K.
     A numerically singular Wishart draw is retried once, then raises.
     """
-    return _sample(spec, theta, [rng], size)
+    return _sample(spec, [theta], [rng], size)
 
 
-def sample_lamn_stack(spec: LamnSpec, thetas, streams) -> np.ndarray:
-    """Row i of an ``(m, p + p*p)`` stack is ``sample_lamn(spec, thetas[i],
-    streams[i])``, z then k row-major; every k is tested (and symmetrized)
-    as a LamnDraw's is."""
-    z, k = _sample(spec, thetas, streams, 1)
+def sample_lamn_stack(spec: LamnSpec, centers, streams) -> np.ndarray:
+    """Row i of an ``(m, p + p*p)`` stack is ``sample_lamn(spec, theta,
+    streams[i])`` at its centre ``theta`` of ``centers`` (split as in
+    :func:`_sample`), z then k row-major; every k is tested (and
+    symmetrized) as a LamnDraw's is."""
+    z, k = _sample(spec, centers, streams, 1)
     if np.isnan(spd_factor(k)[:, 0, 0]).any():
         raise ValueError("draw curvature must be positive definite")
     return np.concatenate([z, _symmetrized(k).reshape(len(z), spec.dim**2)], axis=1)
@@ -218,7 +217,7 @@ def sample_lamn_stack(spec: LamnSpec, thetas, streams) -> np.ndarray:
 
 def sample_lamn(spec: LamnSpec, theta, rng: np.random.Generator) -> LamnDraw:
     """One draw of (Z, K) at the given parameter."""
-    z, k = _sample(spec, theta, [rng], 1)
+    z, k = _sample(spec, [theta], [rng], 1)
     return LamnDraw(z[0], k[0])
 
 

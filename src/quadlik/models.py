@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import LikModel, OpenBox, _centres, _symmetrized, quadratic_stack, spd_factor
-from .lamn import LamnSpec, sample_lamn_stack
+from .lamn import LamnDraw, LamnSpec, sample_lamn_stack
 from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -45,13 +45,13 @@ class LanNormalLocation(LikModel):
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
         return quadratic_stack(0.0, stack, self.k, thetas)
 
-    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
+    def simulate_stack(self, centers, streams) -> np.ndarray:
         """The z vectors of one draw per stream as the rows of an ``(m, p)`` stack."""
         xi = np.empty((len(streams), self.dim_param))
         for rng, row in zip(streams, xi):
             rng.standard_normal(out=row)
         # one matrix-vector product a row, as ``k @ theta`` for one row (einsum is not)
-        mean = np.matmul(self.k, _centres(thetas, len(xi), self.dim_param)[..., None])
+        mean = np.matmul(self.k, _centres(centers, len(xi), self.dim_param)[..., None])
         return (mean + np.matmul(self._factor, xi[..., None]))[..., 0]
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
@@ -80,9 +80,9 @@ class WishartLamnModel(LikModel):
         p = self.dim_param
         return quadratic_stack(0.0, stack[:, :p], stack[:, p:].reshape(len(stack), p, p), thetas)
 
-    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
+    def simulate_stack(self, centers, streams) -> np.ndarray:
         """Draws as the rows of an ``(m, p + p*p)`` stack, z then k row-major."""
-        return sample_lamn_stack(self.spec, thetas, streams)
+        return sample_lamn_stack(self.spec, centers, streams)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         """The row ``z`` then ``k`` row-major, ``k`` tested and symmetrized as a
@@ -90,10 +90,11 @@ class WishartLamnModel(LikModel):
         not positive definite."""
         p = self.dim_param
         _of_length(flat, p + p * p, "values (z then k row-major)")
-        k = flat[p:].reshape(p, p)
-        if spd_factor(k) is None:
-            raise DataFormatError(1, f"k (values {p + 1} to {p + p * p}) must be positive definite")
-        return np.concatenate([flat[:p], _symmetrized(k).ravel()])
+        try:
+            draw = LamnDraw(flat[:p], flat[p:].reshape(p, p))
+        except ValueError:  # k is not positive definite
+            raise DataFormatError(1, f"k (values {p + 1} to {p + p * p}) must be positive definite") from None
+        return np.concatenate([draw.z, draw.k.ravel()])
 
 
 def wishart_lamn_model(spec: LamnSpec) -> WishartLamnModel:
@@ -173,7 +174,7 @@ class Ar1Model(LikModel):
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
         return _ar1_kernel(stack, thetas[:, 0])
 
-    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
+    def simulate_stack(self, centers, streams) -> np.ndarray:
         """One path per stream as the rows of an ``(m, n + 1)`` stack: each stream
         draws its start first (with ``random_x0``), then its noise, and all
         run through one recursion.  An exploding path is kept, inf or NaN, and
@@ -184,7 +185,7 @@ class Ar1Model(LikModel):
             if self.random_x0:
                 x0[j] = rng.standard_normal()
             rng.standard_normal(out=noise[j])
-        return _ar1_paths(_centres(thetas, len(x0), 1)[:, 0], x0, noise)
+        return _ar1_paths(_centres(centers, len(x0), 1)[:, 0], x0, noise)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n + 1, "values for the AR(1) path")
@@ -455,25 +456,30 @@ class _AnimalKernel:
         return mu + genetic + environment
 
     def simulate_rotated(self, mu: np.ndarray, sigma2: np.ndarray, tau2: np.ndarray, streams) -> np.ndarray:
-        """``Q'y`` of one :meth:`simulate` draw per stream, row i at ``mu[i]``,
-        ``sigma2[i]`` and ``tau2[i]``, shape (len(streams), N).
+        """``Q'y`` of one :meth:`simulate` draw per stream, shape (len(streams), N):
+        ``mu``, ``sigma2`` and ``tau2`` hold c centres, and centre i draws the
+        ``n = len(streams) / c`` rows from row ``i n`` on.
 
         Each stream draws the two normal vectors of ``simulate`` in its
         order; ``Q'y = mu Q'1 + sqrt(sigma2) sqrt(lam) z1 + sqrt(tau2) Q'z2``
-        is then formed for the whole stack with one product, without forming
-        y.  Rows agree with ``rotate(simulate(...))`` up to rounding.
+        is then formed without forming y, with one product a centre on its n
+        rows.  A product's last bits depend on its row count (one row is a
+        matrix-vector product), so a centre's rows do not depend on the other
+        centres drawn with it.  Rows agree with ``rotate(simulate(...))`` up
+        to rounding.
         """
-        z1, z2 = np.empty((2, len(streams), self.n))
+        c, m = len(mu), len(streams)
+        z1, z2 = np.empty((2, m, self.n))
         for rng, genetic, environment in zip(streams, z1, z2):
             rng.standard_normal(out=genetic)
             rng.standard_normal(out=environment)
-        qty = z2 @ self.q
-        qty *= np.sqrt(tau2)[:, None]
-        # the per-row factors go into the spent normal blocks, not new arrays
-        z1 *= np.multiply(np.sqrt(sigma2)[:, None], self._sqrt_lam, out=z2)
+        z1, z2 = z1.reshape(c, m // c, self.n), z2.reshape(c, m // c, self.n)
+        qty = np.matmul(z2, self.q)
+        qty *= np.sqrt(tau2)[:, None, None]
+        z1 *= np.sqrt(sigma2)[:, None, None] * self._sqrt_lam
         qty += z1
-        qty += np.multiply(mu[:, None], self.ones_t, out=z1)
-        return qty
+        qty += mu[:, None, None] * self.ones_t
+        return qty.reshape(m, self.n)
 
 
 def logit_heritability(params: AnimalParams) -> float:
@@ -556,16 +562,17 @@ class AnimalModel(LikModel):
             hess[outside] = np.nan
         return value, grad, hess
 
-    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
-        """``Q'y`` of one draw per stream, row i at ``thetas[i]``.  Past the
-        bound on ``|phi|`` where :meth:`loglik` is NaN the variances may
-        overflow, and there is no draw: such a row is NaN, so NaO."""
-        phi = _centres(thetas, len(streams), 3)
+    def simulate_stack(self, centers, streams) -> np.ndarray:
+        """``Q'y`` of one draw per stream, the streams split evenly among the
+        centres.  Past the bound on ``|phi|`` where :meth:`loglik` is NaN the
+        variances may overflow, and there is no draw: such a centre's rows
+        are NaN, so NaO."""
+        phi = _centres(centers, len(centers), 3)
         outside = ~(np.abs(phi) <= _PHI_BOUND).all(axis=1)
-        # an outside row is drawn at phi = 0, and then set to NaN
+        # an outside centre draws at phi = 0, and its rows are then set to NaN
         phi = np.where(outside[:, None], 0.0, phi)
         qty = self._kernel.simulate_rotated(phi[:, 0], np.exp(phi[:, 1]), np.exp(phi[:, 2]), streams)
-        qty[outside] = np.nan
+        qty[np.repeat(outside, len(streams) // len(phi))] = np.nan
         return qty
 
     def starts(self, stack) -> np.ndarray:
@@ -626,12 +633,12 @@ class NormalLocationIid(LikModel):
         value = -0.5 * (resid * resid).sum(axis=(1, 2))
         return value, resid.sum(axis=1), np.broadcast_to(-self.n * np.eye(self.p), (len(stack), self.p, self.p))
 
-    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
+    def simulate_stack(self, centers, streams) -> np.ndarray:
         """The samples of one draw per stream as the ``(n, p)`` rows of an ``(m, n, p)`` stack."""
         noise = np.empty((len(streams), self.n, self.p))
         for rng, row in zip(streams, noise):
             rng.standard_normal(out=row)
-        return _centres(thetas, len(noise), self.p)[:, None, :] + noise
+        return _centres(centers, len(noise), self.p)[:, None, :] + noise
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n * self.p).reshape(self.n, self.p)
@@ -657,9 +664,9 @@ class ExponentialRateIid(LikModel):
             hessian = -self.n / th**2
         return value, (self.n / th - total)[:, None], hessian[:, None, None]
 
-    def simulate_stack(self, thetas: np.ndarray, streams) -> np.ndarray:
+    def simulate_stack(self, centers, streams) -> np.ndarray:
         """The samples of one draw per stream as the rows of an ``(m, n)`` stack."""
-        scales = 1.0 / _centres(thetas, len(streams), 1)[:, 0]
+        scales = 1.0 / _centres(centers, len(streams), 1)[:, 0]
         draws = [rng.exponential(scale=scale, size=self.n) for rng, scale in zip(streams, scales.tolist())]
         return np.array(draws).reshape(len(streams), self.n)
 

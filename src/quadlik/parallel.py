@@ -5,7 +5,7 @@ Every Monte Carlo loop in the package draws its data sets through
 at that centre from its own keyed stream ``(seed, *paths[c], j)``.  The
 keys of all the level's streams come from one
 :func:`~quadlik.rng.derive_streams` pass, and all its data sets from one
-``model.simulate_stack`` call, with a centre per row, as one data stack.
+``model.simulate_stack`` call, n rows a centre, as one data stack.
 Each caller evaluates that stack in place and counts its own NaO rows.
 Output therefore depends only on the seed and the paths.
 """
@@ -13,8 +13,6 @@ Output therefore depends only on the seed and the paths.
 from __future__ import annotations
 
 from typing import Callable, TypeVar
-
-import numpy as np
 
 from .rng import derive_streams
 
@@ -35,5 +33,4 @@ def draw(model, centers, n: int, seed: int, paths: list):
     """The data stack of n data sets at each centre, centre by centre: row
     ``c * n + j`` is drawn at ``centers[c]`` from the stream ``(seed,
     *paths[c], j)``."""
-    centers = np.asarray(centers, dtype=float).reshape(len(paths), -1)
-    return model.simulate_stack(np.repeat(centers, n, axis=0), derive_streams(seed, paths, n))
+    return model.simulate_stack(centers, derive_streams(seed, paths, n))

@@ -9,6 +9,8 @@ from scipy import stats
 import quadlik.bootstrap
 import quadlik.parallel
 from quadlik import (
+    AnimalModel,
+    AnimalParams,
     Ar1Model,
     LamnSpec,
     PivotSamples,
@@ -22,6 +24,8 @@ from quadlik import (
     lan_normal_location,
     make_wald_pivot,
     parametric_bootstrap,
+    relationship_matrix,
+    synthetic_pedigree,
     wald_pivot,
     wishart_lamn_model,
 )
@@ -426,6 +430,25 @@ class TestDoubleBootstrapLayout:
         monkeypatch.setattr(quadlik.bootstrap, "INNER_LEVEL_ROWS", rows)
         model = wishart_model()
         self.check(model, self.CASES["wishart"][1], make_wald_pivot(model), seed=59)
+
+    @pytest.mark.parametrize("B2", [1, 7])
+    def test_animal_inner_levels_do_not_depend_on_the_blocks(self, monkeypatch, B2):
+        """The animal draw forms ``Q'y`` with one product a centre, whose last
+        bits depend on its row count, so every inner level is bit for bit the
+        level of one centre a block (``INNER_LEVEL_ROWS`` 1), however many
+        centres share its block."""
+        model = AnimalModel(relationship_matrix(synthetic_pedigree(4, 5, 2, 3)))
+        theta_hat = model.params_to_phi(AnimalParams(0.5, 1.2, 0.8))
+        reports = []
+        for rows in (1, 15, 2**10):
+            monkeypatch.setattr(quadlik.bootstrap, "INNER_LEVEL_ROWS", rows)
+            reports.append(double_bootstrap(model, theta_hat, 9, B2, make_wald_pivot(model), seed=63))
+        alone = reports[0]
+        assert np.isfinite(alone.inner_quantiles).sum() >= 5  # blocks of several inner levels
+        for report in reports[1:]:
+            assert report.outer.values.tobytes() == alone.outer.values.tobytes()
+            assert report.inner_quantiles.tobytes() == alone.inner_quantiles.tobytes()
+            assert np.array_equal(report.coverage, alone.coverage, equal_nan=True)
 
     @pytest.mark.parametrize("rows", [1, 15, 2**10])
     def test_one_key_pass_and_one_draw_per_lockstep_block(self, monkeypatch, rows):

@@ -208,7 +208,7 @@ class TestStackedDraws:
     def test_stack_equals_looped_draws(self, spec, n, seed):
         model = wishart_lamn_model(spec)
         theta = derive_rng(seed, "theta").standard_normal(spec.dim)
-        stacked = model.simulate_stack(theta, [derive_rng(seed, i) for i in range(n)])
+        stacked = model.simulate_stack([theta], [derive_rng(seed, i) for i in range(n)])
         looped = [model.simulate(theta, derive_rng(seed, i)) for i in range(n)]
         assert_same_draws(stacked, looped, spec.dim)
         assert_same_draws(looped, [sample_lamn(spec, theta, derive_rng(seed, i)) for i in range(n)], spec.dim)
@@ -309,7 +309,7 @@ class TestStackedDrawRarePaths:
         with pytest.raises(ValueError, match="draw curvature must be positive definite"):
             [model.simulate(np.zeros(2), rng) for rng in streams()]
         with pytest.raises(ValueError, match="draw curvature must be positive definite"):
-            model.simulate_stack(np.zeros(2), streams())
+            model.simulate_stack([np.zeros(2)], streams())
 
     def test_keyed_level_row_below_the_pivot_floor_raises(self, monkeypatch):
         # no key draws a K below the pivot floor, so the floor is made to

@@ -450,7 +450,7 @@ class TestAnimalSimulate:
     def test_stack_rows_are_rotated_single_draws(self, phi, seed, n):
         model = AnimalModel(relationship_matrix(synthetic_pedigree(6, 30, 3, 5)))
         phi = np.array(phi)
-        stack = model.simulate_stack(phi, [derive_rng(seed, "stack", i) for i in range(n)])
+        stack = model.simulate_stack([phi], [derive_rng(seed, "stack", i) for i in range(n)])
         assert stack.shape == (n, model.n_individuals)
         params = model.phi_to_params(phi)
         for i, held in enumerate(stack):
@@ -461,7 +461,7 @@ class TestAnimalSimulate:
     def test_default_stack_is_the_single_draws(self):
         model = lan_normal_location(np.array([[2.0, 0.5], [0.5, 1.0]]))
         theta = np.array([0.3, -1.0])
-        stack = model.simulate_stack(theta, [derive_rng(4, i) for i in range(5)])
+        stack = model.simulate_stack([theta], [derive_rng(4, i) for i in range(5)])
         assert all(np.array_equal(d, model.simulate(theta, derive_rng(4, i))) for i, d in enumerate(stack))
 
 
@@ -578,7 +578,7 @@ class TestMethodOfMoments:
         y = model.relationship.kernel.simulate(params.mu, params.sigma2, params.tau2, derive_rng(seed, "start"))
         raw = model.params_to_phi(method_of_moments_start(model.relationship, y))
         assert rel_err(model.starts([model.parse_data(y)])[0], raw) <= 1e-12
-        stacked = model.simulate_stack(np.array(phi), [derive_rng(seed, "start")])
+        stacked = model.simulate_stack([phi], [derive_rng(seed, "start")])
         assert rel_err(model.starts(stacked)[0], raw) <= 1e-12
 
 
@@ -626,7 +626,7 @@ class TestStackedStarts:
     )
     def test_starts_equal_the_rotated_formula_bit_for_bit(self, phi, seed, m, identity, poisoned):
         model = self.MODELS[identity]
-        stack = model.simulate_stack(np.array(phi), [derive_rng(seed, "starts", i) for i in range(m)])
+        stack = model.simulate_stack([phi], [derive_rng(seed, "starts", i) for i in range(m)])
         if poisoned and m:
             stack[m // 2] = np.nan  # a response with no start
         starts = model.starts(stack)
@@ -638,7 +638,7 @@ class TestStackedStarts:
 
     def test_identity_design_splits_evenly(self):
         model = self.MODELS[True]
-        starts = model.starts(model.simulate_stack(np.zeros(3), [derive_rng(3, i) for i in range(4)]))
+        starts = model.starts(model.simulate_stack([np.zeros(3)], [derive_rng(3, i) for i in range(4)]))
         assert np.array_equal(starts[:, 1], starts[:, 2])
 
     def test_too_few_individuals_have_no_start(self):
@@ -665,7 +665,7 @@ class TestDataStacks:
     @given(name=st.sampled_from(sorted(MODELS)), n=st.sampled_from([0, 1, 9]), seed=st.integers(0, 2**32 - 1))
     def test_single_draws_are_the_rows_of_simulate_stack(self, name, n, seed):
         model, theta = self.MODELS[name]
-        stack = model.simulate_stack(theta, [derive_rng(seed, "stack", i) for i in range(n)])
+        stack = model.simulate_stack([theta], [derive_rng(seed, "stack", i) for i in range(n)])
         singles = [model.simulate(theta, derive_rng(seed, "stack", i)) for i in range(n)]
         assert np.array_equal(stack, np.array(singles).reshape(stack.shape))
         assert model.stacked_objective(stack).n_rows == n

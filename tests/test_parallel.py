@@ -47,9 +47,9 @@ class MaskedModel(LikModel):
         value, gradient, hessian = quadratic_stack(0.0, stack[:, :1], stack[:, 1:2, None], thetas)
         return np.where(stack[:, 2] == 0.0, value, np.nan), gradient, hessian
 
-    def simulate_stack(self, thetas, streams):
+    def simulate_stack(self, centers, streams):
         rows = []
-        for rng, (theta,) in zip(streams, _centres(thetas, len(streams), 1)):
+        for rng, (theta,) in zip(streams, _centres(centers, len(streams), 1)):
             k = rng.chisquare(3.0)
             rows.append([k * theta + np.sqrt(k) * rng.standard_normal(), k])
         return np.column_stack([np.reshape(rows, (-1, 2)), self.mask[: len(streams)]])
@@ -92,17 +92,19 @@ class TestDraw:
     )
     def test_row_i_is_a_draw_from_stream_i(self, name, n, seed, paths):
         """Row ``(c, j)`` of a many-centre draw is the data set drawn alone at
-        centre c from the stream ``(seed, *paths[c], j)``."""
+        centre c from the stream ``(seed, *paths[c], j)``, and the rows of
+        centre c are its level drawn alone."""
         model, centre = DRAW_MODELS[name]
         centers = np.array([centre(derive_rng(seed, "centre", c)) for c in range(len(paths))])
         stack = draw(model, centers, n, seed, paths)
         assert len(stack) == len(paths) * n
         for c, path in enumerate(paths):
+            assert np.array_equal(stack[c * n : (c + 1) * n], draw(model, centers[c : c + 1], n, seed, [path]))
             for j in range(n):
                 alone = model.simulate(centers[c], derive_rng(seed, *path, j))
                 if name == "animal":
-                    # Q'y of a stack is one matrix product, of a row a vector
-                    # product: equal up to rounding (TestAnimalSimulate)
+                    # Q'y of a level is one matrix product a centre, of a row a
+                    # vector product: equal up to rounding (TestAnimalSimulate)
                     np.testing.assert_allclose(stack[c * n + j], alone, rtol=1e-12, atol=1e-12)
                 else:
                     assert np.array_equal(stack[c * n + j], alone)
