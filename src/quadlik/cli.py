@@ -15,50 +15,24 @@ import math
 import os
 import sys
 import traceback
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .bootstrap import (
-    calibrate,
-    double_bootstrap,
-    make_wald_pivot,
-    parametric_bootstrap,
-)
+from .bootstrap import calibrate, double_bootstrap, make_wald_pivot, parametric_bootstrap
 from .core import QuadraticForm, StackedEval, cholesky_pivots, is_nao, local_shift
-from .funcspace import GridBox, c2_distance, quadraticity_report
-from .parallel import draw
-from .inference import (
-    ConfidenceRegion,
-    chisq_upper_quantile,
-    confidence_region,
-    fit_mle,
-)
+from .funcspace import GridBox, NonFiniteEvaluationError, c2_distance, default_points_per_axis, quadraticity_report
+from .inference import ConfidenceRegion, chisq_upper_quantile, confidence_region, fit_mle
 from .lamn import (
-    ConstantCurvature,
-    LamnSpec,
-    WishartCurvature,
-    contiguity_estimate,
-    hessian_invariance_test,
-    model_contiguity_estimate,
-    score_normality_test,
+    ConstantCurvature, LamnSpec, WishartCurvature, contiguity_estimate, hessian_invariance_test,
+    model_contiguity_estimate, score_normality_test,
 )
 from .models import (
-    AnimalModel,
-    AnimalParams,
-    Ar1Model,
-    DataFormatError,
-    ExponentialRateIid,
-    NormalLocationIid,
-    ar1_expected_info,
-    ar1_simulate_paths,
-    lan_normal_location,
-    load_pedigree_csv,
-    load_vector_csv,
-    logit_heritability,
-    relationship_matrix,
-    synthetic_pedigree,
-    wishart_lamn_model,
+    AnimalModel, AnimalParams, Ar1Model, DataFormatError, ExponentialRateIid, NormalLocationIid, PedigreeError, ar1_expected_info, ar1_simulate_paths, lan_normal_location, load_pedigree_csv, load_vector_csv,
+    logit_heritability, relationship_matrix, synthetic_pedigree, wishart_lamn_model,
 )
+from .parallel import draw
 from .newton import DEFAULT_MAX_STEPS
 from .rng import derive_rng
 
@@ -97,11 +71,9 @@ class ReportRecord:
     def put(self, key: str, value) -> None:
         if key in self._items:
             raise KeyError(f"duplicate report key {key!r}")
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.integer)):
             value = int(value)
-        elif isinstance(value, (np.integer,)):
-            value = int(value)
-        elif isinstance(value, (np.floating,)):
+        elif isinstance(value, np.floating):
             value = float(value)
         elif isinstance(value, np.ndarray):
             value = [float(v) for v in value.ravel()]
@@ -119,9 +91,6 @@ class ReportRecord:
     def update(self, mapping: dict) -> None:
         for key, value in mapping.items():
             self.put(key, value)
-
-    def items(self):
-        return self._items.items()
 
     def get(self, key: str):
         return self._items[key]
@@ -172,53 +141,42 @@ class ReportRecord:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config tables
 # ---------------------------------------------------------------------------
 
-
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+REQUIRED = object()  # the default of a key that must be given
 
 
-def _get(block: dict, key: str, types, where: str, required: bool = True, default=None):
-    if key not in block:
-        if required:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    value = block[key]
-    if types is float:
-        try:
-            return _real(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}.{key}: expected a finite real") from None
-    if types is int and isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected an integer, got a boolean")
-    if not isinstance(value, types if isinstance(types, tuple) else (types,)):
-        raise ConfigError(f"{where}.{key}: expected {types}, got {type(value).__name__}")
-    return value
+@dataclass(frozen=True)
+class Key:
+    """How one config key is read.
+
+    ``kind`` names its reader in READERS; ``a|b`` reads a list with ``b``, else
+    with ``a``.  ``default`` applies where the key is absent (REQUIRED: it must
+    be given; defaults are shared, never modified).  ``minimum`` is an
+    integer's least value; ``minimum`` and ``maximum`` bound reals, exclusive.
+    A ``per_axis`` value has one entry a parameter, a single real repeated.
+    ``table`` reads a block (``kinds``: one table a ``kind``); ``then(value,
+    name)`` builds the library object the value stands for.
+    """
+
+    kind: str
+    default: object = REQUIRED
+    minimum: float | None = None
+    maximum: float | None = None
+    nonempty: bool = False
+    per_axis: bool = False
+    choices: tuple = ()
+    table: dict | None = None
+    then: Callable | None = None
 
 
-def _get_count(
-    block: dict, key: str, where: str, required: bool = True, default=None, minimum: int = 1
-) -> int:
-    """An integer of at least ``minimum`` (1: a positive count, 0: a non-negative one;
-    2 for a sample size that a spread or a two-sample test needs)."""
-    value = _get(block, key, int, where, required, default)
-    if value is not None and value < minimum:
-        kind = {0: "a non-negative count", 1: "a positive count"}.get(minimum, f"a count of at least {minimum}")
-        raise ConfigError(f"{where}.{key}: must be {kind}, got {value}")
-    return value
-
-
-def _get_counts(block: dict, key: str, where: str, required: bool = True, default=None) -> list[int]:
-    raw = _get(block, key, list, where, required, None)
-    if raw is None:
-        return default
-    if not raw or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in raw):
-        raise ConfigError(f"{where}.{key}: expected a non-empty list of positive counts")
-    return raw
+def _keyed(name: str, make, *args, errors=ValueError):
+    """``make(*args)``, a library check's ``errors`` re-raised as a ConfigError naming the key ``name``."""
+    try:
+        return make(*args)
+    except errors as err:
+        raise ConfigError(f"{name}: {err}") from None
 
 
 def _real(v) -> float:
@@ -231,145 +189,271 @@ def _real(v) -> float:
     return float(v)
 
 
-def _get_vector(
-    block: dict, key: str, where: str, required: bool = True, default=None, length: int | None = None
-):
-    """A list of reals; with ``length``, exactly that many (the parameter dimension)."""
-    raw = _get(block, key, list, where, required, None)
-    if raw is None:
-        return default
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _read_int(value, key: Key, name: str) -> int:
+    if not _is_int(value):
+        raise ConfigError(f"{name}: expected an integer, got {type(value).__name__}")
+    if key.minimum is not None and value < key.minimum:
+        kind = {0: "a non-negative count", 1: "a positive count"}.get(key.minimum, f"a count of at least {key.minimum}")
+        raise ConfigError(f"{name}: must be {kind}, got {value}")
+    return value
+
+
+def _read_reals(value, key: Key, name: str):
+    """A real, a list of reals or a list of rows of reals, by ``key.kind``."""
     try:
-        vec = np.asarray([_real(v) for v in raw])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key}: expected a list of finite reals") from None
-    if length is not None and vec.size != length:
-        raise ConfigError(
-            f"{where}.{key}: length {vec.size} does not match the parameter dimension {length}"
-        )
-    return vec
+        if key.kind == "real":
+            out = _real(value)
+        elif key.kind == "vector":
+            out = np.asarray([_real(v) for v in _typed(value, list, name)])
+        else:
+            out = np.asarray([[_real(v) for v in _typed(row, list, name)] for row in _typed(value, list, name)])
+    except (TypeError, ValueError):  # a ConfigError of _typed too
+        what = {"real": "a finite real", "vector": "a list of finite reals"}.get(key.kind, "a list of rows of finite reals")
+        raise ConfigError(f"{name}: expected {what}") from None
+    if key.kind == "matrix" and (out.ndim != 2 or out.shape[0] != out.shape[1]):
+        raise ConfigError(f"{name}: expected a square matrix")
+    if key.nonempty and not np.size(out):
+        raise ConfigError(f"{name}: expected a non-empty list")
+    low, high = key.minimum, key.maximum
+    if not np.all((low is None or out > low) & (high is None or out < high)):
+        bounds = "be positive and finite" if high is None else f"lie strictly between {low:g} and {high:g}"
+        raise ConfigError(f"{name}: must {bounds}, got {value}")
+    return out
 
 
-def _get_matrix(block: dict, key: str, where: str, required: bool = True, default=None):
-    raw = _get(block, key, list, where, required, None)
-    if raw is None:
-        return default
-    try:
-        mat = np.asarray([[_real(v) for v in row] for row in raw])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key}: expected a list of rows of finite reals") from None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ConfigError(f"{where}.{key}: expected a square matrix")
-    return mat
+def _read_counts(value, key: Key, name: str) -> list[int]:
+    if not isinstance(value, list) or not value or not all(_is_int(v) and v >= 1 for v in value):
+        raise ConfigError(f"{name}: expected a non-empty list of positive counts")
+    return value
 
 
-COMMON_KEYS = {"schema_version", "experiment", "seed", "out"}
+def _typed(value, types, name: str):
+    if not isinstance(value, types):
+        raise ConfigError(f"{name}: expected {types.__name__}, got {type(value).__name__}")
+    return value
 
-EXPERIMENT_KEYS = {
-    "fit": {"model", "data", "alpha", "max_steps"},
-    "diagnose": {
-        "model", "data", "alpha", "box_halfwidth", "points_per_axis",
-        "test_nsim", "theta_b", "contiguity_delta", "contiguity_nsim",
-    },
-    "bootstrap": {"model", "data", "alpha", "B", "double", "B2", "dump_pivots"},
-    "lamn-verify": {"spec", "nsim", "n_deltas", "delta_scale", "test_nsim", "theta_a", "theta_b"},
-    "ar1-study": {
-        "thetas", "n", "x0", "mc_paths", "theta_a", "theta_b",
-        "invariance_nsim", "box_halfwidth", "points_per_axis",
-    },
-    "animal-study": {"model", "truth", "data", "alpha", "B"},
-    "classical-comparison": {
-        "unit", "psi", "ladder", "replications", "tau", "box_halfwidth", "points_per_axis",
-    },
+
+def _read_block(value, key: Key, name: str) -> dict:
+    table = key.table
+    if key.kind == "kinds":
+        kind = _value(_typed(value, dict, name), "kind", Key("str", choices=tuple(key.table)), name)
+        table = {"kind": Key("str"), **key.table[kind]}
+    return _read_table(value, table, name)
+
+
+READERS = {
+    "int": _read_int, "counts": _read_counts, "real": _read_reals, "vector": _read_reals, "matrix": _read_reals,
+    "bool": lambda value, key, name: _typed(value, bool, name), "str": lambda value, key, name: _typed(value, str, name),
+    "block": _read_block, "kinds": _read_block,
 }
 
-MODEL_KINDS = {"lan", "wishart_lamn", "ar1", "animal", "iid_normal", "iid_exponential"}
+
+def _value(block: dict, name: str, key: Key, where: str):
+    """``block[name]`` read by ``key``, or its default where absent."""
+    if name not in block:
+        if key.default is REQUIRED:
+            raise ConfigError(f"{where}: missing required key {name!r}")
+        return key.default
+    full = f"{where}.{name}"
+    if "|" in key.kind:  # one value for every axis, or a list of them
+        single, listed = key.kind.split("|")
+        key = replace(key, kind=listed if isinstance(block[name], list) else single)
+    value = READERS[key.kind](block[name], key, full)
+    if key.choices and value not in key.choices:
+        raise ConfigError(f"{full}: expected one of {list(key.choices)}, got {value!r}")
+    return value if key.then is None else key.then(value, full)
+
+
+def _read_table(block, table: dict[str, Key], where: str) -> dict:
+    """Every key of ``table`` read from ``block`` once, defaults filled in;
+    a key ``table`` does not name is an error."""
+    unknown = set(_typed(block, dict, where)) - set(table)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    return {name: _value(block, name, key, where) for name, key in table.items()}
+
+
+def _lamn_spec(dim: int, curvature: dict, where: str, dim_name: str) -> LamnSpec:
+    """A LAMN spec from its dimension and a curvature block: a Wishart law's
+    ``dof`` and optional ``scale`` (default ``I / dof``), or a constant ``k``."""
+    if "dof" not in curvature:
+        law = _keyed(f"{where}.k", ConstantCurvature, curvature["k"])
+    else:
+        dof, scale = curvature["dof"], curvature["scale"]
+        if not dof > dim - 1:
+            raise ConfigError(f"{where}.dof: must exceed dim - 1 = {dim - 1}, got {dof}")
+        law = _keyed(f"{where}.scale", WishartCurvature, dof, np.eye(dim) / dof if scale is None else scale)
+    return _keyed(dim_name, LamnSpec, dim, law)
+
+
+def _model_block(model: dict, where: str) -> dict:
+    """A model block's cross-key rules; a Wishart LAMN model gets its ``spec``."""
+    if model["kind"] == "wishart_lamn":
+        model["spec"] = _lamn_spec(model["dim"], model, where, f"{where}.dim")
+    if model["kind"] == "animal" and (model["pedigree"] is None) == (model["synthetic"] is None):
+        raise ConfigError(f"{where}: give exactly one of 'pedigree' or 'synthetic'")
+    return model
+
+
+def _model_dim(model: dict) -> tuple[int, str]:
+    """A model block's parameter dimension and the key that sets it."""
+    if model["kind"] == "lan":
+        return len(model["k"]), "config.model.k"
+    if model["kind"] in ("wishart_lamn", "iid_normal"):
+        name = "dim" if model["kind"] == "wishart_lamn" else "p"
+        return model[name], f"config.model.{name}"
+    return (3 if model["kind"] == "animal" else 1), "config.model.kind"
+
+
+COUNT = Key("int", minimum=1)
+SAMPLE = 2  # the least size of a sample whose spread or two-sample test is taken
+WISHART = {"dof": Key("real"), "scale": Key("matrix", None)}
+# synthetic_pedigree's check left to it: a generation of one child has no two parents to draw for the next
+SYNTHETIC = Key("block", None, table={
+    "founders": Key("int", minimum=2), "per_generation": COUNT, "generations": Key("int", minimum=0),
+    "seed": Key("int", minimum=0),
+}, then=lambda s, where: _keyed(
+    f"{where}.per_generation", synthetic_pedigree, s["founders"], s["per_generation"], s["generations"], s["seed"]))
+MODEL_KINDS = {
+    "lan": {"k": Key("matrix")},
+    "wishart_lamn": {"dim": COUNT, **WISHART},
+    "ar1": {"n": COUNT, "x0": Key("real", 1.0), "random_x0": Key("bool", False)},
+    "animal": {"pedigree": Key("str", None), "synthetic": SYNTHETIC},
+    "iid_normal": {"p": COUNT, "n": COUNT},
+    "iid_exponential": {"n": COUNT},
+}
+MODEL = Key("kinds", table=MODEL_KINDS, then=_model_block)
+SPEC = Key("block", table={
+    "dim": COUNT,
+    "curvature": Key("kinds", table={"constant": {"k": Key("matrix")}, "wishart": WISHART}),
+}, then=lambda spec, where: _lamn_spec(spec["dim"], spec["curvature"], f"{where}.curvature", f"{where}.dim"))
+TRUTH = Key("block", None, table={
+    "mu": Key("real"), "sigma2": Key("real", minimum=0.0), "tau2": Key("real", minimum=0.0),
+}, then=lambda truth, where: AnimalParams(**truth))
+ALPHA = Key("real", 0.05, minimum=0.0, maximum=1.0)
+DATA = Key("str")
+BOX = Key("real|vector", 1.0, minimum=0.0, per_axis=True)
+POINTS = Key("int|counts", None, per_axis=True)
+
+COMMON = {"schema_version": Key("int", choices=(SCHEMA_VERSION,)), "seed": Key("int", minimum=0), "out": Key("str", None)}
+EXPERIMENTS = {
+    "fit": {"model": MODEL, "data": DATA, "alpha": ALPHA, "max_steps": Key("int", DEFAULT_MAX_STEPS, minimum=0)},
+    "diagnose": {
+        "model": MODEL, "data": DATA, "alpha": ALPHA, "box_halfwidth": BOX, "points_per_axis": POINTS,
+        "test_nsim": Key("int", 500, minimum=SAMPLE), "theta_b": Key("vector", None, per_axis=True),
+        "contiguity_delta": Key("vector", None, per_axis=True), "contiguity_nsim": Key("int", 2000, minimum=SAMPLE),
+    },
+    "bootstrap": {
+        "model": MODEL, "data": DATA, "alpha": ALPHA, "B": COUNT, "double": Key("bool", False),
+        "B2": Key("int", None, minimum=1), "dump_pivots": Key("bool", False),
+    },
+    "lamn-verify": {
+        "spec": SPEC, "nsim": Key("int", 100_000, minimum=SAMPLE), "n_deltas": Key("int", 5, minimum=1),
+        "delta_scale": Key("real", 1.0), "test_nsim": Key("int", 2000, minimum=SAMPLE),
+        "theta_a": Key("vector", 0.0, per_axis=True), "theta_b": Key("vector", 1.0, per_axis=True),
+    },
+    "ar1-study": {
+        "thetas": Key("vector", np.array([0.0, 0.5, 0.9, 1.0]), nonempty=True), "n": Key("int", 50, minimum=1),
+        "x0": Key("real", 1.0), "mc_paths": Key("int", 100_000, minimum=1), "theta_a": Key("real", 0.0),
+        "theta_b": Key("real", 0.9), "invariance_nsim": Key("int", 2000, minimum=SAMPLE),
+        "box_halfwidth": BOX, "points_per_axis": POINTS,
+    },
+    "animal-study": {
+        "model": replace(MODEL, table={"animal": MODEL_KINDS["animal"]}), "truth": TRUTH,
+        "data": Key("str", None), "alpha": ALPHA, "B": Key("int", 0, minimum=0),
+    },
+    "classical-comparison": {
+        "unit": Key("str", "normal", choices=("normal", "exponential")),
+        # the exponential unit's psi is its one rate
+        "psi": Key("vector", np.array([1.0]), per_axis=True),
+        "ladder": Key("counts", [10, 100, 1000, 10000]), "replications": Key("int", 100, minimum=1),
+        "tau": Key("str", "sqrt_n", choices=("sqrt_n", "one")),
+        "box_halfwidth": replace(BOX, default=2.0), "points_per_axis": POINTS,
+    },
+}
+EXPERIMENT = Key("str", choices=tuple(EXPERIMENTS))
+
+# experiment -> its parameter dimension and the key that sets it, for per-axis keys and the grid box
+PARAM_DIM = {
+    "diagnose": lambda cfg: _model_dim(cfg["model"]),
+    "lamn-verify": lambda cfg: (cfg["spec"].dim, "config.spec.dim"),
+    "ar1-study": lambda cfg: (1, "config"),
+    "classical-comparison": lambda cfg: (cfg["psi"].size if cfg["unit"] == "normal" else 1, "config.psi"),
+}
+
+
+def _grid_box(half: np.ndarray, points, dim: int, dim_name: str) -> GridBox:
+    """The grid box centred at zero, by default with the default grid of its dimension."""
+    if points is None:
+        points = _keyed(dim_name, default_points_per_axis, dim)
+    return _keyed("config.box_halfwidth", GridBox, -half, half, points)
+
+
+def read_config(raw, base_dir: str) -> dict:
+    """Every value of a parsed config, read and checked once by its
+    experiment's table; ``base_dir`` resolves its relative paths."""
+    experiment = _value(_typed(raw, dict, "config"), "experiment", EXPERIMENT, "config")
+    table = EXPERIMENTS[experiment]
+    cfg = _read_table(raw, {"experiment": EXPERIMENT, **COMMON, **table}, "config")
+    cfg["_dir"] = base_dir
+    if experiment in PARAM_DIM:
+        dim, dim_name = PARAM_DIM[experiment](cfg)
+        for name, key in table.items():
+            value = cfg[name]
+            if key.per_axis and isinstance(value, float):
+                cfg[name] = np.full(dim, value)
+            elif key.per_axis and isinstance(value, (list, np.ndarray)) and len(value) != dim:
+                raise ConfigError(f"config.{name}: length {len(value)} does not match the parameter dimension {dim}")
+        if "box_halfwidth" in table:
+            cfg["box"] = _grid_box(cfg["box_halfwidth"], cfg["points_per_axis"], dim, dim_name)
+    if experiment == "bootstrap" and cfg["double"] and cfg["B2"] is None:
+        raise ConfigError("config.B2: required when double is true")
+    if experiment == "animal-study" and cfg["data"] is None and cfg["truth"] is None:
+        raise ConfigError("config: animal-study needs either 'data' or 'truth' to simulate from")
+    if experiment == "classical-comparison" and cfg["unit"] == "exponential" and not cfg["psi"][0] > 0:
+        raise ConfigError(f"config.psi: the exponential unit's rate must be positive, got {cfg['psi'][0]}")
+    return cfg
 
 
 def load_config(path: str) -> dict:
-    """Load and strictly validate a config file; unknown keys are rejected."""
+    """Read a config file and check all of it (``read_config``), before any model is built or data file opened."""
     try:
         with open(path, "r", encoding="utf8") as handle:
-            cfg = json.load(handle)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON ({err})") from err
-    if not isinstance(cfg, dict):
+            raw = json.load(handle)
+    except ValueError as err:  # not UTF-8, not JSON, or an integer too long to read
+        raise ConfigError(f"{path}: invalid JSON ({err})") from None
+    if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    experiment = _get(cfg, "experiment", str, "config")
-    if experiment not in EXPERIMENT_KEYS:
-        raise ConfigError(f"config.experiment: unknown experiment {experiment!r}")
-    _check_keys(cfg, COMMON_KEYS | EXPERIMENT_KEYS[experiment], "config")
-    version = _get(cfg, "schema_version", int, "config")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"config.schema_version: expected {SCHEMA_VERSION}, got {version}")
-    seed = _get(cfg, "seed", int, "config")
-    if seed < 0:
-        raise ConfigError(f"config.seed: must be a non-negative integer, got {seed}")
-    alpha = _get(cfg, "alpha", float, "config", required=False)
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise ConfigError(f"config.alpha: must lie strictly between 0 and 1, got {alpha}")
-    cfg["_dir"] = os.path.dirname(os.path.abspath(path))
-    return cfg
+    return read_config(raw, os.path.dirname(os.path.abspath(path)))
 
 
 def _resolve(cfg: dict, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(cfg["_dir"], path)
 
 
-def _wishart_curvature(block: dict, dim: int, where: str) -> WishartCurvature:
-    """``dof`` and an optional ``scale`` (default ``I / dof``)."""
-    dof = _get(block, "dof", float, where)
-    if not dof > dim - 1:
-        raise ConfigError(f"{where}.dof: must exceed dim - 1 = {dim - 1}, got {dof}")
-    scale = _get_matrix(block, "scale", where, required=False)
-    return WishartCurvature(dof, np.eye(dim) / dof if scale is None else scale)
-
-
 def _build_model(cfg: dict):
-    block = _get(cfg, "model", dict, "config")
-    kind = _get(block, "kind", str, "config.model")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"config.model.kind: unknown kind {kind!r}")
+    model = cfg["model"]
+    kind = model["kind"]
     if kind == "lan":
-        _check_keys(block, {"kind", "k"}, "config.model")
-        return lan_normal_location(_get_matrix(block, "k", "config.model"))
+        return _keyed("config.model.k", lan_normal_location, model["k"])
     if kind == "wishart_lamn":
-        _check_keys(block, {"kind", "dim", "dof", "scale"}, "config.model")
-        dim = _get_count(block, "dim", "config.model")
-        return wishart_lamn_model(LamnSpec(dim, _wishart_curvature(block, dim, "config.model")))
+        return wishart_lamn_model(model["spec"])
     if kind == "ar1":
-        _check_keys(block, {"kind", "n", "x0", "random_x0"}, "config.model")
-        return Ar1Model(
-            _get_count(block, "n", "config.model"),
-            _get(block, "x0", float, "config.model", required=False, default=1.0),
-            _get(block, "random_x0", bool, "config.model", required=False, default=False),
-        )
+        return Ar1Model(model["n"], model["x0"], model["random_x0"])
     if kind == "animal":
-        _check_keys(block, {"kind", "pedigree", "synthetic"}, "config.model")
-        ped_path = _get(block, "pedigree", str, "config.model", required=False)
-        synth = _get(block, "synthetic", dict, "config.model", required=False)
-        if (ped_path is None) == (synth is None):
-            raise ConfigError("config.model: give exactly one of 'pedigree' or 'synthetic'")
-        if ped_path is not None:
-            ped = load_pedigree_csv(_resolve(cfg, ped_path))
-        else:
-            where = "config.model.synthetic"
-            _check_keys(synth, {"founders", "per_generation", "generations", "seed"}, where)
-            ped = synthetic_pedigree(
-                _get_count(synth, "founders", where, minimum=2),
-                _get_count(synth, "per_generation", where),
-                _get_count(synth, "generations", where, minimum=0),
-                _get_count(synth, "seed", where, minimum=0),
-            )
+        ped = model["synthetic"] if model["pedigree"] is None else load_pedigree_csv(_resolve(cfg, model["pedigree"]))
         return AnimalModel(relationship_matrix(ped))
     if kind == "iid_normal":
-        _check_keys(block, {"kind", "p", "n"}, "config.model")
-        return NormalLocationIid(_get_count(block, "p", "config.model"), _get_count(block, "n", "config.model"))
-    _check_keys(block, {"kind", "n"}, "config.model")
-    return ExponentialRateIid(_get_count(block, "n", "config.model"))
+        return NormalLocationIid(model["p"], model["n"])
+    return ExponentialRateIid(model["n"])
 
 
 def _load_data(cfg: dict, model) -> np.ndarray:
-    return model.parse_data(load_vector_csv(_resolve(cfg, _get(cfg, "data", str, "config"))))
+    return model.parse_data(load_vector_csv(_resolve(cfg, cfg["data"])))
 
 
 def _standard_errors(info: np.ndarray) -> np.ndarray:
@@ -405,12 +489,11 @@ def _put_fit(record: ReportRecord, fit, alpha: float, prefix: str = "fit") -> No
 def run_fit(cfg: dict) -> tuple[ReportRecord, int]:
     model = _build_model(cfg)
     data = _load_data(cfg, model)
-    alpha = _get(cfg, "alpha", float, "config", required=False, default=0.05)
+    alpha = cfg["alpha"]
     record = _start_record(cfg)
     record.put("model_kind", cfg["model"]["kind"])
     record.put("alpha", alpha)
-    max_steps = _get_count(cfg, "max_steps", "config", required=False, default=DEFAULT_MAX_STEPS, minimum=0)
-    fit = fit_mle(model, data, max_steps=max_steps)
+    fit = fit_mle(model, data, max_steps=cfg["max_steps"])
     _put_fit(record, fit, alpha)
     if is_nao(fit.theta_hat):
         return record, EXIT_NAO
@@ -429,49 +512,28 @@ def _put_animal_fit(record: ReportRecord, model: AnimalModel, theta_hat: np.ndar
     return h_hat
 
 
-def _get_box(cfg: dict, dim: int, default_halfwidth: float) -> GridBox:
-    """Grid box centered at zero from ``box_halfwidth`` and ``points_per_axis``.
-
-    Each key takes one value for every axis or a list with one per axis.
-    """
-    if isinstance(cfg.get("box_halfwidth"), list):
-        half = _get_vector(cfg, "box_halfwidth", "config", length=dim)
-    else:
-        half = np.full(dim, _get(cfg, "box_halfwidth", float, "config", required=False, default=default_halfwidth))
-    if not np.all((half > 0) & np.isfinite(half)):
-        raise ConfigError("config.box_halfwidth: must be positive and finite")
-    if isinstance(cfg.get("points_per_axis"), list):
-        points = _get_counts(cfg, "points_per_axis", "config")
-        if len(points) != dim:
-            raise ConfigError(f"config.points_per_axis: length {len(points)} does not match the parameter dimension {dim}")
-    else:
-        points = _get_count(cfg, "points_per_axis", "config", required=False)
-    if points is None:
-        return GridBox.default(-half, half)
-    return GridBox(-half, half, np.asarray(points, dtype=int))
+def _quadraticity(shifted, box: GridBox) -> dict:
+    """The quadraticity report of a shifted objective on ``box``; the box reaching
+    an NaO or non-finite evaluation is an input error of ``box_halfwidth``."""
+    report = _keyed("config.box_halfwidth", quadraticity_report, shifted, np.zeros(box.dim), box, errors=NonFiniteEvaluationError)
+    return report.to_record()
 
 
 def run_diagnose(cfg: dict) -> tuple[ReportRecord, int]:
     model = _build_model(cfg)
     data = _load_data(cfg, model)
-    seed = cfg["seed"]
-    alpha = _get(cfg, "alpha", float, "config", required=False, default=0.05)
-    test_nsim = _get_count(cfg, "test_nsim", "config", required=False, default=500, minimum=2)
-    contiguity_nsim = _get_count(cfg, "contiguity_nsim", "config", required=False, default=2000, minimum=2)
-    box = _get_box(cfg, model.dim_param, 1.0)
-    theta_b = _get_vector(cfg, "theta_b", "config", required=False, length=model.dim_param)
-    delta = _get_vector(cfg, "contiguity_delta", "config", required=False, length=model.dim_param)
+    seed, test_nsim, theta_b, delta = cfg["seed"], cfg["test_nsim"], cfg["theta_b"], cfg["contiguity_delta"]
     record = _start_record(cfg)
     record.put("model_kind", cfg["model"]["kind"])
     fit = fit_mle(model, data)
-    _put_fit(record, fit, alpha)
+    _put_fit(record, fit, cfg["alpha"])
     if is_nao(fit.theta_hat):
         return record, EXIT_NAO
     theta_hat = fit.theta_hat
     p = theta_hat.size
 
     shifted = local_shift(model, data, theta_hat, tau=1.0)
-    record.update(quadraticity_report(shifted, np.zeros(p), box).to_record())
+    record.update(_quadraticity(shifted, cfg["box"]))
 
     step = _standard_errors(fit.observed_info)
     if theta_b is None:
@@ -484,25 +546,15 @@ def run_diagnose(cfg: dict) -> tuple[ReportRecord, int]:
 
     if delta is None:
         delta = step / 2.0
-    mean, se_c, n_nao = model_contiguity_estimate(model, theta_hat, delta, contiguity_nsim, seed)
-    record.put("contiguity_delta", delta)
-    record.put("contiguity_mean", mean)
-    record.put("contiguity_se", se_c)
-    record.put("contiguity_n_nao", n_nao)
+    mean, se_c, n_nao = model_contiguity_estimate(model, theta_hat, delta, cfg["contiguity_nsim"], seed)
+    record.update({"contiguity_delta": delta, "contiguity_mean": mean, "contiguity_se": se_c, "contiguity_n_nao": n_nao})
     return record, _checks_exit(record, invariance.p_value, normality.p_value, mean)
 
 
 def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
     model = _build_model(cfg)
     data = _load_data(cfg, model)
-    seed = cfg["seed"]
-    alpha = _get(cfg, "alpha", float, "config", required=False, default=0.05)
-    B = _get_count(cfg, "B", "config")
-    use_double = _get(cfg, "double", bool, "config", required=False, default=False)
-    B2 = _get(cfg, "B2", int, "config", required=False, default=0)
-    dump = _get(cfg, "dump_pivots", bool, "config", required=False, default=False)
-    if use_double and B2 < 1:
-        raise ConfigError("config.B2: required (>= 1) when double is true")
+    seed, alpha, B, use_double = cfg["seed"], cfg["alpha"], cfg["B"], cfg["double"]
     record = _start_record(cfg)
     record.put("model_kind", cfg["model"]["kind"])
     record.put("alpha", alpha)
@@ -513,7 +565,7 @@ def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
     pivot = make_wald_pivot(model)
     if use_double:
         # its outer level is the single bootstrap (same seed, B and streams)
-        report = double_bootstrap(model, fit.theta_hat, B, B2, pivot, seed, level=1.0 - alpha)
+        report = double_bootstrap(model, fit.theta_hat, B, cfg["B2"], pivot, seed, level=1.0 - alpha)
         samples = report.outer
     else:
         samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, seed)
@@ -525,26 +577,11 @@ def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
             fit.theta_hat, fit.observed_info, cal.calibrated_quantile, 1.0 - alpha
         )
         record.update(calibrated_region.to_record("calibrated_region"))
-    if dump:
+    if cfg["dump_pivots"]:
         record.put("pivot_values", samples.values)
     if use_double:
         record.update(report.to_record())
     return record, EXIT_OK
-
-
-def _build_spec(cfg: dict) -> LamnSpec:
-    block = _get(cfg, "spec", dict, "config")
-    _check_keys(block, {"dim", "curvature"}, "config.spec")
-    dim = _get_count(block, "dim", "config.spec")
-    curv = _get(block, "curvature", dict, "config.spec")
-    kind = _get(curv, "kind", str, "config.spec.curvature")
-    if kind == "constant":
-        _check_keys(curv, {"kind", "k"}, "config.spec.curvature")
-        return LamnSpec(dim, ConstantCurvature(_get_matrix(curv, "k", "config.spec.curvature")))
-    if kind == "wishart":
-        _check_keys(curv, {"kind", "dof", "scale"}, "config.spec.curvature")
-        return LamnSpec(dim, _wishart_curvature(curv, dim, "config.spec.curvature"))
-    raise ConfigError(f"config.spec.curvature.kind: unknown kind {kind!r}")
 
 
 def _checks_exit(record: ReportRecord, *results: float) -> int:
@@ -564,28 +601,19 @@ def _dev_se(mean: float, se: float, target: float) -> float:
 
 
 def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
-    spec = _build_spec(cfg)
-    seed = cfg["seed"]
-    nsim = _get_count(cfg, "nsim", "config", required=False, default=100_000, minimum=2)
-    n_deltas = _get_count(cfg, "n_deltas", "config", required=False, default=5)
-    delta_scale = _get(cfg, "delta_scale", float, "config", required=False, default=1.0)
-    test_nsim = _get_count(cfg, "test_nsim", "config", required=False, default=2000, minimum=2)
-    theta_a = _get_vector(cfg, "theta_a", "config", required=False, default=np.zeros(spec.dim), length=spec.dim)
-    theta_b = _get_vector(cfg, "theta_b", "config", required=False, default=np.ones(spec.dim), length=spec.dim)
+    spec, seed, test_nsim, theta_a = cfg["spec"], cfg["seed"], cfg["test_nsim"], cfg["theta_a"]
     record = _start_record(cfg)
     record.put("spec_dim", spec.dim)
     record.put("spec_curvature", type(spec.curvature).__name__)
 
     delta_rng = derive_rng(seed, "deltas")
     devs = []
-    for i in range(n_deltas):
-        delta = delta_scale * (2.0 * delta_rng.random(spec.dim) - 1.0)
-        mean, se = contiguity_estimate(spec, delta, nsim, seed, stream=i)
+    for i in range(cfg["n_deltas"]):
+        delta = cfg["delta_scale"] * (2.0 * delta_rng.random(spec.dim) - 1.0)
+        mean, se = contiguity_estimate(spec, delta, cfg["nsim"], seed, stream=i)
         devs.append(_dev_se(mean, se, 1.0))
-        record.put(f"contiguity_{i}_delta", delta)
-        record.put(f"contiguity_{i}_mean", mean)
-        record.put(f"contiguity_{i}_se", se)
-        record.put(f"contiguity_{i}_dev_se", devs[-1])
+        record.update({f"contiguity_{i}_delta": delta, f"contiguity_{i}_mean": mean,
+                       f"contiguity_{i}_se": se, f"contiguity_{i}_dev_se": devs[-1]})
     record.put("contiguity_max_dev_se", np.max(devs, initial=0.0))
     if _checks_exit(record, *devs) == EXIT_NAO:
         return record, EXIT_NAO
@@ -593,21 +621,14 @@ def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
     model = wishart_lamn_model(spec) if isinstance(spec.curvature, WishartCurvature) else lan_normal_location(spec.curvature.k)
     normality = score_normality_test(model, theta_a, test_nsim, seed)
     record.update(normality.to_record("normality"))
-    invariance = hessian_invariance_test(model, theta_a, theta_b, test_nsim, seed)
+    invariance = hessian_invariance_test(model, theta_a, cfg["theta_b"], test_nsim, seed)
     record.update(invariance.to_record("invariance"))
     return record, _checks_exit(record, normality.p_value, invariance.p_value)
 
 
 def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
-    seed = cfg["seed"]
-    thetas = _get_vector(cfg, "thetas", "config", required=False, default=np.array([0.0, 0.5, 0.9, 1.0]))
-    n = _get_count(cfg, "n", "config", required=False, default=50)
-    x0 = _get(cfg, "x0", float, "config", required=False, default=1.0)
-    mc_paths = _get_count(cfg, "mc_paths", "config", required=False, default=100_000)
-    theta_a = _get(cfg, "theta_a", float, "config", required=False, default=0.0)
-    theta_b = _get(cfg, "theta_b", float, "config", required=False, default=0.9)
-    invariance_nsim = _get_count(cfg, "invariance_nsim", "config", required=False, default=2000, minimum=2)
-    box = _get_box(cfg, 1, 1.0)
+    seed, thetas, n, x0, mc_paths = cfg["seed"], cfg["thetas"], cfg["n"], cfg["x0"], cfg["mc_paths"]
+    theta_a, theta_b = np.array([cfg["theta_a"]]), np.array([cfg["theta_b"]])
     record = _start_record(cfg)
     record.put("n", n)
     record.put("x0", x0)
@@ -623,16 +644,13 @@ def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
             mean = float(info.mean())
             se = float(info.std(ddof=1) / np.sqrt(mc_paths))
         devs.append(_dev_se(mean, se, expected))
-        record.put(f"info_{idx}_theta", float(theta))
-        record.put(f"info_{idx}_recursion", expected)
-        record.put(f"info_{idx}_mc_mean", mean)
-        record.put(f"info_{idx}_mc_se", se)
-        record.put(f"info_{idx}_dev_se", devs[-1])
+        record.update({f"info_{idx}_theta": float(theta), f"info_{idx}_recursion": expected, f"info_{idx}_mc_mean": mean,
+                       f"info_{idx}_mc_se": se, f"info_{idx}_dev_se": devs[-1]})
     if _checks_exit(record, *devs) == EXIT_NAO:
         return record, EXIT_NAO
 
     model = Ar1Model(n, x0)
-    data = model.simulate(np.array([theta_a]), derive_rng(seed, "ar1-data"))
+    data = model.simulate(theta_a, derive_rng(seed, "ar1-data"))
     fit = fit_mle(model, data)
     record.update(fit.trace.to_record("fit_newton"))
     if is_nao(fit.theta_hat):
@@ -641,39 +659,25 @@ def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
     record.put("status", "ok")
     record.put("fit_theta_hat", fit.theta_hat)
     shifted = local_shift(model, data, fit.theta_hat, tau=1.0)
-    record.update(quadraticity_report(shifted, np.zeros(1), box).to_record())
-    invariance = hessian_invariance_test(model, np.array([theta_a]), np.array([theta_b]), invariance_nsim, seed)
+    record.update(_quadraticity(shifted, cfg["box"]))
+    invariance = hessian_invariance_test(model, theta_a, theta_b, cfg["invariance_nsim"], seed)
     record.update(invariance.to_record("invariance"))
     return record, _checks_exit(record, invariance.p_value)
 
 
 def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
     model = _build_model(cfg)
-    if not isinstance(model, AnimalModel):
-        raise ConfigError("config.model.kind: animal-study requires an animal model")
-    seed = cfg["seed"]
-    alpha = _get(cfg, "alpha", float, "config", required=False, default=0.05)
-    B = _get_count(cfg, "B", "config", required=False, default=0, minimum=0)
+    seed, alpha, truth = cfg["seed"], cfg["alpha"], cfg["truth"]
     record = _start_record(cfg)
     record.put("n_individuals", model.n_individuals)
     record.put("eig_clamp", model.eig_clamp)
 
-    truth_block = _get(cfg, "truth", dict, "config", required=False)
-    if "data" in cfg:
+    # with data, a given truth is only checked
+    if cfg["data"] is not None:
         data = _load_data(cfg, model)
     else:
-        if truth_block is None:
-            raise ConfigError("config: animal-study needs either 'data' or 'truth' to simulate from")
-        _check_keys(truth_block, {"mu", "sigma2", "tau2"}, "config.truth")
-        truth = AnimalParams(
-            _get(truth_block, "mu", float, "config.truth"),
-            _get(truth_block, "sigma2", float, "config.truth"),
-            _get(truth_block, "tau2", float, "config.truth"),
-        )
         data = model.simulate(AnimalModel.params_to_phi(truth), derive_rng(seed, "animal-data"))
-        record.put("truth_mu", truth.mu)
-        record.put("truth_sigma2", truth.sigma2)
-        record.put("truth_tau2", truth.tau2)
+        record.update({"truth_mu": truth.mu, "truth_sigma2": truth.sigma2, "truth_tau2": truth.tau2})
         record.put("truth_logit_heritability", logit_heritability(truth))
 
     fit = fit_mle(model, data)
@@ -688,9 +692,9 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
     record.put("wald_interval_low", h_hat - z * se_h)
     record.put("wald_interval_high", h_hat + z * se_h)
 
-    if B > 0:
+    if cfg["B"] > 0:
         pivot = _heritability_pivot(model)
-        samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, seed)
+        samples = parametric_bootstrap(model, fit.theta_hat, cfg["B"], pivot, seed)
         record.update(samples.to_record())
         if samples.values.size:
             cal = calibrate(samples, 1.0 - alpha, 1)
@@ -730,30 +734,14 @@ def _heritability_pivot(model: AnimalModel):
 
 
 def run_classical_comparison(cfg: dict) -> tuple[ReportRecord, int]:
-    seed = cfg["seed"]
-    unit = _get(cfg, "unit", str, "config", required=False, default="normal")
-    if unit not in {"normal", "exponential"}:
-        raise ConfigError(f"config.unit: unknown unit {unit!r}")
-    # the exponential unit's psi is its one rate
-    psi_length = None if unit == "normal" else 1
-    psi = _get_vector(cfg, "psi", "config", required=False, default=np.array([1.0]), length=psi_length)
-    if unit == "exponential" and not psi[0] > 0:
-        raise ConfigError(f"config.psi: the exponential unit's rate must be positive, got {psi[0]}")
-    ladder = _get_counts(cfg, "ladder", "config", required=False, default=[10, 100, 1000, 10000])
-    replications = _get_count(cfg, "replications", "config", required=False, default=100)
-    tau_mode = _get(cfg, "tau", str, "config", required=False, default="sqrt_n")
-    if tau_mode not in {"sqrt_n", "one"}:
-        raise ConfigError("config.tau: must be 'sqrt_n' or 'one'")
+    seed, unit, psi, ladder, replications = cfg["seed"], cfg["unit"], cfg["psi"], cfg["ladder"], cfg["replications"]
+    tau_mode = cfg["tau"]
     p = psi.size
-    box = _get_box(cfg, p, 2.0)
     record = _start_record(cfg)
-    record.put("unit", unit)
-    record.put("psi", psi)
-    record.put("tau_mode", tau_mode)
-    record.put("ladder", [float(v) for v in ladder])
-    record.put("replications", replications)
+    record.update({"unit": unit, "psi": psi, "tau_mode": tau_mode, "ladder": [float(v) for v in ladder],
+                   "replications": replications})
 
-    medians = {0: [], 1: [], 2: []}
+    medians = []  # of d0, d1 and d2 at each rung
     for n_idx, n in enumerate(ladder):
         model = NormalLocationIid(p, n) if unit == "normal" else ExponentialRateIid(n)
         k_unit = model.unit_fisher(psi)
@@ -763,17 +751,11 @@ def run_classical_comparison(cfg: dict) -> tuple[ReportRecord, int]:
         for data in draw(model, [psi], replications, seed, [("classical", n_idx)]):
             shifted = local_shift(model, data, psi, tau, tau_sq)
             limit = QuadraticForm(0.0, shifted(np.zeros(p)).gradient, k_unit).objective()
-            rows.append(c2_distance(shifted, limit, box))
-        arr = np.array(rows)
-        for j in range(3):
-            medians[j].append(float(np.median(arr[:, j])))
+            rows.append(_keyed("config.box_halfwidth", c2_distance, shifted, limit, cfg["box"], errors=NonFiniteEvaluationError))
+        medians.append(np.median(rows, axis=0))
         record.put(f"ladder_{n_idx}_n", n)
-        record.put(f"ladder_{n_idx}_median_d0", medians[0][-1])
-        record.put(f"ladder_{n_idx}_median_d1", medians[1][-1])
-        record.put(f"ladder_{n_idx}_median_d2", medians[2][-1])
-    record.put("median_d0", medians[0])
-    record.put("median_d1", medians[1])
-    record.put("median_d2", medians[2])
+        record.update({f"ladder_{n_idx}_median_d{j}": medians[-1][j] for j in range(3)})
+    record.update({f"median_d{j}": [m[j] for m in medians] for j in range(3)})
     return record, EXIT_OK
 
 
@@ -819,7 +801,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config.experiment is {cfg['experiment']!r} but the {args.command!r} command was invoked"
             )
-        out_base = args.out or cfg.get("out")
+        out_base = args.out or cfg["out"]
         if out_base is None:
             raise ConfigError("no output path: set 'out' in the config or pass --out")
         if not args.out:
@@ -828,11 +810,10 @@ def main(argv=None) -> int:
             out_base = out_base.rsplit(".", 1)[0]
         record, code = RUNNERS[args.command](cfg)
         record.write(out_base)
-    except Exception as err:
-        # a LinAlgError is a ValueError, but only a program bug raises one
-        if isinstance(err, (ConfigError, DataFormatError, OSError, ValueError)) and not isinstance(err, np.linalg.LinAlgError):
-            print(f"quadlik: error: {err}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+    except (ConfigError, DataFormatError, PedigreeError, OSError) as err:
+        print(f"quadlik: error: {err}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except Exception:  # a program fault, whatever its class
         print("quadlik: internal error", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL_ERROR

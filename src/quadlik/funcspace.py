@@ -86,10 +86,15 @@ class GridBox:
 
     @classmethod
     def default(cls, lower, upper) -> "GridBox":
-        lo = np.atleast_1d(np.asarray(lower, dtype=float))
-        if lo.size not in DEFAULT_POINTS_PER_AXIS:
-            raise ValueError(f"grid diagnostics support dimension <= 3, got {lo.size}")
-        return cls(lower, upper, np.full(lo.size, DEFAULT_POINTS_PER_AXIS[lo.size]))
+        dim = np.atleast_1d(np.asarray(lower, dtype=float)).size
+        return cls(lower, upper, np.full(dim, default_points_per_axis(dim)))
+
+
+def default_points_per_axis(dim: int) -> int:
+    """Points an axis of the default grid of dimension ``dim``; a ValueError past dimension 3."""
+    if dim not in DEFAULT_POINTS_PER_AXIS:
+        raise ValueError(f"grid diagnostics support dimension <= 3, got {dim}")
+    return DEFAULT_POINTS_PER_AXIS[dim]
 
 
 @dataclass(frozen=True, eq=False)

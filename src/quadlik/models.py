@@ -11,6 +11,7 @@ and exponential rate) support sample-size ladder studies.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -702,6 +703,17 @@ def _of_length(flat: np.ndarray, expected: int, what: str = "values") -> np.ndar
     return flat
 
 
+def _read_text(path: str, newline: str | None = None) -> io.StringIO:
+    """A text file's lines, read as UTF-8 with ``open``'s ``newline`` rule; a
+    DataFormatError naming the file and line where it is not UTF-8."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return io.StringIO(raw.decode("utf8"), newline=newline)
+    except UnicodeDecodeError as err:
+        raise DataFormatError(raw.count(b"\n", 0, err.start) + 1, f"{path} is not UTF-8 text ({err.reason})") from None
+
+
 def load_vector_csv(path: str) -> np.ndarray:
     """One-column CSV of finite reals; a single non-numeric first line is a header.
 
@@ -709,7 +721,7 @@ def load_vector_csv(path: str) -> np.ndarray:
     DataFormatError that names its line.
     """
     values: list[float] = []
-    with open(path, "r", encoding="utf8") as handle:
+    with _read_text(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             text = raw.strip()
             if not text:
@@ -751,7 +763,7 @@ def load_pedigree_csv(path: str) -> Pedigree:
 
     records: list[PedigreeRecord] = []
     lines: list[int] = []
-    with open(path, "r", encoding="utf8", newline="") as handle:
+    with _read_text(path, newline="") as handle:
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):

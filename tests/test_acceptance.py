@@ -308,7 +308,7 @@ def test_criterion_6_animal_model():
 
 def test_criterion_7_classical_comparison():
     start = time.time()
-    from quadlik.cli import run_classical_comparison
+    from quadlik.cli import read_config, run_classical_comparison
 
     base = {
         "schema_version": 1,
@@ -320,15 +320,14 @@ def test_criterion_7_classical_comparison():
         "replications": 100,
         # keep psi + delta/tau inside the positive-rate domain for tau = 1 too
         "box_halfwidth": 0.9,
-        "_dir": ".",
     }
-    record, code = run_classical_comparison(dict(base, tau="sqrt_n"))
+    record, code = run_classical_comparison(read_config(dict(base, tau="sqrt_n"), "."))
     assert code == 0
     shrink = {j: record.get(f"median_d{j}") for j in range(3)}
     ok_shrink = all(
         all(b < a for a, b in zip(seq, seq[1:])) for seq in shrink.values()
     )
-    record_flat, code = run_classical_comparison(dict(base, tau="one"))
+    record_flat, code = run_classical_comparison(read_config(dict(base, tau="one"), "."))
     assert code == 0
     flat = {j: record_flat.get(f"median_d{j}") for j in range(3)}
     ok_flat = all(all(b >= a for a, b in zip(seq, seq[1:])) for seq in flat.values())

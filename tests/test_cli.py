@@ -409,8 +409,9 @@ class TestBoxValidation:
 
 
 class TestSampleSizeAndBoxKeys:
-    """Sample sizes are counts of at least 2 and box half-widths positive and
-    finite; a bad value exits 1 naming its key, before any fit or simulation."""
+    """Sample sizes are counts of at least 2, box half-widths positive and
+    finite and ``thetas`` non-empty; a bad value exits 1 naming its key,
+    before any fit or simulation."""
 
     @pytest.mark.parametrize(
         "experiment, key, value, message",
@@ -424,10 +425,11 @@ class TestSampleSizeAndBoxKeys:
             ("diagnose", "box_halfwidth", -1, "positive and finite"),
             ("diagnose", "box_halfwidth", [1.0, 0.0], "positive and finite"),
             ("ar1-study", "box_halfwidth", -0.5, "positive and finite"),
+            ("ar1-study", "thetas", [], "non-empty"),
         ],
         ids=[
             "diagnose-test_nsim", "diagnose-contiguity_nsim", "lamn-test_nsim", "lamn-nsim",
-            "ar1-invariance_nsim", "box-zero", "box-negative", "box-axis-zero", "ar1-box-negative",
+            "ar1-invariance_nsim", "box-zero", "box-negative", "box-axis-zero", "ar1-box-negative", "ar1-thetas-empty",
         ],
     )
     def test_rejected_before_the_work(self, tmp_path, capsys, monkeypatch, experiment, key, value, message):
@@ -612,6 +614,10 @@ class TestInternalError:
         # a ValueError subclass, but no input should raise one
         self.check(tmp_path, capsys, monkeypatch, np.linalg.LinAlgError("Singular matrix"))
 
+    def test_plain_value_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        # only the classified input errors exit 1
+        self.check(tmp_path, capsys, monkeypatch, ValueError("a bug"))
+
     @staticmethod
     def check(tmp_path, capsys, monkeypatch, error):
         def broken(cfg):
@@ -650,8 +656,13 @@ class TestStepAndReplicateCounts:
             ("bootstrap", {"B": 5, "max_steps": 0}, "max_steps"),
             ("animal-study", {"B": -4}, "config.B"),
             ("animal-study", {"B": "200"}, "config.B"),
+            # B2 is a positive count wherever it is given
+            ("bootstrap", {"B": 3, "B2": 0}, "config.B2: must be a positive count"),
+            ("bootstrap", {"B": 3, "B2": -3}, "config.B2: must be a positive count"),
+            ("bootstrap", {"B": 3, "B2": 0, "double": True}, "config.B2: must be a positive count"),
         ],
-        ids=["fit-negative", "fit-fraction", "fit-bool", "bootstrap-unread", "animal-negative", "animal-string"],
+        ids=["fit-negative", "fit-fraction", "fit-bool", "bootstrap-unread", "animal-negative", "animal-string",
+             "b2-zero", "b2-negative", "b2-zero-double"],
     )
     def test_bad_count_exits_input_error(self, tmp_path, capsys, experiment, extra, message):
         if experiment == "animal-study":
@@ -770,3 +781,76 @@ class TestClassicalExponentialPsi:
             assert main(["classical-comparison", "--config", path]) == EXIT_INPUT_ERROR
         assert "config.psi" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+class TestInputErrorsNameTheirKey:
+    """A library constructor's check on a config value, and a file that is not
+    UTF-8, exit 1 with an error naming the config key or the file."""
+
+    SYNTHETIC = {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}
+    TRUTH = {"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}
+
+    @pytest.mark.parametrize(
+        "experiment, cfg, named",
+        [
+            ("fit", {"model": {"kind": "lan", "k": [[1, 2], [2, 1]]}, "data": "z.csv"}, "config.model.k"),
+            ("fit", {"model": {"kind": "wishart_lamn", "dim": 2, "dof": 3.0, "scale": [[1, 2], [2, 1]]}, "data": "z.csv"},
+             "config.model.scale"),
+            ("lamn-verify", {"spec": {"dim": 2, "curvature": {"kind": "constant", "k": [[1, 2], [2, 1]]}}},
+             "config.spec.curvature.k"),
+            ("lamn-verify", {"spec": {"dim": 3, "curvature": {"kind": "constant", "k": [[1, 0], [0, 1]]}}},
+             "config.spec.dim"),
+            ("fit", {"model": {"kind": "animal", "synthetic": dict(SYNTHETIC, per_generation=1)}, "data": "z.csv"},
+             "config.model.synthetic.per_generation"),
+            ("animal-study", {"model": {"kind": "animal", "synthetic": SYNTHETIC}, "truth": dict(TRUTH, sigma2=-1)},
+             "config.truth.sigma2"),
+            ("diagnose", {"model": {"kind": "lan", "k": np.eye(4).tolist()}, "data": "z.csv"}, "config.model.k"),
+            ("classical-comparison", {"psi": [0, 0, 0, 0], "ladder": [10], "replications": 2}, "config.psi"),
+            ("diagnose", {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "z.csv", "box_halfwidth": 1e308},
+             "config.box_halfwidth"),
+            ("fit", "not-utf8", "c.json"),
+            ("fit", {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "bad.csv"}, "bad.csv"),
+            ("fit", {"model": {"kind": "animal", "pedigree": "bad.csv"}, "data": "z.csv"}, "bad.csv"),
+        ],
+        ids=["lan-k", "wishart-scale", "constant-k", "spec-dim", "per_generation", "truth-sigma2",
+             "diagnose-dimension", "psi-dimension", "box-overflow", "config-file", "data-file", "pedigree-file"],
+    )
+    def test_exits_one_naming_key_or_file(self, tmp_path, capsys, monkeypatch, experiment, cfg, named):
+        monkeypatch.setattr(quadlik.cli, "fit_mle", lambda *a, **k: pytest.fail("fit on an invalid config"))
+        save_vector_csv(str(tmp_path / "z.csv"), np.array([0.7, -0.3]))
+        # byte 0xff on line 2 of a data file, line 3 of a pedigree
+        (tmp_path / "bad.csv").write_bytes(b"id,sire,dam\n1,,\n\xff,,\n" if "pedigree" in str(cfg) else b"0.5\n\xff\n")
+        if cfg == "not-utf8":
+            path = tmp_path / "c.json"
+            path.write_bytes(b'{"schema_version": 1, "experiment": "fit", "seed": 1, "out": "\xff"}')
+            path = str(path)
+        else:
+            path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("quadlik: error: ") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestTruthNextToData:
+    def test_truth_checked_next_to_data(self, tmp_path, capsys):
+        # a key is read and checked whenever it is given, even where the run does not use it
+        save_pedigree_csv(str(tmp_path / "ped.csv"), synthetic_pedigree(6, 7, 2, 3))
+        save_vector_csv(str(tmp_path / "y.csv"), derive_rng(2, "y").standard_normal(20))
+        model = {"kind": "animal", "pedigree": "ped.csv"}
+        bad = write_config(tmp_path, "bad.json", experiment="animal-study", model=model, data="y.csv",
+                           truth={"bogus": 1}, out="r")
+        assert main(["animal-study", "--config", bad]) == EXIT_INPUT_ERROR
+        assert "config.truth: unknown keys ['bogus']" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        # a valid truth next to data is checked, and the report is that of the data alone
+        reports = []
+        for truth in ({}, {"truth": {"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}}):
+            good = write_config(tmp_path, "good.json", experiment="animal-study", model=model, data="y.csv",
+                                out="r", **truth)
+            assert main(["animal-study", "--config", good]) == EXIT_OK
+            reports.append((tmp_path / "r.json").read_bytes())
+        assert reports[0] == reports[1] and b"truth_mu" not in reports[0]
