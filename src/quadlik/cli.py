@@ -414,8 +414,12 @@ def read_config(raw, base_dir: str) -> dict:
         raise ConfigError("config.B2: required when double is true")
     if experiment == "animal-study" and cfg["data"] is None and cfg["truth"] is None:
         raise ConfigError("config: animal-study needs either 'data' or 'truth' to simulate from")
-    if experiment == "classical-comparison" and cfg["unit"] == "exponential" and not cfg["psi"][0] > 0:
-        raise ConfigError(f"config.psi: the exponential unit's rate must be positive, got {cfg['psi'][0]}")
+    if experiment == "classical-comparison" and cfg["unit"] == "exponential":
+        rate = cfg["psi"][0]
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            if not (rate > 0 and 0 < 1.0 / np.square(rate) < np.inf):
+                raise ConfigError(f"config.psi: the exponential unit's rate must be positive, with unit information "
+                                  f"1/psi**2 finite and positive, got {rate}")
     return cfg
 
 

@@ -449,12 +449,13 @@ def quadratic_stack(u, z: np.ndarray, k: np.ndarray, theta: np.ndarray):
     Hessian ``-k``, as arrays over a trailing axis: ``z`` and ``theta`` are
     ``(..., p)`` and ``k`` is ``(..., p, p)`` (symmetric), broadcast against
     each other; each row is computed exactly as it would be alone.  No NaO
-    or shape checks.
+    or shape checks: a row that overflows is inf or NaN, without a warning.
     """
-    kth = (k * theta[..., None, :]).sum(axis=-1)
-    value = u + (z * theta).sum(axis=-1) - 0.5 * (theta * kth).sum(axis=-1)
-    hessian = -k if k.ndim > theta.ndim else np.broadcast_to(-k, kth.shape + kth.shape[-1:])
-    return value, z - kth, hessian
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are NaO
+        kth = (k * theta[..., None, :]).sum(axis=-1)
+        value = u + (z * theta).sum(axis=-1) - 0.5 * (theta * kth).sum(axis=-1)
+        hessian = -k if k.ndim > theta.ndim else np.broadcast_to(-k, kth.shape + kth.shape[-1:])
+        return value, z - kth, hessian
 
 
 def quadratic_mle(q: QuadraticForm) -> MaybeParam:
@@ -465,33 +466,41 @@ def quadratic_mle(q: QuadraticForm) -> MaybeParam:
     return spd_solve(lower, q.z)
 
 
-def local_shift(model: LikModel, data, psi, tau: float = 1.0, tau_sq: float | None = None) -> RowObjective:
-    """Recentered log-likelihood ratio ``q(delta) = l(psi + delta/tau) - l(psi)``.
+def shifted_stack(model: LikModel, datas, psi, tau: float = 1.0, tau_sq: float | None = None):
+    """Log-likelihood ratios over a data stack: row j at ``delta`` is
+    ``l_j(psi + delta/tau) - l_j(psi)``, NaO at every delta where ``l_j(psi)`` is.
 
-    ``q(0)`` is exactly 0.0 because ``l(psi)`` is evaluated once and
-    subtracted; gradients and Hessians carry the ``1/tau`` and ``1/tau**2``
-    chain-rule factors (the model's Hessian, symmetrized, is rescaled and
-    symmetrized again).  A caller with an exact squared rate (tau = sqrt(n))
-    can pass ``tau_sq = n``, so the Hessian rescaling is free of the
-    sqrt-then-square rounding.  A stack of shifts is one call of the model's
-    stacked objective at ``psi + delta/tau``; evaluations landing outside
-    the model domain give NaO.
+    The ``l_j(psi)`` are evaluated once, in one call, so each row is exactly
+    0.0 at delta = 0.  Gradients and Hessians carry the ``1/tau`` and
+    ``1/tau**2`` chain-rule factors; tau = sqrt(n) with ``tau_sq = n`` keeps
+    the Hessian free of sqrt-then-square rounding.  Returns the
+    :class:`StackedObjective` and whether each ``l_j(psi)`` is finite.
+    """
+    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    tau_sq = tau * tau if tau_sq is None else tau_sq
+    stacked = model.stacked_objective(datas)
+    base = stacked(np.arange(stacked.n_rows), np.tile(psi, (stacked.n_rows, 1)))
+    base_value = np.where(base.ok, base.packed[:, 0], np.nan)
+
+    def kernel(rows, deltas):
+        value, gradient, hessian = stacked(rows, psi + deltas / tau).parts(psi.size)
+        return value - base_value[rows], gradient / tau, _symmetrized(hessian / tau_sq)
+
+    return StackedObjective(OpenBox.unbounded(psi.size), stacked.n_rows, kernel), base.ok
+
+
+def local_shift(model: LikModel, data, psi, tau: float = 1.0, tau_sq: float | None = None) -> RowObjective:
+    """The recentered log-likelihood ratio ``q(delta) = l(psi + delta/tau) -
+    l(psi)`` of one data set: row 0 of :func:`shifted_stack`.  ValueError
+    when psi lies outside the model domain, tau is not positive, or the
+    objective is not finite at psi.
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     if not model.domain.contains(psi):
         raise ValueError("shift center psi lies outside the model domain")
     if not tau > 0:
         raise ValueError("tau must be positive")
-    tau = float(tau)
-    tau_sq = float(tau_sq) if tau_sq is not None else tau * tau
-    stacked = model.stacked_objective([data])
-    base = stacked(np.zeros(1, dtype=int), psi[None])
-    if not base.ok[0]:
+    shifted, base_ok = shifted_stack(model, [data], psi, tau, tau_sq)
+    if not base_ok[0]:
         raise ValueError("objective is not finite at psi")
-    base_value = float(base.packed[0, 0])
-
-    def kernel(rows, deltas):
-        value, gradient, hessian = stacked(rows, psi + deltas / tau).parts(psi.size)
-        return value - base_value, gradient / tau, _symmetrized(hessian / tau_sq)
-
-    return RowObjective(StackedObjective(OpenBox.unbounded(psi.size), 1, kernel))
+    return RowObjective(shifted)

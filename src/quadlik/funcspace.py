@@ -255,18 +255,16 @@ class QuadraticityReport:
         }
 
 
-def quadraticity_report(
-    q: Objective, delta0, box: GridBox, n_boxes: int = 8
-) -> QuadraticityReport:
+def quadraticity_report(q: Objective, delta0, box: GridBox) -> QuadraticityReport:
     """Distances from ``q`` to its Taylor quadratic at ``delta0`` over ``box``.
 
-    Reports the three sup norms plus the compact-exhaustion metric on a
-    default nested shrinking of the box.
+    Reports the three sup norms plus the compact-exhaustion metric on the
+    default nested shrinking of the box (8 boxes).
     """
     anchor = np.atleast_1d(np.asarray(delta0, dtype=float))
     fit = quadratic_fit_at(q, anchor).objective()
     d0, d1, d2 = c2_distance(q, fit, box)
-    nested = NestedBoxes.shrinking(box, n_boxes)
+    nested = NestedBoxes.shrinking(box)
     rud = rudin_distance(q, fit, nested)
     return QuadraticityReport(
         d0=d0,

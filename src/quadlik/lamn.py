@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import LikModel, StackedEval, _centres, _symmetrized, spd_factor
+from .core import LikModel, StackedEval, _centres, _symmetrized, shifted_stack, spd_factor
 from .inference import symmetric_sqrt
 from .parallel import draw
 from .rng import derive_rng, restartable
@@ -247,27 +247,25 @@ def contiguity_estimate(
     return mean, se
 
 
-def _drawn_at(model: LikModel, theta, nsim: int, seed: int, path: tuple, *points) -> list[StackedEval]:
+def _drawn_at(model: LikModel, theta, nsim: int, seed: int, path: tuple) -> StackedEval:
     """The nsim data sets :func:`~quadlik.parallel.draw` gives at theta, every
-    one evaluated at each of ``points``: one StackedEval a point."""
+    one evaluated at theta in one stacked call."""
     q = model.stacked_objective(draw(model, [theta], nsim, seed, [path]))
-    rows = np.arange(nsim)
-    return [q(rows, np.tile(point, (nsim, 1))) for point in points]
+    return q(np.arange(nsim), np.tile(theta, (nsim, 1)))
 
 
 def model_contiguity_estimate(model: LikModel, psi, delta, nsim: int, seed: int) -> tuple[float, float, int]:
     """Mean and standard error of exp(l(psi + delta) - l(psi)) over fresh data.
 
-    Data are simulated at psi; replicates whose evaluation is NaO are
-    dropped and counted.  Returns (mean, se, n_nao), the mean and se NaN
-    (an NaO check) when fewer than 2 replicates remain.  All replicates are
-    evaluated as one stack.
+    Data are simulated at psi and their shifts (:func:`~quadlik.core.shifted_stack`)
+    evaluated at delta as one stack; replicates that are NaO are dropped and
+    counted.  Returns (mean, se, n_nao), the mean and se NaN (an NaO check)
+    when fewer than 2 replicates remain.
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    d = np.atleast_1d(np.asarray(delta, dtype=float))
-    base, shifted = _drawn_at(model, psi, nsim, seed, ("model-contiguity",), psi, psi + d)
-    ok = base.ok & shifted.ok
-    arr, n_nao = np.exp(shifted.packed[ok, 0] - base.packed[ok, 0]), nsim - int(ok.sum())
+    shifted, _ = shifted_stack(model, draw(model, [psi], nsim, seed, [("model-contiguity",)]), psi)
+    ev = shifted(np.arange(nsim), np.tile(np.broadcast_to(delta, psi.shape), (nsim, 1)))
+    arr, n_nao = np.exp(ev.packed[ev.ok, 0]), nsim - int(ev.ok.sum())
     if arr.size < 2:
         return math.nan, math.nan, n_nao
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size)), n_nao
@@ -282,6 +280,17 @@ class KsTestReport:
     per_summary: dict
     n_summaries: int
     n_nao: int
+
+    @classmethod
+    def bonferroni(cls, tests: dict, n_nao: int) -> "KsTestReport":
+        """The report of KS tests given as summary name -> (statistic, p-value):
+        the largest statistic, and the smallest p-value times the number of
+        tests (at most 1).  With no tests both are NaN, an NaO check."""
+        if not tests:
+            return cls(math.nan, math.nan, {}, 0, n_nao)
+        per_summary = {name: float(p) for name, (_, p) in tests.items()}
+        statistic = max([0.0] + [float(s) for s, _ in tests.values()])
+        return cls(statistic, min(1.0, len(tests) * min(per_summary.values())), per_summary, len(tests), n_nao)
 
     def to_record(self, prefix: str) -> dict:
         rec = {
@@ -299,7 +308,7 @@ def _curvature_summaries(model: LikModel, theta, nsim: int, seed: int, stream: s
     """Scalar summaries of observed information at the truth, per replicate."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
-    (ev,) = _drawn_at(model, th, nsim, seed, (stream,), th)
+    ev = _drawn_at(model, th, nsim, seed, (stream,))
     infos, n_nao = -ev.parts(p)[2][ev.ok], nsim - int(ev.ok.sum())
     sign, logdet = np.linalg.slogdet(infos)
     entries = {f"info_{i}{j}": infos[:, i, j] for i in range(p) for j in range(i, p)}
@@ -320,25 +329,8 @@ def hessian_invariance_test(model: LikModel, theta_a, theta_b, nsim: int, seed: 
     """
     sums_a, nao_a = _curvature_summaries(model, theta_a, nsim, seed, "invariance-a")
     sums_b, nao_b = _curvature_summaries(model, theta_b, nsim, seed, "invariance-b")
-    per_summary: dict[str, float] = {}
-    best_stat = 0.0
-    for name in sums_a:
-        a, b = sums_a[name], sums_b[name]
-        if a.size < 2 or b.size < 2:
-            continue
-        if np.ptp(a) == 0.0 and np.ptp(b) == 0.0 and a[0] == b[0]:
-            stat, pval = 0.0, 1.0  # identical point masses; KS is degenerate here
-        else:
-            res = stats.ks_2samp(a, b)
-            stat, pval = float(res.statistic), float(res.pvalue)
-        per_summary[name] = pval
-        if stat > best_stat:
-            best_stat = stat
-    if not per_summary:
-        return KsTestReport(math.nan, math.nan, {}, 0, nao_a + nao_b)
-    m = len(per_summary)
-    adj = min(1.0, m * min(per_summary.values()))
-    return KsTestReport(best_stat, adj, per_summary, m, nao_a + nao_b)
+    tests = {name: stats.ks_2samp(a, sums_b[name]) for name, a in sums_a.items() if min(a.size, sums_b[name].size) >= 2}
+    return KsTestReport.bonferroni(tests, nao_a + nao_b)
 
 
 def score_normality_test(model: LikModel, theta, nsim: int, seed: int) -> KsTestReport:
@@ -353,18 +345,10 @@ def score_normality_test(model: LikModel, theta, nsim: int, seed: int) -> KsTest
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
-    (ev,) = _drawn_at(model, th, nsim, seed, ("score-normality",), th)
+    ev = _drawn_at(model, th, nsim, seed, ("score-normality",))
     _, gradient, hessian = ev.parts(p)
     roots = symmetric_sqrt(-hessian)
     ok = ev.ok & ~np.isnan(roots[:, 0, 0])
     t, n_nao = np.linalg.solve(roots[ok], gradient[ok][:, :, None])[:, :, 0], nsim - int(ok.sum())
-    if len(t) < 2:
-        return KsTestReport(math.nan, math.nan, {}, 0, n_nao)
-    per_summary: dict[str, float] = {}
-    best_stat = 0.0
-    for j in range(p):
-        res = stats.kstest(t[:, j], "norm")
-        per_summary[f"coord_{j}"] = float(res.pvalue)
-        best_stat = max(best_stat, float(res.statistic))
-    adj = min(1.0, p * min(per_summary.values()))
-    return KsTestReport(best_stat, adj, per_summary, p, n_nao)
+    tests = {f"coord_{j}": stats.kstest(t[:, j], "norm") for j in range(p)} if len(t) >= 2 else {}
+    return KsTestReport.bonferroni(tests, n_nao)

@@ -593,20 +593,20 @@ class AnimalModel(LikModel):
         m, n = qty.shape
         if n < 3:
             return np.full((m, 3), np.nan)
-        kernel = self._kernel
-        mu0 = _row_dots(qty, kernel.ones_t) / n
-        r = qty - mu0[:, None] * kernel.ones_t
-        r_r = _row_dots(r, r)
-        var_y = np.maximum(r_r / (n - 1), 1e-12)
-        design = _moment_design(self.relationship)
-        if design is None:
-            s2 = t2 = var_y / 2.0
-        else:
-            rhs = np.stack([_row_dots(r * r, kernel.lam), r_r], axis=1)
-            s2, t2 = np.linalg.solve(np.broadcast_to(design, (m, 2, 2)), rhs[:, :, None])[:, :, 0].T
-        floor = 1e-3 * var_y
-        s2, t2 = np.maximum(s2, floor), np.maximum(t2, floor)
-        phi = np.stack([mu0, np.log(s2), np.log(t2)], axis=1)
+        kernel, design = self._kernel, _moment_design(self.relationship)
+        with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows has no start
+            mu0 = _row_dots(qty, kernel.ones_t) / n
+            r = qty - mu0[:, None] * kernel.ones_t
+            r_r = _row_dots(r, r)
+            var_y = np.maximum(r_r / (n - 1), 1e-12)
+            if design is None:
+                s2 = t2 = var_y / 2.0
+            else:
+                rhs = np.stack([_row_dots(r * r, kernel.lam), r_r], axis=1)
+                s2, t2 = np.linalg.solve(np.broadcast_to(design, (m, 2, 2)), rhs[:, :, None])[:, :, 0].T
+            floor = 1e-3 * var_y
+            s2, t2 = np.maximum(s2, floor), np.maximum(t2, floor)
+            phi = np.stack([mu0, np.log(s2), np.log(t2)], axis=1)
         phi[np.isnan(phi).any(axis=1)] = np.nan  # the variances are NaN: no start
         return phi
 

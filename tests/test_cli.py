@@ -770,7 +770,10 @@ class TestNonFiniteMonteCarloChecks:
 class TestClassicalExponentialPsi:
     """The exponential unit's psi is one finite positive rate."""
 
-    @pytest.mark.parametrize("psi", [[0], [-1], [1, 2]], ids=["zero", "negative", "two-entries"])
+    @pytest.mark.parametrize(
+        "psi", [[0], [-1], [1, 2], [1e-300], [1e300]],
+        ids=["zero", "negative", "two-entries", "information-overflows", "information-underflows"],
+    )
     def test_bad_rate_names_key(self, tmp_path, capsys, psi):
         path = write_config(
             tmp_path, "c.json", experiment="classical-comparison", out="r",
@@ -781,6 +784,35 @@ class TestClassicalExponentialPsi:
             assert main(["classical-comparison", "--config", path]) == EXIT_INPUT_ERROR
         assert "config.psi" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+class TestExtremeRealsWithoutWarnings:
+    """Finite but extreme config reals overflow inside a kernel or a start: those
+    rows are NaO, so the run exits as it would without numeric warnings."""
+
+    LAN = {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}
+    TRUTH = {"mu": 1e300, "sigma2": 1.0, "tau2": 1.0}
+    SYNTHETIC = {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}
+
+    @pytest.mark.parametrize(
+        "experiment, cfg, code",
+        [
+            ("diagnose", {"model": LAN, "data": "z.csv", "test_nsim": 50, "contiguity_nsim": 50,
+                          "theta_b": [1e300, 1e300]}, EXIT_NAO),
+            ("diagnose", {"model": LAN, "data": "z.csv", "test_nsim": 50, "contiguity_nsim": 50,
+                          "contiguity_delta": [1e300, 1e300]}, EXIT_NAO),
+            ("ar1-study", {"thetas": [0.5], "n": 10, "mc_paths": 50, "invariance_nsim": 50, "box_halfwidth": 1e200},
+             EXIT_INPUT_ERROR),
+            ("animal-study", {"model": {"kind": "animal", "synthetic": SYNTHETIC}, "truth": TRUTH, "B": 8}, EXIT_NAO),
+        ],
+        ids=["diagnose-theta_b", "diagnose-contiguity_delta", "ar1-study-box_halfwidth", "animal-study-truth-mu"],
+    )
+    def test_exit_code_under_warnings_as_errors(self, tmp_path, experiment, cfg, code):
+        lan_setup(tmp_path)
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([experiment, "--config", path]) == code
 
 
 class TestInputErrorsNameTheirKey:

@@ -31,7 +31,7 @@ from quadlik import (
     synthetic_pedigree,
     wishart_lamn_model,
 )
-from quadlik.core import NaO
+from quadlik.core import NaO, StackedEval, shifted_stack
 from quadlik.funcspace import _on_points
 
 
@@ -253,6 +253,21 @@ class TestGridBoxOverflow:
             GridBox([-8e307], [8e307], [3])
 
 
+def _assert_same_rows(kind, stacked, looped, base_values):
+    """The rows of two evaluations agree: bit for bit, except on the animal
+    model, whose rows agree to 1e-12 of the terms each entry is built from
+    (a value is ``l(psi + delta/tau) - l(psi)``, so ``base_values`` holds
+    each row's ``l(psi)``)."""
+    assert np.array_equal(stacked.ok, looped.ok)
+    a, b = stacked.packed[stacked.ok], looped.packed[looped.ok]
+    if kind == "animal":
+        size = np.abs(b) + np.abs(base_values[stacked.ok, None]) * (np.arange(b.shape[1]) == 0)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(size, np.abs(b).max(axis=1, keepdims=True)))
+    else:
+        assert np.array_equal(a, b)
+    assert np.isnan(stacked.packed[~stacked.ok]).all()
+
+
 def _looped(f):
     """``f`` without its stacked evaluation: evaluated point by point."""
     return lambda x: f(x)
@@ -297,17 +312,48 @@ class TestStackedEvaluation:
         if m > 1:
             deltas[1, -1] = -4.0 * tau * psi[-1] - 1e4 * tau  # outside the exponential and animal domains
         stacked, looped = q.stack(deltas), _on_points(_looped(q), deltas)
-        assert np.array_equal(stacked.ok, looped.ok)
         assert stacked.ok[0] and stacked.packed[0, 0] == 0.0
-        if kind == "animal":
-            a, b = stacked.packed[stacked.ok], looped.packed[looped.ok]
-            # the value is l(psi + delta/tau) - l(psi): measure it against those terms
-            base_value = model.objective(data)(psi).value
-            size = np.abs(b) + np.abs(base_value) * (np.arange(b.shape[1]) == 0)
-            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(size, np.abs(b).max(axis=1, keepdims=True)))
-        else:
-            assert np.array_equal(stacked.packed[stacked.ok], looped.packed[looped.ok])
-        assert np.isnan(stacked.packed[~stacked.ok]).all()
+        _assert_same_rows(kind, stacked, looped, np.full(m, model.objective(data)(psi).value))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(SHIFT_CASES)),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 12),
+        tau=st.floats(0.2, 5.0),
+        scale=st.floats(0.01, 4.0),
+    )
+    def test_shift_stack_rows_match_local_shift(self, kind, seed, m, tau, scale):
+        # row j of the stacked shift at deltas[j] is local_shift of data set j alone
+        model, psi = SHIFT_CASES[kind]
+        datas = [model.simulate(psi, derive_rng(seed, j)) for j in range(m)]
+        rng = np.random.default_rng(seed)
+        deltas = scale * rng.standard_normal((m, psi.size))
+        deltas[0] = 0.0
+        if m > 1:
+            deltas[1, -1] = -4.0 * tau * psi[-1] - 1e4 * tau  # outside the exponential and animal domains
+        shifted, base_ok = shifted_stack(model, datas, psi, tau)
+        stacked = shifted(np.arange(m), deltas)
+        alone = [local_shift(model, data, psi, tau=tau).stack(delta[None]) for data, delta in zip(datas, deltas)]
+        looped = StackedEval(np.concatenate([ev.packed for ev in alone]), np.concatenate([ev.ok for ev in alone]))
+        assert base_ok.all() and stacked.ok[0] and stacked.packed[0, 0] == 0.0
+        _assert_same_rows(kind, stacked, looped, np.array([model.objective(data)(psi).value for data in datas]))
+
+    @pytest.mark.parametrize("kind", sorted(SHIFT_CASES))
+    def test_row_nao_at_psi_is_nao_everywhere(self, kind):
+        # data set 1 has no finite l(psi): its row is NaO at every delta, and
+        # the other rows are what they are beside a finite data set
+        model, psi = SHIFT_CASES[kind]
+        datas = np.array([model.simulate(psi, derive_rng(7, j)) for j in range(3)])
+        broken = datas.copy()
+        broken[1] = np.nan
+        deltas = np.repeat([np.zeros(psi.size), np.full(psi.size, 0.1), np.full(psi.size, -0.2)], 3, axis=0)
+        rows = np.tile(np.arange(3), 3)
+        shifted, base_ok = shifted_stack(model, broken, psi)
+        ev, clean = shifted(rows, deltas), shifted_stack(model, datas, psi)[0](rows, deltas)
+        assert base_ok.tolist() == [True, False, True]
+        assert ev.ok.tolist() == [True, False, True] * 3 and clean.ok.all()
+        assert np.array_equal(ev.packed[rows != 1], clean.packed[rows != 1])
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20))

@@ -389,12 +389,52 @@ class TestContiguity:
         assert abs(mean - 1.0) <= 4 * se  # AR(1) is a genuine likelihood
 
 
+class TestShiftEvaluations:
+    """A shift evaluates each data set's l(psi) once, then one row per point
+    inside the domain."""
+
+    def count_rows(self, monkeypatch, model) -> list:
+        rows, loglik = [], type(model).loglik
+
+        def counted(self, stack, thetas):
+            rows.append(len(stack))
+            return loglik(self, stack, thetas)
+
+        monkeypatch.setattr(type(model), "loglik", counted)
+        return rows
+
+    def test_local_shift(self, monkeypatch):
+        from quadlik import ExponentialRateIid, local_shift
+
+        model = ExponentialRateIid(6)
+        data = model.simulate(np.array([1.3]), derive_rng(2))
+        rows = self.count_rows(monkeypatch, model)
+        q = local_shift(model, data, [1.3])
+        assert sum(rows) == 1
+        q.stack(np.array([[0.5], [-2.0], [0.0]]))  # the second point lies outside the domain
+        assert sum(rows) == 3
+        q(np.array([0.2]))
+        assert sum(rows) == 4
+
+    @pytest.mark.parametrize("delta, shifted_rows", [([0.2], 40), ([-2.0], 0)], ids=["inside", "outside"])
+    def test_model_contiguity_estimate(self, monkeypatch, delta, shifted_rows):
+        from quadlik import ExponentialRateIid
+
+        model = ExponentialRateIid(6)
+        rows = self.count_rows(monkeypatch, model)
+        model_contiguity_estimate(model, [1.0], delta, 40, 3)
+        assert sum(rows) == 40 + shifted_rows
+
+
 class TestInvarianceTest:
     def test_constant_k_never_rejects(self):
+        # the information is one point mass at both parameters: scipy's
+        # two-sample KS test gives statistic 0 and p-value 1 for every summary
         model = lan_normal_location(np.array([[2.0, 0.4], [0.4, 1.0]]))
         report = hessian_invariance_test(model, np.zeros(2), np.ones(2), 200, 11)
         assert report.p_value == 1.0
         assert report.statistic == 0.0
+        assert report.per_summary == {name: 1.0 for name in ("info_00", "info_01", "info_11", "logdet")}
 
     def test_wishart_model_accepts(self):
         model = wishart_lamn_model(wishart_spec())
