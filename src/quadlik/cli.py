@@ -414,12 +414,21 @@ def read_config(raw, base_dir: str) -> dict:
         raise ConfigError("config.B2: required when double is true")
     if experiment == "animal-study" and cfg["data"] is None and cfg["truth"] is None:
         raise ConfigError("config: animal-study needs either 'data' or 'truth' to simulate from")
-    if experiment == "classical-comparison" and cfg["unit"] == "exponential":
+    if experiment == "classical-comparison":
+        n, dim = max(cfg["ladder"]), cfg["psi"].size
+        if n > 2**53:  # the report writes the ladder as reals
+            raise ConfigError("config.ladder: counts must be at most 2**53, the largest integer a report real holds exactly")
+        # a rung draws replications x n x dim float64 values at once
+        need, memory = 8 * cfg["replications"] * n * dim, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > memory:
+            raise ConfigError(f"config.ladder: the draw at n = {n} needs {need} bytes, more than the {memory} bytes "
+                              f"of physical memory")
         rate = cfg["psi"][0]
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            if not (rate > 0 and 0 < 1.0 / np.square(rate) < np.inf):
+            square = np.square(rate)
+            if cfg["unit"] == "exponential" and not (rate > 0 and 0 < 1.0 / square and n / square < np.inf):
                 raise ConfigError(f"config.psi: the exponential unit's rate must be positive, with unit information "
-                                  f"1/psi**2 finite and positive, got {rate}")
+                                  f"1/psi**2 positive and information n/psi**2 at the largest rung n = {n} finite, got {rate}")
     return cfg
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -262,21 +261,6 @@ class RelationshipMatrix:
     def size(self) -> int:
         return self.a.shape[0]
 
-    @cached_property
-    def trace(self) -> float:
-        """``tr(A)``, computed once per matrix."""
-        return float(np.trace(self.a))
-
-    @cached_property
-    def trace_sq(self) -> float:
-        """``tr(A^2)``, the sum of squared entries of symmetric A, computed once."""
-        return float(np.sum(self.a * self.a))
-
-    @cached_property
-    def kernel(self) -> "_AnimalKernel":
-        """The eigendecomposition of A, one ``eigh`` per matrix."""
-        return _AnimalKernel(self)
-
 
 def relationship_matrix(ped: Pedigree) -> RelationshipMatrix:
     """Tabular recursion over records in pedigree order.
@@ -352,10 +336,10 @@ class AnimalParams:
 
 
 def _weight_sums() -> np.ndarray:
-    """Map from the sums of the animal kernel to its outputs.
+    """Map from the sums of :meth:`AnimalModel.natural_eval` to its outputs.
 
-    With ``w = s2 lam + t2``, ``rt = Q'y - mu Q'1`` and ``o = Q'1``, the
-    kernel forms eight weight rows over the eigenvalues, 1/w, 1/w^2,
+    With ``w = s2 lam + t2``, ``rt = Q'y - mu Q'1`` and ``o = Q'1``, it
+    forms eight weight rows over the eigenvalues, 1/w, 1/w^2,
     rt^2/w, rt^2/w^2, rt^2/w^3, o rt/w, o rt/w^2 and o^2/w, and sums each
     against 1, lam and lam^2 (24 sums, row-major).  Every term of the log
     likelihood is one of those sums times -1, -1/2, 1/2 or 1.  Outputs: the
@@ -381,28 +365,64 @@ _WEIGHT_SUMS = _weight_sums()
 _HESSIAN_ENTRIES = [4, 5, 6, 5, 7, 8, 6, 8, 9]
 
 
-class _AnimalKernel:
-    """Eigendecomposition of A, shared by likelihood and simulation paths.
+def logit_heritability(params: AnimalParams) -> float:
+    """log sigma2 - log tau2, the unconstrained variance-ratio transform."""
+    return float(np.log(params.sigma2) - np.log(params.tau2))
 
-    A response enters the likelihood only through its rotation ``Q'y``
-    (:meth:`rotate`, one O(N^2) product per data set); given it,
-    :meth:`natural_eval` costs O(N) per evaluation.
+
+# the animal model's parameters (mu, log sigma2, log tau2): the bound on
+# |phi| inside which it is evaluated (mu finite), which entries are log
+# variances, and where the chain rule adds the gradient to the Hessian
+_PHI_BOUND = np.array([np.finfo(float).max, 700.0, 700.0])
+_LOG_VARIANCES = np.array([0.0, 1.0, 1.0])
+_LOG_VARIANCE_DIAGONAL = np.diag(_LOG_VARIANCES)
+
+
+class AnimalModel(LikModel):
+    """Trait model fit over (mu, log sigma2, log tau2).
+
+    The log-variance parameterization keeps Newton iterates interior and
+    makes the parameter domain the whole space; reported results map back
+    to natural variances.  The model holds the eigendecomposition
+    ``A = Q diag(lam) Q'``, one ``eigh`` when it is built, read-only after
+    that.  A response enters the likelihood only through its rotation
+    ``Q'y``, so a data set is ``Q'y``: :meth:`parse_data` rotates a raw
+    response y once (:meth:`rotate`, one O(N^2) product), and
+    :meth:`simulate_stack` draws ``Q'y`` without forming y.  :meth:`loglik`
+    then costs O(N) a row: it takes ``Q'y`` rows and (mu, log sigma2, log
+    tau2) rows, and gives NaN where V is numerically singular or a log
+    variance lies past 700, and a non-finite row, without a warning, where
+    the log-scale products overflow (a log variance past about 355); both
+    are NaO.
     """
 
     def __init__(self, a: RelationshipMatrix):
-        self.a = a.a
-        self.n = a.size
-        lam, q = np.linalg.eigh(self.a)
-        self.lam = lam
-        self.q = q
-        self.ones_t = q.T @ np.ones(self.n)
+        self.relationship = a
+        self.n_individuals = n = a.size
+        self.lam, self.q = lam, q = np.linalg.eigh(a.a)
+        self.ones_t = q.T @ np.ones(n)
+        # negative eigenvalues of A, rounding artifacts, are clamped to zero in the draws
         self.eig_clamp = float(max(0.0, -lam.min()))
         self._sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
-        self._sim_factor = q * self._sqrt_lam
         self._ones_t_sq = self.ones_t * self.ones_t
-        self._rank_floor = self.n * np.finfo(float).eps
+        self._rank_floor = n * np.finfo(float).eps
         # every sum over eigenvalues is a weight row times 1, lam or lam^2
-        self._basis = np.stack([np.ones(self.n), lam, lam * lam], axis=1)
+        self._basis = np.stack([np.ones(n), lam, lam * lam], axis=1)
+        # the method of moments' 2x2 system over tr(A^2) and tr(A), None when it is degenerate
+        trace = float(np.trace(a.a))
+        design = np.array([[float(np.sum(a.a * a.a)), trace], [trace, float(n)]])
+        det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
+        self._design = None if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0) else design
+        self.dim_param = 3
+        self.domain = OpenBox.unbounded(3)
+
+    @staticmethod
+    def params_to_phi(params: AnimalParams) -> np.ndarray:
+        return np.array([params.mu, np.log(params.sigma2), np.log(params.tau2)])
+
+    @staticmethod
+    def phi_to_params(phi: np.ndarray) -> AnimalParams:
+        return AnimalParams(float(phi[0]), float(np.exp(phi[1])), float(np.exp(phi[2])))
 
     def rotate(self, y) -> np.ndarray:
         """The response in the eigenbasis of A, ``Q'y``."""
@@ -424,7 +444,7 @@ class _AnimalKernel:
         if singular.any():
             w[singular] = 1.0
         # weight rows (see _WEIGHT_SUMS), filled in place
-        weights = np.empty(w.shape[:-1] + (8, self.n))
+        weights = np.empty(w.shape[:-1] + (8, self.n_individuals))
         inv_w, inv_w2, rt2_w, rt2_w2, rt2_w3, o_rt_w, o_rt_w2, o2_w = (weights[..., r, :] for r in range(8))
         np.divide(1.0, w, out=inv_w)
         np.multiply(inv_w, inv_w, out=inv_w2)
@@ -448,109 +468,15 @@ class _AnimalKernel:
             hess[singular] = np.nan
         return value, grad, hess
 
-    def simulate(self, mu: float, sigma2: float, tau2: float, rng: np.random.Generator) -> np.ndarray:
-        """One response y at natural parameters; a zero variance, the boundary,
-        is allowed here.  Negative eigenvalues of A (rounding artifacts) are
-        clamped to zero in the factor; the clamp is ``eig_clamp``."""
-        genetic = np.sqrt(sigma2) * (self._sim_factor @ rng.standard_normal(self.n))
-        environment = np.sqrt(tau2) * rng.standard_normal(self.n)
-        return mu + genetic + environment
-
-    def simulate_rotated(self, mu: np.ndarray, sigma2: np.ndarray, tau2: np.ndarray, streams) -> np.ndarray:
-        """``Q'y`` of one :meth:`simulate` draw per stream, shape (len(streams), N):
-        ``mu``, ``sigma2`` and ``tau2`` hold c centres, and centre i draws the
-        ``n = len(streams) / c`` rows from row ``i n`` on.
-
-        Each stream draws the two normal vectors of ``simulate`` in its
-        order; ``Q'y = mu Q'1 + sqrt(sigma2) sqrt(lam) z1 + sqrt(tau2) Q'z2``
-        is then formed without forming y, with one product a centre on its n
-        rows.  A product's last bits depend on its row count (one row is a
-        matrix-vector product), so a centre's rows do not depend on the other
-        centres drawn with it.  Rows agree with ``rotate(simulate(...))`` up
-        to rounding.
-        """
-        c, m = len(mu), len(streams)
-        z1, z2 = np.empty((2, m, self.n))
-        for rng, genetic, environment in zip(streams, z1, z2):
-            rng.standard_normal(out=genetic)
-            rng.standard_normal(out=environment)
-        z1, z2 = z1.reshape(c, m // c, self.n), z2.reshape(c, m // c, self.n)
-        qty = np.matmul(z2, self.q)
-        qty *= np.sqrt(tau2)[:, None, None]
-        z1 *= np.sqrt(sigma2)[:, None, None] * self._sqrt_lam
-        qty += z1
-        qty += mu[:, None, None] * self.ones_t
-        return qty.reshape(m, self.n)
-
-
-def logit_heritability(params: AnimalParams) -> float:
-    """log sigma2 - log tau2, the unconstrained variance-ratio transform."""
-    return float(np.log(params.sigma2) - np.log(params.tau2))
-
-
-def _moment_design(a: RelationshipMatrix) -> np.ndarray | None:
-    """The method of moments' 2x2 system, None when it is degenerate."""
-    design = np.array([[a.trace_sq, a.trace], [a.trace, float(a.size)]])
-    det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
-    return None if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0) else design
-
-
-# the animal model's parameters (mu, log sigma2, log tau2): the bound on
-# |phi| inside which it is evaluated (mu finite), which entries are log
-# variances, and where the chain rule adds the gradient to the Hessian
-_PHI_BOUND = np.array([np.finfo(float).max, 700.0, 700.0])
-_LOG_VARIANCES = np.array([0.0, 1.0, 1.0])
-_LOG_VARIANCE_DIAGONAL = np.diag(_LOG_VARIANCES)
-
-
-class AnimalModel(LikModel):
-    """Trait model fit over (mu, log sigma2, log tau2).
-
-    The log-variance parameterization keeps Newton iterates interior and
-    makes the parameter domain the whole space; reported results map back
-    to natural variances.  The eigendecomposition of A is computed once per
-    matrix (``RelationshipMatrix.kernel``) and shared read-only by every
-    evaluation and simulation.  A data set is a rotated response ``Q'y``:
-    :meth:`parse_data` rotates a raw response y once, one O(N^2) product,
-    and :meth:`simulate_stack` draws ``Q'y`` without forming y.
-    :meth:`loglik` then costs O(N) a row: it takes ``Q'y`` rows and (mu, log
-    sigma2, log tau2) rows, and gives NaN where V is numerically singular or
-    a log variance lies past 700, and a non-finite row, without a warning,
-    where the log-scale products overflow (a log variance past about 355);
-    both are NaO.
-    """
-
-    def __init__(self, a: RelationshipMatrix):
-        self.relationship = a
-        self._kernel = a.kernel
-        self.dim_param = 3
-        self.domain = OpenBox.unbounded(3)
-
-    @property
-    def eig_clamp(self) -> float:
-        return self._kernel.eig_clamp
-
-    @property
-    def n_individuals(self) -> int:
-        return self._kernel.n
-
-    @staticmethod
-    def params_to_phi(params: AnimalParams) -> np.ndarray:
-        return np.array([params.mu, np.log(params.sigma2), np.log(params.tau2)])
-
-    @staticmethod
-    def phi_to_params(phi: np.ndarray) -> AnimalParams:
-        return AnimalParams(float(phi[0]), float(np.exp(phi[1])), float(np.exp(phi[2])))
-
     def loglik(self, qty: np.ndarray, theta: np.ndarray):
         """(value, gradient, Hessian) over (mu, log sigma2, log tau2) from ``Q'y``,
-        over a trailing axis like ``natural_eval``."""
+        over a trailing axis like :meth:`natural_eval`."""
         outside = ~(np.abs(theta) <= _PHI_BOUND).all(axis=-1)
         if outside.any():
             theta = np.where(outside[..., None], 0.0, theta)
         # (1, sigma2, tau2): d(sigma2)/d(log sigma2) = sigma2, and likewise for tau2
         scale = np.exp(theta * _LOG_VARIANCES)
-        value, g, h = self._kernel.natural_eval(qty, theta[..., 0], scale[..., 1], scale[..., 2])
+        value, g, h = self.natural_eval(qty, theta[..., 0], scale[..., 1], scale[..., 2])
         # past a log variance of about 355 these products overflow; the row is
         # then non-finite, which the objective turns into NaO without a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -563,6 +489,42 @@ class AnimalModel(LikModel):
             hess[outside] = np.nan
         return value, grad, hess
 
+    def simulate_response(self, mu: float, sigma2: float, tau2: float, rng: np.random.Generator) -> np.ndarray:
+        """One raw response y at natural parameters, the draw that
+        :meth:`simulate_rotated` rotates; a zero variance, the boundary, is
+        allowed here.  The genetic factor is ``Q diag(sqrt(lam))``, with the
+        negative eigenvalues clamped to zero (``eig_clamp``)."""
+        n = self.n_individuals
+        genetic = np.sqrt(sigma2) * ((self.q * self._sqrt_lam) @ rng.standard_normal(n))
+        environment = np.sqrt(tau2) * rng.standard_normal(n)
+        return mu + genetic + environment
+
+    def simulate_rotated(self, mu: np.ndarray, sigma2: np.ndarray, tau2: np.ndarray, streams) -> np.ndarray:
+        """``Q'y`` of one :meth:`simulate_response` draw per stream, shape
+        (len(streams), N): ``mu``, ``sigma2`` and ``tau2`` hold c centres, and
+        centre i draws the ``n = len(streams) / c`` rows from row ``i n`` on.
+
+        Each stream draws the two normal vectors of ``simulate_response`` in
+        its order; ``Q'y = mu Q'1 + sqrt(sigma2) sqrt(lam) z1 + sqrt(tau2)
+        Q'z2`` is then formed without forming y, with one product a centre on
+        its n rows.  A product's last bits depend on its row count (one row
+        is a matrix-vector product), so a centre's rows do not depend on the
+        other centres drawn with it.  Rows agree with
+        ``rotate(simulate_response(...))`` up to rounding.
+        """
+        c, m, n = len(mu), len(streams), self.n_individuals
+        z1, z2 = np.empty((2, m, n))
+        for rng, genetic, environment in zip(streams, z1, z2):
+            rng.standard_normal(out=genetic)
+            rng.standard_normal(out=environment)
+        z1, z2 = z1.reshape(c, m // c, n), z2.reshape(c, m // c, n)
+        qty = np.matmul(z2, self.q)
+        qty *= np.sqrt(tau2)[:, None, None]
+        z1 *= np.sqrt(sigma2)[:, None, None] * self._sqrt_lam
+        qty += z1
+        qty += mu[:, None, None] * self.ones_t
+        return qty.reshape(m, n)
+
     def simulate_stack(self, centers, streams) -> np.ndarray:
         """``Q'y`` of one draw per stream, the streams split evenly among the
         centres.  Past the bound on ``|phi|`` where :meth:`loglik` is NaN the
@@ -572,7 +534,7 @@ class AnimalModel(LikModel):
         outside = ~(np.abs(phi) <= _PHI_BOUND).all(axis=1)
         # an outside centre draws at phi = 0, and its rows are then set to NaN
         phi = np.where(outside[:, None], 0.0, phi)
-        qty = self._kernel.simulate_rotated(phi[:, 0], np.exp(phi[:, 1]), np.exp(phi[:, 2]), streams)
+        qty = self.simulate_rotated(phi[:, 0], np.exp(phi[:, 1]), np.exp(phi[:, 2]), streams)
         qty[np.repeat(outside, len(streams) // len(phi))] = np.nan
         return qty
 
@@ -593,17 +555,16 @@ class AnimalModel(LikModel):
         m, n = qty.shape
         if n < 3:
             return np.full((m, 3), np.nan)
-        kernel, design = self._kernel, _moment_design(self.relationship)
         with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows has no start
-            mu0 = _row_dots(qty, kernel.ones_t) / n
-            r = qty - mu0[:, None] * kernel.ones_t
+            mu0 = _row_dots(qty, self.ones_t) / n
+            r = qty - mu0[:, None] * self.ones_t
             r_r = _row_dots(r, r)
             var_y = np.maximum(r_r / (n - 1), 1e-12)
-            if design is None:
+            if self._design is None:
                 s2 = t2 = var_y / 2.0
             else:
-                rhs = np.stack([_row_dots(r * r, kernel.lam), r_r], axis=1)
-                s2, t2 = np.linalg.solve(np.broadcast_to(design, (m, 2, 2)), rhs[:, :, None])[:, :, 0].T
+                rhs = np.stack([_row_dots(r * r, self.lam), r_r], axis=1)
+                s2, t2 = np.linalg.solve(np.broadcast_to(self._design, (m, 2, 2)), rhs[:, :, None])[:, :, 0].T
             floor = 1e-3 * var_y
             s2, t2 = np.maximum(s2, floor), np.maximum(t2, floor)
             phi = np.stack([mu0, np.log(s2), np.log(t2)], axis=1)
@@ -612,7 +573,7 @@ class AnimalModel(LikModel):
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         """The response ``y`` rotated to ``Q'y``, once."""
-        return self._kernel.rotate(_of_length(flat, self.n_individuals))
+        return self.rotate(_of_length(flat, self.n_individuals))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, error metrics, hand-written
-objectives, one-row pivots and refits.
+objectives, one-row pivots and refits; and the loader of the benchmark's
+span tracer.
 
 The finite-difference helpers differentiate objective *values* only, so they
 stay independent of the analytic gradients and Hessians they check.
@@ -7,10 +8,24 @@ stay independent of the analytic gradients and Hessians they check.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from quadlik.core import OpenBox, RowObjective, StackedEval, StackedObjective, is_nao
 from quadlik.newton import safeguarded_maximize
+
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    """The benchmark's span tracer, loaded from its file outside the package."""
+    spec = importlib.util.spec_from_file_location("quadlik_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def row_objective(kernel, dim: int = 1) -> RowObjective:
@@ -58,12 +73,12 @@ def fd_hessian(value_fn, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     return hess
 
 
-def natural_loglik(a, y, point):
+def natural_loglik(model, y, point):
     """The animal log likelihood of one response y in natural coordinates: value,
     gradient and Hessian over ``point = (mu, sigma2, tau2)``, from the
-    eigendecomposition of A, NaN where V is numerically singular."""
-    kernel = a.kernel
-    return kernel.natural_eval(kernel.rotate(y), *point)
+    eigendecomposition an ``AnimalModel`` holds, NaN where V is numerically
+    singular."""
+    return model.natural_eval(model.rotate(y), *point)
 
 
 def rel_err(actual, expected) -> float:

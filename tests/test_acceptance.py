@@ -247,8 +247,8 @@ def test_criterion_6_animal_model():
     # analytic derivatives against finite differences at N = 200
     y0 = model.simulate(phi_truth, derive_rng(1006, "fd"))
     point = np.array([truth.mu, truth.sigma2, truth.tau2])
-    _, gradient_nat, hessian_nat = natural_loglik(a, y0, point)
-    value_nat = lambda v: natural_loglik(a, y0, v)[0]
+    _, gradient_nat, hessian_nat = natural_loglik(model, y0, point)
+    value_nat = lambda v: natural_loglik(model, y0, v)[0]
     ok_fd = (
         rel_err(gradient_nat, fd_gradient(value_nat, point)) < 1e-6
         and rel_err(hessian_nat, fd_hessian(value_nat, point)) < 1e-4

@@ -4,21 +4,12 @@ A name it binds that the package no longer has fails here, not only in a
 traced benchmark run.
 """
 
-import importlib.util
 import sys
-from pathlib import Path
+
+from conftest import load_tracing
 
 import quadlik
 import quadlik.cli  # noqa: F401  (the tracer patches the cli layer too)
-
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("quadlik_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def bindings() -> dict:

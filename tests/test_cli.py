@@ -768,11 +768,13 @@ class TestNonFiniteMonteCarloChecks:
 
 
 class TestClassicalExponentialPsi:
-    """The exponential unit's psi is one finite positive rate."""
+    """The exponential unit's psi is one finite positive rate, whose information
+    is finite at the ladder's largest rung."""
 
     @pytest.mark.parametrize(
-        "psi", [[0], [-1], [1, 2], [1e-300], [1e300]],
-        ids=["zero", "negative", "two-entries", "information-overflows", "information-underflows"],
+        "psi", [[0], [-1], [1, 2], [1e-300], [1e300], [1e-154]],
+        ids=["zero", "negative", "two-entries", "information-overflows", "information-underflows",
+             "rung-information-overflows"],
     )
     def test_bad_rate_names_key(self, tmp_path, capsys, psi):
         path = write_config(
@@ -783,6 +785,26 @@ class TestClassicalExponentialPsi:
             warnings.simplefilter("error")
             assert main(["classical-comparison", "--config", path]) == EXIT_INPUT_ERROR
         assert "config.psi" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestClassicalLadderBounds:
+    """A ladder count must fit a report real exactly, and the largest rung's
+    draw must fit in physical memory; both are checked before any draw."""
+
+    @pytest.mark.parametrize("ladder", [[10**400], [10, 2**53 + 1], [10**12]],
+                             ids=["past-a-double", "past-2**53", "past-physical-memory"])
+    def test_rejected_before_any_draw(self, tmp_path, capsys, monkeypatch, ladder):
+        def no_draw(*args):
+            raise AssertionError("the ladder was drawn")
+
+        monkeypatch.setattr(quadlik.cli, "draw", no_draw)
+        path = write_config(
+            tmp_path, "c.json", experiment="classical-comparison", out="r",
+            unit="exponential", ladder=ladder, replications=3,
+        )
+        assert main(["classical-comparison", "--config", path]) == EXIT_INPUT_ERROR
+        assert "config.ladder" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
 

@@ -35,7 +35,7 @@ from quadlik import (
 )
 from quadlik.cli import _heritability_pivot, _heritability_variance
 from quadlik.core import QuadraticForm, spd_factor
-from quadlik.models import DataFormatError, LanNormalLocation, PedigreeError, WishartLamnModel, _AnimalKernel
+from quadlik.models import DataFormatError, LanNormalLocation, PedigreeError, WishartLamnModel
 
 
 class _ZeroNoise:
@@ -226,40 +226,39 @@ class TestRelationshipMatrix:
 class TestAnimalLoglik:
     def _instance(self, seed, n=12):
         ped = synthetic_pedigree(max(4, n // 3), n - max(4, n // 3), 1, seed)
-        a = relationship_matrix(ped)
+        model = AnimalModel(relationship_matrix(ped))
         rng = derive_rng(seed, 1)
         params = AnimalParams(0.5, 1.2, 0.8)
-        y = a.kernel.simulate(params.mu, params.sigma2, params.tau2, rng)
-        return a, y, params
+        y = model.simulate_response(params.mu, params.sigma2, params.tau2, rng)
+        return model, y, params
 
     def test_identity_a_reduces_to_iid(self):
         ped = Pedigree(tuple(PedigreeRecord(i + 1, None, None) for i in range(10)))
-        a = relationship_matrix(ped)
-        y = a.kernel.simulate(1.0, 0.6, 0.4, derive_rng(4))
-        _, _, hessian = natural_loglik(a, y, [1.0, 0.5, 0.5])
+        model = AnimalModel(relationship_matrix(ped))
+        y = model.simulate_response(1.0, 0.6, 0.4, derive_rng(4))
+        _, _, hessian = natural_loglik(model, y, [1.0, 0.5, 0.5])
         # information in the variance pair is singular: only the sum is identified
         info_vv = -hessian[1:, 1:]
         assert spd_factor(info_vv) is None
         # mu maximizer is the sample mean: gradient in mu vanishes there
-        _, gradient_at_mean, _ = natural_loglik(a, y, [float(y.mean()), 0.5, 0.5])
+        _, gradient_at_mean, _ = natural_loglik(model, y, [float(y.mean()), 0.5, 0.5])
         assert abs(gradient_at_mean[0]) < 1e-10
 
     def test_finite_difference_oracle_natural_coords(self):
         rng = np.random.default_rng(3)
         for seed in (10, 11, 12):
-            a, y, params = self._instance(seed)
+            model, y, params = self._instance(seed)
 
             def value(v):
-                return natural_loglik(a, y, v)[0]
+                return natural_loglik(model, y, v)[0]
 
             point = np.array([params.mu, params.sigma2, params.tau2])
-            _, gradient, hessian = natural_loglik(a, y, point)
+            _, gradient, hessian = natural_loglik(model, y, point)
             assert rel_err(gradient, fd_gradient(value, point)) < 1e-6
             assert rel_err(hessian, fd_hessian(value, point, h=1e-4)) < 1e-4
 
     def test_finite_difference_oracle_log_coords(self):
-        a, y, params = self._instance(21)
-        model = AnimalModel(a)
+        model, y, params = self._instance(21)
         phi = AnimalModel.params_to_phi(params)
         q = model.objective(y)
         ev = q(phi)
@@ -268,21 +267,22 @@ class TestAnimalLoglik:
         assert rel_err(ev.hessian, fd_hessian(value, phi, h=1e-4)) < 1e-4
 
     def test_permutation_invariance(self):
-        a, y, params = self._instance(31)
+        model, y, params = self._instance(31)
         rng = np.random.default_rng(0)
-        perm = rng.permutation(a.size)
+        perm = rng.permutation(model.n_individuals)
         from quadlik import RelationshipMatrix
 
-        a_perm = RelationshipMatrix(a.a[np.ix_(perm, perm)])
+        a = model.relationship.a
+        model_perm = AnimalModel(RelationshipMatrix(a[np.ix_(perm, perm)]))
         point = [params.mu, params.sigma2, params.tau2]
-        value, gradient, _ = natural_loglik(a, y, point)
-        value_perm, gradient_perm, _ = natural_loglik(a_perm, y[perm], point)
+        value, gradient, _ = natural_loglik(model, y, point)
+        value_perm, gradient_perm, _ = natural_loglik(model_perm, y[perm], point)
         assert value_perm == pytest.approx(value, rel=1e-10)
         assert np.allclose(gradient_perm, gradient, rtol=1e-8, atol=1e-10)
 
     def test_singular_covariance_gives_nao(self):
-        a, y, _ = self._instance(41)
-        value, gradient, hessian = natural_loglik(a, y, [0.0, 1e-320, 1e-320])
+        model, y, _ = self._instance(41)
+        value, gradient, hessian = natural_loglik(model, y, [0.0, 1e-320, 1e-320])
         assert np.isnan(value) and np.isnan(gradient).all() and np.isnan(hessian).all()
 
 
@@ -300,7 +300,7 @@ class TestAnimalRotation:
     def test_objective_matches_eval_bitwise(self, phi, seed):
         # objective(Q'y) is a row of the stacked objective of Q'y rows
         model = self.MODEL
-        y = model.relationship.kernel.simulate(0.5, 1.2, 0.8, derive_rng(seed))
+        y = model.simulate_response(0.5, 1.2, 0.8, derive_rng(seed))
         qty = model.parse_data(y)
         phi = np.array(phi)
         ev = model.objective(qty)(phi)
@@ -309,25 +309,25 @@ class TestAnimalRotation:
         assert value[1] == ev.value
         assert np.array_equal(gradient[1], ev.gradient)
         assert np.array_equal(hessian[1], ev.hessian)
-        # the natural-scale kernel, reached through the chain rule
+        # the natural-scale likelihood, reached through the chain rule
         s2, t2 = float(np.exp(phi[1])), float(np.exp(phi[2]))
-        value, gradient, _ = natural_loglik(model.relationship, y, [phi[0], s2, t2])
+        value, gradient, _ = natural_loglik(model, y, [phi[0], s2, t2])
         assert value == pytest.approx(ev.value, rel=1e-12, abs=1e-12)
         chain = gradient * np.array([1.0, s2, t2])
         assert np.allclose(chain, ev.gradient, rtol=1e-10, atol=1e-12)
 
     def test_one_rotation_per_objective(self, monkeypatch):
         calls = []
-        original = _AnimalKernel.rotate
+        original = AnimalModel.rotate
 
-        def counting(kernel, y):
+        def counting(model, y):
             calls.append(1)
-            return original(kernel, y)
+            return original(model, y)
 
-        monkeypatch.setattr(_AnimalKernel, "rotate", counting)
+        monkeypatch.setattr(AnimalModel, "rotate", counting)
         model = self.MODEL
         # a raw response is rotated once, when it is read; the data set is Q'y
-        qty = model.parse_data(model.relationship.kernel.simulate(0.5, 1.2, 0.8, derive_rng(4)))
+        qty = model.parse_data(model.simulate_response(0.5, 1.2, 0.8, derive_rng(4)))
         assert len(calls) == 1
         q = model.objective(qty)
         for i in range(20):
@@ -343,13 +343,13 @@ class TestAnimalRotation:
         # each replicate is drawn already rotated, as one row of the level's
         # one Q'Y product, and its start, refit and pivot all share that row
         calls = {"rotate": 0, "simulate_rotated": 0}
-        for name, original in [(name, getattr(_AnimalKernel, name)) for name in calls]:
+        for name, original in [(name, getattr(AnimalModel, name)) for name in calls]:
 
-            def counting(kernel, *args, name=name, original=original):
+            def counting(model, *args, name=name, original=original):
                 calls[name] += 1
-                return original(kernel, *args)
+                return original(model, *args)
 
-            monkeypatch.setattr(_AnimalKernel, name, counting)
+            monkeypatch.setattr(AnimalModel, name, counting)
         model, B = self.MODEL, 50
         samples = parametric_bootstrap(model, self.TRUTH, B, pivot_factory(model), seed=8)
         assert samples.values.size > 0
@@ -374,40 +374,60 @@ class TestLargeLogVariance:
 
 
 class TestOneEigendecomposition:
-    def test_matrix_shares_one_eigh(self, monkeypatch):
+    PEDIGREE = synthetic_pedigree(5, 6, 2, 23)
+
+    def test_one_eigh_per_model(self, monkeypatch):
         calls = []
         original = np.linalg.eigh
 
-        def counting(a, *args, **kwargs):
-            calls.append(1)
-            return original(a, *args, **kwargs)
+        def counting(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return original(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        a = relationship_matrix(synthetic_pedigree(5, 6, 2, 23))
-        params = AnimalParams(0.3, 1.1, 0.9)
-        point = [params.mu, params.sigma2, params.tau2]
-        y = a.kernel.simulate(*point, derive_rng(1))
-        a.kernel.simulate(0.0, 0.0, 1.0, derive_rng(2))
-        natural_loglik(a, y, point)
-        natural_loglik(a, y, [0.0, 2.0, 0.5])
+        a = relationship_matrix(self.PEDIGREE)
         model = AnimalModel(a)
-        fit_mle(model, model.parse_data(y))
-        AnimalModel(a).simulate(model.params_to_phi(params), derive_rng(3))
-        assert len(calls) == 1
-        # a second matrix, even an equal one, has its own decomposition
-        natural_loglik(relationship_matrix(synthetic_pedigree(5, 6, 2, 23)), y, point)
-        assert len(calls) == 2
+        n = model.n_individuals
+        assert calls == [(n, n)]
+        params = AnimalParams(0.3, 1.1, 0.9)
+        phi = model.params_to_phi(params)
+        y = model.simulate_response(params.mu, params.sigma2, params.tau2, derive_rng(1))
+        model.simulate_response(0.0, 0.0, 1.0, derive_rng(2))
+        natural_loglik(model, y, [params.mu, params.sigma2, params.tau2])
+        qty = model.parse_data(y)
+        model.objective(qty)(phi)
+        model.starts(model.simulate_stack([phi], [derive_rng(3, i) for i in range(4)]))
+        fit_mle(model, qty)
+        parametric_bootstrap(model, phi, 10, _heritability_pivot(model), seed=4)
+        # the other decompositions of a fit and a bootstrap are of 3 x 3 informations
+        assert calls.count((n, n)) == 1
+        # a second model, even of the same matrix, runs its own
+        AnimalModel(a)
+        assert calls.count((n, n)) == 2
+
+    def test_the_matrix_is_left_as_built(self):
+        a = relationship_matrix(self.PEDIGREE)
+        before = dict(vars(a))
+        model = AnimalModel(a)
+        phi = model.params_to_phi(AnimalParams(0.3, 1.1, 0.9))
+        qty = model.simulate(phi, derive_rng(5))
+        model.starts(np.array([qty]))
+        fit_mle(model, qty)
+        parametric_bootstrap(model, phi, 10, _heritability_pivot(model), seed=6)
+        assert vars(a).keys() == before.keys()
+        assert all(vars(a)[key] is value for key, value in before.items())
 
 
 class TestAnimalSimulate:
     def test_sigma_zero_boundary_is_iid(self):
         ped = synthetic_pedigree(5, 10, 1, 3)
-        a = relationship_matrix(ped)
+        model = AnimalModel(relationship_matrix(ped))
         rng = derive_rng(6)
-        draws = np.array([a.kernel.simulate(2.0, 0.0, 0.25, rng) for _ in range(20_000)])
+        draws = np.array([model.simulate_response(2.0, 0.0, 0.25, rng) for _ in range(20_000)])
         assert abs(draws.mean() - 2.0) < 0.02
         cov = np.cov(draws.T)
-        assert np.linalg.norm(cov - 0.25 * np.eye(a.size)) / np.linalg.norm(0.25 * np.eye(a.size)) < 0.05
+        iid = 0.25 * np.eye(model.n_individuals)
+        assert np.linalg.norm(cov - iid) / np.linalg.norm(iid) < 0.05
 
     def test_covariance_matches_model(self):
         ped = Pedigree(
@@ -420,9 +440,10 @@ class TestAnimalSimulate:
             )
         )
         a = relationship_matrix(ped)
+        model = AnimalModel(a)
         params = AnimalParams(0.0, 1.0, 0.5)
         rng = derive_rng(8)
-        draws = np.array([a.kernel.simulate(params.mu, params.sigma2, params.tau2, rng) for _ in range(100_000)])
+        draws = np.array([model.simulate_response(params.mu, params.sigma2, params.tau2, rng) for _ in range(100_000)])
         v = params.sigma2 * a.a + params.tau2 * np.eye(5)
         frob = np.linalg.norm(np.cov(draws.T) - v) / np.linalg.norm(v)
         assert frob < 0.05
@@ -435,10 +456,10 @@ class TestAnimalSimulate:
 
     def test_deterministic_under_seed(self):
         ped = synthetic_pedigree(4, 4, 1, 9)
-        a = relationship_matrix(ped)
+        model = AnimalModel(relationship_matrix(ped))
         params = AnimalParams(1.0, 1.0, 1.0)
-        d1 = a.kernel.simulate(params.mu, params.sigma2, params.tau2, derive_rng(10))
-        d2 = a.kernel.simulate(params.mu, params.sigma2, params.tau2, derive_rng(10))
+        d1 = model.simulate_response(params.mu, params.sigma2, params.tau2, derive_rng(10))
+        d2 = model.simulate_response(params.mu, params.sigma2, params.tau2, derive_rng(10))
         assert np.array_equal(d1, d2)
 
     @settings(max_examples=30, deadline=None)
@@ -454,7 +475,7 @@ class TestAnimalSimulate:
         assert stack.shape == (n, model.n_individuals)
         params = model.phi_to_params(phi)
         for i, held in enumerate(stack):
-            y = model.relationship.kernel.simulate(params.mu, params.sigma2, params.tau2, derive_rng(seed, "stack", i))
+            y = model.simulate_response(params.mu, params.sigma2, params.tau2, derive_rng(seed, "stack", i))
             # simulate_stack forms Q'y without forming y: equal up to rounding
             assert rel_err(held, model.parse_data(y)) <= 1e-12
 
@@ -479,8 +500,7 @@ class TestLogitHeritability:
 
     def test_se_positive_on_real_fit(self):
         ped = synthetic_pedigree(10, 30, 2, 5)
-        a = relationship_matrix(ped)
-        model = AnimalModel(a)
+        model = AnimalModel(relationship_matrix(ped))
         truth = AnimalParams(0.0, 1.0, 1.0)
         qty = model.simulate(AnimalModel.params_to_phi(truth), derive_rng(15))
         fit = fit_mle(model, qty)
@@ -489,7 +509,7 @@ class TestLogitHeritability:
         assert se > 0
         # the delta method in natural coordinates agrees at the maximizer
         params = AnimalModel.phi_to_params(fit.theta_hat)
-        _, _, hessian = a.kernel.natural_eval(qty, params.mu, params.sigma2, params.tau2)
+        _, _, hessian = model.natural_eval(qty, params.mu, params.sigma2, params.tau2)
         g = np.array([0.0, 1.0 / params.sigma2, -1.0 / params.tau2])
         se_natural = float(np.sqrt(g @ np.linalg.solve(-hessian, g)))
         assert se == pytest.approx(se_natural, rel=1e-4)
@@ -505,7 +525,8 @@ def method_of_moments_start(a, y) -> AnimalParams:
     r_a_r = float(r @ (a.a @ r))
     var_y = max(float(r @ r) / (n - 1), 1e-12)
     floor = 1e-3 * var_y
-    design = np.array([[a.trace_sq, a.trace], [a.trace, float(n)]])
+    trace, trace_sq = float(np.trace(a.a)), float(np.trace(a.a @ a.a))
+    design = np.array([[trace_sq, trace], [trace, float(n)]])
     det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
     if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0):
         s2 = t2 = var_y / 2.0
@@ -514,51 +535,39 @@ def method_of_moments_start(a, y) -> AnimalParams:
     return AnimalParams(mu0, max(float(s2), floor), max(float(t2), floor))
 
 
-def start_params(a, ys) -> list:
+def start_params(model, ys) -> list:
     """``AnimalModel.starts`` of raw responses, read as data sets, as natural parameters."""
-    model = AnimalModel(a)
     return [model.phi_to_params(phi) for phi in model.starts(np.array([model.parse_data(y) for y in ys]))]
 
 
 class TestMethodOfMoments:
     def test_identity_a_falls_back(self):
         ped = Pedigree(tuple(PedigreeRecord(i + 1, None, None) for i in range(8)))
-        a = relationship_matrix(ped)
         y = derive_rng(2).standard_normal(8)
-        (start,) = start_params(a, [y])
+        (start,) = start_params(AnimalModel(relationship_matrix(ped)), [y])
         assert start.sigma2 == start.tau2  # even split on the degenerate system
 
     def test_start_is_interior(self):
         rng = derive_rng(77)
         ped = synthetic_pedigree(10, 20, 2, 3)
-        a = relationship_matrix(ped)
-        ys = [a.kernel.simulate(0.0, 1.0, 1.0, rng) for _ in range(20)]
-        for start in start_params(a, ys):
+        model = AnimalModel(relationship_matrix(ped))
+        ys = [model.simulate_response(0.0, 1.0, 1.0, rng) for _ in range(20)]
+        for start in start_params(model, ys):
             assert start.sigma2 > 0 and start.tau2 > 0
 
     def test_recovers_truth_roughly(self):
         ped = synthetic_pedigree(30, 85, 2, 13)
-        a = relationship_matrix(ped)
+        model = AnimalModel(relationship_matrix(ped))
         truth = AnimalParams(0.0, 1.0, 1.0)
         rng = derive_rng(19)
         good = 0
         reps = 60
-        ys = [a.kernel.simulate(truth.mu, truth.sigma2, truth.tau2, rng) for _ in range(reps)]
-        for start in start_params(a, ys):
+        ys = [model.simulate_response(truth.mu, truth.sigma2, truth.tau2, rng) for _ in range(reps)]
+        for start in start_params(model, ys):
             ok_s = truth.sigma2 / 3 <= start.sigma2 <= truth.sigma2 * 3
             ok_t = truth.tau2 / 3 <= start.tau2 <= truth.tau2 * 3
             good += int(ok_s and ok_t)
         assert good / reps >= 0.9
-
-    def test_pedigree_constants_cached(self):
-        a = relationship_matrix(synthetic_pedigree(10, 20, 2, 3))
-        y = a.kernel.simulate(0.0, 1.0, 1.0, derive_rng(5))
-        assert "trace" not in vars(a) and "trace_sq" not in vars(a)
-        (first,) = start_params(a, [y])
-        assert vars(a)["trace"] == float(np.trace(a.a))
-        assert vars(a)["trace_sq"] == float(np.sum(a.a * a.a))
-        (second,) = start_params(a, [y])
-        assert (first.mu, first.sigma2, first.tau2) == (second.mu, second.sigma2, second.tau2)
 
     def test_requires_three_observations(self):
         # no start for two individuals, so the fit is NaO before any step
@@ -575,25 +584,26 @@ class TestMethodOfMoments:
         # a stack's starts come from Q'y; the oracle forms its sums from y
         model = TestStackedStarts.MODELS[False]
         params = model.phi_to_params(np.array(phi))
-        y = model.relationship.kernel.simulate(params.mu, params.sigma2, params.tau2, derive_rng(seed, "start"))
+        y = model.simulate_response(params.mu, params.sigma2, params.tau2, derive_rng(seed, "start"))
         raw = model.params_to_phi(method_of_moments_start(model.relationship, y))
         assert rel_err(model.starts([model.parse_data(y)])[0], raw) <= 1e-12
         stacked = model.simulate_stack([phi], [derive_rng(seed, "start")])
         assert rel_err(model.starts(stacked)[0], raw) <= 1e-12
 
 
-def rotated_start(a, qty) -> np.ndarray:
+def rotated_start(model, qty) -> np.ndarray:
     """Oracle: the method-of-moments start of one rotated response ``Q'y``,
     every sum formed row by row; NaN where it has no start."""
-    kernel, n = a.kernel, qty.size
+    a, n = model.relationship.a, qty.size
     if n < 3:
         return np.full(3, np.nan)
-    mu0 = float(kernel.ones_t @ qty) / n
-    r = qty - mu0 * kernel.ones_t
-    r_a_r = float(kernel.lam @ (r * r))
+    mu0 = float(model.ones_t @ qty) / n
+    r = qty - mu0 * model.ones_t
+    r_a_r = float(model.lam @ (r * r))
     var_y = max(float(r @ r) / (n - 1), 1e-12)
     floor = 1e-3 * var_y
-    design = np.array([[a.trace_sq, a.trace], [a.trace, float(n)]])
+    trace, trace_sq = float(np.trace(a)), float(np.sum(a * a))
+    design = np.array([[trace_sq, trace], [trace, float(n)]])
     det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
     if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0):
         s2 = t2 = var_y / 2.0
@@ -632,7 +642,7 @@ class TestStackedStarts:
         starts = model.starts(stack)
         assert starts.shape == (m, 3)
         for row, start in zip(stack, starts):
-            expected = rotated_start(model.relationship, row)
+            expected = rotated_start(model, row)
             assert start.tobytes() == expected.tobytes() or np.isnan(start).all() and np.isnan(expected).all()
         assert np.isnan(starts).any(axis=1).sum() == int(poisoned and m > 0)
 
@@ -795,7 +805,7 @@ class TestParseData:
         # animal: the response is rotated to Q'y once, when it is read
         animal = self.MODELS["animal"][0]()
         y = np.linspace(1.0, 2.0, 5)
-        assert np.array_equal(animal.parse_data(y), animal.relationship.kernel.rotate(y))
+        assert np.array_equal(animal.parse_data(y), animal.q.T @ y)
 
 
 class TestWishartModelWrapper:
@@ -820,11 +830,10 @@ def quadratic_row(z, k, theta):
 
 def animal_row(model, qty, phi):
     """The log-scale animal likelihood of one rotated response ``Q'y``."""
-    kernel = model.relationship.kernel
     if not (np.abs(phi) <= np.array([np.finfo(float).max, 700.0, 700.0])).all():
         return np.nan, np.full(3, np.nan), np.full((3, 3), np.nan)
     scale = np.exp(phi * np.array([0.0, 1.0, 1.0]))
-    value, g, h = kernel.natural_eval(qty, phi[0], scale[1], scale[2])
+    value, g, h = model.natural_eval(qty, phi[0], scale[1], scale[2])
     grad = g * scale
     hess = h * (scale[:, None] * scale[None, :])
     hess += np.diag([0.0, 1.0, 1.0]) * grad[None, :]
