@@ -6,12 +6,12 @@ chi-square quantile.  The double bootstrap nests one more level at each
 outer refit to diagnose the single bootstrap itself: all of its inner
 replicates form a second level.  Each level block is one data stack,
 drawn for all its centres by one :func:`~quadlik.parallel.draw` call (one
-key pass, one ``simulate_stack`` call), started by one ``model.starts``
-call, refit in one lockstep safeguarded Newton and pivoted in one call on
-the lockstep's final evaluations.
+key pass, one ``simulate_stack`` call), refit by one
+:func:`~quadlik.inference.fit_stack` and pivoted in one call on the
+refits and their observed informations.
 Replicates draw from per-index streams, so results do not depend on the
-order of the draws; failed refits become NaO and are counted, never
-silently dropped.
+order of the draws; NaO fits and pivots are counted, never silently
+dropped.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LikModel, StackedEval, cholesky_pivots
-from .inference import chisq_upper_quantile
-from .newton import lockstep_fit
+from .core import LikModel
+from .inference import chisq_upper_quantile, fit_stack
 from .parallel import draw
 
-# a pivot maps a refit level's final evaluations, its refits (m, p) and their
-# centres (m, p) to (m,) values, NaN where a row is NaO
-PivotFn = Callable[[StackedEval, np.ndarray, np.ndarray], np.ndarray]
+# a pivot maps a level's refits (m, p) and informations (m, p, p), as fit_stack
+# gives them, and their centres (m, p) to (m,) values, NaN where a fit is NaO
+PivotFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # the most inner replicates of a double bootstrap refit in one lockstep;
 # past a few hundred rows a lockstep's per-call cost is already spread thin,
@@ -82,43 +81,24 @@ class CalibrationResult:
 def make_wald_pivot(model: LikModel) -> PivotFn:
     """Default pivot: Wald quadratic form in the refit's observed information.
 
-    Row ``j`` is ``wald_pivot(thetas[j], theta_hats[j], info_j)`` for the
-    negative Hessian ``info_j`` of the row's evaluation, NaN where that
-    evaluation is NaO or ``info_j`` fails the pivot test.
+    Row ``j`` is ``wald_pivot(thetas[j], theta_hats[j], infos[j])``.
     """
 
-    def pivot(ev: StackedEval, thetas: np.ndarray, theta_hats: np.ndarray) -> np.ndarray:
-        info = -ev.parts(thetas.shape[1])[2]
+    def pivot(thetas: np.ndarray, infos: np.ndarray, theta_hats: np.ndarray) -> np.ndarray:
         d = thetas - theta_hats
         with np.errstate(over="ignore", invalid="ignore"):
-            lower, _ = cholesky_pivots(info)
             # wald_pivot's ``d @ h @ d`` row by row, bit for bit (einsum is not)
-            values = np.matmul(np.matmul(d[:, None, :], info), d[:, :, None])[:, 0, 0]
-        return np.where(ev.ok & ~np.isnan(lower[:, 0, 0]), values, np.nan)
+            return np.matmul(np.matmul(d[:, None, :], infos), d[:, :, None])[:, 0, 0]
 
     return pivot
 
 
-def _refit(model: LikModel, theta_hats: np.ndarray, pivot: PivotFn, stack) -> tuple[np.ndarray, np.ndarray]:
-    """Refit a data stack in one lockstep Newton from ``model.starts``, then pivot
-    row ``j`` on its final evaluation against ``theta_hats[j]``.
-
-    Returns the refits ``(m, p)``, a NaN row where the start or the refit
-    failed, and the pivot values ``(m,)``, NaN where the row is NaO: its
-    refit failed or its pivot is NaN or infinite.
-    """
-    thetas, _, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack))
-    values = pivot(final, thetas, theta_hats)
-    thetas[~converged] = np.nan
-    return thetas, np.where(converged & np.isfinite(values), values, np.nan)
-
-
 # nothing in the package calls it; bench/tracing.py binds it by name
 def _one_replicate(model: LikModel, theta_hat: np.ndarray, pivot: PivotFn, data):
-    """Row 0 of :func:`_refit` on the stack of one simulated data set."""
-    theta_hats = np.asarray(theta_hat, dtype=float).reshape(1, -1)
-    thetas, values = _refit(model, theta_hats, pivot, np.asarray([data], dtype=float))
-    return thetas[0], values[0]
+    """Row 0 of :func:`_bootstrap_level` on the stack of one simulated data set."""
+    thetas, infos = fit_stack(model, [data])[:2]
+    value = pivot(thetas, infos, np.asarray(theta_hat, dtype=float).reshape(1, -1))[0]
+    return thetas[0], value if np.isfinite(value) else np.nan
 
 
 def _bootstrap_level(
@@ -128,12 +108,13 @@ def _bootstrap_level(
     by one :func:`~quadlik.parallel.draw` call.
 
     Dataset ``j`` of center ``c`` is drawn from the stream ``(seed,
-    *paths[c], j)``.  Returns :func:`_refit`'s refits ``(len(centers), B,
-    p)`` and pivot values ``(len(centers), B)``, each against its center,
-    in stream order.
+    *paths[c], j)``.  Returns the refits ``(len(centers), B, p)`` (NaN where
+    not converged) and pivot values ``(len(centers), B)`` (NaN where NaO),
+    each against its center, in stream order.
     """
-    stack = draw(model, centers, B, seed, paths)
-    thetas, values = _refit(model, np.repeat(np.asarray(centers, dtype=float), B, axis=0), pivot, stack)
+    thetas, infos = fit_stack(model, draw(model, centers, B, seed, paths))[:2]
+    values = pivot(thetas, infos, np.repeat(np.asarray(centers, dtype=float), B, axis=0))
+    values = np.where(np.isfinite(values), values, np.nan)
     return thetas.reshape(len(centers), B, -1), values.reshape(len(centers), B)
 
 
@@ -152,11 +133,11 @@ def parametric_bootstrap(
 ) -> PivotSamples:
     """Simulate at the fit, refit each dataset, and collect pivot values.
 
-    All B refits run in one lockstep safeguarded Newton from
-    ``model.starts``; replicates whose refit fails to converge, or whose
-    pivot is NaN or infinite, are counted in ``n_nao``.  The pivot is one
-    call over the level, on each refit's last lockstep evaluation (see
-    :data:`PivotFn`).  Output is a pure function of (seed, B).
+    All B refits are one :func:`~quadlik.inference.fit_stack`; replicates
+    whose fit is NaO, or whose pivot is NaN or infinite, are counted in
+    ``n_nao``.  The pivot is one call over the level, on the refits and
+    their observed informations (see :data:`PivotFn`).  Output is a pure
+    function of (seed, B).
     """
     if B < 1:
         raise ValueError("B must be at least 1")

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bootstrap import calibrate, double_bootstrap, make_wald_pivot, parametric_bootstrap
-from .core import QuadraticForm, StackedEval, cholesky_pivots, is_nao, local_shift
+from .core import QuadraticForm, is_nao, local_shift
 from .funcspace import GridBox, NonFiniteEvaluationError, c2_distance, default_points_per_axis, quadraticity_report
 from .inference import ConfidenceRegion, chisq_upper_quantile, confidence_region, fit_mle
 from .lamn import (
@@ -393,6 +393,20 @@ def _grid_box(half: np.ndarray, points, dim: int, dim_name: str) -> GridBox:
     return _keyed("config.box_halfwidth", GridBox, -half, half, points)
 
 
+# the counts that size a draw, and the bytes a row of it holds at least: a stream's
+# key of two uint64 words, a draw of z and K (nsim) or a path of n + 1 reals (mc_paths)
+DRAW_ROW_BYTES = dict.fromkeys(["B", "B2", "test_nsim", "contiguity_nsim", "invariance_nsim", "replications"], lambda cfg: 16)
+DRAW_ROW_BYTES.update(nsim=lambda cfg: 8 * cfg["spec"].dim * (cfg["spec"].dim + 1), mc_paths=lambda cfg: 8 * (cfg["n"] + 1))
+
+
+def _check_draw(name: str, rows: int, row_bytes: int, what: str) -> None:
+    """A draw holds at most 2**32 rows (rng.derive_streams' limit) and at most physical memory."""
+    need, memory = rows * row_bytes, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if rows > 2**32 or need > memory:
+        raise ConfigError(f"{name}: {what} holds {rows} rows of {row_bytes} bytes, past the 2**32 rows or the "
+                          f"{memory} bytes of physical memory a draw may hold")
+
+
 def read_config(raw, base_dir: str) -> dict:
     """Every value of a parsed config, read and checked once by its
     experiment's table; ``base_dir`` resolves its relative paths."""
@@ -410,6 +424,9 @@ def read_config(raw, base_dir: str) -> dict:
                 raise ConfigError(f"config.{name}: length {len(value)} does not match the parameter dimension {dim}")
         if "box_halfwidth" in table:
             cfg["box"] = _grid_box(cfg["box_halfwidth"], cfg["points_per_axis"], dim, dim_name)
+    for name in table:
+        if name in DRAW_ROW_BYTES and cfg[name] is not None:
+            _check_draw(f"config.{name}", cfg[name], DRAW_ROW_BYTES[name](cfg), "its draw")
     if experiment == "bootstrap" and cfg["double"] and cfg["B2"] is None:
         raise ConfigError("config.B2: required when double is true")
     if experiment == "animal-study" and cfg["data"] is None and cfg["truth"] is None:
@@ -419,10 +436,7 @@ def read_config(raw, base_dir: str) -> dict:
         if n > 2**53:  # the report writes the ladder as reals
             raise ConfigError("config.ladder: counts must be at most 2**53, the largest integer a report real holds exactly")
         # a rung draws replications x n x dim float64 values at once
-        need, memory = 8 * cfg["replications"] * n * dim, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > memory:
-            raise ConfigError(f"config.ladder: the draw at n = {n} needs {need} bytes, more than the {memory} bytes "
-                              f"of physical memory")
+        _check_draw("config.ladder", cfg["replications"], 8 * n * dim, f"the draw at n = {n}")
         rate = cfg["psi"][0]
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             square = np.square(rate)
@@ -720,11 +734,11 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
 
 def _heritability_variance(info: np.ndarray) -> np.ndarray:
     """Delta-method variance ``c' info^-1 c`` of the logit heritability for a
-    stack of informations ``(m, 3, 3)``: ``(m,)``, NaN where one fails the
-    pivot test."""
+    stack of informations ``(m, 3, 3)`` as :func:`~quadlik.inference.fit_stack`
+    gives them: ``(m,)``, NaN where one is NaN (an NaO fit)."""
     contrast = np.array([0.0, 1.0, -1.0])  # h = phi_1 - phi_2 in the fitting coordinates
     with np.errstate(over="ignore", invalid="ignore"):
-        good = ~np.isnan(cholesky_pivots(info)[0][:, 0, 0])
+        good = ~np.isnan(info[:, 0, 0])
         cov = np.full(info.shape[:2], np.nan)
         # right-hand sides as (k, 3, 1), which every numpy reads as a stack
         cov[good] = np.linalg.solve(info[good], np.broadcast_to(contrast[:, None], (int(good.sum()), 3, 1)))[:, :, 0]
@@ -733,15 +747,15 @@ def _heritability_variance(info: np.ndarray) -> np.ndarray:
 
 def _heritability_pivot(model: AnimalModel):
     """Squared studentized logit-heritability pivot for bootstrap calibration, over
-    a refit level: NaN where a row is NaO, its information fails the pivot test
-    or the contrast's variance is not positive."""
+    a refit level (a :data:`~quadlik.bootstrap.PivotFn`): NaN where the fit is
+    NaO or the contrast's variance is not positive."""
 
-    def pivot(ev: StackedEval, thetas: np.ndarray, theta_hats: np.ndarray) -> np.ndarray:
-        var_h = _heritability_variance(-ev.parts(model.dim_param)[2])
+    def pivot(thetas: np.ndarray, infos: np.ndarray, theta_hats: np.ndarray) -> np.ndarray:
+        var_h = _heritability_variance(infos)
         diff = (thetas[:, 1] - thetas[:, 2]) - (theta_hats[:, 1] - theta_hats[:, 2])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = diff * diff / var_h
-        return np.where(ev.ok & (var_h > 0), values, np.nan)
+        return np.where(var_h > 0, values, np.nan)
 
     return pivot
 

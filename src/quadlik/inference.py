@@ -8,7 +8,7 @@ inverse from ``scipy.special`` (DiDonato & Morris 1986, ACM TOMS 12:377).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
@@ -49,10 +49,8 @@ def chisq_upper_quantile(p: int, alpha: float) -> float:
 class MleResult:
     """A fit: estimate, observed information at it, Newton trace.
 
-    ``theta_hat`` is NaO (and ``observed_info`` None) when the safeguarded
-    ascent did not converge: it did not meet the gradient criterion, or its
-    observed information failed the pivot test.  A fit that is not NaO has
-    an information that passes that test.
+    ``theta_hat`` is NaO (and ``observed_info`` None) when the fit is NaO
+    (:func:`fit_stack`); otherwise its information passes the pivot test.
     """
 
     theta_hat: MaybeParam
@@ -63,31 +61,37 @@ class MleResult:
     def converged(self) -> bool:
         return self.trace.converged
 
-    @property
-    def dim(self) -> int:
-        if is_nao(self.theta_hat):
-            return 0
-        return self.theta_hat.size
+
+def fit_stack(model: LikModel, datas, max_steps: int = DEFAULT_MAX_STEPS):
+    """Maximize the log likelihood on each data set of a stack: one lockstep
+    safeguarded Newton from ``model.starts``, row i as data set i alone.  A
+    fit is NaO when its run does not meet the gradient criterion (an NaO
+    start among them) or its observed information, the negative Hessian at
+    its final evaluation, fails the pivot test.  Returns per row the refits
+    ``(m, p)``, NaN where not converged; the informations ``(m, p, p)``, NaN
+    where NaO; the steps; whether the fit holds (is not NaO); and the final
+    gradient sup norm, NaN where the start had none.
+    """
+    stack = np.asarray(datas, dtype=float)
+    thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack), max_steps=max_steps)
+    _, grad, hess = final.parts(model.dim_param)
+    infos = -hess
+    with np.errstate(over="ignore", invalid="ignore"):
+        holds = converged & ~np.isnan(cholesky_pivots(infos)[0][:, 0, 0])
+    infos[~holds], thetas[~converged] = np.nan, np.nan
+    return thetas, infos, steps, holds, np.where(final.ok, np.abs(grad).max(axis=1), np.nan)
 
 
 def fit_mle(model: LikModel, data, max_steps: int = DEFAULT_MAX_STEPS) -> MleResult:
     """Maximize the model's log likelihood by safeguarded Newton.
 
-    A lockstep fit of one row, the data set's stack of one, from
-    ``model.starts`` of that stack; the observed information is read from
-    the fit's final evaluation.  A run that does not satisfy the gradient
-    criterion, or whose observed information fails the pivot test, yields
-    an NaO result whose trace is kept and marked not converged; a start where
-    the objective is NaO (a NaN start among them) yields an NaO result
-    with 0 steps, as a bootstrap replicate does.
+    Row 0 of :func:`fit_stack` on the data set's stack of one.  An NaO fit
+    yields an NaO result whose trace is kept and marked not converged; an
+    NaO start (a NaN start among them) yields one with 0 steps.
     """
-    stack = np.asarray([data], dtype=float)
-    thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack), max_steps=max_steps)
-    trace = NewtonTrace.first_row(thetas, steps, converged, final)
-    info = -final.parts(model.dim_param)[2][0]
-    if not trace.converged or spd_factor(info) is None:
-        return MleResult(NaO, None, replace(trace, converged=False))
-    return MleResult(thetas[0], info, trace)
+    thetas, infos, steps, holds, norms = fit_stack(model, [data], max_steps)
+    trace = NewtonTrace(int(steps[0]), bool(holds[0]), float(norms[0]))
+    return MleResult(thetas[0], infos[0], trace) if holds[0] else MleResult(NaO, None, trace)
 
 
 def symmetric_sqrt(m) -> MaybeParam:
@@ -155,9 +159,7 @@ def confidence_region(fit: MleResult, alpha: float):
     the positive-definite pivot test), and the squared radius the chi-square
     upper-alpha quantile in the parameter dimension.
     """
-    if is_nao(fit.theta_hat) or fit.observed_info is None:
-        return NaO
-    if spd_factor(fit.observed_info) is None:
+    if is_nao(fit.theta_hat) or fit.observed_info is None or spd_factor(fit.observed_info) is None:
         return NaO
     p = fit.theta_hat.size
     return ConfidenceRegion(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from quadlik.core import OpenBox, RowObjective, StackedEval, StackedObjective, is_nao
+from quadlik.core import OpenBox, RowObjective, StackedObjective, is_nao, spd_factor
 from quadlik.newton import safeguarded_maximize
 
 
@@ -94,20 +94,19 @@ def random_spd(rng: np.random.Generator, p: int, floor: float = 0.1) -> np.ndarr
 
 
 def pivot_alone(pivot, model, data, theta_star, theta_hat) -> float:
-    """A level pivot on a stack of one: the data set's single evaluation at
-    ``theta_star``, packed as the lockstep packs its final evaluations.
+    """A level pivot on a stack of one: the refit ``theta_star`` and its
+    observed information from the data set's single evaluation there, NaN
+    where that evaluation is NaO or the information fails the pivot test.
 
     Returns a float, NaN where the pivot's row is NaO.
     """
     ev = model.objective(data)(theta_star)
     p = np.size(theta_star)
-    if is_nao(ev):
-        row = StackedEval(np.full((1, 1 + p + p * p), np.nan), np.array([False]))
-    else:
-        packed = np.concatenate([[ev.value], ev.gradient, ev.hessian.ravel()])
-        row = StackedEval(packed[None], np.array([True]))
+    info = np.full((1, p, p), np.nan)
+    if not is_nao(ev) and spd_factor(-ev.hessian) is not None:
+        info[0] = -ev.hessian
     thetas = np.asarray(theta_star, dtype=float).reshape(1, p)
-    return float(pivot(row, thetas, np.asarray(theta_hat, dtype=float).reshape(1, p))[0])
+    return float(pivot(thetas, info, np.asarray(theta_hat, dtype=float).reshape(1, p))[0])
 
 
 def refit_alone(model, theta_hat, pivot, data):

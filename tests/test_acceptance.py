@@ -39,8 +39,9 @@ from quadlik import (
     standardized_estimator,
 )
 from quadlik.core import QuadraticForm
-from quadlik.inference import MleResult
+from quadlik.inference import MleResult, fit_stack
 from quadlik.newton import NewtonTrace
+from quadlik.parallel import draw
 from conftest import fd_gradient, fd_hessian, natural_loglik, rel_err
 
 
@@ -82,15 +83,23 @@ def test_criterion_2_lan_coverage():
     theta = np.array([0.4, -0.7])
     alpha = 0.05
     n_reps = 10_000
-    hits = 0
-    for i in range(n_reps):
-        rng = derive_rng(1002, i)
-        data = model.simulate(theta, rng)
+    # replication i draws from derive_rng(1002, i): one stack, one stacked fit
+    datas = draw(model, [theta], n_reps, 1002, [()])
+    thetas, infos, _, holds, _ = fit_stack(model, datas)
+    # the stacked region test: ConfidenceRegion.contains on every row, NaN (a miss) where the fit is NaO
+    wald = make_wald_pivot(model)(thetas, infos, np.tile(theta, (n_reps, 1)))
+    inside = wald < chisq_upper_quantile(theta.size, alpha)
+    # the looped fits and regions are the oracle on a prefix, bit for bit
+    for i in range(500):
+        data = model.simulate(theta, derive_rng(1002, i))
+        assert data.tobytes() == datas[i].tobytes()
         fit = fit_mle(model, data)
         region = confidence_region(fit, alpha)
-        if not is_nao(region) and region.contains(theta):
-            hits += 1
-    coverage = hits / n_reps
+        assert holds[i] == (not is_nao(region))
+        if holds[i]:
+            assert thetas[i].tobytes() == fit.theta_hat.tobytes() and infos[i].tobytes() == fit.observed_info.tobytes()
+        assert inside[i] == (holds[i] and region.contains(theta))
+    coverage = int(inside.sum()) / n_reps
     elapsed = time.time() - start
     announce(
         "criterion 2 (LAN Wald coverage)",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import quadlik.bootstrap
+import quadlik.inference
 import quadlik.parallel
 from quadlik import (
     AnimalModel,
@@ -30,7 +31,7 @@ from quadlik import (
     wishart_lamn_model,
 )
 from quadlik.cli import _heritability_pivot
-from quadlik.core import LikModel, NaO, OpenBox, spd_factor
+from quadlik.core import LikModel, NaO, OpenBox, cholesky_pivots, spd_factor
 from quadlik.models import LanNormalLocation, WishartLamnModel
 
 
@@ -84,9 +85,9 @@ class TestParametricBootstrap:
     def test_nao_accounting(self):
         model, fit = lan_fixture(p=1, seed=4)
 
-        def flaky_pivot(ev, thetas, theta_hats):
-            # NaN on a fixed subset of the refits
-            return np.where(thetas[:, 0] > theta_hats[:, 0], np.nan, 1.0)
+        def flaky_pivot(thetas, infos, theta_hats):
+            # NaN on a fixed subset of the refits, and on every NaO fit
+            return np.where(thetas[:, 0] > theta_hats[:, 0], np.nan, 1.0 + 0.0 * infos[:, 0, 0])
 
         samples = parametric_bootstrap(model, fit.theta_hat, 50, flaky_pivot, seed=13)
         assert 0 < samples.n_nao < 50
@@ -237,6 +238,17 @@ def same_bits(stacked, alone) -> bool:
     return np.float64(alone).tobytes() == np.float64(stacked).tobytes()
 
 
+def level_infos(model, datas, refits):
+    """The observed informations of refits as fit_stack gives them: the negative
+    Hessians of the rows' evaluations, NaN where one is NaO or fails the pivot test."""
+    ev = model.stacked_objective(datas)(np.arange(len(datas)), refits)
+    infos = -ev.parts(model.dim_param)[2]
+    # the pivot test warns on Hessians near the float maximum
+    with np.errstate(all="ignore"):
+        infos[~ev.ok | np.isnan(cholesky_pivots(infos)[0][:, 0, 0])] = np.nan
+    return infos
+
+
 def wald_alone(model, data, theta_star, theta_hat):
     """The Wald pivot row by row: its own evaluation, gated by the pivot test."""
     ev = model.objective(data)(theta_star)
@@ -251,8 +263,7 @@ class TestStackedWaldPivot:
     def test_stack_equals_the_call_bit_for_bit(self, rows):
         p, datas, refits, centers = rows
         model = HessianModel(p)
-        ev = model.stacked_objective(datas)(np.arange(len(datas)), refits)
-        stacked = make_wald_pivot(model)(ev, refits, centers)
+        stacked = make_wald_pivot(model)(refits, level_infos(model, datas, refits), centers)
         assert stacked.shape == (len(datas),)
         # the row's own pivot test warns on Hessians near the float maximum
         with np.errstate(all="ignore"):
@@ -306,8 +317,7 @@ def heritability_rows(draw):
 class TestStackedHeritabilityPivot:
     def check(self, datas, refits, centers):
         model = HessianModel(3)
-        ev = model.stacked_objective(datas)(np.arange(len(datas)), refits)
-        stacked = _heritability_pivot(model)(ev, refits, centers)
+        stacked = _heritability_pivot(model)(refits, level_infos(model, datas, refits), centers)
         assert stacked.shape == (len(datas),)
         with np.errstate(all="ignore"):
             for j, data in enumerate(datas):
@@ -459,16 +469,16 @@ class TestDoubleBootstrapLayout:
         calls = {"keys": [], "draws": [], "locksteps": []}
 
         def counted(name, fn, size):
-            def call(*args):
+            def call(*args, **kwargs):
                 calls[name].append(size(*args))
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             return call
 
-        derive_streams, lockstep_fit = quadlik.parallel.derive_streams, quadlik.bootstrap.lockstep_fit
+        derive_streams, lockstep_fit = quadlik.parallel.derive_streams, quadlik.inference.lockstep_fit
         monkeypatch.setattr(quadlik.parallel, "derive_streams", counted("keys", derive_streams, lambda s, paths, n: len(paths) * n))
         monkeypatch.setattr(model, "simulate_stack", counted("draws", model.simulate_stack, lambda thetas, streams: len(streams)))
-        monkeypatch.setattr(quadlik.bootstrap, "lockstep_fit", counted("locksteps", lockstep_fit, lambda q, starts: len(starts)))
+        monkeypatch.setattr(quadlik.inference, "lockstep_fit", counted("locksteps", lockstep_fit, lambda q, starts: len(starts)))
         B1, B2 = 9, 7
         report = double_bootstrap(model, theta_hat, B1, B2, make_wald_pivot(model), seed=61)
         assert report.outer.n_nao == 0  # every outer refit gets an inner level
@@ -482,9 +492,9 @@ class TestDoubleBootstrapLayout:
         model = FailingStartLan(LAN_K) if name == "lan" else FailingStartWishart(WISHART_SPEC)
         wald = make_wald_pivot(model)
 
-        def pivot(ev, thetas, theta_hats):
+        def pivot(thetas, infos, theta_hats):
             # NaN on some converged refits
-            return np.where(thetas[:, 0] < theta_hats[:, 0] - 0.6, np.nan, wald(ev, thetas, theta_hats))
+            return np.where(thetas[:, 0] < theta_hats[:, 0] - 0.6, np.nan, wald(thetas, infos, theta_hats))
 
         levels = []
         level = quadlik.bootstrap._bootstrap_level

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import quadlik.cli
+import quadlik.lamn
+import quadlik.parallel
 from quadlik.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_NAO, EXIT_OK, ReportRecord, main
 from quadlik.models import ar1_simulate_paths, save_pedigree_csv, save_vector_csv, synthetic_pedigree
 from quadlik.rng import derive_rng
@@ -805,6 +807,53 @@ class TestClassicalLadderBounds:
         )
         assert main(["classical-comparison", "--config", path]) == EXIT_INPUT_ERROR
         assert "config.ladder" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestDrawCountBounds:
+    """A count that sizes a draw must keep it within 2**32 rows and physical
+    memory; past either, the run exits 1 naming the count, before any draw."""
+
+    LAN = {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}
+    ANIMAL = {"model": {"kind": "animal", "synthetic": {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}},
+              "truth": {"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}}
+    WISHART_100 = {"dim": 100, "curvature": {"kind": "wishart", "dof": 100.0}}
+
+    @pytest.mark.parametrize(
+        "experiment, cfg, key",
+        [
+            ("bootstrap", {"model": LAN, "data": "z.csv", "B": 10**13}, "config.B"),
+            ("bootstrap", {"model": LAN, "data": "z.csv", "B": 10**400}, "config.B"),
+            ("bootstrap", {"model": LAN, "data": "z.csv", "B": 5, "double": True, "B2": 2**32 + 1}, "config.B2"),
+            ("animal-study", {**ANIMAL, "B": 2**32 + 1}, "config.B"),
+            ("diagnose", {"model": LAN, "data": "z.csv", "test_nsim": 2**32 + 1}, "config.test_nsim"),
+            ("diagnose", {"model": LAN, "data": "z.csv", "contiguity_nsim": 2**32 + 1}, "config.contiguity_nsim"),
+            ("lamn-verify", {"spec": {"dim": 1, "curvature": {"kind": "constant", "k": [[1.0]]}}, "nsim": 10**13},
+             "config.nsim"),
+            # 2**32 draws of a 100 x 100 K and z: 3.5e14 bytes
+            ("lamn-verify", {"spec": WISHART_100, "nsim": 2**32}, "config.nsim"),
+            ("lamn-verify", {"spec": {"dim": 1, "curvature": {"kind": "constant", "k": [[1.0]]}}, "test_nsim": 2**32 + 1},
+             "config.test_nsim"),
+            ("ar1-study", {"invariance_nsim": 2**32 + 1}, "config.invariance_nsim"),
+            ("ar1-study", {"mc_paths": 2**32 + 1}, "config.mc_paths"),
+            # 2**32 paths of 2**20 + 1 reals: 3.6e16 bytes
+            ("ar1-study", {"n": 2**20, "mc_paths": 2**32}, "config.mc_paths"),
+            ("classical-comparison", {"replications": 2**32 + 1}, "config.replications"),
+        ],
+        ids=["B", "B-past-a-double", "B2", "animal-B", "diagnose-test_nsim", "contiguity_nsim", "nsim",
+             "nsim-past-physical-memory", "lamn-test_nsim", "invariance_nsim", "mc_paths", "mc_paths-past-physical-memory",
+             "replications"],
+    )
+    def test_rejected_before_any_draw(self, tmp_path, capsys, monkeypatch, experiment, cfg, key):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        for module, name in [(quadlik.parallel, "derive_streams"), (quadlik.cli, "derive_rng"), (quadlik.lamn, "derive_rng")]:
+            monkeypatch.setattr(module, name, no_draw)
+        lan_setup(tmp_path)
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        assert f"{key}: its draw holds" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
 

@@ -7,8 +7,10 @@ from conftest import pivot_alone, refit_alone
 from quadlik import (
     AnimalModel,
     AnimalParams,
+    Ar1Model,
     ExponentialRateIid,
     LamnSpec,
+    NormalLocationIid,
     WishartCurvature,
     derive_rng,
     fit_mle,
@@ -22,8 +24,8 @@ from quadlik import (
     synthetic_pedigree,
     wishart_lamn_model,
 )
-from quadlik.bootstrap import _refit
 from quadlik.cli import _heritability_pivot
+from quadlik.inference import fit_stack
 from quadlik.newton import lockstep_fit
 
 
@@ -92,6 +94,50 @@ class TestLockstepMaximize:
         assert not steps.any() and converged.all()
 
 
+class TestFitStack:
+    """Row i of a stacked fit is ``fit_mle`` of data set i alone, bit for bit."""
+
+    THETAS = {
+        **THETAS, "ar1": np.array([0.6]), "iid_normal": np.array([0.3, -1.2]),
+        "animal": np.array([0.2, 0.1, -0.3]),
+    }
+
+    def model(self, name):
+        if name == "ar1":
+            return Ar1Model(12, 1.0)
+        if name == "iid_normal":
+            return NormalLocationIid(2, 5)
+        if name == "animal":
+            return AnimalModel(relationship_matrix(synthetic_pedigree(5, 6, 2, 7)))
+        return MODELS[name]()
+
+    @pytest.mark.parametrize("name", ["lan", "wishart", "ar1", "animal", "iid_normal", "exponential"])
+    def test_rows_equal_fit_mle_alone(self, name):
+        model = self.model(name)
+        datas = [model.simulate(self.THETAS[name], derive_rng(31, i)) for i in range(12)]
+        if name == "exponential":
+            # no start (a sample of zeros), and a converged fit whose information n/psi**2 underflows
+            datas[2], datas[5] = np.zeros(7), np.array([1e-300, 2e-300, 3e-300, 1e-300, 2e-300, 3e-300, 1e-300])
+        thetas, infos, steps, holds, norms = fit_stack(model, np.array(datas))
+        p = self.THETAS[name].size
+        assert thetas.shape == (12, p) and infos.shape == (12, p, p)
+        for i, data in enumerate(datas):
+            fit = fit_mle(model, data)
+            trace = fit.trace
+            assert (steps[i], holds[i], same_bits(norms[i], trace.final_grad_norm)) == (trace.steps, trace.converged, True)
+            if holds[i]:
+                assert same_bits(thetas[i], fit.theta_hat) and same_bits(infos[i], fit.observed_info)
+            else:
+                assert is_nao(fit.theta_hat) and fit.observed_info is None and np.isnan(infos[i]).all()
+        if name == "exponential":
+            assert holds.tolist() == [i not in (2, 5) for i in range(12)]
+            # the start failed; the fit converged, but its information fails the pivot test
+            assert np.isnan(thetas[2]).all() and steps[2] == 0 and np.isnan(norms[2])
+            assert np.isfinite(thetas[5]).all()
+        else:
+            assert holds.all()
+
+
 class TestStackedLevel:
     @pytest.mark.parametrize("name", ["lan", "wishart"])
     def test_level_equals_each_replicate_alone(self, name):
@@ -114,7 +160,8 @@ class TestStackedLevel:
             datas[3], datas[8] = np.zeros(7), -datas[8]
         theta_hats = THETAS[name] + np.random.default_rng(1).uniform(-0.5, 0.5, (len(datas), THETAS[name].size))
         pivot = make_wald_pivot(model)
-        thetas, values = _refit(model, theta_hats, pivot, np.array(datas))
+        thetas, infos = fit_stack(model, np.array(datas))[:2]
+        values = pivot(thetas, infos, theta_hats)
         assert thetas.shape == (len(datas), THETAS[name].size) and values.shape == (len(datas),)
         for i, data in enumerate(datas):
             theta_star, value = refit_alone(model, theta_hats[i], pivot, data)

@@ -1,9 +1,11 @@
 """Replicate draws, the Monte Carlo checks' NaO accounting, and the stream layout."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import pivot_alone
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -121,6 +123,8 @@ class TestCheckNaoAccounting:
         seed=st.integers(0, 2**32 - 1),
         mask=st.integers(0, 2**30 - 1),
     )
+    # scipy cannot take this pair's exact KS p-value and warns as it falls back to the asymptotic one
+    @example(check="invariance", n=14, seed=1, mask=1019)
     def test_nao_rows_are_counted_and_the_rest_kept(self, check, n, seed, mask):
         nao = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
         model, clean = MaskedModel(nao), MaskedModel(np.zeros(1))
@@ -153,7 +157,9 @@ class TestCheckNaoAccounting:
             a = np.array([-q(theta).hessian[0, 0] for q in usable(theta, ("invariance-a",))])
             b = np.array([-q(other).hessian[0, 0] for q in usable(other, ("invariance-b",))])
             pairs = {"info_00": (a, b), "logdet": (np.log(a), np.log(b))}
-            assert report.per_summary == {name: float(stats.ks_2samp(*pair).pvalue) for name, pair in pairs.items()}
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "ks_2samp: Exact calculation unsuccessful", RuntimeWarning)
+                assert report.per_summary == {name: float(stats.ks_2samp(*pair).pvalue) for name, pair in pairs.items()}
         else:
             evs = [q(theta) for q in usable(theta, ("score-normality",))]
             scores = np.array([np.linalg.solve(symmetric_sqrt(-ev.hessian), ev.gradient)[0] for ev in evs])
