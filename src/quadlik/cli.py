@@ -312,12 +312,21 @@ def _model_dim(model: dict) -> tuple[int, str]:
 COUNT = Key("int", minimum=1)
 SAMPLE = 2  # the least size of a sample whose spread or two-sample test is taken
 WISHART = {"dof": Key("real"), "scale": Key("matrix", None)}
-# synthetic_pedigree's check left to it: a generation of one child has no two parents to draw for the next
+
+
+def _synthetic(s: dict, where: str):
+    """The synthetic pedigree of a block, once the model it sizes fits: A and
+    the eigenvectors of its ``eigh`` hold N x N reals each."""
+    n = s["founders"] + s["per_generation"] * s["generations"]
+    _check_draw(where, n, 16 * n, f"the relationship matrix of its N = {n} individuals")
+    # synthetic_pedigree's check left to it: a generation of one child has no two parents to draw for the next
+    return _keyed(f"{where}.per_generation", synthetic_pedigree, s["founders"], s["per_generation"], s["generations"], s["seed"])
+
+
 SYNTHETIC = Key("block", None, table={
     "founders": Key("int", minimum=2), "per_generation": COUNT, "generations": Key("int", minimum=0),
     "seed": Key("int", minimum=0),
-}, then=lambda s, where: _keyed(
-    f"{where}.per_generation", synthetic_pedigree, s["founders"], s["per_generation"], s["generations"], s["seed"]))
+}, then=_synthetic)
 MODEL_KINDS = {
     "lan": {"k": Key("matrix")},
     "wishart_lamn": {"dim": COUNT, **WISHART},
@@ -400,11 +409,12 @@ DRAW_ROW_BYTES.update(nsim=lambda cfg: 8 * cfg["spec"].dim * (cfg["spec"].dim + 
 
 
 def _check_draw(name: str, rows: int, row_bytes: int, what: str) -> None:
-    """A draw holds at most 2**32 rows (rng.derive_streams' limit) and at most physical memory."""
+    """A draw, grid or relationship matrix holds at most 2**32 rows (rng.derive_streams'
+    limit) and at most physical memory; ``rows`` and ``row_bytes`` are exact ints."""
     need, memory = rows * row_bytes, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if rows > 2**32 or need > memory:
         raise ConfigError(f"{name}: {what} holds {rows} rows of {row_bytes} bytes, past the 2**32 rows or the "
-                          f"{memory} bytes of physical memory a draw may hold")
+                          f"{memory} bytes of physical memory it may hold")
 
 
 def read_config(raw, base_dir: str) -> dict:
@@ -423,7 +433,12 @@ def read_config(raw, base_dir: str) -> dict:
             elif key.per_axis and isinstance(value, (list, np.ndarray)) and len(value) != dim:
                 raise ConfigError(f"config.{name}: length {len(value)} does not match the parameter dimension {dim}")
         if "box_halfwidth" in table:
-            cfg["box"] = _grid_box(cfg["box_halfwidth"], cfg["points_per_axis"], dim, dim_name)
+            points = cfg["points_per_axis"]
+            if points is not None:
+                # a grid point's dim reals, and the value, gradient and Hessian it is evaluated to
+                total = math.prod(points) if isinstance(points, list) else points**dim
+                _check_draw("config.points_per_axis", total, 8 * (1 + 2 * dim + dim * dim), "its grid")
+            cfg["box"] = _grid_box(cfg["box_halfwidth"], points, dim, dim_name)
     for name in table:
         if name in DRAW_ROW_BYTES and cfg[name] is not None:
             _check_draw(f"config.{name}", cfg[name], DRAW_ROW_BYTES[name](cfg), "its draw")
@@ -802,7 +817,7 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+def _argument_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadlik",
         description="Likelihood quadraticity experiments driven by JSON configs.",
@@ -818,7 +833,15 @@ def main(argv=None) -> int:
             help="accepted for compatibility (at least 1); changes neither results nor speed",
         )
         cmd.add_argument("--out", default=None, help="report base path (overrides config)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once a process: each parse starts from a new namespace, so main may be called again and again
+_PARSER = _argument_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.workers < 1:

@@ -53,6 +53,43 @@ def is_nao(x) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Reductions over a short last axis
+# ---------------------------------------------------------------------------
+
+
+# stacks of fewer rows than this are reduced by numpy itself, which is faster there
+_FOLD_ROWS = 128
+# the ufuncs reduce_rows folds, each with the test of the results whose bits its
+# fold and numpy's reduce agree on; elsewhere they may pick a NaN's sign
+# differently, and for a maximum also which of two equal zeros is kept
+_FOLDS = {np.add: lambda out: out == out, np.maximum: lambda out: np.abs(out) > 0, np.logical_and: None}
+
+
+def reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)``, bit for bit, for ``np.add``,
+    ``np.maximum`` and ``np.logical_and``.
+
+    numpy reduces each row in a call of its own inner loop, which costs tens
+    of ns a row when the axis is short.  A stack of ``_FOLD_ROWS`` rows or
+    more (along its first axis) has its last axis moved first in a
+    contiguous copy, reduced over axis 0: a fold over the columns.  A
+    maximum or an ``and`` is exact in any order.  numpy's add-reduce over at
+    most 7 entries is a left fold from 0.0, as this one is; a longer sum is
+    numpy's own (pairwise).  Where a result is NaN, or a zero maximum, the
+    two may keep different bits, so those rows are reduced again by numpy.
+    """
+    if x.ndim < 2 or len(x) < _FOLD_ROWS or ufunc not in _FOLDS or (ufunc is np.add and x.shape[-1] > 7):
+        return ufunc.reduce(x, -1)
+    out = ufunc.reduce(np.ascontiguousarray(x.transpose(x.ndim - 1, *range(x.ndim - 1))), axis=0)
+    settled = _FOLDS[ufunc]
+    if settled is not None:
+        kept = settled(out)
+        if not kept.all():
+            out[~kept] = ufunc.reduce(x[~kept], -1)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Positive definiteness: the single NaO decision procedure
 # ---------------------------------------------------------------------------
 
@@ -75,7 +112,7 @@ def cholesky_pivots(m: np.ndarray):
     a = np.asarray(m, dtype=float)
     p = a.shape[-1]
     stack = a.reshape(-1, p, p)
-    floor = p * _EPS * np.abs(stack).reshape(len(stack), p * p).max(axis=1)
+    floor = p * _EPS * reduce_rows(np.maximum, np.abs(stack).reshape(len(stack), p * p))
     live = floor == floor  # a NaN entry makes the floor NaN
     min_pivot = np.where(live, np.inf, -np.inf)
     lower = np.zeros_like(stack)
@@ -83,7 +120,7 @@ def cholesky_pivots(m: np.ndarray):
         s = stack[:, j, j]
         if j:
             row = lower[:, j, :j]
-            s = s - (row * row).sum(axis=1)
+            s = s - reduce_rows(np.add, row * row)
         # a NaN pivot makes min_pivot NaN, which is reported as -inf
         min_pivot = np.where(live, np.minimum(min_pivot, s), min_pivot)
         live &= s > floor
@@ -92,7 +129,7 @@ def cholesky_pivots(m: np.ndarray):
         if j + 1 < p:
             col = stack[:, j + 1 :, j]
             if j:
-                col = col - (lower[:, j + 1 :, :j] * lower[:, None, j, :j]).sum(axis=2)
+                col = col - reduce_rows(np.add, lower[:, j + 1 :, :j] * lower[:, None, j, :j])
             lower[:, j + 1 :, j] = col / diag[:, None]
     min_pivot[np.isnan(min_pivot)] = -np.inf
     if a.ndim == 2:
@@ -254,7 +291,7 @@ class OpenBox:
         th = np.asarray(thetas, dtype=float)
         if th.shape[-1:] != self.lower.shape:
             return np.zeros(th.shape[:-1], dtype=bool)
-        return ((self.lower < th) & (th < self.upper)).all(axis=-1)
+        return reduce_rows(np.logical_and, (self.lower < th) & (th < self.upper))
 
     @classmethod
     def unbounded(cls, dim: int) -> "OpenBox":
@@ -317,7 +354,7 @@ class StackedObjective:
             packed = np.full((m, 1 + p + p * p), np.nan)
             if inside.any():
                 packed[inside] = _pack(*self._kernel(rows[inside], thetas[inside]))
-        return StackedEval(packed, np.isfinite(packed).all(axis=1))
+        return StackedEval(packed, reduce_rows(np.logical_and, np.isfinite(packed)))
 
 
 def _pack(value, gradient, hessian) -> np.ndarray:
@@ -452,8 +489,8 @@ def quadratic_stack(u, z: np.ndarray, k: np.ndarray, theta: np.ndarray):
     or shape checks: a row that overflows is inf or NaN, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are NaO
-        kth = (k * theta[..., None, :]).sum(axis=-1)
-        value = u + (z * theta).sum(axis=-1) - 0.5 * (theta * kth).sum(axis=-1)
+        kth = reduce_rows(np.add, k * theta[..., None, :])
+        value = u + reduce_rows(np.add, z * theta) - 0.5 * reduce_rows(np.add, theta * kth)
         hessian = -k if k.ndim > theta.ndim else np.broadcast_to(-k, kth.shape + kth.shape[-1:])
         return value, z - kth, hessian
 

@@ -9,11 +9,12 @@ grid resolution so users can refine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveEval, Objective, QuadraticForm, StackedEval, is_nao
+from .core import ObjectiveEval, Objective, QuadraticForm, StackedEval, is_nao, reduce_rows
 
 # Default grid resolution per axis, keyed by dimension.  Default grids are
 # rejected above dimension 3.
@@ -66,7 +67,7 @@ class GridBox:
 
     @property
     def total_points(self) -> int:
-        return int(np.prod(self.points_per_axis))
+        return math.prod(int(v) for v in self.points_per_axis)
 
     def axes(self) -> list[np.ndarray]:
         return [
@@ -158,7 +159,7 @@ def _raise_at_first_failure(points: np.ndarray, evals, message: str | None = Non
 
     Without ``message`` the error says which of the two it was.
     """
-    bad = [~ev.ok | ~np.isfinite(ev.packed).all(axis=1) for ev in evals]
+    bad = [~ev.ok | ~reduce_rows(np.logical_and, np.isfinite(ev.packed)) for ev in evals]
     hit = np.logical_or.reduce(bad)
     if not hit.any():
         return

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
-from .core import LikModel, MaybeParam, NaO, _symmetrized, cholesky_pivots, is_nao, spd_factor
+from .core import LikModel, MaybeParam, NaO, _symmetrized, cholesky_pivots, is_nao, reduce_rows, spd_factor
 from .newton import DEFAULT_MAX_STEPS, NewtonTrace, lockstep_fit
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def fit_stack(model: LikModel, datas, max_steps: int = DEFAULT_MAX_STEPS):
     with np.errstate(over="ignore", invalid="ignore"):
         holds = converged & ~np.isnan(cholesky_pivots(infos)[0][:, 0, 0])
     infos[~holds], thetas[~converged] = np.nan, np.nan
-    return thetas, infos, steps, holds, np.where(final.ok, np.abs(grad).max(axis=1), np.nan)
+    return thetas, infos, steps, holds, np.where(final.ok, reduce_rows(np.maximum, np.abs(grad)), np.nan)
 
 
 def fit_mle(model: LikModel, data, max_steps: int = DEFAULT_MAX_STEPS) -> MleResult:

@@ -134,6 +134,18 @@ def _lapack_factor(k: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _bartlett_numbers(streams, dofs: list, size: int, normals: np.ndarray) -> np.ndarray:
+    """Each stream's chi-squares, ``(len(normals), p, size)``, one per dof in
+    ``dofs`` and draw, then its row of ``normals`` filled in.  At size 1 the
+    chi-squares are scalar draws, bit-equal to ``chisquare(dof, 1)[0]``."""
+    chi: list = []
+    per_dof = (dofs,) if size == 1 else (dofs, [size] * len(dofs))
+    for rng, row in zip(streams, normals):
+        chi.extend(map(rng.chisquare, *per_dof))
+        rng.standard_normal(out=row)
+    return np.reshape(chi, (len(normals), len(dofs), size))
+
+
 def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np.ndarray]:
     """``size`` draws from each stream, stacked stream by stream: (z, k).  The
     streams are split evenly among the ``centers`` as
@@ -161,19 +173,13 @@ def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np
     else:
         streams = restartable(streams)
         dofs, n_tril = (law.dof - np.arange(p)).tolist(), law._tril[0].size
-        chi, normals = np.empty((m, p, size)), np.empty((m, size * (n_tril + p)))
-
-        def numbers(s: int, rng) -> None:
-            for d, dof in enumerate(dofs):
-                chi[s, d] = rng.chisquare(dof, size)
-            rng.standard_normal(out=normals[s])
+        normals = np.empty((m, size * (n_tril + p)))
+        chi = _bartlett_numbers(streams, dofs, size, normals)
 
         def wishart() -> np.ndarray:
             c = chi.transpose(0, 2, 1).reshape(n, p)
             return _bartlett(law, c, normals[:, : size * n_tril].reshape(n, n_tril))
 
-        for s in range(m):
-            numbers(s, streams[s])
         k = wishart()
         factors = _lapack_factor(k)
         if factors is None:
@@ -183,7 +189,7 @@ def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np
                     for dof in dofs:  # the rejected draw, replayed
                         rng.chisquare(dof, size)
                     rng.standard_normal(size * n_tril)
-                    numbers(s, rng)
+                    chi[s] = _bartlett_numbers([rng], dofs, size, normals[s : s + 1])[0]
             k = wishart()
             factors = _lapack_factor(k)
             if factors is None:

@@ -25,6 +25,7 @@ from .core import (
     StackedObjective,
     cholesky_pivots,
     is_nao,
+    reduce_rows,
     spd_solve,
 )
 
@@ -170,7 +171,7 @@ def lockstep_fit(
     with np.errstate(over="ignore", invalid="ignore"):
         while live.size:
             value, grad, hess = StackedEval.split(state[live], p)
-            met = np.abs(grad).max(axis=1) <= tols[live]
+            met = reduce_rows(np.maximum, np.abs(grad)) <= tols[live]
             converged[live[met]] = True
             going = ~met & (steps[live] < max_steps)
             if not going.all():
@@ -197,7 +198,7 @@ def lockstep_fit(
             if not factored.all():
                 live, value, grad, lower = live[factored], value[factored], grad[factored], lower[factored]
             direction = spd_solve(lower, grad)
-            slope = (grad * direction).sum(axis=1)
+            slope = reduce_rows(np.add, grad * direction)
             pending = np.arange(live.size)
             step = 1.0
             while pending.size and step >= MIN_BACKTRACK:

@@ -8,6 +8,7 @@ import quadlik.cli
 import quadlik.lamn
 import quadlik.parallel
 from quadlik.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_NAO, EXIT_OK, ReportRecord, main
+from quadlik.funcspace import GridBox
 from quadlik.models import ar1_simulate_paths, save_pedigree_csv, save_vector_csv, synthetic_pedigree
 from quadlik.rng import derive_rng
 
@@ -855,6 +856,91 @@ class TestDrawCountBounds:
         assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
         assert f"{key}: its draw holds" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+
+class TestSizeBoundsBeforeAllocation:
+    """A grid's points and a synthetic pedigree's N are exact ints, checked
+    by the draw rule when the config is read: past 2**32 rows or physical
+    memory they are input errors naming their key.  Only ``load_config``
+    runs, so nothing is allocated."""
+
+    SYNTHETIC = {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}
+
+    @pytest.mark.parametrize(
+        "experiment, cfg, key",
+        [
+            # 10**12 points: np.prod gave the count, 7.28 TiB of grid
+            ("diagnose", {"model": "lan", "points_per_axis": [10**6, 10**6]}, "config.points_per_axis"),
+            # 2**64 points, which np.prod wrapped to 0
+            ("diagnose", {"model": "lan", "points_per_axis": [2**32, 2**32]}, "config.points_per_axis"),
+            ("diagnose", {"model": "lan", "points_per_axis": 10**6}, "config.points_per_axis"),
+            # 2**32 points of one real and its 4 evaluated ones: 1.7e11 bytes
+            ("ar1-study", {"points_per_axis": [2**32]}, "config.points_per_axis"),
+            ("classical-comparison", {"points_per_axis": [10**400]}, "config.points_per_axis"),
+            ("animal-study", {"synthetic": {**SYNTHETIC, "founders": 10**6, "generations": 0}}, "config.model.synthetic"),
+            ("animal-study", {"synthetic": {**SYNTHETIC, "per_generation": 2**31, "generations": 2}}, "config.model.synthetic"),
+            ("diagnose", {"synthetic": {**SYNTHETIC, "founders": 10**400}}, "config.model.synthetic"),
+        ],
+        ids=["grid-10**12", "grid-2**64", "grid-one-count", "ar1-grid", "classical-grid", "founders",
+             "generations", "diagnose-founders"],
+    )
+    def test_rejected_when_read(self, tmp_path, monkeypatch, experiment, cfg, key):
+        def no_build(*args):
+            raise AssertionError("the pedigree was built")
+
+        monkeypatch.setattr(quadlik.cli, "synthetic_pedigree", no_build)
+        cfg = dict(cfg)
+        if cfg.pop("model", None) == "lan":
+            cfg.update(model=lan_setup(tmp_path), data="z.csv")
+        if "synthetic" in cfg:
+            cfg["model"] = {"kind": "animal", "synthetic": cfg.pop("synthetic")}
+            cfg.update({"data": "y.csv"} if experiment == "diagnose" else {"truth": {"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}})
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        with pytest.raises(quadlik.cli.ConfigError, match=f"^{key}: .* holds [0-9]+ rows of [0-9]+ bytes, past the 2\\*\\*32 rows"):
+            quadlik.cli.load_config(path)
+
+    def test_grid_points_are_counted_exactly(self):
+        assert GridBox([0.0, 0.0], [1.0, 1.0], [2**32, 2**32]).total_points == 2**64
+        assert GridBox([0.0, 0.0], [1.0, 1.0], [10**10, 10**10]).total_points == 10**20
+
+    def test_largest_accepted_sizes_are_read(self, tmp_path):
+        # a 60**3 grid and N = 2**11 individuals are far inside both bounds
+        path = write_config(tmp_path, "c.json", experiment="diagnose", out="r", model=lan_setup(tmp_path),
+                            data="z.csv", points_per_axis=[600, 600])
+        assert quadlik.cli.load_config(path)["box"].total_points == 360_000
+        synthetic = {"founders": 2**10, "per_generation": 2**9, "generations": 2, "seed": 3}
+        path = write_config(tmp_path, "a.json", experiment="animal-study", out="r",
+                            model={"kind": "animal", "synthetic": synthetic}, truth={"mu": 0.0, "sigma2": 1.0, "tau2": 1.0})
+        assert quadlik.cli.load_config(path)["model"]["synthetic"].size == 2**11
+
+
+class TestArgumentParser:
+    """The parser is built once a process, and ``main`` parses with it again
+    and again, as the bench worker calls it."""
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        def no_parser(*args, **kwargs):
+            raise AssertionError("a parser was built")
+
+        monkeypatch.setattr(quadlik.cli.argparse, "ArgumentParser", no_parser)
+        path = write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="r")
+        assert main(["fit", "--config", path]) == EXIT_OK
+
+    def test_repeated_calls_keep_no_state(self, tmp_path, capsys):
+        fit = write_config(tmp_path, "f.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="f")
+        boot = write_config(tmp_path, "b.json", experiment="bootstrap", model=lan_setup(tmp_path), data="z.csv",
+                            out="b", B=20)
+        assert main(["fit", "--config", fit, "--workers", "2", "--out", str(tmp_path / "g")]) == EXIT_OK
+        with pytest.raises(SystemExit) as stop:
+            main(["fit"])
+        assert stop.value.code == 2 and "--config" in capsys.readouterr().err
+        assert main(["bootstrap", "--config", boot]) == EXIT_OK
+        assert main(["fit", "--config", fit]) == EXIT_OK
+        assert (tmp_path / "f.json").read_bytes() == (tmp_path / "g.json").read_bytes()
+        assert read_report(tmp_path, "b")["experiment"] == "bootstrap"
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0 and "classical-comparison" in capsys.readouterr().out
 
 
 class TestExtremeRealsWithoutWarnings:

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian, random_spd, rel_err
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadlik import (
@@ -17,7 +17,7 @@ from quadlik import (
     local_shift,
     quadratic_mle,
 )
-from quadlik.core import cholesky_pivots, spd_factor
+from quadlik.core import _FOLD_ROWS, cholesky_pivots, reduce_rows, spd_factor
 
 
 class TestNaO:
@@ -174,6 +174,22 @@ class TestStackedPivots:
                 assert np.all(np.isfinite(row_lower))
             assert row_pivot == single_pivot
 
+    @settings(max_examples=60, deadline=None)
+    @given(stack=_matrix_stacks())
+    def test_long_stack_rows_match_single_calls(self, stack):
+        """The same past ``_FOLD_ROWS`` matrices, where the floor and the row
+        sums fold over the stack's columns."""
+        reps = -(-_FOLD_ROWS // len(stack)) + 1
+        with np.errstate(all="ignore"):
+            lower, min_pivot = cholesky_pivots(np.tile(stack, (reps, 1, 1)))
+            singles = [cholesky_pivots(m) for m in stack]
+        for i, (single_lower, single_pivot) in enumerate(singles * reps):
+            if single_lower is None:
+                assert np.isnan(lower[i]).all()
+            else:
+                assert np.array_equal(lower[i], single_lower)
+            assert min_pivot[i] == single_pivot
+
     def test_nan_entry_fails_with_minus_infinity(self):
         for m in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.nan]])):
             assert cholesky_pivots(m) == (None, -np.inf)
@@ -191,6 +207,40 @@ class TestStackedPivots:
         lower, min_pivot = cholesky_pivots(np.zeros(shape))
         assert lower.shape == shape and min_pivot.shape == shape[:-2]
         assert spd_factor(np.zeros(shape)).shape == shape
+
+
+_SPECIALS = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 1e308, -1e308]
+
+
+class TestReduceRows:
+    """``reduce_rows`` is numpy's reduce over the last axis, bit for bit, on
+    stacks of either side of ``_FOLD_ROWS`` rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ufunc=st.sampled_from([np.add, np.maximum, np.logical_and]),
+        k=st.integers(1, 9),
+        m=st.sampled_from([1, 2, _FOLD_ROWS - 1, _FOLD_ROWS, _FOLD_ROWS + 3, 3 * _FOLD_ROWS]),
+        a=st.sampled_from([None, 1, 2, 3]),
+        palette=st.lists(st.one_of(st.sampled_from(_SPECIALS), st.floats(allow_nan=False)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(ufunc=np.add, k=3, m=_FOLD_ROWS, a=None, palette=[np.inf, -np.inf, np.nan], seed=0)
+    @example(ufunc=np.maximum, k=9, m=_FOLD_ROWS, a=None, palette=[0.0, -0.0, -1.0], seed=0)
+    @example(ufunc=np.add, k=1, m=_FOLD_ROWS, a=2, palette=[-0.0], seed=0)
+    # numpy sums 8 or more entries pairwise, which a left fold does not give
+    @example(ufunc=np.add, k=9, m=_FOLD_ROWS, a=None, palette=[1.0, 1e16, -1e16], seed=0)
+    def test_equals_numpy_reduce_bit_for_bit(self, ufunc, k, m, a, palette, seed):
+        # an (m, k) stack, or an (m, a, k) one
+        shape = (m, k) if a is None else (m, a, k)
+        x = np.random.default_rng(seed).choice(np.array(palette), size=shape)
+        if ufunc is np.logical_and:
+            x = x != 0
+        with np.errstate(all="ignore"):
+            expected, got = ufunc.reduce(x, axis=-1), reduce_rows(ufunc, x)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        view = np.int8 if x.dtype == bool else np.int64
+        assert np.array_equal(got.view(view), expected.view(view))
 
 
 class TestOpenBox:

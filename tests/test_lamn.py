@@ -23,8 +23,9 @@ from quadlik import (
     score_normality_test,
     wishart_lamn_model,
 )
-from quadlik.core import NaO, QuadraticForm, spd_factor
+from quadlik.core import NaO, QuadraticForm, _symmetrized, spd_factor
 from quadlik.models import Ar1Model, DataFormatError, LanNormalLocation
+from quadlik.lamn import sample_lamn_stack
 from quadlik.rng import derive_streams
 
 
@@ -336,6 +337,111 @@ class TestStackedDrawRarePaths:
         draw = LamnDraw(np.zeros(2), np.eye(2))
         with pytest.raises(DataFormatError, match="expected 12 values"):
             wishart_lamn_model(self.spec).parse_data(np.concatenate([draw.z, draw.k.ravel()]))
+
+
+def loop_reference(spec, thetas, fresh, m, size):
+    """``size`` Wishart draws from each of m streams by the per-stream loop
+    written out step by step: chi-square arrays of length ``size``, one dof at
+    a time, then the stream's normals.  When ``np.linalg.cholesky`` rejects
+    a stream's K, the stream restarts (``fresh(s)``), replays those numbers
+    and draws them again.  Returns (z, k), k as drawn, not symmetrized."""
+    p, law = spec.dim, spec.curvature
+    n, n_tril = m * size, p * (p - 1) // 2
+    chi, normals = np.empty((m, p, size)), np.empty((m, size * (n_tril + p)))
+
+    def numbers(s, rng):
+        for d in range(p):
+            chi[s, d] = rng.chisquare(law.dof - d, size)
+        rng.standard_normal(out=normals[s])
+
+    def wishart():
+        c = np.zeros((n, p, p))
+        c[:, np.arange(p), np.arange(p)] = np.sqrt(chi.transpose(0, 2, 1).reshape(n, p))
+        rows, cols = np.tril_indices(p, k=-1)
+        c[:, rows, cols] = normals[:, : size * n_tril].reshape(n, n_tril)
+        f = np.einsum("ij,njk->nik", spd_factor(law.scale), c)
+        return np.einsum("nik,njk->nij", f, f)
+
+    def rejected(k):
+        try:
+            np.linalg.cholesky(k)
+            return False
+        except np.linalg.LinAlgError:
+            return True
+
+    for s in range(m):
+        numbers(s, fresh(s))
+    k = wishart()
+    if rejected(k):
+        for s in range(m):
+            if rejected(k[s * size : (s + 1) * size]):
+                rng = fresh(s)
+                for d in range(p):
+                    rng.chisquare(law.dof - d, size)
+                rng.standard_normal(size * n_tril)
+                numbers(s, rng)
+        k = wishart()
+    ths = np.repeat(np.asarray(thetas, dtype=float), size, axis=0)
+    xi = normals[:, size * n_tril :].reshape(n, p)
+    return np.einsum("nij,nj->ni", k, ths) + np.einsum("nij,nj->ni", np.linalg.cholesky(k), xi), k
+
+
+class TestDrawLoopReference:
+    """The draw loop, with scalar chi-squares at size 1 and keyed streams
+    re-keyed as they are iterated, equals the per-stream loop written out,
+    bit for bit.  dof 1.5 at p = 2 draws a chi-square of 0.5 dof: its gamma
+    shape 0.25 is below 1, where numpy's gamma sampler takes its other branch."""
+
+    SPECS = {
+        "p2-dof1.5": LamnSpec(2, WishartCurvature(1.5, np.array([[1.0, 0.4], [0.4, 2.0]]))),
+        "p3-dof5": TestStackedDrawRarePaths.spec,
+    }
+
+    @staticmethod
+    def level(spec, keyed):
+        """40 rows, as a keyed level of 4 centres or as a caller's own generators."""
+        theta = np.linspace(-1.0, 0.5, spec.dim)
+        return (KeyedLevel if keyed else OwnLevel)(theta)
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "own"])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_stack_equals_the_loop(self, name, keyed):
+        spec = self.SPECS[name]
+        level = self.level(spec, keyed)
+        z, k = loop_reference(spec, level.thetas, level.fresh, 40, 1)
+        stack = sample_lamn_stack(spec, level.thetas, level.streams())
+        p = spec.dim
+        assert np.array_equal(stack[:, :p], z)
+        assert np.array_equal(stack[:, p:], _symmetrized(k).reshape(40, p * p))
+
+    @pytest.mark.parametrize("size", [2, 7])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_batch_equals_the_loop(self, name, size):
+        spec = self.SPECS[name]
+        theta = np.linspace(0.5, -1.0, spec.dim)
+        z, k = loop_reference(spec, theta[None], lambda s: derive_rng(83, "batch"), 1, size)
+        got_z, got_k = sample_lamn_batch(spec, theta, size, derive_rng(83, "batch"))
+        assert np.array_equal(got_z, z) and np.array_equal(got_k, k)
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "own"])
+    def test_rejected_stack_row_is_replayed_as_the_loop_replays_it(self, monkeypatch, keyed):
+        spec = TestStackedDrawRarePaths.spec
+        level = self.level(spec, keyed)
+        first = sample_lamn_batch(spec, level.thetas[7], 1, level.fresh(7))[1][0]
+        TestStackedDrawRarePaths.reject(monkeypatch, [first])
+        z, k = loop_reference(spec, level.thetas, level.fresh, 40, 1)
+        stack = sample_lamn_stack(spec, level.thetas, level.streams())
+        assert not np.array_equal(k[7], first)
+        assert np.array_equal(stack[:, :3], z) and np.array_equal(stack[:, 3:], _symmetrized(k).reshape(40, 9))
+
+    def test_rejected_batch_is_replayed_as_the_loop_replays_it(self, monkeypatch):
+        spec, theta, size = TestStackedDrawRarePaths.spec, np.array([0.5, -1.0, 0.25]), 5
+        first = sample_lamn_batch(spec, theta, size, derive_rng(84))[1]
+        TestStackedDrawRarePaths.reject(monkeypatch, [first[3]])
+        z, k = loop_reference(spec, theta[None], lambda s: derive_rng(84), 1, size)
+        got_z, got_k = sample_lamn_batch(spec, theta, size, derive_rng(84))
+        assert not np.array_equal(k, first)
+        assert np.array_equal(got_z, z) and np.array_equal(got_k, k)
 
 
 class TestLamnLoglik:

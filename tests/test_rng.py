@@ -61,6 +61,19 @@ class TestDeriveRngs:
         assert_fresh(streams[0], derive_rng(seed, *paths[0], 0))
         assert_fresh(streams[2 * last + 1], derive_rng(seed, *paths[last], 1))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64), paths=PATHS.filter(len), used=st.integers(0, 7))
+    def test_iterated_after_partial_use_is_fresh(self, seed, paths, used):
+        """Iteration re-keys inline: each stream it serves, after the one
+        before was partly used (a buffered Philox block and a saved uint32
+        half), draws as a fresh generator."""
+        streams = derive_streams(seed, paths, 2)
+        streams[len(streams) - 1].random(used)
+        for i, rng in enumerate(streams):
+            assert_fresh(rng, derive_rng(seed, *paths[i // 2], i % 2))
+            rng.random(used)
+            rng.integers(0, 2**32, size=used % 3 + 1, dtype=np.uint32)
+
     def test_restarted_stream_replays(self):
         streams = derive_streams(5, [("outer",), ("inner", 3)], 3)
         first = streams[4].standard_normal(7)
