@@ -314,11 +314,15 @@ SAMPLE = 2  # the least size of a sample whose spread or two-sample test is take
 WISHART = {"dof": Key("real"), "scale": Key("matrix", None)}
 
 
+def _check_relationship(name: str, n: int, source: str) -> None:
+    """The relationship matrix of N individuals fits: A and the eigenvectors
+    of its ``eigh`` hold N x N reals each."""
+    _check_draw(name, n, 16 * n, f"the relationship matrix of {source} N = {n} individuals")
+
+
 def _synthetic(s: dict, where: str):
-    """The synthetic pedigree of a block, once the model it sizes fits: A and
-    the eigenvectors of its ``eigh`` hold N x N reals each."""
-    n = s["founders"] + s["per_generation"] * s["generations"]
-    _check_draw(where, n, 16 * n, f"the relationship matrix of its N = {n} individuals")
+    """The synthetic pedigree of a block, once the model it sizes fits."""
+    _check_relationship(where, s["founders"] + s["per_generation"] * s["generations"], "its")
     # synthetic_pedigree's check left to it: a generation of one child has no two parents to draw for the next
     return _keyed(f"{where}.per_generation", synthetic_pedigree, s["founders"], s["per_generation"], s["generations"], s["seed"])
 
@@ -487,7 +491,11 @@ def _build_model(cfg: dict):
     if kind == "ar1":
         return Ar1Model(model["n"], model["x0"], model["random_x0"])
     if kind == "animal":
-        ped = model["synthetic"] if model["pedigree"] is None else load_pedigree_csv(_resolve(cfg, model["pedigree"]))
+        ped = model["synthetic"]
+        if ped is None:  # a file's N is known once its records are counted
+            path = _resolve(cfg, model["pedigree"])
+            ped = load_pedigree_csv(path)
+            _check_relationship("config.model.pedigree", ped.size, f"the {path} pedigree's")
         return AnimalModel(relationship_matrix(ped))
     if kind == "iid_normal":
         return NormalLocationIid(model["p"], model["n"])

@@ -426,12 +426,13 @@ class LikModel:
     def simulate_stack(self, centers, streams) -> np.ndarray:
         """The data stack of one draw per stream: with c ``centers`` and
         ``n = len(streams) / c``, data set ``i`` is drawn at ``centers[i // n]``
-        from ``streams[i]`` alone, exactly as in a draw of its centre's n data
-        sets alone, whatever other centres share the call.
+        from the i-th stream alone, exactly as in a draw of its centre's n
+        data sets alone, whatever other centres share the call.
 
-        ``streams`` is a sequence of generators or
-        :class:`~quadlik.rng.KeyedStreams`; a draw makes one pass over it,
-        finishing each stream before it asks for the next.
+        ``streams`` is an iterable of generators with a length, such as a
+        list or :class:`~quadlik.rng.KeyedStreams`; a draw makes one pass
+        over it, finishing each stream before it asks for the next, and
+        never indexes it.
         """
         raise NotImplementedError
 

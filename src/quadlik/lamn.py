@@ -22,7 +22,7 @@ from scipy import stats
 from .core import LikModel, StackedEval, _centres, _symmetrized, shifted_stack, spd_factor
 from .inference import symmetric_sqrt
 from .parallel import draw
-from .rng import derive_rng, restartable
+from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
 # Curvature laws and draws
@@ -126,24 +126,14 @@ def _bartlett(law: WishartCurvature, chi: np.ndarray, normals: np.ndarray) -> np
     return np.einsum("nik,njk->nij", f, f)
 
 
-def _lapack_factor(k: np.ndarray) -> np.ndarray | None:
-    """``np.linalg.cholesky(k)``, or None when LAPACK rejects any matrix of the stack."""
+def _lapack_factor(k: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky`` of each matrix of a stack, all NaN for a matrix
+    that LAPACK rejects.  The stack is factored in one call; only a stack that
+    LAPACK rejects is factored again matrix by matrix, to find its rejects."""
     try:
         return np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
-        return None
-
-
-def _bartlett_numbers(streams, dofs: list, size: int, normals: np.ndarray) -> np.ndarray:
-    """Each stream's chi-squares, ``(len(normals), p, size)``, one per dof in
-    ``dofs`` and draw, then its row of ``normals`` filled in.  At size 1 the
-    chi-squares are scalar draws, bit-equal to ``chisquare(dof, 1)[0]``."""
-    chi: list = []
-    per_dof = (dofs,) if size == 1 else (dofs, [size] * len(dofs))
-    for rng, row in zip(streams, normals):
-        chi.extend(map(rng.chisquare, *per_dof))
-        rng.standard_normal(out=row)
-    return np.reshape(chi, (len(normals), len(dofs), size))
+        return np.full_like(k, np.nan) if k.ndim == 2 else np.array([_lapack_factor(m) for m in k])
 
 
 def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,14 +142,12 @@ def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np
     :meth:`~quadlik.core.LikModel.simulate_stack` splits them.
 
     Each stream gives its numbers in one pass: the p chi-square blocks of
-    its ``size`` Bartlett draws, then one ``standard_normal`` call for their
-    strict lower-triangle normals followed by xi.  When
-    ``np.linalg.cholesky`` rejects one of a stream's K, the stream restarts
-    from its start, replays those chi-squares and normals, and draws all its
-    numbers again; the order is therefore always the chi-squares, the
-    normals, one redraw of both if K was rejected (a second rejection
-    raises), then xi.  Only those draws loop over the streams; the
-    arithmetic runs once over the whole stack.
+    its ``size`` Bartlett draws (scalar draws at size 1, bit-equal to
+    ``chisquare(dof, 1)[0]``), then one ``standard_normal`` call for their
+    strict lower-triangle normals followed by xi.  Only those draws loop
+    over the streams; the arithmetic, with one LAPACK factor of every K,
+    runs once over the whole stack.  A K that LAPACK rejects gets an
+    all-NaN factor, so its z is NaN, an NaO row; it is never redrawn.
     """
     p, law, m = spec.dim, spec.curvature, len(streams)
     ths = np.repeat(_centres(centers, m, p), size, axis=0)
@@ -171,29 +159,16 @@ def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np
         for rng, row in zip(streams, xi):
             rng.standard_normal(out=row)
     else:
-        streams = restartable(streams)
         dofs, n_tril = (law.dof - np.arange(p)).tolist(), law._tril[0].size
+        chi: list = []
+        per_dof = (dofs,) if size == 1 else (dofs, [size] * p)
         normals = np.empty((m, size * (n_tril + p)))
-        chi = _bartlett_numbers(streams, dofs, size, normals)
-
-        def wishart() -> np.ndarray:
-            c = chi.transpose(0, 2, 1).reshape(n, p)
-            return _bartlett(law, c, normals[:, : size * n_tril].reshape(n, n_tril))
-
-        k = wishart()
+        for rng, row in zip(streams, normals):
+            chi.extend(map(rng.chisquare, *per_dof))
+            rng.standard_normal(out=row)
+        c = np.reshape(chi, (m, p, size)).transpose(0, 2, 1).reshape(n, p)
+        k = _bartlett(law, c, normals[:, : size * n_tril].reshape(n, n_tril))
         factors = _lapack_factor(k)
-        if factors is None:
-            for s in range(m):
-                if _lapack_factor(k[s * size : (s + 1) * size]) is None:
-                    rng = streams[s]
-                    for dof in dofs:  # the rejected draw, replayed
-                        rng.chisquare(dof, size)
-                    rng.standard_normal(size * n_tril)
-                    chi[s] = _bartlett_numbers([rng], dofs, size, normals[s : s + 1])[0]
-            k = wishart()
-            factors = _lapack_factor(k)
-            if factors is None:
-                raise RuntimeError("Wishart draw numerically singular twice in a row")
         xi = normals[:, size * n_tril :]
     z = np.einsum("nij,nj->ni", k, ths) + np.einsum("nij,nj->ni", factors, xi.reshape(n, p))
     return z, k
@@ -206,19 +181,19 @@ def sample_lamn_batch(
 
     K comes from the curvature law (independent of theta), then Z given K is
     normal with mean K theta and variance K, via a Cholesky factor of K.
-    A numerically singular Wishart draw is retried once, then raises.
+    Where LAPACK cannot factor a Wishart draw's K, that draw's z is NaN.
     """
     return _sample(spec, [theta], [rng], size)
 
 
 def sample_lamn_stack(spec: LamnSpec, centers, streams) -> np.ndarray:
-    """Row i of an ``(m, p + p*p)`` stack is ``sample_lamn(spec, theta,
-    streams[i])`` at its centre ``theta`` of ``centers`` (split as in
-    :func:`_sample`), z then k row-major; every k is tested (and
-    symmetrized) as a LamnDraw's is."""
+    """Row i of an ``(m, p + p*p)`` stack is ``sample_lamn(spec, theta, rng)``
+    on the i-th stream ``rng``, at its centre ``theta`` of ``centers`` (split
+    as in :func:`_sample`), z then k row-major, k symmetrized.  A row whose K
+    LAPACK rejects has a NaN z; a K that LAPACK factors but the pivot floor
+    rejects is kept, and the fit's own positive-definiteness test makes that
+    row NaO."""
     z, k = _sample(spec, centers, streams, 1)
-    if np.isnan(spd_factor(k)[:, 0, 0]).any():
-        raise ValueError("draw curvature must be positive definite")
     return np.concatenate([z, _symmetrized(k).reshape(len(z), spec.dim**2)], axis=1)
 
 

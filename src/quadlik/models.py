@@ -591,9 +591,10 @@ class NormalLocationIid(LikModel):
         self.domain = OpenBox.unbounded(self.p)
 
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
-        resid = stack - thetas[:, None, :]
-        value = -0.5 * (resid * resid).sum(axis=(1, 2))
-        return value, resid.sum(axis=1), np.broadcast_to(-self.n * np.eye(self.p), (len(stack), self.p, self.p))
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are NaO
+            resid = stack - thetas[:, None, :]
+            value = -0.5 * (resid * resid).sum(axis=(1, 2))
+            return value, resid.sum(axis=1), np.broadcast_to(-self.n * np.eye(self.p), (len(stack), self.p, self.p))
 
     def simulate_stack(self, centers, streams) -> np.ndarray:
         """The samples of one draw per stream as the ``(n, p)`` rows of an ``(m, n, p)`` stack."""
@@ -620,17 +621,25 @@ class ExponentialRateIid(LikModel):
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
         th = thetas[:, 0]
         total = stack.sum(axis=1)
-        value = self.n * np.log(th) - th * total
-        # a rate past 1e154 squares to inf, and its Hessian is then -0
-        with np.errstate(over="ignore"):
+        # a rate past 1e154 squares to inf, and its Hessian is then -0; one
+        # below 1e-154 squares to 0, and its Hessian is -inf: non-finite rows are NaO
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value = self.n * np.log(th) - th * total
             hessian = -self.n / th**2
-        return value, (self.n / th - total)[:, None], hessian[:, None, None]
+            return value, (self.n / th - total)[:, None], hessian[:, None, None]
 
     def simulate_stack(self, centers, streams) -> np.ndarray:
-        """The samples of one draw per stream as the rows of an ``(m, n)`` stack."""
-        scales = 1.0 / _centres(centers, len(streams), 1)[:, 0]
-        draws = [rng.exponential(scale=scale, size=self.n) for rng, scale in zip(streams, scales.tolist())]
-        return np.array(draws).reshape(len(streams), self.n)
+        """The samples of one draw per stream as the rows of an ``(m, n)`` stack.
+        Where the scale 1/theta is not a positive finite real there is no
+        draw: such a centre's rows are drawn at scale 1 and then set to NaN,
+        so NaO."""
+        with np.errstate(divide="ignore", over="ignore"):
+            scales = 1.0 / _centres(centers, len(streams), 1)[:, 0]
+        none = ~((scales > 0) & (scales < np.inf))
+        draws = [rng.exponential(scale=scale, size=self.n) for rng, scale in zip(streams, np.where(none, 1.0, scales).tolist())]
+        stack = np.array(draws).reshape(len(streams), self.n)
+        stack[none] = np.nan
+        return stack
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
         return _of_length(flat, self.n)

@@ -9,10 +9,12 @@ replicates are drawn in.
 Philox is counter-based, so a stream is just its key.  :func:`derive_streams`
 makes the keys of a whole level, ``(seed, *path, j)`` for each of its
 paths, in one hash pass, and :class:`KeyedStreams` serves them all from one
-generator re-keyed per stream, through a state held in Python lists, which
-numpy's Philox state setter reads faster than arrays; ``parallel.draw``
-takes every level's streams from it.  :func:`derive_rng` is the one-stream
-path, and the reference that :func:`derive_streams` equals bit for bit.
+generator re-keyed per stream as it is iterated, through a state held in
+Python lists, which numpy's Philox state setter reads faster than arrays;
+``parallel.draw`` takes every level's streams from it.  A draw only
+iterates over its streams, once, and never restarts one.  :func:`derive_rng`
+is the one-stream path, and the reference that :func:`derive_streams`
+equals bit for bit.
 """
 
 from __future__ import annotations
@@ -119,12 +121,11 @@ def _philox_key(pool) -> np.ndarray:
 class KeyedStreams:
     """Philox streams given by their keys, served by one generator.
 
-    ``streams[i]`` re-keys that generator to stream ``i`` at its start:
-    counter 0, empty buffer, no saved uint32, which is exactly a fresh
-    ``Philox`` of the key.  A stream is therefore valid only until the next
-    one is served, and asking for stream ``i`` again restarts it.  A draw
-    makes one pass over its streams, finishing each before the next;
-    iterating re-keys inline, stream after stream.
+    Iterating re-keys that generator inline, stream after stream, each at
+    its start: counter 0, empty buffer, no saved uint32, which is exactly a
+    fresh ``Philox`` of the key.  A stream is therefore valid only until the
+    next one is served; a draw makes one pass, finishing each stream before
+    it asks for the next.
 
     The fresh state is held with Python lists where numpy's state getter
     gives arrays (counter, key and buffer), and the keys as a list of
@@ -143,11 +144,6 @@ class KeyedStreams:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, i: int) -> np.random.Generator:
-        self._start["state"]["key"] = self.keys[i]
-        self._rng.bit_generator.state = self._start
-        return self._rng
-
     def __iter__(self):
         rng, start = self._rng, self._start
         bit_generator, state = rng.bit_generator, start["state"]
@@ -155,33 +151,6 @@ class KeyedStreams:
             state["key"] = key
             bit_generator.state = start
             yield rng
-
-
-class SnapshotStreams:
-    """A caller's own generators as restartable streams: ``streams[i]`` is
-    generator ``i``, put back, whenever it is served again, to the state it
-    had when it was first served."""
-
-    def __init__(self, rngs):
-        self._rngs = list(rngs)
-        self._starts: dict[int, dict] = {}
-
-    def __len__(self) -> int:
-        return len(self._rngs)
-
-    def __getitem__(self, i: int) -> np.random.Generator:
-        rng = self._rngs[i]
-        if i in self._starts:
-            rng.bit_generator.state = self._starts[i]
-        else:
-            self._starts[i] = rng.bit_generator.state
-        return rng
-
-
-def restartable(streams) -> KeyedStreams | SnapshotStreams:
-    """Streams that serve ``streams[i]`` again from its start: keyed streams as
-    they are, a sequence of generators as :class:`SnapshotStreams`."""
-    return streams if isinstance(streams, KeyedStreams) else SnapshotStreams(streams)
 
 
 def derive_streams(seed: int, paths, n: int) -> KeyedStreams:

@@ -899,6 +899,27 @@ class TestSizeBoundsBeforeAllocation:
         with pytest.raises(quadlik.cli.ConfigError, match=f"^{key}: .* holds [0-9]+ rows of [0-9]+ bytes, past the 2\\*\\*32 rows"):
             quadlik.cli.load_config(path)
 
+    def test_pedigree_file_checked_before_a_is_built(self, tmp_path, capsys, monkeypatch):
+        # a file's N is known once its records are read; with physical memory
+        # shrunk to one page, N = 20 is past it, and A is never built
+        save_pedigree_csv(str(tmp_path / "ped.csv"), synthetic_pedigree(6, 7, 2, 3))
+        save_vector_csv(str(tmp_path / "y.csv"), np.linspace(-1.0, 1.0, 20))
+        path = write_config(tmp_path, "c.json", experiment="fit", out="r",
+                            model={"kind": "animal", "pedigree": "ped.csv"}, data="y.csv")
+        assert main(["fit", "--config", path]) in (EXIT_OK, EXIT_NAO)
+
+        def no_build(*args):
+            raise AssertionError("the relationship matrix was built")
+
+        sysconf = quadlik.cli.os.sysconf
+        monkeypatch.setattr(quadlik.cli.os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name))
+        monkeypatch.setattr(quadlik.cli, "relationship_matrix", no_build)
+        capsys.readouterr()
+        assert main(["fit", "--config", path, "--out", str(tmp_path / "s")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "config.model.pedigree: " in err and str(tmp_path / "ped.csv") in err and "N = 20 individuals" in err
+        assert not (tmp_path / "s.json").exists()
+
     def test_grid_points_are_counted_exactly(self):
         assert GridBox([0.0, 0.0], [1.0, 1.0], [2**32, 2**32]).total_points == 2**64
         assert GridBox([0.0, 0.0], [1.0, 1.0], [10**10, 10**10]).total_points == 10**20
@@ -1043,3 +1064,64 @@ class TestTruthNextToData:
             assert main(["animal-study", "--config", good]) == EXIT_OK
             reports.append((tmp_path / "r.json").read_bytes())
         assert reports[0] == reports[1] and b"truth_mu" not in reports[0]
+
+
+class TestSingularWishartDraws:
+    """At dof near dim - 1 a few per cent of the Bartlett draws are
+    numerically singular.  A K that LAPACK rejects is an NaO row, and one
+    that only the pivot floor rejects makes its fit NaO: every experiment
+    counts them and exits 0 or 2, without a warning.  The data set is z = 0,
+    K = I / 2 at dim 3."""
+
+    CONFIGS = {
+        "bootstrap": {"B": 200, "double": True, "B2": 40},
+        "diagnose": {"test_nsim": 50, "contiguity_nsim": 50},
+        "lamn-verify": {"nsim": 1000, "test_nsim": 50},
+    }
+
+    @pytest.mark.parametrize("dof", [2.01, 2.2])
+    @pytest.mark.parametrize("experiment", list(CONFIGS))
+    def test_singular_draws_are_counted_nao(self, tmp_path, experiment, dof):
+        save_vector_csv(str(tmp_path / "d.csv"), np.concatenate([np.zeros(3), np.eye(3).ravel() / 2]))
+        if experiment == "lamn-verify":
+            cfg = {"spec": {"dim": 3, "curvature": {"kind": "wishart", "dof": dof}}}
+        else:
+            cfg = {"model": {"kind": "wishart_lamn", "dim": 3, "dof": dof}, "data": "d.csv"}
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", seed=3, **cfg, **self.CONFIGS[experiment])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([experiment, "--config", path])
+        report = read_report(tmp_path, "r")
+        assert code in (EXIT_OK, EXIT_NAO) and (report["status"] == "NaO") == (code == EXIT_NAO)
+        if experiment == "lamn-verify":
+            # a NaN row makes the contiguity mean NaN: the check is NaO
+            assert code == EXIT_NAO and report["contiguity_max_dev_se"] == "nan"
+        else:
+            assert sum(v for k, v in report.items() if k.endswith("_n_nao")) > 0
+        if experiment == "bootstrap":
+            assert 0 < report["pivot_n_nao"] < 200
+
+
+class TestDrawsWithoutAFiniteResult:
+    """A draw or evaluation of an iid model that overflows, or a centre with no
+    draw, is NaO, so the run exits 2 with or without warnings as errors."""
+
+    def run(self, tmp_path, experiment, model, data, **cfg):
+        save_vector_csv(str(tmp_path / "x.csv"), np.array(data))
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", model=model, data="x.csv", **cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([experiment, "--config", path]) == EXIT_NAO
+        return read_report(tmp_path, "r")
+
+    @pytest.mark.parametrize("experiment", ["fit", "diagnose"])
+    def test_iid_normal_overflow(self, tmp_path, experiment):
+        model = {"kind": "iid_normal", "p": 1, "n": 3}
+        assert self.run(tmp_path, experiment, model, [1e200, -1e200, 3e200])["status"] == "NaO"
+
+    @pytest.mark.parametrize("theta_b", [-1.0, 0.0, 1e-320])
+    def test_exponential_centre_without_a_draw(self, tmp_path, theta_b):
+        model = {"kind": "iid_exponential", "n": 4}
+        report = self.run(tmp_path, "diagnose", model, [1.0, 2.0, 0.5, 1.5], theta_b=[theta_b], box_halfwidth=0.1,
+                          test_nsim=20, contiguity_nsim=20)
+        assert report["status"] == "NaO" and report["invariance_n_nao"] == 20

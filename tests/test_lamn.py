@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-import quadlik.lamn
+import quadlik.core
+import quadlik.inference
+import quadlik.parallel
 from conftest import random_spd
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from quadlik import (
     hessian_invariance_test,
     is_nao,
     lan_normal_location,
+    make_wald_pivot,
     model_contiguity_estimate,
+    parametric_bootstrap,
     quadratic_mle,
     sample_lamn,
     sample_lamn_batch,
@@ -25,7 +29,9 @@ from quadlik import (
 )
 from quadlik.core import NaO, QuadraticForm, _symmetrized, spd_factor
 from quadlik.models import Ar1Model, DataFormatError, LanNormalLocation
+from quadlik.inference import fit_stack
 from quadlik.lamn import sample_lamn_stack
+from quadlik.parallel import draw
 from quadlik.rng import derive_streams
 
 
@@ -124,27 +130,24 @@ class TestSampling:
 
 def reference_draw(spec, theta, rng):
     """One draw in the documented stream order, written out step by step:
-    the p chi-squares, the strict lower-triangle normals, one redraw of both
-    if K fails ``np.linalg.cholesky``, then xi."""
+    the p chi-squares, the strict lower-triangle normals, then xi.  z is NaN
+    where K fails ``np.linalg.cholesky``; K is never redrawn."""
     p, law = spec.dim, spec.curvature
     if isinstance(law, ConstantCurvature):
         k, factor = law.k[None].copy(), spd_factor(law.k)[None]
     else:
-        for attempt in range(2):
-            c = np.zeros((1, p, p))
-            for i in range(p):
-                c[:, i, i] = np.sqrt(rng.chisquare(law.dof - i, size=1))
-            if p > 1:
-                rows, cols = np.tril_indices(p, k=-1)
-                c[:, rows, cols] = rng.standard_normal((1, rows.size))
-            f = np.einsum("ij,njk->nik", spd_factor(law.scale), c)
-            k = np.einsum("nik,njk->nij", f, f)
-            try:
-                factor = np.linalg.cholesky(k)
-                break
-            except np.linalg.LinAlgError:
-                if attempt:
-                    raise RuntimeError("Wishart draw numerically singular twice in a row")
+        c = np.zeros((1, p, p))
+        for i in range(p):
+            c[:, i, i] = np.sqrt(rng.chisquare(law.dof - i, size=1))
+        if p > 1:
+            rows, cols = np.tril_indices(p, k=-1)
+            c[:, rows, cols] = rng.standard_normal((1, rows.size))
+        f = np.einsum("ij,njk->nik", spd_factor(law.scale), c)
+        k = np.einsum("nik,njk->nij", f, f)
+        try:
+            factor = np.linalg.cholesky(k)
+        except np.linalg.LinAlgError:
+            factor = np.full_like(k, np.nan)
     xi = rng.standard_normal((1, p))
     z = np.einsum("nij,j->ni", k, np.asarray(theta, dtype=float)) + np.einsum("nij,nj->ni", factor, xi)
     return LamnDraw(z[0], k[0])
@@ -152,19 +155,10 @@ def reference_draw(spec, theta, rng):
 
 class FixedStream:
     """A stand-in stream that hands out fixed chi-squares and normals in call
-    order; its state, which a restart puts back, is what is left to hand out."""
+    order."""
 
     def __init__(self, chi, normals):
         self.chi, self.normals = list(chi), list(normals)
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return list(self.chi), list(self.normals)
-
-    @state.setter
-    def state(self, value):
-        self.chi, self.normals = map(list, value)
 
     def chisquare(self, df, size=None):
         return self.chi.pop(0) if size is None else np.full(size, self.chi.pop(0))
@@ -186,9 +180,10 @@ def as_rows(draws, p):
 
 
 def assert_same_draws(stacked, looped, p):
-    """Same draws, bit for bit, whether each side is a stack or a list of draws."""
+    """Same draws, bit for bit (a NaN z, an NaO row, equal to a NaN), whether
+    each side is a stack or a list of draws."""
     a, b = as_rows(stacked, p), as_rows(looped, p)
-    assert a.shape == b.shape and np.array_equal(a, b)
+    assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
 
 
 @st.composite
@@ -262,42 +257,35 @@ class TestStackedDrawRarePaths:
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
 
-    def check_rejected_row_is_redrawn(self, level, monkeypatch):
+    def check_rejected_rows_are_nao(self, level, monkeypatch, rows):
+        """The rows whose K LAPACK rejects keep that K with a NaN z, and are NaO;
+        every other row is the unforced draw, bit for bit."""
         model = wishart_lamn_model(self.spec)
         before = model.simulate_stack(level.thetas, level.streams())
-        self.reject(monkeypatch, [self.first_k(level, 7)])
+        self.reject(monkeypatch, [self.first_k(level, i) for i in rows])
         stacked = model.simulate_stack(level.thetas, level.streams())
         singles = [model.simulate(level.thetas[i], level.fresh(i)) for i in range(40)]
         assert_same_draws(stacked, singles, 3)
         references = [reference_draw(self.spec, level.thetas[i], level.fresh(i)) for i in range(40)]
         assert_same_draws(stacked, references, 3)
-        assert not np.array_equal(stacked[7, 3:], before[7, 3:])
-        assert_same_draws(np.delete(stacked, 7, axis=0), np.delete(before, 7, axis=0), 3)
+        assert np.isnan(stacked[rows, :3]).all() and np.array_equal(stacked[:, 3:], before[:, 3:])
+        assert_same_draws(np.delete(stacked, rows, axis=0), np.delete(before, rows, axis=0), 3)
+        ev = model.stacked_objective(stacked)(np.arange(40), level.thetas)
+        assert np.flatnonzero(~ev.ok).tolist() == rows
 
-    def check_rejected_twice_raises(self, level, monkeypatch):
-        model = wishart_lamn_model(self.spec)
-        first = self.first_k(level, 7)
-        self.reject(monkeypatch, [first])
-        second = sample_lamn(self.spec, level.thetas[7], level.fresh(7)).k
-        self.reject(monkeypatch, [first, second])
-        with pytest.raises(RuntimeError, match="singular twice"):
-            [model.simulate(level.thetas[i], level.fresh(i)) for i in range(40)]
-        with pytest.raises(RuntimeError, match="singular twice"):
-            model.simulate_stack(level.thetas, level.streams())
+    def test_rejected_row_is_nao_from_its_own_stream(self, monkeypatch):
+        self.check_rejected_rows_are_nao(OwnLevel(self.theta), monkeypatch, [7])
 
-    def test_rejected_row_is_redrawn_from_its_own_stream(self, monkeypatch):
-        self.check_rejected_row_is_redrawn(OwnLevel(self.theta), monkeypatch)
+    def test_keyed_level_rejected_row_is_nao(self, monkeypatch):
+        self.check_rejected_rows_are_nao(KeyedLevel(self.theta), monkeypatch, [7])
 
-    def test_keyed_level_rejected_row_is_replayed_from_its_key(self, monkeypatch):
-        self.check_rejected_row_is_redrawn(KeyedLevel(self.theta), monkeypatch)
+    def test_rows_rejected_at_once_are_all_nao(self, monkeypatch):
+        self.check_rejected_rows_are_nao(OwnLevel(self.theta), monkeypatch, [7, 8, 31])
 
-    def test_row_rejected_twice_raises(self, monkeypatch):
-        self.check_rejected_twice_raises(OwnLevel(self.theta), monkeypatch)
+    def test_keyed_level_rows_rejected_at_once_are_all_nao(self, monkeypatch):
+        self.check_rejected_rows_are_nao(KeyedLevel(self.theta), monkeypatch, [0, 7, 39])
 
-    def test_keyed_level_row_rejected_twice_raises(self, monkeypatch):
-        self.check_rejected_twice_raises(KeyedLevel(self.theta), monkeypatch)
-
-    def test_row_below_the_pivot_floor_raises(self):
+    def test_row_below_the_pivot_floor_is_kept(self, monkeypatch):
         # K = diag(1, 1e-20): LAPACK factors it, but its last pivot lies
         # below the floor 2 * eps * max|K|
         spec = LamnSpec(2, WishartCurvature(1.5, np.eye(2)))
@@ -306,31 +294,38 @@ class TestStackedDrawRarePaths:
         k = sample_lamn_batch(spec, np.zeros(2), 1, fixed())[1]
         np.linalg.cholesky(k)
         assert spd_factor(k[0]) is None
-        streams = lambda: [derive_rng(82, 0), derive_rng(82, 1), fixed(), derive_rng(82, 2)]  # noqa: E731
-        with pytest.raises(ValueError, match="draw curvature must be positive definite"):
-            [model.simulate(np.zeros(2), rng) for rng in streams()]
-        with pytest.raises(ValueError, match="draw curvature must be positive definite"):
-            model.simulate_stack([np.zeros(2)], streams())
+        streams = lambda *_: [derive_rng(82, 0), derive_rng(82, 1), fixed(), derive_rng(82, 2)]  # noqa: E731
+        stacked = model.simulate_stack([np.zeros(2)], streams())
+        assert np.isfinite(stacked).all() and np.array_equal(stacked[2, 2:], k[0].ravel())
+        assert fit_stack(model, stacked)[3].tolist() == [True, True, False, True]
+        # a level drawn from these streams: its refit of row 2 is counted NaO
+        monkeypatch.setattr(quadlik.parallel, "derive_streams", streams)
+        samples = parametric_bootstrap(model, np.zeros(2), 4, make_wald_pivot(model), 5)
+        assert samples.to_record()["pivot_n_nao"] == 1 and samples.values.size == 3
 
-    def test_keyed_level_row_below_the_pivot_floor_raises(self, monkeypatch):
+    def test_keyed_level_row_below_the_pivot_floor_is_kept(self, monkeypatch):
         # no key draws a K below the pivot floor, so the floor is made to
-        # reject row 7's K, as LAPACK's factor is made to in ``reject``
-        level, model = KeyedLevel(self.theta), wishart_lamn_model(self.spec)
-        poisoned = self.first_k(level, 7)
-        real = quadlik.lamn.spd_factor
+        # reject the K of one row of a bootstrap's keyed level, wherever it is tested
+        model, theta = wishart_lamn_model(self.spec), self.theta
+        unforced = parametric_bootstrap(model, theta, 40, make_wald_pivot(model), 85)
+        stacked = draw(model, [theta], 40, 85, [("bootstrap", 0)])
+        poisoned = stacked[7, 3:].reshape(3, 3)
+        real = quadlik.core.cholesky_pivots
 
-        def spd_factor_floored(k):
-            lower = real(k)
-            below = np.all(np.asarray(k).reshape(-1, 3, 3) == poisoned, axis=(1, 2))
-            lower.reshape(-1, 3, 3)[below] = np.nan
-            return lower
+        def cholesky_pivots_floored(m):
+            lower, pivots = real(m)
+            below = np.all(np.asarray(m) == poisoned, axis=(-2, -1))
+            if np.ndim(m) == 2:
+                return (None if below else lower), pivots
+            lower[below] = np.nan
+            return lower, pivots
 
-        monkeypatch.setattr(quadlik.lamn, "spd_factor", spd_factor_floored)
-        with pytest.raises(ValueError, match="draw curvature must be positive definite"):
-            model.simulate(level.thetas[7], level.fresh(7))
-        with pytest.raises(ValueError, match="draw curvature must be positive definite"):
-            model.simulate_stack(level.thetas, level.streams())
-        model.simulate(level.thetas[8], level.fresh(8))
+        for module in (quadlik.core, quadlik.inference):
+            monkeypatch.setattr(module, "cholesky_pivots", cholesky_pivots_floored)
+        assert np.array_equal(model.simulate_stack([theta], derive_streams(85, [("bootstrap", 0)], 40)), stacked)
+        samples = parametric_bootstrap(model, theta, 40, make_wald_pivot(model), 85)
+        assert unforced.n_nao == 0 and samples.to_record()["pivot_n_nao"] == 1
+        assert np.array_equal(samples.values, np.delete(unforced.values, 7))
 
     def test_stack_of_draws_checks_shapes(self):
         # a draw of dimension 2 is not a data set of the dimension-3 model
@@ -342,48 +337,33 @@ class TestStackedDrawRarePaths:
 def loop_reference(spec, thetas, fresh, m, size):
     """``size`` Wishart draws from each of m streams by the per-stream loop
     written out step by step: chi-square arrays of length ``size``, one dof at
-    a time, then the stream's normals.  When ``np.linalg.cholesky`` rejects
-    a stream's K, the stream restarts (``fresh(s)``), replays those numbers
-    and draws them again.  Returns (z, k), k as drawn, not symmetrized."""
+    a time, then the stream's normals.  Each K is factored alone by
+    ``np.linalg.cholesky``; one it rejects is kept, with a NaN z, and there
+    is no redraw.  Returns (z, k), k as drawn, not symmetrized."""
     p, law = spec.dim, spec.curvature
     n, n_tril = m * size, p * (p - 1) // 2
     chi, normals = np.empty((m, p, size)), np.empty((m, size * (n_tril + p)))
-
-    def numbers(s, rng):
+    for s in range(m):
+        rng = fresh(s)
         for d in range(p):
             chi[s, d] = rng.chisquare(law.dof - d, size)
         rng.standard_normal(out=normals[s])
+    c = np.zeros((n, p, p))
+    c[:, np.arange(p), np.arange(p)] = np.sqrt(chi.transpose(0, 2, 1).reshape(n, p))
+    rows, cols = np.tril_indices(p, k=-1)
+    c[:, rows, cols] = normals[:, : size * n_tril].reshape(n, n_tril)
+    f = np.einsum("ij,njk->nik", spd_factor(law.scale), c)
+    k = np.einsum("nik,njk->nij", f, f)
 
-    def wishart():
-        c = np.zeros((n, p, p))
-        c[:, np.arange(p), np.arange(p)] = np.sqrt(chi.transpose(0, 2, 1).reshape(n, p))
-        rows, cols = np.tril_indices(p, k=-1)
-        c[:, rows, cols] = normals[:, : size * n_tril].reshape(n, n_tril)
-        f = np.einsum("ij,njk->nik", spd_factor(law.scale), c)
-        return np.einsum("nik,njk->nij", f, f)
-
-    def rejected(k):
+    def factor(one):
         try:
-            np.linalg.cholesky(k)
-            return False
+            return np.linalg.cholesky(one)
         except np.linalg.LinAlgError:
-            return True
+            return np.full((p, p), np.nan)
 
-    for s in range(m):
-        numbers(s, fresh(s))
-    k = wishart()
-    if rejected(k):
-        for s in range(m):
-            if rejected(k[s * size : (s + 1) * size]):
-                rng = fresh(s)
-                for d in range(p):
-                    rng.chisquare(law.dof - d, size)
-                rng.standard_normal(size * n_tril)
-                numbers(s, rng)
-        k = wishart()
     ths = np.repeat(np.asarray(thetas, dtype=float), size, axis=0)
     xi = normals[:, size * n_tril :].reshape(n, p)
-    return np.einsum("nij,nj->ni", k, ths) + np.einsum("nij,nj->ni", np.linalg.cholesky(k), xi), k
+    return np.einsum("nij,nj->ni", k, ths) + np.einsum("nij,nj->ni", np.array([factor(one) for one in k]), xi), k
 
 
 class TestDrawLoopReference:
@@ -424,24 +404,26 @@ class TestDrawLoopReference:
         assert np.array_equal(got_z, z) and np.array_equal(got_k, k)
 
     @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "own"])
-    def test_rejected_stack_row_is_replayed_as_the_loop_replays_it(self, monkeypatch, keyed):
+    def test_rejected_stack_row_is_nao_as_in_the_loop(self, monkeypatch, keyed):
         spec = TestStackedDrawRarePaths.spec
         level = self.level(spec, keyed)
         first = sample_lamn_batch(spec, level.thetas[7], 1, level.fresh(7))[1][0]
         TestStackedDrawRarePaths.reject(monkeypatch, [first])
         z, k = loop_reference(spec, level.thetas, level.fresh, 40, 1)
         stack = sample_lamn_stack(spec, level.thetas, level.streams())
-        assert not np.array_equal(k[7], first)
-        assert np.array_equal(stack[:, :3], z) and np.array_equal(stack[:, 3:], _symmetrized(k).reshape(40, 9))
+        assert np.array_equal(k[7], first) and np.flatnonzero(np.isnan(z).any(axis=1)).tolist() == [7]
+        assert np.array_equal(stack[:, :3], z, equal_nan=True)
+        assert np.array_equal(stack[:, 3:], _symmetrized(k).reshape(40, 9))
 
-    def test_rejected_batch_is_replayed_as_the_loop_replays_it(self, monkeypatch):
+    def test_rejected_batch_row_is_nao_as_in_the_loop(self, monkeypatch):
         spec, theta, size = TestStackedDrawRarePaths.spec, np.array([0.5, -1.0, 0.25]), 5
-        first = sample_lamn_batch(spec, theta, size, derive_rng(84))[1]
+        first_z, first = sample_lamn_batch(spec, theta, size, derive_rng(84))
         TestStackedDrawRarePaths.reject(monkeypatch, [first[3]])
         z, k = loop_reference(spec, theta[None], lambda s: derive_rng(84), 1, size)
         got_z, got_k = sample_lamn_batch(spec, theta, size, derive_rng(84))
-        assert not np.array_equal(k, first)
-        assert np.array_equal(got_z, z) and np.array_equal(got_k, k)
+        assert np.array_equal(k, first) and np.array_equal(got_k, k)
+        assert np.isnan(got_z[3]).all() and np.array_equal(np.delete(got_z, 3, axis=0), np.delete(first_z, 3, axis=0))
+        assert np.array_equal(got_z, z, equal_nan=True)
 
 
 class TestLamnLoglik:

@@ -708,6 +708,29 @@ class TestIidHelpers:
         data = model.simulate(np.array([1.0]), derive_rng(5))
         assert is_nao(model.objective(data)(np.array([-0.5])))
 
+    def test_exponential_centre_without_a_draw_gives_nan_rows(self):
+        # 1/theta is negative, infinite (also 1/1e-320) or NaN: those centres
+        # have no draw; the others draw as they do alone
+        model, centres = ExponentialRateIid(4), [[2.0], [-1.0], [0.0], [1e-320], [np.nan], [0.5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = model.simulate_stack(centres, [derive_rng(6, i) for i in range(12)])
+            ev = model.stacked_objective(stack)(np.arange(12), np.repeat([[1.0]], 12, axis=0))
+        assert np.isnan(stack[2:10]).all() and not ev.ok[2:10].any()
+        for c, i in [(0, 0), (0, 1), (5, 10), (5, 11)]:
+            assert np.array_equal(stack[i], model.simulate(np.array(centres[c]), derive_rng(6, i)))
+
+    @pytest.mark.parametrize("kind", ["normal", "exponential"])
+    def test_overflowing_rows_are_nao_without_a_warning(self, kind):
+        # the residuals' squares, or theta times the data, overflow
+        if kind == "normal":
+            model, data, theta = NormalLocationIid(1, 3), np.array([[1e200], [-1e200], [3e200]]), [0.0]
+        else:
+            model, data, theta = ExponentialRateIid(3), np.array([1e300, 2e300, 3e300]), [1e-320]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_nao(model.objective(data)(np.array(theta)))
+
 
 class TestCsvFormats:
     def test_vector_round_trip(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadlik.rng import KeyedStreams, SnapshotStreams, derive_rng, derive_streams, restartable
+from quadlik.rng import derive_rng, derive_streams
 
 # ints cross 2**32, where a component takes a second SeedSequence word;
 # strings are crc32-hashed to one word
@@ -43,23 +43,23 @@ class TestDeriveRngs:
     def test_equals_derive_rng_bit_for_bit(self, seed, paths, n):
         streams = derive_streams(seed, paths, n)
         assert len(streams) == len(paths) * n
-        for c, path in enumerate(paths):
-            for j in range(n):
-                assert_fresh(streams[c * n + j], derive_rng(seed, *path, j))
+        refs = [derive_rng(seed, *path, j) for path in paths for j in range(n)]
+        assert len(refs) == len(streams)
+        for rng, ref in zip(streams, refs):
+            assert_fresh(rng, ref)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**64), paths=PATHS.filter(len), used=st.integers(0, 7))
     def test_rekeyed_after_partial_use_is_fresh(self, seed, paths, used):
-        """A stream re-keyed after another was partly used, leaving a buffered
-        Philox block and a saved uint32 half, draws as a fresh generator."""
+        """A second pass re-keys each stream after the last was partly used,
+        leaving a buffered Philox block and a saved uint32 half: each stream
+        it serves draws as a fresh generator."""
         streams = derive_streams(seed, paths, 2)
-        for i in range(len(streams)):
-            rng = streams[i]
+        for rng in streams:
             rng.random(used)
             rng.integers(0, 2**32, size=used % 3 + 1, dtype=np.uint32)
-        last = len(paths) - 1
-        assert_fresh(streams[0], derive_rng(seed, *paths[0], 0))
-        assert_fresh(streams[2 * last + 1], derive_rng(seed, *paths[last], 1))
+        for i, rng in enumerate(streams):
+            assert_fresh(rng, derive_rng(seed, *paths[i // 2], i % 2))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**64), paths=PATHS.filter(len), used=st.integers(0, 7))
@@ -68,17 +68,12 @@ class TestDeriveRngs:
         before was partly used (a buffered Philox block and a saved uint32
         half), draws as a fresh generator."""
         streams = derive_streams(seed, paths, 2)
-        streams[len(streams) - 1].random(used)
+        *_, last = streams
+        last.random(used)
         for i, rng in enumerate(streams):
             assert_fresh(rng, derive_rng(seed, *paths[i // 2], i % 2))
             rng.random(used)
             rng.integers(0, 2**32, size=used % 3 + 1, dtype=np.uint32)
-
-    def test_restarted_stream_replays(self):
-        streams = derive_streams(5, [("outer",), ("inner", 3)], 3)
-        first = streams[4].standard_normal(7)
-        streams[1].standard_normal(3)
-        assert np.array_equal(streams[4].standard_normal(7), first)
 
     def test_iteration_serves_each_stream_once_in_order(self):
         streams = derive_streams(5, [("a",), (2**33,)], 2)
@@ -100,18 +95,3 @@ class TestDeriveRngs:
         with pytest.raises(ValueError):
             derive_rng(seed, *path, 0)
 
-
-class TestSnapshotStreams:
-    def test_restart_puts_back_the_first_served_state(self):
-        own = [derive_rng(9, i) for i in range(3)]
-        own[1].random(5)  # a caller's generator need not be fresh
-        streams = restartable(own)
-        assert isinstance(streams, SnapshotStreams) and len(streams) == 3
-        first = streams[1].standard_normal(4)
-        streams[1].random(3)
-        streams[2].random()
-        assert np.array_equal(streams[1].standard_normal(4), first)
-
-    def test_keyed_streams_are_restartable_as_they_are(self):
-        streams = derive_streams(9, [("a",)], 2)
-        assert restartable(streams) is streams and isinstance(streams, KeyedStreams)
