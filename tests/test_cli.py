@@ -858,6 +858,26 @@ class TestDrawCountBounds:
         assert not (tmp_path / "r.json").exists()
 
 
+    def test_stream_keys_counted_at_their_peak(self, tmp_path, capsys, monkeypatch):
+        # with physical memory shrunk to 1,000 pages, a B between memory / 208
+        # and memory / 16 passes at 16 bytes a stream key, but not at the 208
+        # bytes a keyed stream peaks at while its keys are made
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        sysconf = quadlik.cli.os.sysconf
+        monkeypatch.setattr(quadlik.cli.os, "sysconf", lambda name: 1000 if name == "SC_PHYS_PAGES" else sysconf(name))
+        monkeypatch.setattr(quadlik.parallel, "derive_streams", no_draw)
+        memory = 1000 * sysconf("SC_PAGE_SIZE")
+        path = write_config(tmp_path, "c.json", experiment="bootstrap", out="r", model=self.LAN, data="z.csv",
+                            B=memory // 100)
+        lan_setup(tmp_path)
+        assert memory // 208 < memory // 100 < memory // 16
+        assert main(["bootstrap", "--config", path]) == EXIT_INPUT_ERROR
+        assert f"config.B: its draw holds {memory // 100} rows of 208 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestSizeBoundsBeforeAllocation:
     """A grid's points and a synthetic pedigree's N are exact ints, checked
     by the draw rule when the config is read: past 2**32 rows or physical
@@ -1067,9 +1087,8 @@ class TestTruthNextToData:
 
 
 class TestSingularWishartDraws:
-    """At dof near dim - 1 a few per cent of the Bartlett draws are
-    numerically singular.  A K that LAPACK rejects is an NaO row, and one
-    that only the pivot floor rejects makes its fit NaO: every experiment
+    """At dof near dim - 1 some of the Bartlett draws are numerically
+    singular.  A K that fails the pivot test is an NaO row: every experiment
     counts them and exits 0 or 2, without a warning.  The data set is z = 0,
     K = I / 2 at dim 3."""
 
@@ -1092,10 +1111,11 @@ class TestSingularWishartDraws:
             warnings.simplefilter("error")
             code = main([experiment, "--config", path])
         report = read_report(tmp_path, "r")
-        assert code in (EXIT_OK, EXIT_NAO) and (report["status"] == "NaO") == (code == EXIT_NAO)
+        # a lamn-verify report, which has no fit, has a status only when NaO
+        assert code in (EXIT_OK, EXIT_NAO) and (report.get("status") == "NaO") == (code == EXIT_NAO)
         if experiment == "lamn-verify":
-            # a NaN row makes the contiguity mean NaN: the check is NaO
-            assert code == EXIT_NAO and report["contiguity_max_dev_se"] == "nan"
+            # each contiguity check drops and counts its NaO rows, and the run goes on
+            assert code == EXIT_OK and all(0 < report[f"contiguity_{i}_n_nao"] < 1000 for i in range(5))
         else:
             assert sum(v for k, v in report.items() if k.endswith("_n_nao")) > 0
         if experiment == "bootstrap":

@@ -128,10 +128,19 @@ class TestSampling:
             assert eigs.min() >= -1e-10 * scale
 
 
+def pivot_factor(k):
+    """The factor of one K by the pivot test of that K alone, all NaN where it
+    fails.  Looked up on ``quadlik.core`` at each call, so a test that makes
+    the pivot test reject some K makes it reject it here too."""
+    lower = quadlik.core.cholesky_pivots(k)[0]
+    return np.full(k.shape, np.nan) if lower is None else lower
+
+
 def reference_draw(spec, theta, rng):
     """One draw in the documented stream order, written out step by step:
-    the p chi-squares, the strict lower-triangle normals, then xi.  z is NaN
-    where K fails ``np.linalg.cholesky``; K is never redrawn."""
+    the p chi-squares, the strict lower-triangle normals, then xi, as a data
+    row (z, then k symmetrized).  z is NaN where K fails the pivot test; K
+    is never redrawn."""
     p, law = spec.dim, spec.curvature
     if isinstance(law, ConstantCurvature):
         k, factor = law.k[None].copy(), spd_factor(law.k)[None]
@@ -144,13 +153,10 @@ def reference_draw(spec, theta, rng):
             c[:, rows, cols] = rng.standard_normal((1, rows.size))
         f = np.einsum("ij,njk->nik", spd_factor(law.scale), c)
         k = np.einsum("nik,njk->nij", f, f)
-        try:
-            factor = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError:
-            factor = np.full_like(k, np.nan)
+        factor = pivot_factor(k[0])[None]
     xi = rng.standard_normal((1, p))
     z = np.einsum("nij,j->ni", k, np.asarray(theta, dtype=float)) + np.einsum("nij,nj->ni", factor, xi)
-    return LamnDraw(z[0], k[0])
+    return np.concatenate([z[0], _symmetrized(k[0]).ravel()])
 
 
 class FixedStream:
@@ -246,20 +252,26 @@ class TestStackedDrawRarePaths:
 
     @staticmethod
     def reject(monkeypatch, poisoned):
-        """Make ``np.linalg.cholesky`` fail on any stack holding one of ``poisoned``."""
-        real = np.linalg.cholesky
+        """Make the pivot test fail on each matrix of ``poisoned``, as drawn,
+        wherever it runs: the sampler's, the fit's and the references'."""
+        real = quadlik.core.cholesky_pivots
 
-        def cholesky(a):
-            mats = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
-            if any(np.array_equal(m, q) for m in mats for q in poisoned):
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return real(a)
+        def cholesky_pivots(m):
+            lower, pivots = real(m)
+            below = np.zeros(np.shape(m)[:-2], dtype=bool)
+            for q in poisoned:
+                below |= np.all(np.asarray(m) == q, axis=(-2, -1))
+            if np.ndim(m) == 2:
+                return (None if below else lower), pivots
+            lower[below] = np.nan
+            return lower, pivots
 
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        for module in (quadlik.core, quadlik.inference, quadlik.lamn):
+            monkeypatch.setattr(module, "cholesky_pivots", cholesky_pivots)
 
     def check_rejected_rows_are_nao(self, level, monkeypatch, rows):
-        """The rows whose K LAPACK rejects keep that K with a NaN z, and are NaO;
-        every other row is the unforced draw, bit for bit."""
+        """The rows whose K fails the pivot test keep that K with a NaN z, and
+        are NaO; every other row is the unforced draw, bit for bit."""
         model = wishart_lamn_model(self.spec)
         before = model.simulate_stack(level.thetas, level.streams())
         self.reject(monkeypatch, [self.first_k(level, i) for i in rows])
@@ -285,9 +297,9 @@ class TestStackedDrawRarePaths:
     def test_keyed_level_rows_rejected_at_once_are_all_nao(self, monkeypatch):
         self.check_rejected_rows_are_nao(KeyedLevel(self.theta), monkeypatch, [0, 7, 39])
 
-    def test_row_below_the_pivot_floor_is_kept(self, monkeypatch):
+    def test_row_below_the_pivot_floor_is_nao(self, monkeypatch):
         # K = diag(1, 1e-20): LAPACK factors it, but its last pivot lies
-        # below the floor 2 * eps * max|K|
+        # below the floor 2 * eps * max|K|, and the pivot test alone decides
         spec = LamnSpec(2, WishartCurvature(1.5, np.eye(2)))
         model = wishart_lamn_model(spec)
         fixed = lambda: FixedStream([1.0, 1e-20], [0.0, 0.3, -0.2])  # noqa: E731
@@ -296,33 +308,25 @@ class TestStackedDrawRarePaths:
         assert spd_factor(k[0]) is None
         streams = lambda *_: [derive_rng(82, 0), derive_rng(82, 1), fixed(), derive_rng(82, 2)]  # noqa: E731
         stacked = model.simulate_stack([np.zeros(2)], streams())
-        assert np.isfinite(stacked).all() and np.array_equal(stacked[2, 2:], k[0].ravel())
+        assert np.flatnonzero(~np.isfinite(stacked).all(axis=1)).tolist() == [2]
+        assert np.isnan(stacked[2, :2]).all() and np.array_equal(stacked[2, 2:], k[0].ravel())
         assert fit_stack(model, stacked)[3].tolist() == [True, True, False, True]
         # a level drawn from these streams: its refit of row 2 is counted NaO
         monkeypatch.setattr(quadlik.parallel, "derive_streams", streams)
         samples = parametric_bootstrap(model, np.zeros(2), 4, make_wald_pivot(model), 5)
         assert samples.to_record()["pivot_n_nao"] == 1 and samples.values.size == 3
 
-    def test_keyed_level_row_below_the_pivot_floor_is_kept(self, monkeypatch):
-        # no key draws a K below the pivot floor, so the floor is made to
-        # reject the K of one row of a bootstrap's keyed level, wherever it is tested
+    def test_keyed_level_row_below_the_pivot_floor_is_nao(self, monkeypatch):
+        # no key of this spec draws a K below the pivot floor, so the floor is
+        # made to reject the K of one row of a bootstrap's keyed level
         model, theta = wishart_lamn_model(self.spec), self.theta
         unforced = parametric_bootstrap(model, theta, 40, make_wald_pivot(model), 85)
         stacked = draw(model, [theta], 40, 85, [("bootstrap", 0)])
-        poisoned = stacked[7, 3:].reshape(3, 3)
-        real = quadlik.core.cholesky_pivots
-
-        def cholesky_pivots_floored(m):
-            lower, pivots = real(m)
-            below = np.all(np.asarray(m) == poisoned, axis=(-2, -1))
-            if np.ndim(m) == 2:
-                return (None if below else lower), pivots
-            lower[below] = np.nan
-            return lower, pivots
-
-        for module in (quadlik.core, quadlik.inference):
-            monkeypatch.setattr(module, "cholesky_pivots", cholesky_pivots_floored)
-        assert np.array_equal(model.simulate_stack([theta], derive_streams(85, [("bootstrap", 0)], 40)), stacked)
+        drawn = sample_lamn_batch(self.spec, theta, 1, derive_rng(85, "bootstrap", 0, 7))[1][0]
+        self.reject(monkeypatch, [drawn, stacked[7, 3:].reshape(3, 3)])  # as drawn, and as the fit reads it
+        forced = model.simulate_stack([theta], derive_streams(85, [("bootstrap", 0)], 40))
+        assert np.isnan(forced[7, :3]).all() and np.array_equal(forced[:, 3:], stacked[:, 3:])
+        assert np.array_equal(np.delete(forced, 7, axis=0), np.delete(stacked, 7, axis=0))
         samples = parametric_bootstrap(model, theta, 40, make_wald_pivot(model), 85)
         assert unforced.n_nao == 0 and samples.to_record()["pivot_n_nao"] == 1
         assert np.array_equal(samples.values, np.delete(unforced.values, 7))
@@ -337,9 +341,9 @@ class TestStackedDrawRarePaths:
 def loop_reference(spec, thetas, fresh, m, size):
     """``size`` Wishart draws from each of m streams by the per-stream loop
     written out step by step: chi-square arrays of length ``size``, one dof at
-    a time, then the stream's normals.  Each K is factored alone by
-    ``np.linalg.cholesky``; one it rejects is kept, with a NaN z, and there
-    is no redraw.  Returns (z, k), k as drawn, not symmetrized."""
+    a time, then the stream's normals.  Each K is factored alone by the pivot
+    test (:func:`pivot_factor`); one that fails it is kept, with a NaN z,
+    and there is no redraw.  Returns (z, k), k as drawn, not symmetrized."""
     p, law = spec.dim, spec.curvature
     n, n_tril = m * size, p * (p - 1) // 2
     chi, normals = np.empty((m, p, size)), np.empty((m, size * (n_tril + p)))
@@ -354,16 +358,9 @@ def loop_reference(spec, thetas, fresh, m, size):
     c[:, rows, cols] = normals[:, : size * n_tril].reshape(n, n_tril)
     f = np.einsum("ij,njk->nik", spd_factor(law.scale), c)
     k = np.einsum("nik,njk->nij", f, f)
-
-    def factor(one):
-        try:
-            return np.linalg.cholesky(one)
-        except np.linalg.LinAlgError:
-            return np.full((p, p), np.nan)
-
     ths = np.repeat(np.asarray(thetas, dtype=float), size, axis=0)
     xi = normals[:, size * n_tril :].reshape(n, p)
-    return np.einsum("nij,nj->ni", k, ths) + np.einsum("nij,nj->ni", np.array([factor(one) for one in k]), xi), k
+    return np.einsum("nij,nj->ni", k, ths) + np.einsum("nij,nj->ni", np.array([pivot_factor(one) for one in k]), xi), k
 
 
 class TestDrawLoopReference:
@@ -426,6 +423,41 @@ class TestDrawLoopReference:
         assert np.array_equal(got_z, z, equal_nan=True)
 
 
+class TestPivotTestDecidesNao:
+    """Near dof = dim - 1 some Wishart K fail the pivot test.  In a stack or a
+    batch, z is NaN exactly where that K alone fails
+    :func:`~quadlik.core.cholesky_pivots`, and every other row equals the
+    per-stream loop bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3]),
+        dof=st.sampled_from([2.01, 2.2, 5.0]),
+        rows=st.integers(1, 60),
+        batch=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nan_z_exactly_where_k_fails(self, p, dof, rows, batch, seed):
+        spec, theta = wishart_spec(p, dof), derive_rng(seed, "theta").standard_normal(p)
+        if batch:
+            z, k = sample_lamn_batch(spec, theta, rows, derive_rng(seed, "batch"))
+            ref_z, ref_k = loop_reference(spec, theta[None], lambda s: derive_rng(seed, "batch"), 1, rows)
+        else:
+            stack = sample_lamn_stack(spec, [theta], derive_streams(seed, [("level",)], rows))
+            z, k = stack[:, :p], stack[:, p:].reshape(rows, p, p)
+            ref_z, ref_k = loop_reference(spec, np.tile(theta, (rows, 1)), lambda s: derive_rng(seed, "level", s), rows, 1)
+            ref_k = _symmetrized(ref_k)
+        failed = np.array([spd_factor(one) is None for one in k])
+        assert np.array_equal(np.isnan(z).any(axis=1), failed) and np.isnan(z[failed]).all()
+        assert np.array_equal(z, ref_z, equal_nan=True) and np.array_equal(k, ref_k)
+
+    def test_no_module_calls_lapack_cholesky(self):
+        from pathlib import Path
+
+        package = Path(quadlik.core.__file__).parent
+        assert [path.name for path in sorted(package.glob("*.py")) if "linalg.cholesky" in path.read_text("utf8")] == []
+
+
 class TestLamnLoglik:
     """The LAMN log likelihood ``delta.z - delta'k delta / 2`` is a quadratic form's objective."""
 
@@ -452,22 +484,40 @@ class TestLamnLoglik:
 
 class TestContiguity:
     def test_delta_zero_exact(self):
-        mean, se = contiguity_estimate(wishart_spec(), np.zeros(2), 100, 7)
+        mean, se, n_nao = contiguity_estimate(wishart_spec(), np.zeros(2), 100, 7)
         assert mean == 1.0
         assert se == 0.0
+        assert n_nao == 0
 
     def test_constant_k_lognormal_identity(self):
         spec = LamnSpec(1, ConstantCurvature(np.eye(1)))
-        mean, se = contiguity_estimate(spec, [1.0], 100_000, 19)
-        assert abs(mean - 1.0) <= 3 * se
+        mean, se, n_nao = contiguity_estimate(spec, [1.0], 100_000, 19)
+        assert abs(mean - 1.0) <= 3 * se and n_nao == 0
+
+    def test_fewer_than_two_draws_is_nan(self):
+        # as in every other check, too few replicates is an NaO check, not an error
+        mean, se, n_nao = contiguity_estimate(wishart_spec(), [0.1, 0.1], 1, 7)
+        assert np.isnan([mean, se]).all() and n_nao == 0
+
+    @pytest.mark.parametrize("dof", [2.01, 2.2])
+    def test_nao_draws_are_dropped_and_counted(self, dof):
+        # at dof near dim - 1 some K fail the pivot test: their rows are
+        # dropped from the mean and se, and counted
+        spec, delta = wishart_spec(3, dof), np.array([0.3, -0.2, 0.1])
+        mean, se, n_nao = contiguity_estimate(spec, delta, 1000, 3, stream=2)
+        z, k = sample_lamn_batch(spec, np.zeros(3), 1000, derive_rng(3, "contiguity", 2))
+        failed = np.array([spd_factor(one) is None for one in k])
+        assert 0 < n_nao == failed.sum() and np.isnan(z[failed]).all() and np.isfinite(z[~failed]).all()
+        w = np.exp(z @ delta - 0.5 * np.einsum("i,nij,j->n", delta, k, delta))[~failed]
+        assert (mean, se) == (float(w.mean()), float(w.std(ddof=1) / np.sqrt(w.size)))
 
     def test_wishart_random_delta(self):
         rng = np.random.default_rng(4)
         spec = wishart_spec()
         for i in range(3):
             delta = rng.uniform(-1, 1, size=2)
-            mean, se = contiguity_estimate(spec, delta, 100_000, 23, stream=i)
-            assert abs(mean - 1.0) <= 4 * se
+            mean, se, n_nao = contiguity_estimate(spec, delta, 100_000, 23, stream=i)
+            assert abs(mean - 1.0) <= 4 * se and n_nao == 0
 
     def test_model_contiguity_fatou_side(self):
         model = Ar1Model(20, x0=1.0)
