@@ -47,7 +47,6 @@ from .inference import (
 from .lamn import (
     ConstantCurvature,
     KsTestReport,
-    LamnDraw,
     LamnSpec,
     WishartCurvature,
     contiguity_estimate,

@@ -673,6 +673,7 @@ def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
     record.update(normality.to_record("normality"))
     invariance = hessian_invariance_test(model, theta_a, cfg["theta_b"], test_nsim, seed)
     record.update(invariance.to_record("invariance"))
+    record.put("status", "ok")
     return record, _checks_exit(record, normality.p_value, invariance.p_value)
 
 

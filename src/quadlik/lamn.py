@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import LikModel, StackedEval, _centres, _symmetrized, cholesky_pivots, shifted_stack, spd_factor
+from .core import LikModel, StackedEval, _centres, _symmetrized, cholesky_pivots, shifted_stack, spd_matrix
 from .inference import symmetric_sqrt
 from .parallel import draw
 from .rng import derive_rng
@@ -31,17 +31,15 @@ from .rng import derive_rng
 
 @dataclass(frozen=True, eq=False)
 class ConstantCurvature:
-    """Point-mass curvature law: K fixed, symmetric positive definite."""
+    """Point-mass curvature law: K fixed, symmetric positive definite.  Its
+    Cholesky factor is computed once here, for every draw."""
 
     k: np.ndarray
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.k, dtype=float)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError("curvature must be a square matrix")
-        if spd_factor(k) is None:
-            raise ValueError("constant curvature must be positive definite")
-        object.__setattr__(self, "k", _symmetrized(k))
+        k, lower = spd_matrix(self.k, "constant curvature")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_lower", lower)
 
     @property
     def dim(self) -> int:
@@ -61,13 +59,7 @@ class WishartCurvature:
     scale: np.ndarray
 
     def __post_init__(self) -> None:
-        scale = np.asarray(self.scale, dtype=float)
-        if scale.ndim != 2 or scale.shape[0] != scale.shape[1]:
-            raise ValueError("scale must be a square matrix")
-        scale = _symmetrized(scale)
-        lower = spd_factor(scale)
-        if lower is None:
-            raise ValueError("scale must be positive definite")
+        scale, lower = spd_matrix(self.scale, "scale")
         if not float(self.dof) > scale.shape[0] - 1:
             raise ValueError("dof must exceed dim - 1")
         object.__setattr__(self, "dof", float(self.dof))
@@ -91,24 +83,6 @@ class LamnSpec:
         if int(self.dim) != self.curvature.dim:
             raise ValueError("spec dimension does not match the curvature law")
         object.__setattr__(self, "dim", int(self.dim))
-
-
-@dataclass(frozen=True, eq=False)
-class LamnDraw:
-    """One realized pair (z, k) with k positive definite."""
-
-    z: np.ndarray
-    k: np.ndarray
-
-    def __post_init__(self) -> None:
-        z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        k = np.asarray(self.k, dtype=float)
-        if k.shape != (z.size, z.size):
-            raise ValueError("curvature shape does not match z")
-        if spd_factor(k) is None:
-            raise ValueError("draw curvature must be positive definite")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "k", _symmetrized(k))
 
 
 def _bartlett(law: WishartCurvature, chi: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -145,7 +119,7 @@ def _sample(spec: LamnSpec, centers, streams, size: int) -> tuple[np.ndarray, np
     n = m * size
     if isinstance(law, ConstantCurvature):
         k = np.broadcast_to(law.k, (n, p, p)).copy()
-        factors = np.broadcast_to(spd_factor(law.k), k.shape)
+        factors = np.broadcast_to(law._lower, k.shape)
         xi = np.empty((m, size * p))
         for rng, row in zip(streams, xi):
             rng.standard_normal(out=row)
@@ -178,18 +152,18 @@ def sample_lamn_batch(
 
 
 def sample_lamn_stack(spec: LamnSpec, centers, streams) -> np.ndarray:
-    """Row i of an ``(m, p + p*p)`` stack is ``sample_lamn(spec, theta, rng)``
-    on the i-th stream ``rng``, at its centre ``theta`` of ``centers`` (split
-    as in :func:`_sample`), z then k row-major, k symmetrized.  A row whose K
-    fails the pivot test has a NaN z."""
+    """One draw of (Z, K) per stream as the rows of an ``(m, p + p*p)`` stack,
+    z then k row-major, k symmetrized: row i from the i-th stream, at its
+    centre of ``centers`` (split as in :func:`_sample`).  A row whose K fails
+    the pivot test has a NaN z, an NaO row."""
     z, k = _sample(spec, centers, streams, 1)
     return np.concatenate([z, _symmetrized(k).reshape(len(z), spec.dim**2)], axis=1)
 
 
-def sample_lamn(spec: LamnSpec, theta, rng: np.random.Generator) -> LamnDraw:
-    """One draw of (Z, K) at the given parameter."""
-    z, k = _sample(spec, [theta], [rng], 1)
-    return LamnDraw(z[0], k[0])
+def sample_lamn(spec: LamnSpec, theta, rng: np.random.Generator) -> np.ndarray:
+    """One draw of (Z, K) at the given parameter: row 0 of
+    :func:`sample_lamn_stack` on ``rng``, a data row."""
+    return sample_lamn_stack(spec, [theta], [rng])[0]
 
 
 # ---------------------------------------------------------------------------

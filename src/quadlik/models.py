@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LikModel, OpenBox, _centres, _symmetrized, quadratic_stack, spd_factor
-from .lamn import LamnDraw, LamnSpec, sample_lamn_stack
+from .core import LikModel, OpenBox, _centres, quadratic_stack, spd_matrix, symmetric_matrix
+from .lamn import LamnSpec, sample_lamn_stack
 from .rng import derive_rng
 
 # ---------------------------------------------------------------------------
@@ -33,13 +33,8 @@ class LanNormalLocation(LikModel):
     """
 
     def __init__(self, k: np.ndarray):
-        k = np.asarray(k, dtype=float)
-        lower = spd_factor(k)
-        if lower is None:
-            raise ValueError("curvature must be symmetric positive definite")
-        self.k = _symmetrized(k)
-        self._factor = lower
-        self.dim_param = k.shape[0]
+        self.k, self._factor = spd_matrix(k, "curvature")
+        self.dim_param = self.k.shape[0]
         self.domain = OpenBox.unbounded(self.dim_param)
 
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
@@ -85,16 +80,16 @@ class WishartLamnModel(LikModel):
         return sample_lamn_stack(self.spec, centers, streams)
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
-        """The row ``z`` then ``k`` row-major, ``k`` tested and symmetrized as a
-        :class:`~quadlik.lamn.LamnDraw`'s is; a DataFormatError where it is
-        not positive definite."""
+        """The row ``z`` then ``k`` row-major, ``k`` tested and symmetrized by
+        :func:`~quadlik.core.spd_matrix`; a DataFormatError where it is not
+        symmetric or not positive definite."""
         p = self.dim_param
         _of_length(flat, p + p * p, "values (z then k row-major)")
         try:
-            draw = LamnDraw(flat[:p], flat[p:].reshape(p, p))
-        except ValueError:  # k is not positive definite
-            raise DataFormatError(1, f"k (values {p + 1} to {p + p * p}) must be positive definite") from None
-        return np.concatenate([draw.z, draw.k.ravel()])
+            k, _ = spd_matrix(flat[p:].reshape(p, p), f"k (values {p + 1} to {p + p * p})")
+        except ValueError as err:
+            raise DataFormatError(1, str(err)) from None
+        return np.concatenate([flat[:p], k.ravel()])
 
 
 def wishart_lamn_model(spec: LamnSpec) -> WishartLamnModel:
@@ -248,14 +243,10 @@ class RelationshipMatrix:
     a: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("relationship matrix must be square")
-        if float(np.max(np.abs(a - a.T))) > 1e-12:
-            raise ValueError("relationship matrix must be symmetric")
+        a = symmetric_matrix(self.a, "relationship matrix")
         if np.any(a < -1e-12) or np.any(a > 2.0 + 1e-12):
             raise ValueError("relationship entries must lie in [0, 2]")
-        object.__setattr__(self, "a", _symmetrized(a))
+        object.__setattr__(self, "a", a)
 
     @property
     def size(self) -> int:

@@ -1014,8 +1014,8 @@ class TestExtremeRealsWithoutWarnings:
 
 
 class TestInputErrorsNameTheirKey:
-    """A library constructor's check on a config value, and a file that is not
-    UTF-8, exit 1 with an error naming the config key or the file."""
+    """A library constructor's check on a config value or a data row, and a file
+    that is not UTF-8, exit 1 with an error naming the config key, the line or the file."""
 
     SYNTHETIC = {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}
     TRUTH = {"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}
@@ -1041,13 +1041,27 @@ class TestInputErrorsNameTheirKey:
             ("fit", "not-utf8", "c.json"),
             ("fit", {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "bad.csv"}, "bad.csv"),
             ("fit", {"model": {"kind": "animal", "pedigree": "bad.csv"}, "data": "z.csv"}, "bad.csv"),
+            # not symmetric, whatever the pivot test makes of the lower triangle (I in the first and third)
+            ("lamn-verify", {"spec": {"dim": 2, "curvature": {"kind": "constant", "k": [[1, -10], [0, 1]]}}},
+             "config.spec.curvature.k: constant curvature is not symmetric"),
+            ("bootstrap", {"model": {"kind": "lan", "k": [[2, 1], [0, 2]]}, "data": "z.csv", "B": 20},
+             "config.model.k: curvature is not symmetric"),
+            ("diagnose", {"model": {"kind": "lan", "k": [[1, -10], [0, 1]]}, "data": "z.csv"},
+             "config.model.k: curvature is not symmetric"),
+            ("fit", {"model": {"kind": "wishart_lamn", "dim": 2, "dof": 5.0}, "data": "w.csv"},
+             "line 1: k (values 3 to 6) is not symmetric"),
+            ("fit", {"model": {"kind": "lan", "k": [[1e308, -1e308], [1e308, 1e308]]}, "data": "z.csv"},
+             "config.model.k: curvature is not symmetric"),
         ],
         ids=["lan-k", "wishart-scale", "constant-k", "spec-dim", "per_generation", "truth-sigma2",
-             "diagnose-dimension", "psi-dimension", "box-overflow", "config-file", "data-file", "pedigree-file"],
+             "diagnose-dimension", "psi-dimension", "box-overflow", "config-file", "data-file", "pedigree-file",
+             "asymmetric-constant-k", "asymmetric-lan-bootstrap", "asymmetric-lan-diagnose", "asymmetric-wishart-data",
+             "asymmetric-huge-lan-k"],
     )
     def test_exits_one_naming_key_or_file(self, tmp_path, capsys, monkeypatch, experiment, cfg, named):
         monkeypatch.setattr(quadlik.cli, "fit_mle", lambda *a, **k: pytest.fail("fit on an invalid config"))
         save_vector_csv(str(tmp_path / "z.csv"), np.array([0.7, -0.3]))
+        save_vector_csv(str(tmp_path / "w.csv"), np.array([0.3, -0.2, 1.0, 0.4, 0.0, 1.0]))
         # byte 0xff on line 2 of a data file, line 3 of a pedigree
         (tmp_path / "bad.csv").write_bytes(b"id,sire,dam\n1,,\n\xff,,\n" if "pedigree" in str(cfg) else b"0.5\n\xff\n")
         if cfg == "not-utf8":
@@ -1063,6 +1077,41 @@ class TestInputErrorsNameTheirKey:
         assert err.startswith("quadlik: error: ") and named in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
+
+
+class TestStatusOfEveryExperiment:
+    """Every experiment that can be NaO puts ``status``; a run that exits 0 says
+    "ok".  classical-comparison has no NaO outcome (it always exits 0) and no status."""
+
+    SYNTHETIC = {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}
+    CONFIGS = {
+        "fit": {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "z.csv"},
+        "diagnose": {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "z.csv", "test_nsim": 50,
+                     "contiguity_nsim": 50},
+        "bootstrap": {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "z.csv", "B": 20},
+        "lamn-verify": {"spec": {"dim": 2, "curvature": {"kind": "wishart", "dof": 5.0}}, "nsim": 200, "n_deltas": 2,
+                        "test_nsim": 50},
+        "ar1-study": {"thetas": [0.0, 0.5], "n": 10, "mc_paths": 200, "invariance_nsim": 50},
+        "animal-study": {"model": {"kind": "animal", "synthetic": SYNTHETIC}, "truth": {"mu": 0.0, "sigma2": 1.0, "tau2": 1.0},
+                         "B": 8},
+        "classical-comparison": {"unit": "normal", "psi": [0.0], "ladder": [50], "replications": 5},
+    }
+
+    def test_all_seven_experiments_are_covered(self):
+        assert sorted(self.CONFIGS) == sorted(quadlik.cli.RUNNERS)
+
+    @pytest.mark.parametrize("experiment", list(CONFIGS))
+    def test_exit_zero_report_says_ok(self, tmp_path, experiment):
+        save_vector_csv(str(tmp_path / "z.csv"), np.array([0.7, -0.3]))
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **self.CONFIGS[experiment])
+        assert main([experiment, "--config", path]) == EXIT_OK
+        report = read_report(tmp_path, "r")
+        if experiment == "classical-comparison":
+            assert "status" not in report
+        else:
+            assert report["status"] == "ok"
+        if experiment == "lamn-verify":
+            assert list(report)[-1] == "status"
 
 
 class TestTruthNextToData:
@@ -1111,8 +1160,7 @@ class TestSingularWishartDraws:
             warnings.simplefilter("error")
             code = main([experiment, "--config", path])
         report = read_report(tmp_path, "r")
-        # a lamn-verify report, which has no fit, has a status only when NaO
-        assert code in (EXIT_OK, EXIT_NAO) and (report.get("status") == "NaO") == (code == EXIT_NAO)
+        assert code in (EXIT_OK, EXIT_NAO) and report["status"] == ("NaO" if code == EXIT_NAO else "ok")
         if experiment == "lamn-verify":
             # each contiguity check drops and counts its NaO rows, and the run goes on
             assert code == EXIT_OK and all(0 < report[f"contiguity_{i}_n_nao"] < 1000 for i in range(5))

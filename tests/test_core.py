@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -17,7 +18,9 @@ from quadlik import (
     local_shift,
     quadratic_mle,
 )
-from quadlik.core import _FOLD_ROWS, cholesky_pivots, reduce_rows, spd_factor
+from quadlik.core import _FOLD_ROWS, _symmetrized, cholesky_pivots, reduce_rows, spd_factor
+from quadlik.lamn import ConstantCurvature, LamnSpec, WishartCurvature
+from quadlik.models import LanNormalLocation, RelationshipMatrix, wishart_lamn_model
 
 
 class TestNaO:
@@ -51,6 +54,89 @@ class TestQuadraticForm:
         assert QuadraticForm(0.0, [0.0], [[1e308]]).k[0, 0] == 1e308
         ev = ObjectiveEval(0.0, [0.0], [[-1e308]])
         assert ev.hessian[0, 0] == -1e308 and ev.all_finite()
+
+
+def _wishart_data(m):
+    p = len(m)
+    row = wishart_lamn_model(LamnSpec(p, WishartCurvature(p + 3.0, np.eye(p)))).parse_data(np.concatenate([np.ones(p), np.ravel(m)]))
+    return row[p:].reshape(p, p), None
+
+
+def _kept(built, matrix, factor=None):
+    return getattr(built, matrix), None if factor is None else getattr(built, factor)
+
+
+# each site that takes a matrix from outside: its stored matrix and, where it keeps one, its factor
+MATRIX_SITES = {
+    "quadratic-form": lambda m: _kept(QuadraticForm(0.0, np.zeros(len(m)), m), "k"),
+    "lan": lambda m: _kept(LanNormalLocation(m), "k", "_factor"),
+    "constant-curvature": lambda m: _kept(ConstantCurvature(m), "k", "_lower"),
+    "wishart-scale": lambda m: _kept(WishartCurvature(5.0, m), "scale", "_lower"),
+    "relationship": lambda m: _kept(RelationshipMatrix(m), "a"),
+    "wishart-data": _wishart_data,
+}
+
+
+class TestOneMatrixRule:
+    """Every matrix given from outside passes ``core.symmetric_matrix``: at most
+    1e-12 relative asymmetry, then stored exactly symmetric."""
+
+    BASE = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("site", sorted(MATRIX_SITES))
+    def test_asymmetry_past_the_bound_is_rejected(self, site):
+        m = self.BASE.copy()
+        m[0, 1] += 1e-11
+        with pytest.raises(ValueError, match="not symmetric"):
+            MATRIX_SITES[site](m)
+
+    @pytest.mark.parametrize("site", sorted(MATRIX_SITES))
+    def test_asymmetry_within_the_bound_is_symmetrized(self, site):
+        m = self.BASE.copy()
+        m[0, 1] += 1e-13
+        k, _ = MATRIX_SITES[site](m)
+        assert np.array_equal(k, k.T) and np.array_equal(k, _symmetrized(m))
+
+    @pytest.mark.parametrize("site", sorted(MATRIX_SITES))
+    def test_the_bound_is_relative_to_the_largest_entry(self, site):
+        scale = 1.0 if site == "relationship" else 1e8  # relationship entries lie in [0, 2]
+        loose, tight = scale * self.BASE, 1e-8 * self.BASE
+        loose[0, 1] += scale * 5e-13
+        tight[0, 1] += 1e-19
+        assert np.array_equal(MATRIX_SITES[site](loose)[0], _symmetrized(loose))
+        if site != "relationship":  # an absolute 1e-12 passes this one
+            with pytest.raises(ValueError, match="not symmetric"):
+                MATRIX_SITES[site](tight)
+
+    @pytest.mark.parametrize("site", sorted(MATRIX_SITES))
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_exactly_symmetric_input_keeps_its_bits(self, site, p):
+        m = random_spd(np.random.default_rng(p), p)
+        m = m + m.T  # exactly symmetric
+        if site == "relationship":  # its entries lie in [0, 2]
+            m = np.abs(m) / np.abs(m).max()
+        k, factor = MATRIX_SITES[site](m)
+        assert np.array_equal(k, m)
+        if factor is not None:
+            assert np.array_equal(factor, cholesky_pivots(m)[0])
+
+    @pytest.mark.parametrize("site", sorted(MATRIX_SITES))
+    def test_huge_asymmetric_entries_do_not_overflow(self, site):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not symmetric"):
+                MATRIX_SITES[site](np.array([[1e308, -1e308], [1e308, 1e308]]))
+
+    def test_every_module_leaves_symmetry_to_core(self):
+        import re
+        from pathlib import Path
+
+        import quadlik.core
+
+        package = Path(quadlik.core.__file__).parent
+        symmetry_test = re.compile(r"\b(\w+) - \1\.(?:T\b|swapaxes)|not symmetric|must be symmetric")
+        found = {path.name for path in package.glob("*.py") if symmetry_test.search(path.read_text("utf8"))}
+        assert found == {"core.py"}
 
 
 class TestQuadraticLoglik:

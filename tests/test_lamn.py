@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from quadlik import (
     ConstantCurvature,
-    LamnDraw,
     LamnSpec,
     WishartCurvature,
     contiguity_estimate,
@@ -52,28 +51,42 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="dimension"):
             LamnSpec(3, ConstantCurvature(np.eye(2)))
 
-    def test_draw_requires_pd(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            LamnDraw([0.0, 0.0], np.diag([1.0, 0.0]))
+    def test_draw_whose_k_fails_is_an_nao_row(self):
+        # at dof 2.01 the Bartlett draws of these streams are numerically singular
+        spec = wishart_spec(3, 2.01)
+        for i in range(1, 5):
+            row = sample_lamn(spec, np.zeros(3), derive_rng(3, i))
+            assert row.shape == (12,) and np.isnan(row[:3]).all() and spd_factor(row[3:].reshape(3, 3)) is None
+            assert np.array_equal(row, sample_lamn_stack(spec, [np.zeros(3)], [derive_rng(3, i)])[0], equal_nan=True)
 
 
 class TestScaleFactorCache:
-    def test_scale_is_factored_once_per_law(self, monkeypatch):
-        import quadlik.core
+    """A law's matrix is factored once, when the law is built; each draw then
+    runs one pivot test, of its own K where it draws one."""
 
-        scale = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]]) / 5.0
+    SCALE = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]]) / 5.0
+
+    def pivot_tests(self, monkeypatch, law):
+        """Whether each pivot test of building ``law`` and drawing 100 times from it is of ``SCALE``."""
         seen = []
         original = quadlik.core.cholesky_pivots
 
         def counting(m):
-            seen.append(np.array_equal(m, scale))
+            seen.append(np.array_equal(m, self.SCALE))
             return original(m)
 
         monkeypatch.setattr(quadlik.core, "cholesky_pivots", counting)
-        spec = LamnSpec(3, WishartCurvature(5.0, scale))
-        draws = [sample_lamn(spec, np.zeros(3), derive_rng(71, i)) for i in range(100)]
-        assert len(draws) == 100 and len(seen) > 100
-        assert sum(seen) == 1
+        monkeypatch.setattr(quadlik.lamn, "cholesky_pivots", counting)
+        spec = LamnSpec(3, law(self.SCALE))
+        assert len([sample_lamn(spec, np.zeros(3), derive_rng(71, i)) for i in range(100)]) == 100
+        return seen
+
+    def test_scale_is_factored_once_per_law(self, monkeypatch):
+        seen = self.pivot_tests(monkeypatch, lambda scale: WishartCurvature(5.0, scale))
+        assert sum(seen) == 1 and len(seen) == 101
+
+    def test_constant_curvature_is_factored_once(self, monkeypatch):
+        assert self.pivot_tests(monkeypatch, ConstantCurvature) == [True]
 
 
 class TestSampling:
@@ -116,8 +129,7 @@ class TestSampling:
         spec = wishart_spec()
         draw = sample_lamn(spec, np.zeros(2), derive_rng(5))
         z, k = sample_lamn_batch(spec, np.zeros(2), 1, derive_rng(5))
-        assert np.array_equal(draw.z, z[0])
-        assert np.array_equal(draw.k, k[0])
+        assert np.array_equal(draw, np.concatenate([z[0], k[0].ravel()]))
 
     def test_all_draws_positive_semidefinite(self):
         # curvature realizations must never have eigenvalues materially below zero
@@ -179,10 +191,8 @@ class FixedStream:
 
 
 def as_rows(draws, p):
-    """Draws as the rows of a Wishart data stack, z then k row-major: a
-    ``LamnDraw`` laid out so, a row (or the rows of a stack) as it is."""
-    rows = [np.concatenate([d.z, d.k.ravel()]) if isinstance(d, LamnDraw) else d for d in draws]
-    return np.array(rows).reshape(len(draws), p + p * p)
+    """Draws, rows or the rows of a stack, as one Wishart data stack, z then k row-major."""
+    return np.array(draws).reshape(len(draws), p + p * p)
 
 
 def assert_same_draws(stacked, looped, p):
@@ -333,9 +343,9 @@ class TestStackedDrawRarePaths:
 
     def test_stack_of_draws_checks_shapes(self):
         # a draw of dimension 2 is not a data set of the dimension-3 model
-        draw = LamnDraw(np.zeros(2), np.eye(2))
+        draw = sample_lamn(wishart_spec(), np.zeros(2), derive_rng(5))
         with pytest.raises(DataFormatError, match="expected 12 values"):
-            wishart_lamn_model(self.spec).parse_data(np.concatenate([draw.z, draw.k.ravel()]))
+            wishart_lamn_model(self.spec).parse_data(draw)
 
 
 def loop_reference(spec, thetas, fresh, m, size):

@@ -840,9 +840,9 @@ class TestWishartModelWrapper:
         # a data set is the sampler's draw as a row, z then k row-major
         draw = sample_lamn(spec, np.zeros(2), derive_rng(31))
         row = model.simulate(np.zeros(2), derive_rng(31))
-        assert np.array_equal(row, np.concatenate([draw.z, draw.k.ravel()]))
-        d = np.array([0.3, -0.7])
-        assert model.objective(row)(d).value == pytest.approx(draw.z @ d - 0.5 * d @ draw.k @ d)
+        assert np.array_equal(row, draw)
+        z, k, d = draw[:2], draw[2:].reshape(2, 2), np.array([0.3, -0.7])
+        assert model.objective(row)(d).value == pytest.approx(z @ d - 0.5 * d @ k @ d)
 
 
 def quadratic_row(z, k, theta):
