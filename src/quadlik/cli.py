@@ -157,7 +157,8 @@ class Key:
     integer's least value; ``minimum`` and ``maximum`` bound reals, exclusive.
     A ``per_axis`` value has one entry a parameter, a single real repeated.
     ``table`` reads a block (``kinds``: one table a ``kind``); ``then(value,
-    name)`` builds the library object the value stands for.
+    name)`` builds the library object the value stands for, once the sizes
+    of SIZES fit.
     """
 
     kind: str
@@ -226,8 +227,9 @@ def _read_reals(value, key: Key, name: str):
 
 
 def _read_counts(value, key: Key, name: str) -> list[int]:
-    if not isinstance(value, list) or not value or not all(_is_int(v) and v >= 1 for v in value):
-        raise ConfigError(f"{name}: expected a non-empty list of positive counts")
+    high = math.inf if key.maximum is None else key.maximum
+    if not isinstance(value, list) or not value or not all(_is_int(v) and 1 <= v <= high for v in value):
+        raise ConfigError(f"{name}: expected a non-empty list of positive counts" + (f" of at most {high}" if high < math.inf else ""))
     return value
 
 
@@ -265,7 +267,7 @@ def _value(block: dict, name: str, key: Key, where: str):
     value = READERS[key.kind](block[name], key, full)
     if key.choices and value not in key.choices:
         raise ConfigError(f"{full}: expected one of {list(key.choices)}, got {value!r}")
-    return value if key.then is None else key.then(value, full)
+    return value
 
 
 def _read_table(block, table: dict[str, Key], where: str) -> dict:
@@ -275,6 +277,18 @@ def _read_table(block, table: dict[str, Key], where: str) -> dict:
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     return {name: _value(block, name, key, where) for name, key in table.items()}
+
+
+def _build(value, key: Key, name: str):
+    """A value as read, with the ``then`` of every key in it and then its own
+    applied; only once the sizes it holds have passed :func:`_check_sizes`.
+    Every key with a ``then`` is required or defaults to None."""
+    if key.table is not None:
+        table = key.table[value["kind"]] if key.kind == "kinds" else key.table
+        for sub, sub_key in table.items():
+            if value[sub] is not None:
+                value[sub] = _build(value[sub], sub_key, f"{name}.{sub}")
+    return value if key.then is None else key.then(value, name)
 
 
 def _lamn_spec(dim: int, curvature: dict, where: str, dim_name: str) -> LamnSpec:
@@ -314,23 +328,11 @@ SAMPLE = 2  # the least size of a sample whose spread or two-sample test is take
 WISHART = {"dof": Key("real"), "scale": Key("matrix", None)}
 
 
-def _check_relationship(name: str, n: int, source: str) -> None:
-    """The relationship matrix of N individuals fits: A and the eigenvectors
-    of its ``eigh`` hold N x N reals each."""
-    _check_draw(name, n, 16 * n, f"the relationship matrix of {source} N = {n} individuals")
-
-
-def _synthetic(s: dict, where: str):
-    """The synthetic pedigree of a block, once the model it sizes fits."""
-    _check_relationship(where, s["founders"] + s["per_generation"] * s["generations"], "its")
-    # synthetic_pedigree's check left to it: a generation of one child has no two parents to draw for the next
-    return _keyed(f"{where}.per_generation", synthetic_pedigree, s["founders"], s["per_generation"], s["generations"], s["seed"])
-
-
+# synthetic_pedigree's check left to it: a generation of one child has no two parents to draw for the next
 SYNTHETIC = Key("block", None, table={
     "founders": Key("int", minimum=2), "per_generation": COUNT, "generations": Key("int", minimum=0),
     "seed": Key("int", minimum=0),
-}, then=_synthetic)
+}, then=lambda s, where: _keyed(f"{where}.per_generation", synthetic_pedigree, *s.values()))
 MODEL_KINDS = {
     "lan": {"k": Key("matrix")},
     "wishart_lamn": {"dim": COUNT, **WISHART},
@@ -371,7 +373,7 @@ EXPERIMENTS = {
     },
     "ar1-study": {
         "thetas": Key("vector", np.array([0.0, 0.5, 0.9, 1.0]), nonempty=True), "n": Key("int", 50, minimum=1),
-        "x0": Key("real", 1.0), "mc_paths": Key("int", 100_000, minimum=1), "theta_a": Key("real", 0.0),
+        "x0": Key("real", 1.0), "mc_paths": Key("int", 100_000, minimum=SAMPLE), "theta_a": Key("real", 0.0),
         "theta_b": Key("real", 0.9), "invariance_nsim": Key("int", 2000, minimum=SAMPLE),
         "box_halfwidth": BOX, "points_per_axis": POINTS,
     },
@@ -383,7 +385,8 @@ EXPERIMENTS = {
         "unit": Key("str", "normal", choices=("normal", "exponential")),
         # the exponential unit's psi is its one rate
         "psi": Key("vector", np.array([1.0]), per_axis=True),
-        "ladder": Key("counts", [10, 100, 1000, 10000]), "replications": Key("int", 100, minimum=1),
+        # the report writes the ladder as reals, which hold an integer exactly up to 2**53
+        "ladder": Key("counts", [10, 100, 1000, 10000], maximum=2**53), "replications": Key("int", 100, minimum=1),
         "tau": Key("str", "sqrt_n", choices=("sqrt_n", "one")),
         "box_halfwidth": replace(BOX, default=2.0), "points_per_axis": POINTS,
     },
@@ -406,15 +409,112 @@ def _grid_box(half: np.ndarray, points, dim: int, dim_name: str) -> GridBox:
     return _keyed("config.box_halfwidth", GridBox, -half, half, points)
 
 
-# the counts that size a draw, and the bytes a row of it holds at least: a keyed stream at its
-# peak (tracemalloc), a draw of z and K (nsim) or a path of n + 1 reals (mc_paths)
-DRAW_ROW_BYTES = dict.fromkeys(["B", "B2", "test_nsim", "contiguity_nsim", "invariance_nsim", "replications"], lambda cfg: 208)
-DRAW_ROW_BYTES.update(nsim=lambda cfg: 8 * cfg["spec"].dim * (cfg["spec"].dim + 1), mc_paths=lambda cfg: 8 * (cfg["n"] + 1))
+STREAM_BYTES = 208  # a keyed stream at its peak, while its keys are made (tracemalloc)
+# a report entry at its peak: held in the record, then written as JSON and text (tracemalloc: 350 bytes at dim 3)
+REPORT_ENTRY_BYTES = 512
 
 
-def _check_draw(name: str, rows: int, row_bytes: int, what: str) -> None:
-    """A draw, grid or relationship matrix holds at most 2**32 rows (rng.derive_streams'
-    limit) and at most physical memory; ``rows`` and ``row_bytes`` are exact ints."""
+def _individuals(model: dict, file_n: int) -> int:
+    """An animal model's N: a synthetic pedigree's, or ``file_n`` (0 until its file is read)."""
+    s = model["synthetic"]
+    return file_n if s is None else s["founders"] + s["per_generation"] * s["generations"]
+
+
+def _row_reals(model: dict, file_n: int) -> int:
+    """The reals one drawn data row of a model block holds: an animal row draws
+    2N normals and holds the N reals of Q'y."""
+    kind, p = model["kind"], _model_dim(model)[0]
+    if kind == "animal":
+        return 3 * _individuals(model, file_n)
+    n = model.get("n", 1)
+    return {"lan": p, "wishart_lamn": p + p * p, "ar1": n + 1}.get(kind, n * p)
+
+
+# experiment -> the model block its draws come from, where it has none of its own
+DRAWN = {
+    "lamn-verify": lambda cfg: {"kind": "wishart_lamn", "dim": cfg["spec"]["dim"]} if "dof" in cfg["spec"]["curvature"]
+    else {"kind": "lan", "k": cfg["spec"]["curvature"]["k"]},
+    "ar1-study": lambda cfg: {"kind": "ar1", "n": cfg["n"]},
+    # the unit at the largest rung
+    "classical-comparison": lambda cfg: {"kind": "iid_normal" if cfg["unit"] == "normal" else "iid_exponential",
+                                         "p": cfg["psi"].size, "n": max(cfg["ladder"])},
+}
+
+
+def _draw(count: int, cfg: dict, file_n: int):
+    """``count`` data rows of the experiment's model, each from its own keyed stream."""
+    model = DRAWN[cfg["experiment"]](cfg) if cfg["experiment"] in DRAWN else cfg["model"]
+    at = f" at n = {model['n']}" if cfg["experiment"] == "classical-comparison" else ""
+    return count, STREAM_BYTES + 8 * _row_reals(model, file_n), f"its draw{at}"
+
+
+def _contiguity_draw(cfg: dict) -> int:
+    """The bytes of one of lamn-verify's contiguity draws, z and K, all from one stream."""
+    dim = cfg["spec"]["dim"]
+    return 8 * dim * (dim + 1)
+
+
+def _relationship(n: int, source: str):
+    """A and the eigenvectors of its ``eigh``, N x N reals each; None until N is known."""
+    return (n, 16 * n, f"the relationship matrix of {source} N = {n} individuals") if n else None
+
+
+def _grid(points, cfg: dict, file_n: int):
+    """A grid point's reals, and the two evaluations (value, gradient and Hessian)
+    the quadraticity report holds there with their difference."""
+    dim = PARAM_DIM[cfg["experiment"]](cfg)[0]
+    total = math.prod(points) if isinstance(points, list) else points**dim
+    return total, 8 * (dim + 3 * (1 + dim + dim * dim)), "its grid"
+
+
+def _square(dim: int, cfg: dict, file_n: int):
+    """A LAMN model's or spec's dim x dim matrices: its scale and the scale's factor, a K drawn and a Hessian."""
+    return dim, 8 * (1 + 4 * dim), "its curvature"
+
+
+# config key -> the (rows, bytes a row, what) it sizes, from its value, the config read and
+# a pedigree file's N (0 until the file is read), or None where that N is not yet known;
+# checked in this order: a model's sizes, the draws from one stream, then the keyed draws
+SIZES = {
+    "model.synthetic": lambda s, cfg, file_n: _relationship(_individuals(cfg["model"], file_n), "its"),
+    "model.pedigree": lambda path, cfg, file_n: _relationship(file_n, f"the {_resolve(cfg, path)} pedigree's"),
+    "model.dim": _square,
+    "spec.dim": _square,
+    # an observation and its residual (ar1-study's n too); iid_normal's p coordinates of n each, and a Hessian row
+    **dict.fromkeys(["model.n", "n"], lambda n, cfg, file_n: (n, 16, "its data")),
+    "model.p": lambda p, cfg, file_n: (p, 8 * (2 * cfg["model"]["n"] + p), "its data and Hessian"),
+    "nsim": lambda nsim, cfg, file_n: (nsim, _contiguity_draw(cfg), "its draw"),
+    # a loop's size too: each shift's draws are counted as if all were held at once
+    "n_deltas": lambda shifts, cfg, file_n: (shifts, cfg["nsim"] * _contiguity_draw(cfg) + 5 * REPORT_ENTRY_BYTES,
+                                             "its loop of shifts"),
+    # ar1-study's paths, all from one stream, and their noise
+    "mc_paths": lambda paths, cfg, file_n: (paths, 8 * (2 * cfg["n"] + 1), "its draw"),
+    **dict.fromkeys(["B", "B2", "test_nsim", "contiguity_nsim", "invariance_nsim", "replications"], _draw),
+    "points_per_axis": _grid,
+}
+
+
+def _given(cfg: dict, name: str):
+    """The value of the dotted key ``name``, None where the config gives none."""
+    value = cfg
+    for part in name.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    return value
+
+
+def _check_sizes(cfg: dict, file_n: int = 0) -> None:
+    """Every size of SIZES the config gives, by :func:`_check_bytes`; ``file_n``
+    is a pedigree file's N once it is read."""
+    for name, size in SIZES.items():
+        value = _given(cfg, name)
+        held = None if value is None else size(value, cfg, file_n)
+        if held is not None:
+            _check_bytes(f"config.{name}", *held)
+
+
+def _check_bytes(name: str, rows: int, row_bytes: int, what: str) -> None:
+    """What a key sizes holds at most 2**32 rows (rng.derive_streams' limit) and
+    at most physical memory; ``rows`` and ``row_bytes`` are exact ints."""
     need, memory = rows * row_bytes, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if rows > 2**32 or need > memory:
         raise ConfigError(f"{name}: {what} holds {rows} rows of {row_bytes} bytes, past the 2**32 rows or the "
@@ -423,11 +523,15 @@ def _check_draw(name: str, rows: int, row_bytes: int, what: str) -> None:
 
 def read_config(raw, base_dir: str) -> dict:
     """Every value of a parsed config, read and checked once by its
-    experiment's table; ``base_dir`` resolves its relative paths."""
+    experiment's table; ``base_dir`` resolves its relative paths.  Library
+    objects are built only once the sizes the config gives fit."""
     experiment = _value(_typed(raw, dict, "config"), "experiment", EXPERIMENT, "config")
     table = EXPERIMENTS[experiment]
-    cfg = _read_table(raw, {"experiment": EXPERIMENT, **COMMON, **table}, "config")
+    whole = Key("block", table={"experiment": EXPERIMENT, **COMMON, **table})
+    cfg = _read_table(raw, whole.table, "config")
     cfg["_dir"] = base_dir
+    _check_sizes(cfg)
+    cfg = _build(cfg, whole, "config")
     if experiment in PARAM_DIM:
         dim, dim_name = PARAM_DIM[experiment](cfg)
         for name, key in table.items():
@@ -437,26 +541,13 @@ def read_config(raw, base_dir: str) -> dict:
             elif key.per_axis and isinstance(value, (list, np.ndarray)) and len(value) != dim:
                 raise ConfigError(f"config.{name}: length {len(value)} does not match the parameter dimension {dim}")
         if "box_halfwidth" in table:
-            points = cfg["points_per_axis"]
-            if points is not None:
-                # a grid point's dim reals, and the value, gradient and Hessian it is evaluated to
-                total = math.prod(points) if isinstance(points, list) else points**dim
-                _check_draw("config.points_per_axis", total, 8 * (1 + 2 * dim + dim * dim), "its grid")
-            cfg["box"] = _grid_box(cfg["box_halfwidth"], points, dim, dim_name)
-    for name in table:
-        if name in DRAW_ROW_BYTES and cfg[name] is not None:
-            _check_draw(f"config.{name}", cfg[name], DRAW_ROW_BYTES[name](cfg), "its draw")
+            cfg["box"] = _grid_box(cfg["box_halfwidth"], cfg["points_per_axis"], dim, dim_name)
     if experiment == "bootstrap" and cfg["double"] and cfg["B2"] is None:
         raise ConfigError("config.B2: required when double is true")
     if experiment == "animal-study" and cfg["data"] is None and cfg["truth"] is None:
         raise ConfigError("config: animal-study needs either 'data' or 'truth' to simulate from")
     if experiment == "classical-comparison":
-        n, dim = max(cfg["ladder"]), cfg["psi"].size
-        if n > 2**53:  # the report writes the ladder as reals
-            raise ConfigError("config.ladder: counts must be at most 2**53, the largest integer a report real holds exactly")
-        # a rung draws replications x n x dim float64 values at once
-        _check_draw("config.ladder", cfg["replications"], 8 * n * dim, f"the draw at n = {n}")
-        rate = cfg["psi"][0]
+        n, rate = max(cfg["ladder"]), cfg["psi"][0]
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             square = np.square(rate)
             if cfg["unit"] == "exponential" and not (rate > 0 and 0 < 1.0 / square and n / square < np.inf):
@@ -493,17 +584,25 @@ def _build_model(cfg: dict):
     if kind == "animal":
         ped = model["synthetic"]
         if ped is None:  # a file's N is known once its records are counted
-            path = _resolve(cfg, model["pedigree"])
-            ped = load_pedigree_csv(path)
-            _check_relationship("config.model.pedigree", ped.size, f"the {path} pedigree's")
+            ped = _data_file(load_pedigree_csv, _resolve(cfg, model["pedigree"]))
+            _check_sizes(cfg, ped.size)
         return AnimalModel(relationship_matrix(ped))
     if kind == "iid_normal":
         return NormalLocationIid(model["p"], model["n"])
     return ExponentialRateIid(model["n"])
 
 
+def _data_file(read, path: str):
+    """``read(path)``; a data file's format error then names the file."""
+    try:
+        return read(path)
+    except DataFormatError as err:
+        err.args = (f"{path}: {err}",)
+        raise
+
+
 def _load_data(cfg: dict, model) -> np.ndarray:
-    return model.parse_data(load_vector_csv(_resolve(cfg, cfg["data"])))
+    return _data_file(lambda path: model.parse_data(load_vector_csv(path)), _resolve(cfg, cfg["data"]))
 
 
 def _standard_errors(info: np.ndarray) -> np.ndarray:

@@ -520,13 +520,15 @@ class AnimalModel(LikModel):
         """``Q'y`` of one draw per stream, the streams split evenly among the
         centres.  Past the bound on ``|phi|`` where :meth:`loglik` is NaN the
         variances may overflow, and there is no draw: such a centre's rows
-        are NaN, so NaO."""
+        are NaN, so NaO.  So is a row that overflows, as ``mu Q'1`` does for
+        a mean near the float maximum, without a warning."""
         phi = _centres(centers, len(centers), 3)
         outside = ~(np.abs(phi) <= _PHI_BOUND).all(axis=1)
         # an outside centre draws at phi = 0, and its rows are then set to NaN
         phi = np.where(outside[:, None], 0.0, phi)
-        qty = self.simulate_rotated(phi[:, 0], np.exp(phi[:, 1]), np.exp(phi[:, 2]), streams)
-        qty[np.repeat(outside, len(streams) // len(phi))] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            qty = self.simulate_rotated(phi[:, 0], np.exp(phi[:, 1]), np.exp(phi[:, 2]), streams)
+        qty[np.repeat(outside, len(streams) // len(phi)) | ~np.isfinite(qty).all(axis=1)] = np.nan
         return qty
 
     def starts(self, stack) -> np.ndarray:
@@ -666,13 +668,13 @@ def _of_length(flat: np.ndarray, expected: int, what: str = "values") -> np.ndar
 
 def _read_text(path: str, newline: str | None = None) -> io.StringIO:
     """A text file's lines, read as UTF-8 with ``open``'s ``newline`` rule; a
-    DataFormatError naming the file and line where it is not UTF-8."""
+    DataFormatError naming the line where it is not UTF-8."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
         return io.StringIO(raw.decode("utf8"), newline=newline)
     except UnicodeDecodeError as err:
-        raise DataFormatError(raw.count(b"\n", 0, err.start) + 1, f"{path} is not UTF-8 text ({err.reason})") from None
+        raise DataFormatError(raw.count(b"\n", 0, err.start) + 1, f"not UTF-8 text ({err.reason})") from None
 
 
 def load_vector_csv(path: str) -> np.ndarray:

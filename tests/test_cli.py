@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -176,7 +177,7 @@ class TestFitCommand:
             model={"kind": "wishart_lamn", "dim": 2, "dof": 3.0}, data="d.csv", out="r",
         )
         assert main(["fit", "--config", cfg]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err.startswith("quadlik: error: line 1: k (values 3 to 6)")
+        assert capsys.readouterr().err.startswith(f"quadlik: error: {tmp_path / 'd.csv'}: line 1: k (values 3 to 6)")
         assert not (tmp_path / "r.json").exists()
 
     def test_missing_data_file(self, tmp_path):
@@ -350,9 +351,11 @@ class TestCountValidation:
             ("fit", {"synthetic": {"seed": -1}}, "config.model.synthetic.seed"),
             # one child a generation has no two parents to draw for the next
             ("fit", {"synthetic": {"per_generation": 1, "generations": 2}}, "per_generation"),
+            # the spread of one path, info.std(ddof=1), warned and exited 2
+            ("ar1-study", {"thetas": [0.5], "n": 10, "mc_paths": 1}, "config.mc_paths: must be a count of at least 2, got 1"),
         ],
         ids=["ar1-n", "iid_normal-n", "iid_exponential-n", "iid_normal-p", "wishart-dim", "spec-dim",
-             "founders", "per_generation", "generations", "pedigree-seed", "one-child-generations"],
+             "founders", "per_generation", "generations", "pedigree-seed", "one-child-generations", "one-path"],
     )
     def test_count_keys_name_themselves(self, tmp_path, capsys, experiment, block, key):
         if "synthetic" in block:
@@ -795,9 +798,10 @@ class TestClassicalLadderBounds:
     """A ladder count must fit a report real exactly, and the largest rung's
     draw must fit in physical memory; both are checked before any draw."""
 
-    @pytest.mark.parametrize("ladder", [[10**400], [10, 2**53 + 1], [10**12]],
+    @pytest.mark.parametrize("ladder, named", [([10**400], "config.ladder"), ([10, 2**53 + 1], "config.ladder"),
+                                               ([10**12], "config.replications: its draw at n = 1000000000000 holds 3 rows")],
                              ids=["past-a-double", "past-2**53", "past-physical-memory"])
-    def test_rejected_before_any_draw(self, tmp_path, capsys, monkeypatch, ladder):
+    def test_rejected_before_any_draw(self, tmp_path, capsys, monkeypatch, ladder, named):
         def no_draw(*args):
             raise AssertionError("the ladder was drawn")
 
@@ -807,7 +811,7 @@ class TestClassicalLadderBounds:
             unit="exponential", ladder=ladder, replications=3,
         )
         assert main(["classical-comparison", "--config", path]) == EXIT_INPUT_ERROR
-        assert "config.ladder" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
 
@@ -854,14 +858,16 @@ class TestDrawCountBounds:
         lan_setup(tmp_path)
         path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
         assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
-        assert f"{key}: its draw holds" in capsys.readouterr().err
+        # classical-comparison's draw names its largest rung
+        assert re.search(f"{key}: its draw( at n = [0-9]+)? holds", capsys.readouterr().err)
         assert not (tmp_path / "r.json").exists()
 
 
     def test_stream_keys_counted_at_their_peak(self, tmp_path, capsys, monkeypatch):
-        # with physical memory shrunk to 1,000 pages, a B between memory / 208
-        # and memory / 16 passes at 16 bytes a stream key, but not at the 208
-        # bytes a keyed stream peaks at while its keys are made
+        # with physical memory shrunk to 1,000 pages, a B between memory / 224
+        # and memory / 32 passes at 16 bytes a stream key, but not at the 208
+        # bytes a keyed stream peaks at while its keys are made; each row also
+        # holds its data row, the 16 bytes of a LAN z of dimension 2
         def no_draw(*args, **kwargs):
             raise AssertionError("a draw was made")
 
@@ -872,9 +878,9 @@ class TestDrawCountBounds:
         path = write_config(tmp_path, "c.json", experiment="bootstrap", out="r", model=self.LAN, data="z.csv",
                             B=memory // 100)
         lan_setup(tmp_path)
-        assert memory // 208 < memory // 100 < memory // 16
+        assert memory // 224 < memory // 100 < memory // 32
         assert main(["bootstrap", "--config", path]) == EXIT_INPUT_ERROR
-        assert f"config.B: its draw holds {memory // 100} rows of 208 bytes" in capsys.readouterr().err
+        assert f"config.B: its draw holds {memory // 100} rows of 224 bytes" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
 
@@ -953,6 +959,133 @@ class TestSizeBoundsBeforeAllocation:
         path = write_config(tmp_path, "a.json", experiment="animal-study", out="r",
                             model={"kind": "animal", "synthetic": synthetic}, truth={"mu": 0.0, "sigma2": 1.0, "tau2": 1.0})
         assert quadlik.cli.load_config(path)["model"]["synthetic"].size == 2**11
+
+
+class TestSizeRules:
+    """One table, ``SIZES``, states the rows and the bytes a row of everything a
+    config key sizes; ``_check_bytes`` checks each, when the config is read
+    and again once a pedigree file's N is known."""
+
+    SYNTHETIC_200 = {"founders": 20, "per_generation": 90, "generations": 2, "seed": 3}
+    CONSTANT = {"dim": 2, "curvature": {"kind": "constant", "k": [[1.0, 0.0], [0.0, 1.0]]}}
+
+    @pytest.mark.parametrize(
+        "experiment, cfg, sizes",
+        [
+            # a keyed stream at its 208-byte peak, and a LAN z of 2 reals
+            ("bootstrap", {"model": "lan", "B": 20}, [("config.B", 20, 224)]),
+            # A and its eigenvectors; an animal row draws 2N normals and holds N reals of Q'y
+            ("animal-study", {"model": {"kind": "animal", "synthetic": SYNTHETIC_200}, "B": 7},
+             [("config.model.synthetic", 200, 3200), ("config.B", 7, 208 + 24 * 200)]),
+            # one stream's z and K; each shift's nsim draws and its 5 report entries of 512 bytes
+            ("lamn-verify", {"spec": CONSTANT, "nsim": 50, "n_deltas": 3, "test_nsim": 20},
+             [("config.spec.dim", 2, 72), ("config.nsim", 50, 48), ("config.n_deltas", 3, 50 * 48 + 5 * 512),
+              ("config.test_nsim", 20, 224)]),
+            # a grid point's 2 reals, and two evaluations of 1 + 2 + 4 reals with their difference
+            ("diagnose", {"model": "lan", "points_per_axis": [4, 5]},
+             [("config.test_nsim", 500, 224), ("config.contiguity_nsim", 2000, 224), ("config.points_per_axis", 20, 184)]),
+            # n observations, then p coordinates of n data, n residuals and a Hessian row each
+            ("fit", {"model": {"kind": "iid_normal", "p": 3, "n": 5}}, [("config.model.n", 5, 16), ("config.model.p", 3, 104)]),
+            ("ar1-study", {"n": 10, "mc_paths": 50},
+             [("config.n", 10, 16), ("config.mc_paths", 50, 8 * 21), ("config.invariance_nsim", 2000, 208 + 8 * 11)]),
+            # the unit's samples at the largest rung, n x p reals
+            ("classical-comparison", {"psi": [0.0, 0.0], "ladder": [10, 30], "replications": 4},
+             [("config.replications", 4, 208 + 8 * 60)]),
+        ],
+        ids=["lan-B", "animal", "lamn-verify", "grid", "iid_normal", "ar1-study", "classical"],
+    )
+    def test_each_key_states_its_bytes(self, tmp_path, monkeypatch, experiment, cfg, sizes):
+        checked = []
+        monkeypatch.setattr(quadlik.cli, "_check_bytes", lambda name, rows, row_bytes, what: checked.append((name, rows, row_bytes)))
+        cfg = dict(cfg)
+        if cfg.get("model") == "lan":
+            cfg.update(model=lan_setup(tmp_path), data="z.csv")
+        if experiment == "animal-study":
+            cfg["truth"] = {"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}
+        if experiment == "fit":
+            cfg["data"] = "x.csv"
+        quadlik.cli.load_config(write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg))
+        assert checked == sizes
+
+    @pytest.mark.parametrize(
+        "experiment, cfg, patched, named",
+        [
+            # a 16 GiB OpenBox, then numpy's "Maximum allowed dimension exceeded": both exited 3
+            ("fit", {"model": {"kind": "iid_normal", "p": 2**31, "n": 1}}, "NormalLocationIid", "config.model.p"),
+            ("fit", {"model": {"kind": "iid_normal", "p": 2**63, "n": 1}}, "NormalLocationIid", "config.model.p"),
+            ("fit", {"model": {"kind": "iid_normal", "p": 1, "n": 2**63}}, "NormalLocationIid", "config.model.n"),
+            ("fit", {"model": {"kind": "wishart_lamn", "dim": 2**31, "dof": 1e300}}, "_lamn_spec", "config.model.dim"),
+            ("lamn-verify", {"spec": {"dim": 2**31, "curvature": {"kind": "wishart", "dof": 1e300}}}, "_lamn_spec",
+             "config.spec.dim"),
+            # 2**32 draws, at the rows' limit: it ran on past 10 s
+            ("lamn-verify", {"spec": CONSTANT, "nsim": 2, "n_deltas": 2**31}, "contiguity_estimate", "config.n_deltas"),
+        ],
+        ids=["p-2**31", "p-2**63", "n-2**63", "wishart-dim", "spec-dim", "n_deltas"],
+    )
+    def test_exit_one_before_any_allocation(self, tmp_path, capsys, monkeypatch, experiment, cfg, patched, named):
+        monkeypatch.setattr(quadlik.cli, patched, lambda *a, **k: pytest.fail(f"{patched} was called"))
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", data="x.csv", **cfg) if experiment == "fit" \
+            else write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([experiment, "--config", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"quadlik: error: {named}: ")
+
+    def test_animal_draw_counts_its_rows(self, tmp_path):
+        # B 10**7 at N = 200 passed at 208 bytes a row (2.1 GB); z1 and z2 alone need 32 GB
+        path = write_config(tmp_path, "c.json", experiment="animal-study", out="r", B=10**7,
+                            model={"kind": "animal", "synthetic": self.SYNTHETIC_200}, truth={"mu": 0.0, "sigma2": 1.0, "tau2": 1.0})
+        with pytest.raises(quadlik.cli.ConfigError, match="^config.B: its draw holds 10000000 rows of 5008 bytes"):
+            quadlik.cli.load_config(path)
+
+    def test_pedigree_file_draws_checked_once_n_is_read(self, tmp_path, capsys, monkeypatch):
+        # with physical memory shrunk to 1,000 pages, B = 10,000 passes at the 208
+        # bytes a row known before the file is read, but not at the 688 of N = 20
+        save_pedigree_csv(str(tmp_path / "ped.csv"), synthetic_pedigree(6, 7, 2, 3))
+        save_vector_csv(str(tmp_path / "y.csv"), np.linspace(-1.0, 1.0, 20))
+        sysconf = quadlik.cli.os.sysconf
+        monkeypatch.setattr(quadlik.cli.os, "sysconf", lambda name: 1000 if name == "SC_PHYS_PAGES" else sysconf(name))
+        monkeypatch.setattr(quadlik.parallel, "derive_streams", lambda *a: pytest.fail("a draw was made"))
+        path = write_config(tmp_path, "c.json", experiment="animal-study", out="r", B=10_000, data="y.csv",
+                            model={"kind": "animal", "pedigree": "ped.csv"})
+        assert 10_000 * 208 < 1000 * sysconf("SC_PAGE_SIZE") < 10_000 * 688
+        quadlik.cli.load_config(path)
+        assert main(["animal-study", "--config", path]) == EXIT_INPUT_ERROR
+        assert "config.B: its draw holds 10000 rows of 688 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu", [1.7e308, -1.7e308])
+    def test_truth_whose_draw_overflows_is_nao(self, tmp_path, mu):
+        # mu Q'1 overflowed with a warning: exit 2 with it printed, or 3 under -W error
+        path = write_config(tmp_path, "c.json", experiment="animal-study", out="r", B=5,
+                            model={"kind": "animal", "synthetic": {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}},
+                            truth={"mu": mu, "sigma2": 1.0, "tau2": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["animal-study", "--config", path]) == EXIT_NAO
+        assert read_report(tmp_path, "r")["status"] == "NaO"
+
+
+class TestDataFileErrorsNameTheFile:
+    """A data file's format error names the file, then its line; a file that
+    is not UTF-8 names it once."""
+
+    @pytest.mark.parametrize(
+        "model, content, message",
+        [
+            ({"kind": "wishart_lamn", "dim": 2, "dof": 5.0}, "1\n2\n3\n4\n5\n6\n7\n",
+             "line 1: expected 6 values (z then k row-major), got 7"),
+            ({"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "0.5\n1.0\nfoo\n", "line 3: expected a number, got 'foo'"),
+            ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\n1,,\n1,,\n", "line 3: record 1: duplicate id"),
+            ({"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, b"0.5\n\xff\n", "line 2: not UTF-8 text (invalid start byte)"),
+        ],
+        ids=["wishart-row", "vector-csv", "pedigree", "not-utf8"],
+    )
+    def test_error_names_file_and_line(self, tmp_path, capsys, model, content, message):
+        data = tmp_path / "d.csv"
+        data.write_bytes(content if isinstance(content, bytes) else content.encode())
+        path = write_config(tmp_path, "c.json", experiment="fit", out="r", model=model, data="d.csv")
+        assert main(["fit", "--config", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"quadlik: error: {data}: {message}\n"
 
 
 class TestArgumentParser:
