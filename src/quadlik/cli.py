@@ -3,8 +3,10 @@
 Every run is a pure function of the config file and the data files it
 references: reports are emitted as both text and JSON with floats printed
 at 17 significant digits, large arrays spill to sibling CSV files, and all
-randomness derives from the mandatory integer seed.  Exit codes: 0 success,
-1 input error, 2 NaO result, 3 internal error.
+randomness derives from the mandatory integer seed.  Every report ends its
+run with a ``status``, from which ``main`` alone reads the exit code: 0 for
+ok, 2 for NaO.  1 is an input error (a command-line usage error too) and 3
+an internal error; neither writes a report.
 """
 
 from __future__ import annotations
@@ -556,11 +558,24 @@ def read_config(raw, base_dir: str) -> dict:
     return cfg
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its ``(key, value)`` pairs; a key repeated in it,
+    whose earlier values ``json`` would drop unread, is a ConfigError."""
+    block = {}
+    for key, value in pairs:
+        if key in block:
+            raise ConfigError(f"key {key!r} is given more than once in an object")
+        block[key] = value
+    return block
+
+
 def load_config(path: str) -> dict:
     """Read a config file and check all of it (``read_config``), before any model is built or data file opened."""
     try:
         with open(path, "r", encoding="utf8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
     except ValueError as err:  # not UTF-8, not JSON, or an integer too long to read
         raise ConfigError(f"{path}: invalid JSON ({err})") from None
     if not isinstance(raw, dict):
@@ -635,7 +650,7 @@ def _put_fit(record: ReportRecord, fit, alpha: float, prefix: str = "fit") -> No
     record.update(confidence_region(fit, alpha).to_record(f"{prefix}_region"))
 
 
-def run_fit(cfg: dict) -> tuple[ReportRecord, int]:
+def run_fit(cfg: dict) -> ReportRecord:
     model = _build_model(cfg)
     data = _load_data(cfg, model)
     alpha = cfg["alpha"]
@@ -645,11 +660,11 @@ def run_fit(cfg: dict) -> tuple[ReportRecord, int]:
     fit = fit_mle(model, data, max_steps=cfg["max_steps"])
     _put_fit(record, fit, alpha)
     if is_nao(fit.theta_hat):
-        return record, EXIT_NAO
+        return record
     if isinstance(model, AnimalModel):
         _put_animal_fit(record, model, fit.theta_hat)
         record.put("animal_eig_clamp", model.eig_clamp)
-    return record, EXIT_OK
+    return record
 
 
 def _put_animal_fit(record: ReportRecord, model: AnimalModel, theta_hat: np.ndarray) -> float:
@@ -668,7 +683,7 @@ def _quadraticity(shifted, box: GridBox) -> dict:
     return report.to_record()
 
 
-def run_diagnose(cfg: dict) -> tuple[ReportRecord, int]:
+def run_diagnose(cfg: dict) -> ReportRecord:
     model = _build_model(cfg)
     data = _load_data(cfg, model)
     seed, test_nsim, theta_b, delta = cfg["seed"], cfg["test_nsim"], cfg["theta_b"], cfg["contiguity_delta"]
@@ -677,7 +692,7 @@ def run_diagnose(cfg: dict) -> tuple[ReportRecord, int]:
     fit = fit_mle(model, data)
     _put_fit(record, fit, cfg["alpha"])
     if is_nao(fit.theta_hat):
-        return record, EXIT_NAO
+        return record
     theta_hat = fit.theta_hat
     p = theta_hat.size
 
@@ -697,10 +712,11 @@ def run_diagnose(cfg: dict) -> tuple[ReportRecord, int]:
         delta = step / 2.0
     mean, se_c, n_nao = model_contiguity_estimate(model, theta_hat, delta, cfg["contiguity_nsim"], seed)
     record.update({"contiguity_delta": delta, "contiguity_mean": mean, "contiguity_se": se_c, "contiguity_n_nao": n_nao})
-    return record, _checks_exit(record, invariance.p_value, normality.p_value, mean)
+    _checks_nao(record, invariance.p_value, normality.p_value, mean)
+    return record
 
 
-def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
+def run_bootstrap(cfg: dict) -> ReportRecord:
     model = _build_model(cfg)
     data = _load_data(cfg, model)
     seed, alpha, B, use_double = cfg["seed"], cfg["alpha"], cfg["B"], cfg["double"]
@@ -710,7 +726,7 @@ def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
     fit = fit_mle(model, data)
     _put_fit(record, fit, alpha)
     if is_nao(fit.theta_hat):
-        return record, EXIT_NAO
+        return record
     pivot = make_wald_pivot(model)
     if use_double:
         # its outer level is the single bootstrap (same seed, B and streams)
@@ -730,16 +746,16 @@ def run_bootstrap(cfg: dict) -> tuple[ReportRecord, int]:
         record.put("pivot_values", samples.values)
     if use_double:
         record.update(report.to_record())
-    return record, EXIT_OK
+    return record
 
 
-def _checks_exit(record: ReportRecord, *results: float) -> int:
-    """Exit code of a run whose Monte Carlo checks gave ``results``: NaO (exit 2,
-    status NaO) where one is NaN, a check left with too few usable replicates."""
-    if np.isnan(results).any():
+def _checks_nao(record: ReportRecord, *results: float) -> bool:
+    """Whether one of a run's Monte Carlo ``results`` is NaN, a check left with
+    too few usable replicates; such a run's status becomes NaO."""
+    nao = bool(np.isnan(results).any())
+    if nao:
         record.put_status("NaO")
-        return EXIT_NAO
-    return EXIT_OK
+    return nao
 
 
 def _dev_se(mean: float, se: float, target: float) -> float:
@@ -749,7 +765,7 @@ def _dev_se(mean: float, se: float, target: float) -> float:
     return abs(mean - target) / se if se > 0 else 0.0
 
 
-def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
+def run_lamn_verify(cfg: dict) -> ReportRecord:
     spec, seed, test_nsim, theta_a = cfg["spec"], cfg["seed"], cfg["test_nsim"], cfg["theta_a"]
     record = _start_record(cfg)
     record.put("spec_dim", spec.dim)
@@ -764,8 +780,8 @@ def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
         record.update({f"contiguity_{i}_delta": delta, f"contiguity_{i}_mean": mean, f"contiguity_{i}_se": se,
                        f"contiguity_{i}_n_nao": n_nao, f"contiguity_{i}_dev_se": devs[-1]})
     record.put("contiguity_max_dev_se", np.max(devs, initial=0.0))
-    if _checks_exit(record, *devs) == EXIT_NAO:
-        return record, EXIT_NAO
+    if _checks_nao(record, *devs):
+        return record
 
     model = wishart_lamn_model(spec) if isinstance(spec.curvature, WishartCurvature) else lan_normal_location(spec.curvature.k)
     normality = score_normality_test(model, theta_a, test_nsim, seed)
@@ -773,10 +789,11 @@ def run_lamn_verify(cfg: dict) -> tuple[ReportRecord, int]:
     invariance = hessian_invariance_test(model, theta_a, cfg["theta_b"], test_nsim, seed)
     record.update(invariance.to_record("invariance"))
     record.put("status", "ok")
-    return record, _checks_exit(record, normality.p_value, invariance.p_value)
+    _checks_nao(record, normality.p_value, invariance.p_value)
+    return record
 
 
-def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
+def run_ar1_study(cfg: dict) -> ReportRecord:
     seed, thetas, n, x0, mc_paths = cfg["seed"], cfg["thetas"], cfg["n"], cfg["x0"], cfg["mc_paths"]
     theta_a, theta_b = np.array([cfg["theta_a"]]), np.array([cfg["theta_b"]])
     record = _start_record(cfg)
@@ -796,8 +813,8 @@ def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
         devs.append(_dev_se(mean, se, expected))
         record.update({f"info_{idx}_theta": float(theta), f"info_{idx}_recursion": expected, f"info_{idx}_mc_mean": mean,
                        f"info_{idx}_mc_se": se, f"info_{idx}_dev_se": devs[-1]})
-    if _checks_exit(record, *devs) == EXIT_NAO:
-        return record, EXIT_NAO
+    if _checks_nao(record, *devs):
+        return record
 
     model = Ar1Model(n, x0)
     data = model.simulate(theta_a, derive_rng(seed, "ar1-data"))
@@ -805,17 +822,18 @@ def run_ar1_study(cfg: dict) -> tuple[ReportRecord, int]:
     record.update(fit.trace.to_record("fit_newton"))
     if is_nao(fit.theta_hat):
         record.put("status", "NaO")
-        return record, EXIT_NAO
+        return record
     record.put("status", "ok")
     record.put("fit_theta_hat", fit.theta_hat)
     shifted = local_shift(model, data, fit.theta_hat, tau=1.0)
     record.update(_quadraticity(shifted, cfg["box"]))
     invariance = hessian_invariance_test(model, theta_a, theta_b, cfg["invariance_nsim"], seed)
     record.update(invariance.to_record("invariance"))
-    return record, _checks_exit(record, invariance.p_value)
+    _checks_nao(record, invariance.p_value)
+    return record
 
 
-def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
+def run_animal_study(cfg: dict) -> ReportRecord:
     model = _build_model(cfg)
     seed, alpha, truth = cfg["seed"], cfg["alpha"], cfg["truth"]
     record = _start_record(cfg)
@@ -833,7 +851,7 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
     fit = fit_mle(model, data)
     _put_fit(record, fit, alpha)
     if is_nao(fit.theta_hat):
-        return record, EXIT_NAO
+        return record
     h_hat = _put_animal_fit(record, model, fit.theta_hat)
     # delta method on the fit: the pivot's variance, on a stack of one
     se_h = float(np.sqrt(_heritability_variance(fit.observed_info[None])[0]))
@@ -852,7 +870,7 @@ def run_animal_study(cfg: dict) -> tuple[ReportRecord, int]:
             half = np.sqrt(cal.calibrated_quantile) * se_h
             record.put("calibrated_interval_low", h_hat - half)
             record.put("calibrated_interval_high", h_hat + half)
-    return record, EXIT_OK
+    return record
 
 
 def _heritability_variance(info: np.ndarray) -> np.ndarray:
@@ -883,7 +901,7 @@ def _heritability_pivot(model: AnimalModel):
     return pivot
 
 
-def run_classical_comparison(cfg: dict) -> tuple[ReportRecord, int]:
+def run_classical_comparison(cfg: dict) -> ReportRecord:
     seed, unit, psi, ladder, replications = cfg["seed"], cfg["unit"], cfg["psi"], cfg["ladder"], cfg["replications"]
     tau_mode = cfg["tau"]
     p = psi.size
@@ -906,7 +924,8 @@ def run_classical_comparison(cfg: dict) -> tuple[ReportRecord, int]:
         record.put(f"ladder_{n_idx}_n", n)
         record.update({f"ladder_{n_idx}_median_d{j}": medians[-1][j] for j in range(3)})
     record.update({f"median_d{j}": [m[j] for m in medians] for j in range(3)})
-    return record, EXIT_OK
+    record.put("status", "ok")
+    return record
 
 
 RUNNERS = {
@@ -925,8 +944,16 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input errors (exit 1), not argparse's exit 2, the NaO code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _argument_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadlik",
         description="Likelihood quadraticity experiments driven by JSON configs.",
     )
@@ -947,11 +974,26 @@ def _argument_parser() -> argparse.ArgumentParser:
 # built once a process: each parse starts from a new namespace, so main may be called again and again
 _PARSER = _argument_parser()
 
+# a report's status -> the run's exit code; a runner's report says how the run ended, and nothing else does
+STATUS_EXIT = {"ok": EXIT_OK, "NaO": EXIT_NAO}
+
+
+def _check_out(out_base: str, name: str, cfg: dict, config_path: str) -> None:
+    """No file the report writes (``<out>.json``, ``<out>.txt``, ``<out>__<key>.csv``)
+    is the config or a data or pedigree file it names; ``name`` is the key of ``out_base``."""
+    written = {os.path.realpath(out_base + ext) for ext in (".json", ".txt")}
+    spill = os.path.join(os.path.realpath(os.path.dirname(out_base) or "."), os.path.basename(out_base) + "__")
+    model = cfg.get("model") or {}
+    given = [path for path in (cfg.get("data"), model.get("pedigree")) if path is not None]
+    for path in [config_path] + [_resolve(cfg, path) for path in given]:
+        real = os.path.realpath(path)
+        if real in written or (real.startswith(spill) and real.endswith(".csv")):
+            raise ConfigError(f"{name}: the report {out_base} would overwrite its input {path}")
+
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-
     try:
+        args = _PARSER.parse_args(argv)
         if args.workers < 1:
             raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
         cfg = load_config(args.config)
@@ -966,7 +1008,9 @@ def main(argv=None) -> int:
             out_base = _resolve(cfg, out_base)
         if out_base.endswith(".json") or out_base.endswith(".txt"):
             out_base = out_base.rsplit(".", 1)[0]
-        record, code = RUNNERS[args.command](cfg)
+        _check_out(out_base, "--out" if args.out else "config.out", cfg, args.config)
+        record = RUNNERS[args.command](cfg)
+        code = STATUS_EXIT[record.get("status")]  # a report without a status is a program fault
         record.write(out_base)
     except (ConfigError, DataFormatError, PedigreeError, OSError) as err:
         print(f"quadlik: error: {err}", file=sys.stderr)

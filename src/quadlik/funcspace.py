@@ -118,8 +118,8 @@ class NestedBoxes:
 
     @classmethod
     def shrinking(cls, box: GridBox, n_boxes: int = 8) -> "NestedBoxes":
-        """Scale ``box`` about its center by n/N for n = 1..N."""
-        return cls(tuple(box.scaled_about_center(n / n_boxes) for n in range(1, n_boxes + 1)))
+        """Scale ``box`` about its center by n/N for n = 1..N; the N-th box is ``box`` itself."""
+        return cls(tuple(box.scaled_about_center(n / n_boxes) for n in range(1, n_boxes)) + (box,))
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +260,15 @@ def quadraticity_report(q: Objective, delta0, box: GridBox) -> QuadraticityRepor
     """Distances from ``q`` to its Taylor quadratic at ``delta0`` over ``box``.
 
     Reports the three sup norms plus the compact-exhaustion metric on the
-    default nested shrinking of the box (8 boxes).
+    default nested shrinking of the box (8 boxes).  The last of them is
+    ``box``, whose sup norm of values is ``d0``: its grid is evaluated once.
     """
     anchor = np.atleast_1d(np.asarray(delta0, dtype=float))
     fit = quadratic_fit_at(q, anchor).objective()
     d0, d1, d2 = c2_distance(q, fit, box)
     nested = NestedBoxes.shrinking(box)
-    rud = rudin_distance(q, fit, nested)
+    inner = rudin_distance(q, fit, NestedBoxes(nested.boxes[:-1]))
+    rud = max(inner, 2.0 ** -len(nested) * d0 / (1.0 + d0))
     return QuadraticityReport(
         d0=d0,
         d1=d1,

@@ -330,14 +330,14 @@ def test_criterion_7_classical_comparison():
         # keep psi + delta/tau inside the positive-rate domain for tau = 1 too
         "box_halfwidth": 0.9,
     }
-    record, code = run_classical_comparison(read_config(dict(base, tau="sqrt_n"), "."))
-    assert code == 0
+    record = run_classical_comparison(read_config(dict(base, tau="sqrt_n"), "."))
+    assert record.get("status") == "ok"
     shrink = {j: record.get(f"median_d{j}") for j in range(3)}
     ok_shrink = all(
         all(b < a for a, b in zip(seq, seq[1:])) for seq in shrink.values()
     )
-    record_flat, code = run_classical_comparison(read_config(dict(base, tau="one"), "."))
-    assert code == 0
+    record_flat = run_classical_comparison(read_config(dict(base, tau="one"), "."))
+    assert record_flat.get("status") == "ok"
     flat = {j: record_flat.get(f"median_d{j}") for j in range(3)}
     ok_flat = all(all(b >= a for a, b in zip(seq, seq[1:])) for seq in flat.values())
     elapsed = time.time() - start

@@ -641,7 +641,7 @@ class TestInternalError:
         def twice(cfg):
             record = quadlik.cli._start_record(cfg)
             record.put("seed", 1)
-            return record, EXIT_OK
+            return record
 
         monkeypatch.setitem(quadlik.cli.RUNNERS, "fit", twice)
         cfg = write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="r")
@@ -1101,13 +1101,11 @@ class TestArgumentParser:
         assert main(["fit", "--config", path]) == EXIT_OK
 
     def test_repeated_calls_keep_no_state(self, tmp_path, capsys):
-        fit = write_config(tmp_path, "f.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="f")
-        boot = write_config(tmp_path, "b.json", experiment="bootstrap", model=lan_setup(tmp_path), data="z.csv",
+        fit = write_config(tmp_path, "fit.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="f")
+        boot = write_config(tmp_path, "boot.json", experiment="bootstrap", model=lan_setup(tmp_path), data="z.csv",
                             out="b", B=20)
         assert main(["fit", "--config", fit, "--workers", "2", "--out", str(tmp_path / "g")]) == EXIT_OK
-        with pytest.raises(SystemExit) as stop:
-            main(["fit"])
-        assert stop.value.code == 2 and "--config" in capsys.readouterr().err
+        assert main(["fit"]) == EXIT_INPUT_ERROR and "quadlik: error: " in capsys.readouterr().err
         assert main(["bootstrap", "--config", boot]) == EXIT_OK
         assert main(["fit", "--config", fit]) == EXIT_OK
         assert (tmp_path / "f.json").read_bytes() == (tmp_path / "g.json").read_bytes()
@@ -1213,15 +1211,16 @@ class TestInputErrorsNameTheirKey:
 
 
 class TestStatusOfEveryExperiment:
-    """Every experiment that can be NaO puts ``status``; a run that exits 0 says
-    "ok".  classical-comparison has no NaO outcome (it always exits 0) and no status."""
+    """The exit code is read from the report's ``status`` alone: ok exits 0 and
+    NaO exits 2.  Every experiment puts a status; classical-comparison, which
+    has no NaO outcome, says ok."""
 
     SYNTHETIC = {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3}
+    LAN = {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}
     CONFIGS = {
-        "fit": {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "z.csv"},
-        "diagnose": {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "z.csv", "test_nsim": 50,
-                     "contiguity_nsim": 50},
-        "bootstrap": {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "z.csv", "B": 20},
+        "fit": {"model": LAN, "data": "z.csv"},
+        "diagnose": {"model": LAN, "data": "z.csv", "test_nsim": 50, "contiguity_nsim": 50},
+        "bootstrap": {"model": LAN, "data": "z.csv", "B": 20},
         "lamn-verify": {"spec": {"dim": 2, "curvature": {"kind": "wishart", "dof": 5.0}}, "nsim": 200, "n_deltas": 2,
                         "test_nsim": 50},
         "ar1-study": {"thetas": [0.0, 0.5], "n": 10, "mc_paths": 200, "invariance_nsim": 50},
@@ -1229,22 +1228,155 @@ class TestStatusOfEveryExperiment:
                          "B": 8},
         "classical-comparison": {"unit": "normal", "psi": [0.0], "ladder": [50], "replications": 5},
     }
+    # a config of each experiment that can end NaO, which ends so; x.csv holds [-1, -2, -3],
+    # whose exponential rate start 1 / mean(x) lies outside the domain
+    NAO_START = {"model": {"kind": "iid_exponential", "n": 3}, "data": "x.csv"}
+    NAO_CONFIGS = {
+        "fit": NAO_START,
+        "diagnose": dict(CONFIGS["diagnose"], theta_b=[1e300, 1e300]),
+        "bootstrap": dict(NAO_START, B=20),
+        "lamn-verify": dict(CONFIGS["lamn-verify"], delta_scale=1e200),
+        "ar1-study": dict(CONFIGS["ar1-study"], thetas=[0.5, 1e200]),
+        "animal-study": dict(CONFIGS["animal-study"], truth={"mu": 1e300, "sigma2": 1.0, "tau2": 1.0}),
+    }
+
+    def run(self, tmp_path, experiment, cfg):
+        save_vector_csv(str(tmp_path / "z.csv"), np.array([0.7, -0.3]))
+        save_vector_csv(str(tmp_path / "x.csv"), np.array([-1.0, -2.0, -3.0]))
+        path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([experiment, "--config", path])
+        report = read_report(tmp_path, "r")
+        assert code == {"ok": EXIT_OK, "NaO": EXIT_NAO}[report["status"]]
+        return code, report
 
     def test_all_seven_experiments_are_covered(self):
         assert sorted(self.CONFIGS) == sorted(quadlik.cli.RUNNERS)
+        assert sorted(self.NAO_CONFIGS) == sorted(set(quadlik.cli.RUNNERS) - {"classical-comparison"})
 
     @pytest.mark.parametrize("experiment", list(CONFIGS))
     def test_exit_zero_report_says_ok(self, tmp_path, experiment):
+        code, report = self.run(tmp_path, experiment, self.CONFIGS[experiment])
+        assert code == EXIT_OK
+        if experiment in ("lamn-verify", "classical-comparison"):
+            assert list(report)[-1] == "status"
+
+    @pytest.mark.parametrize("experiment", list(NAO_CONFIGS))
+    def test_exit_two_report_says_nao(self, tmp_path, experiment):
+        code, report = self.run(tmp_path, experiment, self.NAO_CONFIGS[experiment])
+        assert code == EXIT_NAO
+
+    @pytest.mark.parametrize("experiment", list(CONFIGS))
+    def test_every_runner_returns_its_report_alone(self, tmp_path, experiment):
         save_vector_csv(str(tmp_path / "z.csv"), np.array([0.7, -0.3]))
         path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **self.CONFIGS[experiment])
-        assert main([experiment, "--config", path]) == EXIT_OK
-        report = read_report(tmp_path, "r")
-        if experiment == "classical-comparison":
-            assert "status" not in report
-        else:
-            assert report["status"] == "ok"
-        if experiment == "lamn-verify":
-            assert list(report)[-1] == "status"
+        record = quadlik.cli.RUNNERS[experiment](quadlik.cli.load_config(path))
+        assert isinstance(record, ReportRecord) and record.get("status") == "ok"
+
+    @pytest.mark.parametrize("status", [None, "done"])
+    def test_report_without_a_known_status_is_a_fault(self, tmp_path, capsys, monkeypatch, status):
+        def runner(cfg):
+            record = quadlik.cli._start_record(cfg)
+            if status is not None:
+                record.put("status", status)
+            return record
+
+        monkeypatch.setitem(quadlik.cli.RUNNERS, "fit", runner)
+        path = write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="r")
+        assert main(["fit", "--config", path]) == EXIT_INTERNAL_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("quadlik: internal error\n") and "KeyError" in err
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.txt").exists()
+
+
+class TestUsageErrors:
+    """A command-line usage error is an input error, exit 1, never argparse's
+    exit 2, which is the NaO code; ``--help`` exits 0."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["fit"], ["fit", "--config"], ["fit", "--config", "c.json", "--workers", "abc"],
+        ["fit", "--config", "c.json", "--bogus"], ["nonesuch", "--config", "c.json"],
+    ], ids=["no-command", "no-config", "config-without-path", "workers-abc", "unknown-flag", "unknown-command"])
+    def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="r")
+        assert main(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quadlik") and "\nquadlik: error: " in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_command_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["fit", "--help"])
+        assert stop.value.code == 0 and "--config" in capsys.readouterr().out
+
+
+class TestRepeatedConfigKeys:
+    """json keeps the last value of a repeated key; a config that repeats one,
+    at any depth, is an input error naming the key and the file."""
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"schema_version": 1, "experiment": "fit", "seed": 1, "seed": 2, "model": MODEL, "data": "z.csv", "out": "r"}',
+         "seed"),
+        ('{"schema_version": 1, "experiment": "fit", "seed": 1, "model": MODEL, "model": MODEL, "data": "z.csv", "out": "r"}',
+         "model"),
+        ('{"schema_version": 1, "experiment": "fit", "seed": 1, "alpha": 0.05, "alpha": 0.5, "model": MODEL, '
+         '"data": "z.csv", "out": "r"}', "alpha"),
+        ('{"schema_version": 1, "experiment": "fit", "seed": 1, "model": {"kind": "lan", "k": [[1.0]], '
+         '"k": [[2.0]]}, "data": "z.csv", "out": "r"}', "k"),
+        ('{"schema_version": 1, "experiment": "animal-study", "seed": 1, "model": {"kind": "animal", '
+         '"synthetic": {"founders": 6, "per_generation": 7, "generations": 2, "seed": 3, "seed": 4}}, '
+         '"truth": {"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}, "out": "r"}', "seed"),
+    ], ids=["top-seed", "top-model", "top-alpha", "nested-k", "doubly-nested-seed"])
+    def test_repeated_key_is_an_input_error(self, tmp_path, capsys, text, key):
+        model = json.dumps(lan_setup(tmp_path))
+        path = tmp_path / "c.json"
+        path.write_text(text.replace("MODEL", model))
+        experiment = json.loads(text.replace("MODEL", model))["experiment"]
+        assert main([experiment, "--config", str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"quadlik: error: {path}: key {key!r} is given more than once")
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestNoReportOverwritesAnInput:
+    """A report base whose files would be the config or a data or pedigree file
+    it names is an input error of ``config.out`` or ``--out``, before the run."""
+
+    def check(self, tmp_path, capsys, argv, named, victim):
+        before = victim.read_bytes()
+        assert main(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"quadlik: error: {named}: ") and str(victim.name) in err
+        assert victim.read_bytes() == before
+
+    @pytest.mark.parametrize("out", ["c2", "c2.json", "./c2"])
+    def test_config_is_not_its_own_report(self, tmp_path, capsys, out):
+        path = write_config(tmp_path, "c2.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out=out)
+        self.check(tmp_path, capsys, ["fit", "--config", path], "config.out", tmp_path / "c2.json")
+        # a report next to its config runs
+        path = write_config(tmp_path, "c3.json", experiment="fit", model=lan_setup(tmp_path), data="z.csv", out="c2")
+        assert main(["fit", "--config", path]) == EXIT_OK
+
+    def test_data_file_is_not_a_report(self, tmp_path, capsys):
+        save_vector_csv(str(tmp_path / "z.txt"), np.array([0.7, -0.3]))
+        path = write_config(tmp_path, "c.json", experiment="fit", model=lan_setup(tmp_path), data="z.txt", out="r")
+        self.check(tmp_path, capsys, ["fit", "--config", path, "--out", str(tmp_path / "z")], "--out",
+                   tmp_path / "z.txt")
+
+    def test_pedigree_file_is_not_a_report(self, tmp_path, capsys):
+        save_pedigree_csv(str(tmp_path / "ped.json"), synthetic_pedigree(6, 7, 2, 3))
+        path = write_config(tmp_path, "c.json", experiment="animal-study", model={"kind": "animal", "pedigree": "ped.json"},
+                            truth={"mu": 0.0, "sigma2": 1.0, "tau2": 1.0}, out="ped")
+        self.check(tmp_path, capsys, ["animal-study", "--config", path], "config.out", tmp_path / "ped.json")
+
+    def test_data_file_is_not_a_spilled_array(self, tmp_path, capsys):
+        # a pivot dump of 40 values spills to r__pivot_values.csv
+        save_vector_csv(str(tmp_path / "r__pivot_values.csv"), np.array([0.7, -0.3]))
+        path = write_config(tmp_path, "c.json", experiment="bootstrap", model=lan_setup(tmp_path),
+                            data="r__pivot_values.csv", B=40, dump_pivots=True, out="r")
+        self.check(tmp_path, capsys, ["bootstrap", "--config", path], "config.out", tmp_path / "r__pivot_values.csv")
 
 
 class TestTruthNextToData:

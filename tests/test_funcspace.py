@@ -69,8 +69,12 @@ class TestNestedBoxes:
     def test_shrinking_is_nested(self):
         nested = NestedBoxes.shrinking(GridBox([-2.0], [4.0], [5]), 8)
         assert len(nested) == 8
-        assert np.allclose(nested.boxes[-1].lower, [-2.0])
-        assert np.allclose(nested.boxes[-1].upper, [4.0])
+        assert np.array_equal(nested.boxes[-1].lower, [-2.0])
+        assert np.array_equal(nested.boxes[-1].upper, [4.0])
+
+    def test_last_box_is_the_box(self):
+        box = GridBox([-2.0, 0.1], [4.0, 0.3], [5, 3])
+        assert NestedBoxes.shrinking(box, 8).boxes[-1] is box
 
     def test_rejects_non_nested(self):
         small = GridBox([-1.0], [1.0], [3])
@@ -236,6 +240,21 @@ class TestQuadraticityReport:
         assert report.d0 == pytest.approx(0.25)
         assert report.d2 == pytest.approx(3.0)
 
+    def test_evaluates_the_c2_grid_once(self):
+        # the 8th Rudin box is the C2 box, whose value sup norm is d0: q is
+        # evaluated at its anchor, on the C2 grid and on the 7 smaller boxes
+        model, psi = SHIFT_CASES["animal"]
+        q = local_shift(model, model.simulate(psi, derive_rng(4)), psi, tau=1.0)
+        box = GridBox(-np.ones(3), np.ones(3), [9, 9, 9])
+        counted = _Counted(q)
+        report = quadraticity_report(counted, np.zeros(3), box)
+        assert counted.points == 1 + 8 * 729
+        # the value the eight-box formula gives, each box scaled about the centre
+        fit = quadratic_fit_at(q, np.zeros(3)).objective()
+        eight = NestedBoxes(tuple(box.scaled_about_center(n / 8) for n in range(1, 9)))
+        assert report.rudin == rudin_distance(q, fit, eight) > 0.0
+        assert report.d0 == sup_norm_on_box(q, fit, box)
+
     def test_record_round_trip(self):
         box = GridBox([-1.0], [1.0], [5])
         rec = quadraticity_report(quartic, [0.0], box).to_record()
@@ -266,6 +285,21 @@ def _assert_same_rows(kind, stacked, looped, base_values):
     else:
         assert np.array_equal(a, b)
     assert np.isnan(stacked.packed[~stacked.ok]).all()
+
+
+class _Counted:
+    """An objective that counts the points it is evaluated at."""
+
+    def __init__(self, f):
+        self.f, self.points = f, 0
+
+    def __call__(self, x):
+        self.points += 1
+        return self.f(x)
+
+    def stack(self, points):
+        self.points += len(points)
+        return self.f.stack(points)
 
 
 def _looped(f):
