@@ -157,7 +157,8 @@ class Key:
     with ``a``.  ``default`` applies where the key is absent (REQUIRED: it must
     be given; defaults are shared, never modified).  ``minimum`` is an
     integer's least value; ``minimum`` and ``maximum`` bound reals, exclusive.
-    A ``per_axis`` value has one entry a parameter, a single real repeated.
+    A ``per_axis`` value has one entry a parameter; a single number is repeated
+    only where ``kind`` reads one (``real|vector``, ``int|counts``) or as a default.
     ``table`` reads a block (``kinds``: one table a ``kind``); ``then(value,
     name)`` builds the library object the value stands for, once the sizes
     of SIZES fit.
@@ -638,16 +639,16 @@ def _start_record(cfg: dict) -> ReportRecord:
     return record
 
 
-def _put_fit(record: ReportRecord, fit, alpha: float, prefix: str = "fit") -> None:
-    record.update(fit.trace.to_record(f"{prefix}_newton"))
+def _put_fit(record: ReportRecord, fit, alpha: float) -> None:
+    record.update(fit.trace.to_record("fit_newton"))
     if is_nao(fit.theta_hat):
         record.put("status", "NaO")
         return
     record.put("status", "ok")
-    record.put(f"{prefix}_theta_hat", fit.theta_hat)
-    record.put(f"{prefix}_observed_info", fit.observed_info.ravel())
-    record.put(f"{prefix}_se", _standard_errors(fit.observed_info))
-    record.update(confidence_region(fit, alpha).to_record(f"{prefix}_region"))
+    record.put("fit_theta_hat", fit.theta_hat)
+    record.put("fit_observed_info", fit.observed_info.ravel())
+    record.put("fit_se", _standard_errors(fit.observed_info))
+    record.update(confidence_region(fit, alpha).to_record("fit_region"))
 
 
 def run_fit(cfg: dict) -> ReportRecord:

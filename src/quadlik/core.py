@@ -272,10 +272,6 @@ class ObjectiveEval:
         object.__setattr__(self, "gradient", g)
         object.__setattr__(self, "hessian", _symmetrized(h))
 
-    @property
-    def dim(self) -> int:
-        return self.gradient.size
-
     def all_finite(self) -> bool:
         return bool(
             np.isfinite(self.value)
@@ -300,10 +296,6 @@ class OpenBox:
             raise ValueError("open box requires lower < upper on every axis")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
 
     def contains(self, theta) -> bool:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -342,11 +334,6 @@ class StackedEval:
         """Views of packed rows as values ``(m,)``, gradients ``(m, p)``, Hessians ``(m, p, p)``."""
         return packed[:, 0], packed[:, 1 : p + 1], packed[:, p + 1 :].reshape(-1, p, p)
 
-    def parts(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`split` with each Hessian symmetrized as :class:`ObjectiveEval` does."""
-        value, gradient, hessian = self.split(self.packed, p)
-        return value, gradient, _symmetrized(hessian)
-
     def first(self, p: int):
         """Row 0 as an :class:`ObjectiveEval`, or NaO where it is NaO."""
         if not self.ok[0]:
@@ -360,11 +347,12 @@ class StackedObjective:
 
     Data set ``rows[j]`` of the stack is evaluated at ``thetas[j]``;
     ``n_rows`` is the stack's number of data sets.  ``kernel(rows, thetas)``
-    returns (value, gradient, Hessian) arrays, with symmetric Hessians and
-    NaN where the likelihood cannot be evaluated; it only sees rows inside
-    the domain.  Rows of the wrong width, out of the domain or with a
-    non-finite evaluation come back NaO: these are the only NaO rules of an
-    objective, which :class:`RowObjective` reads at one data set.
+    returns (value, gradient, Hessian) arrays, each Hessian exactly
+    symmetric and read as returned, NaN where the likelihood cannot be
+    evaluated; it only sees rows inside the domain.  Rows of the wrong width,
+    out of the domain or with a non-finite evaluation come back NaO: these
+    are the only NaO rules of an objective, which :class:`RowObjective` reads
+    at one data set.
     """
 
     def __init__(self, domain: OpenBox, n_rows: int, kernel):
@@ -437,8 +425,10 @@ class LikModel:
 
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
         """The log likelihood of data set ``stack[j]`` at ``thetas[j]``, for every
-        row j at once: value ``(m,)``, gradient ``(m, p)`` and symmetric Hessian
-        ``(m, p, p)``, NaN where the likelihood cannot be evaluated.
+        row j at once: value ``(m,)``, gradient ``(m, p)`` and Hessian ``(m,
+        p, p)``, NaN where the likelihood cannot be evaluated.  Each Hessian
+        equals its transpose bit for bit, NaN entries included: every
+        consumer reads it as returned.
 
         It sees only parameters inside the domain, and computes each row
         exactly as it would a stack of that row alone.  It is the model's only
@@ -549,8 +539,8 @@ def shifted_stack(model: LikModel, datas, psi, tau: float = 1.0, tau_sq: float |
     base_value = np.where(base.ok, base.packed[:, 0], np.nan)
 
     def kernel(rows, deltas):
-        value, gradient, hessian = stacked(rows, psi + deltas / tau).parts(psi.size)
-        return value - base_value[rows], gradient / tau, _symmetrized(hessian / tau_sq)
+        value, gradient, hessian = StackedEval.split(stacked(rows, psi + deltas / tau).packed, psi.size)
+        return value - base_value[rows], gradient / tau, hessian / tau_sq
 
     return StackedObjective(OpenBox.unbounded(psi.size), stacked.n_rows, kernel), base.ok
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
-from .core import LikModel, MaybeParam, NaO, _symmetrized, cholesky_pivots, is_nao, reduce_rows, spd_factor
+from .core import LikModel, MaybeParam, NaO, StackedEval, _symmetrized, cholesky_pivots, is_nao, reduce_rows, spd_factor
 from .newton import DEFAULT_MAX_STEPS, NewtonTrace, lockstep_fit
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def fit_stack(model: LikModel, datas, max_steps: int = DEFAULT_MAX_STEPS):
     """
     stack = np.asarray(datas, dtype=float)
     thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack), max_steps=max_steps)
-    _, grad, hess = final.parts(model.dim_param)
+    _, grad, hess = StackedEval.split(final.packed, model.dim_param)
     infos = -hess
     with np.errstate(over="ignore", invalid="ignore"):
         holds = converged & ~np.isnan(cholesky_pivots(infos)[0][:, 0, 0])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import LikModel, StackedEval, _centres, _symmetrized, cholesky_pivots, shifted_stack, spd_matrix
+from .core import LikModel, StackedEval, _centres, cholesky_pivots, shifted_stack, spd_matrix
 from .inference import symmetric_sqrt
 from .parallel import draw
 from .rng import derive_rng
@@ -89,7 +89,8 @@ def _bartlett(law: WishartCurvature, chi: np.ndarray, normals: np.ndarray) -> np
     """Wishart matrices ``(L C)(L C)'`` from the Bartlett numbers, shape (n, p, p).
 
     Row i of C has the square roots of ``chi[i]`` on its diagonal and
-    ``normals[i]`` in its strict lower triangle.
+    ``normals[i]`` in its strict lower triangle.  Entries (i, j) and (j, i)
+    sum the same products in the same order: exactly symmetric.
     """
     p = law.dim
     c = np.zeros((len(chi), p, p))
@@ -153,11 +154,11 @@ def sample_lamn_batch(
 
 def sample_lamn_stack(spec: LamnSpec, centers, streams) -> np.ndarray:
     """One draw of (Z, K) per stream as the rows of an ``(m, p + p*p)`` stack,
-    z then k row-major, k symmetrized: row i from the i-th stream, at its
+    z then k row-major, k as drawn: row i from the i-th stream, at its
     centre of ``centers`` (split as in :func:`_sample`).  A row whose K fails
     the pivot test has a NaN z, an NaO row."""
     z, k = _sample(spec, centers, streams, 1)
-    return np.concatenate([z, _symmetrized(k).reshape(len(z), spec.dim**2)], axis=1)
+    return np.concatenate([z, k.reshape(len(z), spec.dim**2)], axis=1)
 
 
 def sample_lamn(spec: LamnSpec, theta, rng: np.random.Generator) -> np.ndarray:
@@ -256,7 +257,7 @@ def _curvature_summaries(model: LikModel, theta, nsim: int, seed: int, stream: s
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
     ev = _drawn_at(model, th, nsim, seed, (stream,))
-    infos, n_nao = -ev.parts(p)[2][ev.ok], nsim - int(ev.ok.sum())
+    infos, n_nao = -StackedEval.split(ev.packed, p)[2][ev.ok], nsim - int(ev.ok.sum())
     sign, logdet = np.linalg.slogdet(infos)
     entries = {f"info_{i}{j}": infos[:, i, j] for i in range(p) for j in range(i, p)}
     entries["logdet"] = logdet[sign > 0]
@@ -295,7 +296,7 @@ def score_normality_test(model: LikModel, theta, nsim: int, seed: int) -> KsTest
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = th.size
     ev = _drawn_at(model, th, nsim, seed, ("score-normality",))
-    _, gradient, hessian = ev.parts(p)
+    _, gradient, hessian = StackedEval.split(ev.packed, p)
     roots = symmetric_sqrt(-hessian)
     ok = ev.ok & ~np.isnan(roots[:, 0, 0])
     t, n_nao = np.linalg.solve(roots[ok], gradient[ok][:, :, None])[:, :, 0], nsim - int(ok.sum())

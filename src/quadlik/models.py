@@ -362,11 +362,10 @@ def logit_heritability(params: AnimalParams) -> float:
 
 
 # the animal model's parameters (mu, log sigma2, log tau2): the bound on
-# |phi| inside which it is evaluated (mu finite), which entries are log
-# variances, and where the chain rule adds the gradient to the Hessian
+# |phi| inside which it is evaluated (mu finite), and which entries are log
+# variances
 _PHI_BOUND = np.array([np.finfo(float).max, 700.0, 700.0])
 _LOG_VARIANCES = np.array([0.0, 1.0, 1.0])
-_LOG_VARIANCE_DIAGONAL = np.diag(_LOG_VARIANCES)
 
 
 class AnimalModel(LikModel):
@@ -473,7 +472,10 @@ class AnimalModel(LikModel):
         with np.errstate(over="ignore", invalid="ignore"):
             grad = g * scale
             hess = h * (scale[..., :, None] * scale[..., None, :])
-            hess += _LOG_VARIANCE_DIAGONAL * grad[..., None, :]
+            # the chain rule adds the gradient to the diagonal alone: 0 * gradient added
+            # off it could give a zero entry one sign above the diagonal, another below
+            hess[..., 1, 1] += grad[..., 1]
+            hess[..., 2, 2] += grad[..., 2]
         if outside.any():
             value = np.where(outside, np.nan, value)
             grad[outside] = np.nan

@@ -223,12 +223,12 @@ def _shifted_factor(h: np.ndarray, lam: np.ndarray) -> np.ndarray:
     eye = np.eye(h.shape[-1])
     lam = lam.copy()
     pending = np.flatnonzero(np.isfinite(lam))
-    with np.errstate(over="ignore"):
-        while pending.size:
-            factor, _ = cholesky_pivots(h[pending] + lam[pending, None, None] * eye)
-            passed = ~np.isnan(factor[:, 0, 0])
-            lower[pending[passed]] = factor[passed]
-            pending = pending[~passed]
-            lam[pending] *= 10.0
-            pending = pending[np.isfinite(lam[pending])]
+    # lambda's overflow is silent: lockstep_fit calls this under errstate(over="ignore")
+    while pending.size:
+        factor, _ = cholesky_pivots(h[pending] + lam[pending, None, None] * eye)
+        passed = ~np.isnan(factor[:, 0, 0])
+        lower[pending[passed]] = factor[passed]
+        pending = pending[~passed]
+        lam[pending] *= 10.0
+        pending = pending[np.isfinite(lam[pending])]
     return lower

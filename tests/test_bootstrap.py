@@ -31,7 +31,7 @@ from quadlik import (
     wishart_lamn_model,
 )
 from quadlik.cli import _heritability_pivot
-from quadlik.core import LikModel, NaO, OpenBox, cholesky_pivots, spd_factor
+from quadlik.core import LikModel, NaO, OpenBox, StackedEval, cholesky_pivots, spd_factor
 from quadlik.models import LanNormalLocation, WishartLamnModel
 
 
@@ -242,7 +242,7 @@ def level_infos(model, datas, refits):
     """The observed informations of refits as fit_stack gives them: the negative
     Hessians of the rows' evaluations, NaN where one is NaO or fails the pivot test."""
     ev = model.stacked_objective(datas)(np.arange(len(datas)), refits)
-    infos = -ev.parts(model.dim_param)[2]
+    infos = -StackedEval.split(ev.packed, model.dim_param)[2]
     # the pivot test warns on Hessians near the float maximum
     with np.errstate(all="ignore"):
         infos[~ev.ok | np.isnan(cholesky_pivots(infos)[0][:, 0, 0])] = np.nan

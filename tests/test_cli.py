@@ -1077,8 +1077,15 @@ class TestDataFileErrorsNameTheFile:
             ({"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "0.5\n1.0\nfoo\n", "line 3: expected a number, got 'foo'"),
             ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\n1,,\n1,,\n", "line 3: record 1: duplicate id"),
             ({"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, b"0.5\n\xff\n", "line 2: not UTF-8 text (invalid start byte)"),
+            ({"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "\n \n\n", "line 1: no data rows"),
+            ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\nx,,\n", "line 2: id must be an integer, got 'x'"),
+            ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\n1,,\n2,1,0\n", "line 3: dam must be a positive id, got 0"),
+            ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\n1,\n", "line 2: expected 3 fields, got 2"),
+            ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\n,1,2\n", "line 2: id may not be blank"),
+            ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\n", "line 1: no pedigree records"),
         ],
-        ids=["wishart-row", "vector-csv", "pedigree", "not-utf8"],
+        ids=["wishart-row", "vector-csv", "pedigree", "not-utf8", "vector-blank-lines-only", "pedigree-id-not-integer",
+             "pedigree-dam-zero", "pedigree-two-fields", "pedigree-blank-id", "pedigree-header-only"],
     )
     def test_error_names_file_and_line(self, tmp_path, capsys, model, content, message):
         data = tmp_path / "d.csv"
@@ -1169,7 +1176,8 @@ class TestInputErrorsNameTheirKey:
             ("classical-comparison", {"psi": [0, 0, 0, 0], "ladder": [10], "replications": 2}, "config.psi"),
             ("diagnose", {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "z.csv", "box_halfwidth": 1e308},
              "config.box_halfwidth"),
-            ("fit", "not-utf8", "c.json"),
+            ("fit", b'{"schema_version": 1, "experiment": "fit", "seed": 1, "out": "\xff"}', "c.json"),
+            ("fit", b"[1]", "c.json: top level must be an object"),
             ("fit", {"model": {"kind": "lan", "k": [[2.0, 0.5], [0.5, 1.0]]}, "data": "bad.csv"}, "bad.csv"),
             ("fit", {"model": {"kind": "animal", "pedigree": "bad.csv"}, "data": "z.csv"}, "bad.csv"),
             # not symmetric, whatever the pivot test makes of the lower triangle (I in the first and third)
@@ -1183,11 +1191,19 @@ class TestInputErrorsNameTheirKey:
              "line 1: k (values 3 to 6) is not symmetric"),
             ("fit", {"model": {"kind": "lan", "k": [[1e308, -1e308], [1e308, 1e308]]}, "data": "z.csv"},
              "config.model.k: curvature is not symmetric"),
+            ("fit", {"model": {"kind": "animal", "pedigree": "z.csv", "synthetic": SYNTHETIC}, "data": "z.csv"},
+             "config.model: give exactly one of 'pedigree' or 'synthetic'"),
+            ("fit", {"model": {"kind": "animal"}, "data": "z.csv"}, "config.model: give exactly one of 'pedigree' or 'synthetic'"),
+            ("animal-study", {"model": {"kind": "animal", "synthetic": SYNTHETIC}},
+             "config: animal-study needs either 'data' or 'truth'"),
+            ("fit", {"model": {"kind": "lan", "k": [[1, 2]]}, "data": "z.csv"}, "config.model.k: expected a square matrix"),
+            ("fit", {"model": [1], "data": "z.csv"}, "config.model: expected dict, got list"),
         ],
         ids=["lan-k", "wishart-scale", "constant-k", "spec-dim", "per_generation", "truth-sigma2",
-             "diagnose-dimension", "psi-dimension", "box-overflow", "config-file", "data-file", "pedigree-file",
-             "asymmetric-constant-k", "asymmetric-lan-bootstrap", "asymmetric-lan-diagnose", "asymmetric-wishart-data",
-             "asymmetric-huge-lan-k"],
+             "diagnose-dimension", "psi-dimension", "box-overflow", "config-file", "config-top-level-a-list",
+             "data-file", "pedigree-file", "asymmetric-constant-k", "asymmetric-lan-bootstrap", "asymmetric-lan-diagnose",
+             "asymmetric-wishart-data", "asymmetric-huge-lan-k", "animal-pedigree-and-synthetic",
+             "animal-neither-pedigree-nor-synthetic", "animal-study-neither-data-nor-truth", "lan-k-not-square", "model-a-list"],
     )
     def test_exits_one_naming_key_or_file(self, tmp_path, capsys, monkeypatch, experiment, cfg, named):
         monkeypatch.setattr(quadlik.cli, "fit_mle", lambda *a, **k: pytest.fail("fit on an invalid config"))
@@ -1195,9 +1211,9 @@ class TestInputErrorsNameTheirKey:
         save_vector_csv(str(tmp_path / "w.csv"), np.array([0.3, -0.2, 1.0, 0.4, 0.0, 1.0]))
         # byte 0xff on line 2 of a data file, line 3 of a pedigree
         (tmp_path / "bad.csv").write_bytes(b"id,sire,dam\n1,,\n\xff,,\n" if "pedigree" in str(cfg) else b"0.5\n\xff\n")
-        if cfg == "not-utf8":
+        if isinstance(cfg, bytes):
             path = tmp_path / "c.json"
-            path.write_bytes(b'{"schema_version": 1, "experiment": "fit", "seed": 1, "out": "\xff"}')
+            path.write_bytes(cfg)
             path = str(path)
         else:
             path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)

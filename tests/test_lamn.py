@@ -26,7 +26,7 @@ from quadlik import (
     score_normality_test,
     wishart_lamn_model,
 )
-from quadlik.core import NaO, QuadraticForm, _symmetrized, spd_factor
+from quadlik.core import NaO, QuadraticForm, spd_factor
 from quadlik.models import Ar1Model, DataFormatError, LanNormalLocation
 from quadlik.inference import fit_stack
 from quadlik.lamn import sample_lamn_stack
@@ -151,7 +151,7 @@ def pivot_factor(k):
 def reference_draw(spec, theta, rng):
     """One draw in the documented stream order, written out step by step:
     the p chi-squares, the strict lower-triangle normals, then xi, as a data
-    row (z, then k symmetrized).  z is NaN where K fails the pivot test; K
+    row (z, then k as drawn).  z is NaN where K fails the pivot test; K
     is never redrawn."""
     p, law = spec.dim, spec.curvature
     if isinstance(law, ConstantCurvature):
@@ -168,7 +168,7 @@ def reference_draw(spec, theta, rng):
         factor = pivot_factor(k[0])[None]
     xi = rng.standard_normal((1, p))
     z = np.einsum("nij,j->ni", k, np.asarray(theta, dtype=float)) + np.einsum("nij,nj->ni", factor, xi)
-    return np.concatenate([z[0], _symmetrized(k[0]).ravel()])
+    return np.concatenate([z[0], k[0].ravel()])
 
 
 class FixedStream:
@@ -399,7 +399,7 @@ class TestDrawLoopReference:
         stack = sample_lamn_stack(spec, level.thetas, level.streams())
         p = spec.dim
         assert np.array_equal(stack[:, :p], z)
-        assert np.array_equal(stack[:, p:], _symmetrized(k).reshape(40, p * p))
+        assert np.array_equal(stack[:, p:], k.reshape(40, p * p))
 
     @pytest.mark.parametrize("size", [2, 7])
     @pytest.mark.parametrize("name", list(SPECS))
@@ -420,7 +420,7 @@ class TestDrawLoopReference:
         stack = sample_lamn_stack(spec, level.thetas, level.streams())
         assert np.array_equal(k[7], first) and np.flatnonzero(np.isnan(z).any(axis=1)).tolist() == [7]
         assert np.array_equal(stack[:, :3], z, equal_nan=True)
-        assert np.array_equal(stack[:, 3:], _symmetrized(k).reshape(40, 9))
+        assert np.array_equal(stack[:, 3:], k.reshape(40, 9))
 
     def test_rejected_batch_row_is_nao_as_in_the_loop(self, monkeypatch):
         spec, theta, size = TestStackedDrawRarePaths.spec, np.array([0.5, -1.0, 0.25]), 5
@@ -456,7 +456,6 @@ class TestPivotTestDecidesNao:
             stack = sample_lamn_stack(spec, [theta], derive_streams(seed, [("level",)], rows))
             z, k = stack[:, :p], stack[:, p:].reshape(rows, p, p)
             ref_z, ref_k = loop_reference(spec, np.tile(theta, (rows, 1)), lambda s: derive_rng(seed, "level", s), rows, 1)
-            ref_k = _symmetrized(ref_k)
         failed = np.array([spd_factor(one) is None for one in k])
         assert np.array_equal(np.isnan(z).any(axis=1), failed) and np.isnan(z[failed]).all()
         assert np.array_equal(z, ref_z, equal_nan=True) and np.array_equal(k, ref_k)

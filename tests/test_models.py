@@ -34,7 +34,7 @@ from quadlik import (
     wishart_lamn_model,
 )
 from quadlik.cli import _heritability_pivot, _heritability_variance
-from quadlik.core import QuadraticForm, spd_factor
+from quadlik.core import QuadraticForm, StackedEval, spd_factor
 from quadlik.models import DataFormatError, LanNormalLocation, PedigreeError, WishartLamnModel
 
 
@@ -305,7 +305,7 @@ class TestAnimalRotation:
         phi = np.array(phi)
         ev = model.objective(qty)(phi)
         thetas = np.array([self.TRUTH, phi])
-        value, gradient, hessian = model.stacked_objective([qty, qty])(np.arange(2), thetas).parts(3)
+        value, gradient, hessian = StackedEval.split(model.stacked_objective([qty, qty])(np.arange(2), thetas).packed, 3)
         assert value[1] == ev.value
         assert np.array_equal(gradient[1], ev.gradient)
         assert np.array_equal(hessian[1], ev.hessian)

@@ -19,6 +19,7 @@ from quadlik import (
     quadratic_mle,
     safeguarded_maximize,
 )
+from quadlik.core import StackedEval
 
 
 quartic = row_objective(lambda th: (-(th[:, 0] ** 4) / 4.0, -(th**3), -3.0 * (th * th)[:, :, None]))
@@ -216,7 +217,7 @@ class TestContinuityUnderPerturbation:
 
         def perturbed(eps):
             def kernel(th):
-                value, gradient, hessian = q.objective().stack(th).parts(2)
+                value, gradient, hessian = StackedEval.split(q.objective().stack(th).packed, 2)
                 s0, c0, s1, c1 = np.sin(th[:, 0]), np.cos(th[:, 0]), np.sin(th[:, 1]), np.cos(th[:, 1])
                 bump_grad = np.stack([c0 * c1, -s0 * s1], axis=1)
                 bump_hess = np.stack(
@@ -293,7 +294,7 @@ class TestSafeguardedMaximize:
             domain = OpenBox.unbounded(1)
 
             def loglik(self, stack, thetas):
-                return q.stack(thetas).parts(1)
+                return StackedEval.split(q.stack(thetas).packed, 1)
 
             def starts(self, stack):
                 return np.full((len(stack), 1), 1e-300)
