@@ -50,17 +50,6 @@ class PivotSamples:
             raise ValueError("values plus NaO count must equal B")
         object.__setattr__(self, "values", values)
 
-    def to_record(self, prefix: str = "pivot") -> dict:
-        rec = {
-            f"{prefix}_B": self.B,
-            f"{prefix}_n_nao": self.n_nao,
-            f"{prefix}_seed": self.seed,
-        }
-        if self.values.size:
-            rec[f"{prefix}_mean"] = float(self.values.mean())
-            rec[f"{prefix}_max"] = float(self.values.max())
-        return rec
-
 
 @dataclass(frozen=True, eq=False)
 class CalibrationResult:
@@ -69,13 +58,6 @@ class CalibrationResult:
     nominal_quantile: float
     calibrated_quantile: float
     level: float
-
-    def to_record(self, prefix: str = "calibration") -> dict:
-        return {
-            f"{prefix}_level": self.level,
-            f"{prefix}_nominal_quantile": self.nominal_quantile,
-            f"{prefix}_calibrated_quantile": self.calibrated_quantile,
-        }
 
 
 def make_wald_pivot(model: LikModel) -> PivotFn:
@@ -183,17 +165,6 @@ class DoubleBootstrapReport:
     def coverage_rate(self) -> float:
         used = self.coverage[~np.isnan(self.coverage)]
         return float(used.mean()) if used.size else float("nan")
-
-    def to_record(self, prefix: str = "double") -> dict:
-        rec = self.outer.to_record(f"{prefix}_outer")
-        rec[f"{prefix}_level"] = self.level
-        rec[f"{prefix}_B2"] = self.B2
-        rec[f"{prefix}_coverage_rate"] = self.coverage_rate()
-        quantiles = self.inner_quantiles[~np.isnan(self.inner_quantiles)]
-        if quantiles.size:
-            rec[f"{prefix}_inner_quantile_mean"] = float(np.mean(quantiles))
-            rec[f"{prefix}_inner_quantile_sd"] = float(np.std(quantiles))
-        return rec
 
 
 def double_bootstrap(

@@ -6,7 +6,8 @@ at 17 significant digits, large arrays spill to sibling CSV files, and all
 randomness derives from the mandatory integer seed.  Every report ends its
 run with a ``status``, from which ``main`` alone reads the exit code: 0 for
 ok, 2 for NaO.  1 is an input error (a command-line usage error too) and 3
-an internal error; neither writes a report.
+an internal error; neither writes a report.  Which entries a library result
+puts in a report is decided here alone, by :data:`REPORTED`.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from .bootstrap import calibrate, double_bootstrap, make_wald_pivot, parametric_bootstrap
+from .bootstrap import CalibrationResult, DoubleBootstrapReport, PivotSamples, calibrate, double_bootstrap, make_wald_pivot, parametric_bootstrap
 from .core import QuadraticForm, is_nao, local_shift
-from .funcspace import GridBox, NonFiniteEvaluationError, c2_distance, default_points_per_axis, quadraticity_report
+from .funcspace import GridBox, NonFiniteEvaluationError, QuadraticityReport, c2_distance, default_points_per_axis, quadraticity_report
 from .inference import ConfidenceRegion, chisq_upper_quantile, confidence_region, fit_mle
 from .lamn import (
-    ConstantCurvature, LamnSpec, WishartCurvature, contiguity_estimate, hessian_invariance_test,
+    ConstantCurvature, KsTestReport, LamnSpec, WishartCurvature, contiguity_estimate, hessian_invariance_test,
     model_contiguity_estimate, score_normality_test,
 )
 from .models import (
@@ -35,7 +36,7 @@ from .models import (
     logit_heritability, relationship_matrix, synthetic_pedigree, wishart_lamn_model,
 )
 from .parallel import draw
-from .newton import DEFAULT_MAX_STEPS
+from .newton import DEFAULT_MAX_STEPS, NewtonTrace
 from .rng import derive_rng
 
 SCHEMA_VERSION = 1
@@ -94,6 +95,11 @@ class ReportRecord:
         for key, value in mapping.items():
             self.put(key, value)
 
+    def put_result(self, prefix: str, result) -> None:
+        """Put ``<prefix>_<field>`` for each field :data:`REPORTED` lists for ``result``'s type, in its order."""
+        for field in REPORTED[type(result)]:
+            self.put(f"{prefix}_{field}", getattr(result, field))
+
     def get(self, key: str):
         return self._items[key]
 
@@ -140,6 +146,45 @@ class ReportRecord:
             handle.write(self.to_json(spilled))
         with open(out_base + ".txt", "w", encoding="utf8", newline="\n") as handle:
             handle.write(self.to_text(spilled))
+
+
+# the fields of each library result that a report holds, in report order; the
+# library types do not format themselves, so which keys a report holds is decided here
+REPORTED = {
+    NewtonTrace: ("steps", "converged", "final_grad_norm"),
+    ConfidenceRegion: ("center", "shape", "radius_sq", "level"),
+    PivotSamples: ("B", "n_nao", "seed"),
+    CalibrationResult: ("level", "nominal_quantile", "calibrated_quantile"),
+    DoubleBootstrapReport: ("level", "B2"),
+    KsTestReport: ("statistic", "p_value", "n_summaries", "n_nao"),
+    QuadraticityReport: ("d0", "d1", "d2", "rudin", "rudin_tail_bound", "anchor", "box_lower", "box_upper", "points_per_axis"),
+}
+
+
+def _put_pivots(record: ReportRecord, prefix: str, samples: PivotSamples) -> None:
+    """A level's pivot counts, then the mean and max of its usable values where it has any."""
+    record.put_result(prefix, samples)
+    if samples.values.size:
+        record.put(f"{prefix}_mean", samples.values.mean())
+        record.put(f"{prefix}_max", samples.values.max())
+
+
+def _put_ks(record: ReportRecord, prefix: str, report: KsTestReport) -> None:
+    """A KS check's entries, then ``<prefix>_p_<summary>`` for each summary it tested."""
+    record.put_result(prefix, report)
+    for name, p in report.per_summary.items():
+        record.put(f"{prefix}_p_{name}", p)
+
+
+def _put_double(record: ReportRecord, report: DoubleBootstrapReport) -> None:
+    """A double bootstrap's outer pivots, coverage rate, and the mean and spread of its finite inner quantiles."""
+    _put_pivots(record, "double_outer", report.outer)
+    record.put_result("double", report)
+    record.put("double_coverage_rate", report.coverage_rate())
+    quantiles = report.inner_quantiles[~np.isnan(report.inner_quantiles)]
+    if quantiles.size:
+        record.put("double_inner_quantile_mean", np.mean(quantiles))
+        record.put("double_inner_quantile_sd", np.std(quantiles))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +685,7 @@ def _start_record(cfg: dict) -> ReportRecord:
 
 
 def _put_fit(record: ReportRecord, fit, alpha: float) -> None:
-    record.update(fit.trace.to_record("fit_newton"))
+    record.put_result("fit_newton", fit.trace)
     if is_nao(fit.theta_hat):
         record.put("status", "NaO")
         return
@@ -648,7 +693,7 @@ def _put_fit(record: ReportRecord, fit, alpha: float) -> None:
     record.put("fit_theta_hat", fit.theta_hat)
     record.put("fit_observed_info", fit.observed_info.ravel())
     record.put("fit_se", _standard_errors(fit.observed_info))
-    record.update(confidence_region(fit, alpha).to_record("fit_region"))
+    record.put_result("fit_region", confidence_region(fit, alpha))
 
 
 def run_fit(cfg: dict) -> ReportRecord:
@@ -677,11 +722,11 @@ def _put_animal_fit(record: ReportRecord, model: AnimalModel, theta_hat: np.ndar
     return h_hat
 
 
-def _quadraticity(shifted, box: GridBox) -> dict:
-    """The quadraticity report of a shifted objective on ``box``; the box reaching
+def _put_quadraticity(record: ReportRecord, shifted, box: GridBox) -> None:
+    """Put the quadraticity report of a shifted objective on ``box``; the box reaching
     an NaO or non-finite evaluation is an input error of ``box_halfwidth``."""
     report = _keyed("config.box_halfwidth", quadraticity_report, shifted, np.zeros(box.dim), box, errors=NonFiniteEvaluationError)
-    return report.to_record()
+    record.put_result("quadraticity", report)
 
 
 def run_diagnose(cfg: dict) -> ReportRecord:
@@ -698,16 +743,16 @@ def run_diagnose(cfg: dict) -> ReportRecord:
     p = theta_hat.size
 
     shifted = local_shift(model, data, theta_hat, tau=1.0)
-    record.update(_quadraticity(shifted, cfg["box"]))
+    _put_quadraticity(record, shifted, cfg["box"])
 
     step = _standard_errors(fit.observed_info)
     if theta_b is None:
         theta_b = theta_hat + step
     record.put("invariance_theta_b", theta_b)
     invariance = hessian_invariance_test(model, theta_hat, theta_b, test_nsim, seed)
-    record.update(invariance.to_record("invariance"))
+    _put_ks(record, "invariance", invariance)
     normality = score_normality_test(model, theta_hat, test_nsim, seed)
-    record.update(normality.to_record("normality"))
+    _put_ks(record, "normality", normality)
 
     if delta is None:
         delta = step / 2.0
@@ -735,18 +780,18 @@ def run_bootstrap(cfg: dict) -> ReportRecord:
         samples = report.outer
     else:
         samples = parametric_bootstrap(model, fit.theta_hat, B, pivot, seed)
-    record.update(samples.to_record())
+    _put_pivots(record, "pivot", samples)
+    calibrated = math.nan  # no usable pivot leaves nothing calibrated, an NaO check
     if samples.values.size:
         cal = calibrate(samples, 1.0 - alpha, fit.theta_hat.size)
-        record.update(cal.to_record())
-        calibrated_region = ConfidenceRegion(
-            fit.theta_hat, fit.observed_info, cal.calibrated_quantile, 1.0 - alpha
-        )
-        record.update(calibrated_region.to_record("calibrated_region"))
+        record.put_result("calibration", cal)
+        calibrated = cal.calibrated_quantile
+        record.put_result("calibrated_region", ConfidenceRegion(fit.theta_hat, fit.observed_info, calibrated, 1.0 - alpha))
     if cfg["dump_pivots"]:
         record.put("pivot_values", samples.values)
     if use_double:
-        record.update(report.to_record())
+        _put_double(record, report)
+    _checks_nao(record, calibrated, report.coverage_rate() if use_double else 0.0)
     return record
 
 
@@ -786,9 +831,9 @@ def run_lamn_verify(cfg: dict) -> ReportRecord:
 
     model = wishart_lamn_model(spec) if isinstance(spec.curvature, WishartCurvature) else lan_normal_location(spec.curvature.k)
     normality = score_normality_test(model, theta_a, test_nsim, seed)
-    record.update(normality.to_record("normality"))
+    _put_ks(record, "normality", normality)
     invariance = hessian_invariance_test(model, theta_a, cfg["theta_b"], test_nsim, seed)
-    record.update(invariance.to_record("invariance"))
+    _put_ks(record, "invariance", invariance)
     record.put("status", "ok")
     _checks_nao(record, normality.p_value, invariance.p_value)
     return record
@@ -820,16 +865,16 @@ def run_ar1_study(cfg: dict) -> ReportRecord:
     model = Ar1Model(n, x0)
     data = model.simulate(theta_a, derive_rng(seed, "ar1-data"))
     fit = fit_mle(model, data)
-    record.update(fit.trace.to_record("fit_newton"))
+    record.put_result("fit_newton", fit.trace)
     if is_nao(fit.theta_hat):
         record.put("status", "NaO")
         return record
     record.put("status", "ok")
     record.put("fit_theta_hat", fit.theta_hat)
     shifted = local_shift(model, data, fit.theta_hat, tau=1.0)
-    record.update(_quadraticity(shifted, cfg["box"]))
+    _put_quadraticity(record, shifted, cfg["box"])
     invariance = hessian_invariance_test(model, theta_a, theta_b, cfg["invariance_nsim"], seed)
-    record.update(invariance.to_record("invariance"))
+    _put_ks(record, "invariance", invariance)
     _checks_nao(record, invariance.p_value)
     return record
 
@@ -864,13 +909,16 @@ def run_animal_study(cfg: dict) -> ReportRecord:
     if cfg["B"] > 0:
         pivot = _heritability_pivot(model)
         samples = parametric_bootstrap(model, fit.theta_hat, cfg["B"], pivot, seed)
-        record.update(samples.to_record())
+        _put_pivots(record, "pivot", samples)
+        calibrated = math.nan
         if samples.values.size:
             cal = calibrate(samples, 1.0 - alpha, 1)
-            record.update(cal.to_record())
-            half = np.sqrt(cal.calibrated_quantile) * se_h
+            record.put_result("calibration", cal)
+            calibrated = cal.calibrated_quantile
+            half = np.sqrt(calibrated) * se_h
             record.put("calibrated_interval_low", h_hat - half)
             record.put("calibrated_interval_high", h_hat + half)
+        _checks_nao(record, calibrated)
     return record
 
 

@@ -242,19 +242,6 @@ class QuadraticityReport:
     box_upper: np.ndarray
     points_per_axis: np.ndarray
 
-    def to_record(self) -> dict:
-        return {
-            "quadraticity_d0": self.d0,
-            "quadraticity_d1": self.d1,
-            "quadraticity_d2": self.d2,
-            "quadraticity_rudin": self.rudin,
-            "quadraticity_rudin_tail_bound": self.rudin_tail_bound,
-            "quadraticity_anchor": self.anchor.tolist(),
-            "quadraticity_box_lower": self.box_lower.tolist(),
-            "quadraticity_box_upper": self.box_upper.tolist(),
-            "quadraticity_points_per_axis": [int(v) for v in self.points_per_axis],
-        }
-
 
 def quadraticity_report(q: Objective, delta0, box: GridBox) -> QuadraticityReport:
     """Distances from ``q`` to its Taylor quadratic at ``delta0`` over ``box``.

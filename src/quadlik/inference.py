@@ -143,14 +143,6 @@ class ConfidenceRegion:
     def contains(self, theta) -> bool:
         return wald_pivot(self.center, theta, self.shape) < self.radius_sq
 
-    def to_record(self, prefix: str = "region") -> dict:
-        return {
-            f"{prefix}_center": self.center.tolist(),
-            f"{prefix}_shape": self.shape.ravel().tolist(),
-            f"{prefix}_radius_sq": self.radius_sq,
-            f"{prefix}_level": self.level,
-        }
-
 
 def confidence_region(fit: MleResult, alpha: float):
     """Wald region from observed information; NaO when the fit or shape fails.

@@ -240,17 +240,6 @@ class KsTestReport:
         statistic = max([0.0] + [float(s) for s, _ in tests.values()])
         return cls(statistic, min(1.0, len(tests) * min(per_summary.values())), per_summary, len(tests), n_nao)
 
-    def to_record(self, prefix: str) -> dict:
-        rec = {
-            f"{prefix}_statistic": self.statistic,
-            f"{prefix}_p_value": self.p_value,
-            f"{prefix}_n_summaries": self.n_summaries,
-            f"{prefix}_n_nao": self.n_nao,
-        }
-        for name, p in self.per_summary.items():
-            rec[f"{prefix}_p_{name}"] = p
-        return rec
-
 
 def _curvature_summaries(model: LikModel, theta, nsim: int, seed: int, stream: str):
     """Scalar summaries of observed information at the truth, per replicate."""

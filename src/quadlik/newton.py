@@ -51,13 +51,6 @@ class NewtonTrace:
         norm = float(np.abs(final.packed[0, 1 : 1 + thetas.shape[1]]).max()) if final.ok[0] else float("nan")
         return cls(int(steps[0]), bool(converged[0]), norm)
 
-    def to_record(self, prefix: str = "newton") -> dict:
-        return {
-            f"{prefix}_steps": self.steps,
-            f"{prefix}_converged": int(self.converged),
-            f"{prefix}_final_grad_norm": self.final_grad_norm,
-        }
-
 
 def _plain_fit(q: RowObjective, delta: MaybeParam, tol, max_steps: int):
     """:func:`lockstep_fit`'s plain mode on the stack of ``delta`` alone; None

@@ -30,7 +30,7 @@ from quadlik import (
     wald_pivot,
     wishart_lamn_model,
 )
-from quadlik.cli import _heritability_pivot
+from quadlik.cli import ReportRecord, _heritability_pivot, _put_pivots
 from quadlik.core import LikModel, NaO, OpenBox, StackedEval, cholesky_pivots, spd_factor
 from quadlik.models import LanNormalLocation, WishartLamnModel
 
@@ -53,9 +53,11 @@ class TestPivotSamples:
             PivotSamples(np.array([1.0, 2.0]), 1, seed=0, B=2)
 
     def test_record(self):
-        rec = PivotSamples(np.array([1.0, 3.0]), 0, seed=5, B=2).to_record()
-        assert rec["pivot_B"] == 2
-        assert rec["pivot_n_nao"] == 0
+        rec = ReportRecord()
+        _put_pivots(rec, "pivot", PivotSamples(np.array([1.0, 3.0]), 0, seed=5, B=2))
+        assert rec.get("pivot_B") == 2
+        assert rec.get("pivot_n_nao") == 0
+        assert rec.get("pivot_mean") == 2.0 and rec.get("pivot_max") == 3.0
 
 
 class TestParametricBootstrap:

@@ -1255,10 +1255,23 @@ class TestStatusOfEveryExperiment:
         "ar1-study": dict(CONFIGS["ar1-study"], thetas=[0.5, 1e200]),
         "animal-study": dict(CONFIGS["animal-study"], truth={"mu": 1e300, "sigma2": 1.0, "tau2": 1.0}),
     }
+    # bootstraps with no usable replicate; w.csv holds z = (0.5, 0.2), k = [[1, 0.1], [0.1, 1]].
+    # At dof 1.0000000001 no K drawn passes the pivot test, so no pivot is finite and
+    # nothing is calibrated; at dof 1.01 and seed 1 one outer refit in 3 is NaO and
+    # every inner level of the other two is, so the double coverage rate is NaN
+    WISHART = {"kind": "wishart_lamn", "dim": 2, "dof": 1.0000000001}
+    NO_PIVOT = {"model": WISHART, "data": "w.csv", "B": 3}
+    NAO_CASES = {
+        **{experiment: (experiment, cfg) for experiment, cfg in NAO_CONFIGS.items()},
+        "bootstrap-no-usable-pivot": ("bootstrap", NO_PIVOT),
+        "bootstrap-double-no-usable-pivot": ("bootstrap", dict(NO_PIVOT, double=True, B2=2)),
+        "bootstrap-double-no-coverage": ("bootstrap", dict(NO_PIVOT, model=dict(WISHART, dof=1.01), seed=1, double=True, B2=2)),
+    }
 
     def run(self, tmp_path, experiment, cfg):
         save_vector_csv(str(tmp_path / "z.csv"), np.array([0.7, -0.3]))
         save_vector_csv(str(tmp_path / "x.csv"), np.array([-1.0, -2.0, -3.0]))
+        save_vector_csv(str(tmp_path / "w.csv"), np.array([0.5, 0.2, 1.0, 0.1, 0.1, 1.0]))
         path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1278,10 +1291,22 @@ class TestStatusOfEveryExperiment:
         if experiment in ("lamn-verify", "classical-comparison"):
             assert list(report)[-1] == "status"
 
-    @pytest.mark.parametrize("experiment", list(NAO_CONFIGS))
-    def test_exit_two_report_says_nao(self, tmp_path, experiment):
-        code, report = self.run(tmp_path, experiment, self.NAO_CONFIGS[experiment])
+    @pytest.mark.parametrize("experiment, cfg", list(NAO_CASES.values()), ids=list(NAO_CASES))
+    def test_exit_two_report_says_nao(self, tmp_path, experiment, cfg):
+        code, report = self.run(tmp_path, experiment, cfg)
         assert code == EXIT_NAO
+        if cfg.get("data") == "w.csv":
+            # the fit was ok: its status keeps its place, next to the fit's trace
+            keys = list(report)
+            assert keys[keys.index("fit_newton_final_grad_norm") + 1] == "status"
+            assert ("calibration_level" in report) == (report["pivot_n_nao"] < 3)
+
+    def test_animal_study_without_a_usable_pivot_exits_two(self, tmp_path, monkeypatch):
+        nan_pivot = lambda model: lambda thetas, infos, theta_hats: np.full(len(thetas), np.nan)  # noqa: E731
+        monkeypatch.setattr(quadlik.cli, "_heritability_pivot", nan_pivot)
+        code, report = self.run(tmp_path, "animal-study", self.CONFIGS["animal-study"])
+        assert code == EXIT_NAO and report["pivot_n_nao"] == report["pivot_B"] == 8
+        assert "calibration_level" not in report and report["wald_interval_low"] < report["wald_interval_high"]
 
     @pytest.mark.parametrize("experiment", list(CONFIGS))
     def test_every_runner_returns_its_report_alone(self, tmp_path, experiment):

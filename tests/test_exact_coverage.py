@@ -1,22 +1,37 @@
-"""The package's Wald coverage held to an exact finite-sample answer.
+"""The package's Wald and calibrated coverage held to exact finite-sample answers.
 
 No sample size goes to infinity here: on the iid exponential the Wald
 pivot's law is known at every n (:mod:`oracles`), so the coverage that
 ``draw`` and ``fit_stack`` give is held within 3 Monte Carlo standard
-errors of it, a bound fixed before the first run.
+errors of it, a bound fixed before the first run.  On an exactly pivotal
+model (the iid exponential, a LAN model) the bootstrap's pivots and the
+observed one are iid whatever the fit, so the coverage that ``calibrate``'s
+quantile gives lies in a bracket known exactly (:data:`BRACKET`), held to
+it widened by 3 Monte Carlo standard errors, a bound also fixed before
+the first run.
 """
 
 import numpy as np
 import pytest
 from oracles import exponential_wald_coverage
 
-from quadlik import ExponentialRateIid, chisq_upper_quantile
+from quadlik import ExponentialRateIid, calibrate, chisq_upper_quantile, lan_normal_location, make_wald_pivot
+from quadlik.bootstrap import _bootstrap_level, _samples
 from quadlik.inference import fit_stack
 from quadlik.parallel import draw
 
 LEVEL = 0.95
 REPS = 100_000
 THETA = 2.0
+
+B = 300
+# type 7 puts calibrate's quantile at (B - 1) LEVEL = 284.05, between order
+# statistics 285 and 286 of the B pivots; the observed pivot's rank among all
+# B + 1 iid pivots is uniform, so it lies under the quantile with a
+# probability between 285 / (B + 1) and 286 / (B + 1)
+BRACKET = (285 / (B + 1), 286 / (B + 1))
+CALIBRATED_REPS = 2_000
+BLOCK = 250  # data sets whose bootstrap levels are drawn and refit as one stack
 
 
 @pytest.mark.parametrize("n, exact", [(2, 0.9511), (5, 0.9562), (10, 0.9549), (50, 0.9512)])
@@ -33,3 +48,26 @@ def test_exponential_wald_coverage_is_exact(n):
     coverage = float(np.mean(pivots < chisq_upper_quantile(1, 1.0 - LEVEL)))
     exact = exponential_wald_coverage(n, LEVEL)
     assert abs(coverage - exact) <= 3.0 * np.sqrt(exact * (1.0 - exact) / REPS)
+
+
+@pytest.mark.parametrize(
+    "model, theta",
+    [(ExponentialRateIid(2), [THETA]), (lan_normal_location([[2.0, 0.5], [0.5, 1.0]]), [0.3, -0.2])],
+    ids=["exponential-n2", "lan-dim2"],
+)
+def test_calibrated_coverage_lies_in_the_exact_bracket(model, theta):
+    pivot = make_wald_pivot(model)
+    thetas, infos, _, holds, _ = fit_stack(model, draw(model, [theta], CALIBRATED_REPS, 41, [("calibrated-oracle",)]))
+    assert holds.all()
+    observed = pivot(thetas, infos, np.repeat([theta], CALIBRATED_REPS, axis=0))
+    covered = []
+    for start in range(0, CALIBRATED_REPS, BLOCK):
+        block = range(start, min(start + BLOCK, CALIBRATED_REPS))
+        _, values = _bootstrap_level(model, thetas[block], B, pivot, 41, [("calibrated-level", i) for i in block])
+        assert np.isfinite(values).all()
+        quantiles = [calibrate(_samples(row, 41), LEVEL, len(theta)).calibrated_quantile for row in values]
+        covered.extend(observed[block] < quantiles)
+    coverage = float(np.mean(covered))
+    low, high = BRACKET
+    se = lambda p: np.sqrt(p * (1.0 - p) / CALIBRATED_REPS)  # noqa: E731
+    assert low - 3.0 * se(low) <= coverage <= high + 3.0 * se(high), coverage

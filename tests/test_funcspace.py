@@ -31,6 +31,7 @@ from quadlik import (
     synthetic_pedigree,
     wishart_lamn_model,
 )
+from quadlik.cli import ReportRecord
 from quadlik.core import NaO, StackedEval, shifted_stack
 from quadlik.funcspace import _on_points
 
@@ -257,9 +258,10 @@ class TestQuadraticityReport:
 
     def test_record_round_trip(self):
         box = GridBox([-1.0], [1.0], [5])
-        rec = quadraticity_report(quartic, [0.0], box).to_record()
-        assert rec["quadraticity_points_per_axis"] == [5]
-        assert rec["quadraticity_rudin_tail_bound"] == 2.0**-9
+        rec = ReportRecord()
+        rec.put_result("quadraticity", quadraticity_report(quartic, [0.0], box))
+        assert rec.get("quadraticity_points_per_axis") == [5]
+        assert rec.get("quadraticity_rudin_tail_bound") == 2.0**-9
 
 
 class TestGridBoxOverflow:

@@ -324,7 +324,7 @@ class TestStackedDrawRarePaths:
         # a level drawn from these streams: its refit of row 2 is counted NaO
         monkeypatch.setattr(quadlik.parallel, "derive_streams", streams)
         samples = parametric_bootstrap(model, np.zeros(2), 4, make_wald_pivot(model), 5)
-        assert samples.to_record()["pivot_n_nao"] == 1 and samples.values.size == 3
+        assert samples.n_nao == 1 and samples.values.size == 3
 
     def test_keyed_level_row_below_the_pivot_floor_is_nao(self, monkeypatch):
         # no key of this spec draws a K below the pivot floor, so the floor is
@@ -338,7 +338,7 @@ class TestStackedDrawRarePaths:
         assert np.isnan(forced[7, :3]).all() and np.array_equal(forced[:, 3:], stacked[:, 3:])
         assert np.array_equal(np.delete(forced, 7, axis=0), np.delete(stacked, 7, axis=0))
         samples = parametric_bootstrap(model, theta, 40, make_wald_pivot(model), 85)
-        assert unforced.n_nao == 0 and samples.to_record()["pivot_n_nao"] == 1
+        assert unforced.n_nao == 0 and samples.n_nao == 1
         assert np.array_equal(samples.values, np.delete(unforced.values, 7))
 
     def test_stack_of_draws_checks_shapes(self):
