@@ -805,10 +805,13 @@ def _checks_nao(record: ReportRecord, *results: float) -> bool:
 
 
 def _dev_se(mean: float, se: float, target: float) -> float:
-    """``|mean - target|`` in standard errors (0 if ``se`` is 0); NaN, an NaO check, if either is not finite."""
+    """``|mean - target|`` in standard errors; where ``se`` is 0, 0 if ``mean`` is
+    the target and inf if not; NaN, an NaO check, if either is not finite."""
     if not (math.isfinite(mean) and math.isfinite(se)):
         return math.nan
-    return abs(mean - target) / se if se > 0 else 0.0
+    if se > 0:
+        return abs(mean - target) / se
+    return 0.0 if mean == target else math.inf
 
 
 def run_lamn_verify(cfg: dict) -> ReportRecord:

@@ -107,7 +107,8 @@ def cholesky_pivots(m: np.ndarray):
     would be alone: ``lower`` is ``(..., p, p)``, all NaN for every matrix
     that fails (a factor that passes is finite), and ``min_pivot`` is
     ``(...)``.  This one test backs every positive-definiteness decision
-    (and hence every NaO) in the package.
+    (and hence every NaO) in the package, quietly: a matrix whose products
+    overflow fails it without a warning.
     """
     a = np.asarray(m, dtype=float)
     p = a.shape[-1]
@@ -116,21 +117,22 @@ def cholesky_pivots(m: np.ndarray):
     live = floor == floor  # a NaN entry makes the floor NaN
     min_pivot = np.where(live, np.inf, -np.inf)
     lower = np.zeros_like(stack)
-    for j in range(p):
-        s = stack[:, j, j]
-        if j:
-            row = lower[:, j, :j]
-            s = s - reduce_rows(np.add, row * row)
-        # a NaN pivot makes min_pivot NaN, which is reported as -inf
-        min_pivot = np.where(live, np.minimum(min_pivot, s), min_pivot)
-        live &= s > floor
-        diag = np.sqrt(np.where(live, s, 1.0))
-        lower[:, j, j] = diag
-        if j + 1 < p:
-            col = stack[:, j + 1 :, j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(p):
+            s = stack[:, j, j]
             if j:
-                col = col - reduce_rows(np.add, lower[:, j + 1 :, :j] * lower[:, None, j, :j])
-            lower[:, j + 1 :, j] = col / diag[:, None]
+                row = lower[:, j, :j]
+                s = s - reduce_rows(np.add, row * row)
+            # a NaN pivot makes min_pivot NaN, which is reported as -inf
+            min_pivot = np.where(live, np.minimum(min_pivot, s), min_pivot)
+            live &= s > floor
+            diag = np.sqrt(np.where(live, s, 1.0))
+            lower[:, j, j] = diag
+            if j + 1 < p:
+                col = stack[:, j + 1 :, j]
+                if j:
+                    col = col - reduce_rows(np.add, lower[:, j + 1 :, :j] * lower[:, None, j, :j])
+                lower[:, j + 1 :, j] = col / diag[:, None]
     min_pivot[np.isnan(min_pivot)] = -np.inf
     if a.ndim == 2:
         return (lower[0] if live[0] else None), float(min_pivot[0])
@@ -349,10 +351,10 @@ class StackedObjective:
     ``n_rows`` is the stack's number of data sets.  ``kernel(rows, thetas)``
     returns (value, gradient, Hessian) arrays, each Hessian exactly
     symmetric and read as returned, NaN where the likelihood cannot be
-    evaluated; it only sees rows inside the domain.  Rows of the wrong width,
-    out of the domain or with a non-finite evaluation come back NaO: these
-    are the only NaO rules of an objective, which :class:`RowObjective` reads
-    at one data set.
+    evaluated; it is plain arithmetic and only sees rows inside the domain.
+    Rows of the wrong width, out of the domain or with a non-finite
+    evaluation come back NaO, without a warning: these are the only NaO
+    rules of an objective, which :class:`RowObjective` reads at one data set.
     """
 
     def __init__(self, domain: OpenBox, n_rows: int, kernel):
@@ -364,12 +366,13 @@ class StackedObjective:
         thetas = np.asarray(thetas, dtype=float)
         m, p = thetas.shape
         inside = self.domain.contains_rows(thetas)
-        if m and inside.all():
-            packed = _pack(*self._kernel(rows, thetas))
-        else:
-            packed = np.full((m, 1 + p + p * p), np.nan)
-            if inside.any():
-                packed[inside] = _pack(*self._kernel(rows[inside], thetas[inside]))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if m and inside.all():
+                packed = _pack(*self._kernel(rows, thetas))
+            else:
+                packed = np.full((m, 1 + p + p * p), np.nan)
+                if inside.any():
+                    packed[inside] = _pack(*self._kernel(rows[inside], thetas[inside]))
         return StackedEval(packed, reduce_rows(np.logical_and, np.isfinite(packed)))
 
 
@@ -432,8 +435,8 @@ class LikModel:
 
         It sees only parameters inside the domain, and computes each row
         exactly as it would a stack of that row alone.  It is the model's only
-        likelihood formula: :meth:`objective` and :meth:`stacked_objective`
-        add the NaO rules.
+        likelihood formula, plain arithmetic: :meth:`objective` and
+        :meth:`stacked_objective` add the NaO rules, quietly.
         """
         raise NotImplementedError
 
@@ -505,13 +508,12 @@ def quadratic_stack(u, z: np.ndarray, k: np.ndarray, theta: np.ndarray):
     Hessian ``-k``, as arrays over a trailing axis: ``z`` and ``theta`` are
     ``(..., p)`` and ``k`` is ``(..., p, p)`` (symmetric), broadcast against
     each other; each row is computed exactly as it would be alone.  No NaO
-    or shape checks: a row that overflows is inf or NaN, without a warning.
+    or shape checks: a row that overflows is inf or NaN, NaO in the objective.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are NaO
-        kth = reduce_rows(np.add, k * theta[..., None, :])
-        value = u + reduce_rows(np.add, z * theta) - 0.5 * reduce_rows(np.add, theta * kth)
-        hessian = -k if k.ndim > theta.ndim else np.broadcast_to(-k, kth.shape + kth.shape[-1:])
-        return value, z - kth, hessian
+    kth = reduce_rows(np.add, k * theta[..., None, :])
+    value = u + reduce_rows(np.add, z * theta) - 0.5 * reduce_rows(np.add, theta * kth)
+    hessian = -k if k.ndim > theta.ndim else np.broadcast_to(-k, kth.shape + kth.shape[-1:])
+    return value, z - kth, hessian
 
 
 def quadratic_mle(q: QuadraticForm) -> MaybeParam:

@@ -76,8 +76,7 @@ def fit_stack(model: LikModel, datas, max_steps: int = DEFAULT_MAX_STEPS):
     thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack), max_steps=max_steps)
     _, grad, hess = StackedEval.split(final.packed, model.dim_param)
     infos = -hess
-    with np.errstate(over="ignore", invalid="ignore"):
-        holds = converged & ~np.isnan(cholesky_pivots(infos)[0][:, 0, 0])
+    holds = converged & ~np.isnan(cholesky_pivots(infos)[0][:, 0, 0])
     infos[~holds], thetas[~converged] = np.nan, np.nan
     return thetas, infos, steps, holds, np.where(final.ok, reduce_rows(np.maximum, np.abs(grad)), np.nan)
 
@@ -107,8 +106,7 @@ def symmetric_sqrt(m) -> MaybeParam:
         return NaO
     a = np.asarray(m, dtype=float)
     stack = a.reshape(-1, *a.shape[-2:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        good = ~np.isnan(cholesky_pivots(stack)[0][:, 0, 0])
+    good = ~np.isnan(cholesky_pivots(stack)[0][:, 0, 0])
     s = stack[good]
     w, v = np.linalg.eigh(_symmetrized(s))
     root = np.matmul(v * np.sqrt(np.maximum(w, 0.0))[:, None, :], np.swapaxes(v, 1, 2))

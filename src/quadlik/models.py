@@ -130,10 +130,9 @@ def _row_dots(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _ar1_kernel(paths: np.ndarray, theta: np.ndarray):
     """(value, gradient, Hessian) of each path (row) of ``paths`` at ``theta[j]``."""
     lag = paths[:, :-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are NaO
-        resid = paths[:, 1:] - theta[:, None] * lag
-        value = -0.5 * _row_dots(resid, resid)
-        return value, _row_dots(lag, resid)[:, None], -_row_dots(lag, lag)[:, None, None]
+    resid = paths[:, 1:] - theta[:, None] * lag
+    value = -0.5 * _row_dots(resid, resid)
+    return value, _row_dots(lag, resid)[:, None], -_row_dots(lag, lag)[:, None, None]
 
 
 def ar1_expected_info(theta: float, n: int, x0: float) -> float:
@@ -362,8 +361,7 @@ def logit_heritability(params: AnimalParams) -> float:
 
 
 # the animal model's parameters (mu, log sigma2, log tau2): the bound on
-# |phi| inside which it is evaluated (mu finite), and which entries are log
-# variances
+# |phi| of its domain (mu finite), and which entries are log variances
 _PHI_BOUND = np.array([np.finfo(float).max, 700.0, 700.0])
 _LOG_VARIANCES = np.array([0.0, 1.0, 1.0])
 
@@ -371,19 +369,19 @@ _LOG_VARIANCES = np.array([0.0, 1.0, 1.0])
 class AnimalModel(LikModel):
     """Trait model fit over (mu, log sigma2, log tau2).
 
-    The log-variance parameterization keeps Newton iterates interior and
-    makes the parameter domain the whole space; reported results map back
-    to natural variances.  The model holds the eigendecomposition
+    The log-variance parameterization keeps Newton iterates interior, and
+    reported results map back to natural variances.  The domain is the open
+    box ``|phi| < (float max, 700, 700)``, past which the variances may
+    overflow.  The model holds the eigendecomposition
     ``A = Q diag(lam) Q'``, one ``eigh`` when it is built, read-only after
     that.  A response enters the likelihood only through its rotation
     ``Q'y``, so a data set is ``Q'y``: :meth:`parse_data` rotates a raw
     response y once (:meth:`rotate`, one O(N^2) product), and
     :meth:`simulate_stack` draws ``Q'y`` without forming y.  :meth:`loglik`
     then costs O(N) a row: it takes ``Q'y`` rows and (mu, log sigma2, log
-    tau2) rows, and gives NaN where V is numerically singular or a log
-    variance lies past 700, and a non-finite row, without a warning, where
-    the log-scale products overflow (a log variance past about 355); both
-    are NaO.
+    tau2) rows, and gives NaN where V is numerically singular, and a
+    non-finite row where the log-scale products overflow (a log variance
+    past about 355); both are NaO.
     """
 
     def __init__(self, a: RelationshipMatrix):
@@ -404,7 +402,7 @@ class AnimalModel(LikModel):
         det = design[0, 0] * design[1, 1] - design[0, 1] * design[1, 0]
         self._design = None if det <= 1e-10 * max(design[0, 0] * design[1, 1], 1.0) else design
         self.dim_param = 3
-        self.domain = OpenBox.unbounded(3)
+        self.domain = OpenBox(-_PHI_BOUND, _PHI_BOUND)
 
     @staticmethod
     def params_to_phi(params: AnimalParams) -> np.ndarray:
@@ -461,25 +459,16 @@ class AnimalModel(LikModel):
     def loglik(self, qty: np.ndarray, theta: np.ndarray):
         """(value, gradient, Hessian) over (mu, log sigma2, log tau2) from ``Q'y``,
         over a trailing axis like :meth:`natural_eval`."""
-        outside = ~(np.abs(theta) <= _PHI_BOUND).all(axis=-1)
-        if outside.any():
-            theta = np.where(outside[..., None], 0.0, theta)
         # (1, sigma2, tau2): d(sigma2)/d(log sigma2) = sigma2, and likewise for tau2
         scale = np.exp(theta * _LOG_VARIANCES)
         value, g, h = self.natural_eval(qty, theta[..., 0], scale[..., 1], scale[..., 2])
-        # past a log variance of about 355 these products overflow; the row is
-        # then non-finite, which the objective turns into NaO without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = g * scale
-            hess = h * (scale[..., :, None] * scale[..., None, :])
-            # the chain rule adds the gradient to the diagonal alone: 0 * gradient added
-            # off it could give a zero entry one sign above the diagonal, another below
-            hess[..., 1, 1] += grad[..., 1]
-            hess[..., 2, 2] += grad[..., 2]
-        if outside.any():
-            value = np.where(outside, np.nan, value)
-            grad[outside] = np.nan
-            hess[outside] = np.nan
+        # past a log variance of about 355 these products overflow: a non-finite row, so NaO
+        grad = g * scale
+        hess = h * (scale[..., :, None] * scale[..., None, :])
+        # the chain rule adds the gradient to the diagonal alone: 0 * gradient added
+        # off it could give a zero entry one sign above the diagonal, another below
+        hess[..., 1, 1] += grad[..., 1]
+        hess[..., 2, 2] += grad[..., 2]
         return value, grad, hess
 
     def simulate_response(self, mu: float, sigma2: float, tau2: float, rng: np.random.Generator) -> np.ndarray:
@@ -520,12 +509,12 @@ class AnimalModel(LikModel):
 
     def simulate_stack(self, centers, streams) -> np.ndarray:
         """``Q'y`` of one draw per stream, the streams split evenly among the
-        centres.  Past the bound on ``|phi|`` where :meth:`loglik` is NaN the
-        variances may overflow, and there is no draw: such a centre's rows
-        are NaN, so NaO.  So is a row that overflows, as ``mu Q'1`` does for
-        a mean near the float maximum, without a warning."""
+        centres.  Outside the domain the variances may overflow, and there is
+        no draw: such a centre's rows are NaN, so NaO.  So is a row that
+        overflows, as ``mu Q'1`` does for a mean near the float maximum,
+        without a warning."""
         phi = _centres(centers, len(centers), 3)
-        outside = ~(np.abs(phi) <= _PHI_BOUND).all(axis=1)
+        outside = ~self.domain.contains_rows(phi)
         # an outside centre draws at phi = 0, and its rows are then set to NaN
         phi = np.where(outside[:, None], 0.0, phi)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -586,10 +575,9 @@ class NormalLocationIid(LikModel):
         self.domain = OpenBox.unbounded(self.p)
 
     def loglik(self, stack: np.ndarray, thetas: np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are NaO
-            resid = stack - thetas[:, None, :]
-            value = -0.5 * (resid * resid).sum(axis=(1, 2))
-            return value, resid.sum(axis=1), np.broadcast_to(-self.n * np.eye(self.p), (len(stack), self.p, self.p))
+        resid = stack - thetas[:, None, :]
+        value = -0.5 * (resid * resid).sum(axis=(1, 2))
+        return value, resid.sum(axis=1), np.broadcast_to(-self.n * np.eye(self.p), (len(stack), self.p, self.p))
 
     def simulate_stack(self, centers, streams) -> np.ndarray:
         """The samples of one draw per stream as the ``(n, p)`` rows of an ``(m, n, p)`` stack."""
@@ -618,10 +606,9 @@ class ExponentialRateIid(LikModel):
         total = stack.sum(axis=1)
         # a rate past 1e154 squares to inf, and its Hessian is then -0; one
         # below 1e-154 squares to 0, and its Hessian is -inf: non-finite rows are NaO
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            value = self.n * np.log(th) - th * total
-            hessian = -self.n / th**2
-            return value, (self.n / th - total)[:, None], hessian[:, None, None]
+        value = self.n * np.log(th) - th * total
+        hessian = -self.n / th**2
+        return value, (self.n / th - total)[:, None], hessian[:, None, None]
 
     def simulate_stack(self, centers, streams) -> np.ndarray:
         """The samples of one draw per stream as the rows of an ``(m, n)`` stack.
@@ -637,7 +624,12 @@ class ExponentialRateIid(LikModel):
         return stack
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:
-        return _of_length(flat, self.n)
+        """The sample; a DataFormatError naming its first negative value."""
+        negative = np.flatnonzero(_of_length(flat, self.n) < 0)
+        if negative.size:
+            i = negative[0]
+            raise DataFormatError(1, f"value {i + 1} is {float(flat[i])!r}, but an exponential observation is at least 0")
+        return flat
 
     def starts(self, stack: np.ndarray) -> np.ndarray:
         """The rate MLE ``1 / mean`` of each sample; outside the domain (NaO)

@@ -32,11 +32,10 @@ def row_objective(kernel, dim: int = 1) -> RowObjective:
     """A hand-written objective of ``dim`` real parameters: ``kernel(thetas)``
     gives the value ``(m,)``, gradient ``(m, dim)`` and Hessian ``(m, dim,
     dim)`` of an ``(m, dim)`` stack of points.  Overflow is left to the NaO
-    rules, quietly, as scalar float arithmetic leaves it."""
+    rules, which the objective applies quietly."""
 
     def stacked(rows, thetas):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return kernel(thetas)
+        return kernel(thetas)
 
     return RowObjective(StackedObjective(OpenBox.unbounded(dim), 1, stacked))
 

@@ -10,7 +10,14 @@ import quadlik.lamn
 import quadlik.parallel
 from quadlik.cli import EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_NAO, EXIT_OK, ReportRecord, main
 from quadlik.funcspace import GridBox
-from quadlik.models import ar1_simulate_paths, save_pedigree_csv, save_vector_csv, synthetic_pedigree
+from quadlik.models import (
+    AnimalModel,
+    ar1_simulate_paths,
+    relationship_matrix,
+    save_pedigree_csv,
+    save_vector_csv,
+    synthetic_pedigree,
+)
 from quadlik.rng import derive_rng
 
 
@@ -120,9 +127,9 @@ class TestConfigValidation:
         if experiment == "lamn-verify":
             cfg = {"spec": {"dim": 2, "curvature": {"kind": "constant", "k": [[1.0, 0.0], [0.0, 1.0]]}}}
         elif experiment == "fit-nao":
-            # data whose fit ends NaO: the rate start 1 / mean(x) lies outside the domain
+            # data whose fit ends NaO: the rate start 1 / mean(x) = 1 / 0 lies outside the domain
             experiment = "fit"
-            save_vector_csv(str(tmp_path / "x.csv"), np.array([-1.0, -2.0, -3.0]))
+            save_vector_csv(str(tmp_path / "x.csv"), np.zeros(3))
             cfg = {"model": {"kind": "iid_exponential", "n": 3}, "data": "x.csv"}
         else:
             cfg = {"model": lan_setup(tmp_path), "data": "z.csv"}
@@ -578,21 +585,20 @@ class TestVectorLength:
 
 class TestNaoStart:
     def test_nao_start_exits_nao(self, tmp_path):
-        # the rate start 1 / mean(x) is -0.5, and for a sample of zeros 1 / 0:
-        # both lie outside the positive domain
-        for data in ([-1.0, -2.0, -3.0], [0.0, 0.0, 0.0]):
-            save_vector_csv(str(tmp_path / "x.csv"), np.array(data))
-            cfg = write_config(
-                tmp_path, "c.json", experiment="fit", model={"kind": "iid_exponential", "n": 3},
-                data="x.csv", out="r",
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert main(["fit", "--config", cfg]) == EXIT_NAO
-            report = read_report(tmp_path, "r")
-            assert report["status"] == "NaO"
-            assert report["fit_newton_steps"] == 0
-            assert report["fit_newton_converged"] == 0
+        # for a sample of zeros the rate start 1 / mean(x) is 1 / 0, outside the
+        # positive domain (a negative observation is an input error)
+        save_vector_csv(str(tmp_path / "x.csv"), np.zeros(3))
+        cfg = write_config(
+            tmp_path, "c.json", experiment="fit", model={"kind": "iid_exponential", "n": 3},
+            data="x.csv", out="r",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg]) == EXIT_NAO
+        report = read_report(tmp_path, "r")
+        assert report["status"] == "NaO"
+        assert report["fit_newton_steps"] == 0
+        assert report["fit_newton_converged"] == 0
 
     def test_rate_start_near_the_float_maximum(self, tmp_path):
         # the start 1 / mean(x) = 5e299 squares to inf; the fit stops there at once
@@ -716,7 +722,9 @@ class TestWishartDof:
 
 class TestNonFiniteMonteCarloChecks:
     """A Monte Carlo check whose mean or standard error is not finite, or that
-    is left with too few usable replicates, is NaO."""
+    is left with too few usable replicates, is NaO.  One whose standard error
+    is 0 is 0 standard errors off its target where its mean is the target,
+    and inf where it is not."""
 
     def run(self, tmp_path, experiment, **cfg):
         path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
@@ -731,6 +739,22 @@ class TestNonFiniteMonteCarloChecks:
         assert code == EXIT_NAO and report["status"] == "NaO"
         assert report["contiguity_0_mean"] == report["contiguity_0_se"] == "nan"
         assert report["contiguity_0_dev_se"] == report["contiguity_max_dev_se"] == "nan"
+
+    def test_lamn_verify_underflowing_contiguity(self, tmp_path):
+        # at delta_scale 1000 every exp(q) underflows to 0: a mean of 0 with se 0 fails the check
+        spec = {"dim": 1, "curvature": {"kind": "constant", "k": [[1]]}}
+        code, report = self.run(tmp_path, "lamn-verify", seed=1, spec=spec, nsim=2000, n_deltas=3, delta_scale=1000,
+                                test_nsim=200)
+        assert code == EXIT_OK
+        for i in range(3):
+            assert report[f"contiguity_{i}_mean"] == report[f"contiguity_{i}_se"] == 0
+            assert report[f"contiguity_{i}_dev_se"] == "inf"
+        assert report["contiguity_max_dev_se"] == "inf"
+
+    def test_ar1_study_constant_information(self, tmp_path):
+        # at n = 1 every path's information is x0^2, the recursion's: se 0, and 0 off
+        code, report = self.run(tmp_path, "ar1-study", thetas=[0.5], n=1, mc_paths=50, invariance_nsim=20)
+        assert code == EXIT_OK and report["info_0_mc_se"] == 0 and report["info_0_dev_se"] == 0
 
     def test_ar1_study_exploding_paths(self, tmp_path):
         code, report = self.run(tmp_path, "ar1-study", thetas=[0.5, 1e200], n=10, mc_paths=200)
@@ -1083,9 +1107,15 @@ class TestDataFileErrorsNameTheFile:
             ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\n1,\n", "line 2: expected 3 fields, got 2"),
             ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\n,1,2\n", "line 2: id may not be blank"),
             ({"kind": "animal", "pedigree": "d.csv"}, "id,sire,dam\n", "line 1: no pedigree records"),
+            ({"kind": "iid_exponential", "n": 3}, "1.5\n-0.5\n2.0\n",
+             "line 1: value 2 is -0.5, but an exponential observation is at least 0"),
+            # zeros are observations; the first negative value is named
+            ({"kind": "iid_exponential", "n": 4}, "0\n0\n-1e-300\n-2\n",
+             "line 1: value 3 is -1e-300, but an exponential observation is at least 0"),
         ],
         ids=["wishart-row", "vector-csv", "pedigree", "not-utf8", "vector-blank-lines-only", "pedigree-id-not-integer",
-             "pedigree-dam-zero", "pedigree-two-fields", "pedigree-blank-id", "pedigree-header-only"],
+             "pedigree-dam-zero", "pedigree-two-fields", "pedigree-blank-id", "pedigree-header-only",
+             "exponential-negative", "exponential-negative-after-zeros"],
     )
     def test_error_names_file_and_line(self, tmp_path, capsys, model, content, message):
         data = tmp_path / "d.csv"
@@ -1140,15 +1170,25 @@ class TestExtremeRealsWithoutWarnings:
             ("ar1-study", {"thetas": [0.5], "n": 10, "mc_paths": 50, "invariance_nsim": 50, "box_halfwidth": 1e200},
              EXIT_INPUT_ERROR),
             ("animal-study", {"model": {"kind": "animal", "synthetic": SYNTHETIC}, "truth": TRUTH, "B": 8}, EXIT_NAO),
+            # y.csv has variances 1e12: at the box's corner, log variances near -229,
+            # the animal kernel's rt^2 / w^3 overflows
+            ("diagnose", {"seed": 1, "model": {"kind": "animal", "synthetic": SYNTHETIC}, "data": "y.csv",
+                          "box_halfwidth": [1, 257.2, 254.8], "points_per_axis": 3, "test_nsim": 20,
+                          "contiguity_nsim": 20}, EXIT_INPUT_ERROR),
         ],
-        ids=["diagnose-theta_b", "diagnose-contiguity_delta", "ar1-study-box_halfwidth", "animal-study-truth-mu"],
+        ids=["diagnose-theta_b", "diagnose-contiguity_delta", "ar1-study-box_halfwidth", "animal-study-truth-mu",
+             "diagnose-animal-box_halfwidth"],
     )
-    def test_exit_code_under_warnings_as_errors(self, tmp_path, experiment, cfg, code):
+    def test_exit_code_under_warnings_as_errors(self, tmp_path, capsys, experiment, cfg, code):
         lan_setup(tmp_path)
+        animal = AnimalModel(relationship_matrix(synthetic_pedigree(6, 7, 2, 3)))
+        save_vector_csv(str(tmp_path / "y.csv"), animal.simulate_response(0.0, 1e12, 1e12, derive_rng(4, "y")))
         path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main([experiment, "--config", path]) == code
+        if code == EXIT_INPUT_ERROR:
+            assert capsys.readouterr().err.startswith("quadlik: error: config.box_halfwidth: ")
 
 
 class TestInputErrorsNameTheirKey:
@@ -1198,17 +1238,28 @@ class TestInputErrorsNameTheirKey:
              "config: animal-study needs either 'data' or 'truth'"),
             ("fit", {"model": {"kind": "lan", "k": [[1, 2]]}, "data": "z.csv"}, "config.model.k: expected a square matrix"),
             ("fit", {"model": [1], "data": "z.csv"}, "config.model: expected dict, got list"),
+            # symmetric, whose pivot test overflows: it fails without a warning
+            ("fit", {"model": {"kind": "lan", "k": [[1, 1e300], [1e300, 1]]}, "data": "z.csv"},
+             "config.model.k: curvature must be positive definite"),
+            ("lamn-verify", {"spec": {"dim": 2, "curvature": {"kind": "constant", "k": [[1, 1e300], [1e300, 1]]}}},
+             "config.spec.curvature.k: constant curvature must be positive definite"),
+            ("fit", {"model": {"kind": "wishart_lamn", "dim": 2, "dof": 3.0, "scale": [[1, 1e200], [1e200, 1]]},
+                     "data": "z.csv"}, "config.model.scale: scale must be positive definite"),
+            ("fit", {"model": {"kind": "wishart_lamn", "dim": 2, "dof": 5.0}, "data": "wk.csv"},
+             "wk.csv: line 1: k (values 3 to 6) must be positive definite"),
         ],
         ids=["lan-k", "wishart-scale", "constant-k", "spec-dim", "per_generation", "truth-sigma2",
              "diagnose-dimension", "psi-dimension", "box-overflow", "config-file", "config-top-level-a-list",
              "data-file", "pedigree-file", "asymmetric-constant-k", "asymmetric-lan-bootstrap", "asymmetric-lan-diagnose",
              "asymmetric-wishart-data", "asymmetric-huge-lan-k", "animal-pedigree-and-synthetic",
-             "animal-neither-pedigree-nor-synthetic", "animal-study-neither-data-nor-truth", "lan-k-not-square", "model-a-list"],
+             "animal-neither-pedigree-nor-synthetic", "animal-study-neither-data-nor-truth", "lan-k-not-square", "model-a-list",
+             "overflowing-lan-k", "overflowing-constant-k", "overflowing-wishart-scale", "overflowing-wishart-data"],
     )
     def test_exits_one_naming_key_or_file(self, tmp_path, capsys, monkeypatch, experiment, cfg, named):
         monkeypatch.setattr(quadlik.cli, "fit_mle", lambda *a, **k: pytest.fail("fit on an invalid config"))
         save_vector_csv(str(tmp_path / "z.csv"), np.array([0.7, -0.3]))
         save_vector_csv(str(tmp_path / "w.csv"), np.array([0.3, -0.2, 1.0, 0.4, 0.0, 1.0]))
+        save_vector_csv(str(tmp_path / "wk.csv"), np.array([0.3, -0.2, 1.0, 1e300, 1e300, 1.0]))
         # byte 0xff on line 2 of a data file, line 3 of a pedigree
         (tmp_path / "bad.csv").write_bytes(b"id,sire,dam\n1,,\n\xff,,\n" if "pedigree" in str(cfg) else b"0.5\n\xff\n")
         if isinstance(cfg, bytes):
@@ -1244,8 +1295,8 @@ class TestStatusOfEveryExperiment:
                          "B": 8},
         "classical-comparison": {"unit": "normal", "psi": [0.0], "ladder": [50], "replications": 5},
     }
-    # a config of each experiment that can end NaO, which ends so; x.csv holds [-1, -2, -3],
-    # whose exponential rate start 1 / mean(x) lies outside the domain
+    # a config of each experiment that can end NaO, which ends so; x.csv holds [0, 0, 0],
+    # whose exponential rate start 1 / mean(x) = 1 / 0 lies outside the domain
     NAO_START = {"model": {"kind": "iid_exponential", "n": 3}, "data": "x.csv"}
     NAO_CONFIGS = {
         "fit": NAO_START,
@@ -1270,7 +1321,7 @@ class TestStatusOfEveryExperiment:
 
     def run(self, tmp_path, experiment, cfg):
         save_vector_csv(str(tmp_path / "z.csv"), np.array([0.7, -0.3]))
-        save_vector_csv(str(tmp_path / "x.csv"), np.array([-1.0, -2.0, -3.0]))
+        save_vector_csv(str(tmp_path / "x.csv"), np.zeros(3))
         save_vector_csv(str(tmp_path / "w.csv"), np.array([0.5, 0.2, 1.0, 0.1, 0.1, 1.0]))
         path = write_config(tmp_path, "c.json", experiment=experiment, out="r", **cfg)
         with warnings.catch_warnings():

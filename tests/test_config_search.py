@@ -1,8 +1,10 @@
 """The config surface, searched.
 
 One small base config per experiment and model kind, with its data files.
-One numeric leaf at a time is replaced by a value of a fixed pool, and each
-config runs through ``cli.main`` with warnings as errors, in a child process
+One numeric leaf at a time is replaced by a value of a fixed pool, and so is
+each mirrored off-diagonal pair (i, j), (j, i) of a square matrix, both set
+to the same value, so a matrix stays symmetric.  Each config runs through
+``cli.main`` with warnings as errors, in a child process
 of its own under a time limit and an address-space limit (``setrlimit`` in
 the child only), so a value that gets past the size rules fails visibly
 instead of exhausting the host.  Every run exits 0, 1 or 2 in time, and an
@@ -76,16 +78,21 @@ BASES = {
                               "replications": 3, "points_per_axis": 5},
 }
 
-# (base, leaf, value) replacements that found a defect: each exited 2 with a
-# printed numpy warning or 3, or ran past its limit, before the size rules
-# covered it; tier-1 runs them all
+# (base, leaves, value) replacements that found a defect: each exited 2 with
+# a printed numpy warning or 3, or ran past its limit, before the size rules
+# covered it, or (a mirrored pair) exited 3 when the pivot test overflowed
+# and warned; tier-1 runs them all
 FOUND = [
-    ("ar1-study", ("mc_paths",), 1),
-    ("animal-study", ("truth", "mu"), 1.7e308),
-    ("animal-study", ("truth", "mu"), -1.7e308),
-    ("fit-iid_normal", ("model", "p"), 2**31),
-    ("fit-iid_normal", ("model", "p"), 2**63),
-    ("lamn-verify-constant", ("n_deltas",), 2**31),
+    ("ar1-study", (("mc_paths",),), 1),
+    ("animal-study", (("truth", "mu"),), 1.7e308),
+    ("animal-study", (("truth", "mu"),), -1.7e308),
+    ("fit-iid_normal", (("model", "p"),), 2**31),
+    ("fit-iid_normal", (("model", "p"),), 2**63),
+    ("lamn-verify-constant", (("n_deltas",),), 2**31),
+    *[(name, (("model", "k", 0, 1), ("model", "k", 1, 0)), value)
+      for name in ("fit-lan", "diagnose-lan", "bootstrap-lan") for value in (1e300, 1.7e308, -1.7e308)],
+    *[("lamn-verify-constant", (("spec", "curvature", "k", 0, 1), ("spec", "curvature", "k", 1, 0)), value)
+      for value in (1e300, 1.7e308, -1.7e308)],
 ]
 
 ERROR_NAMES = re.compile(r"quadlik: error: (config\b|\S+\.(csv|json): )")
@@ -115,13 +122,30 @@ def leaves(value, path=()):
         yield path
 
 
-def replaced(cfg, path, value):
-    """A copy of ``cfg`` with the leaf at ``path`` set to ``value``."""
+def mirrored_pairs(value, path=()):
+    """The ``(i, j)`` and ``(j, i)`` leaf paths, ``i < j``, of every square
+    matrix of numbers in a config."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from mirrored_pairs(item, path + (key,))
+    elif isinstance(value, list):
+        if value and all(isinstance(row, list) and len(row) == len(value) for row in value):
+            for i in range(len(value)):
+                for j in range(i + 1, len(value)):
+                    yield path + (i, j), path + (j, i)
+        else:
+            for i, item in enumerate(value):
+                yield from mirrored_pairs(item, path + (i,))
+
+
+def replaced(cfg, paths, value):
+    """A copy of ``cfg`` with the leaf at each of ``paths`` set to ``value``."""
     cfg = json.loads(json.dumps(cfg))
-    block = cfg
-    for part in path[:-1]:
-        block = block[part]
-    block[path[-1]] = value
+    for path in paths:
+        block = cfg
+        for part in path[:-1]:
+            block = block[part]
+        block[path[-1]] = value
     return cfg
 
 
@@ -130,8 +154,11 @@ def full_config(base: dict) -> dict:
 
 
 def replacements():
-    """Every (base, leaf, value) of the pool, in a fixed order."""
-    return [(name, path, value) for name, base in BASES.items() for path in leaves(full_config(base)) for value in POOL]
+    """Every (base, leaves, value) of the pool, in a fixed order: each leaf alone,
+    then each mirrored pair."""
+    singles = [(name, (path,)) for name, base in BASES.items() for path in leaves(full_config(base))]
+    pairs = [(name, pair) for name, base in BASES.items() for pair in mirrored_pairs(full_config(base))]
+    return [(name, paths, value) for name, paths in singles + pairs for value in POOL]
 
 
 def tier1_replacements():
@@ -141,8 +168,8 @@ def tier1_replacements():
 def run_all(cases, directory) -> list:
     """Each case run by the runner below: ``(exit code or "timeout", first line of stderr)``."""
     jobs = []
-    for i, (name, path, value) in enumerate(cases):
-        cfg = replaced(full_config(BASES[name]), path, value)
+    for i, (name, paths, value) in enumerate(cases):
+        cfg = replaced(full_config(BASES[name]), paths, value)
         config = os.path.join(directory, f"c{i}.json")
         with open(config, "w", encoding="utf8") as handle:
             json.dump(cfg, handle)
@@ -156,9 +183,10 @@ def run_all(cases, directory) -> list:
 
 def failures(cases, results) -> list[str]:
     bad = []
-    for (name, path, value), (code, err) in zip(cases, results):
+    for (name, paths, value), (code, err) in zip(cases, results):
         if code not in (0, 1, 2) or (code == 1 and not ERROR_NAMES.match(err)):
-            bad.append(f"{name} {'.'.join(map(str, path))} = {value!r}: exit {code}: {err}")
+            leaves_named = " and ".join(".".join(map(str, path)) for path in paths)
+            bad.append(f"{name} {leaves_named} = {value!r}: exit {code}: {err}")
     return bad
 
 
@@ -179,13 +207,20 @@ def test_whole_pool(tmp_path):
 
 def test_every_base_config_runs(tmp_path):
     write_data_files(tmp_path)
-    cases = [(name, ("seed",), 42) for name in BASES]
+    cases = [(name, (("seed",),), 42) for name in BASES]
     assert [code for code, _ in run_all(cases, tmp_path)] == [0] * len(BASES)
 
 
 def test_found_values_stay_in_the_pool():
-    assert all(value in POOL for _, _, value in FOUND)
-    assert all(path in list(leaves(full_config(BASES[name]))) for name, path, _ in FOUND)
+    assert all(case in replacements() for case in FOUND)
+
+
+def test_mirrored_pairs_of_square_matrices():
+    cfg = {"k": [[1, 2, 3], [2, 1, 4], [3, 4, 1]], "theta": [0.5, 1.0], "box": [[1, 2]], "m": [[1, 2], [3, 4]]}
+    assert list(mirrored_pairs(cfg)) == [
+        (("k", 0, 1), ("k", 1, 0)), (("k", 0, 2), ("k", 2, 0)), (("k", 1, 2), ("k", 2, 1)), (("m", 0, 1), ("m", 1, 0)),
+    ]
+    assert replaced(cfg, (("m", 0, 1), ("m", 1, 0)), 7)["m"] == [[1, 7], [7, 4]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,19 @@ model (the iid exponential, a LAN model) the bootstrap's pivots and the
 observed one are iid whatever the fit, so the coverage that ``calibrate``'s
 quantile gives lies in a bracket known exactly (:data:`BRACKET`), held to
 it widened by 3 Monte Carlo standard errors, a bound also fixed before
-the first run.
+the first run.  On LAN a double bootstrap's outer pivot and its B2 inner
+pivots are iid, so the number of inner pivots at or below the outer one is
+uniform on {0, ..., B2}: held to that by a chi-square test at p >= 0.001,
+a bound fixed before the first run.
 """
 
 import numpy as np
 import pytest
 from oracles import exponential_wald_coverage
+from scipy import stats
 
 from quadlik import ExponentialRateIid, calibrate, chisq_upper_quantile, lan_normal_location, make_wald_pivot
-from quadlik.bootstrap import _bootstrap_level, _samples
+from quadlik.bootstrap import INNER_LEVEL_ROWS, _bootstrap_level, _samples
 from quadlik.inference import fit_stack
 from quadlik.parallel import draw
 
@@ -71,3 +75,25 @@ def test_calibrated_coverage_lies_in_the_exact_bracket(model, theta):
     low, high = BRACKET
     se = lambda p: np.sqrt(p * (1.0 - p) / CALIBRATED_REPS)  # noqa: E731
     assert low - 3.0 * se(low) <= coverage <= high + 3.0 * se(high), coverage
+
+
+DOUBLE_B1, DOUBLE_B2 = 2_000, 19
+
+
+def test_double_bootstrap_inner_ranks_are_uniform():
+    # double_bootstrap's levels: its outer streams, then the inner streams of
+    # each outer refit i, in its blocks of whole outer refits
+    model, theta = lan_normal_location([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2])
+    pivot = make_wald_pivot(model)
+    thetas, values = _bootstrap_level(model, [theta], DOUBLE_B1, pivot, 41, [("bootstrap", 0)])
+    outer_thetas, outer_values = thetas[0], values[0]
+    inner_values = np.empty((DOUBLE_B1, DOUBLE_B2))
+    per_block = INNER_LEVEL_ROWS // DOUBLE_B2
+    for start in range(0, DOUBLE_B1, per_block):
+        block = np.arange(start, min(start + per_block, DOUBLE_B1))
+        paths = [("bootstrap", 1, i) for i in block.tolist()]
+        inner_values[block] = _bootstrap_level(model, outer_thetas[block], DOUBLE_B2, pivot, 41, paths)[1]
+    assert np.isfinite(outer_values).all() and np.isfinite(inner_values).all()
+    ranks = np.count_nonzero(inner_values <= outer_values[:, None], axis=1)
+    counts = np.bincount(ranks, minlength=DOUBLE_B2 + 1)
+    assert stats.chisquare(counts).pvalue >= 0.001, counts

@@ -4,13 +4,17 @@ transposes bit for bit, so no consumer symmetrizes them again.
 The fit, its observed information, the local shift and the LAMN checks all
 read the matrix :meth:`~quadlik.core.LikModel.loglik` returns as it is.  The
 property tests hold each model kind, and the Bartlett draw behind every
-Wishart K, to that contract, on rows near overflow and NaN rows too.  The
+Wishart K, to that contract, on rows near overflow and NaN rows too, and
+every stacked evaluation to giving those rows without a warning.  One
 source test allows ``_symmetrized`` only where a matrix comes from outside
 the engine: :class:`~quadlik.core.ObjectiveEval` and
-:func:`~quadlik.inference.symmetric_sqrt`.
+:func:`~quadlik.inference.symmetric_sqrt`.  Another keeps ``errstate`` out
+of the kernels: :class:`~quadlik.core.StackedObjective` runs them quietly,
+and :func:`~quadlik.core.cholesky_pivots` silences its own arithmetic.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +61,17 @@ def assert_bit_symmetric(h):
 def assert_stack_symmetric(model, stack, thetas):
     """The kernel's Hessians at every row, NaO or not, and those of a shift
     with tau = 3 about the origin (about row 0's parameter where p = 1, as the
-    exponential's origin is outside its domain), are exactly symmetric."""
+    exponential's origin is outside its domain), are exactly symmetric, and
+    come without a warning: rows past overflow are NaO by design.  Returns
+    the kernel's evaluation."""
     p = model.dim_param
-    with np.errstate(all="ignore"):  # rows past overflow are NaO by design
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         ev = model.stacked_objective(stack)(np.arange(len(stack)), thetas)
         assert_bit_symmetric(StackedEval.split(ev.packed, p)[2])
         shifted, _ = shifted_stack(model, stack, np.zeros(p) if p > 1 else thetas[0], 3.0, 9.0)
         assert_bit_symmetric(StackedEval.split(shifted(np.arange(len(stack)), thetas).packed, p)[2])
+    return ev
 
 
 def scaled_thetas(rng, m, p):
@@ -103,14 +111,19 @@ ANIMAL = AnimalModel(relationship_matrix(synthetic_pedigree(3, 4, 2, 5)))
 
 
 @settings(max_examples=15, deadline=None)
-@given(m=ROWS, seed=SEEDS)
+@given(m=ROWS, seed=SEEDS, big=st.sampled_from([1.0, 1e6]), row0=st.none())
 # row 2 is at log tau2 = -690: its (mu, tau2) entry underflows to a zero,
 # which the chain rule once signed on one side of the diagonal only
-@example(m=6, seed=0)
-def test_animal_hessians_are_exactly_symmetric(m, seed):
+@example(m=6, seed=0, big=1.0, row0=None)
+# on data of scale 1e6 at log variances of -229, rt^2 / w^3 overflows: the row is NaO
+@example(m=2, seed=0, big=1e6, row0=(0.0, -229.0, -229.0))
+def test_animal_hessians_are_exactly_symmetric(m, seed, big, row0):
     rng = derive_rng(seed, "animal")
     thetas = np.column_stack([rng.standard_normal(m) * rng.choice(SCALES, m), rng.choice(LOG_VARIANCES, (m, 2))])
-    assert_stack_symmetric(ANIMAL, drawn(ANIMAL, seed, m), thetas)
+    if row0 is not None:
+        thetas[0] = row0
+    ev = assert_stack_symmetric(ANIMAL, drawn(ANIMAL, seed, m) * big, thetas)
+    assert row0 is None or not ev.ok[0]
 
 
 @settings(max_examples=15, deadline=None)
@@ -176,3 +189,46 @@ def test_the_check_sees_every_symmetrizing_site():
 def test_only_outside_matrices_are_symmetrized():
     sources = {path.stem: path.read_text(encoding="utf8") for path in sorted(PACKAGE.glob("*.py"))}
     assert symmetrizing_sites(sources) == SYMMETRIZING
+
+
+# the kernels: every model's likelihood formula and the functions they share
+KERNELS = {"loglik", "natural_eval", "quadratic_stack", "_ar1_kernel"}
+
+
+def errstate_sites(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """``(module, qualified name)`` of each function of ``sources``, top level or
+    a method, whose body names ``errstate``, nested functions included."""
+    sites = set()
+
+    def visit(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "errstate" or isinstance(n, ast.Name) and n.id == "errstate"
+                    for n in ast.walk(child)
+                ):
+                    sites.add((module, name))
+                visit(module, child, name + ".")
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "")
+    return sites
+
+
+def test_the_check_sees_every_errstate_site():
+    sources = {
+        "a": "import numpy as np\nclass M:\n    def loglik(self, x):\n        if x:\n            with np.errstate(over='ignore'):\n"
+             "                return x * x\n        return x\n    def starts(self, x):\n        return x\n",
+        "b": "from numpy import errstate\ndef natural_eval(x):\n    def inner():\n        with errstate(all='ignore'):\n"
+             "            return x\n    return inner()\ndef plain(x):\n    return x\n",
+    }
+    assert errstate_sites(sources) == {("a", "M.loglik"), ("b", "natural_eval"), ("b", "natural_eval.inner")}
+
+
+def test_kernels_are_plain_arithmetic():
+    sources = {path.stem: path.read_text(encoding="utf8") for path in sorted(PACKAGE.glob("*.py"))}
+    sites = errstate_sites(sources)
+    assert not {(module, name) for module, name in sites if set(name.split(".")) & KERNELS}
+    # the two NaO decisions, each quiet on its own
+    assert {("core", "StackedObjective.__call__"), ("core", "cholesky_pivots")} <= sites

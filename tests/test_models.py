@@ -852,9 +852,8 @@ def quadratic_row(z, k, theta):
 
 
 def animal_row(model, qty, phi):
-    """The log-scale animal likelihood of one rotated response ``Q'y``."""
-    if not (np.abs(phi) <= np.array([np.finfo(float).max, 700.0, 700.0])).all():
-        return np.nan, np.full(3, np.nan), np.full((3, 3), np.nan)
+    """The log-scale animal likelihood of one rotated response ``Q'y`` at a
+    point of the domain."""
     scale = np.exp(phi * np.array([0.0, 1.0, 1.0]))
     value, g, h = model.natural_eval(qty, phi[0], scale[1], scale[2])
     grad = g * scale
@@ -917,12 +916,12 @@ KERNEL_CASES = {
 
 @st.composite
 def kernel_points(draw, psi):
-    """A parameter near psi, with some entries far out, non-finite or past the
-    animal model's log-variance overflow."""
+    """A parameter near psi, with some entries far out, non-finite, past the
+    animal model's log-variance overflow, or on or past its open bound."""
     entry = st.one_of(
         st.floats(-2.0, 2.0),
         st.floats(-1e300, 1e300),
-        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-320, 356.0, 800.0]),
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-320, 356.0, 700.0, -700.0, 800.0]),
     )
     return np.array([psi[j] + draw(st.floats(-2.0, 2.0)) if draw(st.booleans()) else draw(entry) for j in range(psi.size)])
 
