@@ -857,8 +857,13 @@ def run_ar1_study(cfg: dict) -> ReportRecord:
         with np.errstate(over="ignore", invalid="ignore"):
             paths = ar1_simulate_paths(float(theta), n, x0, mc_paths, derive_rng(seed, "ar1-mc", idx))
             info = np.sum(paths[:, :-1] ** 2, axis=1)
-            mean = float(info.mean())
-            se = float(info.std(ddof=1) / np.sqrt(mc_paths))
+            # equal finite informations (n = 1: every path's is x0^2) are their
+            # own mean with no spread; rounded arithmetic would report a deviation
+            if np.isfinite(info[0]) and (info == info[0]).all():
+                mean, se = float(info[0]), 0.0
+            else:
+                mean = float(info.mean())
+                se = float(info.std(ddof=1) / np.sqrt(mc_paths))
         devs.append(_dev_se(mean, se, expected))
         record.update({f"info_{idx}_theta": float(theta), f"info_{idx}_recursion": expected, f"info_{idx}_mc_mean": mean,
                        f"info_{idx}_mc_se": se, f"info_{idx}_dev_se": devs[-1]})

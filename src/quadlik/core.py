@@ -272,7 +272,10 @@ class ObjectiveEval:
             raise ValueError(f"hessian is not symmetric (max asymmetry {asym:g})")
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "gradient", g)
-        object.__setattr__(self, "hessian", _symmetrized(h))
+        # a Hessian whose bits equal its transpose's is kept as it is (a copy):
+        # symmetrizing it would round a subnormal entry's halves to 0
+        symmetric = h.tobytes() == h.T.tobytes()
+        object.__setattr__(self, "hessian", h.copy() if symmetric else _symmetrized(h))
 
     def all_finite(self) -> bool:
         return bool(

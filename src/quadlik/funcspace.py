@@ -191,9 +191,18 @@ def rudin_distance(f, g, nested: NestedBoxes) -> float:
     ``max_n 2^-n * d_n / (1 + d_n)`` with ``d_n`` the sup norm of f - g on
     the n-th box (n from 1).  Dropped tail terms are below
     :func:`rudin_tail_bound`.  Always at most 1/2.
+
+    Boxes are evaluated in order up to the first box ``n`` whose weight
+    ``2^-n`` the maximum so far already reaches: no later term can raise
+    it, also in floating point (``2^-n * d`` is exact and ``fl(1 + d) >= d``),
+    so the value is that of the full maximum, and the boxes from ``n`` on
+    are not evaluated.  An NaO or non-finite value at a point only such a
+    box holds does not raise.
     """
     best = 0.0
     for n, box in enumerate(nested.boxes, start=1):
+        if best >= 2.0**-n:
+            break
         d = sup_norm_on_box(f, g, box)
         best = max(best, 2.0**-n * d / (1.0 + d))
     return best
@@ -248,7 +257,10 @@ def quadraticity_report(q: Objective, delta0, box: GridBox) -> QuadraticityRepor
 
     Reports the three sup norms plus the compact-exhaustion metric on the
     default nested shrinking of the box (8 boxes).  The last of them is
-    ``box``, whose sup norm of values is ``d0``: its grid is evaluated once.
+    ``box``, whose grid is evaluated once, in full, for the sup norms; its
+    Rudin term comes from ``d0``.  Of the 7 inner boxes,
+    :func:`rudin_distance` evaluates those before the first one whose
+    weight the maximum so far reaches.
     """
     anchor = np.atleast_1d(np.asarray(delta0, dtype=float))
     fit = quadratic_fit_at(q, anchor).objective()

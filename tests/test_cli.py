@@ -752,9 +752,13 @@ class TestNonFiniteMonteCarloChecks:
         assert report["contiguity_max_dev_se"] == "inf"
 
     def test_ar1_study_constant_information(self, tmp_path):
-        # at n = 1 every path's information is x0^2, the recursion's: se 0, and 0 off
-        code, report = self.run(tmp_path, "ar1-study", thetas=[0.5], n=1, mc_paths=50, invariance_nsim=20)
-        assert code == EXIT_OK and report["info_0_mc_se"] == 0 and report["info_0_dev_se"] == 0
+        # at n = 1 every path's information is x0^2, the recursion's: se 0, and
+        # 0 off, also where x0^2 summed and divided would round (x0 0.3, 0.7)
+        for x0, mc_paths in [(1.0, 50), (0.3, 50), (0.3, 3), (0.7, 50)]:
+            code, report = self.run(tmp_path, "ar1-study", thetas=[0.5], n=1, x0=x0, mc_paths=mc_paths,
+                                    invariance_nsim=20)
+            assert code == EXIT_OK and report["info_0_mc_mean"] == report["info_0_recursion"] == x0 * x0
+            assert report["info_0_mc_se"] == 0 and report["info_0_dev_se"] == 0
 
     def test_ar1_study_exploding_paths(self, tmp_path):
         code, report = self.run(tmp_path, "ar1-study", thetas=[0.5, 1e200], n=10, mc_paths=200)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -166,6 +167,36 @@ class TestRudinDistance:
         g = lambda x: float(x[0]) + 1e-9
         assert rudin_distance(f, g, nested) > 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-3, 20),
+        n_boxes=st.integers(2, 8),
+        points=st.integers(2, 4),
+    )
+    def test_stop_gives_the_all_boxes_maximum_bit_for_bit(self, p, seed, exponent, n_boxes, points):
+        # coefficients up to 1e20 put d_n past 2^53, where fl(1 + d_n) = d_n
+        # and a term equals its weight: the tie at which the stop is taken
+        rng = np.random.default_rng(seed)
+        f, g = (_polynomial(rng, p, 10.0**exponent) for _ in range(2))
+        center, half = rng.standard_normal(p), rng.uniform(0.1, 3.0, p)
+        nested = NestedBoxes.shrinking(GridBox(center - half, center + half, [points] * p), n_boxes)
+        assert rudin_distance(f, g, nested) == _rudin_all_boxes(f, g, nested)
+
+    def test_nao_past_the_stop_is_not_evaluated(self):
+        # boxes of half-width 1/4, 1/2, 3/4, 1 on 5 points: f is NaO at 0.5,
+        # a point of box 2 only; a difference of 1 gives box 1 the term 1/4,
+        # the weight of box 2, so the metric stops before box 2
+        nested = NestedBoxes.shrinking(GridBox([-1.0], [1.0], [5]), 4)
+        nao_past = lambda c: lambda x: NaO if x[0] > 0.3 else c
+        zero = lambda x: 0.0
+        assert rudin_distance(nao_past(1.0), zero, nested) == _rudin_all_boxes(lambda x: 1.0, zero, nested) == 0.25
+        # a difference of 1e-3 stops at no box: box 2's NaO raises at its first point
+        with pytest.raises(NonFiniteEvaluationError, match="NaO evaluation") as err:
+            rudin_distance(nao_past(1e-3), zero, nested)
+        assert err.value.point.tolist() == [0.5]
+
 
 class TestC2Distance:
     def test_identical(self):
@@ -241,15 +272,16 @@ class TestQuadraticityReport:
         assert report.d0 == pytest.approx(0.25)
         assert report.d2 == pytest.approx(3.0)
 
-    def test_evaluates_the_c2_grid_once(self):
+    def test_c2_grid_once_and_inner_boxes_to_the_stop(self):
         # the 8th Rudin box is the C2 box, whose value sup norm is d0: q is
-        # evaluated at its anchor, on the C2 grid and on the 7 smaller boxes
+        # evaluated at its anchor, on the C2 grid and on boxes 1-5, as the
+        # maximum after box 5 reaches 2^-6, the weight of box 6
         model, psi = SHIFT_CASES["animal"]
         q = local_shift(model, model.simulate(psi, derive_rng(4)), psi, tau=1.0)
         box = GridBox(-np.ones(3), np.ones(3), [9, 9, 9])
         counted = _Counted(q)
         report = quadraticity_report(counted, np.zeros(3), box)
-        assert counted.points == 1 + 8 * 729
+        assert counted.points == 1 + 729 + 5 * 729
         # the value the eight-box formula gives, each box scaled about the centre
         fit = quadratic_fit_at(q, np.zeros(3)).objective()
         eight = NestedBoxes(tuple(box.scaled_about_center(n / 8) for n in range(1, 9)))
@@ -302,6 +334,21 @@ class _Counted:
     def stack(self, points):
         self.points += len(points)
         return self.f.stack(points)
+
+
+def _polynomial(rng, p, scale):
+    """A random polynomial of total degree at most 3 in ``p`` variables, its
+    coefficients normal times ``scale``."""
+    powers = [e for e in itertools.product(range(4), repeat=p) if sum(e) <= 3]
+    coefs = scale * rng.standard_normal(len(powers))
+    return lambda x: float(sum(c * np.prod(np.asarray(x) ** e) for c, e in zip(coefs, powers)))
+
+
+def _rudin_all_boxes(f, g, nested):
+    """The truncated metric with every box evaluated: the reference for
+    :func:`rudin_distance`, which stops at a box whose weight the maximum reaches."""
+    terms = [2.0**-n * d / (1.0 + d) for n, d in enumerate((sup_norm_on_box(f, g, b) for b in nested.boxes), 1)]
+    return max([0.0] + terms)
 
 
 def _looped(f):
