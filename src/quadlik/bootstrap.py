@@ -7,8 +7,9 @@ outer refit to diagnose the single bootstrap itself: all of its inner
 replicates form a second level.  Each level block is one data stack,
 drawn for all its centres by one :func:`~quadlik.parallel.draw` call (one
 key pass, one ``simulate_stack`` call), refit by one
-:func:`~quadlik.inference.fit_stack` and pivoted in one call on the
-refits and their observed informations.
+:func:`~quadlik.inference.fit_stack`, each Newton run starting at the
+centre its data set was drawn at, and pivoted in one call on the refits
+and their observed informations.
 Replicates draw from per-index streams, so results do not depend on the
 order of the draws; NaO fits and pivots are counted, never silently
 dropped.
@@ -78,8 +79,9 @@ def make_wald_pivot(model: LikModel) -> PivotFn:
 # nothing in the package calls it; bench/tracing.py binds it by name
 def _one_replicate(model: LikModel, theta_hat: np.ndarray, pivot: PivotFn, data):
     """Row 0 of :func:`_bootstrap_level` on the stack of one simulated data set."""
-    thetas, infos = fit_stack(model, [data])[:2]
-    value = pivot(thetas, infos, np.asarray(theta_hat, dtype=float).reshape(1, -1))[0]
+    center = np.asarray(theta_hat, dtype=float).reshape(1, -1)
+    thetas, infos = fit_stack(model, [data], center)[:2]
+    value = pivot(thetas, infos, center)[0]
     return thetas[0], value if np.isfinite(value) else np.nan
 
 
@@ -90,12 +92,14 @@ def _bootstrap_level(
     by one :func:`~quadlik.parallel.draw` call.
 
     Dataset ``j`` of center ``c`` is drawn from the stream ``(seed,
-    *paths[c], j)``.  Returns the refits ``(len(centers), B, p)`` (NaN where
-    not converged) and pivot values ``(len(centers), B)`` (NaN where NaO),
-    each against its center, in stream order.
+    *paths[c], j)`` and refit by Newton from ``c``, the parameter it was
+    drawn at.  Returns the refits ``(len(centers), B, p)`` (NaN where not
+    converged) and pivot values ``(len(centers), B)`` (NaN where NaO), each
+    against its center, in stream order.
     """
-    thetas, infos = fit_stack(model, draw(model, centers, B, seed, paths))[:2]
-    values = pivot(thetas, infos, np.repeat(np.asarray(centers, dtype=float), B, axis=0))
+    starts = np.repeat(np.asarray(centers, dtype=float), B, axis=0)
+    thetas, infos = fit_stack(model, draw(model, centers, B, seed, paths), starts)[:2]
+    values = pivot(thetas, infos, starts)
     values = np.where(np.isfinite(values), values, np.nan)
     return thetas.reshape(len(centers), B, -1), values.reshape(len(centers), B)
 
@@ -115,9 +119,10 @@ def parametric_bootstrap(
 ) -> PivotSamples:
     """Simulate at the fit, refit each dataset, and collect pivot values.
 
-    All B refits are one :func:`~quadlik.inference.fit_stack`; replicates
-    whose fit is NaO, or whose pivot is NaN or infinite, are counted in
-    ``n_nao``.  The pivot is one call over the level, on the refits and
+    All B refits are one :func:`~quadlik.inference.fit_stack`, each Newton
+    run starting at ``theta_hat``, the parameter its data were drawn at;
+    replicates whose fit is NaO, or whose pivot is NaN or infinite, are
+    counted in ``n_nao``.  The pivot is one call over the level, on the refits and
     their observed informations (see :data:`PivotFn`).  Output is a pure
     function of (seed, B).
     """
@@ -178,10 +183,11 @@ def double_bootstrap(
 ) -> DoubleBootstrapReport:
     """Nested bootstrap: an inner bootstrap at each outer refit.
 
-    Each of the B1 outer replicates is simulated at ``theta_hat`` and refit;
-    an inner bootstrap of size B2 at the refit calibrates the pivot quantile
-    there, and the outer pivot is compared against it.  Both levels are
-    lockstep refits: the B1 outer datasets in one, then the B2 inner
+    Each of the B1 outer replicates is simulated at ``theta_hat`` and refit
+    from it; an inner bootstrap of size B2 at the refit, each inner data set
+    refit from that outer refit, calibrates the pivot quantile there, and
+    the outer pivot is compared against it.  Both levels are lockstep
+    refits: the B1 outer datasets in one, then the B2 inner
     datasets of every converged outer refit, drawn from the streams
     ``(seed, "bootstrap", 1, i, j)``, in blocks of whole outer refits of
     at most ``INNER_LEVEL_ROWS`` rows (results do not depend on the

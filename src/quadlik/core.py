@@ -463,7 +463,8 @@ class LikModel:
     def starts(self, stack: np.ndarray) -> np.ndarray:
         """Newton's start for each data set (row) of a data stack, ``(m,
         dim_param)``, NaN or outside the domain where there is none (by
-        default the origin)."""
+        default the origin).  Only the main fit (``fit_mle``) starts here; a
+        bootstrap refit starts at the parameter its data set was drawn at."""
         return np.zeros((len(stack), self.dim_param))
 
     def parse_data(self, flat: np.ndarray) -> np.ndarray:

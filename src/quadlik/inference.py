@@ -62,18 +62,20 @@ class MleResult:
         return self.trace.converged
 
 
-def fit_stack(model: LikModel, datas, max_steps: int = DEFAULT_MAX_STEPS):
+def fit_stack(model: LikModel, datas, starts, max_steps: int = DEFAULT_MAX_STEPS):
     """Maximize the log likelihood on each data set of a stack: one lockstep
-    safeguarded Newton from ``model.starts``, row i as data set i alone.  A
-    fit is NaO when its run does not meet the gradient criterion (an NaO
-    start among them) or its observed information, the negative Hessian at
-    its final evaluation, fails the pivot test.  Returns per row the refits
-    ``(m, p)``, NaN where not converged; the informations ``(m, p, p)``, NaN
-    where NaO; the steps; whether the fit holds (is not NaO); and the final
-    gradient sup norm, NaN where the start had none.
+    safeguarded Newton, row i from ``starts[i]`` as data set i alone.  The
+    caller picks the starts: :func:`fit_mle` takes ``model.starts``, a
+    bootstrap level each replicate's centre.  A fit is NaO when its run does
+    not meet the gradient criterion (an NaO start among them) or its observed
+    information, the negative Hessian at its final evaluation, fails the
+    pivot test.  Returns per row the refits ``(m, p)``, NaN where not
+    converged; the informations ``(m, p, p)``, NaN where NaO; the steps;
+    whether the fit holds (is not NaO); and the final gradient sup norm, NaN
+    where the start had none.
     """
     stack = np.asarray(datas, dtype=float)
-    thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), model.starts(stack), max_steps=max_steps)
+    thetas, steps, converged, final = lockstep_fit(model.stacked_objective(stack), starts, max_steps=max_steps)
     _, grad, hess = StackedEval.split(final.packed, model.dim_param)
     infos = -hess
     holds = converged & ~np.isnan(cholesky_pivots(infos)[0][:, 0, 0])
@@ -84,11 +86,13 @@ def fit_stack(model: LikModel, datas, max_steps: int = DEFAULT_MAX_STEPS):
 def fit_mle(model: LikModel, data, max_steps: int = DEFAULT_MAX_STEPS) -> MleResult:
     """Maximize the model's log likelihood by safeguarded Newton.
 
-    Row 0 of :func:`fit_stack` on the data set's stack of one.  An NaO fit
-    yields an NaO result whose trace is kept and marked not converged; an
-    NaO start (a NaN start among them) yields one with 0 steps.
+    Row 0 of :func:`fit_stack` on the data set's stack of one, from
+    ``model.starts``.  An NaO fit yields an NaO result whose trace is kept
+    and marked not converged; an NaO start (a NaN start among them) yields
+    one with 0 steps.
     """
-    thetas, infos, steps, holds, norms = fit_stack(model, [data], max_steps)
+    stack = np.asarray([data], dtype=float)
+    thetas, infos, steps, holds, norms = fit_stack(model, stack, model.starts(stack), max_steps)
     trace = NewtonTrace(int(steps[0]), bool(holds[0]), float(norms[0]))
     return MleResult(thetas[0], infos[0], trace) if holds[0] else MleResult(NaO, None, trace)
 

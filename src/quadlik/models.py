@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,19 +139,36 @@ def _ar1_kernel(paths: np.ndarray, theta: np.ndarray):
 def ar1_expected_info(theta: float, n: int, x0: float) -> float:
     """Expected observed information E(sum X_{i-1}^2 | X_0 = x0).
 
-    Computed by the conditional second-moment recursion
-    ``e_j = theta^2 e_{j-1} + 1`` with ``e_0 = x0^2``; valid for every real
-    theta including |theta| >= 1.
+    The conditional second moments ``e_j = t e_{j-1} + 1`` (``t = theta^2``,
+    ``e_0 = x0^2``) sum in closed form to ``x0^2 S + (S - n) / (t - 1)``,
+    with ``S = sum_{j<n} t^j = (t^n - 1) / (t - 1)``; valid for every real
+    theta including |theta| >= 1.  Where ``|n log t| <= 1/2``, ``t^n - 1``
+    and ``S - n`` cancel, so S comes from ``expm1`` and ``(S - n) / (t - 1)``
+    from its series in ``n log t``; at ``t = 1`` the sum is ``n x0^2 + n (n -
+    1) / 2``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    x0 = float(x0)
-    e = x0 * x0  # inf past about 1.3e154, where ``x0 ** 2`` raises
-    total = e
-    for _ in range(n - 1):
-        e = theta * theta * e + 1.0
-        total += e
-    return total
+    x0, t = float(x0), float(theta) * float(theta)
+    nu = n * math.log(t) if t else -math.inf
+    with np.errstate(over="ignore"):
+        power = float(np.power(t, n))
+        if t == 1.0:
+            s, rest = float(n), n * (n - 1) / 2.0
+        elif abs(nu) <= 0.5:
+            e = math.expm1(math.log(t))
+            s = math.expm1(nu) / e
+            # (expm1(n u) - n expm1(u)) / expm1(u)^2 with u = log t, term by term to a relative 1e-19
+            rest = sum(nu**k * (1.0 - float(n) ** (1 - k)) / math.factorial(k) for k in range(2, 18)) / (e * e)
+        elif power < math.inf:
+            s = (power - 1.0) / (t - 1.0)
+            rest = (s - n) / (t - 1.0)
+        else:
+            # past the float range both sums are t^n over a power of t - 1, to their last bit
+            s = float(np.power(t, n - 1)) / (1.0 - 1.0 / t)
+            rest = float(np.power(t, n - 2)) / (1.0 - 1.0 / t) ** 2
+    # x0 = 0 adds nothing, also where S overflows
+    return rest + x0 * x0 * s if x0 else rest
 
 
 class Ar1Model(LikModel):

@@ -108,15 +108,16 @@ def pivot_alone(pivot, model, data, theta_star, theta_hat) -> float:
     return float(pivot(thetas, info, np.asarray(theta_hat, dtype=float).reshape(1, p))[0])
 
 
-def refit_alone(model, theta_hat, pivot, data):
-    """One bootstrap replicate the long way: its own start, from the stack of
-    this one data set, and safeguarded fit, then the pivot on a stack of one.
+def refit_alone(model, theta_hat, pivot, data, start=None):
+    """One bootstrap replicate the long way: a safeguarded fit from ``start``,
+    by default its centre ``theta_hat`` as in a bootstrap level, then the
+    pivot on a stack of one.
 
     Returns ``(theta_star, value)``: a NaN row and NaN where the start or the
     fit fails, and NaN for the value where the pivot is not finite.
     """
     failed = np.full(model.dim_param, np.nan), np.nan
-    x0 = model.starts(np.array([data]))[0]
+    x0 = theta_hat if start is None else start
     try:
         theta_star, trace = safeguarded_maximize(model.objective(data), x0)
     except ValueError:  # the objective is NaO at the start

@@ -85,7 +85,7 @@ def test_criterion_2_lan_coverage():
     n_reps = 10_000
     # replication i draws from derive_rng(1002, i): one stack, one stacked fit
     datas = draw(model, [theta], n_reps, 1002, [()])
-    thetas, infos, _, holds, _ = fit_stack(model, datas)
+    thetas, infos, _, holds, _ = fit_stack(model, datas, model.starts(datas))
     # the stacked region test: ConfidenceRegion.contains on every row, NaN (a miss) where the fit is NaO
     wald = make_wald_pivot(model)(thetas, infos, np.tile(theta, (n_reps, 1)))
     inside = wald < chisq_upper_quantile(theta.size, alpha)

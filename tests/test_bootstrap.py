@@ -8,11 +8,13 @@ from scipy import stats
 
 import quadlik.bootstrap
 import quadlik.inference
+import quadlik.newton
 import quadlik.parallel
 from quadlik import (
     AnimalModel,
     AnimalParams,
     Ar1Model,
+    ExponentialRateIid,
     LamnSpec,
     PivotSamples,
     WishartCurvature,
@@ -33,6 +35,7 @@ from quadlik import (
 from quadlik.cli import ReportRecord, _heritability_pivot, _put_pivots
 from quadlik.core import LikModel, NaO, OpenBox, StackedEval, cholesky_pivots, spd_factor
 from quadlik.models import LanNormalLocation, WishartLamnModel
+from quadlik.parallel import draw
 
 
 def lan_fixture(p=2, seed=0):
@@ -396,23 +399,24 @@ def lan_model():
     return lan_normal_location(LAN_K)
 
 
-class FailingStart:
-    """A model with no start (a NaN row) for data sets with z[0] > 2, and an
-    infinite one for those with z[0] < -0.3."""
+class FailingObjective:
+    """A model whose log likelihood is NaN everywhere on data sets with
+    z[0] > 2, and infinite on those with z[0] < -0.3: a refit of either is
+    NaO at its centre."""
 
-    def starts(self, stack):
-        out = super().starts(stack)
+    def loglik(self, stack, thetas):
+        value, grad, hess = super().loglik(stack, thetas)
         z0 = np.asarray(stack)[:, 0]
-        out[z0 > 2.0] = np.nan
-        out[z0 < -0.3] = np.inf
-        return out
+        value[z0 > 2.0] = np.nan
+        value[z0 < -0.3] = np.inf
+        return value, grad, hess
 
 
-class FailingStartLan(FailingStart, LanNormalLocation):
+class FailingObjectiveLan(FailingObjective, LanNormalLocation):
     pass
 
 
-class FailingStartWishart(FailingStart, WishartLamnModel):
+class FailingObjectiveWishart(FailingObjective, WishartLamnModel):
     pass
 
 
@@ -491,7 +495,7 @@ class TestDoubleBootstrapLayout:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_nao_rules(self, monkeypatch, name):
         theta_hat = self.CASES[name][1]
-        model = FailingStartLan(LAN_K) if name == "lan" else FailingStartWishart(WISHART_SPEC)
+        model = FailingObjectiveLan(LAN_K) if name == "lan" else FailingObjectiveWishart(WISHART_SPEC)
         wald = make_wald_pivot(model)
 
         def pivot(thetas, infos, theta_hats):
@@ -516,7 +520,7 @@ class TestDoubleBootstrapLayout:
         assert refit_failed and pivot_failed
         # the inner levels' NaO counts differ, so their quantiles come from several groups
         assert len(set(counts) - {0}) > 1, counts
-        # at both levels, a replicate without a start, or with an infinite one, is NaO
+        # at both levels, a replicate whose objective is NaN, or infinite, at its centre is NaO
         failed = {(level, kind): 0 for level in (0, 1) for kind in ("nan", "inf")}
         for center, path, thetas, values in levels:
             for j, (theta_star, value) in enumerate(zip(thetas, values)):
@@ -525,6 +529,62 @@ class TestDoubleBootstrapLayout:
                     assert np.isnan(theta_star).all() and np.isnan(value)
                     failed[path[1], "nan" if z0 > 2.0 else "inf"] += 1
         assert all(failed.values()), failed
+
+
+def recorded_steps(monkeypatch):
+    """The per-row step counts of every lockstep that ``fit_stack`` runs."""
+    steps = []
+    lockstep_fit = quadlik.inference.lockstep_fit
+
+    def recorded(*args, **kwargs):
+        out = lockstep_fit(*args, **kwargs)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(quadlik.inference, "lockstep_fit", recorded)
+    return steps
+
+
+class TestLevelStartsAtItsCentre:
+    """Every refit of a level runs Newton from the parameter its data set
+    was drawn at."""
+
+    def test_animal_level_has_no_slow_row(self, monkeypatch):
+        # from the method-of-moments start, replicate 31 of this design took
+        # the 100-step cap under a Hessian shift and ended NaO
+        model = AnimalModel(relationship_matrix(synthetic_pedigree(40, 40, 4, 3)))
+        y = model.simulate(model.params_to_phi(AnimalParams(0.0, 1.33, 0.67)), derive_rng(5))
+        theta_hat = fit_mle(model, y).theta_hat
+        steps = recorded_steps(monkeypatch)
+        samples = parametric_bootstrap(model, theta_hat, 200, _heritability_pivot(model), 11)
+        assert samples.n_nao == 0
+        assert len(steps) == 1 and steps[0].size == 200
+        assert steps[0].max() < quadlik.newton.DEFAULT_MAX_STEPS
+
+    @pytest.mark.parametrize("name", sorted(TestDoubleBootstrapLayout.CASES))
+    def test_quadratic_levels_take_one_step(self, monkeypatch, name):
+        factory, theta_hat = TestDoubleBootstrapLayout.CASES[name]
+        model = factory()
+        steps = recorded_steps(monkeypatch)
+        report = double_bootstrap(model, theta_hat, 12, 9, make_wald_pivot(model), 67)
+        assert report.outer.n_nao == 0 and np.isfinite(report.inner_quantiles).all()
+        # the outer level, then one block of every inner level
+        assert [s.size for s in steps] == [12, 12 * 9]
+        assert all((s == 1).all() for s in steps)
+
+    def test_exponential_refits_lie_within_the_tolerance_of_the_mle(self):
+        """Newton stops where ``|n / theta - sum x| <= tol``, ``tol = 1e-8 (1 +
+        |q(centre)|)``, so ``|1 / theta* - mean| <= tol / n``; the computed
+        gradient's rounding adds at most ``4 eps (1 / theta* + mean)``.  This
+        bound was fixed before the first run."""
+        n, centre, B, seed = 7, np.array([1.5]), 200, 71
+        model = ExponentialRateIid(n)
+        thetas, _ = quadlik.bootstrap._bootstrap_level(model, [centre], B, make_wald_pivot(model), seed, [("bootstrap", 0)])
+        eps = np.finfo(float).eps
+        for data, theta_star in zip(draw(model, [centre], B, seed, [("bootstrap", 0)]), thetas[0, :, 0]):
+            tol = 1e-8 * (1.0 + abs(model.objective(data)(centre).value))
+            gap = abs(1.0 / theta_star - data.mean())
+            assert gap <= tol / n + 4 * eps * (1.0 / theta_star + data.mean())
 
 
 class TestCalibrationStudies:

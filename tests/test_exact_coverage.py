@@ -46,7 +46,8 @@ def test_oracle_values(n, exact):
 @pytest.mark.parametrize("n", [2, 5, 10, 50])
 def test_exponential_wald_coverage_is_exact(n):
     model = ExponentialRateIid(n)
-    thetas, infos, _, holds, _ = fit_stack(model, draw(model, [[THETA]], REPS, 41, [("wald-oracle", n)]))
+    datas = draw(model, [[THETA]], REPS, 41, [("wald-oracle", n)])
+    thetas, infos, _, holds, _ = fit_stack(model, datas, model.starts(datas))
     assert holds.all()
     pivots = (thetas[:, 0] - THETA) ** 2 * infos[:, 0, 0]
     coverage = float(np.mean(pivots < chisq_upper_quantile(1, 1.0 - LEVEL)))
@@ -61,7 +62,8 @@ def test_exponential_wald_coverage_is_exact(n):
 )
 def test_calibrated_coverage_lies_in_the_exact_bracket(model, theta):
     pivot = make_wald_pivot(model)
-    thetas, infos, _, holds, _ = fit_stack(model, draw(model, [theta], CALIBRATED_REPS, 41, [("calibrated-oracle",)]))
+    datas = draw(model, [theta], CALIBRATED_REPS, 41, [("calibrated-oracle",)])
+    thetas, infos, _, holds, _ = fit_stack(model, datas, model.starts(datas))
     assert holds.all()
     observed = pivot(thetas, infos, np.repeat([theta], CALIBRATED_REPS, axis=0))
     covered = []

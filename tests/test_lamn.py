@@ -320,7 +320,7 @@ class TestStackedDrawRarePaths:
         stacked = model.simulate_stack([np.zeros(2)], streams())
         assert np.flatnonzero(~np.isfinite(stacked).all(axis=1)).tolist() == [2]
         assert np.isnan(stacked[2, :2]).all() and np.array_equal(stacked[2, 2:], k[0].ravel())
-        assert fit_stack(model, stacked)[3].tolist() == [True, True, False, True]
+        assert fit_stack(model, stacked, model.starts(stacked))[3].tolist() == [True, True, False, True]
         # a level drawn from these streams: its refit of row 2 is counted NaO
         monkeypatch.setattr(quadlik.parallel, "derive_streams", streams)
         samples = parametric_bootstrap(model, np.zeros(2), 4, make_wald_pivot(model), 5)

@@ -118,7 +118,8 @@ class TestFitStack:
         if name == "exponential":
             # no start (a sample of zeros), and a converged fit whose information n/psi**2 underflows
             datas[2], datas[5] = np.zeros(7), np.array([1e-300, 2e-300, 3e-300, 1e-300, 2e-300, 3e-300, 1e-300])
-        thetas, infos, steps, holds, norms = fit_stack(model, np.array(datas))
+        stack = np.array(datas)
+        thetas, infos, steps, holds, norms = fit_stack(model, stack, model.starts(stack))
         p = self.THETAS[name].size
         assert thetas.shape == (12, p) and infos.shape == (12, p, p)
         for i, data in enumerate(datas):
@@ -160,11 +161,13 @@ class TestStackedLevel:
             datas[3], datas[8] = np.zeros(7), -datas[8]
         theta_hats = THETAS[name] + np.random.default_rng(1).uniform(-0.5, 0.5, (len(datas), THETAS[name].size))
         pivot = make_wald_pivot(model)
-        thetas, infos = fit_stack(model, np.array(datas))[:2]
+        stack = np.array(datas)
+        starts = model.starts(stack)
+        thetas, infos = fit_stack(model, stack, starts)[:2]
         values = pivot(thetas, infos, theta_hats)
         assert thetas.shape == (len(datas), THETAS[name].size) and values.shape == (len(datas),)
         for i, data in enumerate(datas):
-            theta_star, value = refit_alone(model, theta_hats[i], pivot, data)
+            theta_star, value = refit_alone(model, theta_hats[i], pivot, data, starts[i])
             assert same_bits(thetas[i], theta_star) and same_bits(values[i], value)
         if name == "exponential":
             assert np.isnan(thetas[[3, 8]]).all() and np.isnan(values[[3, 8]]).all()
@@ -180,8 +183,7 @@ class TestStackedLevel:
         single = []
         for i in range(B):
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
-            x0 = model.starts(np.array([data]))[0]
-            theta_star, trace = safeguarded_maximize(model.objective(data), x0)
+            theta_star, trace = safeguarded_maximize(model.objective(data), theta_hat)
             value = pivot_alone(pivot, model, data, theta_star, theta_hat) if trace.converged else np.nan
             if not np.isnan(value):
                 single.append(value)

@@ -130,6 +130,17 @@ class TestAr1Loglik:
         assert len(set(h)) == 1
 
 
+def ar1_info_recursion(theta, n, x0):
+    """The second-moment recursion ``e_j = theta^2 e_{j-1} + 1``, ``e_0 = x0^2``,
+    summed step by step: the oracle of the closed form."""
+    e = x0 * x0
+    total = e
+    for _ in range(n - 1):
+        e = theta * theta * e + 1.0
+        total += e
+    return total
+
+
 class TestAr1ExpectedInfo:
     def test_n_one_is_x0_squared(self):
         assert ar1_expected_info(0.7, 1, 2.0) == 4.0
@@ -144,6 +155,25 @@ class TestAr1ExpectedInfo:
     def test_unit_root_allowed(self):
         # theta = 1: e_j = x0^2 + j
         assert ar1_expected_info(1.0, 4, 1.0) == pytest.approx(1 + 2 + 3 + 4)
+
+    @pytest.mark.parametrize("theta", [1.0, -1.0])
+    def test_unit_root_is_exact(self, theta):
+        for n, x0 in ((1, 0.3), (7, 0.3), (10**5, 2.5), (3, 0.0)):
+            assert ar1_expected_info(theta, n, x0) == x0 * x0 * n + n * (n - 1) / 2
+
+    @pytest.mark.parametrize("theta", [0.3, 0.999999, 1.0, 1.05, -1.0])
+    def test_closed_form_equals_the_recursion(self, theta):
+        # the recursion rounds once or twice a step and its error grows with n:
+        # a relative bound of 4 (n + 8) eps, fixed before the first run
+        eps = np.finfo(float).eps
+        for n in (1, 2, 3, 10, 100, 1000, 10**4, 10**5):
+            for x0 in (0.0, 0.3, 1.0, 7.0):
+                loop, closed = ar1_info_recursion(theta, n, x0), ar1_expected_info(theta, n, x0)
+                assert closed == loop or abs(closed - loop) <= 4 * (n + 8) * eps * abs(loop), (n, x0, closed, loop)
+
+    def test_large_n_is_the_geometric_sum(self):
+        # 10**12 steps of the recursion would take hours; S = 4/3 at theta 0.5
+        assert ar1_expected_info(0.5, 10**12, 1.0) == pytest.approx(4 / 3 + (10**12 - 4 / 3) / 0.75, rel=1e-14)
 
     def test_monte_carlo_cross_check(self):
         for theta, n in ((0.5, 3), (0.9, 10)):

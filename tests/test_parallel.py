@@ -178,7 +178,7 @@ class TestStreamLayout:
         expected = []
         for i in range(B):
             data = model.simulate(theta_hat, derive_rng(seed, "bootstrap", 0, i))
-            theta_star, trace = safeguarded_maximize(model.objective(data), model.starts(np.array([data]))[0])
+            theta_star, trace = safeguarded_maximize(model.objective(data), theta_hat)
             assert trace.converged
             expected.append(pivot_alone(pivot, model, data, theta_star, theta_hat))
         samples = parametric_bootstrap(model, theta_hat, B, pivot, seed)

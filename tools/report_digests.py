@@ -1,6 +1,6 @@
 """Digests of the reports a checkout's CLI writes for a fixed set of inputs.
 
-    python3 tools/report_digests.py [--root CHECKOUT]
+    python3 tools/report_digests.py [--root CHECKOUT] [--keep DIR]
 
 Runs every fenced ``json`` config of README.md (with the data file
 ``tests/test_readme.py`` writes for it) and the inputs of the three bench
@@ -9,13 +9,16 @@ workloads at seeds 0, 3 and 7 (data set 0 of each, generated by
 ``sha256 exit-code name`` for every file a report writes.  The inputs come
 from this checkout; the program comes from ``CHECKOUT/src`` (by default
 this checkout's), so two checkouts are compared byte for byte by running
-the script once with each and diffing its output.  Exits 1 if a run ended
-with an internal error (exit 3), else 0.
+the script once with each and diffing its output.  With ``--keep DIR``
+the runs, their inputs and reports, are written under the new directory
+DIR and kept, for ``tools/report_diff.py`` to compare two such trees.
+Exits 1 if a run ended with an internal error (exit 3), else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -78,10 +81,13 @@ def digest(path: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=HERE, help="the checkout whose src/quadlik runs (default: this one)")
+    parser.add_argument("--keep", metavar="DIR", help="run under DIR, a new directory, and keep the reports there")
     args = parser.parse_args()
     cli = import_cli(args.root)
     faults = 0
-    with tempfile.TemporaryDirectory() as directory:
+    if args.keep:
+        os.makedirs(args.keep)
+    with contextlib.nullcontext(args.keep) if args.keep else tempfile.TemporaryDirectory() as directory:
         for runs in (readme_runs, bench_runs):
             for run_dir, argv in runs(directory):
                 inputs = set(os.listdir(run_dir))
